@@ -700,10 +700,10 @@ impl SessionCore {
                     if let Some((cache, fingerprint, template)) = &probe {
                         if clean && replans == 0 && decisions_out.len() == plan.steps.len() {
                             match cache.insert(fingerprint, template, &plan, decisions_out) {
-                                PlanInsertOutcome::Inserted { .. } => {
+                                PlanInsertOutcome::Inserted { written, .. } => {
                                     trace.record_plan_cache(PlanCacheCalls {
                                         insertions: 1,
-                                        disk_writes: usize::from(cache.has_disk()),
+                                        disk_writes: usize::from(written),
                                         ..PlanCacheCalls::default()
                                     });
                                 }

@@ -34,6 +34,7 @@ pub mod profile;
 pub mod prompt;
 pub mod sim;
 pub mod synthesis;
+pub mod template;
 
 pub use cancel::{CancelStatus, CancelToken};
 pub use chat::{ChatMessage, Conversation, Role};
@@ -44,10 +45,10 @@ pub use intent::{analyze, AggKind, AttributeRef, OutputKind, QueryIntent};
 pub use perception::PerceptionLlm;
 pub use plan::{ErrorAnalysis, LogicalPlan, LogicalStep, OperatorDecision};
 pub use plan_cache::{
-    normalize_query, schema_fingerprint, CachedPlan, Literal, PlanCache, PlanCacheConfig,
-    PlanCacheStats, PlanInsertOutcome, PlanTier, QueryTemplate,
+    CachedPlan, PlanCache, PlanCacheConfig, PlanCacheStats, PlanInsertOutcome, PlanTier,
 };
 pub use profile::{ErrorInjector, ModelProfile};
 pub use prompt::{PromptBuilder, PromptConfig, RelevantColumn};
 pub use sim::SimulatedLlm;
 pub use synthesis::synthesize;
+pub use template::{normalize_query, schema_fingerprint, Literal, QueryTemplate};

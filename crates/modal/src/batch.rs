@@ -62,6 +62,7 @@ use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::ModalResult;
 use crate::image::ImageObject;
 use caesura_engine::{parallel, EngineError, EngineResult, ExecConfig, Value};
+use caesura_store::{Hit, Tier};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -192,6 +193,31 @@ impl BatchStats {
     /// attached).
     pub fn dispatched_requests(&self) -> usize {
         self.unique_requests - self.cache_hits - self.disk_hits
+    }
+
+    /// Count one probe of `cache`. A disk hit is a memory miss that the
+    /// store answered; a miss of both tiers counts as a disk miss only when
+    /// a store was there to be probed.
+    fn count_probe(&mut self, cache: &PerceptionCache, hit: Option<&Hit<Value>>) {
+        match hit {
+            Some(hit) if hit.tier == Tier::Memory => self.cache_hits += 1,
+            Some(hit) => {
+                self.cache_misses += 1;
+                self.disk_hits += 1;
+                self.cache_evictions += hit.evictions;
+            }
+            None => {
+                self.cache_misses += 1;
+                self.disk_misses += usize::from(cache.has_disk());
+            }
+        }
+    }
+
+    /// Count the answers stored after a dispatch: the evictions they caused
+    /// and how many were written through.
+    fn count_puts(&mut self, evictions: usize, written: usize) {
+        self.cache_evictions += evictions;
+        self.disk_writes += written;
     }
 
     /// Fraction of cache probes answered by either tier (memory or disk),
@@ -482,50 +508,24 @@ impl PerceptionBatch {
         let null_rows = slots.iter().filter(|s| matches!(s, Slot::Null)).count();
         let unique_count = unique.len();
 
-        // Probe phase: resolve hits, keep misses in first-seen order. With a
-        // disk tier attached, memory misses probe the durable store (keyed by
-        // the backend's identity) before being dispatched; disk hits also
-        // warm the memory tier so duplicates within the session stay cheap.
-        let disk_identity: Option<String> = match cache {
-            Some((cache, _)) if cache.has_disk() => Some(backend.identity()),
-            _ => None,
-        };
+        // Probe phase: resolve hits (from either tier of the cache), keep
+        // misses in first-seen order.
+        let identity = cache.map(|_| backend.identity());
+        let identity = identity.as_deref().unwrap_or_default();
         let mut resolved: Vec<Option<Value>> = vec![None; unique_count];
         let mut miss_slots: Vec<usize> = Vec::new();
         let mut miss_requests: Vec<PerceptionRequest> = Vec::new();
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
-        let mut disk_hits = 0usize;
-        let mut probe_evictions = 0usize;
+        let mut probed = BatchStats::default();
         match cache {
             Some((cache, scope)) => {
                 for (idx, request) in unique.into_iter().enumerate() {
-                    match cache.get(scope, &request.input, &request.question) {
-                        Some(value) => {
-                            resolved[idx] = Some(value);
-                            cache_hits += 1;
-                        }
+                    let hit = cache.get(identity, scope, &request);
+                    probed.count_probe(cache, hit.as_ref());
+                    match hit {
+                        Some(hit) => resolved[idx] = Some(hit.value),
                         None => {
-                            cache_misses += 1;
-                            let from_disk = disk_identity.as_ref().and_then(|identity| {
-                                cache.disk_get(identity, scope, &request.input, &request.question)
-                            });
-                            match from_disk {
-                                Some(value) => {
-                                    probe_evictions += cache.insert(
-                                        scope,
-                                        &request.input,
-                                        &request.question,
-                                        value.clone(),
-                                    );
-                                    resolved[idx] = Some(value);
-                                    disk_hits += 1;
-                                }
-                                None => {
-                                    miss_slots.push(idx);
-                                    miss_requests.push(request);
-                                }
-                            }
+                            miss_slots.push(idx);
+                            miss_requests.push(request);
                         }
                     }
                 }
@@ -535,16 +535,11 @@ impl PerceptionBatch {
                 miss_requests = unique;
             }
         }
-        let disk_misses = if disk_identity.is_some() {
-            miss_requests.len()
-        } else {
-            0
-        };
 
         // Dispatch phase: only the misses reach the backend.
         let dispatched = AtomicUsize::new(0);
         let evicted = AtomicUsize::new(0);
-        let disk_wrote = AtomicUsize::new(0);
+        let written = AtomicUsize::new(0);
         let result: EngineResult<Vec<Vec<Value>>> = if miss_requests.is_empty() {
             Ok(Vec::new())
         } else {
@@ -569,26 +564,9 @@ impl PerceptionBatch {
                     // re-dispatched on every attempt, like the uncached path.
                     for (request, answer) in batch.iter().zip(&answers) {
                         if let Ok(value) = answer {
-                            evicted.fetch_add(
-                                cache.insert(
-                                    scope,
-                                    &request.input,
-                                    &request.question,
-                                    value.clone(),
-                                ),
-                                Ordering::Relaxed,
-                            );
-                            if let Some(identity) = disk_identity.as_ref() {
-                                if cache.disk_put(
-                                    identity,
-                                    scope,
-                                    &request.input,
-                                    &request.question,
-                                    value,
-                                ) {
-                                    disk_wrote.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                            let put = cache.put(identity, scope, request, value.clone());
+                            evicted.fetch_add(put.evictions, Ordering::Relaxed);
+                            written.fetch_add(usize::from(put.written), Ordering::Relaxed);
                         }
                     }
                 }
@@ -598,19 +576,15 @@ impl PerceptionBatch {
                     .collect()
             })
         };
-        let stats = BatchStats {
+        let mut stats = BatchStats {
             rows,
             null_rows,
             unique_requests: unique_count,
             batches: dispatched.into_inner(),
             saved_calls: rows - null_rows - unique_count,
-            cache_hits,
-            cache_misses,
-            cache_evictions: probe_evictions + evicted.into_inner(),
-            disk_hits,
-            disk_misses,
-            disk_writes: disk_wrote.into_inner(),
+            ..probed
         };
+        stats.count_puts(evicted.into_inner(), written.into_inner());
         let scattered = result.map(|chunks| {
             for (j, value) in chunks.into_iter().flatten().enumerate() {
                 resolved[miss_slots[j]] = Some(value);
@@ -920,24 +894,18 @@ mod tests {
             );
             assert!(answers.is_err());
         });
+        let cached = |text: &str| {
+            let request = PerceptionRequest {
+                input: PerceptionInput::Document(text.into()),
+                question: "Q?".into(),
+            };
+            let hit = cache.get(&FailBad.identity(), CacheScope::TextQa, &request);
+            hit.map(|hit| hit.value)
+        };
         // The successful answer of the failing dispatch is cached ...
-        assert_eq!(
-            cache.get(
-                CacheScope::TextQa,
-                &PerceptionInput::Document("good".into()),
-                "Q?"
-            ),
-            Some(Value::Int(1))
-        );
+        assert_eq!(cached("good"), Some(Value::Int(1)));
         // ... the failed one is not.
-        assert_eq!(
-            cache.get(
-                CacheScope::TextQa,
-                &PerceptionInput::Document("bad".into()),
-                "Q?"
-            ),
-            None
-        );
+        assert_eq!(cached("bad"), None);
     }
 
     #[test]

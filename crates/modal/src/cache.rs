@@ -1,12 +1,13 @@
 //! Session-scoped perception answer cache.
 //!
-//! PR 3's batching layer ([`crate::batch`]) deduplicates identical
+//! The batching layer ([`crate::batch`]) deduplicates identical
 //! `(input, question)` perception requests *within* one operator invocation.
 //! This module extends that collapse across plan steps and across queries: a
-//! [`PerceptionCache`] owned by the session (and shared by every executor the
-//! session creates) remembers the answer of every successful perception call,
-//! so a question re-asked by a later plan step — or by a back-to-back query
-//! over the same lake — never reaches the [`PerceptionBackend`](crate::batch::PerceptionBackend) again.
+//! [`PerceptionCache`] owned by the session (and shared by every executor it
+//! creates) remembers the answer of every successful perception call, so a
+//! question re-asked by a later plan step — or by a back-to-back query over
+//! the same lake — never reaches the
+//! [`PerceptionBackend`](crate::batch::PerceptionBackend) again.
 //!
 //! ## Why caching cannot change an answer
 //!
@@ -31,34 +32,32 @@
 //! uncached path across cache sizes (including tiny capacities that force
 //! eviction), thread counts, and batch sizes.
 //!
-//! ## Bounded memory, sharded locking
+//! ## Where answers live
 //!
-//! The cache holds at most [`CacheConfig::capacity`] entries, evicting the
-//! least-recently-used entry on overflow. Entries are distributed over up to
-//! [`PerceptionCache::MAX_SHARDS`] independently locked shards whose
-//! capacities sum to the configured total, so concurrent queries (e.g. the
-//! stress harness racing sessions over one `Arc`-shared catalog) contend on
-//! a shard, never on the whole cache — and never on the morsel worker pool,
-//! which stays lock-free. LRU order is tracked per shard, making eviction an
-//! approximation of global LRU (the approximation affects only *which* entry
-//! is re-computed later, never any answer).
-//!
-//! ## Knobs
+//! In a [`TieredCache`] ([`caesura_store::tiered`] has the locking model and
+//! the memory → disk probe path): at most [`CacheConfig::capacity`] entries of
+//! sharded LRU memory over an optional durable store keyed by the answering
+//! backend's identity. This module adds what is particular to perception: the
+//! scope- and modality-separated key, the [`Value`] codec, and the disk-only
+//! keyspace of compiled transforms.
 //!
 //! [`CacheConfig`] defaults to the `CAESURA_PERCEPTION_CACHE` environment
-//! variable: unset uses [`CacheConfig::DEFAULT_CAPACITY`], a number sets the
-//! entry capacity, and `0` / `off` / `false` disables caching entirely —
-//! byte-for-byte preserving the pre-cache behaviour (the batch layer then
-//! dispatches every unique request, as before). Sessions pin the knob via
-//! `CaesuraConfig::perception_cache`.
+//! variable ([`caesura_store::capacity_from_env`]): `0` / `off` / `false`
+//! means no cache at all — byte-for-byte the pre-cache behaviour. Sessions pin
+//! the knob via `CaesuraConfig::perception_cache`.
 
-use crate::batch::PerceptionInput;
+use crate::batch::{PerceptionInput, PerceptionRequest};
 use crate::transform::TransformProgram;
 use caesura_engine::{DateValue, Schema, Value};
-use caesura_store::CacheStore;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use caesura_store::{
+    capacity_from_env, push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache,
+};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
+
+/// Lifetime counters of one [`PerceptionCache`]: `hits` are model calls
+/// avoided, `misses` fell through to the disk tier or the backend.
+pub use caesura_store::TieredStats as CacheStats;
 
 /// Configuration of the session-scoped perception answer cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,11 +68,9 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Default entry capacity when `CAESURA_PERCEPTION_CACHE` is unset.
-    ///
-    /// Entries are small (the input key is `Arc`-shared with the table
-    /// columns; the value is one extracted answer), so the default is sized
-    /// for whole-lake workloads rather than single queries.
+    /// Entry capacity when `CAESURA_PERCEPTION_CACHE` is unset. Entries are
+    /// small (the input key is `Arc`-shared with the table columns; the value
+    /// is one extracted answer), so it is sized for whole-lake workloads.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// A configuration with an explicit entry capacity (`0` = off).
@@ -81,10 +78,9 @@ impl CacheConfig {
         CacheConfig { capacity }
     }
 
-    /// The disabled configuration: no cache is created, and perception
-    /// dispatch behaves exactly as before this subsystem existed.
+    /// The disabled configuration: perception dispatch without any cache.
     pub fn off() -> Self {
-        CacheConfig { capacity: 0 }
+        CacheConfig::new(0)
     }
 
     /// Whether this configuration creates a cache at all.
@@ -92,58 +88,24 @@ impl CacheConfig {
         self.capacity > 0
     }
 
-    /// The configuration described by the environment:
-    /// `CAESURA_PERCEPTION_CACHE` — unset uses
-    /// [`Self::DEFAULT_CAPACITY`], `0` / `off` / `false` disables the cache,
-    /// any other number is the entry capacity (unparseable values fall back
-    /// to the default, mirroring the other `CAESURA_*` knobs).
-    pub fn from_env() -> Self {
-        match std::env::var("CAESURA_PERCEPTION_CACHE") {
-            Err(_) => CacheConfig::new(Self::DEFAULT_CAPACITY),
-            Ok(raw) => {
-                let value = raw.trim().to_lowercase();
-                if value == "off" || value == "false" || value == "0" {
-                    CacheConfig::off()
-                } else {
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&c| c > 0)
-                        .map(CacheConfig::new)
-                        .unwrap_or(CacheConfig::new(Self::DEFAULT_CAPACITY))
-                }
-            }
-        }
-    }
-
     /// Build the cache this configuration describes (`None` when disabled).
     pub fn build(&self) -> Option<PerceptionCache> {
-        if self.is_enabled() {
-            Some(PerceptionCache::with_capacity(self.capacity))
-        } else {
-            None
-        }
+        (self.capacity > 0).then(|| PerceptionCache::with_capacity(self.capacity))
     }
 }
 
 impl Default for CacheConfig {
-    /// The environment-described configuration, read once per process (the
-    /// same caching pattern as [`crate::BatchConfig`]); use
-    /// [`CacheConfig::from_env`] directly to re-read the environment.
+    /// What `CAESURA_PERCEPTION_CACHE` describes, read once per process.
     fn default() -> Self {
-        static DEFAULT: OnceLock<CacheConfig> = OnceLock::new();
-        *DEFAULT.get_or_init(CacheConfig::from_env)
+        static CAPACITY: OnceLock<usize> = OnceLock::new();
+        let read = || capacity_from_env("CAESURA_PERCEPTION_CACHE", Self::DEFAULT_CAPACITY);
+        CacheConfig::new(*CAPACITY.get_or_init(read))
     }
 }
 
-/// The per-operator namespace of a cache entry.
-///
-/// Each perception operator routes through its own backend, and answer
-/// determinism is only guaranteed *per backend*: VisualQA and Image Select
-/// both ask about images, but the same `(image, question)` pair may produce
-/// a typed value for one and a match decision for the other. Scoping the key
-/// keeps those keyspaces disjoint, exactly like the dedup index separates
-/// documents from images.
+/// The per-operator namespace of a cache entry: each perception operator
+/// routes through its own backend, and answers are only deterministic *per
+/// backend* (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheScope {
     /// TextQA answers about text documents.
@@ -155,16 +117,6 @@ pub enum CacheScope {
 }
 
 impl CacheScope {
-    const COUNT: usize = 3;
-
-    fn index(self) -> usize {
-        match self {
-            CacheScope::TextQa => 0,
-            CacheScope::VisualQa => 1,
-            CacheScope::ImageSelect => 2,
-        }
-    }
-
     /// Stable name used in on-disk keys (never reuse a name for a different
     /// operator — the disk tier outlives any one process).
     fn disk_name(self) -> &'static str {
@@ -176,407 +128,185 @@ impl CacheScope {
     }
 }
 
-/// Lifetime counters of one [`PerceptionCache`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Probes answered from the cache (model calls avoided).
-    pub hits: usize,
-    /// Probes that fell through to the backend.
-    pub misses: usize,
-    /// Entries stored (one per successfully answered miss).
-    pub insertions: usize,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: usize,
-    /// Memory-tier misses answered from the attached disk store.
-    pub disk_hits: usize,
-    /// Disk-tier probes that found nothing (true cold misses).
-    pub disk_misses: usize,
-    /// Answers written through to the attached disk store.
-    pub disk_writes: usize,
-}
-
-/// One cached answer plus its position in the shard's LRU order.
+/// The owned key of one cached answer. The input is `Arc`-shared with the
+/// table column it came from, so large documents are never copied.
 #[derive(Debug)]
-struct Entry {
-    value: Value,
-    tick: u64,
-}
-
-/// The reverse key stored in the LRU order, pointing back into the index
-/// (`Arc`-shared with the index keys, so touches never copy strings).
-#[derive(Debug)]
-struct LruKey {
-    scope: usize,
+struct AnswerKey {
+    scope: CacheScope,
+    /// Modality of the input: a document whose text equals an image key is a
+    /// different key, in memory as on disk.
+    image: bool,
     input: Arc<str>,
     question: Arc<str>,
 }
 
-/// The scope-separated nested index of one shard (same shape as the dedup
-/// index): input key → question → entry.
-type ScopeIndex = HashMap<Arc<str>, HashMap<Arc<str>, Entry>>;
-
-/// One independently locked slice of the cache.
-#[derive(Debug, Default)]
-struct Shard {
-    /// Entry capacity of this shard (the shard capacities sum to the
-    /// configured total).
-    capacity: usize,
-    /// Monotonic access clock; higher tick = more recently used.
-    tick: u64,
-    /// Nested so probes borrow `&str` and the `Arc<str>` keys share the
-    /// document storage with the requests.
-    index: [ScopeIndex; CacheScope::COUNT],
-    /// LRU order: access tick → key of the entry touched at that tick.
-    /// `lru.len()` is the shard's live entry count.
-    lru: BTreeMap<u64, LruKey>,
+/// The borrowed form of an [`AnswerKey`]: probing allocates nothing.
+struct AnswerProbe<'a> {
+    scope: CacheScope,
+    request: &'a PerceptionRequest,
 }
 
-impl Shard {
-    /// Move an entry's tick to the front of the LRU order, reusing the
-    /// entry's existing key (no allocation).
-    fn touch(lru: &mut BTreeMap<u64, LruKey>, entry: &mut Entry, tick: u64) {
-        let key = lru
-            .remove(&entry.tick)
-            .expect("a live cache entry has an LRU slot");
-        entry.tick = tick;
-        lru.insert(tick, key);
+impl AnswerProbe<'_> {
+    fn image(&self) -> bool {
+        matches!(self.request.input, PerceptionInput::Image(_))
     }
 }
 
-/// A bounded, sharded, LRU map from scoped `(input, question)` pairs to the
-/// answers a [`PerceptionBackend`](crate::batch::PerceptionBackend) gave them. See the [module docs](self)
-/// for the correctness argument and locking model.
+impl Hash for AnswerProbe<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u8(self.scope as u8);
+        state.write(self.request.input.cache_key().as_bytes());
+        state.write_u8(1);
+        state.write(self.request.question.as_bytes());
+    }
+}
+
+impl CacheKey<AnswerKey> for AnswerProbe<'_> {
+    fn equivalent(&self, key: &AnswerKey) -> bool {
+        let PerceptionRequest { input, question } = self.request;
+        (self.scope, self.image(), input.cache_key(), &**question)
+            == (key.scope, key.image, &*key.input, &*key.question)
+    }
+
+    fn to_key(&self) -> AnswerKey {
+        AnswerKey {
+            scope: self.scope,
+            image: self.image(),
+            input: self.request.input.shared_key(),
+            question: Arc::from(&*self.request.question),
+        }
+    }
+
+    /// `(identity, scope, input key, question)` under the modality's tag.
+    fn disk_key(&self, identity: &str) -> Vec<u8> {
+        let PerceptionRequest { input, question } = self.request;
+        let kind = if self.image() { b'i' } else { b'd' };
+        let parts = [
+            identity,
+            self.scope.disk_name(),
+            input.cache_key(),
+            question,
+        ];
+        framed_key(parts, kind)
+    }
+}
+
+/// Length-prefixed `parts` plus a one-byte keyspace tag, so no part can
+/// masquerade as another and the document, image and transform keyspaces
+/// never collide.
+fn framed_key(parts: [&str; 4], kind: u8) -> Vec<u8> {
+    let mut out = Vec::with_capacity(17 + parts.iter().map(|p| p.len()).sum::<usize>());
+    for part in parts {
+        push_part(&mut out, part.as_bytes());
+    }
+    out.push(kind);
+    out
+}
+
+/// A bounded map from scoped `(input, question)` pairs to the answers a
+/// [`PerceptionBackend`](crate::batch::PerceptionBackend) gave them. See the
+/// [module docs](self) for the correctness argument.
 #[derive(Debug)]
 pub struct PerceptionCache {
-    shards: Vec<Mutex<Shard>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    insertions: AtomicUsize,
-    evictions: AtomicUsize,
-    disk_hits: AtomicUsize,
-    disk_misses: AtomicUsize,
-    disk_writes: AtomicUsize,
-    capacity: usize,
-    /// Optional durable tier below the shards (see [`caesura_store`]). Keys
-    /// carry the backend identity, so entries written by one model
-    /// configuration never answer for another.
-    disk: Option<Arc<CacheStore>>,
+    tiers: TieredCache<AnswerKey, Value>,
 }
 
 impl PerceptionCache {
-    /// Upper bound on the number of lock shards. Small capacities use fewer
-    /// shards (down to one) so the configured bound stays exact.
-    pub const MAX_SHARDS: usize = 16;
-
     /// A cache holding at most `capacity` answers (clamped to ≥ 1; use
     /// [`CacheConfig::build`] to express "off" as the absence of a cache).
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        // Small caches use fewer shards (down to one) so per-shard eviction
-        // stays close to true LRU; each shard holds at least a handful of
-        // entries before the shard count maxes out.
-        let shard_count = (capacity / 4).clamp(1, Self::MAX_SHARDS);
-        let base = capacity / shard_count;
-        let extra = capacity % shard_count;
-        let shards = (0..shard_count)
-            .map(|i| {
-                Mutex::new(Shard {
-                    capacity: base + usize::from(i < extra),
-                    ..Shard::default()
-                })
-            })
-            .collect();
-        PerceptionCache {
-            shards,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            insertions: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            disk_hits: AtomicUsize::new(0),
-            disk_misses: AtomicUsize::new(0),
-            disk_writes: AtomicUsize::new(0),
-            capacity,
-            disk: None,
-        }
+        let tiers = TieredCache::new(capacity, encode_value, decode_value);
+        PerceptionCache { tiers }
     }
 
     /// Attach a durable tier below the in-memory shards. Memory misses then
     /// probe the store (keyed by backend identity) before dispatching, and
     /// successful answers are written through.
     pub fn attach_disk(&mut self, store: Arc<CacheStore>) {
-        self.disk = Some(store);
+        self.tiers.attach_disk(store);
     }
 
     /// Whether a disk tier is attached.
     pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
+        self.tiers.has_disk()
     }
 
     /// The configured entry capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.tiers.capacity()
     }
 
-    /// Number of answers currently cached (across all shards; a racing
-    /// snapshot under concurrent use).
+    /// Number of answers in memory (a racing snapshot under concurrent use).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("perception cache shard lock").lru.len())
-            .sum()
+        self.tiers.len()
     }
 
-    /// Whether no answer is cached.
+    /// Whether no answer is in memory.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tiers.is_empty()
     }
 
-    /// Lifetime hit/miss/insertion/eviction counters.
+    /// Lifetime counters of both tiers.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            disk_writes: self.disk_writes.load(Ordering::Relaxed),
-        }
+        self.tiers.stats()
     }
 
-    /// FNV-1a over the scoped key, used only to pick a shard (entry identity
-    /// is decided by the exact nested-index lookup, never by this hash).
-    fn shard_of(&self, scope: CacheScope, input: &str, question: &str) -> usize {
-        let mut hash: u64 = 0xcbf29ce484222325;
-        for byte in [scope.index() as u8]
-            .iter()
-            .copied()
-            .chain(input.bytes())
-            .chain([0x1u8])
-            .chain(question.bytes())
-        {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    /// Look up the cached answer of a scoped `(input, question)` pair,
-    /// refreshing its LRU position on a hit.
-    pub fn get(&self, scope: CacheScope, input: &PerceptionInput, question: &str) -> Option<Value> {
-        let key = input.cache_key();
-        let mut guard = self.shards[self.shard_of(scope, key, question)]
-            .lock()
-            .expect("perception cache shard lock");
-        let shard = &mut *guard;
-        shard.tick += 1;
-        let tick = shard.tick;
-        let found = shard.index[scope.index()]
-            .get_mut(key)
-            .and_then(|by_question| by_question.get_mut(question));
-        match found {
-            Some(entry) => {
-                Shard::touch(&mut shard.lru, entry, tick);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Store the answer of a scoped `(input, question)` pair, evicting the
-    /// shard's least-recently-used entry if the shard is full. Returns the
-    /// number of evictions performed (0 or 1).
-    ///
-    /// Callers must only insert **successful** answers: errors are never
-    /// cached, so failed requests are re-dispatched on every attempt exactly
-    /// like the uncached path.
-    pub fn insert(
-        &self,
-        scope: CacheScope,
-        input: &PerceptionInput,
-        question: &str,
-        value: Value,
-    ) -> usize {
-        let key = input.cache_key();
-        let mut guard = self.shards[self.shard_of(scope, key, question)]
-            .lock()
-            .expect("perception cache shard lock");
-        let shard = &mut *guard;
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(entry) = shard.index[scope.index()]
-            .get_mut(key)
-            .and_then(|by_question| by_question.get_mut(question))
-        {
-            // Another worker (or an earlier batch) stored this key already.
-            // Answers are deterministic per key, so only the LRU position
-            // needs refreshing.
-            Shard::touch(&mut shard.lru, entry, tick);
-            return 0;
-        }
-        // Build the scoped key once; index and LRU share it via `Arc`.
-        let input_key = input.shared_key();
-        let question_key: Arc<str> = Arc::from(question);
-        shard.index[scope.index()]
-            .entry(Arc::clone(&input_key))
-            .or_default()
-            .insert(Arc::clone(&question_key), Entry { value, tick });
-        shard.lru.insert(
-            tick,
-            LruKey {
-                scope: scope.index(),
-                input: input_key,
-                question: question_key,
-            },
-        );
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if shard.lru.len() <= shard.capacity {
-            return 0;
-        }
-        // Evict the least-recently-used entry of this shard.
-        let (_, victim) = shard
-            .lru
-            .pop_first()
-            .expect("a full shard has an LRU entry");
-        if let Some(by_question) = shard.index[victim.scope].get_mut(&victim.input) {
-            by_question.remove(&victim.question);
-            if by_question.is_empty() {
-                shard.index[victim.scope].remove(&victim.input);
-            }
-        }
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        1
-    }
-
-    /// Probe the disk tier for a memory miss. Returns the stored answer
-    /// without touching the in-memory shards (callers warm the memory tier
-    /// via [`Self::insert`] so the hit also counts as a memory insertion).
+    /// Look up the answer `scope`'s backend gave `request`, in memory and
+    /// then on disk, reporting which tier answered.
     ///
     /// `identity` is the answering backend's version string
     /// ([`crate::batch::PerceptionBackend::identity`]): it namespaces every
-    /// key, so a store written under one model configuration can never
-    /// answer for another. No-op `None` when no disk tier is attached.
-    pub fn disk_get(
+    /// disk key, so a store written under one model configuration can never
+    /// answer for another.
+    pub fn get(
         &self,
         identity: &str,
         scope: CacheScope,
-        input: &PerceptionInput,
-        question: &str,
-    ) -> Option<Value> {
-        let store = self.disk.as_ref()?;
-        let key = disk_key(identity, scope, input, question);
-        let decoded = store.get(&key).and_then(|bytes| decode_value(&bytes));
-        match decoded {
-            Some(value) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            None => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        request: &PerceptionRequest,
+    ) -> Option<Hit<Value>> {
+        self.tiers.get(&AnswerProbe { scope, request }, identity)
     }
 
-    /// Write a successful answer through to the disk tier (no-op without
-    /// one). Returns whether a record was durably appended; write errors are
-    /// swallowed — the disk tier is an optimization, and a failed write
-    /// costs at most a future cold miss.
-    pub fn disk_put(
+    /// Store (and write through) the answer `scope`'s backend gave `request`.
+    /// Callers must only put **successful** answers: errors are never
+    /// cached, so failed requests are re-dispatched on every attempt exactly
+    /// like the uncached path.
+    pub fn put(
         &self,
         identity: &str,
         scope: CacheScope,
-        input: &PerceptionInput,
-        question: &str,
-        value: &Value,
-    ) -> bool {
-        let Some(store) = self.disk.as_ref() else {
-            return false;
-        };
-        let key = disk_key(identity, scope, input, question);
-        let written = store.put(&key, &encode_value(value)).is_ok();
-        if written {
-            self.disk_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        written
-    }
-
-    /// Speculative-prefetch hook: warm the in-memory tier from disk for a
-    /// set of pending `(input, question)` perception requests before they
-    /// are dispatched. Returns how many answers were warmed.
-    ///
-    /// Wrong guesses are harmless — a prefetched answer is still the correct
-    /// answer for its key, it merely occupies an LRU slot. Callers that know
-    /// a table's likely next-step requests (e.g. the scheduler, or a future
-    /// speculative planner) can warm them here so the batch probe in
-    /// [`crate::batch::PerceptionBatch::dispatch_cached`] hits memory
-    /// directly.
-    pub fn prefetch<'a, I>(&self, identity: &str, scope: CacheScope, requests: I) -> usize
-    where
-        I: IntoIterator<Item = (&'a PerceptionInput, &'a str)>,
-    {
-        if self.disk.is_none() {
-            return 0;
-        }
-        let mut warmed = 0;
-        for (input, question) in requests {
-            if let Some(value) = self.disk_get(identity, scope, input, question) {
-                self.insert(scope, input, question, value);
-                warmed += 1;
-            }
-        }
-        warmed
+        request: &PerceptionRequest,
+        value: Value,
+    ) -> Put {
+        let probe = AnswerProbe { scope, request };
+        self.tiers.put(&probe, value, identity)
     }
 
     /// Probe the disk tier for a compiled transform program — the Python-UDF
     /// substitute's "description → code" call, which stands in for a GPT-4
     /// codegen round trip in the paper.
     ///
-    /// Unlike the perception operators the codegen has **no memory tier**:
-    /// compilation is deterministic and in-process, so re-compiling within a
-    /// session costs nothing real. What the disk tier buys is restart
-    /// fidelity — a warmed session replays the plan without re-issuing the
-    /// (simulated) codegen call, exactly like the perception answers. With no
-    /// disk tier attached this returns `None` without counting anything, so
-    /// the in-memory-only configuration behaves byte-identically to the
-    /// pre-store code.
-    ///
-    /// A disk hit is counted only when the stored program decodes and
-    /// validates against `schema`; a missing or undecodable entry counts as a
-    /// disk miss and the caller compiles fresh.
+    /// The codegen has **no memory tier**: compiling is deterministic and
+    /// in-process, so only a restart has a (simulated) codegen call to save.
+    /// Without a store this returns `None` and counts nothing; with one, a
+    /// program that does not decode and validate against `schema` is a disk
+    /// miss and the caller compiles fresh.
     pub fn transform_disk_get(
         &self,
         identity: &str,
         description: &str,
         schema: &Schema,
     ) -> Option<TransformProgram> {
-        let store = self.disk.as_ref()?;
-        let key = transform_disk_key(identity, description, &schema.to_string());
-        let decoded = store
-            .get(&key)
-            .and_then(|bytes| TransformProgram::from_cache_bytes(&bytes, schema));
-        match decoded {
-            Some(program) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(program)
-            }
-            None => {
-                self.disk_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let key = || transform_disk_key(identity, description, schema);
+        let decode = |bytes: &[u8]| TransformProgram::from_cache_bytes(bytes, schema);
+        self.tiers.disk_get(key, decode)
     }
 
     /// Write a freshly compiled transform program through to the disk tier
-    /// (no-op without one). The write is **round-trip validated**: the
-    /// program is only persisted when decoding its own encoding reproduces it
-    /// exactly, so a cached compile can never behave differently from a fresh
-    /// one — a program whose rendering does not re-parse is simply recompiled
-    /// on every restart. Returns whether a record was durably appended.
+    /// (no-op without one), returning whether a record was appended. The
+    /// write is **round-trip validated**: a program is only persisted when
+    /// decoding its own encoding reproduces it exactly, so a cached compile
+    /// can never behave differently from a fresh one.
     pub fn transform_disk_put(
         &self,
         identity: &str,
@@ -584,278 +314,133 @@ impl PerceptionCache {
         schema: &Schema,
         program: &TransformProgram,
     ) -> bool {
-        let Some(store) = self.disk.as_ref() else {
-            return false;
-        };
         let bytes = program.cache_bytes();
-        if TransformProgram::from_cache_bytes(&bytes, schema).as_ref() != Some(program) {
-            return false;
-        }
-        let key = transform_disk_key(identity, description, &schema.to_string());
-        let written = store.put(&key, &bytes).is_ok();
-        if written {
-            self.disk_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        written
+        let key = || transform_disk_key(identity, description, schema);
+        TransformProgram::from_cache_bytes(&bytes, schema).as_ref() == Some(program)
+            && self.tiers.disk_put(key, &bytes)
     }
 }
 
-/// The on-disk key of a cached transform compile: length-prefixed
-/// `(identity, "transform", description, schema fingerprint)` parts plus the
-/// kind byte `t`, so transform entries can never collide with the
-/// document/image perception keyspaces of [`disk_key`].
-fn transform_disk_key(identity: &str, description: &str, schema_fp: &str) -> Vec<u8> {
-    let parts: [&[u8]; 4] = [
-        identity.as_bytes(),
-        b"transform",
-        description.as_bytes(),
-        schema_fp.as_bytes(),
-    ];
-    let mut out = Vec::with_capacity(17 + parts.iter().map(|p| p.len()).sum::<usize>());
-    for part in parts {
-        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        out.extend_from_slice(part);
-    }
-    out.extend_from_slice(b"t");
-    out
-}
-
-/// The on-disk key of a scoped perception answer: length-prefixed
-/// `(identity, scope, input kind + key, question)` parts, so no part can
-/// masquerade as another regardless of its content.
-fn disk_key(identity: &str, scope: CacheScope, input: &PerceptionInput, question: &str) -> Vec<u8> {
-    let kind: &[u8] = match input {
-        PerceptionInput::Document(_) => b"d",
-        PerceptionInput::Image(_) => b"i",
-    };
-    let parts: [&[u8]; 4] = [
-        identity.as_bytes(),
-        scope.disk_name().as_bytes(),
-        input.cache_key().as_bytes(),
-        question.as_bytes(),
-    ];
-    let mut out = Vec::with_capacity(17 + parts.iter().map(|p| p.len()).sum::<usize>());
-    for part in parts {
-        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        out.extend_from_slice(part);
-    }
-    out.extend_from_slice(kind);
-    out
+/// The on-disk key of a cached transform compile: `(identity, "transform",
+/// description, schema fingerprint)` under the keyspace tag `t`.
+fn transform_disk_key(identity: &str, description: &str, schema: &Schema) -> Vec<u8> {
+    let schema = schema.to_string();
+    framed_key([identity, "transform", description, &schema], b't')
 }
 
 /// Serialize a [`Value`] for the disk tier: a tag byte plus a fixed or
 /// length-prefixed payload. (No serde in this workspace — the codec is
-/// hand-rolled and pinned by round-trip tests.)
+/// hand-rolled and pinned by round-trip and golden tests.)
 fn encode_value(value: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
-    let push_str = |out: &mut Vec<u8>, tag: u8, s: &str| {
-        out.push(tag);
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+    let text = |tag: u8, s: &str| {
+        let mut out = vec![tag];
+        push_part(&mut out, s.as_bytes());
+        out
     };
     match value {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            out.push(3);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => push_str(&mut out, 4, s),
-        Value::Date(d) => {
-            out.push(5);
-            out.extend_from_slice(&d.year.to_le_bytes());
-            out.push(d.month);
-            out.push(d.day);
-        }
-        Value::Image(s) => push_str(&mut out, 6, s),
-        Value::Text(s) => push_str(&mut out, 7, s),
+        Value::Null => vec![0],
+        Value::Bool(b) => vec![1, u8::from(*b)],
+        Value::Int(i) => [&[2][..], &i.to_le_bytes()].concat(),
+        Value::Float(f) => [&[3][..], &f.to_bits().to_le_bytes()].concat(),
+        Value::Str(s) => text(4, s),
+        Value::Date(d) => [&[5][..], &d.year.to_le_bytes(), &[d.month, d.day]].concat(),
+        Value::Image(s) => text(6, s),
+        Value::Text(s) => text(7, s),
     }
-    out
 }
 
 /// Inverse of [`encode_value`]. `None` on any malformed payload (the disk
 /// tier then treats the entry as a miss — cold start, never a wrong answer).
 fn decode_value(bytes: &[u8]) -> Option<Value> {
-    let (&tag, rest) = bytes.split_first()?;
-    let take_str = |rest: &[u8]| -> Option<Arc<str>> {
-        let len = u32::from_le_bytes(rest.get(..4)?.try_into().ok()?) as usize;
-        let payload = rest.get(4..4 + len)?;
-        if rest.len() != 4 + len {
-            return None;
+    let (&tag, mut rest) = bytes.split_first()?;
+    Some(match (tag, rest) {
+        (0, []) => Value::Null,
+        (1, [b @ (0 | 1)]) => Value::Bool(*b == 1),
+        (2, _) => Value::Int(i64::from_le_bytes(rest.try_into().ok()?)),
+        (3, _) => Value::Float(f64::from_bits(u64::from_le_bytes(rest.try_into().ok()?))),
+        (5, [y0, y1, y2, y3, month, day]) => {
+            let year = i32::from_le_bytes([*y0, *y1, *y2, *y3]);
+            Value::Date(DateValue::new(year, *month, *day))
         }
-        Some(Arc::from(std::str::from_utf8(payload).ok()?))
-    };
-    match tag {
-        0 => rest.is_empty().then_some(Value::Null),
-        1 => match rest {
-            [0] => Some(Value::Bool(false)),
-            [1] => Some(Value::Bool(true)),
-            _ => None,
-        },
-        2 => Some(Value::Int(i64::from_le_bytes(rest.try_into().ok()?))),
-        3 => Some(Value::Float(f64::from_bits(u64::from_le_bytes(
-            rest.try_into().ok()?,
-        )))),
-        4 => Some(Value::Str(take_str(rest)?)),
-        5 => {
-            let [y0, y1, y2, y3, month, day] = rest else {
-                return None;
-            };
-            Some(Value::Date(DateValue::new(
-                i32::from_le_bytes([*y0, *y1, *y2, *y3]),
-                *month,
-                *day,
-            )))
+        (4 | 6 | 7, _) => {
+            let text = take_part(&mut rest).filter(|_| rest.is_empty())?;
+            let text: Arc<str> = std::str::from_utf8(text).ok()?.into();
+            match tag {
+                4 => Value::Str(text),
+                6 => Value::Image(text),
+                _ => Value::Text(text),
+            }
         }
-        6 => Some(Value::Image(take_str(rest)?)),
-        7 => Some(Value::Text(take_str(rest)?)),
-        _ => None,
-    }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc(text: &str) -> PerceptionInput {
-        PerceptionInput::Document(text.into())
+    fn ask(input: PerceptionInput, question: &str) -> PerceptionRequest {
+        let question = question.to_string();
+        PerceptionRequest { input, question }
     }
 
-    #[test]
-    fn config_parses_capacity_and_off_modes() {
-        assert!(CacheConfig::new(10).is_enabled());
-        assert!(!CacheConfig::off().is_enabled());
-        assert!(CacheConfig::off().build().is_none());
-        assert_eq!(
-            CacheConfig::new(10).build().unwrap().capacity(),
-            10,
-            "explicit capacities survive the build"
-        );
+    /// A document asked "Q?".
+    fn doc(text: &str) -> PerceptionRequest {
+        ask(PerceptionInput::Document(text.into()), "Q?")
+    }
+
+    /// An image asked "Q?".
+    fn image(key: &str) -> PerceptionRequest {
+        ask(PerceptionInput::Image(crate::ImageObject::new(key)), "Q?")
+    }
+
+    /// The value a probe found, whichever tier held it.
+    fn found(
+        cache: &PerceptionCache,
+        scope: CacheScope,
+        request: &PerceptionRequest,
+    ) -> Option<Value> {
+        cache.get("model-a", scope, request).map(|hit| hit.value)
+    }
+
+    fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<CacheStore>) {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("caesura-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CacheStore::open(&dir).expect("open store"));
+        (dir, store)
     }
 
     #[test]
     fn hits_return_the_stored_answer() {
         let cache = PerceptionCache::with_capacity(8);
         let input = doc("report A");
-        assert_eq!(cache.get(CacheScope::TextQa, &input, "Who won?"), None);
-        cache.insert(CacheScope::TextQa, &input, "Who won?", Value::str("Heat"));
+        assert_eq!(found(&cache, CacheScope::TextQa, &input), None);
+        cache.put("model-a", CacheScope::TextQa, &input, Value::str("Heat"));
         assert_eq!(
-            cache.get(CacheScope::TextQa, &input, "Who won?"),
+            found(&cache, CacheScope::TextQa, &input),
             Some(Value::str("Heat"))
         );
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.insertions, 1);
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn scopes_and_modalities_never_share_entries() {
         let cache = PerceptionCache::with_capacity(8);
-        let image = PerceptionInput::Image(crate::ImageObject::new("img/1.png"));
-        // A document whose text equals an image key, asked the same question.
-        let document = doc("img/1.png");
-        cache.insert(CacheScope::VisualQa, &image, "Q?", Value::Int(1));
-        assert_eq!(cache.get(CacheScope::TextQa, &document, "Q?"), None);
+        let picture = image("img/1.png");
+        cache.put("model-a", CacheScope::VisualQa, &picture, Value::Int(1));
+        // A document whose text equals the image key, asked the same
+        // question — under another scope, and under the same one.
+        assert_eq!(found(&cache, CacheScope::TextQa, &doc("img/1.png")), None);
+        assert_eq!(found(&cache, CacheScope::VisualQa, &doc("img/1.png")), None);
         // The same image under a different operator scope is a different key.
-        assert_eq!(cache.get(CacheScope::ImageSelect, &image, "Q?"), None);
+        assert_eq!(found(&cache, CacheScope::ImageSelect, &picture), None);
         assert_eq!(
-            cache.get(CacheScope::VisualQa, &image, "Q?"),
+            found(&cache, CacheScope::VisualQa, &picture),
             Some(Value::Int(1))
         );
-    }
-
-    #[test]
-    fn capacity_one_evicts_the_previous_entry() {
-        let cache = PerceptionCache::with_capacity(1);
-        let a = doc("a");
-        let b = doc("b");
-        assert_eq!(cache.insert(CacheScope::TextQa, &a, "Q?", Value::Int(1)), 0);
-        assert_eq!(cache.insert(CacheScope::TextQa, &b, "Q?", Value::Int(2)), 1);
-        assert_eq!(cache.get(CacheScope::TextQa, &a, "Q?"), None);
-        assert_eq!(cache.get(CacheScope::TextQa, &b, "Q?"), Some(Value::Int(2)));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn lru_keeps_recently_used_entries() {
-        // One shard of capacity 2: touching `a` makes `b` the LRU victim.
-        let cache = PerceptionCache::with_capacity(2);
-        let (a, b, c) = (doc("a"), doc("b"), doc("c"));
-        cache.insert(CacheScope::TextQa, &a, "Q?", Value::Int(1));
-        cache.insert(CacheScope::TextQa, &b, "Q?", Value::Int(2));
-        assert_eq!(cache.get(CacheScope::TextQa, &a, "Q?"), Some(Value::Int(1)));
-        cache.insert(CacheScope::TextQa, &c, "Q?", Value::Int(3));
-        assert_eq!(cache.get(CacheScope::TextQa, &b, "Q?"), None, "b was LRU");
-        assert_eq!(cache.get(CacheScope::TextQa, &a, "Q?"), Some(Value::Int(1)));
-        assert_eq!(cache.get(CacheScope::TextQa, &c, "Q?"), Some(Value::Int(3)));
-    }
-
-    #[test]
-    fn reinserting_an_existing_key_does_not_grow_or_evict() {
-        let cache = PerceptionCache::with_capacity(1);
-        let a = doc("a");
-        cache.insert(CacheScope::TextQa, &a, "Q?", Value::Int(1));
-        assert_eq!(cache.insert(CacheScope::TextQa, &a, "Q?", Value::Int(1)), 0);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().insertions, 1);
-        assert_eq!(cache.stats().evictions, 0);
-    }
-
-    #[test]
-    fn shard_capacities_sum_to_the_configured_total() {
-        for capacity in [1, 2, 5, 16, 17, 100, 4096] {
-            let cache = PerceptionCache::with_capacity(capacity);
-            let total: usize = cache
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap().capacity)
-                .sum();
-            assert_eq!(total, capacity, "capacity {capacity}");
-            assert!(cache.shards.len() <= PerceptionCache::MAX_SHARDS);
-        }
-    }
-
-    #[test]
-    fn concurrent_mixed_use_stays_bounded_and_consistent() {
-        let cache = std::sync::Arc::new(PerceptionCache::with_capacity(32));
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let cache = std::sync::Arc::clone(&cache);
-                scope.spawn(move || {
-                    for i in 0..200 {
-                        let input = doc(&format!("doc {}", (t * 7 + i) % 50));
-                        let question = format!("Q{}?", i % 5);
-                        if let Some(value) = cache.get(CacheScope::TextQa, &input, &question) {
-                            assert_eq!(value, Value::Int(((t * 7 + i) % 50) as i64));
-                        } else {
-                            cache.insert(
-                                CacheScope::TextQa,
-                                &input,
-                                &question,
-                                Value::Int(((t * 7 + i) % 50) as i64),
-                            );
-                        }
-                    }
-                });
-            }
-        });
-        assert!(
-            cache.len() <= 32,
-            "capacity bound violated: {}",
-            cache.len()
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 800);
     }
 
     #[test]
@@ -881,74 +466,111 @@ mod tests {
         assert_eq!(decode_value(&[]), None);
         assert_eq!(decode_value(&[99]), None);
         assert_eq!(decode_value(&[4, 10, 0, 0, 0, b'x']), None, "short string");
+        assert_eq!(decode_value(&[4, 1, 0, 0, 0, b'x', b'y']), None, "trailing");
     }
 
     #[test]
     fn disk_tier_round_trips_and_isolates_identities() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("caesura-cache-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(CacheStore::open(&dir).expect("open store"));
-
-        let mut cache = PerceptionCache::with_capacity(8);
-        assert!(!cache.has_disk());
-        cache.attach_disk(Arc::clone(&store));
-        assert!(cache.has_disk());
-
+        let (dir, store) = temp_store("disk");
+        let fresh = || {
+            let mut cache = PerceptionCache::with_capacity(8);
+            assert!(!cache.has_disk());
+            cache.attach_disk(Arc::clone(&store));
+            assert!(cache.has_disk());
+            cache
+        };
         let input = doc("report A");
+        let writer = fresh();
+        let put = writer.put("model-a", CacheScope::TextQa, &input, Value::Int(7));
+        assert!(put.written);
+
+        // A restarted cache answers from disk, then from the warmed memory.
+        let cache = fresh();
+        let tiers: Vec<_> = (0..2)
+            .map(|_| cache.get("model-a", CacheScope::TextQa, &input))
+            .map(|hit| hit.map(|hit| (hit.value, hit.tier)))
+            .collect();
         assert_eq!(
-            cache.disk_get("model-a", CacheScope::TextQa, &input, "Q?"),
-            None
+            tiers,
+            [
+                Some((Value::Int(7), caesura_store::Tier::Disk)),
+                Some((Value::Int(7), caesura_store::Tier::Memory))
+            ]
         );
-        cache.disk_put("model-a", CacheScope::TextQa, &input, "Q?", &Value::Int(7));
+        // Nor does a different scope or modality under the same identity.
         assert_eq!(
-            cache.disk_get("model-a", CacheScope::TextQa, &input, "Q?"),
-            Some(Value::Int(7))
-        );
-        // A different backend identity never sees the entry.
-        assert_eq!(
-            cache.disk_get("model-b", CacheScope::TextQa, &input, "Q?"),
-            None
-        );
-        // Nor does a different scope under the same identity.
-        let image = PerceptionInput::Image(crate::ImageObject::new("report A"));
-        assert_eq!(
-            cache.disk_get("model-a", CacheScope::VisualQa, &image, "Q?"),
+            found(&cache, CacheScope::VisualQa, &image("report A")),
             None
         );
         let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.disk_misses, 3);
-        assert_eq!(stats.disk_writes, 1);
-        drop(cache);
-        drop(store);
+        assert_eq!((stats.disk_hits, stats.disk_misses), (1, 1));
+        assert_eq!(writer.stats().disk_writes, 1);
+        // A session answering with a different backend never sees the entry.
+        let other = fresh();
+        assert_eq!(other.get("model-b", CacheScope::TextQa, &input), None);
+        assert_eq!(other.stats().disk_misses, 1);
+        drop(other);
+        drop((cache, writer, store));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit pair"))
+            .collect()
+    }
+
+    /// The exact bytes PR 10 wrote for these entries. A store directory
+    /// outlives any one build: if this test fails, change the backend
+    /// identity strings (key change) or add a new value tag (value change)
+    /// on purpose instead of editing the literals.
     #[test]
-    fn prefetch_warms_the_memory_tier() {
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("caesura-cache-prefetch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(CacheStore::open(&dir).expect("open store"));
-
-        let seeder = {
-            let mut cache = PerceptionCache::with_capacity(8);
-            cache.attach_disk(Arc::clone(&store));
-            cache
-        };
-        let (a, b) = (doc("a"), doc("b"));
-        seeder.disk_put("m", CacheScope::TextQa, &a, "Q?", &Value::Int(1));
-
+    fn golden_disk_bytes_of_answers_and_a_transform() {
+        let (dir, store) = temp_store("golden");
         let mut cache = PerceptionCache::with_capacity(8);
         cache.attach_disk(Arc::clone(&store));
-        let requests = [(&a, "Q?"), (&b, "Q?")];
-        let warmed = cache.prefetch("m", CacheScope::TextQa, requests.iter().copied());
-        assert_eq!(warmed, 1, "only the stored request warms");
-        // The warmed answer now hits memory without another disk probe.
-        assert_eq!(cache.get(CacheScope::TextQa, &a, "Q?"), Some(Value::Int(1)));
-        assert_eq!(cache.get(CacheScope::TextQa, &b, "Q?"), None);
-        drop((cache, seeder, store));
+        let picture = |question| ask(image("img/1.png").input, question);
+        let answers = [
+            (
+                (CacheScope::TextQa, ask(doc("report A").input, "Who won?")),
+                Value::str("Heat"),
+                "070000006d6f64656c2d6107000000746578745f7161080000007265706f727420410800000057\
+                 686f20776f6e3f64",
+                "040400000048656174",
+            ),
+            (
+                (CacheScope::VisualQa, picture("How many swords?")),
+                Value::Int(2),
+                "070000006d6f64656c2d610900000076697375616c5f716109000000696d672f312e706e671000\
+                 0000486f77206d616e792073776f7264733f69",
+                "020200000000000000",
+            ),
+            (
+                (CacheScope::ImageSelect, picture("a sword")),
+                Value::Bool(true),
+                "070000006d6f64656c2d610c000000696d6167655f73656c65637409000000696d672f312e706e\
+                 6707000000612073776f726469",
+                "0101",
+            ),
+        ];
+        for ((scope, request), value, key, bytes) in answers {
+            assert!(cache.put("model-a", scope, &request, value).written);
+            assert_eq!(store.get(&unhex(key)), Some(unhex(bytes)), "{scope:?}");
+        }
+        let schema = Schema::from_pairs(&[("points", caesura_engine::DataType::Int)]);
+        let program = crate::transform::TransformCodegen::new()
+            .compile("points * 2", &schema)
+            .expect("compiles");
+        assert!(cache.transform_disk_put("codegen:transform:v1", "points * 2", &schema, &program));
+        let key =
+            "14000000636f646567656e3a7472616e73666f726d3a7631090000007472616e73666f726d0a0000\
+                   00706f696e7473202a2032110000005b27706f696e7473273a2027696e74275d74";
+        let bytes =
+            "0c00000028706f696e7473202a203229726f775b6e65775d203d2028706f696e7473202a203229";
+        assert_eq!(store.get(&unhex(key)), Some(unhex(bytes)));
+        assert_eq!(store.len(), 4);
+        drop((cache, store));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -57,8 +57,7 @@ impl TransformProgram {
     pub fn cache_bytes(&self) -> Vec<u8> {
         let expr = self.expr.to_string();
         let mut out = Vec::with_capacity(4 + expr.len() + self.source.len());
-        out.extend_from_slice(&(expr.len() as u32).to_le_bytes());
-        out.extend_from_slice(expr.as_bytes());
+        caesura_store::push_part(&mut out, expr.as_bytes());
         out.extend_from_slice(self.source.as_bytes());
         out
     }
@@ -69,10 +68,9 @@ impl TransformProgram {
     /// the schema no longer has — a decode failure simply falls back to a
     /// fresh compile.
     pub fn from_cache_bytes(bytes: &[u8], schema: &Schema) -> Option<Self> {
-        let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
-        let rest = bytes.get(4..)?;
-        let expr_text = std::str::from_utf8(rest.get(..len)?).ok()?;
-        let source = std::str::from_utf8(rest.get(len..)?).ok()?;
+        let mut rest = bytes;
+        let expr_text = std::str::from_utf8(caesura_store::take_part(&mut rest)?).ok()?;
+        let source = std::str::from_utf8(rest).ok()?;
         let expr = parse_expression(expr_text).ok()?;
         let columns = expr.referenced_columns();
         if columns.is_empty() || !columns.iter().all(|c| schema.contains(c)) {

@@ -33,13 +33,24 @@
 //! [`StoreError::Locked`] instead of interleaving segment writes. The lock is
 //! released when the store (or its process) dies, so there are no stale-lock
 //! recovery paths.
+//!
+//! The [`tiered`] module holds [`TieredCache`], the one sharded-LRU memory
+//! tier both caches put above a store.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod tiered;
+
+pub use tiered::{
+    capacity_from_env, push_part, take_part, CacheKey, Hit, Put, Removed, Tier, TieredCache,
+    TieredStats,
+};
+
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions, TryLockError};
+use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -200,18 +211,13 @@ fn parse_segment_id(name: &str) -> Option<u64> {
 /// value), truncated to 32 bits. Matches the hash family used by the
 /// in-memory cache shards.
 fn record_checksum(key: &[u8], value: &[u8], tombstone: bool) -> u32 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(&(key.len() as u32).to_le_bytes());
-    eat(&(value.len() as u32).to_le_bytes());
-    eat(&[u8::from(tombstone)]);
-    eat(key);
-    eat(value);
+    let mut fnv = tiered::Fnv::new();
+    fnv.write(&(key.len() as u32).to_le_bytes());
+    fnv.write(&(value.len() as u32).to_le_bytes());
+    fnv.write(&[u8::from(tombstone)]);
+    fnv.write(key);
+    fnv.write(value);
+    let hash = fnv.finish();
     (hash ^ (hash >> 32)) as u32
 }
 
