@@ -88,7 +88,10 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Create an executor over a lake's catalog and image store.
+    /// Create an executor over a lake's catalog and image store. Both are
+    /// shared handles — tables and image annotations stay `Arc`-shared with
+    /// the lake — so building and dropping an executor costs O(tables)
+    /// reference-count bumps whatever the lake holds.
     pub fn new(base: Catalog, images: ImageStore) -> Self {
         Executor {
             base,

@@ -742,9 +742,9 @@ impl SessionCore {
         }
     }
 
-    /// Build the per-query executor with the session's batch configuration
-    /// and `Arc`-shared perception cache attached — used identically by the
-    /// live mapping loop and the plan-cache replay path.
+    /// Build the per-query executor (batch configuration and `Arc`-shared
+    /// perception cache attached) for the live mapping loop and the replay
+    /// path alike. A query borrows the lake: both clones below share it.
     fn make_executor(&self) -> Executor {
         // No per-executor exec pin here: `run_scheduled` already scopes the
         // captured `exec` configuration around the whole query, and

@@ -91,7 +91,7 @@ mod tests {
     fn doc_request(doc: &str, question: &str) -> PerceptionRequest {
         PerceptionRequest {
             input: PerceptionInput::Document(doc.into()),
-            question: question.to_string(),
+            question: question.into(),
         }
     }
 
@@ -124,7 +124,9 @@ mod tests {
     #[test]
     fn image_requests_render_the_annotation_caption() {
         let request = PerceptionRequest {
-            input: PerceptionInput::Image(ImageObject::new("img/1.png").with_object("sword", 2)),
+            input: PerceptionInput::Image(
+                ImageObject::new("img/1.png").with_object("sword", 2).into(),
+            ),
             question: "How many swords are depicted?".into(),
         };
         let convo = PerceptionLlm::<ScriptedLlm>::conversation(&request);

@@ -7,15 +7,23 @@
 //! with a **gather → dedup → batch → scatter** pipeline:
 //!
 //! 1. **Gather** — the operator walks its input rows *in row order* and
-//!    pushes one [`PerceptionRequest`] per non-NULL row into a
-//!    [`PerceptionBatch`] collector (NULL inputs are recorded as NULL slots
-//!    and never reach the model).
+//!    records one request per non-NULL row in a [`PerceptionBatch`]
+//!    collector (NULL inputs are recorded as NULL slots and never reach the
+//!    model). A request *borrows* the lake: documents and images are
+//!    `Arc`-shared with the table column and the image store, and a step's
+//!    constant question is one `Arc<str>` shared by all of its rows, so a
+//!    row costs reference-count bumps, never a copy of its input.
 //! 2. **Dedup** — requests with an identical `(input, question)` pair share
 //!    one slot: Rotowire-style tables repeat documents and entities heavily
 //!    (every game report appears once per participating team), so duplicate
 //!    rows cost zero extra model calls. The dedup key is exactly the pair the
 //!    simulated models derive their (deterministic) noise from, so dedup can
-//!    never change an answer.
+//!    never change an answer. The index is one flat table from a 64-bit hash
+//!    of `(modality, input key, question)` to an index into the
+//!    unique-request vector. The hash only finds a candidate; **identity is
+//!    decided by comparing** the probe's modality, key and question with that
+//!    unique request, and a different pair under the same hash moves on to
+//!    the next slot. Probing allocates nothing.
 //! 3. **Cache probe** (optional) — when the session attaches a
 //!    [`PerceptionCache`], every unique request is probed against it first;
 //!    hits resolve immediately and never reach the backend, so questions
@@ -64,6 +72,7 @@ use crate::image::ImageObject;
 use caesura_engine::{parallel, EngineError, EngineResult, ExecConfig, Value};
 use caesura_store::{Hit, Tier};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -257,14 +266,15 @@ impl BatchStats {
     }
 }
 
-/// The per-row input a perception request is asked about.
+/// The per-row input a perception request is asked about. Both variants
+/// share their payload with the lake, so cloning an input copies nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PerceptionInput {
-    /// A full text document (TextQA). `Arc`-shared with the source column
-    /// and the dedup index, so large documents are never copied.
+    /// A full text document (TextQA), `Arc`-shared with the source column.
     Document(Arc<str>),
-    /// An annotated image (VisualQA / Image Select).
-    Image(ImageObject),
+    /// An annotated image (VisualQA / Image Select), `Arc`-shared with the
+    /// [`ImageStore`](crate::ImageStore) it was looked up in.
+    Image(Arc<ImageObject>),
 }
 
 impl PerceptionInput {
@@ -279,23 +289,36 @@ impl PerceptionInput {
         }
     }
 
-    /// [`Self::cache_key`] as a shared `Arc<str>`: documents bump the
-    /// existing reference count, image keys are copied (they are short).
+    /// [`Self::cache_key`] as a shared `Arc<str>`: a reference-count bump on
+    /// the document or on the image's own key.
     pub fn shared_key(&self) -> Arc<str> {
         match self {
             PerceptionInput::Document(document) => Arc::clone(document),
-            PerceptionInput::Image(image) => Arc::from(image.key.as_str()),
+            PerceptionInput::Image(image) => Arc::clone(&image.key),
+        }
+    }
+
+    /// This input's modality in the dedup keyspace: a document and an image
+    /// are never the same request, whatever their key text.
+    fn modality(&self) -> u8 {
+        match self {
+            PerceptionInput::Document(_) => DOCUMENT,
+            PerceptionInput::Image(_) => IMAGE,
         }
     }
 }
+
+const DOCUMENT: u8 = 0;
+const IMAGE: u8 = 1;
 
 /// One unique `(input, question)` pair to be answered by a backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerceptionRequest {
     /// The document or image the question is about.
     pub input: PerceptionInput,
-    /// The (already instantiated) question or description.
-    pub question: String,
+    /// The (already instantiated) question or description. A VisualQA or
+    /// Image Select step shares one allocation across all of its requests.
+    pub question: Arc<str>,
 }
 
 /// A model that answers perception requests batch by batch.
@@ -344,12 +367,13 @@ enum Slot {
 pub struct PerceptionBatch {
     slots: Vec<Slot>,
     unique: Vec<PerceptionRequest>,
-    /// Dedup index per modality (`[documents, images]` — separate keyspaces,
-    /// so a document whose text equals an image key can never share that
-    /// image's answer): input key → question → unique index. Nested so
-    /// probes borrow `&str` (no per-row copy of large documents), and the
-    /// `Arc<str>` keys share the document storage with the requests.
-    index: [HashMap<Arc<str>, HashMap<String, usize>>; 2],
+    /// Dedup index: hash of `(modality, input key, question)` → index into
+    /// `unique`. A slot only answers a probe that compares equal to the
+    /// request it points at; a different pair with the same hash lives in
+    /// the next free slot (`hash + 1`, `hash + 2`, …), so collisions cost a
+    /// longer probe and never a shared answer. The map's own `RandomState`
+    /// hashes the pairs, which keeps crafted inputs from lining up.
+    index: HashMap<u64, usize>,
 }
 
 impl PerceptionBatch {
@@ -362,8 +386,7 @@ impl PerceptionBatch {
     pub fn with_capacity(rows: usize) -> Self {
         PerceptionBatch {
             slots: Vec::with_capacity(rows),
-            unique: Vec::new(),
-            index: [HashMap::new(), HashMap::new()],
+            ..PerceptionBatch::default()
         }
     }
 
@@ -374,71 +397,69 @@ impl PerceptionBatch {
 
     /// Record one row's question about a text document, deduplicating
     /// against every previously pushed row. The `Arc`-shared document is
-    /// never copied — new `(document, question)` pairs only bump its
-    /// reference count.
+    /// never copied; a new `(document, question)` pair bumps its reference
+    /// count and copies the (per-row) question once.
     pub fn push_document(&mut self, document: &Arc<str>, question: &str) {
-        self.push_inner(
-            0,
-            document,
-            question,
-            || Arc::clone(document),
-            || PerceptionInput::Document(Arc::clone(document)),
-        );
+        let found = self.find(DOCUMENT, document, question);
+        self.record(found, || PerceptionRequest {
+            input: PerceptionInput::Document(Arc::clone(document)),
+            question: Arc::from(question),
+        });
     }
 
     /// Record one row's question about an image, deduplicating by image key
-    /// (annotations are immutable per key within a store). The image is only
-    /// cloned for genuinely new `(image, question)` pairs.
-    pub fn push_image(&mut self, image: &ImageObject, question: &str) {
-        self.push_inner(
-            1,
-            &image.key,
-            question,
-            || Arc::from(image.key.as_str()),
-            || PerceptionInput::Image(image.clone()),
-        );
+    /// (annotations are immutable per key within a store). A new
+    /// `(image, question)` pair bumps two reference counts: the image's and
+    /// the question's, which a step shares across all of its rows.
+    pub fn push_image(&mut self, image: &Arc<ImageObject>, question: &Arc<str>) {
+        let found = self.find(IMAGE, &image.key, question);
+        self.record(found, || PerceptionRequest {
+            input: PerceptionInput::Image(Arc::clone(image)),
+            question: Arc::clone(question),
+        });
     }
 
     /// Record one row's request, deduplicating identical `(input, question)`
-    /// pairs against every previously pushed row. Prefer
-    /// [`PerceptionBatch::push_document`] / [`PerceptionBatch::push_image`]
-    /// when the input is borrowed — they avoid materializing duplicates.
+    /// pairs against every previously pushed row.
     pub fn push(&mut self, request: PerceptionRequest) {
-        match &request.input {
-            PerceptionInput::Document(document) => self.push_document(document, &request.question),
-            PerceptionInput::Image(image) => self.push_image(image, &request.question),
-        }
+        let PerceptionRequest { input, question } = &request;
+        let found = self.find(input.modality(), input.cache_key(), question);
+        self.record(found, || request);
     }
 
-    /// Probes the dedup index by `&str` (no allocation for duplicate rows);
-    /// `make_key`/`build` run only for genuinely new pairs.
-    fn push_inner(
-        &mut self,
-        modality: usize,
-        key: &str,
-        question: &str,
-        make_key: impl FnOnce() -> Arc<str>,
-        build: impl FnOnce() -> PerceptionInput,
-    ) {
-        let existing = self.index[modality]
-            .get(key)
-            .and_then(|by_question| by_question.get(question))
-            .copied();
-        let idx = match existing {
-            Some(idx) => idx,
-            None => {
-                let idx = self.unique.len();
-                self.index[modality]
-                    .entry(make_key())
-                    .or_default()
-                    .insert(question.to_string(), idx);
-                self.unique.push(PerceptionRequest {
-                    input: build(),
-                    question: question.to_string(),
-                });
-                idx
+    /// [`Self::probe`] from the slot the triple hashes to.
+    fn find(&self, modality: u8, key: &str, question: &str) -> Result<usize, u64> {
+        let hash = self.index.hasher().hash_one((modality, key, question));
+        self.probe(hash, modality, key, question)
+    }
+
+    /// Walk the dedup index from slot `hash` on: `Ok` with the index of the
+    /// unique request that *equals* the probe, or `Err` with the free slot a
+    /// new pair goes to. Allocates nothing. The hash is a parameter so that
+    /// tests can force collisions.
+    fn probe(&self, hash: u64, modality: u8, key: &str, question: &str) -> Result<usize, u64> {
+        let mut slot = hash;
+        while let Some(&idx) = self.index.get(&slot) {
+            let seen = &self.unique[idx];
+            if seen.input.modality() == modality
+                && seen.input.cache_key() == key
+                && *seen.question == *question
+            {
+                return Ok(idx);
             }
-        };
+            slot = slot.wrapping_add(1);
+        }
+        Err(slot)
+    }
+
+    /// Record one row given its [`Self::probe`]; `build` runs only for a
+    /// genuinely new pair.
+    fn record(&mut self, found: Result<usize, u64>, build: impl FnOnce() -> PerceptionRequest) {
+        let idx = found.unwrap_or_else(|slot| {
+            self.index.insert(slot, self.unique.len());
+            self.unique.push(build());
+            self.unique.len() - 1
+        });
         self.slots.push(Slot::Unique(idx));
     }
 
@@ -509,8 +530,11 @@ impl PerceptionBatch {
         let unique_count = unique.len();
 
         // Probe phase: resolve hits (from either tier of the cache), keep
-        // misses in first-seen order.
-        let identity = cache.map(|_| backend.identity());
+        // misses in first-seen order. The backend's identity namespaces disk
+        // keys only, so it is derived only when a probe can reach a disk tier.
+        let identity = cache
+            .filter(|(cache, _)| cache.has_disk())
+            .map(|_| backend.identity());
         let identity = identity.as_deref().unwrap_or_default();
         let mut resolved: Vec<Option<Value>> = vec![None; unique_count];
         let mut miss_slots: Vec<usize> = Vec::new();
@@ -639,7 +663,7 @@ mod tests {
     fn doc_request(doc: &str, question: &str) -> PerceptionRequest {
         PerceptionRequest {
             input: PerceptionInput::Document(doc.into()),
-            question: question.to_string(),
+            question: question.into(),
         }
     }
 
@@ -718,7 +742,7 @@ mod tests {
                     .map(|r| {
                         Err(crate::error::ModalError::UnanswerableQuestion {
                             model: "test".into(),
-                            question: r.question.clone(),
+                            question: r.question.to_string(),
                             reason: "always fails".into(),
                         })
                     })
@@ -744,10 +768,10 @@ mod tests {
                 requests
                     .iter()
                     .map(|r| {
-                        if r.question == "Q0?" {
+                        if &*r.question == "Q0?" {
                             Err(crate::error::ModalError::UnanswerableQuestion {
                                 model: "test".into(),
-                                question: r.question.clone(),
+                                question: r.question.to_string(),
                                 reason: "scripted failure".into(),
                             })
                         } else {
@@ -871,7 +895,7 @@ mod tests {
                         if r.input.cache_key() == "bad" {
                             Err(crate::error::ModalError::UnanswerableQuestion {
                                 model: "test".into(),
-                                question: r.question.clone(),
+                                question: r.question.to_string(),
                                 reason: "scripted failure".into(),
                             })
                         } else {
@@ -910,22 +934,80 @@ mod tests {
 
     #[test]
     fn image_requests_dedup_by_image_key() {
-        let img = ImageObject::new("img/1.png").with_object("sword", 2);
+        let img = Arc::new(ImageObject::new("img/1.png").with_object("sword", 2));
+        let question: Arc<str> = "How many swords are depicted?".into();
         let mut batch = PerceptionBatch::new();
         for _ in 0..3 {
-            batch.push_image(&img, "How many swords are depicted?");
+            batch.push_image(&img, &question);
         }
         assert_eq!(batch.unique_len(), 1);
+        // The one request shares the image and the question with the caller.
+        assert_eq!(Arc::strong_count(&img), 2);
+        assert_eq!(Arc::strong_count(&question), 2);
     }
 
     #[test]
     fn modalities_never_share_dedup_slots() {
         // A document whose text equals an image key must not collide with
         // that image's request.
-        let img = ImageObject::new("img/1.png");
+        let img = Arc::new(ImageObject::new("img/1.png"));
         let mut batch = PerceptionBatch::new();
         batch.push_document(&Arc::from("img/1.png"), "What is depicted?");
-        batch.push_image(&img, "What is depicted?");
+        batch.push_image(&img, &"What is depicted?".into());
         assert_eq!(batch.unique_len(), 2);
+    }
+
+    #[test]
+    fn colliding_hashes_never_share_an_answer() {
+        /// Answers with `<modality>|<key>|<question>`.
+        struct Echo;
+        impl PerceptionBackend for Echo {
+            fn answer_batch(&self, requests: &[PerceptionRequest]) -> Vec<ModalResult<Value>> {
+                let modality = |r: &PerceptionRequest| r.input.modality();
+                requests
+                    .iter()
+                    .map(|r| format!("{}|{}|{}", modality(r), r.input.cache_key(), r.question))
+                    .map(|answer| Ok(Value::str(answer)))
+                    .collect()
+            }
+        }
+        // Every pair is filed under the same injected hash: two different
+        // (input, question) pairs, a document/image pair with equal key
+        // text, and a repeat of each.
+        let img = Arc::new(ImageObject::new("report A"));
+        let rows = [
+            (Some("report A"), "Who won?"),
+            (Some("report B"), "Who won?"),
+            (Some("report A"), "Who lost?"),
+            (None, "Who won?"),
+        ];
+        let mut batch = PerceptionBatch::new();
+        for (document, question) in rows.iter().chain(&rows) {
+            let modality = if document.is_some() { DOCUMENT } else { IMAGE };
+            let found = batch.probe(7, modality, document.unwrap_or(&img.key), question);
+            batch.record(found, || PerceptionRequest {
+                input: match document {
+                    Some(text) => PerceptionInput::Document((*text).into()),
+                    None => PerceptionInput::Image(Arc::clone(&img)),
+                },
+                question: (*question).into(),
+            });
+        }
+        assert_eq!(batch.unique_len(), 4, "equal hashes, four identities");
+        let (answers, stats) = batch.dispatch(&Echo, &BatchConfig::new(8));
+        let answers: Vec<String> = answers
+            .unwrap()
+            .into_iter()
+            .map(|answer| answer.expect("no NULL rows").to_string())
+            .collect();
+        let expected = [
+            "0|report A|Who won?",
+            "0|report B|Who won?",
+            "0|report A|Who lost?",
+            "1|report A|Who won?",
+        ];
+        assert_eq!(answers[..4], expected);
+        assert_eq!(answers[4..], expected, "repeats find their own chain entry");
+        assert_eq!((stats.unique_requests, stats.saved_calls), (4, 4));
     }
 }

@@ -128,8 +128,9 @@ impl CacheScope {
     }
 }
 
-/// The owned key of one cached answer. The input is `Arc`-shared with the
-/// table column it came from, so large documents are never copied.
+/// The owned key of one cached answer. Input and question are `Arc`-shared
+/// with the request (a document with its table column, an image key with its
+/// [`ImageObject`](crate::ImageObject)), so an insert copies neither.
 #[derive(Debug)]
 struct AnswerKey {
     scope: CacheScope,
@@ -173,7 +174,7 @@ impl CacheKey<AnswerKey> for AnswerProbe<'_> {
             scope: self.scope,
             image: self.image(),
             input: self.request.input.shared_key(),
-            question: Arc::from(&*self.request.question),
+            question: Arc::clone(&self.request.question),
         }
     }
 
@@ -380,7 +381,7 @@ mod tests {
     use super::*;
 
     fn ask(input: PerceptionInput, question: &str) -> PerceptionRequest {
-        let question = question.to_string();
+        let question = question.into();
         PerceptionRequest { input, question }
     }
 
@@ -391,7 +392,8 @@ mod tests {
 
     /// An image asked "Q?".
     fn image(key: &str) -> PerceptionRequest {
-        ask(PerceptionInput::Image(crate::ImageObject::new(key)), "Q?")
+        let picture = Arc::new(crate::ImageObject::new(key));
+        ask(PerceptionInput::Image(picture), "Q?")
     }
 
     /// The value a probe found, whichever tier held it.

@@ -7,14 +7,29 @@
 //! answer questions against this annotation, so the *operator contract* —
 //! natural-language question in, per-image structured value out — is exactly
 //! the one the planner has to reason about.
+//!
+//! ## Sharing contract
+//!
+//! An [`ImageStore`] is a handle on an immutable, `Arc`-shared map of
+//! `Arc`-shared images. Cloning a store — and with it a `DataLake`, or the
+//! per-query `Executor` built over one — bumps one reference count and
+//! copies no annotation; a perception request borrows an image the same way
+//! ([`ImageStore::get_shared`]). [`ImageStore::insert`] is copy-on-write: a
+//! store that shares its map with a clone first takes a private copy of the
+//! *map* (the images in it stay shared), so no handle ever observes another
+//! handle's insert. Nothing on a query path clones an [`ImageObject`] itself;
+//! `tests/alloc_budget.rs` holds that.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A single annotated image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImageObject {
     /// Stable key, e.g. `img/17.png`; also used as the join key (`img_path`).
-    pub key: String,
+    /// Shared with the store's index and with every cache entry about this
+    /// image, so it is never copied after ingest.
+    pub key: Arc<str>,
     /// Depicted entities and how many of each are visible.
     /// Stored sorted so prompt renderings and answers are deterministic.
     pub objects: BTreeMap<String, u32>,
@@ -26,7 +41,7 @@ impl ImageObject {
     /// Create an image with no annotations.
     pub fn new(key: impl Into<String>) -> Self {
         ImageObject {
-            key: key.into(),
+            key: Arc::from(key.into()),
             objects: BTreeMap::new(),
             attributes: BTreeMap::new(),
         }
@@ -133,9 +148,11 @@ pub fn normalize_entity(entity: &str) -> String {
 }
 
 /// A keyed collection of annotated images, addressable by image key.
+/// Cloning shares the collection; see the [module docs](self) for the
+/// copy-on-write contract.
 #[derive(Debug, Clone, Default)]
 pub struct ImageStore {
-    images: BTreeMap<String, ImageObject>,
+    images: Arc<BTreeMap<Arc<str>, Arc<ImageObject>>>,
 }
 
 impl ImageStore {
@@ -145,12 +162,19 @@ impl ImageStore {
     }
 
     /// Insert an image (replacing any previous image with the same key).
+    /// Copy-on-write: clones of this store keep answering what they held.
     pub fn insert(&mut self, image: ImageObject) {
-        self.images.insert(image.key.clone(), image);
+        Arc::make_mut(&mut self.images).insert(Arc::clone(&image.key), Arc::new(image));
     }
 
     /// Look an image up by key.
     pub fn get(&self, key: &str) -> Option<&ImageObject> {
+        self.get_shared(key).map(Arc::as_ref)
+    }
+
+    /// Look an image up by key as the shared handle a perception request
+    /// holds on to.
+    pub fn get_shared(&self, key: &str) -> Option<&Arc<ImageObject>> {
         self.images.get(key)
     }
 
@@ -166,12 +190,12 @@ impl ImageStore {
 
     /// Iterate over all images in key order.
     pub fn iter(&self) -> impl Iterator<Item = &ImageObject> {
-        self.images.values()
+        self.images.values().map(Arc::as_ref)
     }
 
     /// All keys in order.
     pub fn keys(&self) -> Vec<&str> {
-        self.images.keys().map(String::as_str).collect()
+        self.images.keys().map(Arc::as_ref).collect()
     }
 }
 
@@ -236,5 +260,30 @@ mod tests {
         assert_eq!(store.keys(), vec!["img/1.png", "img/2.png"]);
         assert!(store.get("img/1.png").is_some());
         assert!(store.get("img/9.png").is_none());
+    }
+
+    #[test]
+    fn inserting_into_a_clone_leaves_the_original_untouched() {
+        let mut original = ImageStore::new();
+        original.insert(ImageObject::new("img/1.png").with_object("sword", 2));
+        original.insert(ImageObject::new("img/2.png"));
+        let mut clone = original.clone();
+        let shared = |a: &ImageStore, b: &ImageStore, key| {
+            Arc::ptr_eq(a.get_shared(key).unwrap(), b.get_shared(key).unwrap())
+        };
+        assert!(
+            shared(&original, &clone, "img/1.png"),
+            "a clone copies nothing"
+        );
+
+        clone.insert(ImageObject::new("img/1.png").with_object("sword", 9));
+        clone.insert(ImageObject::new("img/3.png"));
+        assert_eq!(original.get("img/1.png").unwrap().count_of("sword"), 2);
+        assert_eq!(original.len(), 2);
+        assert!(original.get("img/3.png").is_none());
+        assert_eq!(clone.get("img/1.png").unwrap().count_of("sword"), 9);
+        assert_eq!(clone.keys(), vec!["img/1.png", "img/2.png", "img/3.png"]);
+        // Only the map was copied: untouched images are still shared.
+        assert!(shared(&original, &clone, "img/2.png"));
     }
 }

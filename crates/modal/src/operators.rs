@@ -14,7 +14,8 @@ use crate::error::{ModalError, ModalResult};
 use crate::image::ImageStore;
 use crate::plot::{Plot, PlotKind, PlotSpec};
 use crate::transform::TransformCodegen;
-use caesura_engine::{ColumnBuilder, DataType, EngineError, Field, Table, Value};
+use caesura_engine::{ColumnBuilder, DataType, EngineError, Field, RowRef, Schema, Table, Value};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Every physical operator CAESURA can place in a plan.
@@ -191,7 +192,7 @@ fn cell_type_error(row: usize, column: &str, value: &Value, expected: &str) -> E
 #[allow(clippy::too_many_arguments)]
 fn dispatch_into_column(
     table: &Table,
-    out_schema: caesura_engine::Schema,
+    out_schema: Schema,
     collector: PerceptionBatch,
     pending_error: Option<EngineError>,
     model: &dyn PerceptionBackend,
@@ -340,10 +341,12 @@ fn gather_image_requests(
     question: &str,
 ) -> (PerceptionBatch, Option<EngineError>) {
     let mut collector = PerceptionBatch::with_capacity(table.num_rows());
+    // The step's one question, shared by every request gathered below.
+    let question: Arc<str> = question.into();
     for row in table.rows() {
         match row.get(idx) {
-            Value::Image(key) => match store.get(&key) {
-                Some(image) => collector.push_image(image, question),
+            Value::Image(key) => match store.get_shared(&key) {
+                Some(image) => collector.push_image(image, &question),
                 None => {
                     let error = EngineError::execution(format!(
                         "image '{key}' was not found in the image store"
@@ -441,19 +444,9 @@ fn text_qa_inner(
             ),
         });
     }
-    // Validate that every placeholder in the template resolves to a column.
-    for placeholder in template_placeholders(question_template) {
-        if schema.resolve(&placeholder).is_err() {
-            return Err(ModalError::InvalidArguments {
-                operator: OperatorKind::TextQa.name().to_string(),
-                message: format!(
-                    "the question template references '<{placeholder}>' but the input table has \
-                     no such column (available: {:?})",
-                    schema.names()
-                ),
-            });
-        }
-    }
+    // Compile the template once for the step; this also validates that
+    // every placeholder resolves to a column.
+    let template = QuestionTemplate::compile(question_template, &schema)?;
     let mut out_schema = schema.clone();
     out_schema
         .push(Field::new(new_column, result_type))
@@ -461,6 +454,8 @@ fn text_qa_inner(
 
     let mut collector = PerceptionBatch::with_capacity(table.num_rows());
     let mut pending_error = None;
+    // Every row's question is rendered into this one buffer.
+    let mut question = String::new();
     for row in table.rows() {
         // Borrow the document for the dedup probe; only genuinely new
         // (document, question) pairs are copied into a request.
@@ -480,13 +475,8 @@ fn text_qa_inner(
                 break;
             }
         };
-        match instantiate_template(question_template, &schema, &row) {
-            Ok(question) => collector.push_document(&document, &question),
-            Err(error) => {
-                pending_error = Some(error);
-                break;
-            }
-        }
+        template.render(&row, &mut question);
+        collector.push_document(&document, &question);
     }
     let (dispatch_stats, result) = dispatch_into_column(
         table,
@@ -724,45 +714,111 @@ fn is_placeholder_span(inner: &str) -> bool {
     !inner.is_empty() && inner.chars().all(|c| !c.is_whitespace() && c != '<')
 }
 
-/// Placeholders (`<name>`) appearing in a question template.
+/// One span of a question template, in template order.
+enum TemplateSpan<'t> {
+    /// Text copied into every question as it stands.
+    Literal(&'t str),
+    /// The name between the brackets of a `<name>` placeholder.
+    Placeholder(&'t str),
+}
+
+/// Split a question template into literal text and `<name>` placeholders.
 ///
 /// Only `<...>` spans that look like a column name are placeholders (see
 /// `is_placeholder_span`); a literal `<` (e.g. in
-/// `"is score < 5 for <name>?"`) is skipped instead of swallowing everything
-/// up to the next `>`.
-pub fn template_placeholders(template: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut rest = template;
-    while let Some(start) = rest.find('<') {
-        let after = &rest[start + 1..];
-        match after.find('>') {
-            Some(end) if is_placeholder_span(&after[..end]) => {
-                let inner = &after[..end];
-                if !out.contains(&inner.to_string()) {
-                    out.push(inner.to_string());
+/// `"is score < 5 for <name>?"`) stays literal text instead of swallowing
+/// everything up to the next `>`.
+fn template_spans(template: &str) -> Vec<TemplateSpan<'_>> {
+    let mut spans = Vec::new();
+    // `template[literal..]` is not yet emitted; `template[scan..]` is not yet
+    // searched for a '<'.
+    let (mut literal, mut scan) = (0, 0);
+    while let Some(open) = template[scan..].find('<').map(|at| scan + at) {
+        let inner = open + 1;
+        match template[inner..].find('>').map(|at| inner + at) {
+            Some(close) if is_placeholder_span(&template[inner..close]) => {
+                if literal < open {
+                    spans.push(TemplateSpan::Literal(&template[literal..open]));
                 }
-                rest = &after[end + 1..];
+                spans.push(TemplateSpan::Placeholder(&template[inner..close]));
+                literal = close + 1;
+                scan = literal;
             }
             // Not a placeholder: step past the '<' only, so a later
             // well-formed `<name>` is still recognized.
-            Some(_) => rest = after,
+            Some(_) => scan = inner,
             None => break,
+        }
+    }
+    if literal < template.len() {
+        spans.push(TemplateSpan::Literal(&template[literal..]));
+    }
+    spans
+}
+
+/// Placeholders (`<name>`) appearing in a question template, each once, in
+/// order of first appearance.
+pub fn template_placeholders(template: &str) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for span in template_spans(template) {
+        if let TemplateSpan::Placeholder(name) = span {
+            if !out.iter().any(|seen| seen == name) {
+                out.push(name.to_string());
+            }
         }
     }
     out
 }
 
-fn instantiate_template(
-    template: &str,
-    schema: &caesura_engine::Schema,
-    row: &caesura_engine::RowRef<'_>,
-) -> Result<String, caesura_engine::EngineError> {
-    let mut question = template.to_string();
-    for placeholder in template_placeholders(template) {
-        let idx = schema.resolve(&placeholder)?;
-        question = question.replace(&format!("<{placeholder}>"), &row.get(idx).to_string());
+/// A TextQA question template compiled for one step: the template's spans
+/// with every placeholder resolved to the index of the column that fills it.
+struct QuestionTemplate<'t> {
+    segments: Vec<Segment<'t>>,
+}
+
+enum Segment<'t> {
+    Literal(&'t str),
+    Column(usize),
+}
+
+impl<'t> QuestionTemplate<'t> {
+    /// Compile `template` against the input table's schema. Fails on the
+    /// first placeholder that names no column.
+    fn compile(template: &'t str, schema: &Schema) -> ModalResult<Self> {
+        let resolve = |span| match span {
+            TemplateSpan::Literal(text) => Ok(Segment::Literal(text)),
+            TemplateSpan::Placeholder(name) => match schema.resolve(name) {
+                Ok(idx) => Ok(Segment::Column(idx)),
+                Err(_) => Err(ModalError::InvalidArguments {
+                    operator: OperatorKind::TextQa.name().to_string(),
+                    message: format!(
+                        "the question template references '<{name}>' but the input table has \
+                         no such column (available: {:?})",
+                        schema.names()
+                    ),
+                }),
+            },
+        };
+        let segments = template_spans(template).into_iter().map(resolve);
+        Ok(QuestionTemplate {
+            segments: segments.collect::<ModalResult<_>>()?,
+        })
     }
-    Ok(question)
+
+    /// Overwrite `out` with the question for `row`. Each span of the
+    /// *template* is substituted exactly once: a cell whose text happens to
+    /// contain `<other_column>` arrives in the question as it stands.
+    fn render(&self, row: &RowRef<'_>, out: &mut String) {
+        out.clear();
+        for segment in &self.segments {
+            match segment {
+                Segment::Literal(text) => out.push_str(text),
+                Segment::Column(idx) => {
+                    write!(out, "{}", row.get(*idx)).expect("writing to a String cannot fail")
+                }
+            }
+        }
+    }
 }
 
 /// Coerce a model answer into the declared result type.
@@ -1064,6 +1120,86 @@ mod tests {
             vec!["b", "col_2"]
         );
         assert!(template_placeholders("dangling < bracket").is_empty());
+    }
+
+    /// The questions a template renders for every row of `table`.
+    fn rendered(template: &str, table: &Table) -> Vec<String> {
+        let template = QuestionTemplate::compile(template, table.schema()).unwrap();
+        let mut question = String::from("left over from the previous row");
+        let render = |row| {
+            template.render(&row, &mut question);
+            question.clone()
+        };
+        table.rows().map(render).collect()
+    }
+
+    /// The row-at-a-time renderer this module used before templates were
+    /// compiled (and `tests/property_batch.rs` still uses as its reference):
+    /// placeholders substituted one after another into the running question.
+    fn sequentially_replaced(template: &str, table: &Table) -> Vec<String> {
+        let render = |row: RowRef<'_>| {
+            let mut question = template.to_string();
+            for placeholder in template_placeholders(template) {
+                let idx = table.schema().resolve(&placeholder).unwrap();
+                question = question.replace(&format!("<{placeholder}>"), &row.get(idx).to_string());
+            }
+            question
+        };
+        table.rows().map(render).collect()
+    }
+
+    fn matchups(rows: &[(&str, &str, i64)]) -> Table {
+        let schema = Schema::from_pairs(&[
+            ("name", DataType::Str),
+            ("team", DataType::Str),
+            ("points", DataType::Int),
+        ]);
+        let mut b = TableBuilder::new("matchups", schema);
+        for (name, team, points) in rows {
+            let row = vec![Value::str(name), Value::str(team), Value::Int(*points)];
+            b.push_row(row).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn cell_values_are_never_expanded_as_placeholders() {
+        // Regression: placeholders used to be substituted one after another
+        // into the already-substituted question, so the cell "<team>" was
+        // expanded a second time into a question nobody wrote.
+        let table = matchups(&[("<team>", "Heat", 1), ("Spurs", "<name> & <points>", 2)]);
+        let template = "Did <name> beat <team>?";
+        assert_eq!(
+            rendered(template, &table),
+            ["Did <team> beat Heat?", "Did Spurs beat <name> & <points>?"]
+        );
+        assert_eq!(
+            sequentially_replaced(template, &table)[0],
+            "Did Heat beat Heat?"
+        );
+    }
+
+    #[test]
+    fn compiled_templates_render_what_sequential_replacement_rendered() {
+        // For rows without `<...>` in their values the questions (and with
+        // them the dedup and cache keys) are byte-identical to the parent's.
+        let table = matchups(&[("Heat", "Spurs", 102), ("a < b", "x > y", -7), ("", "é", 0)]);
+        for template in [
+            "How many points did <name> score?",
+            "Did <name> beat <team>? Did <team> beat <name> by <points>?",
+            "<name><team><points>",
+            "is <points> < 5 for <name>?",
+            "is 3 < 5 and 7 > 5?",
+            "a <b c> d <<name>> e <",
+            "no placeholders",
+            "",
+        ] {
+            assert_eq!(
+                rendered(template, &table),
+                sequentially_replaced(template, &table),
+                "{template:?}"
+            );
+        }
     }
 
     #[test]
