@@ -18,14 +18,19 @@
 //!    (every game report appears once per participating team), so duplicate
 //!    rows cost zero extra model calls. The dedup key is exactly the pair the
 //!    simulated models derive their (deterministic) noise from, so dedup can
-//!    never change an answer. The index is one flat table from a 64-bit hash
-//!    of `(modality, input key, question)` to an index into the
-//!    unique-request vector. The hash only finds a candidate; **identity is
-//!    decided by comparing** the probe's modality, key and question with that
-//!    unique request, and a different pair under the same hash moves on to
-//!    the next slot. Probing allocates nothing.
+//!    never change an answer. Each row's `(modality, input key, question)`
+//!    is hashed **once**, with the process-wide keyed hasher
+//!    ([`caesura_store::keyed_hash`]); the index is one flat table from that
+//!    hash (not hashed again) to an index into the unique-request vector,
+//!    and the hash of every unique request is kept beside it. The hash only
+//!    finds a candidate; **identity is decided by comparing** the probe's
+//!    modality, key and question with that unique request, and a different
+//!    pair under the same hash moves on to the next slot. Probing allocates
+//!    nothing.
 //! 3. **Cache probe** (optional) — when the session attaches a
-//!    [`PerceptionCache`], every unique request is probed against it first;
+//!    [`PerceptionCache`], every unique request is probed against it first,
+//!    under the hash the gather computed (the cache's `get` and a miss's
+//!    `put` both reuse it, so no byte of a document is hashed twice);
 //!    hits resolve immediately and never reach the backend, so questions
 //!    repeated across plan steps or across queries cost zero additional
 //!    model calls (see [`PerceptionBatch::dispatch_cached`] and the
@@ -70,9 +75,7 @@ use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::ModalResult;
 use crate::image::ImageObject;
 use caesura_engine::{parallel, EngineError, EngineResult, ExecConfig, Value};
-use caesura_store::{Hit, Tier};
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+use caesura_store::{keyed_hash, Hit, PrehashedMap, Tier};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -321,6 +324,47 @@ pub struct PerceptionRequest {
     pub question: Arc<str>,
 }
 
+impl PerceptionRequest {
+    /// The request's one hash, under which the dedup index files it and the
+    /// [`PerceptionCache`] (after mixing in its scope) probes and stores it.
+    pub(crate) fn hash64(&self) -> u64 {
+        request_hash(
+            self.input.modality(),
+            self.input.cache_key(),
+            &self.question,
+        )
+    }
+}
+
+/// What a model derives from a question alone, computed once per run of
+/// requests that share one question `Arc` (a VisualQA or Image Select step
+/// asks every row the same one) and afresh on any other request.
+pub(crate) struct PerQuestion<'a, T> {
+    last: Option<(&'a Arc<str>, T)>,
+}
+
+impl<'a, T> PerQuestion<'a, T> {
+    pub(crate) fn new() -> Self {
+        PerQuestion { last: None }
+    }
+
+    /// `derive(question)`, reused if `question` is the `Arc` asked last.
+    pub(crate) fn get(&mut self, question: &'a Arc<str>, derive: impl FnOnce(&str) -> T) -> &T {
+        if matches!(self.last, Some((asked, _)) if !Arc::ptr_eq(asked, question)) {
+            self.last = None;
+        }
+        let (_, derived) = self
+            .last
+            .get_or_insert_with(|| (question, derive(question)));
+        derived
+    }
+}
+
+/// [`keyed_hash`] of a request's identity.
+fn request_hash(modality: u8, key: &str, question: &str) -> u64 {
+    keyed_hash(&(modality, key, question))
+}
+
 /// A model that answers perception requests batch by batch.
 ///
 /// The simulated models ([`TextQaModel`](crate::TextQaModel),
@@ -361,19 +405,30 @@ enum Slot {
     Unique(usize),
 }
 
+/// Where a pair the dedup index does not hold yet goes.
+#[derive(Debug, Clone, Copy)]
+struct Vacant {
+    /// The free index slot its probe ended on.
+    slot: u64,
+    /// The pair's hash (the slot its probe started from).
+    hash: u64,
+}
+
 /// The request collector: gathers per-row requests, dedups them, dispatches
 /// the unique ones in batches, and scatters answers back in row order.
 #[derive(Debug, Default)]
 pub struct PerceptionBatch {
     slots: Vec<Slot>,
     unique: Vec<PerceptionRequest>,
-    /// Dedup index: hash of `(modality, input key, question)` → index into
-    /// `unique`. A slot only answers a probe that compares equal to the
-    /// request it points at; a different pair with the same hash lives in
-    /// the next free slot (`hash + 1`, `hash + 2`, …), so collisions cost a
-    /// longer probe and never a shared answer. The map's own `RandomState`
-    /// hashes the pairs, which keeps crafted inputs from lining up.
-    index: HashMap<u64, usize>,
+    /// [`PerceptionRequest::hash64`] of each unique request, index for index.
+    hashes: Vec<u64>,
+    /// Dedup index: request hash → index into `unique`. A slot only answers
+    /// a probe that compares equal to the request it points at; a different
+    /// pair with the same hash lives in the next free slot (`hash + 1`,
+    /// `hash + 2`, …), so collisions cost a longer probe and never a shared
+    /// answer. The hashes are keyed, which keeps crafted inputs from lining
+    /// up.
+    index: PrehashedMap<usize>,
 }
 
 impl PerceptionBatch {
@@ -427,9 +482,9 @@ impl PerceptionBatch {
         self.record(found, || request);
     }
 
-    /// [`Self::probe`] from the slot the triple hashes to.
-    fn find(&self, modality: u8, key: &str, question: &str) -> Result<usize, u64> {
-        let hash = self.index.hasher().hash_one((modality, key, question));
+    /// [`Self::probe`] under the triple's [`request_hash`].
+    fn find(&self, modality: u8, key: &str, question: &str) -> Result<usize, Vacant> {
+        let hash = request_hash(modality, key, question);
         self.probe(hash, modality, key, question)
     }
 
@@ -437,7 +492,7 @@ impl PerceptionBatch {
     /// unique request that *equals* the probe, or `Err` with the free slot a
     /// new pair goes to. Allocates nothing. The hash is a parameter so that
     /// tests can force collisions.
-    fn probe(&self, hash: u64, modality: u8, key: &str, question: &str) -> Result<usize, u64> {
+    fn probe(&self, hash: u64, modality: u8, key: &str, question: &str) -> Result<usize, Vacant> {
         let mut slot = hash;
         while let Some(&idx) = self.index.get(&slot) {
             let seen = &self.unique[idx];
@@ -449,15 +504,16 @@ impl PerceptionBatch {
             }
             slot = slot.wrapping_add(1);
         }
-        Err(slot)
+        Err(Vacant { slot, hash })
     }
 
     /// Record one row given its [`Self::probe`]; `build` runs only for a
     /// genuinely new pair.
-    fn record(&mut self, found: Result<usize, u64>, build: impl FnOnce() -> PerceptionRequest) {
-        let idx = found.unwrap_or_else(|slot| {
+    fn record(&mut self, found: Result<usize, Vacant>, build: impl FnOnce() -> PerceptionRequest) {
+        let idx = found.unwrap_or_else(|Vacant { slot, hash }| {
             self.index.insert(slot, self.unique.len());
             self.unique.push(build());
+            self.hashes.push(hash);
             self.unique.len() - 1
         });
         self.slots.push(Slot::Unique(idx));
@@ -524,7 +580,12 @@ impl PerceptionBatch {
         config: &BatchConfig,
         cache: Option<(&PerceptionCache, CacheScope)>,
     ) -> (EngineResult<Vec<Option<Value>>>, BatchStats) {
-        let PerceptionBatch { slots, unique, .. } = self;
+        let PerceptionBatch {
+            slots,
+            unique,
+            hashes,
+            ..
+        } = self;
         let rows = slots.len();
         let null_rows = slots.iter().filter(|s| matches!(s, Slot::Null)).count();
         let unique_count = unique.len();
@@ -543,7 +604,7 @@ impl PerceptionBatch {
         match cache {
             Some((cache, scope)) => {
                 for (idx, request) in unique.into_iter().enumerate() {
-                    let hit = cache.get(identity, scope, &request);
+                    let hit = cache.get_hashed(identity, scope, &request, hashes[idx]);
                     probed.count_probe(cache, hit.as_ref());
                     match hit {
                         Some(hit) => resolved[idx] = Some(hit.value),
@@ -571,7 +632,7 @@ impl PerceptionBatch {
             let exec = ExecConfig::new(parallel::exec_config().threads, config.batch_size);
             parallel::try_map_morsels(&exec, miss_requests.len(), |range| {
                 dispatched.fetch_add(1, Ordering::Relaxed);
-                let batch = &miss_requests[range];
+                let batch = &miss_requests[range.clone()];
                 let answers = backend.answer_batch(batch);
                 // A malformed backend response (e.g. a remote server
                 // truncating a batch) degrades the query with an execution
@@ -586,9 +647,11 @@ impl PerceptionBatch {
                 if let Some((cache, scope)) = cache {
                     // Only successful answers are cached; errors are
                     // re-dispatched on every attempt, like the uncached path.
-                    for (request, answer) in batch.iter().zip(&answers) {
+                    let batch_hashes = miss_slots[range].iter().map(|&idx| hashes[idx]);
+                    for ((request, hash), answer) in batch.iter().zip(batch_hashes).zip(&answers) {
                         if let Ok(value) = answer {
-                            let put = cache.put(identity, scope, request, value.clone());
+                            let put =
+                                cache.put_hashed(identity, scope, request, hash, value.clone());
                             evicted.fetch_add(put.evictions, Ordering::Relaxed);
                             written.fetch_add(usize::from(put.written), Ordering::Relaxed);
                         }

@@ -41,6 +41,14 @@
 //! scope- and modality-separated key, the [`Value`] codec, and the disk-only
 //! keyspace of compiled transforms.
 //!
+//! A probe never hashes: the batch layer hashes each unique request once while
+//! gathering and hands that hash to `get` and to a miss's `put`, and the
+//! scope is mixed in by XOR with a per-scope constant. A standalone
+//! [`PerceptionCache::get`] / [`PerceptionCache::put`] computes the same
+//! hash of the same request, so both routes meet on the same entries. As
+//! everywhere in [`TieredCache`], the hash only finds a slot; the comparison of
+//! scope, modality, input key and question decides identity.
+//!
 //! [`CacheConfig`] defaults to the `CAESURA_PERCEPTION_CACHE` environment
 //! variable ([`caesura_store::capacity_from_env`]): `0` / `off` / `false`
 //! means no cache at all — byte-for-byte the pre-cache behaviour. Sessions pin
@@ -52,7 +60,6 @@ use caesura_engine::{DateValue, Schema, Value};
 use caesura_store::{
     capacity_from_env, push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache,
 };
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Lifetime counters of one [`PerceptionCache`]: `hits` are model calls
@@ -126,6 +133,17 @@ impl CacheScope {
             CacheScope::ImageSelect => "image_select",
         }
     }
+
+    /// What a request's hash is XORed with to file it under this scope: one
+    /// request asked of two operators lands in unrelated shards and slots.
+    /// (Memory only, so the constants may change between builds.)
+    fn salt(self) -> u64 {
+        match self {
+            CacheScope::TextQa => 0x9e37_79b9_7f4a_7c15,
+            CacheScope::VisualQa => 0xbf58_476d_1ce4_e5b9,
+            CacheScope::ImageSelect => 0x94d0_49bb_1331_11eb,
+        }
+    }
 }
 
 /// The owned key of one cached answer. Input and question are `Arc`-shared
@@ -141,10 +159,14 @@ struct AnswerKey {
     question: Arc<str>,
 }
 
-/// The borrowed form of an [`AnswerKey`]: probing allocates nothing.
+/// The borrowed form of an [`AnswerKey`]: probing allocates nothing and
+/// hashes nothing.
 struct AnswerProbe<'a> {
     scope: CacheScope,
     request: &'a PerceptionRequest,
+    /// `request`'s [`PerceptionRequest::hash64`], computed by the gather (or
+    /// by a standalone [`PerceptionCache::get`] / [`PerceptionCache::put`]).
+    request_hash: u64,
 }
 
 impl AnswerProbe<'_> {
@@ -153,16 +175,11 @@ impl AnswerProbe<'_> {
     }
 }
 
-impl Hash for AnswerProbe<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u8(self.scope as u8);
-        state.write(self.request.input.cache_key().as_bytes());
-        state.write_u8(1);
-        state.write(self.request.question.as_bytes());
-    }
-}
-
 impl CacheKey<AnswerKey> for AnswerProbe<'_> {
+    fn hash64(&self) -> u64 {
+        self.request_hash ^ self.scope.salt()
+    }
+
     fn equivalent(&self, key: &AnswerKey) -> bool {
         let PerceptionRequest { input, question } = self.request;
         (self.scope, self.image(), input.cache_key(), &**question)
@@ -265,7 +282,24 @@ impl PerceptionCache {
         scope: CacheScope,
         request: &PerceptionRequest,
     ) -> Option<Hit<Value>> {
-        self.tiers.get(&AnswerProbe { scope, request }, identity)
+        self.get_hashed(identity, scope, request, request.hash64())
+    }
+
+    /// [`Self::get`] for a caller that already holds `request`'s
+    /// [`PerceptionRequest::hash64`].
+    pub(crate) fn get_hashed(
+        &self,
+        identity: &str,
+        scope: CacheScope,
+        request: &PerceptionRequest,
+        request_hash: u64,
+    ) -> Option<Hit<Value>> {
+        let probe = AnswerProbe {
+            scope,
+            request,
+            request_hash,
+        };
+        self.tiers.get(&probe, identity)
     }
 
     /// Store (and write through) the answer `scope`'s backend gave `request`.
@@ -279,7 +313,24 @@ impl PerceptionCache {
         request: &PerceptionRequest,
         value: Value,
     ) -> Put {
-        let probe = AnswerProbe { scope, request };
+        self.put_hashed(identity, scope, request, request.hash64(), value)
+    }
+
+    /// [`Self::put`] for a caller that already holds `request`'s
+    /// [`PerceptionRequest::hash64`].
+    pub(crate) fn put_hashed(
+        &self,
+        identity: &str,
+        scope: CacheScope,
+        request: &PerceptionRequest,
+        request_hash: u64,
+        value: Value,
+    ) -> Put {
+        let probe = AnswerProbe {
+            scope,
+            request,
+            request_hash,
+        };
         self.tiers.put(&probe, value, identity)
     }
 
@@ -443,6 +494,45 @@ mod tests {
             found(&cache, CacheScope::VisualQa, &picture),
             Some(Value::Int(1))
         );
+    }
+
+    /// The hash a batch carries from its gather and the one a standalone
+    /// `get` / `put` computes are the same function of the request.
+    #[test]
+    fn batches_and_standalone_calls_meet_on_the_same_entries() {
+        use crate::batch::{BatchConfig, PerceptionBackend, PerceptionBatch};
+        struct Seven;
+        impl PerceptionBackend for Seven {
+            fn answer_batch(
+                &self,
+                requests: &[PerceptionRequest],
+            ) -> Vec<crate::ModalResult<Value>> {
+                requests.iter().map(|_| Ok(Value::Int(7))).collect()
+            }
+        }
+        let cache = PerceptionCache::with_capacity(64);
+        let dispatch = |request: &PerceptionRequest, scope| {
+            let mut batch = PerceptionBatch::new();
+            batch.push(request.clone());
+            let (answers, stats) =
+                batch.dispatch_cached(&Seven, &BatchConfig::new(8), Some((&cache, scope)));
+            (answers.unwrap(), stats.cache_hits)
+        };
+        // Equal key text, two modalities: two entries, each found both ways.
+        for (request, scope) in [
+            (doc("img/1.png"), CacheScope::TextQa),
+            (image("img/1.png"), CacheScope::VisualQa),
+        ] {
+            // Put by a batch, hit standalone.
+            assert_eq!(dispatch(&request, scope), (vec![Some(Value::Int(7))], 0));
+            assert_eq!(found(&cache, scope, &request), Some(Value::Int(7)));
+            // Put standalone, hit by a batch (the backend would answer 7).
+            let other = ask(request.input.clone(), "Another?");
+            assert!(cache.put("model-a", scope, &other, Value::Int(1)).inserted);
+            assert_eq!(dispatch(&other, scope), (vec![Some(Value::Int(1))], 1));
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(found(&cache, CacheScope::VisualQa, &doc("img/1.png")), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! image against a free-text description by checking which content words of
 //! the description are depicted or appear as attribute values.
 
-use crate::batch::{PerceptionBackend, PerceptionInput, PerceptionRequest};
+use crate::batch::{PerQuestion, PerceptionBackend, PerceptionInput, PerceptionRequest};
 use crate::error::{ModalError, ModalResult};
 use crate::image::{normalize_entity, ImageObject};
 use crate::noise::NoiseModel;
@@ -77,7 +77,11 @@ impl ImageSelectModel {
     /// Whether an image matches a free-text description. Every content term
     /// must be depicted in the image or appear as an attribute value.
     pub fn matches(&self, image: &ImageObject, description: &str) -> bool {
-        let terms = Self::content_terms(description);
+        self.matches_terms(image, description, &Self::content_terms(description))
+    }
+
+    /// [`Self::matches`] given `description`'s [`Self::content_terms`].
+    fn matches_terms(&self, image: &ImageObject, description: &str, terms: &[String]) -> bool {
         let mut result = if terms.is_empty() {
             // A description with no content words matches everything.
             true
@@ -86,7 +90,9 @@ impl ImageSelectModel {
                 image.depicts(term) || image.attributes.values().any(|v| v.to_lowercase() == *term)
             })
         };
-        let noise_key = format!("{}\u{1}{}", image.key, description);
+        let noise_key = self
+            .noise
+            .key(|| format!("{}\u{1}{}", image.key, description));
         if self.noise.should_corrupt(&noise_key) {
             result = !result;
         }
@@ -96,13 +102,18 @@ impl ImageSelectModel {
 
 impl PerceptionBackend for ImageSelectModel {
     /// Decide a batch request-by-request; the request's `question` carries
-    /// the free-text description and the answer is a boolean keep/drop.
+    /// the free-text description and the answer is a boolean keep/drop. A
+    /// description's terms are extracted once per run of requests sharing
+    /// its `Arc`.
     fn answer_batch(&self, requests: &[PerceptionRequest]) -> Vec<ModalResult<Value>> {
+        let mut terms = PerQuestion::new();
         requests
             .iter()
             .map(|request| match &request.input {
                 PerceptionInput::Image(image) => {
-                    Ok(Value::Bool(self.matches(image, &request.question)))
+                    let description = &request.question;
+                    let terms = terms.get(description, Self::content_terms);
+                    Ok(Value::Bool(self.matches_terms(image, description, terms)))
                 }
                 PerceptionInput::Document(_) => Err(ModalError::InvalidArguments {
                     operator: "Image Select".to_string(),

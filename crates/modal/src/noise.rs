@@ -34,6 +34,16 @@ impl NoiseModel {
         }
     }
 
+    /// The key an answer is corrupted under, built only when this model can
+    /// corrupt at all: a noiseless model never reads it.
+    pub(crate) fn key(&self, build: impl FnOnce() -> String) -> String {
+        if self.error_rate > 0.0 {
+            build()
+        } else {
+            String::new()
+        }
+    }
+
     /// Whether the answer identified by `key` should be corrupted.
     pub fn should_corrupt(&self, key: &str) -> bool {
         if self.error_rate <= 0.0 {

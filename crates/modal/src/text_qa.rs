@@ -133,10 +133,10 @@ impl TextQaModel {
     /// question itself cannot be understood.
     pub fn answer(&self, document: &str, question: &str) -> ModalResult<Value> {
         let parsed = parse_text_question(question)?;
-        let noise_key = {
+        let noise_key = self.noise.key(|| {
             let prefix: String = document.chars().take(32).collect();
             format!("{prefix}\u{1}{question}")
-        };
+        });
         let doc_lower = document.to_lowercase();
         Ok(match parsed {
             TextQuestion::HowMany { stat, subject } => {
@@ -220,8 +220,7 @@ impl TextQaModel {
                 // "The <winner> defeated the <loser> ..."
                 let mut result = Value::Null;
                 for sentence in split_sentences(document) {
-                    let lower = sentence.to_lowercase();
-                    if let Some(pos) = lower.find("defeated") {
+                    if let Some(pos) = find_ascii_ignore_case(sentence, "defeated") {
                         let (before, after) = sentence.split_at(pos);
                         let name = if win {
                             clean_team_phrase(before)
@@ -260,10 +259,21 @@ impl PerceptionBackend for TextQaModel {
     /// so the identity versions exactly those.
     fn identity(&self) -> String {
         format!(
-            "sim:text_qa:v1:noise={}@{}",
+            "sim:text_qa:v2:noise={}@{}",
             self.noise.error_rate, self.noise.seed
         )
     }
+}
+
+/// Byte offset of the first occurrence of the ASCII `needle` in `haystack`,
+/// ignoring ASCII case. Offsets into a lowercased copy would not do:
+/// lowercasing changes the byte length of characters such as `İ` and `ẞ`.
+fn find_ascii_ignore_case(haystack: &str, needle: &str) -> Option<usize> {
+    let needle = needle.as_bytes();
+    let windows = haystack.as_bytes().windows(needle.len());
+    windows
+        .into_iter()
+        .position(|window| window.eq_ignore_ascii_case(needle))
 }
 
 /// Strip articles, scores, and punctuation from a phrase like
@@ -380,6 +390,28 @@ mod tests {
         assert_eq!(winner, Value::str("San Antonio Spurs"));
         let loser = model.answer(REPORT, "Who lost the game?").unwrap();
         assert!(loser.to_string().contains("Miami Heat"));
+    }
+
+    /// Lowercasing `İ` grows it by a byte and `ẞ` shrinks by one, so an
+    /// offset found in the lowercased sentence cut the original mid-name, or
+    /// mid-character.
+    #[test]
+    fn who_won_survives_names_whose_lowercase_has_another_length() {
+        let model = TextQaModel::new();
+        for (report, winner, loser) in [
+            (
+                "The İstanbul Kings defeated the Miami Heat 100-90.",
+                "İstanbul Kings",
+                "Miami Heat",
+            ),
+            ("ẞẞé defeated the Heat 100-90.", "ẞẞé", "Heat"),
+            ("THE ÉTOILES DEFEATED THE HEAT 100-90.", "ÉTOILES", "HEAT"),
+        ] {
+            let won = model.answer(report, "Who won the game?").unwrap();
+            assert_eq!(won, Value::str(winner), "{report}");
+            let lost = model.answer(report, "Who lost the game?").unwrap();
+            assert_eq!(lost, Value::str(loser), "{report}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the VisualQA step is called with
 //! `('image', 'num_swords', 'How many swords are depicted?', 'int')`.
 
-use crate::batch::{PerceptionBackend, PerceptionInput, PerceptionRequest};
+use crate::batch::{PerQuestion, PerceptionBackend, PerceptionInput, PerceptionRequest};
 use crate::error::{ModalError, ModalResult};
 use crate::image::{normalize_entity, ImageObject};
 use crate::noise::NoiseModel;
@@ -193,40 +193,52 @@ impl VisualQaModel {
     /// questions, and a `Str` otherwise — matching the `result_dtype`
     /// argument convention of the paper's VisualQA operator.
     pub fn answer(&self, image: &ImageObject, question: &str) -> ModalResult<Value> {
-        let parsed = parse_visual_question(question)?;
-        let noise_key = format!("{}\u{1}{}", image.key, question);
-        Ok(match parsed {
+        Ok(self.answer_parsed(image, question, &parse_visual_question(question)?))
+    }
+
+    /// [`Self::answer`] to a question already parsed into `parsed`.
+    fn answer_parsed(&self, image: &ImageObject, question: &str, parsed: &VisualQuestion) -> Value {
+        let noise_key = self.noise.key(|| format!("{}\u{1}{}", image.key, question));
+        match parsed {
             VisualQuestion::Count { entity } => {
-                let mut count = i64::from(image.count_of(&entity));
+                let mut count = i64::from(image.count_of(entity));
                 if self.noise.should_corrupt(&noise_key) {
                     count = self.noise.perturb_count(&noise_key, count);
                 }
                 Value::Int(count)
             }
             VisualQuestion::Exists { entity } => {
-                let mut depicted = image.depicts(&entity);
+                let mut depicted = image.depicts(entity);
                 if self.noise.should_corrupt(&noise_key) {
                     depicted = !depicted;
                 }
                 Value::str(if depicted { "yes" } else { "no" })
             }
             VisualQuestion::Describe => Value::str(image.caption()),
-            VisualQuestion::Attribute { name } => match image.attribute(&name) {
+            VisualQuestion::Attribute { name } => match image.attribute(name) {
                 Some(value) => Value::str(value),
                 None => Value::str("unknown"),
             },
-        })
+        }
     }
 }
 
 impl PerceptionBackend for VisualQaModel {
     /// Answer a batch request-by-request; the simulated model has no
     /// per-call overhead, so batching only changes the dispatch granularity.
+    /// A question is parsed once per run of requests sharing its `Arc`.
     fn answer_batch(&self, requests: &[PerceptionRequest]) -> Vec<ModalResult<Value>> {
+        let mut parsed = PerQuestion::new();
         requests
             .iter()
             .map(|request| match &request.input {
-                PerceptionInput::Image(image) => self.answer(image, &request.question),
+                PerceptionInput::Image(image) => {
+                    let question = &request.question;
+                    match parsed.get(question, parse_visual_question) {
+                        Ok(parsed) => Ok(self.answer_parsed(image, question, parsed)),
+                        Err(unanswerable) => Err(unanswerable.clone()),
+                    }
+                }
                 PerceptionInput::Document(_) => Err(ModalError::InvalidArguments {
                     operator: "Visual Question Answering".to_string(),
                     message: "the VisualQA model looks at images, not TEXT documents".to_string(),

@@ -43,14 +43,13 @@
 pub mod tiered;
 
 pub use tiered::{
-    capacity_from_env, push_part, take_part, CacheKey, Hit, Put, Removed, Tier, TieredCache,
-    TieredStats,
+    capacity_from_env, keyed_hash, push_part, take_part, CacheKey, Hit, PrehashedMap, Put, Removed,
+    Tier, TieredCache, TieredStats,
 };
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions, TryLockError};
-use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -208,16 +207,16 @@ fn parse_segment_id(name: &str) -> Option<u64> {
 }
 
 /// FNV-1a over the record's framed bytes (lengths, tombstone flag, key,
-/// value), truncated to 32 bits. Matches the hash family used by the
-/// in-memory cache shards.
+/// value), truncated to 32 bits.
 fn record_checksum(key: &[u8], value: &[u8], tombstone: bool) -> u32 {
-    let mut fnv = tiered::Fnv::new();
-    fnv.write(&(key.len() as u32).to_le_bytes());
-    fnv.write(&(value.len() as u32).to_le_bytes());
-    fnv.write(&[u8::from(tombstone)]);
-    fnv.write(key);
-    fnv.write(value);
-    let hash = fnv.finish();
+    let key_len = (key.len() as u32).to_le_bytes();
+    let value_len = (value.len() as u32).to_le_bytes();
+    let mut hash: u64 = 0xcbf29ce484222325;
+    for part in [&key_len[..], &value_len, &[u8::from(tombstone)], key, value] {
+        for &byte in part {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100000001b3);
+        }
+    }
     (hash ^ (hash >> 32)) as u32
 }
 

@@ -11,9 +11,18 @@
 //! independently locked shards, so concurrent queries contend on a shard,
 //! never on the whole cache. A full shard evicts its own least-recently-used
 //! entry: an approximation of global LRU that only decides *which* entry is
-//! recomputed later, never an answer. Probes hash and compare keys in their
-//! borrowed form, so a hit allocates nothing; insert-plus-evict is one lock
-//! acquisition.
+//! recomputed later, never an answer.
+//!
+//! A probe brings its own 64-bit hash ([`CacheKey::hash64`], computed once by
+//! whoever built the probe, with the process-wide keyed hasher behind
+//! [`keyed_hash`]). The hash picks the shard and the slot of the shard's
+//! index; it is never hashed again ([`PrehashedMap`]) and never decides
+//! identity, which is [`CacheKey::equivalent`]'s comparison of the borrowed
+//! probe with the stored key. Each shard keeps its entries in a slab linked
+//! into a recency list by `u32` positions (head = most recently used, tail =
+//! next victim, vacated nodes on a free list), so a hit is one index lookup,
+//! one comparison and a relink that allocates nothing, and insert-plus-evict
+//! is one lock acquisition.
 //!
 //! **Disk tier.** With a store attached, [`TieredCache::get`] walks memory →
 //! disk → warm memory and reports which [`Tier`] answered,
@@ -28,10 +37,11 @@
 //! still succeeds — but is counted in [`TieredStats::disk_errors`].
 
 use crate::CacheStore;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Most lock shards a cache uses. Small capacities use fewer (down to one),
 /// so the bound stays exact and eviction stays close to true LRU.
@@ -72,11 +82,46 @@ pub fn take_part<'a>(bytes: &mut &'a [u8]) -> Option<&'a [u8]> {
     Some(part)
 }
 
+/// `value` under the process's one keyed hasher (a [`RandomState`] drawn on
+/// first use): the hash every cache probe and every perception request
+/// carries. Keyed, so inputs cannot be crafted to share a shard or a slot;
+/// different in every process, so it never reaches the disk tier.
+pub fn keyed_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new).hash_one(value)
+}
+
+/// A map keyed by hashes [`keyed_hash`] already mixed: the key is its own
+/// hash.
+pub type PrehashedMap<V> = HashMap<u64, V, BuildHasherDefault<Prehashed>>;
+
+/// The pass-through hasher of a [`PrehashedMap`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a prehashed map is keyed by u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The key schema of a [`TieredCache`], implemented on the **borrowed** probe
-/// form of the key; the memory tier stores the owned form `K`. The probe's
-/// [`Hash`] picks the shard and the index slot, [`CacheKey::equivalent`]
-/// decides identity.
-pub trait CacheKey<K>: Hash {
+/// form of the key; the memory tier stores the owned form `K`.
+pub trait CacheKey<K> {
+    /// The probe's [`keyed_hash`] (or a mix of one): equal for equivalent
+    /// probes. It picks the shard and the index slot;
+    /// [`CacheKey::equivalent`] decides identity. Keys that collide (by
+    /// chance once in 2^64 pairs) evict each other.
+    fn hash64(&self) -> u64;
+
     /// Whether `key` is the owned form of this probe.
     fn equivalent(&self, key: &K) -> bool;
 
@@ -91,6 +136,10 @@ pub trait CacheKey<K>: Hash {
 
 /// Plain string keys: the disk key is `(identity, key)`, length-prefixed.
 impl CacheKey<String> for str {
+    fn hash64(&self) -> u64 {
+        keyed_hash(self)
+    }
+
     fn equivalent(&self, key: &String) -> bool {
         self == key
     }
@@ -183,63 +232,125 @@ struct Counters {
     disk_errors: AtomicUsize,
 }
 
-/// FNV-1a (also the store's record checksum). A probe's 64-bit hash picks the
-/// shard and keys its index, but never decides identity: a slot only answers
-/// a probe its stored key is [`CacheKey::equivalent`] to. Keys that collide
-/// (by chance once in 2^64 pairs, or by construction) evict each other.
-pub(crate) struct Fnv(u64);
+/// "No node": the end of a recency or free list.
+const NIL: u32 = u32::MAX;
 
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-}
-
-impl Hasher for Fnv {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One cached entry plus its position in the shard's LRU order.
+/// One slab node: a cached entry and its links in the shard's recency list.
 #[derive(Debug)]
-struct Cached<K, V> {
-    key: K,
-    value: V,
-    tick: u64,
+struct Node<K, V> {
+    hash: u64,
+    /// `None` while the node waits on the free list.
+    entry: Option<(K, V)>,
+    /// The next more recently used node.
+    prev: u32,
+    /// The next less recently used node; on the free list, the next free one.
+    next: u32,
 }
 
 /// One independently locked slice of the memory tier.
 #[derive(Debug)]
 struct Shard<K, V> {
     capacity: usize,
-    /// Monotonic access clock; higher tick = more recently used.
-    tick: u64,
-    /// Key hash → entry.
-    index: HashMap<u64, Cached<K, V>>,
-    /// LRU order: access tick → hash of the entry touched at that tick.
-    /// `lru.len()` is the shard's live entry count.
-    lru: BTreeMap<u64, u64>,
+    /// Key hash → position of the entry's node. `index.len()` is the shard's
+    /// live entry count.
+    index: PrehashedMap<u32>,
+    nodes: Vec<Node<K, V>>,
+    /// Most recently used node.
+    head: u32,
+    /// Least recently used node: the next victim.
+    tail: u32,
+    /// First vacated node.
+    free: u32,
 }
 
 impl<K, V> Shard<K, V> {
-    /// The live entry `probe` names, moved to the front of the LRU order.
-    fn touch<Q>(&mut self, probe: &Q, hash: u64, tick: u64) -> Option<&mut Cached<K, V>>
-    where
-        Q: CacheKey<K> + ?Sized,
-    {
-        let slot = self.index.get_mut(&hash);
-        let entry = slot.filter(|entry| probe.equivalent(&entry.key))?;
-        self.lru.remove(&entry.tick);
-        entry.tick = tick;
-        self.lru.insert(tick, hash);
-        Some(entry)
+    fn new(capacity: usize) -> Self {
+        Shard {
+            capacity,
+            index: PrehashedMap::default(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// Position of the live entry `probe` names.
+    fn find<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, hash: u64) -> Option<u32> {
+        let at = *self.index.get(&hash)?;
+        let (key, _) = self.nodes[at as usize].entry.as_ref()?;
+        probe.equivalent(key).then_some(at)
+    }
+
+    /// The value `probe` names, moved to the front of the recency list.
+    fn touch<Q: CacheKey<K> + ?Sized>(&mut self, probe: &Q, hash: u64) -> Option<&V> {
+        let at = self.find(probe, hash)?;
+        if self.head != at {
+            self.unlink(at);
+            self.push_front(at);
+        }
+        let (_, value) = self.nodes[at as usize].entry.as_ref()?;
+        Some(value)
+    }
+
+    /// Take node `at` out of the recency list.
+    fn unlink(&mut self, at: u32) {
+        let Node { prev, next, .. } = self.nodes[at as usize];
+        match prev {
+            NIL => self.head = next,
+            _ => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.nodes[next as usize].prev = prev,
+        }
+    }
+
+    /// Make the unlinked node `at` the most recently used.
+    fn push_front(&mut self, at: u32) {
+        let node = &mut self.nodes[at as usize];
+        (node.prev, node.next) = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = at,
+            head => self.nodes[head as usize].prev = at,
+        }
+        self.head = at;
+    }
+
+    /// Drop the live entry at `at` and put its node on the free list.
+    fn release(&mut self, at: u32) {
+        self.unlink(at);
+        let node = &mut self.nodes[at as usize];
+        self.index.remove(&node.hash);
+        node.entry = None;
+        node.next = self.free;
+        self.free = at;
+    }
+
+    /// Store a new entry as the most recently used, in a vacated node if
+    /// there is one.
+    fn push_new(&mut self, hash: u64, key: K, value: V) {
+        let node = Node {
+            hash,
+            entry: Some((key, value)),
+            prev: NIL,
+            next: NIL,
+        };
+        let at = match self.free {
+            NIL => {
+                let at = u32::try_from(self.nodes.len()).ok().filter(|&at| at != NIL);
+                let at = at.expect("a cache shard holds fewer than 2^32 - 1 entries");
+                self.nodes.push(node);
+                at
+            }
+            at => {
+                self.free = self.nodes[at as usize].next;
+                self.nodes[at as usize] = node;
+                at
+            }
+        };
+        self.index.insert(hash, at);
+        self.push_front(at);
     }
 }
 
@@ -263,12 +374,7 @@ impl<K, V: Clone> TieredCache<K, V> {
         let capacity = capacity.max(1);
         let shard_count = (capacity / 4).clamp(1, MAX_SHARDS);
         let (base, extra) = (capacity / shard_count, capacity % shard_count);
-        let shard = |i| Shard {
-            capacity: base + usize::from(i < extra),
-            tick: 0,
-            index: HashMap::new(),
-            lru: BTreeMap::new(),
-        };
+        let shard = |i| Shard::new(base + usize::from(i < extra));
         TieredCache {
             shards: (0..shard_count).map(|i| Mutex::new(shard(i))).collect(),
             capacity,
@@ -296,7 +402,7 @@ impl<K, V: Clone> TieredCache<K, V> {
 
     /// Entries in the memory tier (a racing snapshot under concurrent use).
     pub fn len(&self) -> usize {
-        let live = |shard: &Mutex<Shard<K, V>>| shard.lock().expect(POISONED).lru.len();
+        let live = |shard: &Mutex<Shard<K, V>>| shard.lock().expect(POISONED).index.len();
         self.shards.iter().map(live).sum()
     }
 
@@ -320,44 +426,32 @@ impl<K, V: Clone> TieredCache<K, V> {
         }
     }
 
-    /// Lock the shard `probe` belongs to and advance its access clock.
-    /// Returns the shard, the probe's hash and the new tick.
-    fn shard_of<Q: Hash + ?Sized>(&self, probe: &Q) -> (MutexGuard<'_, Shard<K, V>>, u64, u64) {
-        let mut fnv = Fnv::new();
-        probe.hash(&mut fnv);
-        let hash = fnv.finish();
-        let shard = &self.shards[(hash % self.shards.len() as u64) as usize];
-        let mut shard = shard.lock().expect(POISONED);
-        shard.tick += 1;
-        let tick = shard.tick;
-        (shard, hash, tick)
+    /// Lock the shard `hash` belongs to. The shard comes from the hash's
+    /// upper half; the shard's index buckets by the lower bits.
+    fn shard_of(&self, hash: u64) -> MutexGuard<'_, Shard<K, V>> {
+        let shard = &self.shards[((hash >> 32) % self.shards.len() as u64) as usize];
+        shard.lock().expect(POISONED)
     }
 
     /// Insert into the memory tier, evicting the shard's least-recently-used
     /// entry on overflow. Returns the evictions (0 or 1), or `None` when the
     /// key was already present: values are deterministic per key, so only
     /// its LRU position is refreshed.
-    fn insert<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, value: V) -> Option<usize> {
-        let (mut shard, hash, tick) = self.shard_of(probe);
-        if shard.touch(probe, hash, tick).is_some() {
+    fn insert<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, hash: u64, value: V) -> Option<usize> {
+        let mut shard = self.shard_of(hash);
+        if shard.touch(probe, hash).is_some() {
             return None;
         }
-        let key = probe.to_key();
-        let mut evictions = 0;
-        if let Some(collided) = shard.index.insert(hash, Cached { key, value, tick }) {
-            // Another key with the same hash: the older entry makes way.
-            shard.lru.remove(&collided.tick);
-            evictions += 1;
+        // Another key with the same hash makes way; failing that, a full
+        // shard's least recently used entry does.
+        let collided = shard.index.get(&hash).copied();
+        let full = shard.index.len() >= shard.capacity;
+        let victim = collided.or(full.then_some(shard.tail));
+        if let Some(victim) = victim {
+            shard.release(victim);
         }
-        shard.lru.insert(tick, hash);
-        if shard.lru.len() > shard.capacity {
-            let (_, victim) = shard
-                .lru
-                .pop_first()
-                .expect("a full shard has an LRU entry");
-            shard.index.remove(&victim);
-            evictions += 1;
-        }
+        shard.push_new(hash, probe.to_key(), value);
+        let evictions = usize::from(victim.is_some());
         self.counters.insertions.fetch_add(1, Relaxed);
         self.counters.evictions.fetch_add(evictions, Relaxed);
         Some(evictions)
@@ -366,11 +460,12 @@ impl<K, V: Clone> TieredCache<K, V> {
     /// Look `probe` up: memory first (refreshing the LRU position), then the
     /// disk tier under `identity`, warming the memory tier on a disk hit.
     pub fn get<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, identity: &str) -> Option<Hit<V>> {
-        let (mut shard, hash, tick) = self.shard_of(probe);
-        if let Some(entry) = shard.touch(probe, hash, tick) {
+        let hash = probe.hash64();
+        let mut shard = self.shard_of(hash);
+        if let Some(value) = shard.touch(probe, hash) {
             self.counters.hits.fetch_add(1, Relaxed);
             return Some(Hit {
-                value: entry.value.clone(),
+                value: value.clone(),
                 tier: Tier::Memory,
                 evictions: 0,
             });
@@ -379,7 +474,7 @@ impl<K, V: Clone> TieredCache<K, V> {
         self.counters.misses.fetch_add(1, Relaxed);
         let value = self.disk_get(|| probe.disk_key(identity), self.decode)?;
         // A concurrent probe may have warmed this key first.
-        let evictions = self.insert(probe, value.clone()).unwrap_or(0);
+        let evictions = self.insert(probe, hash, value.clone()).unwrap_or(0);
         Some(Hit {
             value,
             tier: Tier::Disk,
@@ -393,7 +488,7 @@ impl<K, V: Clone> TieredCache<K, V> {
         // Encode before the value moves into the map; the write itself
         // happens after the shard lock is released.
         let encoded = self.disk.as_ref().map(|_| (self.encode)(&value));
-        let Some(evictions) = self.insert(probe, value) else {
+        let Some(evictions) = self.insert(probe, probe.hash64(), value) else {
             return Put::default();
         };
         let written =
@@ -407,13 +502,14 @@ impl<K, V: Clone> TieredCache<K, V> {
 
     /// Drop `probe` from the memory tier and tombstone its disk record.
     pub fn remove<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, identity: &str) -> Removed {
-        let (mut shard, hash, tick) = self.shard_of(probe);
-        let memory = shard.touch(probe, hash, tick).is_some();
-        if memory {
-            shard.index.remove(&hash);
-            shard.lru.remove(&tick);
+        let hash = probe.hash64();
+        let mut shard = self.shard_of(hash);
+        let found = shard.find(probe, hash);
+        if let Some(at) = found {
+            shard.release(at);
         }
         drop(shard);
+        let memory = found.is_some();
         let tombstone = |store: &Arc<CacheStore>| {
             store.remove(&probe.disk_key(identity)).unwrap_or_else(|_| {
                 self.counters.disk_errors.fetch_add(1, Relaxed);
@@ -496,10 +592,35 @@ mod tests {
         }
     }
 
+    /// A string key filed under a hash the test chooses, so collisions can
+    /// be forced. Its disk key is the plain string's.
+    struct Probe<'a> {
+        key: &'a str,
+        hash: u64,
+    }
+
+    impl CacheKey<String> for Probe<'_> {
+        fn hash64(&self) -> u64 {
+            self.hash
+        }
+        fn equivalent(&self, key: &String) -> bool {
+            self.key == key
+        }
+        fn to_key(&self) -> String {
+            self.key.to_string()
+        }
+        fn disk_key(&self, identity: &str) -> Vec<u8> {
+            self.key.disk_key(identity)
+        }
+    }
+
+    /// One entry of the reference: key, value, hash.
+    type Entry = (String, String, u64);
+
     /// The naive reference: per shard a `Vec` in LRU order (front = next
     /// victim), and a `HashMap` standing in for the store.
     struct Model {
-        shards: Vec<(usize, Vec<(String, String)>)>,
+        shards: Vec<(usize, Vec<Entry>)>,
         disk: Option<HashMap<String, String>>,
         stats: TieredStats,
     }
@@ -520,34 +641,39 @@ mod tests {
             }
         }
 
-        fn shard(&mut self, key: &str) -> &mut (usize, Vec<(String, String)>) {
-            let mut fnv = Fnv::new();
-            key.hash(&mut fnv);
+        fn shard(&mut self, hash: u64) -> &mut (usize, Vec<Entry>) {
             let count = self.shards.len() as u64;
-            &mut self.shards[(fnv.finish() % count) as usize]
+            &mut self.shards[((hash >> 32) % count) as usize]
         }
 
-        /// Move `key` to the most-recently-used end; its value if present.
-        fn refresh(&mut self, key: &str) -> Option<String> {
-            let (_, lru) = self.shard(key);
-            let at = lru.iter().position(|(k, _)| k == key)?;
+        /// Move `probe`'s entry to the most-recently-used end; its value if
+        /// present.
+        fn refresh(&mut self, probe: &Probe<'_>) -> Option<String> {
+            let (_, lru) = self.shard(probe.hash);
+            let at = lru.iter().position(|(k, ..)| k == probe.key)?;
             let entry = lru.remove(at);
             lru.push(entry.clone());
             Some(entry.1)
         }
 
-        fn insert(&mut self, key: &str, value: &str) -> usize {
-            let (capacity, lru) = self.shard(key);
-            lru.push((key.to_string(), value.to_string()));
-            let evictions = usize::from(lru.len() > *capacity);
-            lru.drain(..evictions);
+        /// Insert an absent key: an entry filed under the same hash makes
+        /// way; failing that, a full shard's front does.
+        fn insert(&mut self, probe: &Probe<'_>, value: &str) -> usize {
+            let (capacity, lru) = self.shard(probe.hash);
+            let collided = lru.iter().position(|&(.., hash)| hash == probe.hash);
+            let victim = collided.or((lru.len() >= *capacity).then_some(0));
+            if let Some(at) = victim {
+                lru.remove(at);
+            }
+            lru.push((probe.key.to_string(), value.to_string(), probe.hash));
+            let evictions = usize::from(victim.is_some());
             self.stats.insertions += 1;
             self.stats.evictions += evictions;
             evictions
         }
 
-        fn get(&mut self, key: &str) -> Option<Hit<String>> {
-            if let Some(value) = self.refresh(key) {
+        fn get(&mut self, probe: &Probe<'_>) -> Option<Hit<String>> {
+            if let Some(value) = self.refresh(probe) {
                 self.stats.hits += 1;
                 return Some(Hit {
                     value,
@@ -556,12 +682,12 @@ mod tests {
                 });
             }
             self.stats.misses += 1;
-            let Some(value) = self.disk.as_ref()?.get(key).cloned() else {
+            let Some(value) = self.disk.as_ref()?.get(probe.key).cloned() else {
                 self.stats.disk_misses += 1;
                 return None;
             };
             self.stats.disk_hits += 1;
-            let evictions = self.insert(key, &value);
+            let evictions = self.insert(probe, &value);
             Some(Hit {
                 value,
                 tier: Tier::Disk,
@@ -569,14 +695,14 @@ mod tests {
             })
         }
 
-        fn put(&mut self, key: &str, value: &str) -> Put {
-            if self.refresh(key).is_some() {
+        fn put(&mut self, probe: &Probe<'_>, value: &str) -> Put {
+            if self.refresh(probe).is_some() {
                 return Put::default();
             }
-            let evictions = self.insert(key, value);
+            let evictions = self.insert(probe, value);
             let written = match self.disk.as_mut() {
                 Some(disk) => {
-                    disk.insert(key.to_string(), value.to_string());
+                    disk.insert(probe.key.to_string(), value.to_string());
                     self.stats.disk_writes += 1;
                     true
                 }
@@ -589,25 +715,72 @@ mod tests {
             }
         }
 
-        fn remove(&mut self, key: &str) -> Removed {
-            let (_, lru) = self.shard(key);
+        fn remove(&mut self, probe: &Probe<'_>) -> Removed {
+            let (_, lru) = self.shard(probe.hash);
             let before = lru.len();
-            lru.retain(|(k, _)| k != key);
+            lru.retain(|(k, ..)| k != probe.key);
             let memory = lru.len() < before;
-            let disk = self.disk.as_mut().is_some_and(|d| d.remove(key).is_some());
+            let disk = self.disk.as_mut();
+            let disk = disk.is_some_and(|d| d.remove(probe.key).is_some());
             Removed { memory, disk }
         }
     }
 
+    /// The shard's keys from most to least recently used, after checking the
+    /// structure: the walk from the head is the reverse of the walk from the
+    /// tail and visits exactly the indexed nodes, each indexed under its own
+    /// hash, and every other node of the slab is on the free list.
+    fn recency_order(shard: &Shard<String, String>) -> Vec<String> {
+        let walk = |from: u32, step: fn(&Node<String, String>) -> u32| {
+            let mut visited = Vec::new();
+            let mut at = from;
+            while at != NIL {
+                assert!(visited.len() < shard.nodes.len(), "the list has a cycle");
+                visited.push(at);
+                at = step(&shard.nodes[at as usize]);
+            }
+            visited
+        };
+        let forward = walk(shard.head, |node| node.next);
+        let mut backward = walk(shard.tail, |node| node.prev);
+        backward.reverse();
+        assert_eq!(forward, backward);
+        assert_eq!(forward.len(), shard.index.len());
+        assert!(shard.index.len() <= shard.capacity);
+        let free = walk(shard.free, |node| node.next);
+        assert!(free
+            .iter()
+            .all(|&at| shard.nodes[at as usize].entry.is_none()));
+        assert_eq!(forward.len() + free.len(), shard.nodes.len());
+        let key_of = |&at: &u32| {
+            let node = &shard.nodes[at as usize];
+            assert_eq!(shard.index.get(&node.hash), Some(&at));
+            let (key, _) = node.entry.as_ref().expect("listed nodes are live");
+            key.clone()
+        };
+        forward.iter().map(key_of).collect()
+    }
+
     /// Random `get` / `put` / `remove` sequences must be indistinguishable
-    /// from the reference: answers, tiers, every outcome and every counter.
-    /// This one suite stands in for the per-cache LRU, capacity-bound,
-    /// re-insert and shard-split unit tests the two caches used to carry.
+    /// from the reference: answers, tiers, every outcome, every counter and,
+    /// after every operation, each shard's whole recency order. Run under
+    /// the real hash, under a hash three keys share, and under one constant
+    /// hash for all keys. This one suite stands in for the per-cache LRU,
+    /// capacity-bound, re-insert and shard-split unit tests the two caches
+    /// used to carry.
     #[test]
     fn random_operations_match_the_reference_model() {
+        /// The hash a key number is filed under.
+        type Hashing = fn(usize) -> u64;
+        let hashers: [(&str, Hashing); 3] = [
+            ("keyed", |n| keyed_hash(&n)),
+            ("shared by three", |n| keyed_hash(&(n / 3))),
+            ("constant", |_| 7),
+        ];
         for (round, capacity) in [1usize, 2, 5, 17, 64].into_iter().enumerate() {
-            for with_store in [false, true] {
-                let dir = temp_dir(&format!("model-{capacity}-{with_store}"));
+            let configs = hashers.iter().flat_map(|h| [(false, h), (true, h)]);
+            for (with_store, &(hashing, hasher)) in configs {
+                let dir = temp_dir(&format!("model-{capacity}-{with_store}-{}", hashing.len()));
                 let mut cache = string_cache(capacity);
                 if with_store {
                     cache.attach_disk(Arc::new(CacheStore::open(&dir).expect("open store")));
@@ -621,18 +794,30 @@ mod tests {
                 let mut rng = Rng(0xca35_0000 + round as u64 * 2 + u64::from(with_store));
                 let keys = capacity * 3 + 4;
                 for step in 0..3_000 {
-                    let key = format!("key-{}", rng.below(keys));
-                    let context = format!("capacity {capacity}, store {with_store}, step {step}");
-                    match rng.below(8) {
-                        0..=3 => assert_eq!(cache.get(&*key, "id"), model.get(&key), "{context}"),
-                        4..=6 => {
-                            let value = format!("{key}@{step}");
-                            let put = cache.put(&*key, value.clone(), "id");
-                            assert_eq!(put, model.put(&key, &value), "{context}");
-                        }
-                        _ => assert_eq!(cache.remove(&*key, "id"), model.remove(&key), "{context}"),
+                    let n = rng.below(keys);
+                    let key = format!("key-{n}");
+                    let (key, hash) = (key.as_str(), hasher(n));
+                    let probe = Probe { key, hash };
+                    let value = format!("{key}@{step}");
+                    let context =
+                        format!("capacity {capacity}, store {with_store}, {hashing}, step {step}");
+                    let op = rng.below(9);
+                    if op <= 3 {
+                        assert_eq!(cache.get(&probe, "id"), model.get(&probe), "{context}");
                     }
-                    assert!(cache.len() <= capacity, "{context}");
+                    if op >= 7 {
+                        let removed = cache.remove(&probe, "id");
+                        assert_eq!(removed, model.remove(&probe), "{context}");
+                    }
+                    // 4..=6 put; 8 re-inserts what it just removed.
+                    if (4..=6).contains(&op) || op == 8 {
+                        let put = cache.put(&probe, value.clone(), "id");
+                        assert_eq!(put, model.put(&probe, &value), "{context}");
+                    }
+                    for (shard, (_, lru)) in cache.shards.iter().zip(&model.shards) {
+                        let expected: Vec<_> = lru.iter().rev().map(|(k, ..)| k.clone()).collect();
+                        assert_eq!(recency_order(&shard.lock().unwrap()), expected, "{context}");
+                    }
                 }
                 assert_eq!(cache.stats(), model.stats);
                 let live: usize = model.shards.iter().map(|(_, lru)| lru.len()).sum();
@@ -649,39 +834,24 @@ mod tests {
     /// replaces the older one, and no probe is ever answered by another key.
     #[test]
     fn colliding_keys_evict_each_other_and_never_answer_for_each_other() {
-        #[derive(PartialEq)]
-        struct Colliding(&'static str);
-        impl Hash for Colliding {
-            fn hash<H: Hasher>(&self, _: &mut H) {}
-        }
-        impl CacheKey<String> for Colliding {
-            fn equivalent(&self, key: &String) -> bool {
-                self.0 == key
-            }
-            fn to_key(&self) -> String {
-                self.0.to_string()
-            }
-            fn disk_key(&self, _: &str) -> Vec<u8> {
-                self.0.as_bytes().to_vec()
-            }
-        }
+        let colliding = |key| Probe { key, hash: 0 };
         let cache = string_cache(8);
         assert_eq!(
-            cache.put(&Colliding("a"), "1".to_string(), "id").evictions,
+            cache.put(&colliding("a"), "1".to_string(), "id").evictions,
             0
         );
         assert_eq!(
-            cache.put(&Colliding("b"), "2".to_string(), "id").evictions,
+            cache.put(&colliding("b"), "2".to_string(), "id").evictions,
             1
         );
-        assert_eq!(cache.get(&Colliding("a"), "id"), None);
-        assert!(!cache.remove(&Colliding("a"), "id").memory);
+        assert_eq!(cache.get(&colliding("a"), "id"), None);
+        assert!(!cache.remove(&colliding("a"), "id").memory);
         assert_eq!(
-            cache.get(&Colliding("b"), "id").map(|hit| hit.value),
+            cache.get(&colliding("b"), "id").map(|hit| hit.value),
             Some("2".to_string())
         );
         assert_eq!((cache.len(), cache.stats().evictions), (1, 1));
-        assert!(cache.remove(&Colliding("b"), "id").memory);
+        assert!(cache.remove(&colliding("b"), "id").memory);
         assert!(cache.is_empty());
     }
 
