@@ -1,59 +1,13 @@
 //! Micro-benchmarks of the physical operators (relational and multi-modal)
 //! at several input cardinalities.
 
+use caesura_bench::{scores_table, teams_table};
 use caesura_data::{generate_artwork, ArtworkConfig};
-use caesura_engine::parallel::{self, ExecConfig};
 use caesura_engine::{dict, ops, sql, DataType, Expr, Schema, Table, TableBuilder, Value};
 use caesura_modal::operators::{apply_python_udf, apply_visual_qa};
 use caesura_modal::{TransformCodegen, VisualQaModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-
-/// A synthetic scores table with int/float/str columns, used to measure the
-/// relational operators at cardinalities (10k–1M) where the artwork generator
-/// (which also builds image annotations) would dominate setup time.
-fn scores_table(rows: usize) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("game_id", DataType::Int),
-        ("team", DataType::Str),
-        ("points", DataType::Int),
-        ("rating", DataType::Float),
-    ]);
-    let teams = [
-        "Heat", "Spurs", "Bulls", "Lakers", "Celtics", "Nets", "Suns", "Jazz",
-    ];
-    let mut builder = TableBuilder::new("scores", schema);
-    for i in 0..rows {
-        builder
-            .push_row(vec![
-                Value::Int(i as i64),
-                Value::str(teams[i % teams.len()]),
-                Value::Int(60 + ((i * 37) % 90) as i64),
-                Value::Float((i % 1000) as f64 / 10.0),
-            ])
-            .unwrap();
-    }
-    builder.build()
-}
-
-/// A keyed side table joining against `scores.team`.
-fn teams_table() -> Table {
-    let schema = Schema::from_pairs(&[("team", DataType::Str), ("conference", DataType::Str)]);
-    let mut builder = TableBuilder::new("teams", schema);
-    for (team, conference) in [
-        ("Heat", "Eastern"),
-        ("Spurs", "Western"),
-        ("Bulls", "Eastern"),
-        ("Lakers", "Western"),
-        ("Celtics", "Eastern"),
-        ("Nets", "Eastern"),
-        ("Suns", "Western"),
-        ("Jazz", "Western"),
-    ] {
-        builder.push_values([team, conference]).unwrap();
-    }
-    builder.build()
-}
 
 /// Columnar-scale benches: filter / aggregate / join / project / sort at
 /// 10k–1M rows. These are the numbers recorded in BENCH_operators.json.
@@ -113,93 +67,6 @@ fn bench_columnar_scale(c: &mut Criterion) {
                 .unwrap()
             })
         });
-    }
-    group.finish();
-}
-
-/// Morsel-parallel scaling benches: filter / aggregate / join / sort at
-/// 100k and 1M rows with a threads axis (1/2/4/8 workers, default morsel
-/// size). `threads = 1` is the sequential baseline the speedups in
-/// BENCH_operators.json are measured against. The configuration is pinned
-/// per measurement with a scoped override, so the other groups keep running
-/// under the process default.
-fn bench_parallel_scale(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel");
-    group.sample_size(10);
-    for &size in &[100_000usize, 1_000_000] {
-        let scores = scores_table(size);
-        let teams = teams_table();
-        let predicate = sql::parse_expression("points > 100").unwrap();
-        for &threads in &[1usize, 2, 4, 8] {
-            let config = ExecConfig::with_threads(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("filter_t{threads}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| {
-                        parallel::with_config(config, || {
-                            ops::filter(black_box(&scores), &predicate).unwrap()
-                        })
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("aggregate_t{threads}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| {
-                        parallel::with_config(config, || {
-                            ops::aggregate(
-                                black_box(&scores),
-                                &[(Expr::col("team"), "team".to_string())],
-                                &[
-                                    ops::AggCall::new(
-                                        ops::AggFunc::Max,
-                                        Some(Expr::col("points")),
-                                        "max_points",
-                                    ),
-                                    ops::AggCall::count_star("games"),
-                                ],
-                            )
-                            .unwrap()
-                        })
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("join_t{threads}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| {
-                        parallel::with_config(config, || {
-                            ops::hash_join(
-                                black_box(&scores),
-                                black_box(&teams),
-                                "team",
-                                "team",
-                                ops::JoinType::Inner,
-                            )
-                            .unwrap()
-                        })
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("sort_t{threads}"), size),
-                &size,
-                |b, _| {
-                    b.iter(|| {
-                        parallel::with_config(config, || {
-                            ops::sort(
-                                black_box(&scores),
-                                &[ops::SortKey::desc(Expr::col("points"))],
-                            )
-                            .unwrap()
-                        })
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }
@@ -464,7 +331,6 @@ criterion_group!(
     benches,
     bench_operators,
     bench_columnar_scale,
-    bench_parallel_scale,
     bench_encoded
 );
 criterion_main!(benches);

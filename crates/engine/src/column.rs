@@ -99,6 +99,26 @@ impl Bitmap {
         out
     }
 
+    /// Append every bit of `other`, a word at a time (the merge step of the
+    /// morsel-parallel kernels; morsel lengths are usually multiples of 64,
+    /// so this is a plain word copy).
+    pub fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // Bits beyond either bitmap's `len` are zero, so OR-ing the
+            // shifted words in never disturbs a slot that is already set.
+            for &word in &other.words {
+                *self.words.last_mut().expect("shift != 0 implies a word") |= word << shift;
+                self.words.push(word >> (64 - shift));
+            }
+            self.words.truncate((self.len + other.len).div_ceil(64));
+        }
+        self.len += other.len;
+        self.unset += other.unset;
+    }
+
     /// Gather the bits at `indices` into a new bitmap.
     pub fn take(&self, indices: &[usize]) -> Bitmap {
         if self.is_all_valid() {
@@ -555,81 +575,61 @@ impl Column {
         }
     }
 
-    /// Concatenate columns end to end (UNION ALL). Parts sharing one typed
-    /// representation are appended vector-to-vector; mixed-representation
-    /// inputs fall back to value-level packing.
-    pub fn concat(parts: &[&Column]) -> Column {
+    /// Concatenate columns end to end (UNION ALL, and the merge step of the
+    /// morsel-parallel kernels). Parts sharing one typed representation are
+    /// **moved** into the first part's buffers — no per-cell clone, validity
+    /// appended a word at a time; mixed-representation inputs fall back to
+    /// value-level packing.
+    pub fn concat(parts: Vec<Column>) -> Column {
         let total: usize = parts.iter().map(|c| c.len()).sum();
-        macro_rules! concat_typed {
-            ($variant:ident) => {{
-                let mut data = Vec::with_capacity(total);
-                let mut validity = Bitmap::new();
-                let mut ok = true;
-                for part in parts {
-                    match part {
-                        Column::$variant(v, b) => {
-                            data.extend(v.iter().cloned());
-                            for i in 0..v.len() {
-                                validity.push(b.is_valid(i));
-                            }
-                        }
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    return Column::$variant(data, validity);
-                }
-            }};
+        let uniform = match parts.first() {
+            None | Some(Column::Null(_) | Column::Mixed(_)) => false,
+            // Parts sharing one entry table (morsel slices of the same
+            // column) stay dictionary-encoded; mismatched dictionaries fall
+            // through to value-level packing (plain strings), the same
+            // result a plain-Utf8 concat would produce.
+            Some(Column::Dict { dict: first, .. }) => parts
+                .iter()
+                .all(|p| matches!(p, Column::Dict { dict, .. } if Arc::ptr_eq(dict, first))),
+            Some(first) => parts
+                .iter()
+                .all(|p| std::mem::discriminant(p) == std::mem::discriminant(first)),
+        };
+        if !uniform {
+            let mut values = Vec::with_capacity(total);
+            for part in &parts {
+                values.extend(part.iter());
+            }
+            return Column::from_values(values);
         }
-        if let Some(first) = parts.first() {
-            match first {
-                Column::Bool(..) => concat_typed!(Bool),
-                Column::Int64(..) => concat_typed!(Int64),
-                Column::Float64(..) => concat_typed!(Float64),
-                Column::Utf8(..) => concat_typed!(Utf8),
-                Column::Date(..) => concat_typed!(Date),
-                Column::Image(..) => concat_typed!(Image),
-                Column::Text(..) => concat_typed!(Text),
-                Column::Dict { dict: first, .. } => {
-                    // Parts sharing one entry table (morsel slices of the same
-                    // column) stay dictionary-encoded; mismatched dictionaries
-                    // fall through to value-level packing (plain strings), the
-                    // same result a plain-Utf8 concat would produce.
-                    let shared = parts.iter().all(
-                        |p| matches!(p, Column::Dict { dict, .. } if Arc::ptr_eq(dict, first)),
-                    );
-                    if shared {
-                        let mut codes = Vec::with_capacity(total);
-                        let mut validity = Bitmap::new();
-                        for part in parts {
-                            if let Column::Dict {
-                                codes: c, bitmap, ..
-                            } = part
-                            {
-                                codes.extend_from_slice(c);
-                                for i in 0..c.len() {
-                                    validity.push(bitmap.is_valid(i));
-                                }
-                            }
-                        }
-                        return Column::Dict {
-                            codes,
-                            dict: Arc::clone(first),
-                            bitmap: validity,
-                        };
-                    }
-                }
-                _ => {}
+        fn append<T>(into: (&mut Vec<T>, &mut Bitmap), mut from: (Vec<T>, Bitmap), total: usize) {
+            into.0.reserve(total - into.0.len());
+            into.0.append(&mut from.0);
+            into.1.append(&from.1);
+        }
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().expect("uniform implies a first part");
+        for part in parts {
+            match (&mut merged, part) {
+                (Column::Bool(v, b), Column::Bool(ov, ob)) => append((v, b), (ov, ob), total),
+                (Column::Int64(v, b), Column::Int64(ov, ob)) => append((v, b), (ov, ob), total),
+                (Column::Float64(v, b), Column::Float64(ov, ob)) => append((v, b), (ov, ob), total),
+                (Column::Date(v, b), Column::Date(ov, ob)) => append((v, b), (ov, ob), total),
+                (Column::Utf8(v, b), Column::Utf8(ov, ob))
+                | (Column::Image(v, b), Column::Image(ov, ob))
+                | (Column::Text(v, b), Column::Text(ov, ob)) => append((v, b), (ov, ob), total),
+                (
+                    Column::Dict { codes, bitmap, .. },
+                    Column::Dict {
+                        codes: other_codes,
+                        bitmap: other_bitmap,
+                        ..
+                    },
+                ) => append((codes, bitmap), (other_codes, other_bitmap), total),
+                _ => unreachable!("uniform parts share one representation"),
             }
         }
-        let mut values = Vec::with_capacity(total);
-        for part in parts {
-            values.extend(part.iter());
-        }
-        Column::from_values(values)
+        merged
     }
 
     /// Append the stable grouping key of slot `i` to `out`. Delegates to the
@@ -914,7 +914,7 @@ mod tests {
     fn concat_joins_columns() {
         let a = Column::from_values(vec![Value::Int(1)]);
         let b = Column::from_values(vec![Value::Int(2), Value::Null]);
-        let joined = Column::concat(&[&a, &b]);
+        let joined = Column::concat(vec![a, b]);
         assert_eq!(joined.len(), 3);
         assert_eq!(joined.get(1), Value::Int(2));
         assert!(joined.get(2).is_null());
@@ -937,10 +937,59 @@ mod tests {
     }
 
     #[test]
+    fn bitmap_append_equals_pushing_bit_by_bit_at_any_alignment() {
+        let bits = |len: usize, salt: usize| -> Vec<bool> {
+            (0..len)
+                .map(|i| !(i * 7 + salt).is_multiple_of(5))
+                .collect()
+        };
+        let pushed = |all: &[bool]| {
+            let mut bitmap = Bitmap::new();
+            all.iter().for_each(|&bit| bitmap.push(bit));
+            bitmap
+        };
+        for lens in [
+            vec![0, 5, 0],
+            vec![64, 64, 1],
+            vec![3, 64, 130],
+            vec![70, 1, 57, 200],
+            vec![63, 1, 64],
+        ] {
+            let parts: Vec<Vec<bool>> = lens.iter().map(|&len| bits(len, len)).collect();
+            let mut appended = Bitmap::new();
+            for part in &parts {
+                appended.append(&pushed(part));
+            }
+            assert_eq!(appended, pushed(&parts.concat()), "{lens:?}");
+            assert_eq!(
+                appended.count_valid(),
+                pushed(&parts.concat()).count_valid()
+            );
+        }
+        // All-valid parts stay equal to the constructor's representation.
+        let mut appended = Bitmap::all_valid(70);
+        appended.append(&Bitmap::all_valid(59));
+        assert_eq!(appended, Bitmap::all_valid(129));
+    }
+
+    #[test]
+    fn concat_moves_unaligned_chunks_into_the_column_a_gather_builds() {
+        for col in every_representation() {
+            let whole: Vec<usize> = (0..24).collect();
+            let chunks = vec![
+                col.take(&whole[..3]),
+                col.take(&whole[3..20]),
+                col.take(&whole[20..]),
+            ];
+            assert_eq!(Column::concat(chunks), col.take(&whole), "{col:?}");
+        }
+    }
+
+    #[test]
     fn concat_keeps_typed_representation() {
         let a = Column::from_values(vec![Value::Int(1), Value::Null]);
         let b = Column::from_values(vec![Value::Int(3)]);
-        let joined = Column::concat(&[&a, &b]);
+        let joined = Column::concat(vec![a, b]);
         assert!(matches!(joined, Column::Int64(..)));
         assert_eq!(joined.get(0), Value::Int(1));
         assert!(joined.get(1).is_null());
@@ -1112,7 +1161,7 @@ mod tests {
         };
         // Morsel shape: slices of one column share the entry table.
         let (a, b) = (dict_col.slice(0..10), dict_col.slice(10..24));
-        let joined = Column::concat(&[&a, &b]);
+        let joined = Column::concat(vec![a, b]);
         assert!(matches!(joined, Column::Dict { .. }));
         for i in 0..24 {
             assert_eq!(joined.get(i), dict_col.get(i));
@@ -1125,7 +1174,7 @@ mod tests {
                 .collect(),
         ))
         .expect("encodes");
-        let mixed = Column::concat(&[&dict_col, &other]);
+        let mixed = Column::concat(vec![dict_col.clone(), other.clone()]);
         assert!(matches!(mixed, Column::Utf8(..)));
         assert_eq!(mixed.len(), 48);
         assert_eq!(mixed.get(0), dict_col.get(0));

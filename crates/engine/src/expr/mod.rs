@@ -26,6 +26,7 @@ pub use compile::CompiledExpr;
 
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
+use crate::parallel::Region;
 use crate::schema::Schema;
 use crate::value::{DataType, DateValue, Value};
 use std::fmt;
@@ -406,13 +407,12 @@ impl Expr {
         }
         let compiled = CompiledExpr::compile(self, schema);
         let config = crate::parallel::exec_config();
-        if config.should_parallelize(num_rows) {
+        if config.should_parallelize(Region::Expr, num_rows) {
             let chunks: Vec<Arc<Column>> =
                 crate::parallel::try_map_morsels(&config, num_rows, |range| {
                     compiled.evaluate_range(columns, range)
                 })?;
-            let parts: Vec<&Column> = chunks.iter().map(|c| c.as_ref()).collect();
-            return Ok(Arc::new(Column::concat(&parts)));
+            return Ok(Arc::new(concat_chunks(chunks)));
         }
         compiled.evaluate_range(columns, 0..num_rows)
     }
@@ -429,7 +429,7 @@ impl Expr {
         num_rows: usize,
     ) -> EngineResult<Arc<Column>> {
         let config = crate::parallel::exec_config();
-        if config.should_parallelize(num_rows)
+        if config.should_parallelize(Region::Expr, num_rows)
             && !matches!(self, Expr::Literal(_) | Expr::Column(_))
         {
             return self.evaluate_batch_morsels(schema, columns, num_rows, &config);
@@ -461,8 +461,7 @@ impl Expr {
                 // call always takes the sequential path.
                 self.evaluate_batch_interpreted(schema, &chunk_columns, range.len())
             })?;
-        let parts: Vec<&Column> = chunks.iter().map(|c| c.as_ref()).collect();
-        Ok(Arc::new(Column::concat(&parts)))
+        Ok(Arc::new(concat_chunks(chunks)))
     }
 
     /// Which input columns the expression reads, as a positional mask.
@@ -494,7 +493,7 @@ impl Expr {
     ) -> EngineResult<Vec<usize>> {
         let compiled = CompiledExpr::compile(self, schema);
         let config = crate::parallel::exec_config();
-        if config.should_parallelize(num_rows) && !matches!(self, Expr::Literal(_)) {
+        if config.should_parallelize(Region::Expr, num_rows) && !matches!(self, Expr::Literal(_)) {
             let chunks = crate::parallel::try_map_morsels(&config, num_rows, |range| {
                 let start = range.start;
                 compiled
@@ -520,7 +519,7 @@ impl Expr {
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
         let config = crate::parallel::exec_config();
-        if config.should_parallelize(num_rows) && !matches!(self, Expr::Literal(_)) {
+        if config.should_parallelize(Region::Expr, num_rows) && !matches!(self, Expr::Literal(_)) {
             let referenced = self.referenced_column_mask(schema, columns.len());
             let chunks = crate::parallel::try_map_morsels(&config, num_rows, |range| {
                 let chunk_columns = chunk_input_columns(columns, &referenced, range.clone());
@@ -784,6 +783,18 @@ impl fmt::Display for Expr {
             }
         }
     }
+}
+
+/// Move per-morsel chunk results together in morsel order. A chunk the
+/// evaluator built is uniquely owned and moves; one that is a shared view of
+/// an input column is copied.
+fn concat_chunks(chunks: Vec<Arc<Column>>) -> Column {
+    Column::concat(
+        chunks
+            .into_iter()
+            .map(|chunk| Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone()))
+            .collect(),
+    )
 }
 
 /// Slice the input columns an expression actually reads down to `range`,

@@ -30,21 +30,26 @@
 //! ## Parallel execution and `ExecConfig`
 //!
 //! The hot kernels (expression evaluation, filter selection vectors,
-//! take/gather, hash-join build/probe, grouped aggregation, sort) run
+//! take/gather, hash-join probe, grouped aggregation, sort) can run
 //! morsel-parallel on a scoped `std::thread` worker pool: row ranges are
 //! split into fixed-size morsels that workers claim from a shared cursor.
 //! All merges happen in morsel order, so results are deterministic and —
 //! with the floating-point SUM/AVG caveat documented in [`parallel`] —
 //! byte-identical to sequential execution.
 //!
-//! The knob is [`ExecConfig`] `{ threads, morsel_rows }`:
+//! The knob is [`ExecConfig`] `{ threads, morsel_rows, gated }`:
 //!
 //! * `threads = 1` disables the pool entirely and runs the original
 //!   sequential code paths;
 //! * the process default comes from the `CAESURA_THREADS` /
 //!   `CAESURA_MORSEL_ROWS` environment variables (hardware parallelism and
 //!   4096 rows otherwise) and can be replaced with
-//!   [`parallel::set_exec_config`];
+//!   [`parallel::set_exec_config`]. It is *gated*: a relational region
+//!   ([`parallel::Region`]) uses the pool only from the minimum row count
+//!   at which it beat its sequential kernel in the committed crossover
+//!   table (`BENCH_crossover.json`) — on the 2-core reference box, never;
+//! * an explicit [`ExecConfig::new`] pin is not gated and reaches the
+//!   parallel kernels above one morsel of rows;
 //! * a configuration can be pinned per catalog
 //!   ([`Catalog::set_exec_config`]) or per scope
 //!   ([`parallel::with_config`]); the `caesura-core` session and executor

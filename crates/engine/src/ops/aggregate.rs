@@ -23,6 +23,7 @@
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::Expr;
+use crate::parallel::Region;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -404,7 +405,7 @@ pub fn aggregate(
     // first-seen group order and all folds stay identical to a sequential
     // row-order pass.
     let config = crate::parallel::exec_config();
-    let keyed_groups = if config.should_parallelize(num_rows) {
+    let keyed_groups = if config.should_parallelize(Region::Aggregate, num_rows) {
         let partials = crate::parallel::try_map_morsels(&config, num_rows, |range| {
             group_rows(range, &key_columns, &agg_columns, &contexts, aggs)
         })?;
@@ -470,7 +471,19 @@ fn group_rows(
     } else {
         None
     };
-    if let Some((codes, dict, validity)) = single_dict_key {
+    if key_columns.is_empty() {
+        // Global aggregation: every row folds into the one group the generic
+        // path would file under the empty composite key — no hashing per row.
+        if !range.is_empty() {
+            groups.push((
+                GroupKey::Composite(String::new()),
+                Group::new(Vec::new(), aggs),
+            ));
+            for row in range {
+                fold_row(&mut groups[0].1, agg_columns, contexts, row)?;
+            }
+        }
+    } else if let Some((codes, dict, validity)) = single_dict_key {
         let mut index: Vec<Option<usize>> = vec![None; dict.len()];
         let mut null_group: Option<usize> = None;
         for row in range {

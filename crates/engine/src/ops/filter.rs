@@ -74,6 +74,7 @@ pub fn filter_project(
         }
     }
     let config = crate::parallel::exec_config();
+    let selection = crate::parallel::Selection::new(&selected, num_rows);
     let placeholder = Arc::new(Column::Null(selected.len()));
     let gathered: Vec<Arc<Column>> = input
         .columns()
@@ -81,7 +82,7 @@ pub fn filter_project(
         .zip(&referenced)
         .map(|(col, &read)| {
             if read {
-                Arc::new(crate::parallel::take_column(col, &selected, &config))
+                selection.gather(col, &config)
             } else {
                 Arc::clone(&placeholder)
             }

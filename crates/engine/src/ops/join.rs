@@ -3,17 +3,31 @@
 //! The paper's example plans join the metadata table with the
 //! `painting_images` collection on `img_path`, and the rotowire `teams` table
 //! with `team_to_games` / `game_reports`. All of those are equi-joins,
-//! implemented as a classic build/probe hash join over the key *columns*:
-//! the probe phase produces matching index vectors for both sides, and the
-//! output columns are gathered in one pass each (strings move as `Arc` bumps,
-//! never as character copies). Typed fast paths hash `i64` and `&str` keys
-//! directly; other key types fall back to the stable rendered group key.
-//! A left-outer variant is provided for completeness.
+//! implemented as a classic build/probe hash join over the key *columns*.
+//!
+//! * **Build** files every build row into its key's *chain*: the table maps
+//!   a key to the `(first, last)` build rows holding it, and one
+//!   `next: Vec<u32>` links each build row to the next one with the same
+//!   key — ascending row order, no heap `Vec` per key. Typed fast paths hash
+//!   `i64` and `&str` keys directly, dictionary codes index a dense table
+//!   without hashing at all, and other key types fall back to the stable
+//!   rendered group key.
+//! * **Probe** walks each probe row's chain and emits matching index vectors
+//!   for both sides (morsel-parallel where the crossover table admits it).
+//! * **Output** columns go through [`Selection`]: a side whose indices are
+//!   the identity — both sides of a foreign-key join whose tables list their
+//!   keys in the same order — is shared (`Arc::clone`), anything else is
+//!   gathered in one pass per column (strings move as `Arc` bumps, never as
+//!   character copies).
+//!
+//! A left-outer variant pads unmatched probe rows with NULLs.
 
-use crate::column::Column;
+use crate::column::{Bitmap, Column};
 use crate::error::{EngineError, EngineResult};
+use crate::parallel::{ExecConfig, Region, Selection};
 use crate::table::Table;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// The supported join types.
@@ -43,36 +57,32 @@ pub fn hash_join(
         .schema()
         .join(left.name(), right.schema(), right.name());
 
+    let config = crate::parallel::exec_config();
     let (left_indices, right_indices) = probe_indices(
         &left.columns()[left_idx],
         &right.columns()[right_idx],
         join_type,
+        &config,
     );
 
-    // Gather both sides (morsel-parallel for large outputs). Inner joins
-    // emit dense right indices, so the cheaper non-optional take kernel
-    // applies without a scan-and-repack pass.
-    let config = crate::parallel::exec_config();
+    // Share or gather both sides. Joins that padded nothing emit dense right
+    // indices, so the cheaper non-optional take kernel (and the identity
+    // check) applies without a scan-and-repack pass.
     let mut columns: Vec<Arc<Column>> = Vec::with_capacity(schema.len());
-    for col in left.columns() {
-        columns.push(Arc::new(crate::parallel::take_column(
-            col,
-            &left_indices,
-            &config,
-        )));
-    }
+    let selection = Selection::new(&left_indices, left.num_rows());
+    columns.extend(left.columns().iter().map(|c| selection.gather(c, &config)));
     match &right_indices {
         RightIndices::Dense(plain) => {
-            for col in right.columns() {
-                columns.push(Arc::new(crate::parallel::take_column(col, plain, &config)));
-            }
+            let selection = Selection::new(plain, right.num_rows());
+            columns.extend(right.columns().iter().map(|c| selection.gather(c, &config)));
         }
         RightIndices::Padded(padded) => {
-            for col in right.columns() {
-                columns.push(Arc::new(crate::parallel::take_opt_column(
-                    col, padded, &config,
-                )));
-            }
+            columns.extend(
+                right
+                    .columns()
+                    .iter()
+                    .map(|c| Arc::new(crate::parallel::take_opt_column(c, padded, &config))),
+            );
         }
     }
 
@@ -88,94 +98,115 @@ pub fn hash_join(
     })
 }
 
-/// Build a hash table over the right key column, probe with the left key
-/// column, and emit matching index pairs (right index `None` = NULL padding
-/// for unmatched left rows under a left-outer join).
-///
-/// Both phases are morsel-parallel on large inputs: the build side is
-/// partitioned into per-morsel hash tables that are merged in morsel order
-/// (so each key's match list stays in ascending row order, exactly as the
-/// sequential build produces it), and the probe side emits per-morsel index
-/// chunks that are concatenated in morsel order. The result is byte-identical
-/// to the sequential build/probe.
-/// Right-side match indices: inner joins emit a dense index per output row;
-/// left joins pad unmatched rows with `None`.
+/// Right-side match indices: a dense index per output row when nothing was
+/// padded (every inner join, and a left join whose probe rows all matched);
+/// `None` marks the NULL padding of an unmatched left row.
 enum RightIndices {
     Dense(Vec<usize>),
     Padded(Vec<Option<usize>>),
 }
 
+/// End of a chain, and the `first` of a key no build row holds.
+const NIL: u32 = u32::MAX;
+
+/// The `(first, last)` build rows of one key's chain.
+type ChainEnds = (u32, u32);
+
+const EMPTY: ChainEnds = (NIL, NIL);
+
+/// Append build row `row` to the chain `ends` describes. Rows arrive in
+/// ascending order, so following `next` from `first` visits a key's build
+/// rows in ascending order — the match order of a sequential scan.
+#[inline]
+fn link(ends: &mut ChainEnds, next: &mut [u32], row: usize) {
+    let row = row as u32;
+    if ends.0 == NIL {
+        *ends = (row, row);
+    } else {
+        next[ends.1 as usize] = row;
+        ends.1 = row;
+    }
+}
+
+/// Chain every build row whose key `key_of` yields under its hashed key.
+fn build_hashed<K: Hash + Eq>(
+    next: &mut [u32],
+    key_of: impl Fn(usize) -> Option<K>,
+) -> HashMap<K, ChainEnds> {
+    let mut chains = HashMap::with_capacity(next.len());
+    for row in 0..next.len() {
+        if let Some(key) = key_of(row) {
+            link(chains.entry(key).or_insert(EMPTY), next, row);
+        }
+    }
+    chains
+}
+
+/// Chain every valid build row under its dictionary code: a dense table
+/// indexed by code, no hashing.
+fn build_coded(codes: &[u32], valid: &Bitmap, entries: usize, next: &mut [u32]) -> Vec<ChainEnds> {
+    let mut chains = vec![EMPTY; entries];
+    for (row, &code) in codes.iter().enumerate() {
+        if valid.is_valid(row) {
+            link(&mut chains[code as usize], next, row);
+        }
+    }
+    chains
+}
+
+/// Build the chains over the right key column, probe with the left key
+/// column, and emit matching index pairs.
 fn probe_indices(
     left_key: &Column,
     right_key: &Column,
     join_type: JoinType,
+    config: &ExecConfig,
 ) -> (Vec<usize>, RightIndices) {
-    let config = crate::parallel::exec_config();
+    assert!(
+        right_key.len() < NIL as usize,
+        "join build side exceeds the u32 row space of its chains"
+    );
+    let mut next = vec![NIL; right_key.len()];
+    let first = |ends: Option<&ChainEnds>| ends.map_or(NIL, |ends| ends.0);
+
     // Typed fast path: both sides are i64 keys.
     if let (Some((ldata, lvalid)), Some((rdata, rvalid))) =
         (left_key.as_int64(), right_key.as_int64())
     {
-        let build = build_partitioned(
-            rdata.len(),
-            &config,
-            |range, map: &mut HashMap<i64, Vec<usize>>| {
-                for i in range {
-                    if rvalid.is_valid(i) {
-                        map.entry(rdata[i]).or_default().push(i);
-                    }
-                }
-            },
-        );
-        return emit_partitioned(ldata.len(), join_type, &config, |i, _buf: &mut String| {
+        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i]));
+        return emit(ldata.len(), join_type, config, &next, |i, _| {
             if lvalid.is_valid(i) {
-                build.get(&ldata[i]).map(Vec::as_slice)
+                first(chains.get(&ldata[i]))
             } else {
-                None
+                NIL
             }
         });
     }
     // Code-native fast path: both sides are dictionary-encoded string keys.
-    // Build and probe hash `u32` codes instead of strings; when the two
-    // columns do not share one entry table, the probe side's entries are
-    // remapped into the build side's code space first — one string hash per
-    // *entry* instead of one per row.
+    // The build indexes chains by `u32` code; when the two columns do not
+    // share one entry table, the probe side's entries are remapped into the
+    // build side's code space first — one string hash per *entry* instead of
+    // one per row.
     if let (Some((lcodes, ldict, lvalid)), Some((rcodes, rdict, rvalid))) =
         (left_key.as_dict(), right_key.as_dict())
     {
-        let remap: Option<Vec<u32>> = if Arc::ptr_eq(ldict, rdict) {
-            None
+        let chains = build_coded(rcodes, rvalid, rdict.len(), &mut next);
+        // Resolve the chain once per probe *entry*; the per-row probe is
+        // then a plain index. Entries absent from the build dictionary
+        // (`NO_REMAP`) simply miss.
+        let per_entry: Vec<u32> = if Arc::ptr_eq(ldict, rdict) {
+            chains.iter().map(|ends| ends.0).collect()
         } else {
-            Some(crate::dict::remap_entries(ldict, rdict))
+            crate::dict::remap_entries(ldict, rdict)
+                .into_iter()
+                .map(|code| first(chains.get(code as usize)))
+                .collect()
         };
-        let build = build_partitioned(
-            rcodes.len(),
-            &config,
-            |range, map: &mut HashMap<u32, Vec<usize>>| {
-                for i in range {
-                    if rvalid.is_valid(i) {
-                        map.entry(rcodes[i]).or_default().push(i);
-                    }
-                }
-            },
-        );
-        // Resolve the build matches once per probe *entry*; the per-row probe
-        // is then a plain index, no hashing at all. `NO_REMAP` codes are
-        // never in the build table, so entries absent from the build
-        // dictionary simply miss.
-        let per_entry: Vec<Option<&Vec<usize>>> = (0..ldict.len())
-            .map(|e| {
-                let code = match &remap {
-                    None => e as u32,
-                    Some(m) => m[e],
-                };
-                build.get(&code)
-            })
-            .collect();
-        return emit_partitioned(lcodes.len(), join_type, &config, |i, _buf: &mut String| {
+        return emit(lcodes.len(), join_type, config, &next, |i, _| {
             if lvalid.is_valid(i) {
-                per_entry[lcodes[i] as usize].map(Vec::as_slice)
+                per_entry[lcodes[i] as usize]
             } else {
-                None
+                NIL
             }
         });
     }
@@ -184,57 +215,36 @@ fn probe_indices(
     if let (Some((lcodes, ldict, lvalid)), Some((rdata, rvalid))) =
         (left_key.as_dict(), right_key.as_utf8())
     {
-        let build = build_partitioned(
-            rdata.len(),
-            &config,
-            |range, map: &mut HashMap<&str, Vec<usize>>| {
-                for i in range {
-                    if rvalid.is_valid(i) {
-                        map.entry(rdata[i].as_ref()).or_default().push(i);
-                    }
-                }
-            },
-        );
-        let per_entry: Vec<Option<&Vec<usize>>> =
-            ldict.iter().map(|e| build.get(e.as_ref())).collect();
-        return emit_partitioned(lcodes.len(), join_type, &config, |i, _buf: &mut String| {
+        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
+        let per_entry: Vec<u32> = ldict
+            .iter()
+            .map(|entry| first(chains.get(entry.as_ref())))
+            .collect();
+        return emit(lcodes.len(), join_type, config, &next, |i, _| {
             if lvalid.is_valid(i) {
-                per_entry[lcodes[i] as usize].map(Vec::as_slice)
+                per_entry[lcodes[i] as usize]
             } else {
-                None
+                NIL
             }
         });
     }
     // Mixed fast path: plain probe side against a dictionary-encoded build
-    // side — build over `u32` codes, translate each probe string through the
-    // build side's entry index.
+    // side — chains indexed by `u32` code, each probe string translated
+    // through the build side's entry index.
     if let (Some((ldata, lvalid)), Some((rcodes, rdict, rvalid))) =
         (left_key.as_utf8(), right_key.as_dict())
     {
-        let entry_index: HashMap<&str, u32> = rdict
+        let chains = build_coded(rcodes, rvalid, rdict.len(), &mut next);
+        let entry_first: HashMap<&str, u32> = rdict
             .iter()
-            .enumerate()
-            .map(|(c, e)| (e.as_ref(), c as u32))
+            .zip(&chains)
+            .map(|(entry, ends)| (entry.as_ref(), ends.0))
             .collect();
-        let build = build_partitioned(
-            rcodes.len(),
-            &config,
-            |range, map: &mut HashMap<u32, Vec<usize>>| {
-                for i in range {
-                    if rvalid.is_valid(i) {
-                        map.entry(rcodes[i]).or_default().push(i);
-                    }
-                }
-            },
-        );
-        return emit_partitioned(ldata.len(), join_type, &config, |i, _buf: &mut String| {
+        return emit(ldata.len(), join_type, config, &next, |i, _| {
             if lvalid.is_valid(i) {
-                entry_index
-                    .get(ldata[i].as_ref())
-                    .and_then(|code| build.get(code))
-                    .map(Vec::as_slice)
+                entry_first.get(ldata[i].as_ref()).copied().unwrap_or(NIL)
             } else {
-                None
+                NIL
             }
         });
     }
@@ -242,168 +252,103 @@ fn probe_indices(
     if let (Some((ldata, lvalid)), Some((rdata, rvalid))) =
         (left_key.as_utf8(), right_key.as_utf8())
     {
-        let build = build_partitioned(
-            rdata.len(),
-            &config,
-            |range, map: &mut HashMap<&str, Vec<usize>>| {
-                for i in range {
-                    if rvalid.is_valid(i) {
-                        map.entry(rdata[i].as_ref()).or_default().push(i);
-                    }
-                }
-            },
-        );
-        return emit_partitioned(ldata.len(), join_type, &config, |i, _buf: &mut String| {
+        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
+        return emit(ldata.len(), join_type, config, &next, |i, _| {
             if lvalid.is_valid(i) {
-                build.get(ldata[i].as_ref()).map(Vec::as_slice)
+                first(chains.get(ldata[i].as_ref()))
             } else {
-                None
+                NIL
             }
         });
     }
     // Generic path: hash the rendered group key (numeric unification included).
-    let build = build_partitioned(
-        right_key.len(),
-        &config,
-        |range, map: &mut HashMap<String, Vec<usize>>| {
-            let mut key_buf = String::new();
-            for i in range {
-                if right_key.is_valid(i) {
-                    key_buf.clear();
-                    right_key.write_group_key(i, &mut key_buf);
-                    map.entry(key_buf.clone()).or_default().push(i);
-                }
-            }
-        },
-    );
-    emit_partitioned(left_key.len(), join_type, &config, |i, buf: &mut String| {
+    let chains = build_hashed(&mut next, |i| {
+        right_key.is_valid(i).then(|| {
+            let mut key = String::new();
+            right_key.write_group_key(i, &mut key);
+            key
+        })
+    });
+    emit(left_key.len(), join_type, config, &next, |i, buf| {
         if left_key.is_valid(i) {
             buf.clear();
             left_key.write_group_key(i, buf);
-            build.get(buf.as_str()).map(Vec::as_slice)
+            first(chains.get(buf.as_str()))
         } else {
-            None
+            NIL
         }
     })
 }
 
-/// Build the join hash table, partitioned over morsels of the build side.
-/// Partial tables are merged in morsel order, so every key's match list is
-/// identical to the one a sequential scan builds.
-fn build_partitioned<K, F>(
-    build_len: usize,
-    config: &crate::parallel::ExecConfig,
-    fill: F,
-) -> HashMap<K, Vec<usize>>
-where
-    K: std::hash::Hash + Eq + Send,
-    F: Fn(std::ops::Range<usize>, &mut HashMap<K, Vec<usize>>) + Sync,
-{
-    if !config.should_parallelize(build_len) {
-        let mut map = HashMap::with_capacity(build_len);
-        fill(0..build_len, &mut map);
-        return map;
-    }
-    let partials = crate::parallel::map_morsels(config, build_len, |range| {
-        let mut map = HashMap::new();
-        fill(range, &mut map);
-        map
-    });
-    let mut build: HashMap<K, Vec<usize>> = HashMap::with_capacity(build_len);
-    for partial in partials {
-        for (key, mut indices) in partial {
-            build.entry(key).or_default().append(&mut indices);
-        }
-    }
-    build
-}
-
-/// Probe and emit matching index pairs, partitioned over morsels of the
-/// probe side; per-morsel chunks are concatenated in morsel order. The
-/// `String` scratch buffer is per-morsel state for the generic rendered-key
-/// path (the typed paths ignore it).
-fn emit_partitioned<'a, F>(
+/// Probe every left row — `first_of` yields the first build row of its key's
+/// chain, or [`NIL`] — and emit the matching index pairs, partitioned over
+/// morsels of the probe side where the configuration admits it; per-morsel
+/// chunks are appended in morsel order, so the result is byte-identical to
+/// the sequential probe. The `String` scratch buffer is per-morsel state for
+/// the generic rendered-key path (the typed paths ignore it).
+fn emit<F>(
     left_len: usize,
     join_type: JoinType,
-    config: &crate::parallel::ExecConfig,
-    matches_of: F,
+    config: &ExecConfig,
+    next: &[u32],
+    first_of: F,
 ) -> (Vec<usize>, RightIndices)
 where
-    F: Fn(usize, &mut String) -> Option<&'a [usize]> + Sync,
+    F: Fn(usize, &mut String) -> u32 + Sync,
 {
-    match join_type {
-        // Inner joins never pad, so the right indices stay dense — gathered
-        // later with the non-optional take kernel, no `Option` per element.
-        JoinType::Inner => {
-            let emit_range = |range: std::ops::Range<usize>| {
-                // FK-shaped joins emit ~1 row per probe row; reserving the
-                // range length up front avoids ~20 doubling reallocations on
-                // the way to a million-row output.
-                let mut left_indices = Vec::with_capacity(range.len());
-                let mut right_indices = Vec::with_capacity(range.len());
-                let mut buf = String::new();
-                for i in range {
-                    if let Some(found) = matches_of(i, &mut buf) {
-                        for &j in found {
-                            left_indices.push(i);
-                            right_indices.push(j);
-                        }
-                    }
-                }
-                (left_indices, right_indices)
-            };
-            if !config.should_parallelize(left_len) {
-                let (l, r) = emit_range(0..left_len);
-                return (l, RightIndices::Dense(r));
+    /// Stands in for `None` until a join that padded is repacked.
+    const PAD: usize = usize::MAX;
+    let pad_unmatched = join_type == JoinType::Left;
+    let emit_range = |range: std::ops::Range<usize>| {
+        // FK-shaped joins emit ~1 row per probe row (a left join at least
+        // one); reserving the range length up front avoids ~20 doubling
+        // reallocations on the way to a million-row output.
+        let mut left_indices = Vec::with_capacity(range.len());
+        let mut right_indices = Vec::with_capacity(range.len());
+        let mut padded = false;
+        let mut buf = String::new();
+        for i in range {
+            let mut j = first_of(i, &mut buf);
+            if j == NIL && pad_unmatched {
+                left_indices.push(i);
+                right_indices.push(PAD);
+                padded = true;
             }
-            let chunks = crate::parallel::map_morsels(config, left_len, emit_range);
-            let total: usize = chunks.iter().map(|(l, _)| l.len()).sum();
-            let mut left_indices = Vec::with_capacity(total);
-            let mut right_indices = Vec::with_capacity(total);
-            for (mut l, mut r) in chunks {
-                left_indices.append(&mut l);
-                right_indices.append(&mut r);
+            while j != NIL {
+                left_indices.push(i);
+                right_indices.push(j as usize);
+                j = next[j as usize];
             }
-            (left_indices, RightIndices::Dense(right_indices))
         }
-        JoinType::Left => {
-            let emit_range = |range: std::ops::Range<usize>| {
-                // A left join emits at least one row per probe row, so the
-                // range length is an exact lower bound on the output size.
-                let mut left_indices = Vec::with_capacity(range.len());
-                let mut right_indices = Vec::with_capacity(range.len());
-                let mut buf = String::new();
-                for i in range {
-                    match matches_of(i, &mut buf) {
-                        Some(found) if !found.is_empty() => {
-                            for &j in found {
-                                left_indices.push(i);
-                                right_indices.push(Some(j));
-                            }
-                        }
-                        _ => {
-                            left_indices.push(i);
-                            right_indices.push(None);
-                        }
-                    }
-                }
-                (left_indices, right_indices)
-            };
-            if !config.should_parallelize(left_len) {
-                let (l, r) = emit_range(0..left_len);
-                return (l, RightIndices::Padded(r));
-            }
-            let chunks = crate::parallel::map_morsels(config, left_len, emit_range);
-            let total: usize = chunks.iter().map(|(l, _)| l.len()).sum();
-            let mut left_indices = Vec::with_capacity(total);
-            let mut right_indices = Vec::with_capacity(total);
-            for (mut l, mut r) in chunks {
-                left_indices.append(&mut l);
-                right_indices.append(&mut r);
-            }
-            (left_indices, RightIndices::Padded(right_indices))
+        (left_indices, right_indices, padded)
+    };
+    let (left_indices, right_indices, padded) = if config.should_parallelize(Region::Join, left_len)
+    {
+        let chunks = crate::parallel::map_morsels(config, left_len, emit_range);
+        let total: usize = chunks.iter().map(|(l, ..)| l.len()).sum();
+        let mut left_indices = Vec::with_capacity(total);
+        let mut right_indices = Vec::with_capacity(total);
+        let mut padded = false;
+        for (mut l, mut r, p) in chunks {
+            left_indices.append(&mut l);
+            right_indices.append(&mut r);
+            padded |= p;
         }
-    }
+        (left_indices, right_indices, padded)
+    } else {
+        emit_range(0..left_len)
+    };
+    let right_indices = if padded {
+        RightIndices::Padded(
+            right_indices
+                .into_iter()
+                .map(|j| (j != PAD).then_some(j))
+                .collect(),
+        )
+    } else {
+        RightIndices::Dense(right_indices)
+    };
+    (left_indices, right_indices)
 }
 
 #[cfg(test)]

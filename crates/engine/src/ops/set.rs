@@ -54,7 +54,7 @@ pub fn union_all(left: &Table, right: &Table) -> EngineResult<Table> {
         .columns()
         .iter()
         .zip(right.columns())
-        .map(|(l, r)| Arc::new(Column::concat(&[l, r])))
+        .map(|(l, r)| Arc::new(Column::concat(vec![l.as_ref().clone(), r.as_ref().clone()])))
         .collect();
     Table::from_columns(
         format!("{}_union", left.name()),

@@ -7,6 +7,7 @@
 
 use crate::error::EngineResult;
 use crate::expr::Expr;
+use crate::parallel::Region;
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -112,7 +113,7 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
     } else {
         // Materialize the key rows once (decorate), then sort the indices.
         // The decoration itself is embarrassingly parallel over row morsels.
-        let decorated: Vec<Vec<Value>> = if config.should_parallelize(num_rows) {
+        let decorated: Vec<Vec<Value>> = if config.should_parallelize(Region::Sort, num_rows) {
             crate::parallel::map_morsels(&config, num_rows, |range| {
                 range
                     .map(|i| key_columns.iter().map(|c| c.get(i)).collect::<Vec<Value>>())

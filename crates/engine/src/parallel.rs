@@ -6,6 +6,12 @@
 //!
 //! * [`ExecConfig`] — the `{ threads, morsel_rows }` knob. `threads = 1`
 //!   falls back to the existing sequential code paths byte-for-byte.
+//! * [`Region`] — the relational kernels with a parallel branch, each with
+//!   the minimum row count at which that branch beat the sequential kernel
+//!   in the committed crossover table (`BENCH_crossover.json`). The
+//!   environment-derived default configuration is *gated* by those minima;
+//!   an explicit [`ExecConfig::new`] pin is not, so tests and benches reach
+//!   the parallel kernels at any size above one morsel.
 //! * a process-wide default configuration ([`set_exec_config`] /
 //!   [`exec_config`]) initialised from the `CAESURA_THREADS` and
 //!   `CAESURA_MORSEL_ROWS` environment variables (hardware parallelism and
@@ -18,7 +24,9 @@
 //!   scheduling: fast workers steal more morsels). Results come back in
 //!   morsel order, so every merge step below is deterministic and independent
 //!   of worker interleaving.
-//! * [`take_column`] / [`take_opt_column`] — parallel gather kernels.
+//! * [`take_column`] / [`take_opt_column`] — parallel gather kernels, and
+//!   [`Selection`], the gather every operator goes through, which shares a
+//!   column instead of copying it when the indices are the identity.
 //! * [`sort_indices`] — parallel stable sort of a row permutation (sorted
 //!   runs per morsel, then pairwise merges), for comparators that define a
 //!   total order.
@@ -34,20 +42,76 @@
 
 use crate::column::Column;
 use crate::error::EngineResult;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+
+/// A relational kernel with a morsel-parallel branch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Region {
+    /// Compiled expression evaluation and selection vectors (σ, π).
+    Expr,
+    /// Column gathers ([`take_column`] / [`take_opt_column`]).
+    Gather,
+    /// Hash-join probe emission.
+    Join,
+    /// Grouped aggregation (per-morsel partial groups, merged in order).
+    Aggregate,
+    /// Sorting (per-morsel runs, pairwise merges) and key decoration.
+    Sort,
+}
+
+impl Region {
+    /// Every region, for tests and tools that sweep them.
+    pub const ALL: [Region; 5] = [
+        Region::Expr,
+        Region::Gather,
+        Region::Join,
+        Region::Aggregate,
+        Region::Sort,
+    ];
+
+    /// Admits no size: the region's parallel kernel never beat its
+    /// sequential kernel at or below the largest measured size (1M rows).
+    pub const NEVER: usize = usize::MAX;
+
+    /// The smallest row count from which a *gated* configuration runs this
+    /// region's parallel kernel: the smallest measured size in
+    /// `BENCH_crossover.json` (`cargo run --release -p caesura-bench --bin
+    /// crossover`; `threads = 1` vs `threads = nproc` on the 2-core
+    /// reference box) from which every larger measured size is faster in
+    /// parallel, or [`Region::NEVER`]. `tests/crossover_table.rs` holds the
+    /// committed table and these constants to each other.
+    pub const fn min_rows(self) -> usize {
+        match self {
+            Region::Expr => Region::NEVER,
+            Region::Gather => Region::NEVER,
+            Region::Join => Region::NEVER,
+            Region::Aggregate => Region::NEVER,
+            Region::Sort => Region::NEVER,
+        }
+    }
+}
 
 /// Execution configuration of the morsel-driven worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of worker threads an operator may use. `1` disables
     /// parallelism entirely and runs the original sequential code paths.
+    /// Perception dispatch (`caesura_modal::batch`) fans batches out over
+    /// this many workers whatever the table size.
     pub threads: usize,
     /// Number of rows per morsel (the unit of work a worker claims).
     pub morsel_rows: usize,
+    /// Whether relational regions must also reach their measured minimum row
+    /// count ([`Region::min_rows`]) before they use the pool. Set on the
+    /// environment-derived default ([`ExecConfig::from_env`]), so the default
+    /// path never runs a parallel kernel at a size where it measured slower
+    /// than the sequential one; clear on explicit pins ([`ExecConfig::new`]),
+    /// which ask for the pool by name and get it above one morsel.
+    pub gated: bool,
 }
 
 impl ExecConfig {
@@ -60,6 +124,7 @@ impl ExecConfig {
         ExecConfig {
             threads: threads.max(1),
             morsel_rows: morsel_rows.max(1),
+            gated: false,
         }
     }
 
@@ -76,7 +141,8 @@ impl ExecConfig {
 
     /// The configuration described by the environment: `CAESURA_THREADS`
     /// (hardware parallelism when unset) and `CAESURA_MORSEL_ROWS`
-    /// ([`Self::DEFAULT_MORSEL_ROWS`] when unset).
+    /// ([`Self::DEFAULT_MORSEL_ROWS`] when unset), gated by the measured
+    /// per-region minimum row counts.
     pub fn from_env() -> Self {
         let threads = std::env::var("CAESURA_THREADS")
             .ok()
@@ -92,15 +158,19 @@ impl ExecConfig {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&m| m > 0)
             .unwrap_or(Self::DEFAULT_MORSEL_ROWS);
-        ExecConfig::new(threads, morsel_rows)
+        ExecConfig {
+            gated: true,
+            ..ExecConfig::new(threads, morsel_rows)
+        }
     }
 
-    /// Whether an operation over `rows` rows should use the worker pool.
+    /// Whether `region` over `rows` rows should use the worker pool.
     /// Requires more than one morsel of work, so the chunks handed to
     /// workers never re-enter the pool (their length is at most
-    /// `morsel_rows`).
-    pub fn should_parallelize(&self, rows: usize) -> bool {
-        self.threads > 1 && rows > self.morsel_rows
+    /// `morsel_rows`), and — for a gated configuration — at least the
+    /// region's measured minimum.
+    pub fn should_parallelize(&self, region: Region, rows: usize) -> bool {
+        self.threads > 1 && rows > self.morsel_rows && (!self.gated || rows >= region.min_rows())
     }
 }
 
@@ -117,6 +187,14 @@ fn global() -> &'static RwLock<ExecConfig> {
 
 thread_local! {
     static OVERRIDE: RefCell<Vec<ExecConfig>> = const { RefCell::new(Vec::new()) };
+    static FAN_OUTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times this thread has fanned work out to the pool (calls of
+/// [`map_parallel`] that spawned workers). Tests read it before and after an
+/// operator to prove which kernel ran; nothing else depends on it.
+pub fn fan_outs_on_this_thread() -> u64 {
+    FAN_OUTS.with(Cell::get)
 }
 
 /// The configuration in effect on this thread: the innermost
@@ -181,6 +259,7 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
+    FAN_OUTS.with(|n| n.set(n.get() + 1));
     let config = exec_config();
     let workers = threads.min(items.len());
     let cursor = AtomicUsize::new(0);
@@ -275,26 +354,66 @@ where
 }
 
 /// Parallel gather: split `indices` into morsels, `take` each chunk, and
-/// concatenate the chunk columns in order. Byte-identical to
+/// move the chunk columns together in order. Byte-identical to
 /// `column.take(indices)`.
 pub fn take_column(column: &Column, indices: &[usize], config: &ExecConfig) -> Column {
-    if !config.should_parallelize(indices.len()) || matches!(column, Column::Null(_)) {
+    if !config.should_parallelize(Region::Gather, indices.len())
+        || matches!(column, Column::Null(_))
+    {
         return column.take(indices);
     }
-    let chunks = map_morsels(config, indices.len(), |range| column.take(&indices[range]));
-    Column::concat(&chunks.iter().collect::<Vec<_>>())
+    Column::concat(map_morsels(config, indices.len(), |range| {
+        column.take(&indices[range])
+    }))
 }
 
 /// Parallel optional gather (`None` slots become NULL padding), the
 /// parallel sibling of [`Column::take_opt`].
 pub fn take_opt_column(column: &Column, indices: &[Option<usize>], config: &ExecConfig) -> Column {
-    if !config.should_parallelize(indices.len()) || matches!(column, Column::Null(_)) {
+    if !config.should_parallelize(Region::Gather, indices.len())
+        || matches!(column, Column::Null(_))
+    {
         return column.take_opt(indices);
     }
-    let chunks = map_morsels(config, indices.len(), |range| {
+    Column::concat(map_morsels(config, indices.len(), |range| {
         column.take_opt(&indices[range])
-    });
-    Column::concat(&chunks.iter().collect::<Vec<_>>())
+    }))
+}
+
+/// A row selection over a source of `source_rows` rows, remembering whether
+/// it is the identity `0..source_rows`. Gathering the identity reproduces the
+/// column, so [`Selection::gather`] shares the column (`Arc::clone`) instead:
+/// a foreign-key join whose probe emitted every row once, in order, or a
+/// `take` of every row moves no cell data. The one gather `hash_join`,
+/// `Table::take` and the fused filter→project go through.
+#[derive(Debug, Clone, Copy)]
+pub struct Selection<'a> {
+    indices: &'a [usize],
+    identity: bool,
+}
+
+impl<'a> Selection<'a> {
+    /// Wrap `indices` into a source of `source_rows` rows (one scan, which
+    /// stops at the first index out of place).
+    pub fn new(indices: &'a [usize], source_rows: usize) -> Self {
+        Selection {
+            indices,
+            identity: indices.len() == source_rows
+                && indices.iter().enumerate().all(|(at, &i)| i == at),
+        }
+    }
+
+    /// The selected rows of `column`: the column itself when the selection
+    /// is the identity, a (morsel-parallel) gather otherwise. Byte-identical
+    /// to `column.take(indices)` either way — a `Mixed` column is always
+    /// gathered, because `take` re-packs it.
+    pub fn gather(&self, column: &Arc<Column>, config: &ExecConfig) -> Arc<Column> {
+        if self.identity && !matches!(**column, Column::Mixed(_)) {
+            Arc::clone(column)
+        } else {
+            Arc::new(take_column(column, self.indices, config))
+        }
+    }
 }
 
 /// Sort the permutation `0..len` by `cmp` in parallel: each morsel is sorted
@@ -308,7 +427,7 @@ pub fn sort_indices<F>(config: &ExecConfig, len: usize, cmp: F) -> Vec<usize>
 where
     F: Fn(usize, usize) -> CmpOrdering + Sync,
 {
-    if !config.should_parallelize(len) {
+    if !config.should_parallelize(Region::Sort, len) {
         let mut indices: Vec<usize> = (0..len).collect();
         indices.sort_by(|&a, &b| cmp(a, b));
         return indices;

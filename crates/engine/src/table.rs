@@ -331,18 +331,20 @@ impl Table {
     }
 
     /// Gather the rows at `indices` into a new table (the "take" kernel);
-    /// all metadata is preserved. Large gathers run morsel-parallel per
-    /// column (see [`parallel`](crate::parallel)); the output is
-    /// byte-identical to the sequential gather.
+    /// all metadata is preserved. Taking every row in order shares the
+    /// columns instead of copying them, and large gathers can run
+    /// morsel-parallel per column (see [`Selection`](crate::parallel::Selection));
+    /// the output is byte-identical to the sequential gather.
     pub fn take(&self, indices: &[usize]) -> Table {
         let config = crate::parallel::exec_config();
+        let selection = crate::parallel::Selection::new(indices, self.num_rows);
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             columns: self
                 .columns
                 .iter()
-                .map(|c| Arc::new(crate::parallel::take_column(c, indices, &config)))
+                .map(|c| selection.gather(c, &config))
                 .collect(),
             num_rows: indices.len(),
             description: self.description.clone(),

@@ -10,6 +10,7 @@
 
 use caesura::core::Executor;
 use caesura::data::DataLake;
+use caesura::engine::{ops, JoinType};
 use caesura::modal::operators::{apply_text_qa_with, apply_visual_qa_with};
 use caesura::modal::{
     BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
@@ -105,6 +106,50 @@ fn building_an_executor_costs_the_same_whatever_the_lake_holds() {
     );
     let clone_lake = |lake: &DataLake| blocks_allocated(|| lake.clone()).0;
     assert_eq!(clone_lake(&small), clone_lake(&large));
+}
+
+/// `metadata ⋈ images` on a unique `img_path`, the images in `order`.
+fn fk_pair(rows: usize, order: impl Iterator<Item = usize>) -> (Table, Table) {
+    let schema = Schema::from_pairs(&[("title", DataType::Str), ("img_path", DataType::Str)]);
+    let mut metadata = TableBuilder::new("paintings_metadata", schema);
+    for i in 0..rows {
+        let row = [format!("Painting {i}"), format!("img/{i}.png")];
+        metadata.push_values(row).unwrap();
+    }
+    let schema = Schema::from_pairs(&[("img_path", DataType::Str), ("image", DataType::Image)]);
+    let mut images = TableBuilder::new("painting_images", schema);
+    for i in order {
+        let key = format!("img/{i}.png");
+        let row = vec![Value::str(&key), Value::image(&key)];
+        images.push_row(row).unwrap();
+    }
+    (metadata.build(), images.build())
+}
+
+#[test]
+fn a_foreign_key_join_allocates_the_same_whatever_the_row_count() {
+    let join_blocks = |(metadata, images): &(Table, Table)| {
+        let (blocks, joined) = blocks_allocated(|| {
+            ops::hash_join(metadata, images, "img_path", "img_path", JoinType::Inner).unwrap()
+        });
+        assert_eq!(joined.num_rows(), metadata.num_rows());
+        blocks
+    };
+    // Both sides in key order: one chain array, one hash table, two index
+    // vectors, the joined schema — and every column shared. 20,000 rows is
+    // five morsels: the default configuration keeps the sequential kernels.
+    let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
+    // The first join of a process reads the environment's defaults.
+    join_blocks(&small);
+    assert_eq!(join_blocks(&small), join_blocks(&large));
+
+    // Images in reverse order: the right side is gathered, one data vector
+    // and one bitmap per column, still nothing per row.
+    let (small, large) = (
+        fk_pair(100, (0..100).rev()),
+        fk_pair(20_000, (0..20_000).rev()),
+    );
+    assert_eq!(join_blocks(&small), join_blocks(&large));
 }
 
 /// Blocks a perception step may allocate whatever its row count: the output

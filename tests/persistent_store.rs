@@ -45,11 +45,19 @@ impl Drop for TempDir {
     }
 }
 
-/// A session config with an explicit persistence setting (never the
-/// environment default, so these tests are immune to `CAESURA_CACHE_DIR`).
+/// A session config with an explicit persistence setting and both caches
+/// pinned on at their default capacities (never the environment defaults, so
+/// these tests are immune to `CAESURA_CACHE_DIR`, `CAESURA_PLAN_CACHE=0` and
+/// `CAESURA_PERCEPTION_CACHE=0`: a disk tier only exists under a memory tier).
 fn config_with(persist: Option<PersistConfig>) -> CaesuraConfig {
     CaesuraConfig {
         persist,
+        perception_cache: Some(caesura_modal::CacheConfig::new(
+            caesura_modal::CacheConfig::DEFAULT_CAPACITY,
+        )),
+        plan_cache: Some(caesura_llm::PlanCacheConfig::new(
+            caesura_llm::PlanCacheConfig::DEFAULT_CAPACITY,
+        )),
         ..CaesuraConfig::default()
     }
 }

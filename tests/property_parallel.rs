@@ -23,7 +23,7 @@
 //! and aggregation produce identical bytes regardless of worker
 //! interleaving, stability and first-seen group order included.
 
-use caesura::engine::parallel::{self, ExecConfig};
+use caesura::engine::parallel::{self, ExecConfig, Region};
 use caesura::engine::{
     ops, BinaryOp, DataType, EngineError, Expr, ScalarFunc, Schema, Table, TableBuilder, Value,
 };
@@ -164,6 +164,66 @@ fn int_keyed_table(rng: &mut StdRng, rows: usize) -> Table {
             .unwrap();
     }
     builder.build()
+}
+
+/// The suite below is only worth its name while the pinned configurations
+/// reach the parallel kernels. The default configuration gates every
+/// relational region behind its measured minimum row count; an explicit
+/// `ExecConfig::new` pin does not — checked on the predicate, and on the
+/// calling thread's count of pool fan-outs around each operator.
+#[test]
+fn pinned_configs_run_the_parallel_kernels_and_a_gated_one_below_its_minimum_does_not() {
+    for config in parallel_configs() {
+        for region in Region::ALL {
+            assert!(config.should_parallelize(region, config.morsel_rows + 1));
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x6A7E);
+    let table = random_table(&mut rng, 250);
+    let keyed = int_keyed_table(&mut rng, 120);
+    let predicate = Expr::binary(Expr::col("k"), BinaryOp::Gt, Expr::lit(0));
+    let indices: Vec<usize> = (0..250).rev().collect();
+    let fan_outs = |config: ExecConfig, run: &dyn Fn()| {
+        let before = parallel::fan_outs_on_this_thread();
+        parallel::with_config(config, run);
+        parallel::fan_outs_on_this_thread() - before
+    };
+    let pinned = ExecConfig::new(4, 7);
+    let gated = ExecConfig {
+        gated: true,
+        ..pinned
+    };
+    let check = |name: &str, run: &dyn Fn()| {
+        assert!(fan_outs(pinned, run) > 0, "{name} stayed sequential");
+        assert_eq!(
+            fan_outs(gated, run),
+            0,
+            "{name} fanned out below its minimum"
+        );
+        assert_eq!(fan_outs(ExecConfig::sequential(), run), 0, "{name}");
+    };
+    check("filter", &|| drop(ops::filter(&table, &predicate)));
+    check("join", &|| {
+        drop(ops::hash_join(
+            &table,
+            &keyed,
+            "k",
+            "k",
+            ops::JoinType::Left,
+        ))
+    });
+    check("aggregate", &|| {
+        let calls = [ops::AggCall::count_star("n")];
+        drop(ops::aggregate(
+            &table,
+            &[(Expr::col("team"), "team".into())],
+            &calls,
+        ))
+    });
+    check("sort", &|| {
+        drop(ops::sort(&table, &[ops::SortKey::asc(Expr::col("label"))]))
+    });
+    check("take", &|| drop(table.take(&indices)));
 }
 
 #[test]
