@@ -1,53 +1,42 @@
 //! Regenerates Figure 3 of the paper: the actual planning-phase and
-//! mapping-phase prompts CAESURA builds for the running example.
+//! mapping-phase prompts CAESURA builds for the running example, read back
+//! from the trace of a real run. Two mapping prompts are shown — the first
+//! step (base-table inputs, no observations yet) and the first step that
+//! reads an observed table (an intermediate input plus its observation) —
+//! with their token counts, since a mapping prompt carries only what its
+//! step's inputs make usable.
 
-use caesura_data::{generate_artwork, ArtworkConfig};
-use caesura_llm::{LogicalStep, PromptBuilder, RelevantColumn};
+use caesura_core::Phase;
+use caesura_llm::ModelProfile;
 
 fn main() {
-    let data = generate_artwork(&ArtworkConfig::default());
-    let builder = PromptBuilder::default();
-    let query = "Plot the number of paintings depicting Madonna and Child for each century!";
-    let relevant = vec![RelevantColumn {
-        table: "paintings_metadata".into(),
-        column: "inception".into(),
-        examples: data
-            .lake
-            .catalog()
-            .table("paintings_metadata")
-            .unwrap()
-            .example_values("inception", 3)
-            .unwrap(),
-    }];
+    let session = caesura_bench::artwork_session(ModelProfile::Gpt4);
+    let run =
+        session.run("Plot the number of paintings depicting Madonna and Child for each century!");
+    let prompts = |phase| {
+        run.trace
+            .events_of(phase)
+            .into_iter()
+            .filter(|event| event.label == "prompt")
+            .map(|event| event.detail.as_str())
+            .collect::<Vec<_>>()
+    };
 
     println!("================ Planning Phase Prompt ================\n");
-    println!(
-        "{}",
-        builder
-            .planning_prompt(data.lake.catalog(), query, &relevant)
-            .render()
-    );
+    println!("{}", prompts(Phase::Planning)[0]);
 
-    let step = LogicalStep::new(
-        1,
-        "Extract the century from the dates in the 'inception' column of the 'paintings_metadata' table.",
-        vec!["paintings_metadata".into()],
-        "paintings_metadata",
-        vec!["century".into()],
-    );
-    println!("\n================ Mapping Phase Prompt ================\n");
-    println!(
-        "{}",
-        builder
-            .mapping_prompt(
-                data.lake.catalog(),
-                &caesura_engine::Catalog::new(),
-                query,
-                &step,
-                &relevant,
-                &[],
-                None
-            )
-            .render()
-    );
+    let mapping = prompts(Phase::Mapping);
+    let observed = mapping
+        .iter()
+        .position(|prompt| prompt.contains("Previous observations:"))
+        .expect("the running example has a step that reads an observed table");
+    for index in [0, observed] {
+        // `render` prefixes each of the two messages with a one-word role.
+        let tokens = mapping[index].split_whitespace().count() - 2;
+        println!(
+            "\n================ Mapping Phase Prompt, step {} ({tokens} tokens) ================\n",
+            index + 1
+        );
+        println!("{}", mapping[index]);
+    }
 }

@@ -17,7 +17,7 @@
 //! [`Executor::perception_stats`].
 
 use crate::error::{CoreError, CoreResult};
-use caesura_engine::{parallel, sql, Catalog, ExecConfig, Table};
+use caesura_engine::{parallel, sql, Catalog, ExecConfig, Observation, Table};
 use caesura_llm::{LogicalStep, OperatorDecision};
 use caesura_modal::operators::{
     apply_image_select_with, apply_plot, apply_python_udf_cached, apply_text_qa_with,
@@ -36,8 +36,8 @@ pub enum StepOutcome {
     Table {
         /// Name the result was registered under.
         name: String,
-        /// The observation text describing the result to the LLM.
-        observation: String,
+        /// The result as described to the LLM.
+        observation: Observation,
         /// Number of rows of the result.
         num_rows: usize,
     },
@@ -54,7 +54,7 @@ impl StepOutcome {
     /// The observation string fed back to the mapping prompt.
     pub fn observation(&self) -> String {
         match self {
-            StepOutcome::Table { observation, .. } => observation.clone(),
+            StepOutcome::Table { observation, .. } => observation.to_string(),
             StepOutcome::Plot { plot, .. } => format!(
                 "A {} plot with '{}' on the X-axis and '{}' on the Y-axis has been produced.",
                 plot.spec.kind.name(),

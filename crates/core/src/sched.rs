@@ -24,7 +24,7 @@
 //! order — which is what keeps the blocking wrappers byte-identical to the
 //! PR 5 scheduler (`tests/serving_control_plane.rs` pins this). Setting
 //! `CAESURA_FAIR_SCHED=0` additionally forces the single-FIFO code path for
-//! *all* submissions, the degenerate row the CI matrix runs.
+//! *all* submissions.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -21,8 +21,9 @@ use caesura_data::DataLake;
 use caesura_engine::{parallel, Catalog, ExecConfig};
 use caesura_llm::{
     normalize_query, schema_fingerprint, CancelStatus, CancelToken, Conversation, ErrorAnalysis,
-    LlmClient, LlmError, LogicalPlan, LogicalStep, OperatorDecision, PlanCache, PlanCacheConfig,
-    PlanInsertOutcome, PromptBuilder, PromptConfig, RelevantColumn,
+    LlmClient, LlmError, LogicalPlan, LogicalStep, MappingRequest, OperatorDecision, PlanCache,
+    PlanCacheConfig, PlanInsertOutcome, PromptBuilder, PromptConfig, RelevantColumn,
+    StepObservation,
 };
 use caesura_modal::{BatchConfig, CacheConfig, PerceptionCache};
 use caesura_store::{CacheStore, PersistConfig};
@@ -97,7 +98,7 @@ pub struct CaesuraConfig {
     /// (`CAESURA_FAIR_SCHED`, on unless disabled); `Some(false)` forces the
     /// single FIFO of the pre-tenancy scheduler — pop order equals
     /// submission order regardless of tenant or priority, byte-for-byte the
-    /// PR 5 behaviour (the CI matrix proves this on every commit). Admission
+    /// PR 5 behaviour (`tests/serving_control_plane.rs` proves this). Admission
     /// control (quotas, deadlines) stays active either way.
     pub fair_sched: Option<bool>,
     /// Number of priority tiers the fair scheduler maintains. `None` uses
@@ -169,13 +170,16 @@ fn persist_from_env() -> Option<PersistConfig> {
 }
 
 /// The identity string versioning a session's persisted plan entries: the
-/// planner model plus every prompt-shaping knob that changes which plans it
-/// produces. Sessions whose identities differ share a store directory
-/// without ever seeing each other's entries (the schema fingerprint inside
-/// the key already isolates different lake shapes).
+/// planner model, the version of the prompt format (`v2`: step-scoped
+/// mapping prompts; bump it whenever a prompt's text changes, since the
+/// prompts are part of what produced the stored decisions), plus every
+/// prompt-shaping knob that changes which plans the model produces. Sessions
+/// whose identities differ share a store directory without ever seeing each
+/// other's entries (the schema fingerprint inside the key already isolates
+/// different lake shapes).
 fn plan_cache_identity(llm: &dyn LlmClient, config: &CaesuraConfig) -> String {
     format!(
-        "{}:v1:few_shot={}:interleaved={}:examples={}",
+        "{}:v2:few_shot={}:interleaved={}:examples={}",
         llm.name(),
         config.few_shot,
         config.interleaved,
@@ -946,7 +950,8 @@ impl SessionCore {
         cancel: &CancelToken,
     ) -> Result<(QueryOutput, bool), (CoreError, bool)> {
         let mut executor = self.make_executor();
-        let mut observations: Vec<String> = Vec::new();
+        // The latest new-column notes per output table, in execution order.
+        let mut observations: Vec<StepObservation> = Vec::new();
         let mut last_outcome: Option<StepOutcome> = None;
         let mut clean = true;
 
@@ -965,19 +970,20 @@ impl SessionCore {
             self.check_cancel(cancel, trace, "before the pipelined mapping dispatch")
                 .map_err(|e| (e, false))?;
             let phase_start = Instant::now();
+            let nothing_executed = Catalog::new();
             let prompts: Vec<Conversation> = plan
                 .steps
                 .iter()
                 .map(|step| {
-                    self.prompts.mapping_prompt(
+                    self.prompts.mapping_prompt(&MappingRequest {
                         catalog,
-                        &Catalog::new(),
+                        intermediate: &nothing_executed,
                         query,
                         step,
                         relevant_columns,
-                        &[],
-                        None,
-                    )
+                        observations: &[],
+                        error_context: None,
+                    })
                 })
                 .collect();
             for prompt in &prompts {
@@ -1020,17 +1026,16 @@ impl SessionCore {
                     Some(all) => all[index].clone(),
                     None => {
                         let phase_start = Instant::now();
-                        let decided = self.decide_step(
-                            query,
+                        let request = MappingRequest {
                             catalog,
-                            executor.intermediate(),
-                            relevant_columns,
+                            intermediate: executor.intermediate(),
+                            query,
                             step,
-                            &observations,
-                            error_note.as_deref(),
-                            trace,
-                            cancel,
-                        );
+                            relevant_columns,
+                            observations: &observations,
+                            error_context: error_note.as_deref(),
+                        };
+                        let decided = self.decide_step(&request, trace, cancel);
                         trace.record_phase_duration(Phase::Mapping, phase_start.elapsed());
                         decided.map_err(|e| (e, false))?
                     }
@@ -1053,9 +1058,8 @@ impl SessionCore {
                 let step_result = executor.execute_traced(step, &decision, trace);
                 match step_result {
                     Ok(outcome) => {
-                        let observation = outcome.observation();
-                        trace.record(Phase::Execution, "observation", observation.clone());
-                        observations.push(observation);
+                        trace.record(Phase::Execution, "observation", outcome.observation());
+                        remember_observation(&mut observations, &outcome);
                         decisions_out.push(decision);
                         last_outcome = Some(outcome);
                         break;
@@ -1103,28 +1107,13 @@ impl SessionCore {
             .map_err(|e| (e, false))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn decide_step(
         &self,
-        query: &str,
-        catalog: &Catalog,
-        intermediate: &Catalog,
-        relevant_columns: &[RelevantColumn],
-        step: &LogicalStep,
-        observations: &[String],
-        error_note: Option<&str>,
+        request: &MappingRequest<'_>,
         trace: &mut ExecutionTrace,
         cancel: &CancelToken,
     ) -> CoreResult<OperatorDecision> {
-        let prompt = self.prompts.mapping_prompt(
-            catalog,
-            intermediate,
-            query,
-            step,
-            relevant_columns,
-            observations,
-            error_note,
-        );
+        let prompt = self.prompts.mapping_prompt(request);
         let response = self.complete(&prompt, trace, Phase::Mapping, cancel)?;
         Ok(OperatorDecision::parse(&response)?)
     }
@@ -1155,6 +1144,25 @@ impl SessionCore {
         let analysis = ErrorAnalysis::parse(&response)?;
         trace.record(Phase::Recovery, "analysis", analysis.render());
         Ok(analysis)
+    }
+}
+
+/// Keep the latest new-column notes per output table: a step's notes replace
+/// those of the table it overwrote, and a step that added no column leaves
+/// none (the table line a later prompt renders says the rest).
+fn remember_observation(observations: &mut Vec<StepObservation>, outcome: &StepOutcome) {
+    let StepOutcome::Table {
+        name, observation, ..
+    } = outcome
+    else {
+        return;
+    };
+    observations.retain(|earlier| earlier.table != *name);
+    if !observation.new_columns.is_empty() {
+        observations.push(StepObservation {
+            table: name.clone(),
+            new_columns: observation.new_columns.clone(),
+        });
     }
 }
 

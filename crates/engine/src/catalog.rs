@@ -183,17 +183,24 @@ impl Catalog {
     /// Render every table in the `name = table(...)` notation used by the
     /// planning and mapping prompts (Figure 3 of the paper), one per line.
     pub fn prompt_summary(&self) -> String {
-        let mut lines = Vec::with_capacity(self.tables.len());
-        for table in self.tables.values() {
-            let mut line = format!(" - {}", table.prompt_summary());
-            let fks = self.foreign_keys_for(table.name());
-            if !fks.is_empty() {
-                let rendered: Vec<String> = fks.iter().map(|fk| fk.prompt_notation()).collect();
-                line.push_str(&format!(" foreign_keys=[{}]", rendered.join(", ")));
-            }
-            lines.push(line);
-        }
+        let lines: Vec<String> = self
+            .tables
+            .values()
+            .map(|table| self.prompt_line(table))
+            .collect();
         lines.join("\n")
+    }
+
+    /// One line of [`Catalog::prompt_summary`]: the table in full, followed
+    /// by the foreign keys this catalog declares for it.
+    pub fn prompt_line(&self, table: &Table) -> String {
+        let mut line = format!(" - {}", table.prompt_summary());
+        let fks = self.foreign_keys_for(table.name());
+        if !fks.is_empty() {
+            let rendered: Vec<String> = fks.iter().map(|fk| fk.prompt_notation()).collect();
+            line.push_str(&format!(" foreign_keys=[{}]", rendered.join(", ")));
+        }
+        line
     }
 }
 

@@ -90,5 +90,5 @@ pub use expr::{BinaryOp, CompiledExpr, Expr, ScalarFunc, UnaryOp};
 pub use ops::{AggCall, AggFunc, JoinType, Projection, SortKey, SortOrder};
 pub use parallel::ExecConfig;
 pub use schema::{Field, Schema};
-pub use table::{Row, RowRef, Rows, Table, TableBuilder};
+pub use table::{Observation, Row, RowRef, Rows, Table, TableBuilder};
 pub use value::{DataType, DateValue, Value};

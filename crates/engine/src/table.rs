@@ -461,17 +461,30 @@ impl Table {
 
     /// The `table(num_rows=..., columns=[...])` notation used in prompts.
     pub fn prompt_summary(&self) -> String {
-        let mut summary = format!(
-            "{} = table(num_rows={}, columns={}",
-            self.name,
-            self.num_rows(),
-            self.schema.prompt_notation()
-        );
+        let mut summary = self.prompt_summary_open();
         if let Some(desc) = &self.description {
             summary.push_str(&format!(", description='{desc}'"));
         }
         summary.push(')');
         summary
+    }
+
+    /// [`Table::prompt_summary`] without the description: name, row count
+    /// and typed columns. A mapping prompt renders the tables its step does
+    /// not read this way.
+    pub fn prompt_summary_brief(&self) -> String {
+        let mut summary = self.prompt_summary_open();
+        summary.push(')');
+        summary
+    }
+
+    fn prompt_summary_open(&self) -> String {
+        format!(
+            "{} = table(num_rows={}, columns={}",
+            self.name,
+            self.num_rows(),
+            self.schema.prompt_notation()
+        )
     }
 
     /// Render the first `max_rows` rows as an aligned ASCII table.
@@ -533,26 +546,54 @@ impl Table {
         out
     }
 
-    /// A short observation string describing this table to the LLM after an
-    /// operator has executed (Figure 2: "New column madonna_depicted has been
-    /// added. Example values: ...").
-    pub fn observation(&self, new_columns: &[String]) -> String {
-        let mut parts = vec![format!(
+    /// Describe this table to the LLM after an operator has executed
+    /// (Figure 2: "New column madonna_depicted has been added. Example
+    /// values: ...").
+    pub fn observation(&self, new_columns: &[String]) -> Observation {
+        let shape = format!(
             "Table '{}' now has {} rows and columns {}.",
             self.name,
             self.num_rows(),
             self.schema.prompt_notation()
-        )];
-        for col in new_columns {
-            if let Ok(examples) = self.example_values(col, 3) {
-                parts.push(format!(
+        );
+        let notes: Vec<String> = new_columns
+            .iter()
+            .filter_map(|col| {
+                let examples = self.example_values(col, 3).ok()?;
+                Some(format!(
                     "New column '{}' has been added. Example values: [{}].",
                     col,
                     examples.join(", ")
-                ));
-            }
+                ))
+            })
+            .collect();
+        Observation {
+            shape,
+            new_columns: notes.join(" "),
         }
-        parts.join(" ")
+    }
+}
+
+/// What an executed operator produced, as told to the LLM. The two parts are
+/// kept apart because a prompt that already renders the table's
+/// [`Table::prompt_summary`] line needs only the second.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Observation {
+    /// `Table 'x' now has N rows and columns [...]` — what the table's prompt
+    /// line says too.
+    pub shape: String,
+    /// One `New column 'c' has been added. Example values: [...]` sentence
+    /// per column the step added; empty when it added none.
+    pub new_columns: String,
+}
+
+impl fmt::Display for Observation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.shape)?;
+        if !self.new_columns.is_empty() {
+            write!(f, " {}", self.new_columns)?;
+        }
+        Ok(())
     }
 }
 
@@ -749,6 +790,9 @@ mod tests {
         assert!(summary.starts_with("paintings_metadata = table(num_rows=3"));
         assert!(summary.contains("'title': 'str'"));
         assert!(summary.contains("description='Metadata about paintings'"));
+        let brief = table.prompt_summary_brief();
+        assert!(brief.ends_with("'img_path': 'str'])"));
+        assert!(summary.starts_with(brief.trim_end_matches(')')));
     }
 
     #[test]
@@ -759,8 +803,16 @@ mod tests {
             })
             .unwrap();
         let obs = table.observation(&["madonna_depicted".to_string()]);
-        assert!(obs.contains("madonna_depicted"));
-        assert!(obs.contains("yes"));
+        assert!(obs
+            .shape
+            .starts_with("Table 'paintings_metadata' now has 3 rows"));
+        assert!(obs.new_columns.starts_with("New column 'madonna_depicted'"));
+        assert!(obs.new_columns.contains("yes"));
+        assert_eq!(
+            obs.to_string(),
+            format!("{} {}", obs.shape, obs.new_columns)
+        );
+        assert_eq!(table.observation(&[]).to_string(), obs.shape);
     }
 
     #[test]

@@ -441,7 +441,7 @@ fn between(text: &str, start: &str, end: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prompt::{PromptBuilder, RelevantColumn};
+    use crate::prompt::{MappingRequest, PromptBuilder, RelevantColumn, StepObservation};
     use caesura_engine::{Catalog, DataType, ForeignKey, Schema, TableBuilder};
 
     fn catalog() -> Catalog {
@@ -511,15 +511,20 @@ mod tests {
             ("madonna_depicted", DataType::Str),
         ]);
         intermediate.register(TableBuilder::new("joined_table", schema).build());
-        let prompt = builder.mapping_prompt(
-            &catalog(),
-            &intermediate,
-            "Plot the number of paintings depicting Madonna and Child for each century!",
-            &step,
-            &[],
-            &["New column 'madonna_depicted' has been added. Example values: [yes, no].".into()],
-            Some("The previous selection referenced a non-existent column."),
-        );
+        let observations = [StepObservation {
+            table: "joined_table".into(),
+            new_columns: "New column 'madonna_depicted' has been added. Example values: [yes, no]."
+                .into(),
+        }];
+        let prompt = builder.mapping_prompt(&MappingRequest {
+            catalog: &catalog(),
+            intermediate: &intermediate,
+            query: "Plot the number of paintings depicting Madonna and Child for each century!",
+            step: &step,
+            relevant_columns: &[],
+            observations: &observations,
+            error_context: Some("The previous selection referenced a non-existent column."),
+        });
         let context = PromptContext::parse(&prompt);
         assert_eq!(context.kind, PromptKind::Mapping);
         assert_eq!(context.intermediate_tables.len(), 1);
@@ -527,11 +532,20 @@ mod tests {
             .find_table("joined_table")
             .unwrap()
             .has_column("madonna_depicted"));
+        // Base tables the step does not read arrive as brief lines: name, row
+        // count and typed columns still parse, description and keys are gone.
+        assert_eq!(context.tables.len(), 2);
+        let metadata = context.find_table("paintings_metadata").unwrap();
+        assert_eq!(metadata.num_rows, 1);
+        assert_eq!(metadata.column_type("inception"), Some("str"));
+        assert_eq!(metadata.description, "");
+        assert!(metadata.foreign_keys.is_empty());
+        assert_eq!(context.image_table().unwrap().name, "painting_images");
         let step = context.step.unwrap();
         assert_eq!(step.number, 3);
         assert!(step.description.contains("Madonna and Child"));
         assert_eq!(step.output, "madonna_paintings");
-        assert_eq!(context.observations.len(), 1);
+        assert_eq!(context.observations, [observations[0].new_columns.clone()]);
         assert!(context.retry_note.unwrap().contains("previous attempt"));
     }
 

@@ -48,7 +48,7 @@ pub use plan_cache::{
     CachedPlan, PlanCache, PlanCacheConfig, PlanCacheStats, PlanInsertOutcome, PlanTier,
 };
 pub use profile::{ErrorInjector, ModelProfile};
-pub use prompt::{PromptBuilder, PromptConfig, RelevantColumn};
+pub use prompt::{MappingRequest, PromptBuilder, PromptConfig, RelevantColumn, StepObservation};
 pub use sim::SimulatedLlm;
 pub use synthesis::synthesize;
 pub use template::{normalize_query, schema_fingerprint, Literal, QueryTemplate};

@@ -7,8 +7,9 @@
 
 use crate::chat::{ChatMessage, Conversation};
 use crate::plan::LogicalStep;
-use caesura_engine::Catalog;
+use caesura_engine::{Catalog, DataType, Field, Table};
 use caesura_modal::OperatorKind;
+use std::sync::OnceLock;
 
 /// A column that the discovery phase marked as relevant, together with a few
 /// example values that help the planner generate correct conditions.
@@ -59,6 +60,38 @@ impl Default for PromptConfig {
             example_values: 3,
         }
     }
+}
+
+/// What a plan step left behind for the steps that read its output: the
+/// table it produced and the new-column notes of its observation
+/// ([`caesura_engine::Observation::new_columns`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StepObservation {
+    /// The output table the observation describes.
+    pub table: String,
+    /// `New column 'c' has been added. Example values: [...]` sentences.
+    pub new_columns: String,
+}
+
+/// Everything [`PromptBuilder::mapping_prompt`] reads, borrowed from the
+/// session's mapping loop.
+#[derive(Debug, Clone, Copy)]
+pub struct MappingRequest<'a> {
+    /// The base tables discovery kept for the query.
+    pub catalog: &'a Catalog,
+    /// The tables produced by previously executed steps.
+    pub intermediate: &'a Catalog,
+    /// The user query.
+    pub query: &'a str,
+    /// The step to map.
+    pub step: &'a LogicalStep,
+    /// The columns discovery marked relevant for the query.
+    pub relevant_columns: &'a [RelevantColumn],
+    /// The latest observation per output table (interleaved execution,
+    /// §3.1), in execution order.
+    pub observations: &'a [StepObservation],
+    /// Why the previous attempt at this step failed, on a retry.
+    pub error_context: Option<&'a str>,
 }
 
 /// Builds the prompts for all phases.
@@ -146,59 +179,94 @@ impl PromptBuilder {
             .with(ChatMessage::human(human))
     }
 
-    /// Build the mapping-phase prompt for one logical step (Figure 3, right).
-    /// `intermediate` describes the tables produced by previously executed
-    /// steps; `observations` carries the textual feedback of prior executions
-    /// (interleaved execution, §3.1).
-    #[allow(clippy::too_many_arguments)]
-    pub fn mapping_prompt(
-        &self,
-        catalog: &Catalog,
-        intermediate: &Catalog,
-        query: &str,
-        step: &LogicalStep,
-        relevant_columns: &[RelevantColumn],
-        observations: &[String],
-        error_context: Option<&str>,
-    ) -> Conversation {
-        let mut system = String::new();
-        system.push_str(&format!("You are CAESURA, and {MAPPING_MARKER}.\n"));
-        system.push_str("The database contains the following tables:\n");
-        system.push_str(&catalog.prompt_summary());
-        if !intermediate.is_empty() {
-            system.push_str("\nThe intermediate tables produced by previous steps are:\n");
-            system.push_str(&intermediate.prompt_summary());
-        }
-        system.push_str("\n\nYou can use the following operators:\n");
-        system.push_str(&OperatorKind::prompt_catalog());
-        system.push_str(
-            "\n\nUse the following output format:\n\
-             Step <i>: What to do in this step?\n\
-             Reasoning: Reason about which operator should be used for this step. Take datatypes into account.\n\
-             Operator: The operator to use, should be one of the operators listed above.\n\
-             Arguments: The arguments to call the operator, separated by ';'. Should be (arg_1; ...; arg_n)\n",
-        );
+    /// Build the mapping-phase prompt for one logical step (Figure 3, right),
+    /// scoped to what the step can act on — its input tables:
+    ///
+    /// * **tables** — each input table once, in full (an intermediate table
+    ///   shadows a base table of the same name, as it does in the executor);
+    ///   every other base table as its brief `name = table(num_rows,
+    ///   columns)` line; intermediate tables the step does not read are left
+    ///   out;
+    /// * **operators** — an operator that
+    ///   [requires](OperatorKind::required_modality) a modality is offered
+    ///   only when an input has a column of that type (all are offered when
+    ///   an input cannot be resolved: nothing is known about it);
+    /// * **relevant columns** — those of an input table, or whose plain or
+    ///   table-qualified name is a column of one;
+    /// * **observations** — the new-column notes of the input tables (the
+    ///   rest of an observation restates the table line).
+    pub fn mapping_prompt(&self, request: &MappingRequest<'_>) -> Conversation {
+        let MappingRequest {
+            catalog,
+            intermediate,
+            query,
+            step,
+            relevant_columns,
+            observations,
+            error_context,
+        } = *request;
+        let scope = StepScope::resolve(catalog, intermediate, step);
 
-        let mut human = String::new();
-        human.push_str("Map the steps one by one.\n");
-        human.push_str(&format!("My request is: {query}\n"));
-        if !relevant_columns.is_empty() {
+        let mut system = String::with_capacity(4096);
+        system.push_str("You are CAESURA, and ");
+        system.push_str(MAPPING_MARKER);
+        system.push_str(".\nThe database contains the following tables:");
+        for table in catalog.tables() {
+            system.push('\n');
+            if scope.reads(table.name(), Origin::Base) {
+                system.push_str(&catalog.prompt_line(table));
+            } else {
+                system.push_str(" - ");
+                system.push_str(&table.prompt_summary_brief());
+            }
+        }
+        let mut produced = intermediate
+            .tables()
+            .filter(|table| scope.reads(table.name(), Origin::Intermediate))
+            .peekable();
+        if produced.peek().is_some() {
+            system.push_str("\nThe intermediate tables produced by previous steps are:");
+            for table in produced {
+                system.push('\n');
+                system.push_str(&intermediate.prompt_line(table));
+            }
+        }
+        system.push_str(operators_and_format(
+            scope.may_hold(DataType::Image),
+            scope.may_hold(DataType::Text),
+        ));
+
+        let mut human = String::with_capacity(1024);
+        human.push_str("Map the steps one by one.\nMy request is: ");
+        human.push_str(query);
+        human.push('\n');
+        let mut relevant = relevant_columns
+            .iter()
+            .filter(|column| scope.uses(step, column))
+            .peekable();
+        if relevant.peek().is_some() {
             human.push_str("These columns are relevant:\n");
-            for column in relevant_columns {
+            for column in relevant {
                 human.push_str(&column.render());
                 human.push('\n');
             }
         }
-        if !observations.is_empty() {
+        let mut observed = observations
+            .iter()
+            .filter(|o| scope.reads(&o.table, Origin::Intermediate))
+            .peekable();
+        if observed.peek().is_some() {
             human.push_str("Previous observations:\n");
-            for observation in observations {
-                human.push_str(&format!("Observation: {observation}\n"));
+            for observation in observed {
+                human.push_str("Observation: ");
+                human.push_str(&observation.new_columns);
+                human.push('\n');
             }
         }
         if let Some(error) = error_context {
-            human.push_str(&format!(
-                "Note: a previous attempt at this step failed. {error}\n"
-            ));
+            human.push_str("Note: a previous attempt at this step failed. ");
+            human.push_str(error);
+            human.push('\n');
         }
         human.push_str(&format!("Step {}: {}\n", step.number, step.description));
         if !step.inputs.is_empty() {
@@ -274,6 +342,96 @@ impl PromptBuilder {
             .with(ChatMessage::system(system))
             .with(ChatMessage::human(human))
     }
+}
+
+/// Where an input table of a step lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    Base,
+    Intermediate,
+}
+
+/// The input tables of the step a mapping prompt is built for.
+struct StepScope<'a> {
+    inputs: Vec<(&'a Table, Origin)>,
+    /// Whether the step names no input, or one that is in neither catalog.
+    unresolved: bool,
+}
+
+impl<'a> StepScope<'a> {
+    /// Resolve the step's inputs the way the executor does: intermediate
+    /// tables first, by [`Catalog::table`]'s lookup rule.
+    fn resolve(catalog: &'a Catalog, intermediate: &'a Catalog, step: &LogicalStep) -> Self {
+        let mut scope = StepScope {
+            inputs: Vec::with_capacity(step.inputs.len()),
+            unresolved: step.inputs.is_empty(),
+        };
+        for name in &step.inputs {
+            let found = intermediate
+                .table(name)
+                .map(|table| (&**table, Origin::Intermediate))
+                .or_else(|_| catalog.table(name).map(|table| (&**table, Origin::Base)));
+            match found {
+                Ok((table, origin)) if scope.reads(table.name(), origin) => {}
+                Ok(input) => scope.inputs.push(input),
+                Err(_) => scope.unresolved = true,
+            }
+        }
+        scope
+    }
+
+    /// Whether the table `name` of `origin` is an input of the step.
+    fn reads(&self, name: &str, origin: Origin) -> bool {
+        self.inputs
+            .iter()
+            .any(|(input, from)| *from == origin && input.name() == name)
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &Field> + '_ {
+        self.inputs
+            .iter()
+            .flat_map(|(table, _)| table.schema().fields())
+    }
+
+    /// Whether an input has — or, unresolved, might have — a column of `dtype`.
+    fn may_hold(&self, dtype: DataType) -> bool {
+        self.unresolved || self.fields().any(|field| field.data_type == dtype)
+    }
+
+    /// Whether a relevant column belongs to an input table, or names one of
+    /// an input's columns — plainly, or qualified by its table as a join
+    /// qualifies a clashing name.
+    fn uses(&self, step: &LogicalStep, relevant: &RelevantColumn) -> bool {
+        step.inputs
+            .iter()
+            .any(|name| name.eq_ignore_ascii_case(&relevant.table))
+            || self.fields().any(|field| {
+                field.name.eq_ignore_ascii_case(&relevant.column)
+                    || field.name.split_once('.')
+                        == Some((relevant.table.as_str(), relevant.column.as_str()))
+            })
+    }
+}
+
+/// The operator list for a step whose inputs hold the given modalities plus
+/// the output-format instructions: the static tail of the mapping system
+/// message, rendered once per modality combination.
+fn operators_and_format(image: bool, text: bool) -> &'static str {
+    static BLOCKS: OnceLock<[String; 4]> = OnceLock::new();
+    let blocks = BLOCKS.get_or_init(|| {
+        std::array::from_fn(|mask| {
+            format!(
+                "\n\nYou can use the following operators:\n{}\n\n\
+                 Use the following output format:\n\
+                 Step <i>: What to do in this step?\n\
+                 Reasoning: Reason about which operator should be used for this step. Take datatypes into account.\n\
+                 Operator: The operator to use, should be one of the operators listed above.\n\
+                 Arguments: The arguments to call the operator, separated by ';'. Should be (arg_1; ...; arg_n)\n",
+                OperatorKind::prompt_catalog(mask & 1 != 0, mask & 2 != 0)
+            )
+        })
+    });
+    &blocks[usize::from(image) | usize::from(text) << 1]
 }
 
 /// Few-shot example translations shown at the start of the planning prompt.
@@ -370,7 +528,7 @@ mod tests {
     }
 
     #[test]
-    fn mapping_prompt_lists_operators_and_step() {
+    fn mapping_prompt_is_scoped_to_the_step_inputs() {
         let builder = PromptBuilder::default();
         let step = LogicalStep::new(
             2,
@@ -379,23 +537,127 @@ mod tests {
             "joined_table",
             vec!["num_swords".into()],
         );
-        let prompt = builder.mapping_prompt(
-            &catalog(),
-            &Catalog::new(),
-            "Plot the maximum number of swords depicted on the paintings of each century",
-            &step,
-            &[],
-            &["New column madonna_depicted has been added. Example values: ['yes', 'no']".into()],
-            None,
-        );
+        let mut intermediate = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("title", DataType::Str),
+            ("image", DataType::Image),
+            ("madonna_depicted", DataType::Str),
+        ]);
+        intermediate.register(TableBuilder::new("joined_table", schema).build());
+        let schema = Schema::from_pairs(&[("century", DataType::Int)]);
+        intermediate.register(TableBuilder::new("unread_table", schema).build());
+        let relevant = [
+            RelevantColumn {
+                table: "paintings_metadata".into(),
+                column: "title".into(),
+                examples: vec![],
+            },
+            RelevantColumn {
+                table: "paintings_metadata".into(),
+                column: "inception".into(),
+                examples: vec![],
+            },
+        ];
+        let observations = [
+            StepObservation {
+                table: "unread_table".into(),
+                new_columns: "New column 'century' has been added. Example values: [15].".into(),
+            },
+            StepObservation {
+                table: "joined_table".into(),
+                new_columns:
+                    "New column 'madonna_depicted' has been added. Example values: [yes, no]."
+                        .into(),
+            },
+        ];
+        let prompt = builder.mapping_prompt(&MappingRequest {
+            catalog: &catalog(),
+            intermediate: &intermediate,
+            query: "Plot the maximum number of swords depicted on the paintings of each century",
+            step: &step,
+            relevant_columns: &relevant,
+            observations: &observations,
+            error_context: None,
+        });
         let system = prompt.system_text();
         let human = prompt.human_text();
         assert!(system.contains(MAPPING_MARKER));
-        assert!(system.contains("Visual Question Answering"));
+        // The input in full, base tables the step does not read in brief,
+        // other intermediate tables not at all.
+        assert!(system.contains(" - joined_table = table(num_rows=0, columns=['title': 'str', 'image': 'IMAGE', 'madonna_depicted': 'str'])"));
+        assert!(system.contains(
+            " - paintings_metadata = table(num_rows=0, columns=['title': 'str', 'inception': 'str', 'img_path': 'str'])\n"
+        ));
+        assert!(!system.contains("Metadata about paintings"));
+        assert!(!system.contains("unread_table"));
+        // An IMAGE input, no TEXT input.
+        assert!(system.contains("Visual Question Answering: "));
+        assert!(system.contains("Image Select: "));
+        assert!(!system.contains("Text Question Answering: "));
         assert!(system.contains("Operator: The operator to use"));
         assert!(human.contains("Step 2: Extract the number of swords"));
-        assert!(human.contains("Previous observations:"));
-        assert!(human.contains("madonna_depicted"));
+        assert!(human.contains("'title' column of the 'paintings_metadata'"));
+        assert!(!human.contains("'inception'"));
+        assert_eq!(human.matches("Observation: ").count(), 1);
+        assert!(human.contains("Observation: New column 'madonna_depicted'"));
+    }
+
+    #[test]
+    fn mapping_prompt_renders_base_inputs_in_full_and_keeps_the_retry_note() {
+        let builder = PromptBuilder::default();
+        let step = LogicalStep::new(
+            1,
+            "Select only the rows of the 'paintings_metadata' table where the 'title' column equals 'Irises'.",
+            vec!["paintings_metadata".into()],
+            "selected",
+            vec![],
+        );
+        let prompt = builder.mapping_prompt(&MappingRequest {
+            catalog: &catalog(),
+            intermediate: &Catalog::new(),
+            query: "a query",
+            step: &step,
+            relevant_columns: &[],
+            observations: &[],
+            error_context: Some("The error was: unknown column."),
+        });
+        let system = prompt.system_text();
+        assert!(system.contains("description='Metadata about paintings'"));
+        assert!(system.contains(" - painting_images = table(num_rows=0, columns=['img_path': 'str', 'image': 'IMAGE'])\n"));
+        assert!(!system.contains("intermediate tables"));
+        // Neither input holds images or text: relational operators only.
+        assert!(!system.contains("Visual Question Answering: "));
+        assert!(!system.contains("Text Question Answering: "));
+        assert!(system.contains("SQL Selection: ") && system.contains("Plot: "));
+        assert!(prompt.human_text().contains(
+            "Note: a previous attempt at this step failed. The error was: unknown column.\n"
+        ));
+    }
+
+    #[test]
+    fn mapping_prompt_offers_every_operator_when_an_input_is_unknown() {
+        let builder = PromptBuilder::default();
+        let step = LogicalStep::new(
+            3,
+            "Extract the number of swords depicted in each image.",
+            vec!["not_produced_yet".into()],
+            "out",
+            vec![],
+        );
+        let prompt = builder.mapping_prompt(&MappingRequest {
+            catalog: &catalog(),
+            intermediate: &Catalog::new(),
+            query: "a query",
+            step: &step,
+            relevant_columns: &[],
+            observations: &[],
+            error_context: None,
+        });
+        let system = prompt.system_text();
+        for op in OperatorKind::all() {
+            assert!(system.contains(&format!("{}: ", op.name())), "{op:?}");
+        }
+        assert!(!system.contains("description="));
     }
 
     #[test]

@@ -412,7 +412,7 @@ fn corrupt_arguments(mut decision: OperatorDecision) -> OperatorDecision {
 mod tests {
     use super::*;
     use crate::plan::LogicalStep;
-    use crate::prompt::{PromptBuilder, RelevantColumn};
+    use crate::prompt::{MappingRequest, PromptBuilder, RelevantColumn};
     use caesura_engine::{Catalog, DataType, ForeignKey, Schema, TableBuilder};
 
     fn artwork_catalog() -> Catalog {
@@ -478,15 +478,15 @@ mod tests {
             "joined_table",
             vec![],
         );
-        let prompt = builder.mapping_prompt(
-            &artwork_catalog(),
-            &Catalog::new(),
-            "Plot the number of paintings depicting Madonna and Child for each century!",
-            &step,
-            &[],
-            &[],
-            None,
-        );
+        let prompt = builder.mapping_prompt(&MappingRequest {
+            catalog: &artwork_catalog(),
+            intermediate: &Catalog::new(),
+            query: "Plot the number of paintings depicting Madonna and Child for each century!",
+            step: &step,
+            relevant_columns: &[],
+            observations: &[],
+            error_context: None,
+        });
         let response = llm.complete(&prompt).unwrap();
         let decision = OperatorDecision::parse(&response).unwrap();
         assert_eq!(decision.operator, OperatorKind::SqlJoin);

@@ -144,18 +144,33 @@ impl OperatorKind {
         }
     }
 
-    /// Whether the operator consumes non-relational modalities.
-    pub fn is_multimodal(&self) -> bool {
-        matches!(
-            self,
-            OperatorKind::VisualQa | OperatorKind::TextQa | OperatorKind::ImageSelect
-        )
+    /// The non-relational column type the operator reads, if any. A mapping
+    /// prompt offers such an operator only to a step whose input tables have
+    /// a column of that type.
+    pub fn required_modality(&self) -> Option<DataType> {
+        match self {
+            OperatorKind::VisualQa | OperatorKind::ImageSelect => Some(DataType::Image),
+            OperatorKind::TextQa => Some(DataType::Text),
+            _ => None,
+        }
     }
 
-    /// Render the `You can use the following operators:` prompt block.
-    pub fn prompt_catalog() -> String {
+    /// Whether the operator consumes non-relational modalities.
+    pub fn is_multimodal(&self) -> bool {
+        self.required_modality().is_some()
+    }
+
+    /// Render the `You can use the following operators:` prompt block for a
+    /// step whose inputs hold the given modalities: operators that
+    /// [require](OperatorKind::required_modality) an absent one are left out.
+    pub fn prompt_catalog(image: bool, text: bool) -> String {
         OperatorKind::all()
             .iter()
+            .filter(|op| match op.required_modality() {
+                Some(DataType::Image) => image,
+                Some(DataType::Text) => text,
+                _ => true,
+            })
             .map(|op| format!("{}: {}", op.name(), op.description()))
             .collect::<Vec<_>>()
             .join("\n")
@@ -1037,9 +1052,38 @@ mod tests {
             Some(OperatorKind::VisualQa)
         );
         assert_eq!(OperatorKind::from_name("nonsense"), None);
-        let catalog = OperatorKind::prompt_catalog();
+        let catalog = OperatorKind::prompt_catalog(true, true);
         assert!(catalog.contains("Image Select"));
         assert!(catalog.contains("IMAGE"));
+        assert_eq!(catalog.lines().count(), OperatorKind::all().len());
+    }
+
+    #[test]
+    fn prompt_catalog_offers_perception_operators_by_required_modality() {
+        let relational = OperatorKind::prompt_catalog(false, false);
+        assert_eq!(relational.lines().count(), 6);
+        for op in OperatorKind::all() {
+            let offered = relational.contains(&format!("{}: ", op.name()));
+            assert_eq!(offered, op.required_modality().is_none(), "{op:?}");
+            // The typed requirement and the description agree, so nothing
+            // has to read the description to decide.
+            let mentions = |dtype: &str| op.description().contains(&format!("type {dtype}"));
+            assert_eq!(
+                op.required_modality(),
+                match (mentions("IMAGE"), mentions("TEXT")) {
+                    (true, false) => Some(DataType::Image),
+                    (false, true) => Some(DataType::Text),
+                    _ => None,
+                }
+            );
+        }
+        let images = OperatorKind::prompt_catalog(true, false);
+        assert!(
+            images.contains("Visual Question Answering: ") && images.contains("Image Select: ")
+        );
+        assert!(!images.contains("Text Question Answering: "));
+        let texts = OperatorKind::prompt_catalog(false, true);
+        assert!(texts.contains("Text Question Answering: ") && !texts.contains("Image Select: "));
     }
 
     #[test]

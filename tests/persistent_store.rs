@@ -8,13 +8,17 @@
 //! Every test uses an explicit [`CaesuraConfig::persist`] value — its own
 //! temp directory, or `None` — so the tests neither collide with each other
 //! nor depend on `CAESURA_CACHE_DIR`. The one exception is
-//! [`env_cache_dir_runs_cold_then_warm`], the CI matrix hook, which reads the
-//! environment and skips itself when the variable is unset.
+//! [`env_cache_dir_runs_cold_then_warm`], the hook of CI's store-attached
+//! pass, which reads the environment and skips itself when the variable is
+//! unset.
 
 use caesura_core::{Caesura, CaesuraConfig, CoreError, PlanSource, QueryRun};
 use caesura_data::{generate_artwork, generate_rotowire, ArtworkConfig, RotowireConfig};
 use caesura_eval::{benchmark_queries, Dataset};
-use caesura_llm::{CountingLlm, LlmClient, SimulatedLlm};
+use caesura_llm::{
+    normalize_query, schema_fingerprint, CountingLlm, LlmClient, PlanCacheConfig,
+    PlanInsertOutcome, PlanTier, SimulatedLlm,
+};
 use caesura_store::{CacheStore, PersistConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -294,6 +298,73 @@ fn identities_are_isolated_in_a_shared_store() {
         let run = session.run(query);
         assert_eq!(run.trace.plan_source(), Some(PlanSource::Cached));
         assert_eq!(run.trace.plan_cache_calls().disk_hits, 1);
+    }
+}
+
+/// The prompt format is part of what produced a stored decision, so the
+/// plan identity carries a format version. A store left behind by a build
+/// that mapped with full-catalog prompts (`v1`) must read as empty.
+#[test]
+fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
+    let tmp = TempDir::new("prompt-version");
+    let persist = tmp.persist().unwrap();
+    let lake = generate_artwork(&ArtworkConfig::small()).lake;
+    let query = "How many paintings are in the museum?";
+    let llm = SimulatedLlm::gpt4();
+    let identity = |version: &str| {
+        format!(
+            "{}:{version}:few_shot=true:interleaved=true:examples=3",
+            llm.name()
+        )
+    };
+    let fingerprint = schema_fingerprint(lake.catalog());
+    let template = normalize_query(query);
+    let bare_cache = |version: &str| {
+        let mut cache = PlanCacheConfig::new(8).build().unwrap();
+        let store = Arc::new(CacheStore::open(persist.plans_dir()).unwrap());
+        cache.attach_disk(store, identity(version));
+        cache
+    };
+
+    // What the old build left on disk: this query's validated plan, filed
+    // under the same model and knobs at `v1`.
+    let live =
+        Caesura::with_config(lake.clone(), Arc::new(llm.clone()), config_with(None)).run(query);
+    assert!(live.output.is_ok());
+    let outcome = bare_cache("v1").insert(
+        &fingerprint,
+        &template,
+        live.logical_plan.as_ref().unwrap(),
+        &live.decisions,
+    );
+    assert!(matches!(
+        outcome,
+        PlanInsertOutcome::Inserted { written: true, .. }
+    ));
+
+    // Today's session over that directory plans live and files its own entry.
+    {
+        let session = Caesura::with_config(
+            lake.clone(),
+            Arc::new(llm.clone()),
+            config_with(tmp.persist()),
+        );
+        let run = session.run(query);
+        assert_eq!(run.trace.plan_source(), Some(PlanSource::Planned));
+        let calls = run.trace.plan_cache_calls();
+        assert_eq!((calls.disk_hits, calls.insertions), (0, 1));
+        assert_eq!(run.output, live.output);
+    }
+
+    // Control: the key this test derives is the key the session files under —
+    // at `v2` the session's entry is found — so the `v1` record above was one
+    // version string away from being replayed. It is still there, unread.
+    for version in ["v2", "v1"] {
+        let hit = bare_cache(version).lookup_tiered(&fingerprint, &template);
+        assert!(
+            matches!(hit, Some((_, PlanTier::Disk))),
+            "no {version} record"
+        );
     }
 }
 

@@ -226,8 +226,8 @@ fn interactive_submissions_preempt_queued_batch_work_at_dequeue() {
     let config = CaesuraConfig {
         session_workers: Some(1),
         session_queue: Some(16),
-        // Pinned on: the CI row that forces `CAESURA_FAIR_SCHED=0` must not
-        // turn this into a FIFO test.
+        // Pinned on: an exported `CAESURA_FAIR_SCHED=0` must not turn this
+        // into a FIFO test.
         fair_sched: Some(true),
         ..CaesuraConfig::default()
     };
