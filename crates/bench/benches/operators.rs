@@ -4,8 +4,8 @@
 use caesura_bench::{scores_table, teams_table};
 use caesura_data::{generate_artwork, ArtworkConfig};
 use caesura_engine::{dict, ops, sql, DataType, Expr, Schema, Table, TableBuilder, Value};
-use caesura_modal::operators::{apply_python_udf, apply_visual_qa};
-use caesura_modal::{TransformCodegen, VisualQaModel};
+use caesura_modal::operators::{apply_python_udf, apply_visual_qa, Perception};
+use caesura_modal::{BatchConfig, TransformCodegen, VisualQaModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -284,17 +284,22 @@ fn bench_operators(c: &mut Criterion) {
             },
         );
         group.bench_with_input(BenchmarkId::new("visual_qa", size), &size, |b, _| {
-            let model = VisualQaModel::new();
+            let model = Perception {
+                backend: &VisualQaModel::new(),
+                batch: BatchConfig::default(),
+                cache: None,
+            };
             b.iter(|| {
                 apply_visual_qa(
                     black_box(&images),
                     &store,
-                    &model,
+                    model,
                     "image",
                     "num_swords",
                     "How many swords are depicted?",
                     caesura_engine::DataType::Int,
                 )
+                .1
                 .unwrap()
             })
         });
@@ -309,7 +314,9 @@ fn bench_operators(c: &mut Criterion) {
                         &codegen,
                         "Extract the century from the dates in the 'inception' column",
                         "century",
+                        None,
                     )
+                    .1
                     .unwrap()
                 })
             },

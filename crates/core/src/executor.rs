@@ -20,12 +20,12 @@ use crate::error::{CoreError, CoreResult};
 use caesura_engine::{parallel, sql, Catalog, ExecConfig, Observation, Table};
 use caesura_llm::{LogicalStep, OperatorDecision};
 use caesura_modal::operators::{
-    apply_image_select_with, apply_plot, apply_python_udf_cached, apply_text_qa_with,
-    apply_visual_qa_with, parse_result_dtype,
+    apply_image_select, apply_plot, apply_python_udf, apply_text_qa, apply_visual_qa,
+    parse_result_dtype, Perception,
 };
 use caesura_modal::{
-    BatchConfig, BatchStats, ImageSelectModel, ImageStore, OperatorKind, PerceptionCache, Plot,
-    TextQaModel, TransformCodegen, VisualQaModel,
+    BatchConfig, BatchStats, ImageSelectModel, ImageStore, OperatorKind, PerceptionBackend,
+    PerceptionCache, Plot, TextQaModel, TransformCodegen, VisualQaModel,
 };
 use std::sync::Arc;
 
@@ -146,19 +146,6 @@ impl Executor {
         self.perception
     }
 
-    /// Replace the perception models (e.g. to attach a noise model).
-    pub fn with_models(
-        mut self,
-        visual_qa: VisualQaModel,
-        text_qa: TextQaModel,
-        image_select: ImageSelectModel,
-    ) -> Self {
-        self.visual_qa = visual_qa;
-        self.text_qa = text_qa;
-        self.image_select = image_select;
-        self
-    }
-
     /// The catalog of intermediate tables produced so far (used to render the
     /// mapping prompt's "intermediate tables" section).
     pub fn intermediate(&self) -> &Catalog {
@@ -212,6 +199,16 @@ impl Executor {
         })
     }
 
+    /// How a perception step of this executor reaches `backend`: under the
+    /// pinned batch configuration, through the session's cache if attached.
+    fn perception<'a>(&'a self, backend: &'a dyn PerceptionBackend) -> Perception<'a> {
+        Perception {
+            backend,
+            batch: self.batch,
+            cache: self.cache.as_deref(),
+        }
+    }
+
     fn step_input(&self, step: &LogicalStep) -> CoreResult<Arc<Table>> {
         match step.inputs.first() {
             Some(name) => self.input_table(name),
@@ -262,8 +259,8 @@ impl Executor {
     /// [`Executor::execute`] plus trace accounting: records the step's
     /// execution-phase wall clock and its perception-call delta (including
     /// for failed attempts, whose dispatches were paid just the same) on
-    /// `trace`. The session's live mapping loop and its plan-cache replay
-    /// path both go through here, so cached and live executions account
+    /// `trace`. The session's one step loop runs live-mapped and replayed
+    /// decisions through here, so cached and live executions account
     /// identically.
     pub fn execute_traced(
         &mut self,
@@ -337,16 +334,14 @@ impl Executor {
                 expect_args(3)?;
                 let input = self.step_input(step)?;
                 let dtype = parse_result_dtype(args.get(3).map(String::as_str).unwrap_or("str"));
-                let (stats, result) = apply_visual_qa_with(
+                let (stats, result) = apply_visual_qa(
                     input.as_ref(),
                     &self.images,
-                    &self.visual_qa,
+                    self.perception(&self.visual_qa),
                     &args[0],
                     &args[1],
                     &args[2],
                     dtype,
-                    &self.batch,
-                    self.cache.as_deref(),
                 );
                 // Absorb before `?`: failed dispatches still made their calls.
                 self.perception.absorb(&stats);
@@ -356,15 +351,13 @@ impl Executor {
                 expect_args(3)?;
                 let input = self.step_input(step)?;
                 let dtype = parse_result_dtype(args.get(3).map(String::as_str).unwrap_or("str"));
-                let (stats, result) = apply_text_qa_with(
+                let (stats, result) = apply_text_qa(
                     input.as_ref(),
-                    &self.text_qa,
+                    self.perception(&self.text_qa),
                     &args[0],
                     &args[1],
                     &args[2],
                     dtype,
-                    &self.batch,
-                    self.cache.as_deref(),
                 );
                 self.perception.absorb(&stats);
                 Ok(self.register_result(step, result?, &[args[1].clone()]))
@@ -372,14 +365,12 @@ impl Executor {
             OperatorKind::ImageSelect => {
                 expect_args(2)?;
                 let input = self.step_input(step)?;
-                let (stats, result) = apply_image_select_with(
+                let (stats, result) = apply_image_select(
                     input.as_ref(),
                     &self.images,
-                    &self.image_select,
+                    self.perception(&self.image_select),
                     &args[0],
                     &args[1],
-                    &self.batch,
-                    self.cache.as_deref(),
                 );
                 self.perception.absorb(&stats);
                 Ok(self.register_result(step, result?, &[]))
@@ -387,7 +378,7 @@ impl Executor {
             OperatorKind::PythonUdf => {
                 expect_args(2)?;
                 let input = self.step_input(step)?;
-                let (stats, result) = apply_python_udf_cached(
+                let (stats, result) = apply_python_udf(
                     input.as_ref(),
                     &self.codegen,
                     &args[0],

@@ -20,54 +20,18 @@
 //!   [`Caesura::tenant_stats`](crate::Caesura::tenant_stats).
 //!
 //! With one tenant at one priority (every default-path submission), a tiered
-//! DRR queue degenerates to exactly the old FIFO — pop order equals push
-//! order — which is what keeps the blocking wrappers byte-identical to the
-//! PR 5 scheduler (`tests/serving_control_plane.rs` pins this). Setting
-//! `CAESURA_FAIR_SCHED=0` additionally forces the single-FIFO code path for
-//! *all* submissions.
+//! DRR queue degenerates to a FIFO — pop order equals push order — which is
+//! what keeps the blocking wrappers byte-identical to the PR 5 scheduler
+//! (`tests/serving_control_plane.rs` pins this).
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default number of priority tiers when neither
-/// `CaesuraConfig.priority_tiers` nor `CAESURA_PRIORITY_TIERS` is set:
+/// Number of priority tiers when `CaesuraConfig.priority_tiers` is unset:
 /// interactive above batch.
 pub const DEFAULT_PRIORITY_TIERS: usize = 2;
-
-/// Whether fair scheduling is enabled per the environment:
-/// `CAESURA_FAIR_SCHED`, default on; `0` / `off` / `false` selects the
-/// single-FIFO ordering of the PR 5 scheduler.
-pub(crate) fn fair_sched_from_env() -> bool {
-    match std::env::var("CAESURA_FAIR_SCHED") {
-        Ok(value) => {
-            let value = value.trim().to_ascii_lowercase();
-            !matches!(value.as_str(), "0" | "off" | "false")
-        }
-        Err(_) => true,
-    }
-}
-
-/// Priority-tier count described by the environment:
-/// `CAESURA_PRIORITY_TIERS`, default [`DEFAULT_PRIORITY_TIERS`], min 1.
-pub(crate) fn priority_tiers_from_env() -> usize {
-    std::env::var("CAESURA_PRIORITY_TIERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_PRIORITY_TIERS)
-}
-
-/// Per-tenant admission quota described by the environment:
-/// `CAESURA_TENANT_QUOTA`, bounding each tenant's queued + in-flight
-/// queries; unset / `0` / `off` / `false` means unlimited (`None`).
-pub(crate) fn tenant_quota_from_env() -> Option<usize> {
-    std::env::var("CAESURA_TENANT_QUOTA")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
 
 /// Scheduling priority of a submission: a tier index, lower = more urgent.
 ///
@@ -75,7 +39,7 @@ pub(crate) fn tenant_quota_from_env() -> Option<usize> {
 /// query always runs before a queued [batch](Priority::BATCH) one — so tiers
 /// express *preemption at dequeue*, while weights within a tier express
 /// *sharing*. Priorities beyond the configured tier count
-/// (`CAESURA_PRIORITY_TIERS`, default 2) are clamped to the lowest tier.
+/// (`CaesuraConfig.priority_tiers`, default 2) are clamped to the lowest tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(u8);
 
@@ -128,7 +92,7 @@ pub const DEFAULT_TENANT: &str = "default";
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SubmitOptions {
     /// The tenant this query belongs to; `None` means [`DEFAULT_TENANT`].
-    /// Each tenant gets its own FIFO lane in the fair scheduler and its own
+    /// Each tenant gets its own FIFO lane in the scheduler and its own
     /// row in [`Caesura::tenant_stats`](crate::Caesura::tenant_stats).
     pub tenant: Option<String>,
     /// The priority tier (see [`Priority`]).
@@ -197,14 +161,14 @@ impl SubmitOptions {
 /// [`Caesura::try_submit`]: crate::Caesura::try_submit
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionError {
-    /// The submission queue is at capacity (`CAESURA_SESSION_QUEUE`).
+    /// The submission queue is at capacity (`CaesuraConfig.session_queue`).
     /// Retry after backoff, or use the blocking `submit` for backpressure.
     QueueFull {
         /// The queue bound that was hit.
         depth: usize,
     },
     /// The tenant already has `quota` queries queued or in flight
-    /// (`CAESURA_TENANT_QUOTA`).
+    /// (`CaesuraConfig.tenant_quota`).
     TenantOverQuota {
         /// The tenant that hit its quota.
         tenant: String,
@@ -245,11 +209,9 @@ impl fmt::Display for AdmissionError {
 impl std::error::Error for AdmissionError {}
 
 /// The scheduling policy a session's scheduler runs under, resolved once at
-/// session construction from `CaesuraConfig` / the environment.
+/// session construction from `CaesuraConfig`.
 #[derive(Debug, Clone)]
 pub(crate) struct SchedPolicy {
-    /// Fair scheduling on (tiers + DRR lanes) or off (single FIFO).
-    pub fair: bool,
     /// Number of priority tiers (≥ 1); priorities clamp to the lowest tier.
     pub tiers: usize,
     /// Per-tenant bound on queued + in-flight queries; `None` = unlimited.
@@ -261,7 +223,6 @@ pub(crate) struct SchedPolicy {
 impl Default for SchedPolicy {
     fn default() -> Self {
         SchedPolicy {
-            fair: true,
             tiers: DEFAULT_PRIORITY_TIERS,
             tenant_quota: None,
             weights: Vec::new(),
@@ -305,8 +266,9 @@ pub struct TenantServingStats {
     pub rejected: usize,
     /// Total time this tenant's picked-up queries spent waiting in the
     /// queue. Divide by `completed + in_flight` for the mean queue wait —
-    /// the number the fair scheduler improves for interactive tenants under
-    /// batch floods (see `BENCH_serving.json`).
+    /// the number tier preemption improves for interactive tenants under
+    /// batch floods (`core.sched.interactive.latency_p95_ms` of the
+    /// `blocked_serving` workload, `BENCHMARK.json`).
     pub total_queue_wait: Duration,
 }
 
@@ -412,8 +374,7 @@ impl<T> Tier<T> {
     }
 }
 
-/// The scheduler's ready queue: priority tiers over per-tenant DRR lanes,
-/// or a single FIFO when fair scheduling is disabled.
+/// The scheduler's ready queue: priority tiers over per-tenant DRR lanes.
 ///
 /// Generic over the queued item so the policy is unit-testable without
 /// constructing job state; the serving layer instantiates it with
@@ -421,23 +382,14 @@ impl<T> Tier<T> {
 pub(crate) struct TenantQueues<T> {
     policy: SchedPolicy,
     tiers: Vec<Tier<T>>,
-    /// The degenerate `CAESURA_FAIR_SCHED=0` path: one FIFO, pop order =
-    /// push order regardless of tenant or priority.
-    fifo: VecDeque<T>,
     len: usize,
 }
 
 impl<T> TenantQueues<T> {
     pub(crate) fn new(policy: SchedPolicy) -> Self {
-        let tiers = if policy.fair {
-            (0..policy.tiers.max(1)).map(|_| Tier::new()).collect()
-        } else {
-            Vec::new()
-        };
         TenantQueues {
+            tiers: (0..policy.tiers.max(1)).map(|_| Tier::new()).collect(),
             policy,
-            tiers,
-            fifo: VecDeque::new(),
             len: 0,
         }
     }
@@ -451,13 +403,9 @@ impl<T> TenantQueues<T> {
     }
 
     /// Enqueue an item on its tenant's lane in the priority's (clamped)
-    /// tier — or at the FIFO tail when fair scheduling is off.
+    /// tier.
     pub(crate) fn push(&mut self, tenant: &Arc<str>, priority: Priority, item: T) {
         self.len += 1;
-        if !self.policy.fair {
-            self.fifo.push_back(item);
-            return;
-        }
         let tier = self.policy.effective_tier(priority);
         let weight = self.policy.weight_of(tenant);
         self.tiers[tier]
@@ -469,13 +417,6 @@ impl<T> TenantQueues<T> {
     /// Dequeue the next item: the highest non-empty tier wins (interactive
     /// preempts batch **at dequeue**), DRR across that tier's tenants.
     pub(crate) fn pop(&mut self) -> Option<T> {
-        if !self.policy.fair {
-            let item = self.fifo.pop_front();
-            if item.is_some() {
-                self.len -= 1;
-            }
-            return item;
-        }
         for tier in &mut self.tiers {
             if tier.is_empty() {
                 continue;
@@ -515,18 +456,6 @@ mod tests {
         assert_eq!(queues.len(), 5);
         assert_eq!(drain(&mut queues), vec![0, 1, 2, 3, 4]);
         assert_eq!(queues.len(), 0);
-    }
-
-    #[test]
-    fn fair_disabled_is_fifo_across_tenants_and_priorities() {
-        let mut queues = TenantQueues::new(SchedPolicy {
-            fair: false,
-            ..SchedPolicy::default()
-        });
-        queues.push(&tenant("a"), Priority::BATCH, "a-batch");
-        queues.push(&tenant("b"), Priority::INTERACTIVE, "b-inter");
-        queues.push(&tenant("a"), Priority::INTERACTIVE, "a-inter");
-        assert_eq!(drain(&mut queues), vec!["a-batch", "b-inter", "a-inter"]);
     }
 
     #[test]

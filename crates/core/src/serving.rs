@@ -10,8 +10,8 @@
 //!
 //! * the scheduler — a persistent worker pool (`CaesuraConfig.session_workers`
 //!   / `CAESURA_SESSION_WORKERS`, default hardware parallelism) pulling jobs
-//!   from a **bounded** submission queue (`CaesuraConfig.session_queue` /
-//!   `CAESURA_SESSION_QUEUE`, default 64). Since PR 8 the ready queue is
+//!   from a **bounded** submission queue (`CaesuraConfig.session_queue`,
+//!   default 64). Since PR 8 the ready queue is
 //!   tenant-aware (see [`sched`](crate::sched)): priority tiers preempt at
 //!   dequeue, deficit round robin shares each tier across tenants, and
 //!   per-tenant admission quotas bound queued + in-flight queries. A full
@@ -50,8 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default bound of the submission queue when neither
-/// `CaesuraConfig.session_queue` nor `CAESURA_SESSION_QUEUE` is set.
+/// Bound of the submission queue when `CaesuraConfig.session_queue` is unset.
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
 /// Lock a job-state mutex, recovering from poisoning: a panicking query is
@@ -76,16 +75,6 @@ pub(crate) fn workers_from_env() -> usize {
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-}
-
-/// Submission-queue bound described by the environment:
-/// `CAESURA_SESSION_QUEUE`, or [`DEFAULT_QUEUE_DEPTH`] when unset.
-pub(crate) fn queue_depth_from_env() -> usize {
-    std::env::var("CAESURA_SESSION_QUEUE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_QUEUE_DEPTH)
 }
 
 /// Where a submitted query currently is in its lifecycle.
@@ -679,9 +668,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_defaults_clamp_to_at_least_one() {
-        // The env readers themselves are exercised through real sessions; here
-        // we pin the constructor clamps that protect against zero knobs.
+    fn zero_knobs_clamp_to_at_least_one() {
+        // The constructor clamps that protect against zero knobs.
         let scheduler = Scheduler::new(0, 0, SchedPolicy::default());
         let stats = scheduler.stats();
         assert_eq!(stats.workers, 1);

@@ -85,34 +85,21 @@ pub struct CaesuraConfig {
     /// math: each in-flight query may additionally fan relational operators
     /// out over `CAESURA_THREADS` morsel workers.
     pub session_workers: Option<usize>,
-    /// Bound of the serving scheduler's submission queue. `None` uses the
-    /// environment default (`CAESURA_SESSION_QUEUE`, falling back to
-    /// [`crate::serving::DEFAULT_QUEUE_DEPTH`]). A full queue applies
+    /// Bound of the serving scheduler's submission queue. `None` uses
+    /// [`crate::serving::DEFAULT_QUEUE_DEPTH`] (64). A full queue applies
     /// backpressure: [`Caesura::submit`] blocks until a slot frees, while
     /// [`Caesura::try_submit`] / [`Caesura::submit_with`] fail fast with
     /// [`AdmissionError::QueueFull`].
     pub session_queue: Option<usize>,
-    /// Whether the serving scheduler runs its tenant-aware fair policy
-    /// (priority tiers preempting at dequeue, deficit round robin across
-    /// tenant lanes within a tier). `None` uses the environment default
-    /// (`CAESURA_FAIR_SCHED`, on unless disabled); `Some(false)` forces the
-    /// single FIFO of the pre-tenancy scheduler — pop order equals
-    /// submission order regardless of tenant or priority, byte-for-byte the
-    /// PR 5 behaviour (`tests/serving_control_plane.rs` proves this). Admission
-    /// control (quotas, deadlines) stays active either way.
-    pub fair_sched: Option<bool>,
-    /// Number of priority tiers the fair scheduler maintains. `None` uses
-    /// the environment default (`CAESURA_PRIORITY_TIERS`, default 2:
-    /// interactive above batch); priorities beyond the count clamp to the
-    /// lowest tier, so `Some(1)` collapses all priorities into one tier.
+    /// Number of priority tiers the scheduler maintains. `None` uses
+    /// [`crate::sched::DEFAULT_PRIORITY_TIERS`] (2: interactive above
+    /// batch); priorities beyond the count clamp to the lowest tier, so
+    /// `Some(1)` collapses all priorities into one tier.
     pub priority_tiers: Option<usize>,
     /// Per-tenant admission quota: the maximum queued + in-flight queries a
     /// tenant may have before fail-fast submissions are rejected with
     /// [`AdmissionError::TenantOverQuota`] (blocking `submit` waits
-    /// instead). `None` uses the environment default
-    /// (`CAESURA_TENANT_QUOTA`, unlimited unless set); `Some(0)` explicitly
-    /// means unlimited, matching the env convention that `0` disables the
-    /// quota.
+    /// instead). `None` and `Some(0)` both mean unlimited.
     pub tenant_quota: Option<usize>,
     /// Deficit-round-robin weight per tenant name: a weight-w tenant takes w
     /// consecutive dequeues per round within its tier. Unlisted tenants
@@ -128,8 +115,9 @@ pub struct CaesuraConfig {
     /// plan caches (see `caesura_store`). `None` disables the tier — the
     /// byte-for-byte pre-store behaviour. The default is the environment
     /// configuration: `CAESURA_CACHE_DIR` names the store directory (unset
-    /// or empty means fully off) and `CAESURA_DISK_PERCEPTION` /
-    /// `CAESURA_DISK_PLANS` gate the tiers individually. A tier whose
+    /// or empty means fully off), with both tiers on;
+    /// [`PersistConfig::perception`] / [`PersistConfig::plans`] gate the
+    /// tiers individually. A tier whose
     /// in-memory cache is disabled skips its disk tier too: the store is a
     /// second tier *under* the memory cache, never a replacement for it.
     pub persist: Option<PersistConfig>,
@@ -151,7 +139,6 @@ impl Default for CaesuraConfig {
             plan_cache: None,
             session_workers: None,
             session_queue: None,
-            fair_sched: None,
             priority_tiers: None,
             tenant_quota: None,
             tenant_weights: Vec::new(),
@@ -220,6 +207,32 @@ impl QueryRun {
         self.trace.timings().total()
     }
 }
+
+/// What discovery found for one query, borrowed by every later phase.
+#[derive(Clone, Copy)]
+struct Discovered<'a> {
+    query: &'a str,
+    /// The base tables discovery kept for the query.
+    catalog: &'a Catalog,
+    relevant_columns: &'a [RelevantColumn],
+}
+
+/// Where the step loop takes each step's operator decision from, and what it
+/// does when a step fails.
+#[derive(Clone, Copy)]
+struct StepDecisions<'a> {
+    /// `None`: each step is mapped by the model when the loop reaches it,
+    /// with the observations so far (interleaved execution, §3.1). `Some`:
+    /// decided before the loop started, one decision per plan step.
+    fixed: Option<&'a [OperatorDecision]>,
+    /// Whether a failed step goes through error recovery (§3.2) or ends the
+    /// loop with its error as it stands.
+    recover: bool,
+}
+
+/// The step loop's outcome: the output and whether every step ran clean, or
+/// the error and whether it asks for a replan.
+type StepsResult = Result<(QueryOutput, bool), (CoreError, bool)>;
 
 /// The session state shared between the public [`Caesura`] facade and the
 /// scheduler's worker threads: the lake, the model client, the prompt
@@ -326,23 +339,15 @@ impl Caesura {
             .max(1);
         let queue_depth = config
             .session_queue
-            .unwrap_or_else(crate::serving::queue_depth_from_env)
+            .unwrap_or(crate::serving::DEFAULT_QUEUE_DEPTH)
             .max(1);
         let policy = SchedPolicy {
-            fair: config
-                .fair_sched
-                .unwrap_or_else(crate::sched::fair_sched_from_env),
             tiers: config
                 .priority_tiers
-                .unwrap_or_else(crate::sched::priority_tiers_from_env)
+                .unwrap_or(crate::sched::DEFAULT_PRIORITY_TIERS)
                 .max(1),
-            tenant_quota: match config.tenant_quota {
-                // `Some(0)` means "explicitly unlimited", matching the env
-                // convention that `CAESURA_TENANT_QUOTA=0` disables the quota.
-                Some(0) => None,
-                Some(quota) => Some(quota),
-                None => crate::sched::tenant_quota_from_env(),
-            },
+            // `Some(0)` means unlimited, like `None`.
+            tenant_quota: config.tenant_quota.filter(|&quota| quota > 0),
             weights: config.tenant_weights.clone(),
         };
         Ok(Caesura {
@@ -587,6 +592,11 @@ impl SessionCore {
         let discovered = self.discover(query, trace, cancel);
         trace.record_phase_duration(Phase::Discovery, phase_start.elapsed());
         let (catalog, relevant_columns) = discovered?;
+        let discovered = Discovered {
+            query,
+            catalog: &catalog,
+            relevant_columns: &relevant_columns,
+        };
 
         // ---- Plan-cache probe ------------------------------------------------
         // Keyed on the *discovered* catalog (so retrieval differences keep
@@ -623,18 +633,26 @@ impl SessionCore {
                     );
                     trace.record(Phase::Planning, "plan", cached.plan.render());
                     *logical_plan_out = Some(cached.plan.clone());
-                    match self.execute_cached(
+                    // Replayed with zero LLM calls and deliberately no
+                    // per-step recovery: a cached plan that fails is not
+                    // worth analyzing.
+                    let decisions = StepDecisions {
+                        fixed: Some(&cached.decisions),
+                        recover: false,
+                    };
+                    match self.run_steps(
+                        discovered,
                         &cached.plan,
-                        &cached.decisions,
+                        decisions,
                         decisions_out,
                         trace,
                         cancel,
                     ) {
-                        Ok(output) => return Ok(output),
+                        Ok((output, _)) => return Ok(output),
                         // Cancellation is not a verdict on the plan: keep the
                         // entry and stop.
-                        Err(CoreError::Cancelled) => return Err(CoreError::Cancelled),
-                        Err(error) => {
+                        Err((CoreError::Cancelled, _)) => return Err(CoreError::Cancelled),
+                        Err((error, _)) => {
                             cache.invalidate(fingerprint, template);
                             trace.record_plan_cache(PlanCacheCalls {
                                 invalidations: 1,
@@ -671,28 +689,23 @@ impl SessionCore {
         let mut planning_note: Option<String> = None;
         loop {
             let phase_start = Instant::now();
-            let plan = self.plan(
-                query,
-                &catalog,
-                &relevant_columns,
-                planning_note.as_deref(),
-                trace,
-                cancel,
-            );
+            let plan = self.plan(discovered, planning_note.as_deref(), trace, cancel);
             trace.record_phase_duration(Phase::Planning, phase_start.elapsed());
             let plan = plan?;
             *logical_plan_out = Some(plan.clone());
 
             // ---- Mapping phase + interleaved execution ----------------------
-            match self.map_and_execute(
-                query,
-                &catalog,
-                &relevant_columns,
-                &plan,
-                decisions_out,
-                trace,
-                cancel,
-            ) {
+            // Non-interleaved ablation: every step is mapped before any runs.
+            let premapped = if self.config.interleaved {
+                None
+            } else {
+                Some(self.premap(discovered, &plan, trace, cancel)?)
+            };
+            let decisions = StepDecisions {
+                fixed: premapped.as_deref(),
+                recover: true,
+            };
+            match self.run_steps(discovered, &plan, decisions, decisions_out, trace, cancel) {
                 Ok((output, clean)) => {
                     // Insert-after-success: only a plan whose execution
                     // needed no replan and no per-step recovery is worth
@@ -746,9 +759,9 @@ impl SessionCore {
         }
     }
 
-    /// Build the per-query executor (batch configuration and `Arc`-shared
-    /// perception cache attached) for the live mapping loop and the replay
-    /// path alike. A query borrows the lake: both clones below share it.
+    /// Build the executor of one pass over a plan (batch configuration and
+    /// `Arc`-shared perception cache attached). A query borrows the lake:
+    /// both clones below share it.
     fn make_executor(&self) -> Executor {
         // No per-executor exec pin here: `run_scheduled` already scopes the
         // captured `exec` configuration around the whole query, and
@@ -767,8 +780,7 @@ impl SessionCore {
         executor
     }
 
-    /// Assemble the query output from the last executed step — shared by the
-    /// live mapping loop and the plan-cache replay path.
+    /// Assemble the query output from the last executed step.
     fn finish_output(
         &self,
         executor: &Executor,
@@ -792,49 +804,6 @@ impl SessionCore {
                 message: "the plan contained no executable steps".into(),
             }),
         }
-    }
-
-    /// Replay a validated plan from the plan cache: execute the cached
-    /// operator decisions step by step with **zero** LLM calls — no mapping
-    /// prompts, and deliberately no per-step error recovery (a cached plan
-    /// that fails is not worth analyzing; the caller evicts it and replans
-    /// live). Cancellation checkpoints match the live execution loop.
-    fn execute_cached(
-        &self,
-        plan: &LogicalPlan,
-        decisions: &[OperatorDecision],
-        decisions_out: &mut Vec<OperatorDecision>,
-        trace: &mut ExecutionTrace,
-        cancel: &CancelToken,
-    ) -> CoreResult<QueryOutput> {
-        let mut executor = self.make_executor();
-        let mut last_outcome: Option<StepOutcome> = None;
-        for (step, decision) in plan.steps.iter().zip(decisions) {
-            self.check_cancel(cancel, trace, "between plan steps")?;
-            trace.record(
-                Phase::Mapping,
-                "decision",
-                format!(
-                    "Step {}: {} ({})",
-                    step.number,
-                    decision.operator.name(),
-                    decision.arguments.join("; ")
-                ),
-            );
-            self.check_cancel(cancel, trace, "before a step execution")?;
-            match executor.execute_traced(step, decision, trace) {
-                Ok(outcome) => {
-                    trace.record(Phase::Execution, "observation", outcome.observation());
-                    decisions_out.push(decision.clone());
-                    last_outcome = Some(outcome);
-                }
-                Err(error) => {
-                    trace.record(Phase::Execution, "error", error.to_string());
-                    return Err(error);
-                }
-            }
-        }
-        self.finish_output(&executor, last_outcome)
     }
 
     fn discover(
@@ -907,20 +876,21 @@ impl SessionCore {
 
     fn plan(
         &self,
-        query: &str,
-        catalog: &Catalog,
-        relevant_columns: &[RelevantColumn],
+        discovered: Discovered<'_>,
         note: Option<&str>,
         trace: &mut ExecutionTrace,
         cancel: &CancelToken,
     ) -> CoreResult<LogicalPlan> {
+        let query = discovered.query;
         let query_with_note = match note {
             Some(note) => format!("{query} ({note})"),
             None => query.to_string(),
         };
-        let prompt = self
-            .prompts
-            .planning_prompt(catalog, &query_with_note, relevant_columns);
+        let prompt = self.prompts.planning_prompt(
+            discovered.catalog,
+            &query_with_note,
+            discovered.relevant_columns,
+        );
         let response = self.complete(&prompt, trace, Phase::Planning, cancel)?;
         let plan = LogicalPlan::parse(&response).map_err(|e| CoreError::PlanningFailed {
             message: e.to_string(),
@@ -934,86 +904,87 @@ impl SessionCore {
         Ok(plan)
     }
 
-    /// Map every step to an operator and execute it. Returns the final output
+    /// The non-interleaved ablation's mapping phase: decide every operator
+    /// before executing any. Without observations the mapping prompts are
+    /// independent, so they are pipelined through one `complete_batch`
+    /// dispatch instead of one round trip per step. Trade-off: the whole
+    /// batch is served before the first response is inspected, so an early
+    /// mapping failure no longer spares the remaining steps' completions
+    /// (the per-step loop stops at the first failure).
+    fn premap(
+        &self,
+        discovered: Discovered<'_>,
+        plan: &LogicalPlan,
+        trace: &mut ExecutionTrace,
+        cancel: &CancelToken,
+    ) -> CoreResult<Vec<OperatorDecision>> {
+        // One checkpoint guards the whole pipelined dispatch, mirroring
+        // the per-dispatch check of the interleaved path.
+        self.check_cancel(cancel, trace, "before the pipelined mapping dispatch")?;
+        let phase_start = Instant::now();
+        let nothing_executed = Catalog::new();
+        let prompts: Vec<Conversation> = plan
+            .steps
+            .iter()
+            .map(|step| {
+                self.prompts.mapping_prompt(&MappingRequest {
+                    catalog: discovered.catalog,
+                    intermediate: &nothing_executed,
+                    query: discovered.query,
+                    step,
+                    relevant_columns: discovered.relevant_columns,
+                    observations: &[],
+                    error_context: None,
+                })
+            })
+            .collect();
+        for prompt in &prompts {
+            trace.record(Phase::Mapping, "prompt", prompt.render());
+            trace.record_llm_call(prompt.approx_tokens());
+        }
+        let responses = self.llm.complete_batch_cancellable(&prompts, cancel);
+        // Record every completed response before parsing any: the whole
+        // batch was served and billed, so the trace must show it even
+        // when an early response fails to parse.
+        for response in responses.iter().flatten() {
+            trace.record(Phase::Mapping, "response", response.clone());
+        }
+        let mut all = Vec::new();
+        for response in responses {
+            let response = match response {
+                Err(LlmError::Cancelled) => return Err(self.dispatch_cancelled(trace)),
+                response => response?,
+            };
+            all.push(OperatorDecision::parse(&response)?);
+        }
+        trace.record_phase_duration(Phase::Mapping, phase_start.elapsed());
+        Ok(all)
+    }
+
+    /// The one step loop: decide each step of `plan` as `decisions` says,
+    /// execute it, observe, and recover (§3.1–3.2). Returns the final output
     /// plus a cleanliness flag (`true` when no step needed error recovery —
     /// the bar for plan-cache insertion), or `(error, replan_requested)` on
     /// failure.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn map_and_execute(
+    fn run_steps(
         &self,
-        query: &str,
-        catalog: &Catalog,
-        relevant_columns: &[RelevantColumn],
+        discovered: Discovered<'_>,
         plan: &LogicalPlan,
+        decisions: StepDecisions<'_>,
         decisions_out: &mut Vec<OperatorDecision>,
         trace: &mut ExecutionTrace,
         cancel: &CancelToken,
-    ) -> Result<(QueryOutput, bool), (CoreError, bool)> {
+    ) -> StepsResult {
         let mut executor = self.make_executor();
         // The latest new-column notes per output table, in execution order.
+        // Only mapping prompts read them.
         let mut observations: Vec<StepObservation> = Vec::new();
         let mut last_outcome: Option<StepOutcome> = None;
         let mut clean = true;
 
-        // Non-interleaved ablation: decide every operator before executing
-        // any. Without observations the mapping prompts are independent, so
-        // they are pipelined through one `complete_batch` dispatch instead
-        // of one round trip per step. Trade-off: the whole batch is served
-        // before the first response is inspected, so an early mapping
-        // failure no longer spares the remaining steps' completions (the
-        // per-step loop stopped at the first failure).
-        let predecided: Option<Vec<OperatorDecision>> = if self.config.interleaved {
-            None
-        } else {
-            // One checkpoint guards the whole pipelined dispatch, mirroring
-            // the per-dispatch check of the interleaved path.
-            self.check_cancel(cancel, trace, "before the pipelined mapping dispatch")
-                .map_err(|e| (e, false))?;
-            let phase_start = Instant::now();
-            let nothing_executed = Catalog::new();
-            let prompts: Vec<Conversation> = plan
-                .steps
-                .iter()
-                .map(|step| {
-                    self.prompts.mapping_prompt(&MappingRequest {
-                        catalog,
-                        intermediate: &nothing_executed,
-                        query,
-                        step,
-                        relevant_columns,
-                        observations: &[],
-                        error_context: None,
-                    })
-                })
-                .collect();
-            for prompt in &prompts {
-                trace.record(Phase::Mapping, "prompt", prompt.render());
-                trace.record_llm_call(prompt.approx_tokens());
-            }
-            let responses = self.llm.complete_batch_cancellable(&prompts, cancel);
-            // Record every completed response before parsing any: the whole
-            // batch was served and billed, so the trace must show it even
-            // when an early response fails to parse.
-            for response in responses.iter().flatten() {
-                trace.record(Phase::Mapping, "response", response.clone());
-            }
-            let mut all = Vec::new();
-            for response in responses {
-                let response = match response {
-                    Err(LlmError::Cancelled) => {
-                        return Err((self.dispatch_cancelled(trace), false));
-                    }
-                    response => response.map_err(|e| (CoreError::from(e), false))?,
-                };
-                all.push(
-                    OperatorDecision::parse(&response).map_err(|e| (CoreError::from(e), false))?,
-                );
-            }
-            trace.record_phase_duration(Phase::Mapping, phase_start.elapsed());
-            Some(all)
-        };
-
-        for (index, step) in plan.steps.iter().enumerate() {
+        // Fixed decisions come one per step; a shorter list ends the loop.
+        let steps = decisions.fixed.map_or(usize::MAX, <[_]>::len);
+        for (index, step) in plan.steps.iter().enumerate().take(steps) {
             // Checked between plan steps: a cancelled query stops before
             // mapping or executing the next step.
             self.check_cancel(cancel, trace, "between plan steps")
@@ -1022,16 +993,16 @@ impl SessionCore {
             let mut error_note: Option<String> = None;
             loop {
                 attempt += 1;
-                let decision = match &predecided {
+                let decision = match decisions.fixed {
                     Some(all) => all[index].clone(),
                     None => {
                         let phase_start = Instant::now();
                         let request = MappingRequest {
-                            catalog,
+                            catalog: discovered.catalog,
                             intermediate: executor.intermediate(),
-                            query,
+                            query: discovered.query,
                             step,
-                            relevant_columns,
+                            relevant_columns: discovered.relevant_columns,
                             observations: &observations,
                             error_context: error_note.as_deref(),
                         };
@@ -1059,13 +1030,18 @@ impl SessionCore {
                 match step_result {
                     Ok(outcome) => {
                         trace.record(Phase::Execution, "observation", outcome.observation());
-                        remember_observation(&mut observations, &outcome);
+                        if decisions.fixed.is_none() {
+                            remember_observation(&mut observations, &outcome);
+                        }
                         decisions_out.push(decision);
                         last_outcome = Some(outcome);
                         break;
                     }
                     Err(error) => {
                         trace.record(Phase::Execution, "error", error.to_string());
+                        if !decisions.recover {
+                            return Err((error, false));
+                        }
                         decisions_out.push(decision.clone());
                         clean = false;
                         if attempt >= self.config.max_step_attempts {
@@ -1081,8 +1057,15 @@ impl SessionCore {
                         }
                         // Error recovery (§3.2): ask the model what went wrong.
                         let phase_start = Instant::now();
-                        let analysis =
-                            self.analyze_error(query, plan, step, &decision, &error, trace, cancel);
+                        let analysis = self.analyze_error(
+                            discovered.query,
+                            plan,
+                            step,
+                            &decision,
+                            &error,
+                            trace,
+                            cancel,
+                        );
                         trace.record_phase_duration(Phase::Recovery, phase_start.elapsed());
                         let analysis = analysis.map_err(|e| (e, false))?;
                         if analysis.should_replan() {

@@ -52,11 +52,6 @@ impl DataLake {
         &self.catalog
     }
 
-    /// Mutable access to the catalog (used by tests and extensions).
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        &mut self.catalog
-    }
-
     /// The image store backing all IMAGE columns of this lake.
     pub fn images(&self) -> &ImageStore {
         &self.images

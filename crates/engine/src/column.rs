@@ -350,14 +350,6 @@ impl Column {
         }
     }
 
-    /// Typed view of a float column: `(data, validity)`.
-    pub fn as_float64(&self) -> Option<(&[f64], &Bitmap)> {
-        match self {
-            Column::Float64(v, b) => Some((v, b)),
-            _ => None,
-        }
-    }
-
     /// Typed view of a boolean column: `(data, validity)`.
     pub fn as_bools(&self) -> Option<(&[bool], &Bitmap)> {
         match self {
@@ -665,7 +657,6 @@ impl Column {
 /// replaces.
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
-    declared: DataType,
     typed: TypedBuffer,
     validity: Bitmap,
     /// Set once a value did not fit the declared representation.
@@ -705,7 +696,6 @@ impl ColumnBuilder {
             DataType::Null => TypedBuffer::Pending,
         };
         ColumnBuilder {
-            declared,
             typed,
             validity: Bitmap::new(),
             mixed: None,
@@ -821,11 +811,6 @@ impl ColumnBuilder {
             Some(values) => Column::from_values(values),
             None => self.finish_typed(),
         }
-    }
-
-    /// The declared schema type this builder was created with.
-    pub fn declared_type(&self) -> DataType {
-        self.declared
     }
 }
 

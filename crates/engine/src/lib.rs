@@ -41,9 +41,9 @@
 //!
 //! * `threads = 1` disables the pool entirely and runs the original
 //!   sequential code paths;
-//! * the process default comes from the `CAESURA_THREADS` /
-//!   `CAESURA_MORSEL_ROWS` environment variables (hardware parallelism and
-//!   4096 rows otherwise) and can be replaced with
+//! * the process default comes from the `CAESURA_THREADS` environment
+//!   variable (hardware parallelism otherwise) over 4096-row morsels and
+//!   can be replaced with
 //!   [`parallel::set_exec_config`]. It is *gated*: a relational region
 //!   ([`parallel::Region`]) uses the pool only from the minimum row count
 //!   at which it beat its sequential kernel in the committed crossover

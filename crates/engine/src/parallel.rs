@@ -13,9 +13,9 @@
 //!   an explicit [`ExecConfig::new`] pin is not, so tests and benches reach
 //!   the parallel kernels at any size above one morsel.
 //! * a process-wide default configuration ([`set_exec_config`] /
-//!   [`exec_config`]) initialised from the `CAESURA_THREADS` and
-//!   `CAESURA_MORSEL_ROWS` environment variables (hardware parallelism and
-//!   4096 rows otherwise), plus a scoped, thread-local override
+//!   [`exec_config`]) initialised from the `CAESURA_THREADS` environment
+//!   variable (hardware parallelism otherwise) over 4096-row morsels, plus
+//!   a scoped, thread-local override
 //!   ([`with_config`]) that `Catalog` / executor / session knobs use to pin a
 //!   configuration for one query without mutating global state.
 //! * [`map_morsels`] / [`try_map_morsels`] — split `0..len` into fixed-size
@@ -140,9 +140,9 @@ impl ExecConfig {
     }
 
     /// The configuration described by the environment: `CAESURA_THREADS`
-    /// (hardware parallelism when unset) and `CAESURA_MORSEL_ROWS`
-    /// ([`Self::DEFAULT_MORSEL_ROWS`] when unset), gated by the measured
-    /// per-region minimum row counts.
+    /// (hardware parallelism when unset) over morsels of
+    /// [`Self::DEFAULT_MORSEL_ROWS`], gated by the measured per-region
+    /// minimum row counts.
     pub fn from_env() -> Self {
         let threads = std::env::var("CAESURA_THREADS")
             .ok()
@@ -153,14 +153,9 @@ impl ExecConfig {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let morsel_rows = std::env::var("CAESURA_MORSEL_ROWS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&m| m > 0)
-            .unwrap_or(Self::DEFAULT_MORSEL_ROWS);
         ExecConfig {
             gated: true,
-            ..ExecConfig::new(threads, morsel_rows)
+            ..ExecConfig::with_threads(threads)
         }
     }
 

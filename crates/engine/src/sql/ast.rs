@@ -131,15 +131,6 @@ impl SelectStatement {
     pub fn is_aggregation(&self) -> bool {
         !self.group_by.is_empty() || self.items.iter().any(SelectItem::is_aggregate)
     }
-
-    /// All table names referenced by the statement (FROM + JOINs).
-    pub fn referenced_tables(&self) -> Vec<String> {
-        let mut tables = vec![self.from.name.clone()];
-        for join in &self.joins {
-            tables.push(join.table.name.clone());
-        }
-        tables
-    }
 }
 
 #[cfg(test)]

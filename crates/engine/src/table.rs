@@ -325,11 +325,6 @@ impl Table {
         self.rows().map(|r| r.to_vec()).collect()
     }
 
-    /// Consume the table and return its rows, materialized.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.to_rows()
-    }
-
     /// Gather the rows at `indices` into a new table (the "take" kernel);
     /// all metadata is preserved. Taking every row in order shares the
     /// columns instead of copying them, and large gathers can run

@@ -215,14 +215,6 @@ impl Value {
         }
     }
 
-    /// View as date.
-    pub fn as_date(&self) -> Option<&DateValue> {
-        match self {
-            Value::Date(d) => Some(d),
-            _ => None,
-        }
-    }
-
     /// Render the value the way it is shown to the LLM in observations
     /// (short, human-readable, truncating long documents).
     pub fn preview(&self, max_len: usize) -> String {

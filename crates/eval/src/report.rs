@@ -224,22 +224,6 @@ impl EvaluationReport {
         self.results.iter().map(|r| r.plan_cache.hits).sum()
     }
 
-    /// Perception requests served by the persistent disk tier across the
-    /// benchmark — memory-tier misses that found their answer on disk
-    /// instead of dispatching to the backend. Zero unless the session was
-    /// configured with a `CaesuraConfig::persist` store (e.g. via
-    /// `CAESURA_CACHE_DIR`), so existing reports are unchanged.
-    pub fn total_perception_disk_hits(&self) -> usize {
-        self.results.iter().map(|r| r.perception.disk_hits).sum()
-    }
-
-    /// Plan-cache hits answered by the persistent disk tier across the
-    /// benchmark — what a fresh process warms from after a restart. Zero
-    /// unless a persistent store is configured.
-    pub fn total_plan_cache_disk_hits(&self) -> usize {
-        self.results.iter().map(|r| r.plan_cache.disk_hits).sum()
-    }
-
     /// Per-query run latencies, in benchmark order.
     pub fn latencies(&self) -> Vec<Duration> {
         self.results.iter().map(|r| r.latency).collect()
@@ -575,14 +559,6 @@ pub fn evaluate_both(config: &EvaluationConfig) -> Vec<EvaluationReport> {
         evaluate_model(ModelProfile::ChatGpt35, config),
         evaluate_model(ModelProfile::Gpt4, config),
     ]
-}
-
-/// The reference answer of a query under the default evaluation data — exposed
-/// so examples and tests can show expected answers without rerunning oracles.
-pub fn reference_for_default(query: &BenchmarkQuery, config: &EvaluationConfig) -> Reference {
-    let artwork = generate_artwork(&config.artwork);
-    let rotowire = generate_rotowire(&config.rotowire);
-    reference_for(query, &artwork, &rotowire)
 }
 
 /// Render Table 1 (plan quality) for a set of reports, in the layout of the

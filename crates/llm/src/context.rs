@@ -219,11 +219,6 @@ impl PromptContext {
             .find(|t| t.name.eq_ignore_ascii_case(name))
     }
 
-    /// All tables (base + intermediate).
-    pub fn all_tables(&self) -> impl Iterator<Item = &TableSketch> {
-        self.tables.iter().chain(self.intermediate_tables.iter())
-    }
-
     /// The table holding an IMAGE column, if any.
     pub fn image_table(&self) -> Option<&TableSketch> {
         self.tables.iter().find(|t| !t.image_columns().is_empty())

@@ -38,17 +38,6 @@ pub enum AggKind {
 }
 
 impl AggKind {
-    /// SQL name.
-    pub fn sql_name(&self) -> &'static str {
-        match self {
-            AggKind::Count => "COUNT",
-            AggKind::Max => "MAX",
-            AggKind::Min => "MIN",
-            AggKind::Avg => "AVG",
-            AggKind::Sum => "SUM",
-        }
-    }
-
     /// English word used in step descriptions ("compute the maximum of ...").
     pub fn english(&self) -> &'static str {
         match self {

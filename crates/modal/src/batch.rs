@@ -33,7 +33,7 @@
 //!    `put` both reuse it, so no byte of a document is hashed twice);
 //!    hits resolve immediately and never reach the backend, so questions
 //!    repeated across plan steps or across queries cost zero additional
-//!    model calls (see [`PerceptionBatch::dispatch_cached`] and the
+//!    model calls (see [`PerceptionBatch::dispatch`] and the
 //!    [`crate::cache`] module docs for why this cannot change an answer).
 //! 4. **Batch + dispatch** — the remaining unique requests are split into chunks of
 //!    [`BatchConfig::batch_size`] and handed to a [`PerceptionBackend`] batch
@@ -68,8 +68,7 @@
 //! requests actually dispatched, number of batches, and `saved_calls` — the
 //! model calls the dedup avoided versus the row-at-a-time path
 //! (`rows - null_rows - unique_requests`). The executor accumulates these
-//! per query and the session surfaces them in the execution trace; the
-//! `llm_calls` bench binary records them in `BENCH_llm_calls.json`.
+//! per query and the session surfaces them in the execution trace.
 
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::ModalResult;
@@ -553,28 +552,19 @@ impl PerceptionBatch {
     /// [`BatchStats::batches`] counts the dispatches actually performed.
     /// Stats are returned alongside the result — not inside it — so callers
     /// can account for the calls of failed dispatches too.
-    pub fn dispatch(
-        self,
-        backend: &dyn PerceptionBackend,
-        config: &BatchConfig,
-    ) -> (EngineResult<Vec<Option<Value>>>, BatchStats) {
-        self.dispatch_cached(backend, config, None)
-    }
-
-    /// [`PerceptionBatch::dispatch`] through an optional session-scoped
-    /// [`PerceptionCache`]. With `cache = None` the behaviour (and the
-    /// resulting bytes) are exactly those of the uncached dispatch.
     ///
-    /// With a cache attached, every unique request is probed first — hits
-    /// resolve immediately and **never reach the backend** — and only the
-    /// misses are dispatched in batches (preserving first-seen row order, so
-    /// the first-error-in-row-order guarantee carries over: requests that
-    /// error are never cached, hence always misses, and the miss subsequence
-    /// preserves their relative order). Successful answers populate the
-    /// cache on the way back, including the answers of a dispatch whose
-    /// later batch failed — the row-at-a-time path paid for those calls too.
-    /// [`BatchStats`] gains the hit/miss/eviction counts of this dispatch.
-    pub fn dispatch_cached(
+    /// With a session-scoped [`PerceptionCache`] attached, every unique
+    /// request is probed first — hits resolve immediately and **never reach
+    /// the backend** — and only the misses are dispatched in batches
+    /// (preserving first-seen row order, so the first-error-in-row-order
+    /// guarantee carries over: requests that error are never cached, hence
+    /// always misses, and the miss subsequence preserves their relative
+    /// order). Successful answers populate the cache on the way back,
+    /// including the answers of a dispatch whose later batch failed — the
+    /// row-at-a-time path paid for those calls too. [`BatchStats`] gains the
+    /// hit/miss/eviction counts of this dispatch; with `cache = None` the
+    /// probe is skipped and the bytes are those of the cache-less pipeline.
+    pub fn dispatch(
         self,
         backend: &dyn PerceptionBackend,
         config: &BatchConfig,
@@ -748,7 +738,7 @@ mod tests {
         assert_eq!(batch.unique_len(), 2);
 
         let backend = CountingBackend::new();
-        let (answers, stats) = batch.dispatch(&backend, &BatchConfig::new(8));
+        let (answers, stats) = batch.dispatch(&backend, &BatchConfig::new(8), None);
         let answers = answers.unwrap();
         assert_eq!(backend.calls.load(Ordering::Relaxed), 2);
         assert_eq!(backend.batches.load(Ordering::Relaxed), 1);
@@ -770,7 +760,7 @@ mod tests {
             batch.push(doc_request(&format!("doc {i}"), "Q?"));
         }
         let backend = CountingBackend::new();
-        let (_, stats) = batch.dispatch(&backend, &BatchConfig::new(3));
+        let (_, stats) = batch.dispatch(&backend, &BatchConfig::new(3), None);
         assert_eq!(backend.batches.load(Ordering::Relaxed), 4);
         assert_eq!(stats.batches, 4);
         assert_eq!(stats.unique_requests, 10);
@@ -780,14 +770,15 @@ mod tests {
     #[test]
     fn empty_and_all_null_collectors_dispatch_nothing() {
         let backend = CountingBackend::new();
-        let (answers, stats) = PerceptionBatch::new().dispatch(&backend, &BatchConfig::new(4));
+        let (answers, stats) =
+            PerceptionBatch::new().dispatch(&backend, &BatchConfig::new(4), None);
         assert!(answers.unwrap().is_empty());
         assert_eq!(stats.batches, 0);
 
         let mut batch = PerceptionBatch::new();
         batch.push_null();
         batch.push_null();
-        let (answers, stats) = batch.dispatch(&backend, &BatchConfig::new(4));
+        let (answers, stats) = batch.dispatch(&backend, &BatchConfig::new(4), None);
         assert_eq!(answers.unwrap(), vec![None, None]);
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.null_rows, 2);
@@ -815,7 +806,7 @@ mod tests {
         let mut batch = PerceptionBatch::new();
         batch.push(doc_request("doc", "Q?"));
         batch.push(doc_request("doc", "Q?"));
-        let (answers, stats) = batch.dispatch(&FailingBackend, &BatchConfig::new(2));
+        let (answers, stats) = batch.dispatch(&FailingBackend, &BatchConfig::new(2), None);
         let err = answers.unwrap_err();
         assert!(err.to_string().contains("always fails"));
         assert_eq!(stats.unique_requests, 1);
@@ -851,7 +842,7 @@ mod tests {
             for i in 0..10 {
                 batch.push(doc_request(&format!("doc {i}"), &format!("Q{i}?")));
             }
-            let (answers, stats) = batch.dispatch(&FailFirst, &BatchConfig::new(2));
+            let (answers, stats) = batch.dispatch(&FailFirst, &BatchConfig::new(2), None);
             let err = answers.unwrap_err();
             assert!(err.to_string().contains("scripted failure"));
             assert_eq!(stats.unique_requests, 10);
@@ -904,7 +895,7 @@ mod tests {
         let mut batch = PerceptionBatch::new();
         batch.push(doc_request("report A", "Who won?"));
         batch.push(doc_request("report B", "Who won?"));
-        let (answers, stats) = batch.dispatch_cached(
+        let (answers, stats) = batch.dispatch(
             &backend,
             &BatchConfig::new(8),
             Some((&cache, CacheScope::TextQa)),
@@ -919,7 +910,7 @@ mod tests {
         batch.push(doc_request("report A", "Who won?"));
         batch.push_null();
         batch.push(doc_request("report B", "Who won?"));
-        let (answers, stats) = batch.dispatch_cached(
+        let (answers, stats) = batch.dispatch(
             &backend,
             &BatchConfig::new(8),
             Some((&cache, CacheScope::TextQa)),
@@ -937,7 +928,7 @@ mod tests {
         // A different scope must not share the answers.
         let mut batch = PerceptionBatch::new();
         batch.push(doc_request("report A", "Who won?"));
-        let (_, stats) = batch.dispatch_cached(
+        let (_, stats) = batch.dispatch(
             &backend,
             &BatchConfig::new(8),
             Some((&cache, CacheScope::VisualQa)),
@@ -974,7 +965,7 @@ mod tests {
             let mut batch = PerceptionBatch::new();
             batch.push(doc_request("good", "Q?"));
             batch.push(doc_request("bad", "Q?"));
-            let (answers, _) = batch.dispatch_cached(
+            let (answers, _) = batch.dispatch(
                 &FailBad,
                 &BatchConfig::new(1),
                 Some((&cache, CacheScope::TextQa)),
@@ -1057,7 +1048,7 @@ mod tests {
             });
         }
         assert_eq!(batch.unique_len(), 4, "equal hashes, four identities");
-        let (answers, stats) = batch.dispatch(&Echo, &BatchConfig::new(8));
+        let (answers, stats) = batch.dispatch(&Echo, &BatchConfig::new(8), None);
         let answers: Vec<String> = answers
             .unwrap()
             .into_iter()

@@ -515,7 +515,7 @@ mod tests {
             let mut batch = PerceptionBatch::new();
             batch.push(request.clone());
             let (answers, stats) =
-                batch.dispatch_cached(&Seven, &BatchConfig::new(8), Some((&cache, scope)));
+                batch.dispatch(&Seven, &BatchConfig::new(8), Some((&cache, scope)));
             (answers.unwrap(), stats.cache_hits)
         };
         // Equal key text, two modalities: two entries, each found both ways.

@@ -99,11 +99,6 @@ impl ImageObject {
             .map(String::as_str)
     }
 
-    /// All depicted entity names, sorted.
-    pub fn depicted_entities(&self) -> Vec<&str> {
-        self.objects.keys().map(String::as_str).collect()
-    }
-
     /// Human-readable caption (what a captioning model would produce).
     pub fn caption(&self) -> String {
         if self.objects.is_empty() {

@@ -198,24 +198,40 @@ fn cell_type_error(row: usize, column: &str, value: &Value, expected: &str) -> E
     ))
 }
 
+/// How a perception operator reaches its model, borrowed from the executor
+/// for the length of one step.
+#[derive(Clone, Copy)]
+pub struct Perception<'a> {
+    /// The model that answers the step's questions.
+    pub backend: &'a dyn PerceptionBackend,
+    /// How many unique requests one backend dispatch carries.
+    pub batch: BatchConfig,
+    /// The session's answer cache, probed before the backend; `None`
+    /// dispatches every unique request.
+    pub cache: Option<&'a PerceptionCache>,
+}
+
+/// The outcome of a step rejected before its gather: nothing was dispatched.
+fn rejected(error: ModalError) -> (BatchStats, ModalResult<Table>) {
+    (BatchStats::default(), Err(error))
+}
+
 /// Dispatch a gathered perception batch and scatter the answers into a new
 /// column of `result_type`. The first error in row order wins — dispatch
 /// errors cover rows gathered *before* `pending_error`'s row (the
 /// gather-phase error from a missing image or mistyped cell), so they take
 /// precedence — exactly like the row-at-a-time path. Stats are returned
 /// alongside the result so failed dispatches still account for their calls.
-#[allow(clippy::too_many_arguments)]
 fn dispatch_into_column(
     table: &Table,
     out_schema: Schema,
-    collector: PerceptionBatch,
-    pending_error: Option<EngineError>,
-    model: &dyn PerceptionBackend,
-    batch: &BatchConfig,
-    cache: Option<(&PerceptionCache, CacheScope)>,
+    (collector, pending_error): (PerceptionBatch, Option<EngineError>),
+    perception: Perception<'_>,
+    scope: CacheScope,
     result_type: DataType,
 ) -> (BatchStats, ModalResult<Table>) {
-    let (answers, stats) = collector.dispatch_cached(model, batch, cache);
+    let cache = perception.cache.map(|cache| (cache, scope));
+    let (answers, stats) = collector.dispatch(perception.backend, &perception.batch, cache);
     let result = answers.map_err(ModalError::Engine).and_then(|answers| {
         if let Some(error) = pending_error {
             return Err(ModalError::Engine(error));
@@ -240,108 +256,51 @@ fn dispatch_into_column(
 /// `image_column` in every row and store the answer in `new_column`.
 ///
 /// The per-row model calls are gathered, deduplicated, and dispatched in
-/// batches by the [`crate::batch`] layer; this wrapper uses the
-/// environment-default [`BatchConfig`] and discards the call stats.
+/// batches by the [`crate::batch`] layer. The saved-call statistics ride
+/// alongside the result (not inside it) so the calls of a dispatch that
+/// ultimately failed are still accounted for.
 pub fn apply_visual_qa(
     table: &Table,
     store: &ImageStore,
-    model: &dyn PerceptionBackend,
+    perception: Perception<'_>,
     image_column: &str,
     new_column: &str,
     question: &str,
     result_type: DataType,
-) -> ModalResult<Table> {
-    apply_visual_qa_with(
-        table,
-        store,
-        model,
-        image_column,
-        new_column,
-        question,
-        result_type,
-        &BatchConfig::default(),
-        None,
-    )
-    .1
-}
-
-/// [`apply_visual_qa`] with an explicit [`BatchConfig`]. The saved-call
-/// statistics ride alongside the result (not inside it) so the calls of a
-/// dispatch that ultimately failed are still accounted for.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_visual_qa_with(
-    table: &Table,
-    store: &ImageStore,
-    model: &dyn PerceptionBackend,
-    image_column: &str,
-    new_column: &str,
-    question: &str,
-    result_type: DataType,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
 ) -> (BatchStats, ModalResult<Table>) {
-    let mut stats = BatchStats::default();
-    let result = visual_qa_inner(
-        table,
-        store,
-        model,
-        image_column,
-        new_column,
-        question,
-        result_type,
-        batch,
-        cache,
-        &mut stats,
-    );
-    (stats, result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn visual_qa_inner(
-    table: &Table,
-    store: &ImageStore,
-    model: &dyn PerceptionBackend,
-    image_column: &str,
-    new_column: &str,
-    question: &str,
-    result_type: DataType,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
-    stats: &mut BatchStats,
-) -> ModalResult<Table> {
-    let schema = table.schema().clone();
-    let idx = schema.resolve(image_column).map_err(ModalError::Engine)?;
-    let field_type = schema.field(idx).map(|f| f.data_type);
-    if field_type != Some(DataType::Image) {
-        return Err(ModalError::InvalidArguments {
-            operator: OperatorKind::VisualQa.name().to_string(),
-            message: format!(
-                "column '{image_column}' has type {} but VisualQA requires an IMAGE column",
-                field_type.map(|t| t.prompt_name()).unwrap_or("unknown")
-            ),
-        });
-    }
-    // Reserve the output field before any model call (the row-at-a-time path
-    // failed on duplicate column names before reading the first row).
-    let mut out_schema = schema.clone();
-    out_schema
-        .push(Field::new(new_column, result_type))
-        .map_err(ModalError::Engine)?;
-
-    let (collector, pending_error) =
-        gather_image_requests(table, store, idx, image_column, question);
-    let (dispatch_stats, result) = dispatch_into_column(
+    let checked = || {
+        let schema = table.schema();
+        let idx = schema.resolve(image_column).map_err(ModalError::Engine)?;
+        let field_type = schema.field(idx).map(|f| f.data_type);
+        if field_type != Some(DataType::Image) {
+            return Err(ModalError::InvalidArguments {
+                operator: OperatorKind::VisualQa.name().to_string(),
+                message: format!(
+                    "column '{image_column}' has type {} but VisualQA requires an IMAGE column",
+                    field_type.map(|t| t.prompt_name()).unwrap_or("unknown")
+                ),
+            });
+        }
+        // Reserve the output field before any model call (the row-at-a-time
+        // path failed on duplicate column names before reading the first row).
+        let mut out_schema = schema.clone();
+        out_schema
+            .push(Field::new(new_column, result_type))
+            .map_err(ModalError::Engine)?;
+        Ok((idx, out_schema))
+    };
+    let (idx, out_schema) = match checked() {
+        Ok(checked) => checked,
+        Err(error) => return rejected(error),
+    };
+    dispatch_into_column(
         table,
         out_schema,
-        collector,
-        pending_error,
-        model,
-        batch,
-        cache.map(|c| (c, CacheScope::VisualQa)),
+        gather_image_requests(table, store, idx, image_column, question),
+        perception,
+        CacheScope::VisualQa,
         result_type,
-    );
-    *stats = dispatch_stats;
-    result
+    )
 }
 
 /// Gather one image request per non-NULL row of `image_column`, stopping at
@@ -383,89 +342,45 @@ fn gather_image_requests(
 /// Apply the TextQA operator: instantiate `question_template` per row (filling
 /// `<column>` placeholders from the row) and answer it against the document in
 /// `text_column`, storing the answer in `new_column`.
+///
+/// Dedup pays off whenever several rows instantiate the same question over
+/// the same document (e.g. game reports repeated once per participating
+/// team). The saved-call statistics ride alongside the result so failed
+/// dispatches still account for their calls.
 pub fn apply_text_qa(
     table: &Table,
-    model: &dyn PerceptionBackend,
+    perception: Perception<'_>,
     text_column: &str,
     new_column: &str,
     question_template: &str,
     result_type: DataType,
-) -> ModalResult<Table> {
-    apply_text_qa_with(
-        table,
-        model,
-        text_column,
-        new_column,
-        question_template,
-        result_type,
-        &BatchConfig::default(),
-        None,
-    )
-    .1
-}
-
-/// [`apply_text_qa`] with an explicit [`BatchConfig`]. Dedup pays off
-/// whenever several rows instantiate the same question over the same
-/// document (e.g. game reports repeated once per participating team). The
-/// saved-call statistics ride alongside the result so failed dispatches
-/// still account for their calls.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_text_qa_with(
-    table: &Table,
-    model: &dyn PerceptionBackend,
-    text_column: &str,
-    new_column: &str,
-    question_template: &str,
-    result_type: DataType,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
 ) -> (BatchStats, ModalResult<Table>) {
-    let mut stats = BatchStats::default();
-    let result = text_qa_inner(
-        table,
-        model,
-        text_column,
-        new_column,
-        question_template,
-        result_type,
-        batch,
-        cache,
-        &mut stats,
-    );
-    (stats, result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn text_qa_inner(
-    table: &Table,
-    model: &dyn PerceptionBackend,
-    text_column: &str,
-    new_column: &str,
-    question_template: &str,
-    result_type: DataType,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
-    stats: &mut BatchStats,
-) -> ModalResult<Table> {
-    let schema = table.schema().clone();
-    let idx = schema.resolve(text_column).map_err(ModalError::Engine)?;
-    let field_type = schema.field(idx).map(|f| f.data_type);
-    if field_type != Some(DataType::Text) {
-        return Err(ModalError::InvalidArguments {
-            operator: OperatorKind::TextQa.name().to_string(),
-            message: format!(
-                "column '{text_column}' has type {} but TextQA requires a TEXT column",
-                field_type.map(|t| t.prompt_name()).unwrap_or("unknown")
-            ),
-        });
-    }
-    // Compile the template once for the step; this also validates that
-    // every placeholder resolves to a column.
-    let template = QuestionTemplate::compile(question_template, &schema)?;
-    let mut out_schema = schema.clone();
-    out_schema
-        .push(Field::new(new_column, result_type))
-        .map_err(ModalError::Engine)?;
+    let checked = || {
+        let schema = table.schema();
+        let idx = schema.resolve(text_column).map_err(ModalError::Engine)?;
+        let field_type = schema.field(idx).map(|f| f.data_type);
+        if field_type != Some(DataType::Text) {
+            return Err(ModalError::InvalidArguments {
+                operator: OperatorKind::TextQa.name().to_string(),
+                message: format!(
+                    "column '{text_column}' has type {} but TextQA requires a TEXT column",
+                    field_type.map(|t| t.prompt_name()).unwrap_or("unknown")
+                ),
+            });
+        }
+        // Compile the template once for the step; this also validates that
+        // every placeholder resolves to a column.
+        let template = QuestionTemplate::compile(question_template, schema)?;
+        let mut out_schema = schema.clone();
+        out_schema
+            .push(Field::new(new_column, result_type))
+            .map_err(ModalError::Engine)?;
+        Ok((idx, template, out_schema))
+    };
+    let (idx, template, out_schema) = match checked() {
+        Ok(checked) => checked,
+        Err(error) => return rejected(error),
+    };
 
     let mut collector = PerceptionBatch::with_capacity(table.num_rows());
     let mut pending_error = None;
@@ -493,111 +408,64 @@ fn text_qa_inner(
         template.render(&row, &mut question);
         collector.push_document(&document, &question);
     }
-    let (dispatch_stats, result) = dispatch_into_column(
+    dispatch_into_column(
         table,
         out_schema,
-        collector,
-        pending_error,
-        model,
-        batch,
-        cache.map(|c| (c, CacheScope::TextQa)),
+        (collector, pending_error),
+        perception,
+        CacheScope::TextQa,
         result_type,
-    );
-    *stats = dispatch_stats;
-    result
+    )
 }
 
 /// Apply the Image Select operator: keep only rows whose image matches the
 /// description.
+///
+/// Because the description is constant across rows, dedup collapses the
+/// calls to one per *distinct* image regardless of how often an image
+/// appears in the input. The saved-call statistics ride alongside the result
+/// so failed dispatches still account for their calls.
 pub fn apply_image_select(
     table: &Table,
     store: &ImageStore,
-    model: &dyn PerceptionBackend,
+    perception: Perception<'_>,
     image_column: &str,
     description: &str,
-) -> ModalResult<Table> {
-    apply_image_select_with(
-        table,
-        store,
-        model,
-        image_column,
-        description,
-        &BatchConfig::default(),
-        None,
-    )
-    .1
-}
-
-/// [`apply_image_select`] with an explicit [`BatchConfig`]. Because the
-/// description is constant across rows, dedup collapses the calls to one per
-/// *distinct* image regardless of how often an image appears in the input.
-/// The saved-call statistics ride alongside the result so failed dispatches
-/// still account for their calls.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_image_select_with(
-    table: &Table,
-    store: &ImageStore,
-    model: &dyn PerceptionBackend,
-    image_column: &str,
-    description: &str,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
 ) -> (BatchStats, ModalResult<Table>) {
-    let mut stats = BatchStats::default();
-    let result = image_select_inner(
-        table,
-        store,
-        model,
-        image_column,
-        description,
-        batch,
-        cache,
-        &mut stats,
-    );
-    (stats, result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn image_select_inner(
-    table: &Table,
-    store: &ImageStore,
-    model: &dyn PerceptionBackend,
-    image_column: &str,
-    description: &str,
-    batch: &BatchConfig,
-    cache: Option<&PerceptionCache>,
-    stats: &mut BatchStats,
-) -> ModalResult<Table> {
-    let schema = table.schema().clone();
-    let idx = schema.resolve(image_column).map_err(ModalError::Engine)?;
+    let schema = table.schema();
+    let idx = match schema.resolve(image_column) {
+        Ok(idx) => idx,
+        Err(error) => return rejected(ModalError::Engine(error)),
+    };
     if schema.field(idx).map(|f| f.data_type) != Some(DataType::Image) {
-        return Err(ModalError::InvalidArguments {
+        return rejected(ModalError::InvalidArguments {
             operator: OperatorKind::ImageSelect.name().to_string(),
             message: format!("column '{image_column}' is not an IMAGE column"),
         });
     }
     let (collector, pending_error) =
         gather_image_requests(table, store, idx, image_column, description);
-    let (answers, dispatch_stats) =
-        collector.dispatch_cached(model, batch, cache.map(|c| (c, CacheScope::ImageSelect)));
-    *stats = dispatch_stats;
-    let answers = answers.map_err(ModalError::Engine)?;
-    if let Some(error) = pending_error {
-        return Err(ModalError::Engine(error));
-    }
-    let mut indices = Vec::new();
-    for (row, answer) in answers.into_iter().enumerate() {
-        match answer {
-            // NULL images never match (the row-at-a-time path returned false).
-            None => {}
-            Some(value) if truthy_answer(&value) => indices.push(row),
-            Some(_) => {}
+    let cache = perception.cache.map(|c| (c, CacheScope::ImageSelect));
+    let (answers, stats) = collector.dispatch(perception.backend, &perception.batch, cache);
+    let selected = answers.map_err(ModalError::Engine).and_then(|answers| {
+        if let Some(error) = pending_error {
+            return Err(ModalError::Engine(error));
         }
-    }
-    if indices.len() == table.num_rows() {
-        return Ok(table.shared_copy());
-    }
-    Ok(table.take(&indices))
+        let mut indices = Vec::new();
+        for (row, answer) in answers.into_iter().enumerate() {
+            match answer {
+                // NULL images never match (the row-at-a-time path returned false).
+                None => {}
+                Some(value) if truthy_answer(&value) => indices.push(row),
+                Some(_) => {}
+            }
+        }
+        if indices.len() == table.num_rows() {
+            return Ok(table.shared_copy());
+        }
+        Ok(table.take(&indices))
+    });
+    (stats, selected)
 }
 
 /// Interpret a perception answer as a selection decision: a boolean, or a
@@ -613,49 +481,33 @@ fn truthy_answer(value: &Value) -> bool {
     }
 }
 
-/// Apply the Python-UDF substitute: compile the description and compute the
-/// new column.
-pub fn apply_python_udf(
-    table: &Table,
-    codegen: &TransformCodegen,
-    description: &str,
-    new_column: &str,
-) -> ModalResult<Table> {
-    apply_python_udf_with(table, codegen, description, new_column).1
-}
-
-/// [`apply_python_udf`] returning call statistics. The operator's only
-/// model-backed path is the description → code compilation — one call per
-/// invocation regardless of row count (the compiled program evaluates
-/// vectorized, without further model calls), which is recorded on the same
-/// stats channel as the batched perception operators. `rows` stays 0: the
-/// compile is invocation-granular, not per-row, so it must not skew per-row
-/// dedup ratios — and the compile call is counted even when it fails.
-pub fn apply_python_udf_with(
-    table: &Table,
-    codegen: &TransformCodegen,
-    description: &str,
-    new_column: &str,
-) -> (BatchStats, ModalResult<Table>) {
-    apply_python_udf_cached(table, codegen, description, new_column, None)
-}
-
 /// The version string namespacing persisted transform compiles. The codegen
 /// is deterministic and model-independent in this reproduction, so the
 /// identity only needs to change when the compiler's behaviour does.
 const TRANSFORM_CODEGEN_IDENTITY: &str = "codegen:transform:v1";
 
-/// [`apply_python_udf_with`] probing the durable tier of `cache` for the
-/// compiled program. The codegen has no in-memory cache tier (compiling is a
-/// deterministic in-process call — see
-/// [`PerceptionCache::transform_disk_get`]), so without an attached disk
-/// store this is byte-identical to the uncached path, stats included. With
-/// one, the compile counts as a memory miss plus a disk hit or miss, keeping
-/// every [`BatchStats`] tier invariant intact: on a disk hit the call never
-/// dispatches ([`BatchStats::dispatched_requests`] stays 0 — a restarted
-/// session replays the operator without re-issuing the simulated codegen
-/// call), and a fresh compile is written through round-trip-validated.
-pub fn apply_python_udf_cached(
+/// Apply the Python-UDF substitute: compile the description and compute the
+/// new column.
+///
+/// The operator's only model-backed path is the description → code
+/// compilation — one call per invocation regardless of row count (the
+/// compiled program evaluates vectorized, without further model calls),
+/// which is recorded on the same stats channel as the batched perception
+/// operators. `rows` stays 0: the compile is invocation-granular, not
+/// per-row, so it must not skew per-row dedup ratios — and the compile call
+/// is counted even when it fails.
+///
+/// The durable tier of `cache` is probed for the compiled program. The
+/// codegen has no in-memory cache tier (compiling is a deterministic
+/// in-process call — see [`PerceptionCache::transform_disk_get`]), so
+/// without an attached disk store `cache` changes nothing, stats included.
+/// With one, the compile counts as a memory miss plus a disk hit or miss,
+/// keeping every [`BatchStats`] tier invariant intact: on a disk hit the
+/// call never dispatches ([`BatchStats::dispatched_requests`] stays 0 — a
+/// restarted session replays the operator without re-issuing the simulated
+/// codegen call), and a fresh compile is written through
+/// round-trip-validated.
+pub fn apply_python_udf(
     table: &Table,
     codegen: &TransformCodegen,
     description: &str,
@@ -900,6 +752,15 @@ mod tests {
     use crate::visual_qa::VisualQaModel;
     use caesura_engine::{Schema, TableBuilder};
 
+    /// `backend` under the default batch size, uncached.
+    fn model(backend: &dyn PerceptionBackend) -> Perception<'_> {
+        Perception {
+            backend,
+            batch: BatchConfig::default(),
+            cache: None,
+        }
+    }
+
     fn image_store() -> ImageStore {
         let mut store = ImageStore::new();
         store.insert(
@@ -951,12 +812,13 @@ mod tests {
         let out = apply_visual_qa(
             &joined_table(),
             &image_store(),
-            &VisualQaModel::new(),
+            model(&VisualQaModel::new()),
             "image",
             "num_swords",
             "How many swords are depicted?",
             DataType::Int,
         )
+        .1
         .unwrap();
         assert_eq!(out.value(0, "num_swords").unwrap(), Value::Int(2));
         assert_eq!(out.value(1, "num_swords").unwrap(), Value::Int(0));
@@ -967,12 +829,13 @@ mod tests {
         let err = apply_visual_qa(
             &joined_table(),
             &image_store(),
-            &VisualQaModel::new(),
+            model(&VisualQaModel::new()),
             "title",
             "x",
             "How many swords are depicted?",
             DataType::Int,
         )
+        .1
         .unwrap_err();
         assert!(err.to_string().contains("IMAGE column"));
     }
@@ -981,12 +844,13 @@ mod tests {
     fn text_qa_instantiates_the_template_per_row() {
         let out = apply_text_qa(
             &reports_table(),
-            &TextQaModel::new(),
+            model(&TextQaModel::new()),
             "report",
             "points_scored",
             "How many points did <name> score?",
             DataType::Int,
         )
+        .1
         .unwrap();
         assert_eq!(out.value(0, "points_scored").unwrap(), Value::Int(102));
         assert_eq!(out.value(1, "points_scored").unwrap(), Value::Int(110));
@@ -996,12 +860,13 @@ mod tests {
     fn text_qa_rejects_unknown_placeholder_columns() {
         let err = apply_text_qa(
             &reports_table(),
-            &TextQaModel::new(),
+            model(&TextQaModel::new()),
             "report",
             "points",
             "How many points did <team_name> score?",
             DataType::Int,
         )
+        .1
         .unwrap_err();
         assert!(err.to_string().contains("team_name"));
     }
@@ -1011,10 +876,11 @@ mod tests {
         let out = apply_image_select(
             &joined_table(),
             &image_store(),
-            &ImageSelectModel::new(),
+            model(&ImageSelectModel::new()),
             "image",
             "paintings depicting Madonna and Child",
         )
+        .1
         .unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.value(0, "title").unwrap(), Value::str("Madonna"));
@@ -1035,7 +901,9 @@ mod tests {
             &TransformCodegen::new(),
             "Extract the century from the dates in the 'inception' column",
             "century",
+            None,
         )
+        .1
         .unwrap();
         let plot = apply_plot(&with_century, "bar", "century", "num_swords").unwrap();
         assert_eq!(plot.points.len(), 2);
@@ -1126,12 +994,13 @@ mod tests {
         let out = apply_visual_qa(
             &joined_table(),
             &image_store(),
-            &VisualQaModel::new(),
+            model(&VisualQaModel::new()),
             "image",
             "madonna_depicted",
             "Is Madonna depicted?",
             DataType::Int,
         )
+        .1
         .unwrap();
         assert_eq!(out.value(0, "madonna_depicted").unwrap(), Value::Null);
         assert_eq!(out.value(1, "madonna_depicted").unwrap(), Value::Null);
@@ -1250,23 +1119,25 @@ mod tests {
     fn literal_comparison_templates_instantiate() {
         let out = apply_text_qa(
             &reports_table(),
-            &TextQaModel::new(),
+            model(&TextQaModel::new()),
             "report",
             "points",
             "How many points did <name> score?",
             DataType::Int,
-        );
+        )
+        .1;
         assert!(out.is_ok());
         // A template with a literal '<' no longer trips placeholder
         // validation (the bogus span is not looked up as a column).
         let err = apply_text_qa(
             &reports_table(),
-            &TextQaModel::new(),
+            model(&TextQaModel::new()),
             "report",
             "flag",
             "is score < 5 for <unknown_column>?",
             DataType::Str,
         )
+        .1
         .unwrap_err();
         assert!(err.to_string().contains("unknown_column"));
         assert!(!err.to_string().contains("5 for"));
@@ -1288,12 +1159,13 @@ mod tests {
             .unwrap();
         let err = apply_text_qa(
             &b.build(),
-            &TextQaModel::new(),
+            model(&TextQaModel::new()),
             "report",
             "won",
             "Did <name> win?",
             DataType::Str,
         )
+        .1
         .unwrap_err();
         let message = err.to_string();
         assert!(message.contains("row 1"), "got: {message}");
@@ -1307,12 +1179,13 @@ mod tests {
         let err = apply_visual_qa(
             &images,
             &image_store(),
-            &VisualQaModel::new(),
+            model(&VisualQaModel::new()),
             "image",
             "n",
             "How many swords are depicted?",
             DataType::Int,
         )
+        .1
         .unwrap_err();
         let message = err.to_string();
         assert!(message.contains("row 1"), "got: {message}");
@@ -1320,10 +1193,11 @@ mod tests {
         let err = apply_image_select(
             &images,
             &image_store(),
-            &ImageSelectModel::new(),
+            model(&ImageSelectModel::new()),
             "image",
             "paintings depicting swords",
         )
+        .1
         .unwrap_err();
         assert!(err.to_string().contains("row 1"), "got: {err}");
     }
@@ -1338,15 +1212,17 @@ mod tests {
             Value::text("The Spurs defeated the Heat 110-102."),
         ])
         .unwrap();
-        let (stats, out) = apply_text_qa_with(
+        let (stats, out) = apply_text_qa(
             &b.build(),
-            &TextQaModel::new(),
+            Perception {
+                backend: &TextQaModel::new(),
+                batch: BatchConfig::new(8),
+                cache: None,
+            },
             "report",
             "won",
             "Did <name> win?",
             DataType::Str,
-            &BatchConfig::new(8),
-            None,
         );
         let out = out.unwrap();
         assert_eq!(out.value(0, "won").unwrap(), Value::Null);
@@ -1360,15 +1236,17 @@ mod tests {
     fn duplicate_rows_are_deduplicated_in_stats() {
         // Two rows share the same report; the constant question dedups to
         // one model call.
-        let (stats, out) = apply_text_qa_with(
+        let (stats, out) = apply_text_qa(
             &reports_table(),
-            &TextQaModel::new(),
+            Perception {
+                backend: &TextQaModel::new(),
+                batch: BatchConfig::new(8),
+                cache: None,
+            },
             "report",
             "winner",
             "Who won the game?",
             DataType::Str,
-            &BatchConfig::new(8),
-            None,
         );
         let out = out.unwrap();
         assert_eq!(stats.rows, 2);

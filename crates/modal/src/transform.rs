@@ -52,7 +52,7 @@ impl TransformProgram {
     /// Encode the program for the durable cache tier: the expression's SQL
     /// rendering (re-parsed on decode) plus the trace `source` string.
     /// Callers must round-trip through [`Self::from_cache_bytes`] before
-    /// persisting — see `apply_python_udf_cached` — so only programs whose
+    /// persisting — see `apply_python_udf` — so only programs whose
     /// rendering re-parses to the identical program are ever stored.
     pub fn cache_bytes(&self) -> Vec<u8> {
         let expr = self.expr.to_string();

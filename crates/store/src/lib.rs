@@ -571,8 +571,7 @@ fn scan_segment(
 // ---------------------------------------------------------------------------
 
 /// Configuration for the persistent cache tier, read from `CAESURA_CACHE_DIR`
-/// (plus the per-tier knobs `CAESURA_DISK_PERCEPTION` / `CAESURA_DISK_PLANS`)
-/// or built programmatically.
+/// (both tiers on) or built programmatically.
 ///
 /// With `CAESURA_CACHE_DIR` unset the whole disk tier is off and sessions
 /// behave byte-identically to a build without this crate.
@@ -587,16 +586,6 @@ pub struct PersistConfig {
     pub plans: bool,
 }
 
-fn env_flag_disabled(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            v == "0" || v == "off" || v == "false"
-        }
-        Err(_) => false,
-    }
-}
-
 impl PersistConfig {
     /// A config persisting both tiers under `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
@@ -607,21 +596,12 @@ impl PersistConfig {
         }
     }
 
-    /// Read `CAESURA_CACHE_DIR` (and the per-tier knobs) from the
-    /// environment. Returns `None` — disk tier fully off — when the variable
-    /// is unset, empty, or both per-tier knobs are disabled.
+    /// Both tiers under the directory `CAESURA_CACHE_DIR` names. Returns
+    /// `None` — disk tier fully off — when the variable is unset or empty.
     pub fn from_env() -> Option<Self> {
         let dir = std::env::var("CAESURA_CACHE_DIR").ok()?;
         let dir = dir.trim();
-        if dir.is_empty() {
-            return None;
-        }
-        let config = PersistConfig {
-            dir: PathBuf::from(dir),
-            perception: !env_flag_disabled("CAESURA_DISK_PERCEPTION"),
-            plans: !env_flag_disabled("CAESURA_DISK_PLANS"),
-        };
-        config.is_enabled().then_some(config)
+        (!dir.is_empty()).then(|| PersistConfig::new(dir))
     }
 
     /// Whether at least one tier is enabled.
@@ -813,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn persist_config_env_parsing() {
+    fn persist_config_names_one_directory_per_tier() {
         // Programmatic construction only — env vars are process-global and
         // other tests run in parallel, so from_env is covered by the
         // dedicated integration suite instead.

@@ -11,7 +11,7 @@
 use caesura::core::Executor;
 use caesura::data::DataLake;
 use caesura::engine::{ops, JoinType};
-use caesura::modal::operators::{apply_text_qa_with, apply_visual_qa_with};
+use caesura::modal::operators::{apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
     PerceptionCache, PerceptionRequest,
@@ -182,16 +182,18 @@ fn a_cached_visual_qa_step_allocates_no_block_per_row_outside_the_lru() {
         let table = lake.catalog().table("paintings").unwrap();
         let images: &ImageStore = lake.images();
         warm_step_blocks(rows, |cache| {
-            apply_visual_qa_with(
+            apply_visual_qa(
                 table,
                 images,
-                &QuestionLength,
+                Perception {
+                    backend: &QuestionLength,
+                    batch: BatchConfig::new(32),
+                    cache: Some(cache),
+                },
                 "image",
                 "num_swords",
                 "How many swords are depicted?",
                 DataType::Int,
-                &BatchConfig::new(32),
-                Some(cache),
             )
         })
     };
@@ -228,15 +230,17 @@ fn a_cached_text_qa_step_allocates_one_block_per_distinct_question() {
         }
         let table = reports.build();
         warm_step_blocks(rows, |cache| {
-            apply_text_qa_with(
+            apply_text_qa(
                 &table,
-                &QuestionLength,
+                Perception {
+                    backend: &QuestionLength,
+                    batch: BatchConfig::new(32),
+                    cache: Some(cache),
+                },
                 "report",
                 "margin",
                 "By how many points did <name> win game <game>?",
                 DataType::Int,
-                &BatchConfig::new(32),
-                Some(cache),
             )
         })
     };

@@ -6,7 +6,7 @@
 
 use caesura::core::{CaesuraConfig, Executor};
 use caesura::llm::{Conversation, CountingLlm, LlmClient, LlmResult, PerceptionLlm, SimulatedLlm};
-use caesura::modal::operators::apply_text_qa_with;
+use caesura::modal::operators::{apply_text_qa, Perception};
 use caesura::modal::{BatchConfig, CacheConfig, PerceptionCache};
 use caesura::prelude::*;
 use std::sync::Arc;
@@ -51,15 +51,17 @@ fn a_question_repeated_across_plan_steps_costs_exactly_one_call() {
     let template = "How many points did <name> score?";
 
     // Step 1: 48 rows over 4 teams × 3 reports = 12 unique pairs.
-    let (stats1, out1) = apply_text_qa_with(
+    let (stats1, out1) = apply_text_qa(
         &table,
-        &backend,
+        Perception {
+            backend: &backend,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "points_a",
         template,
         DataType::Int,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     let out1 = out1.unwrap();
     let unique = stats1.unique_requests;
@@ -69,15 +71,17 @@ fn a_question_repeated_across_plan_steps_costs_exactly_one_call() {
 
     // Step 2 of the same plan re-asks the identical template over the
     // (unchanged) report column of step 1's output: zero new model calls.
-    let (stats2, out2) = apply_text_qa_with(
+    let (stats2, out2) = apply_text_qa(
         &out1,
-        &backend,
+        Perception {
+            backend: &backend,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "points_b",
         template,
         DataType::Int,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     let out2 = out2.unwrap();
     assert_eq!(
@@ -95,6 +99,26 @@ fn a_question_repeated_across_plan_steps_costs_exactly_one_call() {
             out2.value(row, "points_b").unwrap()
         );
     }
+
+    // Without a cache the repeated step pays for every unique pair again.
+    let uncached = PerceptionLlm::new(CountingLlm::new(ConstLlm));
+    for (input, new_column) in [(&table, "points_a"), (&out1, "points_b")] {
+        let perception = Perception {
+            backend: &uncached,
+            batch: BatchConfig::new(8),
+            cache: None,
+        };
+        let (_, out) = apply_text_qa(
+            input,
+            perception,
+            "report",
+            new_column,
+            template,
+            DataType::Int,
+        );
+        out.unwrap();
+    }
+    assert_eq!(uncached.inner().usage().calls, 2 * unique);
 }
 
 #[test]
@@ -106,29 +130,33 @@ fn a_question_repeated_across_queries_costs_exactly_one_call() {
     // "Query 1" and "query 2" each get a fresh backend (a new executor with
     // fresh per-query state) but share the session-scoped cache.
     let first = PerceptionLlm::new(CountingLlm::new(ConstLlm));
-    let (stats, out) = apply_text_qa_with(
+    let (stats, out) = apply_text_qa(
         &table,
-        &first,
+        Perception {
+            backend: &first,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "winner",
         template,
         DataType::Str,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     out.unwrap();
     assert_eq!(first.inner().usage().calls, stats.unique_requests);
 
     let second = PerceptionLlm::new(CountingLlm::new(ConstLlm));
-    let (stats2, out) = apply_text_qa_with(
+    let (stats2, out) = apply_text_qa(
         &table,
-        &second,
+        Perception {
+            backend: &second,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "winner",
         template,
         DataType::Str,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     out.unwrap();
     assert_eq!(
@@ -154,15 +182,17 @@ fn eviction_re_incurs_the_model_call() {
     let ask = |backend: &PerceptionLlm<CountingLlm<ConstLlm>>,
                cache: &PerceptionCache,
                question: &str| {
-        let (_, out) = apply_text_qa_with(
+        let (_, out) = apply_text_qa(
             &doc_table,
-            backend,
+            Perception {
+                backend,
+                batch: BatchConfig::new(8),
+                cache: Some(cache),
+            },
             "report",
             "answer",
             question,
             DataType::Str,
-            &BatchConfig::new(8),
-            Some(cache),
         );
         out.unwrap();
     };

@@ -15,7 +15,7 @@ use caesura::engine::{
 };
 use caesura::llm::{CountingLlm, LlmClient, LlmResult, PerceptionLlm};
 use caesura::modal::operators::{
-    apply_image_select_with, apply_text_qa_with, apply_visual_qa_with, template_placeholders,
+    apply_image_select, apply_text_qa, apply_visual_qa, template_placeholders, Perception,
 };
 use caesura::modal::{
     BatchConfig, ImageObject, ImageSelectModel, ImageStore, ModalError, ModalResult, NoiseModel,
@@ -336,8 +336,17 @@ fn text_qa_batched_is_byte_identical_to_the_reference() {
                 reference,
                 &format!("text_qa case {case} template '{template}'"),
                 |batch| {
-                    apply_text_qa_with(
-                        &table, &model, "report", "answer", template, dtype, batch, None,
+                    apply_text_qa(
+                        &table,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache: None,
+                        },
+                        "report",
+                        "answer",
+                        template,
+                        dtype,
                     )
                     .1
                 },
@@ -362,15 +371,17 @@ fn noisy_text_qa_stays_identical_under_dedup() {
         DataType::Int,
     );
     assert_equivalent(reference, "noisy text_qa", |batch| {
-        apply_text_qa_with(
+        apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache: None,
+            },
             "report",
             "points",
             "How many points did <name> score?",
             DataType::Int,
-            batch,
-            None,
         )
         .1
     });
@@ -395,8 +406,18 @@ fn visual_qa_batched_is_byte_identical_to_the_reference() {
                 reference,
                 &format!("visual_qa case {case} question '{question}'"),
                 |batch| {
-                    apply_visual_qa_with(
-                        &table, &store, &model, "image", "answer", question, dtype, batch, None,
+                    apply_visual_qa(
+                        &table,
+                        &store,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache: None,
+                        },
+                        "image",
+                        "answer",
+                        question,
+                        dtype,
                     )
                     .1
                 },
@@ -423,14 +444,16 @@ fn image_select_batched_is_byte_identical_to_the_reference() {
                 reference,
                 &format!("image_select case {case} '{description}'"),
                 |batch| {
-                    apply_image_select_with(
+                    apply_image_select(
                         &table,
                         &store,
-                        &model,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache: None,
+                        },
                         "image",
                         description,
-                        batch,
-                        None,
                     )
                     .1
                 },
@@ -448,15 +471,17 @@ fn unanswerable_questions_propagate_the_same_error() {
     let reference = reference_text_qa(&table, &model, "report", "x", template, DataType::Str);
     assert!(reference.is_err());
     assert_equivalent(reference, "unanswerable text question", |batch| {
-        apply_text_qa_with(
+        apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache: None,
+            },
             "report",
             "x",
             template,
             DataType::Str,
-            batch,
-            None,
         )
         .1
     });
@@ -485,16 +510,18 @@ fn missing_images_propagate_the_same_error() {
         DataType::Int,
     );
     assert_equivalent(reference, "missing image", |batch| {
-        apply_visual_qa_with(
+        apply_visual_qa(
             &table,
             &broken,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache: None,
+            },
             "image",
             "n",
             question,
             DataType::Int,
-            batch,
-            None,
         )
         .1
     });
@@ -502,14 +529,16 @@ fn missing_images_propagate_the_same_error() {
     let select_model = ImageSelectModel::new();
     let reference = reference_image_select(&table, &broken, &select_model, "image", "swords");
     assert_equivalent(reference, "missing image (select)", |batch| {
-        apply_image_select_with(
+        apply_image_select(
             &table,
             &broken,
-            &select_model,
+            Perception {
+                backend: &select_model,
+                batch: *batch,
+                cache: None,
+            },
             "image",
             "swords",
-            batch,
-            None,
         )
         .1
     });
@@ -549,15 +578,17 @@ fn mistyped_cells_propagate_the_same_error() {
     let message = reference.as_ref().unwrap_err().to_string();
     assert!(message.contains("row 1"), "got: {message}");
     assert_equivalent(reference, "mistyped text cell", |batch| {
-        apply_text_qa_with(
+        apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache: None,
+            },
             "report",
             "won",
             "Did <name> win?",
             DataType::Str,
-            batch,
-            None,
         )
         .1
     });
@@ -586,15 +617,17 @@ fn duplicate_rows_do_not_add_llm_calls() {
     let mut rng = StdRng::seed_from_u64(0xDED0);
     let table = reports_table(&mut rng, 36, false);
     let backend = PerceptionLlm::new(CountingLlm::new(ConstLlm));
-    let (stats, out) = apply_text_qa_with(
+    let (stats, out) = apply_text_qa(
         &table,
-        &backend,
+        Perception {
+            backend: &backend,
+            batch: BatchConfig::new(8),
+            cache: None,
+        },
         "report",
         "points",
         "How many points did <name> score?",
         DataType::Int,
-        &BatchConfig::new(8),
-        None,
     );
     let out = out.unwrap();
     let usage = backend.inner().usage();
@@ -616,20 +649,43 @@ fn duplicate_rows_do_not_add_llm_calls() {
     // Re-running with batch size 1 issues the same number of *calls* (dedup
     // is batch-size independent), one batch each.
     let backend = PerceptionLlm::new(CountingLlm::new(ConstLlm));
-    let (stats1, out1) = apply_text_qa_with(
+    let (stats1, out1) = apply_text_qa(
         &table,
-        &backend,
+        Perception {
+            backend: &backend,
+            batch: BatchConfig::new(1),
+            cache: None,
+        },
         "report",
         "points",
         "How many points did <name> score?",
         DataType::Int,
-        &BatchConfig::new(1),
-        None,
     );
     out1.unwrap();
     assert_eq!(stats1.unique_requests, stats.unique_requests);
     assert_eq!(backend.inner().usage().calls, stats.unique_requests);
     assert_eq!(backend.inner().usage().batches, stats.unique_requests);
+
+    // The same holds for images: 40 rows over at most 6 distinct images
+    // reach the model once per image.
+    let (images, store) = gallery(&mut rng, 40, false);
+    let backend = PerceptionLlm::new(CountingLlm::new(ConstLlm));
+    let (visual, out) = apply_visual_qa(
+        &images,
+        &store,
+        Perception {
+            backend: &backend,
+            batch: BatchConfig::new(8),
+            cache: None,
+        },
+        "image",
+        "num_swords",
+        "How many swords are depicted?",
+        DataType::Int,
+    );
+    out.unwrap();
+    assert_eq!(backend.inner().usage().calls, visual.unique_requests);
+    assert!(visual.unique_requests < images.num_rows());
 }
 
 #[test]
@@ -637,16 +693,18 @@ fn dedup_counts_with_the_simulated_models_match_distinct_inputs() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let (table, store) = gallery(&mut rng, 40, false);
     let model = VisualQaModel::new();
-    let (stats, out) = apply_visual_qa_with(
+    let (stats, out) = apply_visual_qa(
         &table,
         &store,
-        &model,
+        Perception {
+            backend: &model,
+            batch: BatchConfig::new(16),
+            cache: None,
+        },
         "image",
         "n",
         "How many swords are depicted?",
         DataType::Int,
-        &BatchConfig::new(16),
-        None,
     );
     out.unwrap();
     // 6 distinct images at most, regardless of 40 rows.

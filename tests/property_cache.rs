@@ -11,9 +11,7 @@
 //! the cached path reproduces the original sequential semantics.
 
 use caesura::engine::{parallel, DataType, ExecConfig, Schema, Table, TableBuilder, Value};
-use caesura::modal::operators::{
-    apply_image_select_with, apply_text_qa_with, apply_visual_qa_with,
-};
+use caesura::modal::operators::{apply_image_select, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, ImageObject, ImageSelectModel, ImageStore, ModalResult, NoiseModel,
     PerceptionCache, TextQaModel, VisualQaModel,
@@ -187,8 +185,17 @@ fn text_qa_cached_is_byte_identical_to_uncached() {
             assert_cache_transparent(
                 &format!("text_qa case {case} template '{template}'"),
                 |batch, cache| {
-                    apply_text_qa_with(
-                        &table, &model, "report", "answer", template, dtype, batch, cache,
+                    apply_text_qa(
+                        &table,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache,
+                        },
+                        "report",
+                        "answer",
+                        template,
+                        dtype,
                     )
                     .1
                 },
@@ -206,15 +213,17 @@ fn noisy_text_qa_stays_identical_through_the_cache() {
     let table = reports_table(&mut rng, 30, true);
     let model = TextQaModel::with_noise(NoiseModel::with_rate(0.5, 7));
     assert_cache_transparent("noisy text_qa", |batch, cache| {
-        apply_text_qa_with(
+        apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache,
+            },
             "report",
             "points",
             "How many points did <name> score?",
             DataType::Int,
-            batch,
-            cache,
         )
         .1
     });
@@ -235,8 +244,18 @@ fn visual_qa_cached_is_byte_identical_to_uncached() {
             assert_cache_transparent(
                 &format!("visual_qa case {case} question '{question}'"),
                 |batch, cache| {
-                    apply_visual_qa_with(
-                        &table, &store, &model, "image", "answer", question, dtype, batch, cache,
+                    apply_visual_qa(
+                        &table,
+                        &store,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache,
+                        },
+                        "image",
+                        "answer",
+                        question,
+                        dtype,
                     )
                     .1
                 },
@@ -251,16 +270,18 @@ fn noisy_visual_qa_stays_identical_through_the_cache() {
     let (table, store) = gallery(&mut rng, 40, true);
     let model = VisualQaModel::with_noise(NoiseModel::with_rate(0.4, 3));
     assert_cache_transparent("noisy visual_qa", |batch, cache| {
-        apply_visual_qa_with(
+        apply_visual_qa(
             &table,
             &store,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache,
+            },
             "image",
             "n",
             "How many swords are depicted?",
             DataType::Int,
-            batch,
-            cache,
         )
         .1
     });
@@ -281,14 +302,16 @@ fn image_select_cached_is_byte_identical_to_uncached() {
             assert_cache_transparent(
                 &format!("image_select case {case} '{description}'"),
                 |batch, cache| {
-                    apply_image_select_with(
+                    apply_image_select(
                         &table,
                         &store,
-                        &model,
+                        Perception {
+                            backend: &model,
+                            batch: *batch,
+                            cache,
+                        },
                         "image",
                         description,
-                        batch,
-                        cache,
                     )
                     .1
                 },
@@ -307,15 +330,17 @@ fn errors_propagate_identically_and_are_never_cached() {
     let model = TextQaModel::new();
     let template = "Summarize the report for <name>";
     assert_cache_transparent("unanswerable text question", |batch, cache| {
-        let result = apply_text_qa_with(
+        let result = apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache,
+            },
             "report",
             "x",
             template,
             DataType::Str,
-            batch,
-            cache,
         )
         .1;
         if let Some(cache) = cache {
@@ -335,16 +360,18 @@ fn errors_propagate_identically_and_are_never_cached() {
     }
     let model = VisualQaModel::new();
     assert_cache_transparent("missing image", |batch, cache| {
-        apply_visual_qa_with(
+        apply_visual_qa(
             &table,
             &broken,
-            &model,
+            Perception {
+                backend: &model,
+                batch: *batch,
+                cache,
+            },
             "image",
             "n",
             "How many swords are depicted?",
             DataType::Int,
-            batch,
-            cache,
         )
         .1
     });
@@ -359,28 +386,32 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
 
     // Large cache: the warm run dispatches nothing.
     let cache = PerceptionCache::with_capacity(4096);
-    let (cold, out) = apply_text_qa_with(
+    let (cold, out) = apply_text_qa(
         &table,
-        &model,
+        Perception {
+            backend: &model,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "points",
         template,
         DataType::Int,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     out.unwrap();
     assert!(cold.cache_misses > 0);
     assert_eq!(cold.cache_evictions, 0);
-    let (warm, out) = apply_text_qa_with(
+    let (warm, out) = apply_text_qa(
         &table,
-        &model,
+        Perception {
+            backend: &model,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        },
         "report",
         "points",
         template,
         DataType::Int,
-        &BatchConfig::new(8),
-        Some(&cache),
     );
     out.unwrap();
     assert_eq!(warm.cache_hits, warm.unique_requests);
@@ -392,29 +423,33 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
     // at least the evicted share.
     parallel::with_config(ExecConfig::new(1, 4096), || {
         let tiny = PerceptionCache::with_capacity(2);
-        let (cold, out) = apply_text_qa_with(
+        let (cold, out) = apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: BatchConfig::new(8),
+                cache: Some(&tiny),
+            },
             "report",
             "points",
             template,
             DataType::Int,
-            &BatchConfig::new(8),
-            Some(&tiny),
         );
         out.unwrap();
         assert!(cold.unique_requests > 2, "workload must overflow the cache");
         assert!(cold.cache_evictions > 0, "a tiny cache must evict");
         assert!(tiny.len() <= 2);
-        let (warm, out) = apply_text_qa_with(
+        let (warm, out) = apply_text_qa(
             &table,
-            &model,
+            Perception {
+                backend: &model,
+                batch: BatchConfig::new(8),
+                cache: Some(&tiny),
+            },
             "report",
             "points",
             template,
             DataType::Int,
-            &BatchConfig::new(8),
-            Some(&tiny),
         );
         out.unwrap();
         assert!(

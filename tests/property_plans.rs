@@ -5,8 +5,12 @@
 //! Runs over deterministic pseudo-random inputs from the in-repo `rand` shim
 //! (the build environment has no network access for proptest).
 
-use caesura::core::{Caesura, CaesuraConfig, PlanSource, QueryRun};
+use caesura::core::{
+    Caesura, CaesuraConfig, Phase, PlanCacheCalls, PlanSource, QueryRun, Retriever,
+};
 use caesura::data::{generate_artwork, generate_fieldwork, ArtworkConfig, FieldworkConfig};
+use caesura::engine::Catalog;
+use caesura::llm::{normalize_query, schema_fingerprint, PlanInsertOutcome};
 use caesura::llm::{plan::split_arguments, LogicalPlan, LogicalStep, OperatorDecision};
 use caesura::llm::{CountingLlm, PlanCacheConfig, SimulatedLlm};
 use caesura::modal::OperatorKind;
@@ -362,6 +366,108 @@ fn warm_repeats_skip_planner_and_mapping_llm_calls() {
         assert_eq!(run.logical_plan, cold_run.logical_plan);
         assert_eq!(run.decisions, cold_run.decisions);
     }
+
+    // Without the cache the warm round pays the cold round's calls again.
+    let counting = Arc::new(CountingLlm::new(SimulatedLlm::gpt4()));
+    let session = Caesura::with_config(
+        generate_artwork(&ArtworkConfig::small()).lake,
+        counting.clone(),
+        CaesuraConfig {
+            plan_cache: Some(PlanCacheConfig::off()),
+            ..CaesuraConfig::default()
+        },
+    );
+    assert!(REPEAT_WORKLOAD.iter().all(|q| session.run(q).succeeded()));
+    let cold_calls = counting.usage().calls;
+    assert!(REPEAT_WORKLOAD.iter().all(|q| session.run(q).succeeded()));
+    assert_eq!(counting.usage().calls, 2 * cold_calls);
+}
+
+/// A cached plan that fails at execution is not an answer: the entry is
+/// evicted, the query is planned live, and the run shows only the live
+/// plan's decisions — the same answer a cache-off session gives.
+#[test]
+fn a_cached_plan_that_cannot_execute_is_evicted_and_replanned_live() {
+    let query = REPEAT_WORKLOAD[1];
+    let reference = cache_session(Some(PlanCacheConfig::off()), 1).run(query);
+    assert!(reference.succeeded());
+
+    let session = cache_session(Some(PlanCacheConfig::new(64)), 1);
+    // The probe's own key: the fingerprint of the catalog discovery hands
+    // the planner (the top-k tables and the foreign keys among them) and the
+    // literal-normalized query.
+    let lake = session.lake();
+    let top = Retriever::index(lake).top_k(query, session.config().retrieval_top_k);
+    let mut discovered = Catalog::new();
+    for name in &top {
+        discovered.register_shared(Arc::clone(lake.catalog().table(name).unwrap()));
+    }
+    for fk in lake.catalog().foreign_keys() {
+        if discovered.contains(&fk.from_table) && discovered.contains(&fk.to_table) {
+            discovered.add_foreign_key(fk.clone());
+        }
+    }
+    let (fingerprint, template) = (schema_fingerprint(&discovered), normalize_query(query));
+
+    // One step selecting over a table nothing produces.
+    let poisoned = LogicalPlan {
+        thought: "select over a table that does not exist".into(),
+        steps: vec![LogicalStep::new(
+            1,
+            "Keep the rows of 'no_such_table' that depict a horse.",
+            vec!["no_such_table".into()],
+            "result_table",
+            vec![],
+        )],
+    };
+    let decisions = vec![OperatorDecision {
+        step_number: 1,
+        reasoning: "a selection".into(),
+        operator: OperatorKind::SqlSelection,
+        arguments: vec!["horse_depicted = 'yes'".into()],
+    }];
+    let cache = session.plan_cache().expect("cache is on");
+    assert!(matches!(
+        cache.insert(&fingerprint, &template, &poisoned, &decisions),
+        PlanInsertOutcome::Inserted { .. }
+    ));
+
+    let run = session.run(query);
+    assert_eq!(
+        run.trace.plan_cache_calls(),
+        PlanCacheCalls {
+            hits: 1,
+            invalidations: 1,
+            // The live plan ran clean, so it takes the evicted entry's place.
+            insertions: 1,
+            ..PlanCacheCalls::default()
+        }
+    );
+    assert_eq!(run.trace.plan_source(), Some(PlanSource::Planned));
+    let recovery: Vec<_> = run
+        .trace
+        .events_of(Phase::Recovery)
+        .into_iter()
+        .map(|e| (e.label.as_str(), e.detail.as_str()))
+        .collect();
+    assert_eq!(
+        recovery,
+        [(
+            "plan-cache",
+            "cached plan failed at execution (the plan references table 'no_such_table' which \
+             has not been produced); entry evicted, replanning live"
+        )]
+    );
+    // Only the live plan's decisions and plan survive the failed replay.
+    assert_eq!(run.decisions, reference.decisions);
+    assert_eq!(run.logical_plan, reference.logical_plan);
+    assert_eq!(output_repr(&run), output_repr(&reference));
+    assert_eq!(run.trace.llm_calls(), reference.trace.llm_calls());
+    assert_eq!(cache.stats().invalidations, 1);
+    // The entry now in the cache is the live plan: the repeat replays it.
+    let repeat = session.run(query);
+    assert_eq!(repeat.trace.plan_source(), Some(PlanSource::Cached));
+    assert_eq!(output_repr(&repeat), output_repr(&reference));
 }
 
 /// Three fieldwork-lake queries whose plans chain 3+ steps across two or
@@ -399,6 +505,11 @@ fn fieldwork_plan_cache_matrix_never_changes_outputs() {
         .zip(&baseline)
         .map(|(q, run)| (*q, output_repr(run)))
         .collect();
+    let llm_calls: std::collections::BTreeMap<&str, usize> = FIELDWORK_REPEAT_WORKLOAD
+        .iter()
+        .zip(&baseline)
+        .map(|(q, run)| (*q, run.trace.llm_calls()))
+        .collect();
 
     for plan_cache in [
         Some(PlanCacheConfig::off()),
@@ -433,7 +544,11 @@ fn fieldwork_plan_cache_matrix_never_changes_outputs() {
                     // Replays must skip planning and mapping entirely.
                     Some(PlanSource::Cached) => assert_eq!(run.trace.llm_calls(), 0),
                     Some(PlanSource::Planned) => assert!(run.trace.llm_calls() > 0),
-                    None => assert_eq!(plan_cache, Some(PlanCacheConfig::off())),
+                    // Off: every round pays what the baseline paid.
+                    None => {
+                        assert_eq!(plan_cache, Some(PlanCacheConfig::off()));
+                        assert_eq!(run.trace.llm_calls(), llm_calls[query]);
+                    }
                 }
             }
             // Under the serial driver the cache behaviour is deterministic:

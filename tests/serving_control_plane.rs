@@ -6,7 +6,7 @@
 //!
 //! * **byte-identity**: default-tenant / default-priority submissions under
 //!   the weighted-fair scheduler produce exactly the outputs *and traces* of
-//!   the PR 5 FIFO scheduler, across worker counts {1, 4};
+//!   a serial `run` baseline, across worker counts {1, 4};
 //! * **typed admission**: `submit_with` distinguishes `QueueFull`,
 //!   `TenantOverQuota` (which wins when both apply), and
 //!   `DeadlineUnmeetable`, and every decline is on the books as a rejection;
@@ -20,6 +20,7 @@
 //!   decision into the trace (and render it); default submissions do not.
 
 use caesura::core::{AdmissionError, SubmitOptions};
+use caesura::eval::{evaluate_fieldwork, evaluate_fieldwork_concurrent, EvaluationConfig};
 use caesura::llm::{CancelToken, Conversation, GatedLlm, LlmClient, LlmResult};
 use caesura::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -96,44 +97,42 @@ fn artwork_session_with(config: CaesuraConfig, llm: Arc<dyn LlmClient>) -> Caesu
 }
 
 #[test]
-fn default_submissions_are_byte_identical_with_fair_scheduling_on_and_off() {
-    // The acceptance property of the refactor: with the default tenant and
-    // default priority, the weighted-fair scheduler must be indistinguishable
-    // from the PR 5 FIFO — same outputs, same traces (trace equality covers
-    // every event, phase sequence, and counter; timings and scheduling
-    // metadata are excluded from `PartialEq` by design). Queries are
-    // submitted serially (submit → wait) so worker count cannot reorder
-    // cache warm-up between the two runs.
-    for workers in [1usize, 4] {
-        let run_suite = |fair: bool| -> Vec<QueryRun> {
-            let config = CaesuraConfig {
-                session_workers: Some(workers),
-                fair_sched: Some(fair),
-                ..CaesuraConfig::default()
-            };
-            let session = artwork_session_with(config, Arc::new(SimulatedLlm::gpt4()));
-            SUITE
-                .iter()
-                .map(|query| session.submit(query).wait())
-                .collect()
+fn default_submissions_match_a_serial_run_baseline() {
+    // With the default tenant and default priority, the tiered
+    // deficit-round-robin queue must be indistinguishable from a plain
+    // FIFO: whatever the worker count, submissions produce the outputs and
+    // traces of a one-worker session driven through the blocking `run`
+    // (trace equality covers every event, phase sequence, and counter;
+    // timings and scheduling metadata are excluded from `PartialEq` by
+    // design). Queries are submitted serially (submit → wait) so worker
+    // count cannot reorder cache warm-up between the two runs.
+    let session_with = |workers: usize| {
+        let config = CaesuraConfig {
+            session_workers: Some(workers),
+            ..CaesuraConfig::default()
         };
-        let fair = run_suite(true);
-        let fifo = run_suite(false);
-        for ((query, fair_run), fifo_run) in SUITE.iter().zip(&fair).zip(&fifo) {
-            assert!(fair_run.succeeded(), "'{query}' failed under fair");
-            assert!(fifo_run.succeeded(), "'{query}' failed under fifo");
+        artwork_session_with(config, Arc::new(SimulatedLlm::gpt4()))
+    };
+    let serial = session_with(1);
+    let baseline: Vec<QueryRun> = SUITE.iter().map(|query| serial.run(query)).collect();
+    for workers in [1usize, 4] {
+        let session = session_with(workers);
+        let submitted = SUITE.iter().map(|query| session.submit(query).wait());
+        for ((query, run), reference) in SUITE.iter().zip(submitted).zip(&baseline) {
+            assert!(reference.succeeded(), "'{query}' failed in the baseline");
+            assert!(run.succeeded(), "workers={workers}: '{query}' failed");
             assert_eq!(
-                fair_run.output.as_ref().unwrap(),
-                fifo_run.output.as_ref().unwrap(),
+                run.output.as_ref().unwrap(),
+                reference.output.as_ref().unwrap(),
                 "workers={workers}: output diverged for '{query}'"
             );
             assert_eq!(
-                fair_run.trace, fifo_run.trace,
+                run.trace, reference.trace,
                 "workers={workers}: trace diverged for '{query}'"
             );
             // Default-path submissions carry no scheduling metadata at all.
-            assert!(fair_run.trace.scheduling().is_none());
-            assert!(fifo_run.trace.scheduling().is_none());
+            assert!(run.trace.scheduling().is_none());
+            assert!(reference.trace.scheduling().is_none());
         }
     }
 }
@@ -226,9 +225,6 @@ fn interactive_submissions_preempt_queued_batch_work_at_dequeue() {
     let config = CaesuraConfig {
         session_workers: Some(1),
         session_queue: Some(16),
-        // Pinned on: an exported `CAESURA_FAIR_SCHED=0` must not turn this
-        // into a FIFO test.
-        fair_sched: Some(true),
         ..CaesuraConfig::default()
     };
     let session = artwork_session_with(config, Arc::clone(&recorder) as Arc<dyn LlmClient>);
@@ -276,7 +272,6 @@ fn weighted_tenants_take_proportional_turns_within_a_tier() {
     let config = CaesuraConfig {
         session_workers: Some(1),
         session_queue: Some(16),
-        fair_sched: Some(true),
         tenant_weights: vec![("heavy".to_string(), 2)],
         ..CaesuraConfig::default()
     };
@@ -373,7 +368,6 @@ fn tenants_racing_fieldwork_queries_match_serial_baselines_and_balance_counters(
     let session = fieldwork_session(CaesuraConfig {
         session_workers: Some(4),
         plan_cache: Some(caesura::llm::PlanCacheConfig::off()),
-        fair_sched: Some(true),
         ..CaesuraConfig::default()
     });
     let tenant_of = |index: usize| {
@@ -433,6 +427,20 @@ fn tenants_racing_fieldwork_queries_match_serial_baselines_and_balance_counters(
         assert_eq!(tenant.rejected, 0);
         assert!(tenant.tenant == "alpha" || tenant.tenant == "beta");
     }
+}
+
+#[test]
+fn the_fieldwork_suite_meets_every_expectation_when_scheduled_concurrently() {
+    // All 42 queries go through one scheduler at once: every one completes,
+    // every clean oracle holds, and every adversarial query still fails the
+    // way it is expected to — scheduling never turns a typed execution error
+    // into a NULL or the other way round.
+    let config = EvaluationConfig::small();
+    let serial = evaluate_fieldwork(ModelProfile::Gpt4, &config);
+    let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
+    assert_eq!(serving.report.results.len(), serial.results.len());
+    assert_eq!(serial.expectation_accuracy(|_| true), 1.0);
+    assert_eq!(serving.report.expectation_accuracy(|_| true), 1.0);
 }
 
 #[test]
