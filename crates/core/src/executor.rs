@@ -568,6 +568,86 @@ mod tests {
         assert!(err.to_string().contains("IMAGE"));
     }
 
+    /// What the plan cache's admission rule rests on: a step whose execution
+    /// fails registers nothing, so the decision that then succeeds runs in
+    /// exactly the state a replay of the successful decisions rebuilds.
+    #[test]
+    fn a_failed_step_of_any_operator_leaves_the_executor_state_untouched() {
+        let mut executor = executor();
+        executor
+            .execute(
+                &step(1, "Join", vec!["paintings_metadata", "painting_images"], "joined_table", vec![]),
+                &decision(
+                    OperatorKind::SqlJoin,
+                    vec!["SELECT * FROM paintings_metadata JOIN painting_images ON paintings_metadata.img_path = painting_images.img_path"],
+                ),
+            )
+            .unwrap();
+        // Tables and images by address: equal snapshots share every `Arc`.
+        let snapshot = |executor: &Executor| {
+            let tables: Vec<_> = executor.intermediate().tables().map(Arc::as_ptr).collect();
+            let images = &executor.images;
+            let images: Vec<_> = images
+                .keys()
+                .into_iter()
+                .map(|key| Arc::as_ptr(images.get_shared(key).unwrap()))
+                .collect();
+            (tables, executor.last_output.clone(), images)
+        };
+        let before = snapshot(&executor);
+        assert_eq!(before.0.len(), 1);
+        assert!(!before.2.is_empty());
+
+        for &operator in OperatorKind::all() {
+            // Each overwrites `joined_table` if it gets that far. The first of
+            // a pair fails before any model is asked, the second after.
+            let failing: Vec<Vec<&str>> = match operator {
+                OperatorKind::SqlJoin | OperatorKind::SqlAggregation | OperatorKind::Sql => {
+                    vec![
+                        vec!["SELECT * FROM no_such_table"],
+                        vec!["SELECT no_such_column FROM joined_table"],
+                    ]
+                }
+                OperatorKind::SqlSelection => {
+                    vec![vec!["no_such_column = 1"], vec!["SELECT FROM"], vec![]]
+                }
+                OperatorKind::VisualQa => vec![
+                    vec!["title", "n", "How many swords are depicted?", "int"],
+                    vec!["image", "n", "Please transcribe the signature", "str"],
+                ],
+                OperatorKind::TextQa => vec![
+                    vec!["title", "n", "Who won?", "str"],
+                    vec!["no_such_column", "n", "Who won?", "str"],
+                ],
+                OperatorKind::ImageSelect => {
+                    vec![vec!["title", "a horse"], vec!["no_such_column", "a horse"]]
+                }
+                OperatorKind::PythonUdf => vec![
+                    vec!["Summon the spirit of the painter", "spirit"],
+                    // Compiles, then cannot add a column the table already has.
+                    vec![
+                        "Extract the century from the dates in the 'inception' column",
+                        "title",
+                    ],
+                ],
+                OperatorKind::Plot => vec![
+                    vec!["bar", "no_such_column", "title"],
+                    vec!["hologram", "title", "inception"],
+                ],
+            };
+            for arguments in failing {
+                let attempt = executor.execute(
+                    &step(2, "Fail", vec!["joined_table"], "joined_table", vec!["n"]),
+                    &decision(operator, arguments.clone()),
+                );
+                assert!(attempt.is_err(), "{operator:?} {arguments:?} should fail");
+                assert_eq!(snapshot(&executor), before, "{operator:?} {arguments:?}");
+            }
+        }
+        // The perception failure above did reach the model.
+        assert!(executor.perception_stats().unique_requests > 0);
+    }
+
     #[test]
     fn reset_clears_intermediate_state() {
         let mut executor = executor();

@@ -22,11 +22,12 @@ use caesura_engine::{parallel, Catalog, ExecConfig};
 use caesura_llm::{
     normalize_query, schema_fingerprint, CancelStatus, CancelToken, Conversation, ErrorAnalysis,
     LlmClient, LlmError, LogicalPlan, LogicalStep, MappingRequest, OperatorDecision, PlanCache,
-    PlanCacheConfig, PlanInsertOutcome, PromptBuilder, PromptConfig, RelevantColumn,
+    PlanCacheConfig, PlanInsertOutcome, PromptBuilder, PromptConfig, QueryTemplate, RelevantColumn,
     StepObservation,
 };
 use caesura_modal::{BatchConfig, CacheConfig, PerceptionCache};
 use caesura_store::{CacheStore, PersistConfig};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -230,9 +231,85 @@ struct StepDecisions<'a> {
     recover: bool,
 }
 
-/// The step loop's outcome: the output and whether every step ran clean, or
-/// the error and whether it asks for a replan.
-type StepsResult = Result<(QueryOutput, bool), (CoreError, bool)>;
+/// The step loop's outcome: the output and the positions, in the decisions it
+/// pushed, of the attempts whose execution failed (every other decision is
+/// the one its step succeeded with) — or the error and whether it asks for a
+/// replan.
+type StepsResult = Result<(QueryOutput, Vec<usize>), (CoreError, bool)>;
+
+/// The key one query probes the session's plan cache under — and files the
+/// plan that answered it under, if that plan had to be found live.
+struct PlanProbe<'a> {
+    cache: &'a PlanCache,
+    fingerprint: String,
+    template: QueryTemplate,
+}
+
+impl PlanProbe<'_> {
+    /// Insert-after-success: file the plan that **worked**, whatever it took
+    /// to find it. `decisions` holds every attempt of the successful pass
+    /// over `plan` and `failed` the positions of those whose execution
+    /// failed; what is stored is the one decision per step that executed,
+    /// each in exactly the executor state a replay rebuilds (a failed attempt
+    /// registers nothing — `executor::tests`). The cache itself still refuses
+    /// a plan that does not verifiably thread every query literal through
+    /// its text, so a later hit with different literals never replays the
+    /// original values.
+    fn admit(
+        &self,
+        plan: &LogicalPlan,
+        decisions: &[OperatorDecision],
+        failed: &[usize],
+        replans: usize,
+        trace: &mut ExecutionTrace,
+    ) {
+        let worked: Cow<'_, [OperatorDecision]> = if failed.is_empty() {
+            Cow::Borrowed(decisions)
+        } else {
+            let attempts = decisions.iter().enumerate();
+            let kept = attempts.filter(|(at, _)| !failed.contains(at));
+            kept.map(|(_, decision)| decision.clone()).collect()
+        };
+        // A pre-mapped list shorter than the plan ended the loop early.
+        if worked.len() != plan.steps.len() {
+            return;
+        }
+        match self
+            .cache
+            .insert(&self.fingerprint, &self.template, plan, &worked)
+        {
+            PlanInsertOutcome::Inserted { written, .. } => {
+                trace.record_plan_cache(PlanCacheCalls {
+                    insertions: 1,
+                    disk_writes: usize::from(written),
+                    ..PlanCacheCalls::default()
+                });
+                if replans > 0 || !failed.is_empty() {
+                    trace.record(
+                        Phase::Planning,
+                        "plan-cache",
+                        format!(
+                            "cached after recovery: the {} decision(s) that executed are stored; \
+                             {} failed attempt(s) and {replans} replan(s) dropped",
+                            worked.len(),
+                            failed.len()
+                        ),
+                    );
+                }
+            }
+            PlanInsertOutcome::AlreadyPresent => {}
+            PlanInsertOutcome::Rejected => {
+                trace.record(
+                    Phase::Planning,
+                    "plan-cache",
+                    "not cached: the plan does not verifiably thread every \
+                     query literal through its text, so replaying it under \
+                     different literals would be unsafe",
+                );
+            }
+        }
+    }
+}
 
 /// The session state shared between the public [`Caesura`] facade and the
 /// scheduler's worker threads: the lake, the model client, the prompt
@@ -604,14 +681,17 @@ impl SessionCore {
         // replays the validated plan with zero planner/mapping LLM calls; a
         // replayed plan that fails is evicted and the query falls through to
         // live planning below — never worse than the cache-off path.
-        let probe = self.plan_cache.as_ref().map(|cache| {
-            (
-                Arc::clone(cache),
-                schema_fingerprint(&catalog),
-                normalize_query(query),
-            )
+        let probe = self.plan_cache.as_ref().map(|cache| PlanProbe {
+            cache,
+            fingerprint: schema_fingerprint(&catalog),
+            template: normalize_query(query),
         });
-        if let Some((cache, fingerprint, template)) = &probe {
+        if let Some(PlanProbe {
+            cache,
+            fingerprint,
+            template,
+        }) = &probe
+        {
             let phase_start = Instant::now();
             let cached = cache.lookup_tiered(fingerprint, template);
             trace.record_phase_duration(Phase::Planning, phase_start.elapsed());
@@ -699,43 +779,19 @@ impl SessionCore {
             let premapped = if self.config.interleaved {
                 None
             } else {
-                Some(self.premap(discovered, &plan, trace, cancel)?)
+                let phase_start = Instant::now();
+                let premapped = self.premap(discovered, &plan, trace, cancel);
+                trace.record_phase_duration(Phase::Mapping, phase_start.elapsed());
+                Some(premapped?)
             };
             let decisions = StepDecisions {
                 fixed: premapped.as_deref(),
                 recover: true,
             };
             match self.run_steps(discovered, &plan, decisions, decisions_out, trace, cancel) {
-                Ok((output, clean)) => {
-                    // Insert-after-success: only a plan whose execution
-                    // needed no replan and no per-step recovery is worth
-                    // replaying verbatim on the next structurally identical
-                    // query — and only when the cache can verify that every
-                    // query literal was threaded through the plan text, so a
-                    // later hit with different literals never replays the
-                    // original values.
-                    if let Some((cache, fingerprint, template)) = &probe {
-                        if clean && replans == 0 && decisions_out.len() == plan.steps.len() {
-                            match cache.insert(fingerprint, template, &plan, decisions_out) {
-                                PlanInsertOutcome::Inserted { written, .. } => {
-                                    trace.record_plan_cache(PlanCacheCalls {
-                                        insertions: 1,
-                                        disk_writes: usize::from(written),
-                                        ..PlanCacheCalls::default()
-                                    });
-                                }
-                                PlanInsertOutcome::AlreadyPresent => {}
-                                PlanInsertOutcome::Rejected => {
-                                    trace.record(
-                                        Phase::Planning,
-                                        "plan-cache",
-                                        "not cached: the plan does not verifiably thread every \
-                                         query literal through its text, so replaying it under \
-                                         different literals would be unsafe",
-                                    );
-                                }
-                            }
-                        }
+                Ok((output, failed)) => {
+                    if let Some(probe) = &probe {
+                        probe.admit(&plan, decisions_out, &failed, replans, trace);
                     }
                     return Ok(output);
                 }
@@ -921,7 +977,6 @@ impl SessionCore {
         // One checkpoint guards the whole pipelined dispatch, mirroring
         // the per-dispatch check of the interleaved path.
         self.check_cancel(cancel, trace, "before the pipelined mapping dispatch")?;
-        let phase_start = Instant::now();
         let nothing_executed = Catalog::new();
         let prompts: Vec<Conversation> = plan
             .steps
@@ -957,15 +1012,15 @@ impl SessionCore {
             };
             all.push(OperatorDecision::parse(&response)?);
         }
-        trace.record_phase_duration(Phase::Mapping, phase_start.elapsed());
         Ok(all)
     }
 
     /// The one step loop: decide each step of `plan` as `decisions` says,
-    /// execute it, observe, and recover (§3.1–3.2). Returns the final output
-    /// plus a cleanliness flag (`true` when no step needed error recovery —
-    /// the bar for plan-cache insertion), or `(error, replan_requested)` on
-    /// failure.
+    /// execute it, observe, and recover (§3.1–3.2), over a fresh executor.
+    /// Every attempt's decision is pushed onto `decisions_out`; the output
+    /// comes back with the positions of the failed ones (so what is left is,
+    /// per step, the decision that worked — what the plan cache stores), or
+    /// `(error, replan_requested)` on failure.
     fn run_steps(
         &self,
         discovered: Discovered<'_>,
@@ -980,7 +1035,7 @@ impl SessionCore {
         // Only mapping prompts read them.
         let mut observations: Vec<StepObservation> = Vec::new();
         let mut last_outcome: Option<StepOutcome> = None;
-        let mut clean = true;
+        let mut failed: Vec<usize> = Vec::new();
 
         // Fixed decisions come one per step; a shorter list ends the loop.
         let steps = decisions.fixed.map_or(usize::MAX, <[_]>::len);
@@ -1042,8 +1097,8 @@ impl SessionCore {
                         if !decisions.recover {
                             return Err((error, false));
                         }
+                        failed.push(decisions_out.len());
                         decisions_out.push(decision.clone());
-                        clean = false;
                         if attempt >= self.config.max_step_attempts {
                             return Err((
                                 CoreError::PlanFailed {
@@ -1086,7 +1141,7 @@ impl SessionCore {
         }
 
         self.finish_output(&executor, last_outcome)
-            .map(|output| (output, clean))
+            .map(|output| (output, failed))
             .map_err(|e| (e, false))
     }
 
@@ -1252,6 +1307,42 @@ mod tests {
         assert!(timings.of(Phase::Planning) > std::time::Duration::ZERO);
         assert_eq!(run.latency(), timings.total());
         assert!(timings.end_to_end() >= timings.total());
+    }
+
+    /// The pipelined mapping dispatch is timed on its failing exits too —
+    /// here a response that is no operator decision — so that time does not
+    /// fall into the residual.
+    #[test]
+    fn a_failed_pipelined_mapping_still_records_its_phase_duration() {
+        let plan = LogicalPlan {
+            thought: "count".into(),
+            steps: vec![LogicalStep::new(
+                1,
+                "Count the rows of the 'paintings_metadata' table.",
+                vec!["paintings_metadata".into()],
+                "result_table",
+                vec!["n".into()],
+            )],
+        };
+        let script = vec![plan.render(), "no operator here".to_string()];
+        let config = CaesuraConfig {
+            interleaved: false,
+            ..CaesuraConfig::default()
+        };
+        let lake = generate_artwork(&ArtworkConfig::small()).lake;
+        let session = Caesura::with_config(
+            lake,
+            Arc::new(caesura_llm::ScriptedLlm::new(script)),
+            config,
+        );
+        let run = session.run("How many paintings are in the museum?");
+        assert!(
+            matches!(run.output, Err(CoreError::Llm(_))),
+            "{:?}",
+            run.output
+        );
+        assert_eq!(run.trace.llm_calls(), 2);
+        assert!(run.trace.timings().of(Phase::Mapping) > std::time::Duration::ZERO);
     }
 
     #[test]

@@ -135,7 +135,8 @@ pub struct PlanCacheCalls {
     pub hits: usize,
     /// Probes that fell through to live planning.
     pub misses: usize,
-    /// Validated plans this query stored after a clean execution.
+    /// Validated plans this query stored after its execution succeeded (a
+    /// `"plan-cache"` event says so when failed attempts were dropped).
     pub insertions: usize,
     /// Cached plans evicted because they failed at execution for this query.
     pub invalidations: usize,

@@ -5,8 +5,8 @@
 //! the CAESURA pipeline and — before this module — were re-paid in full even
 //! when a structurally identical query had just been answered. The
 //! [`PlanCache`] remembers, per session, every `(LogicalPlan,
-//! Vec<OperatorDecision>)` pair whose execution completed **without any
-//! replan or per-step recovery** (insert-after-success), keyed on:
+//! Vec<OperatorDecision>)` pair whose execution **completed** — the plan that
+//! worked, whatever it took to find it (insert-after-success) — keyed on:
 //!
 //! * a **schema fingerprint** of the catalog the planner saw — table names
 //!   and column name/type pairs in catalog order
@@ -24,9 +24,28 @@
 //! A hit skips the planning *and* per-step mapping phases entirely — zero
 //! planner LLM calls on repeat traffic. The safety argument has four legs:
 //!
-//! * **Only validated plans enter.** A plan is inserted only after its
-//!   execution completed with no replan and no step retry, so every cached
-//!   entry has run end to end at least once against this exact schema.
+//! * **Only validated plans enter.** A plan is inserted only after a live run
+//!   over it ended in success, with one decision per step: the one whose
+//!   execution succeeded. Attempts that failed on the way — and whole plans a
+//!   replan abandoned — are dropped, not stored. What is stored has still run
+//!   end to end, in order, against this exact schema, from the state a replay
+//!   starts in: every pass over a plan builds a fresh executor, and a step
+//!   whose execution fails registers no table, so each successful decision
+//!   saw exactly the tables its predecessors' successful decisions produced
+//!   (`caesura_core`'s executor tests pin the second fact, its
+//!   `tests/property_plans.rs` the replay). A plan repaired by execution
+//!   feedback is the most expensive validated artefact a session owns —
+//!   planning, mapping, the failed attempt and its error analysis — so it is
+//!   the last thing worth re-deriving every round. A run that ended in an
+//!   error validated nothing and stores nothing.
+//!
+//!   The entry is per query template and no finer. A step-level memo (step
+//!   text + input schema → decision) would not be a cache of the model: the
+//!   mapping prompt carries the *query*, so the decision is a function of it.
+//!   The paper suite shows it — `R15` and `R24` share a byte-identical step
+//!   over a byte-identical input schema, and the model's decision for it is
+//!   `Did <teams.name> lose?` under one query and `How many goals did <name>
+//!   kick?` (which fails and is repaired) under the other.
 //! * **Literal substitution is structural.** Slots are cut from the query
 //!   text itself, and a template only matches when the probe's literal
 //!   *pattern* matches too (distinct literals stay distinct slots — see
@@ -126,7 +145,7 @@ pub struct PlanCacheStats {
     pub hits: usize,
     /// Probes that fell through to live planning.
     pub misses: usize,
-    /// Validated plans stored (one per clean first execution).
+    /// Validated plans stored (one per first execution that succeeded).
     pub insertions: usize,
     /// Entries evicted to respect the capacity bound.
     pub evictions: usize,
@@ -269,9 +288,9 @@ impl PlanCache {
     /// probes can substitute their own — or reject it when
     /// `literals_threaded` cannot confirm every literal was slotted out.
     ///
-    /// Callers must only insert plans whose execution completed without any
-    /// replan or per-step recovery — the insert-after-success contract the
-    /// module docs argue correctness from.
+    /// Callers must only insert a plan whose execution completed, with the
+    /// one decision per step that executed — the insert-after-success
+    /// contract the module docs argue correctness from.
     pub fn insert(
         &self,
         fingerprint: &str,

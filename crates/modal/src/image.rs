@@ -62,8 +62,17 @@ impl ImageObject {
 
     /// Number of instances of an entity visible in the image (0 if absent).
     pub fn count_of(&self, entity: &str) -> u32 {
-        let entity = normalize_entity(entity);
-        if let Some(count) = self.objects.get(&entity) {
+        self.count_of_keys(&EntityKeys::of(entity))
+    }
+
+    /// [`Self::count_of`] the entity `keys` were derived from.
+    pub fn count_of_keys(&self, keys: &EntityKeys) -> u32 {
+        self.annotated(&keys.phrase)
+    }
+
+    /// The count annotated under a normalized `entity`.
+    fn annotated(&self, entity: &str) -> u32 {
+        if let Some(count) = self.objects.get(entity) {
             return *count;
         }
         // Fall back to a whole-word match for single-word entities, so that
@@ -83,13 +92,14 @@ impl ImageObject {
 
     /// Whether an entity (or phrase of entities joined by "and") is depicted.
     pub fn depicts(&self, entity: &str) -> bool {
-        let phrase = normalize_entity(entity);
-        if self.count_of(&phrase) > 0 {
-            return true;
-        }
+        self.depicts_keys(&EntityKeys::of(entity))
+    }
+
+    /// [`Self::depicts`] the entity `keys` were derived from.
+    pub fn depicts_keys(&self, keys: &EntityKeys) -> bool {
+        let depicted = |entity: &String| self.annotated(entity) > 0;
         // "madonna and child" → require every part to be depicted.
-        let parts: Vec<&str> = phrase.split(" and ").collect();
-        parts.len() > 1 && parts.iter().all(|p| self.count_of(p) > 0)
+        depicted(&keys.whole) || (keys.parts.len() > 1 && keys.parts.iter().all(depicted))
     }
 
     /// Attribute lookup (case-insensitive key).
@@ -116,6 +126,36 @@ impl ImageObject {
             })
             .collect();
         format!("a painting depicting {}", parts.join(", "))
+    }
+}
+
+/// The annotation keys an entity phrase is looked up under, derived once so
+/// that a model asking many images about one entity normalizes it once.
+/// [`ImageObject::count_of`] and [`ImageObject::depicts`] derive theirs here
+/// too.
+///
+/// [`normalize_entity`] is not idempotent (each pass strips one leading
+/// article and one plural `s`), and `depicts` has always looked the phrase up
+/// one pass further than `count_of`; the keys keep both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntityKeys {
+    /// The normalized phrase: what `count_of` looks up.
+    phrase: String,
+    /// What `depicts` looks up as one annotation.
+    whole: String,
+    /// The phrase split at " and ": what `depicts` looks up part by part.
+    parts: Vec<String>,
+}
+
+impl EntityKeys {
+    /// The keys of `entity`.
+    pub fn of(entity: &str) -> Self {
+        let phrase = normalize_entity(entity);
+        EntityKeys {
+            whole: normalize_entity(&phrase),
+            parts: phrase.split(" and ").map(normalize_entity).collect(),
+            phrase,
+        }
     }
 }
 
@@ -221,6 +261,62 @@ mod tests {
         assert!(img.depicts("Madonna"));
         assert!(img.depicts("Madonna and Child"));
         assert!(!img.depicts("Madonna and Horse"));
+    }
+
+    /// `EntityKeys` hold exactly the strings `count_of` and `depicts` derived
+    /// when they normalized on every call — also where a second pass strips
+    /// a second article or plural.
+    #[test]
+    fn entity_keys_look_up_what_per_call_normalization_did() {
+        fn count_of(image: &ImageObject, entity: &str) -> u32 {
+            image.annotated(&normalize_entity(entity))
+        }
+        fn depicts(image: &ImageObject, entity: &str) -> bool {
+            let phrase = normalize_entity(entity);
+            if count_of(image, &phrase) > 0 {
+                return true;
+            }
+            let parts: Vec<&str> = phrase.split(" and ").collect();
+            parts.len() > 1 && parts.iter().all(|p| count_of(image, p) > 0)
+        }
+        let images = [
+            madonna_image(),
+            ImageObject::new("img/2.png")
+                .with_object("the sword", 2)
+                .with_object("guardian angel", 1)
+                .with_object("glasses", 4),
+            ImageObject::new("img/3.png"),
+        ];
+        let phrases = [
+            "swords",
+            "the the swords",
+            "swordss",
+            "angels",
+            "glasses",
+            "Madonna and Child",
+            "a the sword",
+            "the swords and an angels",
+            "a madonna and horse",
+            "",
+        ];
+        for image in &images {
+            for phrase in phrases {
+                // The VisualQA parser normalizes once before deriving keys.
+                for entity in [phrase.to_string(), normalize_entity(phrase)] {
+                    let keys = EntityKeys::of(&entity);
+                    assert_eq!(image.count_of_keys(&keys), count_of(image, &entity));
+                    assert_eq!(image.depicts_keys(&keys), depicts(image, &entity));
+                }
+            }
+        }
+        assert_eq!(
+            EntityKeys::of("the the swordss and an angels"),
+            EntityKeys {
+                phrase: "the swordss and an angel".into(),
+                whole: "swordss and an angel".into(),
+                parts: vec!["swordss".into(), "angel".into()],
+            }
+        );
     }
 
     #[test]

@@ -503,10 +503,10 @@ const TRANSFORM_CODEGEN_IDENTITY: &str = "codegen:transform:v1";
 /// without an attached disk store `cache` changes nothing, stats included.
 /// With one, the compile counts as a memory miss plus a disk hit or miss,
 /// keeping every [`BatchStats`] tier invariant intact: on a disk hit the
-/// call never dispatches ([`BatchStats::dispatched_requests`] stays 0 — a
-/// restarted session replays the operator without re-issuing the simulated
-/// codegen call), and a fresh compile is written through
-/// round-trip-validated.
+/// call never dispatches ([`BatchStats::dispatched_requests`] and `batches`
+/// stay 0, as for a fully cached perception step — a restarted session
+/// replays the operator without re-issuing the simulated codegen call), and
+/// a fresh compile is written through round-trip-validated.
 pub fn apply_python_udf(
     table: &Table,
     codegen: &TransformCodegen,
@@ -534,7 +534,9 @@ pub fn apply_python_udf(
             if let Some(program) =
                 cache.transform_disk_get(TRANSFORM_CODEGEN_IDENTITY, description, schema)
             {
+                // Answered from the store: nothing was dispatched.
                 let stats = BatchStats {
+                    batches: 0,
                     cache_misses: 1,
                     disk_hits: 1,
                     ..base
@@ -908,6 +910,59 @@ mod tests {
         let plot = apply_plot(&with_century, "bar", "century", "num_swords").unwrap();
         assert_eq!(plot.points.len(), 2);
         assert_eq!(plot.points[0].label, "15");
+    }
+
+    /// A transform answered from the disk tier dispatched nothing: `batches`
+    /// and `dispatched_requests()` are 0, as for a fully cached perception
+    /// step. Without a store every execution compiles and counts one batch.
+    #[test]
+    fn python_udf_answered_from_disk_counts_no_dispatch() {
+        let schema = Schema::from_pairs(&[("inception", DataType::Str)]);
+        let mut b = TableBuilder::new("t", schema);
+        b.push_values::<_, Value>(vec![Value::str("1480-05-12")])
+            .unwrap();
+        let table = b.build();
+        let apply = |cache: Option<&PerceptionCache>| {
+            let describe = "Extract the century from the dates in the 'inception' column";
+            let (stats, result) =
+                apply_python_udf(&table, &TransformCodegen::new(), describe, "century", cache);
+            assert_eq!(result.unwrap().value(0, "century").unwrap(), Value::Int(15));
+            stats
+        };
+        let compile = BatchStats {
+            unique_requests: 1,
+            batches: 1,
+            ..BatchStats::default()
+        };
+        let memory_only = PerceptionCache::with_capacity(8);
+        for cache in [None, Some(&memory_only), Some(&memory_only)] {
+            assert_eq!(apply(cache), compile);
+        }
+
+        let dir = std::env::temp_dir().join(format!("caesura-udf-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let over_store = || {
+            let mut cache = PerceptionCache::with_capacity(8);
+            cache.attach_disk(Arc::new(caesura_store::CacheStore::open(&dir).unwrap()));
+            cache
+        };
+        let written = BatchStats {
+            cache_misses: 1,
+            disk_misses: 1,
+            disk_writes: 1,
+            ..compile
+        };
+        assert_eq!(apply(Some(&over_store())), written);
+        let replayed = apply(Some(&over_store()));
+        let disk_hit = BatchStats {
+            unique_requests: 1,
+            cache_misses: 1,
+            disk_hits: 1,
+            ..BatchStats::default()
+        };
+        assert_eq!(replayed, disk_hit);
+        assert_eq!((replayed.batches, replayed.dispatched_requests()), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

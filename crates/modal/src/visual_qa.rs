@@ -10,7 +10,7 @@
 
 use crate::batch::{PerQuestion, PerceptionBackend, PerceptionInput, PerceptionRequest};
 use crate::error::{ModalError, ModalResult};
-use crate::image::{normalize_entity, ImageObject};
+use crate::image::{normalize_entity, EntityKeys, ImageObject};
 use crate::noise::NoiseModel;
 use caesura_engine::Value;
 
@@ -19,13 +19,14 @@ use caesura_engine::Value;
 pub enum VisualQuestion {
     /// "How many X are depicted?" → integer count of entity X.
     Count {
-        /// The entity being counted (normalized).
-        entity: String,
+        /// The entity being counted (normalized), as its annotation keys.
+        entity: EntityKeys,
     },
     /// "Is/Are X depicted?" → yes/no.
     Exists {
-        /// The entity phrase (may contain "and"), normalized.
-        entity: String,
+        /// The entity phrase (may contain "and"), normalized, as its
+        /// annotation keys.
+        entity: EntityKeys,
     },
     /// "What is depicted?" → caption / list of entities.
     Describe,
@@ -54,6 +55,9 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
     if q.is_empty() {
         return unanswerable("the question is empty");
     }
+    // Derived here, once per question, so that answering it about an image
+    // normalizes nothing.
+    let keys = |entity: &str| EntityKeys::of(&normalize_entity(entity));
 
     // Counting questions.
     if let Some(rest) = q.strip_prefix("how many ") {
@@ -77,7 +81,7 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
             return unanswerable("could not identify what to count");
         }
         return Ok(VisualQuestion::Count {
-            entity: normalize_entity(entity),
+            entity: keys(entity),
         });
     }
 
@@ -94,7 +98,7 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
                 .unwrap_or(rest)
                 .trim();
             return Ok(VisualQuestion::Exists {
-                entity: normalize_entity(entity),
+                entity: keys(entity),
             });
         }
     }
@@ -106,7 +110,7 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
                 .filter(|_| rest.contains("depicted"))
             {
                 return Ok(VisualQuestion::Exists {
-                    entity: normalize_entity(entity),
+                    entity: keys(entity),
                 });
             }
             if let Some(entity) = rest
@@ -115,7 +119,7 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
                 .filter(|_| rest.contains("visible"))
             {
                 return Ok(VisualQuestion::Exists {
-                    entity: normalize_entity(entity),
+                    entity: keys(entity),
                 });
             }
             if let Some(entity) = rest
@@ -124,20 +128,16 @@ pub fn parse_visual_question(question: &str) -> ModalResult<VisualQuestion> {
                 .filter(|_| rest.contains("shown"))
             {
                 return Ok(VisualQuestion::Exists {
-                    entity: normalize_entity(entity),
+                    entity: keys(entity),
                 });
             }
         }
     }
     if let Some(rest) = q.strip_prefix("does the image show ") {
-        return Ok(VisualQuestion::Exists {
-            entity: normalize_entity(rest),
-        });
+        return Ok(VisualQuestion::Exists { entity: keys(rest) });
     }
     if let Some(rest) = q.strip_prefix("does the painting show ") {
-        return Ok(VisualQuestion::Exists {
-            entity: normalize_entity(rest),
-        });
+        return Ok(VisualQuestion::Exists { entity: keys(rest) });
     }
 
     // Attribute questions: "what is the style", "what is the dominant color".
@@ -201,14 +201,14 @@ impl VisualQaModel {
         let noise_key = self.noise.key(|| format!("{}\u{1}{}", image.key, question));
         match parsed {
             VisualQuestion::Count { entity } => {
-                let mut count = i64::from(image.count_of(entity));
+                let mut count = i64::from(image.count_of_keys(entity));
                 if self.noise.should_corrupt(&noise_key) {
                     count = self.noise.perturb_count(&noise_key, count);
                 }
                 Value::Int(count)
             }
             VisualQuestion::Exists { entity } => {
-                let mut depicted = image.depicts(entity);
+                let mut depicted = image.depicts_keys(entity);
                 if self.noise.should_corrupt(&noise_key) {
                     depicted = !depicted;
                 }
@@ -358,13 +358,13 @@ mod tests {
         assert_eq!(
             parse_visual_question("How many swords are depicted?").unwrap(),
             VisualQuestion::Count {
-                entity: "sword".into()
+                entity: EntityKeys::of("sword")
             }
         );
         assert_eq!(
             parse_visual_question("Is Madonna and Child depicted?").unwrap(),
             VisualQuestion::Exists {
-                entity: "madonna and child".into()
+                entity: EntityKeys::of("madonna and child")
             }
         );
         assert!(parse_visual_question("").is_err());
