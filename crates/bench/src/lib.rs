@@ -14,15 +14,14 @@
 //! | Ablation: interleaved execution | `cargo run -p caesura-bench --bin ablation_interleaving` |
 //! | Ablation: few-shot planning examples | `cargo run -p caesura-bench --bin ablation_fewshot` |
 //!
-//! Criterion micro-benchmarks live in `benches/` (operator throughput,
-//! planning latency, end-to-end latency, plan-quality sweep).
+//! The repo's end-to-end benchmark (latency, throughput, model calls per
+//! query) is the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use caesura_core::{Caesura, CaesuraConfig};
 use caesura_data::{generate_artwork, generate_rotowire, ArtworkConfig, RotowireConfig};
-use caesura_engine::{DataType, Schema, Table, TableBuilder, Value};
 use caesura_eval::{evaluate_model, EvaluationConfig, EvaluationReport};
 use caesura_llm::{ModelProfile, SimulatedLlm};
 use std::sync::Arc;
@@ -75,81 +74,6 @@ pub fn report_with_config(profile: ModelProfile, caesura: CaesuraConfig) -> Eval
         ..EvaluationConfig::default()
     };
     evaluate_model(profile, &config)
-}
-
-/// A synthetic scores table with int/float/str columns, used to measure the
-/// relational operators at cardinalities (8k–1M) where the artwork generator
-/// (which also builds image annotations) would dominate setup time.
-pub fn scores_table(rows: usize) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("game_id", DataType::Int),
-        ("team", DataType::Str),
-        ("points", DataType::Int),
-        ("rating", DataType::Float),
-    ]);
-    let mut builder = TableBuilder::new("scores", schema);
-    for i in 0..rows {
-        builder
-            .push_row(vec![
-                Value::Int(i as i64),
-                Value::str(TEAMS[i % TEAMS.len()].0),
-                Value::Int(60 + ((i * 37) % 90) as i64),
-                Value::Float((i % 1000) as f64 / 10.0),
-            ])
-            .unwrap();
-    }
-    builder.build()
-}
-
-const TEAMS: [(&str, &str); 8] = [
-    ("Heat", "Eastern"),
-    ("Spurs", "Western"),
-    ("Bulls", "Eastern"),
-    ("Lakers", "Western"),
-    ("Celtics", "Eastern"),
-    ("Nets", "Eastern"),
-    ("Suns", "Western"),
-    ("Jazz", "Western"),
-];
-
-/// A keyed side table joining against `scores.team`.
-pub fn teams_table() -> Table {
-    let schema = Schema::from_pairs(&[("team", DataType::Str), ("conference", DataType::Str)]);
-    let mut builder = TableBuilder::new("teams", schema);
-    for (team, conference) in TEAMS {
-        builder.push_values([team, conference]).unwrap();
-    }
-    builder.build()
-}
-
-/// The paper-scale join shape at a chosen size: a metadata table and an
-/// image table of `rows` rows each, keyed by one unique `img_path` string in
-/// the same order on both sides (`paintings_metadata ⋈ painting_images`).
-pub fn fk_tables(rows: usize) -> (Table, Table) {
-    let schema = Schema::from_pairs(&[
-        ("title", DataType::Str),
-        ("movement", DataType::Str),
-        ("inception", DataType::Int),
-        ("img_path", DataType::Str),
-    ]);
-    let mut metadata = TableBuilder::new("paintings_metadata", schema);
-    let schema = Schema::from_pairs(&[("img_path", DataType::Str), ("image", DataType::Image)]);
-    let mut images = TableBuilder::new("painting_images", schema);
-    for i in 0..rows {
-        let path = format!("img/{i:07}.png");
-        metadata
-            .push_row(vec![
-                Value::str(format!("Painting {i}")),
-                Value::str(TEAMS[i % TEAMS.len()].0),
-                Value::Int(1400 + (i % 500) as i64),
-                Value::str(path.as_str()),
-            ])
-            .unwrap();
-        images
-            .push_row(vec![Value::str(path.as_str()), Value::image(path.as_str())])
-            .unwrap();
-    }
-    (metadata.build(), images.build())
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! [`Executor::perception_stats`].
 
 use crate::error::{CoreError, CoreResult};
-use caesura_engine::{parallel, sql, Catalog, ExecConfig, Observation, Table};
+use caesura_engine::{sql, Catalog, Observation, Table};
 use caesura_llm::{LogicalStep, OperatorDecision};
 use caesura_modal::operators::{
     apply_image_select, apply_plot, apply_python_udf, apply_text_qa, apply_visual_qa,
@@ -76,8 +76,6 @@ pub struct Executor {
     codegen: TransformCodegen,
     /// The most recently produced table name.
     last_output: Option<String>,
-    /// Optional pinned execution configuration for the relational operators.
-    exec: Option<ExecConfig>,
     /// Batching configuration for the perception-operator model calls.
     batch: BatchConfig,
     /// Optional session-scoped perception answer cache, shared (`Arc`) with
@@ -102,18 +100,10 @@ impl Executor {
             image_select: ImageSelectModel::new(),
             codegen: TransformCodegen::new(),
             last_output: None,
-            exec: None,
             batch: BatchConfig::default(),
             cache: None,
             perception: BatchStats::default(),
         }
-    }
-
-    /// Pin the execution configuration (worker threads, morsel size) every
-    /// operator executed by this executor runs under.
-    pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
-        self.exec = Some(config);
-        self
     }
 
     /// Pin the perception-call batching configuration (batch size) for the
@@ -244,18 +234,6 @@ impl Executor {
         }
     }
 
-    /// Execute one operator decision for one logical step.
-    pub fn execute(
-        &mut self,
-        step: &LogicalStep,
-        decision: &OperatorDecision,
-    ) -> CoreResult<StepOutcome> {
-        match self.exec {
-            Some(config) => parallel::with_config(config, || self.execute_inner(step, decision)),
-            None => self.execute_inner(step, decision),
-        }
-    }
-
     /// [`Executor::execute`] plus trace accounting: records the step's
     /// execution-phase wall clock and its perception-call delta (including
     /// for failed attempts, whose dispatches were paid just the same) on
@@ -294,7 +272,8 @@ impl Executor {
         result
     }
 
-    fn execute_inner(
+    /// Execute one operator decision for one logical step.
+    pub fn execute(
         &mut self,
         step: &LogicalStep,
         decision: &OperatorDecision,

@@ -52,10 +52,11 @@ pub struct CaesuraConfig {
     pub max_step_attempts: usize,
     /// Maximum full replans after an unrecoverable error.
     pub max_replans: usize,
-    /// Execution configuration (worker threads, morsel size) pinned for the
-    /// relational operators of this session's queries. `None` uses the
-    /// process default (`CAESURA_THREADS` / hardware parallelism);
-    /// `Some(ExecConfig::sequential())` forces the single-threaded paths.
+    /// Execution configuration (worker threads) pinned for the perception
+    /// dispatch of this session's queries. `None` uses the process default
+    /// (`CAESURA_THREADS` / hardware parallelism);
+    /// `Some(ExecConfig::sequential())` dispatches every batch on the query's
+    /// own worker.
     pub exec: Option<ExecConfig>,
     /// Batching configuration (batch size) for the perception-operator model
     /// calls. `None` uses the environment default (`CAESURA_LLM_BATCH`);
@@ -83,8 +84,8 @@ pub struct CaesuraConfig {
     /// default (`CAESURA_SESSION_WORKERS`, falling back to hardware
     /// parallelism); `Some(1)` serializes all queries through one worker,
     /// preserving submission order end to end. Note the oversubscription
-    /// math: each in-flight query may additionally fan relational operators
-    /// out over `CAESURA_THREADS` morsel workers.
+    /// math: each in-flight query may additionally fan perception batches
+    /// out over `CAESURA_THREADS` workers.
     pub session_workers: Option<usize>,
     /// Bound of the serving scheduler's submission queue. `None` uses
     /// [`crate::serving::DEFAULT_QUEUE_DEPTH`] (64). A full queue applies
@@ -486,7 +487,7 @@ impl Caesura {
     /// **blocks** until a slot frees (backpressure). Use
     /// [`Caesura::try_submit`] for a non-blocking variant.
     ///
-    /// The effective relational-execution configuration is captured at
+    /// The effective execution configuration is captured at
     /// submission time — [`CaesuraConfig::exec`] if set, otherwise the
     /// submitting thread's `parallel::exec_config()` — and pinned for the
     /// whole run, so a `parallel::with_config` scope around `submit` (or the
@@ -571,8 +572,8 @@ impl SessionCore {
             let (trace, logical_plan, decisions) = (&mut trace, &mut logical_plan, &mut decisions);
             let cancel = job.cancel_token();
             let query = job.query();
-            // Pin the thread/morsel knobs captured at submission time for
-            // the whole query.
+            // Pin the thread count captured at submission time for the whole
+            // query.
             parallel::with_config(job.exec(), move || {
                 self.run_inner(query, trace, logical_plan, decisions, cancel)
             })
@@ -820,9 +821,7 @@ impl SessionCore {
     /// both clones below share it.
     fn make_executor(&self) -> Executor {
         // No per-executor exec pin here: `run_scheduled` already scopes the
-        // captured `exec` configuration around the whole query, and
-        // `Executor::with_exec_config` remains available for direct executor
-        // users.
+        // captured `exec` configuration around the whole query.
         let mut executor = Executor::new(self.lake.catalog().clone(), self.lake.images().clone());
         if let Some(batch) = self.config.llm_batch {
             executor = executor.with_batch_config(batch);

@@ -7,7 +7,6 @@
 //! every row each time.
 
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::ExecConfig;
 use crate::table::Table;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -60,10 +59,6 @@ impl ForeignKey {
 pub struct Catalog {
     tables: BTreeMap<String, Arc<Table>>,
     foreign_keys: Vec<ForeignKey>,
-    /// Optional pinned execution configuration: SQL run against this catalog
-    /// (see [`sql::run_sql`](crate::sql::run_sql)) uses these thread/morsel
-    /// knobs instead of the process default.
-    exec: Option<ExecConfig>,
 }
 
 impl Catalog {
@@ -104,23 +99,6 @@ impl Catalog {
     /// All declared foreign keys.
     pub fn foreign_keys(&self) -> &[ForeignKey] {
         &self.foreign_keys
-    }
-
-    /// Pin the execution configuration (worker threads, morsel size) used
-    /// when SQL runs against this catalog. Cloned catalogs inherit the pin.
-    pub fn set_exec_config(&mut self, config: ExecConfig) {
-        self.exec = Some(config);
-    }
-
-    /// Builder-style [`Catalog::set_exec_config`].
-    pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
-        self.exec = Some(config);
-        self
-    }
-
-    /// The pinned execution configuration, if any.
-    pub fn exec_config(&self) -> Option<ExecConfig> {
-        self.exec
     }
 
     /// Foreign keys that involve a given table.

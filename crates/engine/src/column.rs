@@ -99,9 +99,9 @@ impl Bitmap {
         out
     }
 
-    /// Append every bit of `other`, a word at a time (the merge step of the
-    /// morsel-parallel kernels; morsel lengths are usually multiples of 64,
-    /// so this is a plain word copy).
+    /// Append every bit of `other`, a word at a time (the merge step of
+    /// [`Column::concat`]; when `self`'s length is a multiple of 64 this is a
+    /// plain word copy).
     pub fn append(&mut self, other: &Bitmap) {
         let shift = self.len % 64;
         if shift == 0 {
@@ -382,10 +382,8 @@ impl Column {
 
     /// Copy the slots of `range` into a new column, **preserving the storage
     /// representation** (a sliced `Mixed` column stays `Mixed`, placeholder
-    /// values in invalid slots are copied verbatim). Preserving the
-    /// representation matters for the morsel-driven parallel kernels: every
-    /// chunk must take exactly the code path the full column would, so that
-    /// reassembled results are byte-identical to sequential execution.
+    /// values in invalid slots are copied verbatim), so a slice takes exactly
+    /// the code path the full column would.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Column {
         /// Every `(data, bitmap)` representation slices through this one
         /// helper, so no variant can drift from the
@@ -567,8 +565,7 @@ impl Column {
         }
     }
 
-    /// Concatenate columns end to end (UNION ALL, and the merge step of the
-    /// morsel-parallel kernels). Parts sharing one typed representation are
+    /// Concatenate columns end to end (UNION ALL). Parts sharing one typed representation are
     /// **moved** into the first part's buffers — no per-cell clone, validity
     /// appended a word at a time; mixed-representation inputs fall back to
     /// value-level packing.
@@ -576,8 +573,8 @@ impl Column {
         let total: usize = parts.iter().map(|c| c.len()).sum();
         let uniform = match parts.first() {
             None | Some(Column::Null(_) | Column::Mixed(_)) => false,
-            // Parts sharing one entry table (morsel slices of the same
-            // column) stay dictionary-encoded; mismatched dictionaries fall
+            // Parts sharing one entry table (slices of the same column)
+            // stay dictionary-encoded; mismatched dictionaries fall
             // through to value-level packing (plain strings), the same
             // result a plain-Utf8 concat would produce.
             Some(Column::Dict { dict: first, .. }) => parts

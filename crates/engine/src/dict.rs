@@ -9,9 +9,8 @@
 //!
 //! Encoding happens at table **ingest** ([`Table::new`](crate::table::Table::new)
 //! and [`TableBuilder::build`](crate::table::TableBuilder::build)) behind the
-//! `CAESURA_DICT_ENCODE` knob — never inside operators, so sequential and
-//! morsel-parallel execution always see the same representation and stay
-//! byte-identical. `slice`/`take` on a dict column preserve the encoding and
+//! `CAESURA_DICT_ENCODE` knob — never inside operators, so every operator of
+//! a query sees the same representation. `slice`/`take` on a dict column preserve the encoding and
 //! share the entry table `Arc`; operators that cannot exploit the codes fall
 //! back to the exact `Value`-level semantics of a plain [`Column::Utf8`].
 

@@ -2,7 +2,7 @@
 //!
 //! [`CompiledExpr::compile`] lowers an [`Expr`] tree into a tree of
 //! pre-resolved kernel nodes once per batch, instead of re-interpreting the
-//! AST per morsel:
+//! AST:
 //!
 //! * column names are bound to positional indices (no `Schema::resolve`
 //!   hash lookups on the hot path; unresolvable names become lazy error
@@ -12,8 +12,8 @@
 //!   pre-computed error that is only raised if the node is actually
 //!   demanded, preserving the laziness of `CASE` branches and `IN` items,
 //! * evaluation runs over an **offset view** of the input columns
-//!   (`columns` + row range), so morsel-parallel execution reads the shared
-//!   `Arc` buffers in place instead of memcpying a slice per morsel,
+//!   (`columns` + row range), reading the shared `Arc` buffers in place
+//!   instead of memcpying a slice of them,
 //! * the binary-operator kernels are monomorphized over the operand
 //!   representations, including code-native kernels for dictionary-encoded
 //!   string columns (one comparison per *dictionary entry* instead of one
@@ -37,8 +37,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 thread_local! {
-    /// Per-worker argument buffer for row-wise function application, reused
-    /// across every morsel a worker evaluates.
+    /// Per-thread argument buffer for row-wise function application, reused
+    /// across every evaluation on the thread.
     static ARGV_SCRATCH: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -648,9 +648,8 @@ fn in_list_scan(
 }
 
 /// An [`Expr`] lowered to pre-resolved kernel nodes (see the module docs).
-/// Compile once per batch, then evaluate any number of row ranges — the
-/// morsel-parallel driver hands every worker the same compiled tree and a
-/// different range over the shared input columns.
+/// Compile once per batch, then evaluate any number of row ranges over the
+/// shared input columns.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {
     root: Node,
@@ -669,7 +668,7 @@ impl CompiledExpr {
 
     /// Evaluate over `range` of the input columns, producing a column of
     /// `range.len()` rows. The inputs are read in place at the range offset —
-    /// no per-morsel slicing.
+    /// no slicing.
     pub fn evaluate_range(
         &self,
         columns: &[Arc<Column>],

@@ -7,8 +7,8 @@
 //! * **column-at-a-time** via [`Expr::evaluate_batch`] — the vectorized path
 //!   the physical operators use. The expression is first lowered to a
 //!   [`CompiledExpr`] (column names bound to indices, constant subtrees
-//!   folded — see [`compile`]), then evaluated morsel-wise over zero-copy
-//!   row-range views of the input columns, with typed kernels (and scalar
+//!   folded — see [`compile`]), then evaluated over zero-copy row-range
+//!   views of the input columns, with typed kernels (and scalar
 //!   broadcasting for literals) for the common numeric and string cases and
 //!   an element-wise fallback where per-row dynamic typing demands it;
 //! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
@@ -26,7 +26,6 @@ pub use compile::CompiledExpr;
 
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::Region;
 use crate::schema::Schema;
 use crate::value::{DataType, DateValue, Value};
 use std::fmt;
@@ -385,13 +384,7 @@ impl Expr {
     /// `columns` are the input table's columns in schema order and `num_rows`
     /// its row count. The expression is lowered to a [`CompiledExpr`] once
     /// (column names bound to indices, constant subtrees folded), then
-    /// evaluated either in one pass or — when the [`ExecConfig`] calls for
-    /// it — morsel-parallel, each worker reading the shared input columns in
-    /// place through a zero-copy row-range view. Chunk results concatenate in
-    /// morsel order, so the output is byte-identical to sequential
-    /// evaluation.
-    ///
-    /// [`ExecConfig`]: crate::parallel::ExecConfig
+    /// evaluated in one pass over the shared input columns.
     pub fn evaluate_batch(
         &self,
         schema: &Schema,
@@ -405,133 +398,46 @@ impl Expr {
                 .evaluate_batch_inner(schema, columns, num_rows)?
                 .materialize(num_rows));
         }
-        let compiled = CompiledExpr::compile(self, schema);
-        let config = crate::parallel::exec_config();
-        if config.should_parallelize(Region::Expr, num_rows) {
-            let chunks: Vec<Arc<Column>> =
-                crate::parallel::try_map_morsels(&config, num_rows, |range| {
-                    compiled.evaluate_range(columns, range)
-                })?;
-            return Ok(Arc::new(concat_chunks(chunks)));
-        }
-        compiled.evaluate_range(columns, 0..num_rows)
+        CompiledExpr::compile(self, schema).evaluate_range(columns, 0..num_rows)
     }
 
     /// The pre-compilation batch evaluator, kept as the executable reference
     /// for the compiled path (`tests/property_encoded.rs` proves them
-    /// byte-identical). Interprets the AST per batch and slices the
-    /// referenced input columns per morsel instead of compiling once and
-    /// reading range views.
+    /// byte-identical). Interprets the AST per batch instead of compiling
+    /// once.
     pub fn evaluate_batch_interpreted(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Arc<Column>> {
-        let config = crate::parallel::exec_config();
-        if config.should_parallelize(Region::Expr, num_rows)
-            && !matches!(self, Expr::Literal(_) | Expr::Column(_))
-        {
-            return self.evaluate_batch_morsels(schema, columns, num_rows, &config);
-        }
         Ok(self
             .evaluate_batch_inner(schema, columns, num_rows)?
             .materialize(num_rows))
-    }
-
-    /// Morsel-parallel interpreted evaluation: slice the referenced input
-    /// columns per morsel, run the (sequential) vectorized interpreter on
-    /// each chunk on the worker pool, and concatenate the chunk columns in
-    /// morsel order. Because [`Column::slice`] preserves storage
-    /// representations, every chunk takes exactly the kernel the full column
-    /// would, so the reassembled column is byte-identical to sequential
-    /// evaluation.
-    fn evaluate_batch_morsels(
-        &self,
-        schema: &Schema,
-        columns: &[Arc<Column>],
-        num_rows: usize,
-        config: &crate::parallel::ExecConfig,
-    ) -> EngineResult<Arc<Column>> {
-        let referenced = self.referenced_column_mask(schema, columns.len());
-        let chunks: Vec<Arc<Column>> =
-            crate::parallel::try_map_morsels(config, num_rows, |range| {
-                let chunk_columns = chunk_input_columns(columns, &referenced, range.clone());
-                // Chunk lengths never exceed `morsel_rows`, so this nested
-                // call always takes the sequential path.
-                self.evaluate_batch_interpreted(schema, &chunk_columns, range.len())
-            })?;
-        Ok(Arc::new(concat_chunks(chunks)))
-    }
-
-    /// Which input columns the expression reads, as a positional mask.
-    /// Unresolvable references are simply left out — the chunk evaluation
-    /// raises exactly the error the sequential evaluation would.
-    fn referenced_column_mask(&self, schema: &Schema, num_columns: usize) -> Vec<bool> {
-        let mut mask = vec![false; num_columns];
-        for name in self.referenced_columns() {
-            if let Ok(idx) = schema.resolve(&name) {
-                if idx < num_columns {
-                    mask[idx] = true;
-                }
-            }
-        }
-        mask
     }
 
     /// Evaluate the expression as a predicate over all rows and return the
     /// selection vector of row indices where it is true (NULL = not selected).
     ///
     /// Like [`Expr::evaluate_batch`], the expression is compiled once and
-    /// evaluated over zero-copy row-range views, morsel-parallel when the
-    /// execution config calls for it.
+    /// evaluated in one pass.
     pub fn selection_vector(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
-        let compiled = CompiledExpr::compile(self, schema);
-        let config = crate::parallel::exec_config();
-        if config.should_parallelize(Region::Expr, num_rows) && !matches!(self, Expr::Literal(_)) {
-            let chunks = crate::parallel::try_map_morsels(&config, num_rows, |range| {
-                let start = range.start;
-                compiled
-                    .selection_range(columns, range)
-                    .map(|selected| (start, selected))
-            })?;
-            let mut selected = Vec::new();
-            for (offset, chunk) in chunks {
-                selected.extend(chunk.into_iter().map(|i| i + offset));
-            }
-            return Ok(selected);
-        }
-        compiled.selection_range(columns, 0..num_rows)
+        CompiledExpr::compile(self, schema).selection_range(columns, 0..num_rows)
     }
 
     /// The pre-compilation selection-vector evaluator — the executable
-    /// reference for [`Expr::selection_vector`], interpreting the AST per
-    /// morsel chunk.
+    /// reference for [`Expr::selection_vector`], interpreting the AST.
     pub fn selection_vector_interpreted(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
-        let config = crate::parallel::exec_config();
-        if config.should_parallelize(Region::Expr, num_rows) && !matches!(self, Expr::Literal(_)) {
-            let referenced = self.referenced_column_mask(schema, columns.len());
-            let chunks = crate::parallel::try_map_morsels(&config, num_rows, |range| {
-                let chunk_columns = chunk_input_columns(columns, &referenced, range.clone());
-                self.selection_vector_interpreted(schema, &chunk_columns, range.len())
-                    .map(|selected| (range.start, selected))
-            })?;
-            let mut selected = Vec::new();
-            for (offset, chunk) in chunks {
-                selected.extend(chunk.into_iter().map(|i| i + offset));
-            }
-            return Ok(selected);
-        }
         match self.evaluate_batch_inner(schema, columns, num_rows)? {
             Batch::Scalar(v) => Ok(if v.as_bool() == Some(true) {
                 (0..num_rows).collect()
@@ -783,40 +689,6 @@ impl fmt::Display for Expr {
             }
         }
     }
-}
-
-/// Move per-morsel chunk results together in morsel order. A chunk the
-/// evaluator built is uniquely owned and moves; one that is a shared view of
-/// an input column is copied.
-fn concat_chunks(chunks: Vec<Arc<Column>>) -> Column {
-    Column::concat(
-        chunks
-            .into_iter()
-            .map(|chunk| Arc::try_unwrap(chunk).unwrap_or_else(|shared| (*shared).clone()))
-            .collect(),
-    )
-}
-
-/// Slice the input columns an expression actually reads down to `range`,
-/// substituting a shared all-NULL placeholder for untouched positions so the
-/// chunk keeps the schema's column arity without copying unread data.
-fn chunk_input_columns(
-    columns: &[Arc<Column>],
-    referenced: &[bool],
-    range: std::ops::Range<usize>,
-) -> Vec<Arc<Column>> {
-    let placeholder = Arc::new(Column::Null(range.len()));
-    columns
-        .iter()
-        .zip(referenced)
-        .map(|(column, &read)| {
-            if read {
-                Arc::new(column.slice(range.clone()))
-            } else {
-                Arc::clone(&placeholder)
-            }
-        })
-        .collect()
 }
 
 /// The result of evaluating a sub-expression over a batch of rows: either a

@@ -21,39 +21,15 @@
 //!   evaluator and a row-at-a-time evaluator,
 //! * [`ops`] — vectorized physical relational operators (filter, project,
 //!   hash join, aggregation, sort, limit, distinct, union),
-//! * [`parallel`] — the morsel-driven parallel execution subsystem (see
-//!   below),
+//! * [`parallel`] — the worker pool perception dispatch fans out on, and
+//!   its [`ExecConfig`] `{ threads }` (`CAESURA_THREADS`),
 //! * [`sql`] — a read-only SQL subset (parser + executor) used by the SQL
 //!   physical operators of CAESURA's plans,
 //! * [`Catalog`] — the named-table registry backing a data lake.
 //!
-//! ## Parallel execution and `ExecConfig`
-//!
-//! The hot kernels (expression evaluation, filter selection vectors,
-//! take/gather, hash-join probe, grouped aggregation, sort) can run
-//! morsel-parallel on a scoped `std::thread` worker pool: row ranges are
-//! split into fixed-size morsels that workers claim from a shared cursor.
-//! All merges happen in morsel order, so results are deterministic and —
-//! with the floating-point SUM/AVG caveat documented in [`parallel`] —
-//! byte-identical to sequential execution.
-//!
-//! The knob is [`ExecConfig`] `{ threads, morsel_rows, gated }`:
-//!
-//! * `threads = 1` disables the pool entirely and runs the original
-//!   sequential code paths;
-//! * the process default comes from the `CAESURA_THREADS` environment
-//!   variable (hardware parallelism otherwise) over 4096-row morsels and
-//!   can be replaced with
-//!   [`parallel::set_exec_config`]. It is *gated*: a relational region
-//!   ([`parallel::Region`]) uses the pool only from the minimum row count
-//!   at which it beat its sequential kernel in the committed crossover
-//!   table (`BENCH_crossover.json`) — on the 2-core reference box, never;
-//! * an explicit [`ExecConfig::new`] pin is not gated and reaches the
-//!   parallel kernels above one morsel of rows;
-//! * a configuration can be pinned per catalog
-//!   ([`Catalog::set_exec_config`]) or per scope
-//!   ([`parallel::with_config`]); the `caesura-core` session and executor
-//!   expose the same knob for whole queries.
+//! Every relational operator runs sequentially on the calling thread, so
+//! its result — float `SUM`/`AVG` included — does not depend on the thread
+//! count.
 //!
 //! ```
 //! use caesura_engine::{Catalog, Schema, TableBuilder, DataType, Value, sql::run_sql};

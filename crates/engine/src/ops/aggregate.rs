@@ -8,22 +8,10 @@
 //! evaluated column-at-a-time first; the grouping pass then walks those
 //! columns once, hashing `i64` keys directly when a single integer group
 //! column allows it and the rendered group key otherwise.
-//!
-//! ## Parallel float SUM/AVG invariant
-//!
-//! Under the morsel-driven pool ([`crate::parallel`]) each worker folds a
-//! per-morsel partial [`AggState`] and the partials are merged in morsel
-//! order: deterministic for a given `ExecConfig`, but a *different addition
-//! order* than the sequential row-order fold — so float `SUM`/`AVG` totals
-//! can differ in the last ulp between `threads = 1` and parallel configs
-//! whenever addends are not exactly representable. `threads = 1` stays
-//! byte-for-byte the pre-parallel engine on purpose; the property suite uses
-//! dyadic rationals to keep its cross-config comparisons exact.
 
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::Expr;
-use crate::parallel::Region;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -98,7 +86,7 @@ impl AggCall {
 }
 
 /// Running state of one aggregate within one group.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum AggState {
     Count(i64),
     Sum {
@@ -220,68 +208,6 @@ impl AggState {
         Ok(())
     }
 
-    /// Merge another partial state for the same group into this one (the
-    /// combine step of morsel-parallel aggregation). `other` must come from
-    /// later rows than `self`, so first-seen semantics (MIN/MAX keep the
-    /// earliest extremum) are preserved. Floating-point SUM/AVG totals are
-    /// combined by adding per-morsel partial sums in morsel order —
-    /// deterministic, and exact whenever the addends are exactly
-    /// representable (integers below 2^53, dyadic rationals).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Sum {
-                    total,
-                    any,
-                    all_int,
-                },
-                AggState::Sum {
-                    total: other_total,
-                    any: other_any,
-                    all_int: other_all_int,
-                },
-            ) => {
-                *total += other_total;
-                *any |= other_any;
-                *all_int &= other_all_int;
-            }
-            (
-                AggState::Avg { total, count },
-                AggState::Avg {
-                    total: other_total,
-                    count: other_count,
-                },
-            ) => {
-                *total += other_total;
-                *count += other_count;
-            }
-            (AggState::Min(best), AggState::Min(other)) => {
-                if let Some(candidate) = other {
-                    match best {
-                        None => *best = Some(candidate),
-                        Some(b) if candidate.total_cmp(b) == std::cmp::Ordering::Less => {
-                            *best = Some(candidate)
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            (AggState::Max(best), AggState::Max(other)) => {
-                if let Some(candidate) = other {
-                    match best {
-                        None => *best = Some(candidate),
-                        Some(b) if candidate.total_cmp(b) == std::cmp::Ordering::Greater => {
-                            *best = Some(candidate)
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
     fn finish(self) -> Value {
         match self {
             AggState::Count(c) => Value::Int(c),
@@ -323,27 +249,6 @@ impl Group {
             states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
         }
     }
-
-    /// Merge a later partial group with the same key into this one.
-    fn merge(&mut self, other: Group) {
-        for (state, other_state) in self.states.iter_mut().zip(other.states) {
-            state.merge(other_state);
-        }
-    }
-}
-
-/// The lookup key a group is merged under when partial (per-morsel) results
-/// are combined: the typed integer key of the single-int fast path, or the
-/// rendered composite key of the generic path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    Int(i64),
-    /// A dictionary code of the single dict-encoded group column. Codes are
-    /// stable across morsels (every morsel indexes the same entry table), so
-    /// partial groups merge exactly like rendered string keys would.
-    Code(u32),
-    Null,
-    Composite(String),
 }
 
 /// Group `input` by the `group_by` expressions and compute `aggs` per group.
@@ -400,20 +305,7 @@ pub fn aggregate(
     }
 
     // Grouping pass: map each row to its group, folding aggregate states.
-    // Large inputs aggregate morsel-parallel: each worker folds its row
-    // range into partial groups, which are then merged in morsel order —
-    // first-seen group order and all folds stay identical to a sequential
-    // row-order pass.
-    let config = crate::parallel::exec_config();
-    let keyed_groups = if config.should_parallelize(Region::Aggregate, num_rows) {
-        let partials = crate::parallel::try_map_morsels(&config, num_rows, |range| {
-            group_rows(range, &key_columns, &agg_columns, &contexts, aggs)
-        })?;
-        merge_partial_groups(partials)
-    } else {
-        group_rows(0..num_rows, &key_columns, &agg_columns, &contexts, aggs)?
-    };
-    let mut groups: Vec<Group> = keyed_groups.into_iter().map(|(_, group)| group).collect();
+    let mut groups = group_rows(num_rows, &key_columns, &agg_columns, &contexts, aggs)?;
 
     // Global aggregation over an empty input still yields one row.
     if groups.is_empty() && group_by.is_empty() {
@@ -444,17 +336,15 @@ pub fn aggregate(
     )
 }
 
-/// Fold one row range into groups in first-seen order, each tagged with its
-/// merge key. This is both the sequential grouping pass (over `0..num_rows`)
-/// and the per-morsel partial pass of parallel aggregation.
+/// Fold the rows `0..num_rows` into groups in first-seen order.
 fn group_rows(
-    range: std::ops::Range<usize>,
+    num_rows: usize,
     key_columns: &[Arc<Column>],
     agg_columns: &[Option<Arc<Column>>],
     contexts: &[String],
     aggs: &[AggCall],
-) -> EngineResult<Vec<(GroupKey, Group)>> {
-    let mut groups: Vec<(GroupKey, Group)> = Vec::new();
+) -> EngineResult<Vec<Group>> {
+    let mut groups: Vec<Group> = Vec::new();
 
     // Single integer group column: hash i64 keys directly.
     let single_int_key = if key_columns.len() == 1 {
@@ -472,28 +362,25 @@ fn group_rows(
         None
     };
     if key_columns.is_empty() {
-        // Global aggregation: every row folds into the one group the generic
-        // path would file under the empty composite key — no hashing per row.
-        if !range.is_empty() {
-            groups.push((
-                GroupKey::Composite(String::new()),
-                Group::new(Vec::new(), aggs),
-            ));
-            for row in range {
-                fold_row(&mut groups[0].1, agg_columns, contexts, row)?;
+        // Global aggregation: every row folds into one group — no hashing
+        // per row.
+        if num_rows > 0 {
+            groups.push(Group::new(Vec::new(), aggs));
+            for row in 0..num_rows {
+                fold_row(&mut groups[0], agg_columns, contexts, row)?;
             }
         }
     } else if let Some((codes, dict, validity)) = single_dict_key {
         let mut index: Vec<Option<usize>> = vec![None; dict.len()];
         let mut null_group: Option<usize> = None;
-        for row in range {
+        for (row, &code) in codes.iter().enumerate() {
             let group = if validity.is_valid(row) {
-                let code = codes[row] as usize;
+                let code = code as usize;
                 match index[code] {
                     Some(g) => g,
                     None => {
                         let key = Value::Str(Arc::clone(&dict[code]));
-                        groups.push((GroupKey::Code(codes[row]), Group::new(vec![key], aggs)));
+                        groups.push(Group::new(vec![key], aggs));
                         let g = groups.len() - 1;
                         index[code] = Some(g);
                         g
@@ -503,42 +390,41 @@ fn group_rows(
                 match null_group {
                     Some(g) => g,
                     None => {
-                        groups.push((GroupKey::Null, Group::new(vec![Value::Null], aggs)));
+                        groups.push(Group::new(vec![Value::Null], aggs));
                         let g = groups.len() - 1;
                         null_group = Some(g);
                         g
                     }
                 }
             };
-            fold_row(&mut groups[group].1, agg_columns, contexts, row)?;
+            fold_row(&mut groups[group], agg_columns, contexts, row)?;
         }
     } else if let Some((data, validity)) = single_int_key {
         let mut index: HashMap<i64, usize> = HashMap::new();
         let mut null_group: Option<usize> = None;
-        for row in range {
-            let key = data[row];
+        for (row, &key) in data.iter().enumerate() {
             let group = if validity.is_valid(row) {
                 *index.entry(key).or_insert_with(|| {
-                    groups.push((GroupKey::Int(key), Group::new(vec![Value::Int(key)], aggs)));
+                    groups.push(Group::new(vec![Value::Int(key)], aggs));
                     groups.len() - 1
                 })
             } else {
                 match null_group {
                     Some(g) => g,
                     None => {
-                        groups.push((GroupKey::Null, Group::new(vec![Value::Null], aggs)));
+                        groups.push(Group::new(vec![Value::Null], aggs));
                         let g = groups.len() - 1;
                         null_group = Some(g);
                         g
                     }
                 }
             };
-            fold_row(&mut groups[group].1, agg_columns, contexts, row)?;
+            fold_row(&mut groups[group], agg_columns, contexts, row)?;
         }
     } else {
         let mut index: HashMap<String, usize> = HashMap::new();
         let mut key_buf = String::new();
-        for row in range {
+        for row in 0..num_rows {
             key_buf.clear();
             for col in key_columns {
                 col.write_group_key(row, &mut key_buf);
@@ -548,40 +434,16 @@ fn group_rows(
                 Some(&g) => g,
                 None => {
                     let key_values: Vec<Value> = key_columns.iter().map(|c| c.get(row)).collect();
-                    groups.push((
-                        GroupKey::Composite(key_buf.clone()),
-                        Group::new(key_values, aggs),
-                    ));
+                    groups.push(Group::new(key_values, aggs));
                     let g = groups.len() - 1;
                     index.insert(key_buf.clone(), g);
                     g
                 }
             };
-            fold_row(&mut groups[group].1, agg_columns, contexts, row)?;
+            fold_row(&mut groups[group], agg_columns, contexts, row)?;
         }
     }
     Ok(groups)
-}
-
-/// Merge per-morsel partial groups in morsel order. A group's first
-/// occurrence over the morsel-ordered traversal is its first occurrence in
-/// row order, so the merged first-seen order — and every folded state — is
-/// identical to a sequential pass.
-fn merge_partial_groups(partials: Vec<Vec<(GroupKey, Group)>>) -> Vec<(GroupKey, Group)> {
-    let mut index: HashMap<GroupKey, usize> = HashMap::new();
-    let mut merged: Vec<(GroupKey, Group)> = Vec::new();
-    for partial in partials {
-        for (key, group) in partial {
-            match index.get(&key) {
-                Some(&slot) => merged[slot].1.merge(group),
-                None => {
-                    index.insert(key.clone(), merged.len());
-                    merged.push((key, group));
-                }
-            }
-        }
-    }
-    merged
 }
 
 fn fold_row(

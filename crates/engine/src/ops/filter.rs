@@ -73,7 +73,6 @@ pub fn filter_project(
             }
         }
     }
-    let config = crate::parallel::exec_config();
     let selection = crate::parallel::Selection::new(&selected, num_rows);
     let placeholder = Arc::new(Column::Null(selected.len()));
     let gathered: Vec<Arc<Column>> = input
@@ -82,7 +81,7 @@ pub fn filter_project(
         .zip(&referenced)
         .map(|(col, &read)| {
             if read {
-                selection.gather(col, &config)
+                selection.gather(col)
             } else {
                 Arc::clone(&placeholder)
             }

@@ -13,7 +13,7 @@
 //!   without hashing at all, and other key types fall back to the stable
 //!   rendered group key.
 //! * **Probe** walks each probe row's chain and emits matching index vectors
-//!   for both sides (morsel-parallel where the crossover table admits it).
+//!   for both sides.
 //! * **Output** columns go through [`Selection`]: a side whose indices are
 //!   the identity — both sides of a foreign-key join whose tables list their
 //!   keys in the same order — is shared (`Arc::clone`), anything else is
@@ -24,7 +24,7 @@
 
 use crate::column::{Bitmap, Column};
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::{ExecConfig, Region, Selection};
+use crate::parallel::Selection;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -57,12 +57,10 @@ pub fn hash_join(
         .schema()
         .join(left.name(), right.schema(), right.name());
 
-    let config = crate::parallel::exec_config();
     let (left_indices, right_indices) = probe_indices(
         &left.columns()[left_idx],
         &right.columns()[right_idx],
         join_type,
-        &config,
     );
 
     // Share or gather both sides. Joins that padded nothing emit dense right
@@ -70,19 +68,14 @@ pub fn hash_join(
     // check) applies without a scan-and-repack pass.
     let mut columns: Vec<Arc<Column>> = Vec::with_capacity(schema.len());
     let selection = Selection::new(&left_indices, left.num_rows());
-    columns.extend(left.columns().iter().map(|c| selection.gather(c, &config)));
+    columns.extend(left.columns().iter().map(|c| selection.gather(c)));
     match &right_indices {
         RightIndices::Dense(plain) => {
             let selection = Selection::new(plain, right.num_rows());
-            columns.extend(right.columns().iter().map(|c| selection.gather(c, &config)));
+            columns.extend(right.columns().iter().map(|c| selection.gather(c)));
         }
         RightIndices::Padded(padded) => {
-            columns.extend(
-                right
-                    .columns()
-                    .iter()
-                    .map(|c| Arc::new(crate::parallel::take_opt_column(c, padded, &config))),
-            );
+            columns.extend(right.columns().iter().map(|c| Arc::new(c.take_opt(padded))));
         }
     }
 
@@ -160,7 +153,6 @@ fn probe_indices(
     left_key: &Column,
     right_key: &Column,
     join_type: JoinType,
-    config: &ExecConfig,
 ) -> (Vec<usize>, RightIndices) {
     assert!(
         right_key.len() < NIL as usize,
@@ -174,7 +166,7 @@ fn probe_indices(
         (left_key.as_int64(), right_key.as_int64())
     {
         let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i]));
-        return emit(ldata.len(), join_type, config, &next, |i, _| {
+        return emit(ldata.len(), join_type, &next, |i, _| {
             if lvalid.is_valid(i) {
                 first(chains.get(&ldata[i]))
             } else {
@@ -202,7 +194,7 @@ fn probe_indices(
                 .map(|code| first(chains.get(code as usize)))
                 .collect()
         };
-        return emit(lcodes.len(), join_type, config, &next, |i, _| {
+        return emit(lcodes.len(), join_type, &next, |i, _| {
             if lvalid.is_valid(i) {
                 per_entry[lcodes[i] as usize]
             } else {
@@ -220,7 +212,7 @@ fn probe_indices(
             .iter()
             .map(|entry| first(chains.get(entry.as_ref())))
             .collect();
-        return emit(lcodes.len(), join_type, config, &next, |i, _| {
+        return emit(lcodes.len(), join_type, &next, |i, _| {
             if lvalid.is_valid(i) {
                 per_entry[lcodes[i] as usize]
             } else {
@@ -240,7 +232,7 @@ fn probe_indices(
             .zip(&chains)
             .map(|(entry, ends)| (entry.as_ref(), ends.0))
             .collect();
-        return emit(ldata.len(), join_type, config, &next, |i, _| {
+        return emit(ldata.len(), join_type, &next, |i, _| {
             if lvalid.is_valid(i) {
                 entry_first.get(ldata[i].as_ref()).copied().unwrap_or(NIL)
             } else {
@@ -253,7 +245,7 @@ fn probe_indices(
         (left_key.as_utf8(), right_key.as_utf8())
     {
         let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
-        return emit(ldata.len(), join_type, config, &next, |i, _| {
+        return emit(ldata.len(), join_type, &next, |i, _| {
             if lvalid.is_valid(i) {
                 first(chains.get(ldata[i].as_ref()))
             } else {
@@ -269,7 +261,7 @@ fn probe_indices(
             key
         })
     });
-    emit(left_key.len(), join_type, config, &next, |i, buf| {
+    emit(left_key.len(), join_type, &next, |i, buf| {
         if left_key.is_valid(i) {
             buf.clear();
             left_key.write_group_key(i, buf);
@@ -281,63 +273,41 @@ fn probe_indices(
 }
 
 /// Probe every left row — `first_of` yields the first build row of its key's
-/// chain, or [`NIL`] — and emit the matching index pairs, partitioned over
-/// morsels of the probe side where the configuration admits it; per-morsel
-/// chunks are appended in morsel order, so the result is byte-identical to
-/// the sequential probe. The `String` scratch buffer is per-morsel state for
-/// the generic rendered-key path (the typed paths ignore it).
+/// chain, or [`NIL`] — and emit the matching index pairs. The `String`
+/// scratch buffer serves the generic rendered-key path (the typed paths
+/// ignore it).
 fn emit<F>(
     left_len: usize,
     join_type: JoinType,
-    config: &ExecConfig,
     next: &[u32],
     first_of: F,
 ) -> (Vec<usize>, RightIndices)
 where
-    F: Fn(usize, &mut String) -> u32 + Sync,
+    F: Fn(usize, &mut String) -> u32,
 {
     /// Stands in for `None` until a join that padded is repacked.
     const PAD: usize = usize::MAX;
     let pad_unmatched = join_type == JoinType::Left;
-    let emit_range = |range: std::ops::Range<usize>| {
-        // FK-shaped joins emit ~1 row per probe row (a left join at least
-        // one); reserving the range length up front avoids ~20 doubling
-        // reallocations on the way to a million-row output.
-        let mut left_indices = Vec::with_capacity(range.len());
-        let mut right_indices = Vec::with_capacity(range.len());
-        let mut padded = false;
-        let mut buf = String::new();
-        for i in range {
-            let mut j = first_of(i, &mut buf);
-            if j == NIL && pad_unmatched {
-                left_indices.push(i);
-                right_indices.push(PAD);
-                padded = true;
-            }
-            while j != NIL {
-                left_indices.push(i);
-                right_indices.push(j as usize);
-                j = next[j as usize];
-            }
+    // FK-shaped joins emit ~1 row per probe row (a left join at least one);
+    // reserving the probe length up front avoids ~20 doubling reallocations
+    // on the way to a million-row output.
+    let mut left_indices = Vec::with_capacity(left_len);
+    let mut right_indices = Vec::with_capacity(left_len);
+    let mut padded = false;
+    let mut buf = String::new();
+    for i in 0..left_len {
+        let mut j = first_of(i, &mut buf);
+        if j == NIL && pad_unmatched {
+            left_indices.push(i);
+            right_indices.push(PAD);
+            padded = true;
         }
-        (left_indices, right_indices, padded)
-    };
-    let (left_indices, right_indices, padded) = if config.should_parallelize(Region::Join, left_len)
-    {
-        let chunks = crate::parallel::map_morsels(config, left_len, emit_range);
-        let total: usize = chunks.iter().map(|(l, ..)| l.len()).sum();
-        let mut left_indices = Vec::with_capacity(total);
-        let mut right_indices = Vec::with_capacity(total);
-        let mut padded = false;
-        for (mut l, mut r, p) in chunks {
-            left_indices.append(&mut l);
-            right_indices.append(&mut r);
-            padded |= p;
+        while j != NIL {
+            left_indices.push(i);
+            right_indices.push(j as usize);
+            j = next[j as usize];
         }
-        (left_indices, right_indices, padded)
-    } else {
-        emit_range(0..left_len)
-    };
+    }
     let right_indices = if padded {
         RightIndices::Padded(
             right_indices

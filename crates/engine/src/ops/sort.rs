@@ -7,10 +7,9 @@
 
 use crate::error::EngineResult;
 use crate::expr::Expr;
-use crate::parallel::Region;
 use crate::table::Table;
 use crate::value::Value;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +59,6 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
         key_columns.push(key.expr.evaluate_batch(schema, input.columns(), num_rows)?);
     }
 
-    let config = crate::parallel::exec_config();
-
     // Typed fast path: one integer key with no NULLs.
     let typed = if keys.len() == 1 {
         key_columns[0]
@@ -80,11 +77,10 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
     } else {
         None
     };
-    // All comparators end in an index tie-break, so they define a total
-    // order: the sorted permutation is unique, a parallel run-sort + merge
-    // (`parallel::sort_indices`) produces exactly the stable-sort result,
-    // and under `threads = 1` `sort_indices` is a plain sequential sort.
-    let indices = if let Some((codes, dict, validity)) = dict_key {
+    // Every branch is a stable sort of the row permutation, so rows with
+    // equal keys keep their input order.
+    let mut indices: Vec<usize> = (0..num_rows).collect();
+    if let Some((codes, dict, validity)) = dict_key {
         let ranks = crate::dict::entry_ranks(dict);
         let rank_of = |i: usize| {
             if validity.is_valid(i) {
@@ -94,40 +90,20 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
             }
         };
         match keys[0].order {
-            SortOrder::Asc => crate::parallel::sort_indices(&config, num_rows, |a, b| {
-                (rank_of(a), a).cmp(&(rank_of(b), b))
-            }),
-            SortOrder::Desc => crate::parallel::sort_indices(&config, num_rows, |a, b| {
-                (std::cmp::Reverse(rank_of(a)), a).cmp(&(std::cmp::Reverse(rank_of(b)), b))
-            }),
+            SortOrder::Asc => indices.sort_by_key(|&i| rank_of(i)),
+            SortOrder::Desc => indices.sort_by_key(|&i| Reverse(rank_of(i))),
         }
     } else if let Some((data, _)) = typed {
         match keys[0].order {
-            SortOrder::Asc => crate::parallel::sort_indices(&config, num_rows, |a, b| {
-                (data[a], a).cmp(&(data[b], b))
-            }),
-            SortOrder::Desc => crate::parallel::sort_indices(&config, num_rows, |a, b| {
-                (std::cmp::Reverse(data[a]), a).cmp(&(std::cmp::Reverse(data[b]), b))
-            }),
+            SortOrder::Asc => indices.sort_by_key(|&i| data[i]),
+            SortOrder::Desc => indices.sort_by_key(|&i| Reverse(data[i])),
         }
     } else {
         // Materialize the key rows once (decorate), then sort the indices.
-        // The decoration itself is embarrassingly parallel over row morsels.
-        let decorated: Vec<Vec<Value>> = if config.should_parallelize(Region::Sort, num_rows) {
-            crate::parallel::map_morsels(&config, num_rows, |range| {
-                range
-                    .map(|i| key_columns.iter().map(|c| c.get(i)).collect::<Vec<Value>>())
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        } else {
-            (0..num_rows)
-                .map(|i| key_columns.iter().map(|c| c.get(i)).collect())
-                .collect()
-        };
-        crate::parallel::sort_indices(&config, num_rows, |a, b| {
+        let decorated: Vec<Vec<Value>> = (0..num_rows)
+            .map(|i| key_columns.iter().map(|c| c.get(i)).collect())
+            .collect();
+        indices.sort_by(|&a, &b| {
             for (idx, key) in keys.iter().enumerate() {
                 let ord = decorated[a][idx].total_cmp(&decorated[b][idx]);
                 let ord = match key.order {
@@ -138,9 +114,9 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
                     return ord;
                 }
             }
-            a.cmp(&b) // stability tie-break
-        })
-    };
+            Ordering::Equal
+        });
+    }
 
     Ok(input
         .take(&indices)

@@ -44,15 +44,7 @@ use crate::table::Table;
 ///
 /// This is the entry point used by CAESURA's SQL physical operators.
 pub fn run_sql(catalog: &Catalog, sql: &str) -> EngineResult<Table> {
-    let statement = parse_select(sql)?;
-    match catalog.exec_config() {
-        // Honour the catalog's pinned thread/morsel knobs for the whole
-        // statement (scoped: the override is popped when execution returns).
-        Some(config) => {
-            crate::parallel::with_config(config, || execute_select(catalog, &statement))
-        }
-        None => execute_select(catalog, &statement),
-    }
+    execute_select(catalog, &parse_select(sql)?)
 }
 
 #[cfg(test)]

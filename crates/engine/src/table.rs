@@ -327,20 +327,14 @@ impl Table {
 
     /// Gather the rows at `indices` into a new table (the "take" kernel);
     /// all metadata is preserved. Taking every row in order shares the
-    /// columns instead of copying them, and large gathers can run
-    /// morsel-parallel per column (see [`Selection`](crate::parallel::Selection));
-    /// the output is byte-identical to the sequential gather.
+    /// columns instead of copying them (see
+    /// [`Selection`](crate::parallel::Selection)).
     pub fn take(&self, indices: &[usize]) -> Table {
-        let config = crate::parallel::exec_config();
         let selection = crate::parallel::Selection::new(indices, self.num_rows);
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|c| selection.gather(c, &config))
-                .collect(),
+            columns: self.columns.iter().map(|c| selection.gather(c)).collect(),
             num_rows: indices.len(),
             description: self.description.clone(),
         }

@@ -37,7 +37,7 @@
 //!    [`crate::cache`] module docs for why this cannot change an answer).
 //! 4. **Batch + dispatch** — the remaining unique requests are split into chunks of
 //!    [`BatchConfig::batch_size`] and handed to a [`PerceptionBackend`] batch
-//!    by batch, fanned out across the existing morsel worker pool
+//!    by batch, fanned out across the worker pool
 //!    ([`caesura_engine::parallel`], honouring the pinned
 //!    [`ExecConfig::threads`](caesura_engine::ExecConfig) of the surrounding
 //!    query). A backend receives whole batches, so an LLM-backed
@@ -59,8 +59,7 @@
 //!   default, mirroring the `CAESURA_THREADS=1` job.
 //! * Worker threads come from the ambient
 //!   [`parallel::exec_config()`](caesura_engine::parallel::exec_config), so
-//!   the session/executor `ExecConfig` knob pins perception dispatch
-//!   parallelism together with the relational operators.
+//!   the session's `ExecConfig` knob pins perception dispatch parallelism.
 //!
 //! ## Saved-call accounting
 //!
@@ -73,7 +72,7 @@
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::ModalResult;
 use crate::image::ImageObject;
-use caesura_engine::{parallel, EngineError, EngineResult, ExecConfig, Value};
+use caesura_engine::{parallel, EngineError, EngineResult, Value};
 use caesura_store::{keyed_hash, Hit, PrehashedMap, Tier};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -534,7 +533,7 @@ impl PerceptionBatch {
     }
 
     /// Dispatch the unique requests to `backend` in batches of
-    /// [`BatchConfig::batch_size`], fanned out across the morsel worker pool
+    /// [`BatchConfig::batch_size`], fanned out across the worker pool
     /// via [`parallel::try_map_morsels`] (one "morsel" = one batch), and
     /// scatter the answers back onto the rows.
     ///
@@ -619,8 +618,8 @@ impl PerceptionBatch {
             Ok(Vec::new())
         } else {
             // One morsel = one batch of `batch_size` unique requests.
-            let exec = ExecConfig::new(parallel::exec_config().threads, config.batch_size);
-            parallel::try_map_morsels(&exec, miss_requests.len(), |range| {
+            let exec = parallel::exec_config();
+            parallel::try_map_morsels(&exec, miss_requests.len(), config.batch_size, |range| {
                 dispatched.fetch_add(1, Ordering::Relaxed);
                 let batch = &miss_requests[range.clone()];
                 let answers = backend.answer_batch(batch);
@@ -685,6 +684,7 @@ impl PerceptionBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caesura_engine::ExecConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A backend that counts calls and answers with the question length.
@@ -837,7 +837,7 @@ mod tests {
         }
         // Sequential config so skip behaviour is deterministic: the first
         // batch fails, the remaining four are never dispatched.
-        parallel::with_config(ExecConfig::new(1, 4096), || {
+        parallel::with_config(ExecConfig::sequential(), || {
             let mut batch = PerceptionBatch::new();
             for i in 0..10 {
                 batch.push(doc_request(&format!("doc {i}"), &format!("Q{i}?")));
@@ -961,7 +961,7 @@ mod tests {
         }
         let cache = PerceptionCache::with_capacity(16);
         // Sequential so the good batch deterministically precedes the bad one.
-        parallel::with_config(ExecConfig::new(1, 4096), || {
+        parallel::with_config(ExecConfig::sequential(), || {
             let mut batch = PerceptionBatch::new();
             batch.push(doc_request("good", "Q?"));
             batch.push(doc_request("bad", "Q?"));

@@ -136,10 +136,10 @@ fn a_foreign_key_join_allocates_the_same_whatever_the_row_count() {
         blocks
     };
     // Both sides in key order: one chain array, one hash table, two index
-    // vectors, the joined schema — and every column shared. 20,000 rows is
-    // five morsels: the default configuration keeps the sequential kernels.
+    // vectors, the joined schema — and every column shared.
     let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
-    // The first join of a process reads the environment's defaults.
+    // Warm up once, so no lazily built process state is charged to the
+    // first measured join.
     join_blocks(&small);
     assert_eq!(join_blocks(&small), join_blocks(&large));
 

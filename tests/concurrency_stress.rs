@@ -1,10 +1,10 @@
 //! Concurrency stress: many threads issuing `Caesura::query` against one
-//! shared catalog of `Arc`-shared tables, with the morsel-driven parallel
-//! operators enabled, must produce exactly the results of serial sequential
+//! shared catalog of `Arc`-shared tables, with perception dispatch fanned out
+//! over several workers, must produce exactly the results of serial sequential
 //! execution — no data races (the columns are immutable behind `Arc`; the
-//! scoped worker pools never outlive an operator call) and no
-//! cross-query interference (execution configuration is pinned per thread
-//! via a scoped override, not global mutation).
+//! scoped worker pools never outlive a dispatch) and no cross-query
+//! interference (execution configuration is pinned per thread via a scoped
+//! override, not global mutation).
 
 use caesura::engine::parallel::{self, ExecConfig};
 use caesura::prelude::*;
@@ -30,10 +30,10 @@ fn concurrent_queries_over_one_shared_catalog_match_serial_results() {
     });
 
     // One session (and therefore one catalog of Arc-shared tables) shared by
-    // every thread; small morsels + several workers per query maximise
-    // interleaving inside each operator while the queries race each other.
+    // every thread; several workers per query fan perception batches out
+    // while the queries race each other.
     let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(4, 16)),
+        exec: Some(ExecConfig::new(4)),
         ..CaesuraConfig::default()
     };
     let session = Caesura::with_config(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
@@ -86,7 +86,7 @@ fn concurrent_queries_through_a_shared_perception_cache_match_serial_results() {
 
     for capacity in [2usize, 4096] {
         let config = CaesuraConfig {
-            exec: Some(ExecConfig::new(4, 16)),
+            exec: Some(ExecConfig::new(4)),
             perception_cache: Some(CacheConfig::new(capacity)),
             ..CaesuraConfig::default()
         };
@@ -146,7 +146,7 @@ fn racing_submitters_and_cancellers_at_queue_capacity_stay_consistent() {
     });
 
     let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(2, 16)),
+        exec: Some(ExecConfig::new(2)),
         session_workers: Some(2),
         session_queue: Some(4),
         ..CaesuraConfig::default()
@@ -224,7 +224,7 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
     });
 
     let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(2, 16)),
+        exec: Some(ExecConfig::new(2)),
         session_workers: Some(2),
         session_queue: Some(2),
         ..CaesuraConfig::default()
@@ -331,7 +331,7 @@ fn per_thread_exec_overrides_do_not_leak_across_threads() {
     thread::scope(|scope| {
         for threads in [2usize, 8] {
             scope.spawn(move || {
-                let pinned = ExecConfig::new(threads, 7);
+                let pinned = ExecConfig::new(threads);
                 parallel::with_config(pinned, || {
                     for _ in 0..50 {
                         assert_eq!(parallel::exec_config(), pinned);

@@ -217,7 +217,7 @@ fn assert_equivalent(
 ) {
     for &batch_size in BATCH_SIZES {
         for &threads in THREADS {
-            let config = ExecConfig::new(threads, 4096);
+            let config = ExecConfig::new(threads);
             let context = format!("{label} [batch={batch_size}, threads={threads}]");
             let actual = parallel::with_config(config, || batched(&BatchConfig::new(batch_size)));
             match (&reference, &actual) {

@@ -70,7 +70,7 @@ fn assert_cache_transparent(
     for &capacity in CACHE_CAPACITIES {
         for &threads in THREADS {
             for &batch_size in BATCH_SIZES {
-                let config = ExecConfig::new(threads, 4096);
+                let config = ExecConfig::new(threads);
                 let batch = BatchConfig::new(batch_size);
                 let cache = capacity.map(PerceptionCache::with_capacity);
                 let context =
@@ -421,7 +421,7 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
     // Tiny cache under sequential dispatch: evictions must actually happen
     // (more unique requests than capacity), and the warm run re-dispatches
     // at least the evicted share.
-    parallel::with_config(ExecConfig::new(1, 4096), || {
+    parallel::with_config(ExecConfig::sequential(), || {
         let tiny = PerceptionCache::with_capacity(2);
         let (cold, out) = apply_text_qa(
             &table,

@@ -5,9 +5,8 @@
 //!
 //! 1. **Dict ≡ plain.** Every relational operator is run twice over the same
 //!    logical data — once with eligible string columns dictionary-encoded
-//!    ([`dict::encode_table`]) and once fully decoded ([`dict::decode_table`])
-//!    — under `threads ∈ {1, 4} × morsel_rows ∈ {1, 7, 1024}`. After
-//!    normalizing the outputs back to plain representation, they must be
+//!    ([`dict::encode_table`]) and once fully decoded ([`dict::decode_table`]).
+//!    After normalizing the outputs back to plain representation, they must be
 //!    **byte-identical** (validity bitmap words and NULL placeholders
 //!    included), and errors must be identical too. This pins the code-native
 //!    join/group-by/sort/filter kernels to the exact semantics of the string
@@ -21,23 +20,11 @@
 //!    interpreter), over plain and dict-encoded inputs. Outputs must be
 //!    byte-identical and errors equal, for selection vectors as well.
 
-use caesura::engine::parallel::{self, ExecConfig};
 use caesura::engine::{
     dict, ops, BinaryOp, DataType, EngineError, Expr, ScalarFunc, Schema, Table, TableBuilder,
     UnaryOp, Value,
 };
 use rand::{Rng, SeedableRng, StdRng};
-
-/// `threads ∈ {1, 4} × morsel_rows ∈ {1, 7, 1024}` (threads = 1 ignores the
-/// morsel size, so it appears once).
-fn configs() -> Vec<ExecConfig> {
-    vec![
-        ExecConfig::sequential(),
-        ExecConfig::new(4, 1),
-        ExecConfig::new(4, 7),
-        ExecConfig::new(4, 1024),
-    ]
-}
 
 /// Byte-level table equality after normalizing any dict columns to plain.
 fn assert_normalized_identical(expected: &Table, actual: &Table, context: &str) {
@@ -62,32 +49,26 @@ fn assert_normalized_identical(expected: &Table, actual: &Table, context: &str) 
     }
 }
 
-/// Run the same operator over plain and dict-encoded inputs under every
-/// config; decoded outputs (and errors) must match exactly.
+/// Run the same operator over plain and dict-encoded inputs; decoded
+/// outputs (and errors) must match exactly.
 fn check_dict_vs_plain(
     context: &str,
     plain_run: impl Fn() -> Result<Table, EngineError>,
     dict_run: impl Fn() -> Result<Table, EngineError>,
 ) {
-    for config in configs() {
-        let label = format!(
-            "{context} [threads={}, morsel_rows={}]",
-            config.threads, config.morsel_rows
-        );
-        let plain = parallel::with_config(config, &plain_run).map(|t| dict::decode_table(&t));
-        let encoded = parallel::with_config(config, &dict_run).map(|t| dict::decode_table(&t));
-        match (&plain, &encoded) {
-            (Ok(expected), Ok(actual)) => assert_normalized_identical(expected, actual, &label),
-            (Err(expected), Err(actual)) => assert_eq!(expected, actual, "errors differ: {label}"),
-            (expected, actual) => panic!(
-                "plain and dict outcomes disagree: {label}\n  plain: {expected:?}\n  dict: {actual:?}"
-            ),
-        }
+    let plain = plain_run().map(|t| dict::decode_table(&t));
+    let encoded = dict_run().map(|t| dict::decode_table(&t));
+    match (&plain, &encoded) {
+        (Ok(expected), Ok(actual)) => assert_normalized_identical(expected, actual, context),
+        (Err(expected), Err(actual)) => assert_eq!(expected, actual, "errors differ: {context}"),
+        (expected, actual) => panic!(
+            "plain and dict outcomes disagree: {context}\n  plain: {expected:?}\n  dict: {actual:?}"
+        ),
     }
 }
 
-/// A deterministic pseudo-random table: an int key with NULLs, a dyadic
-/// float score with NULLs, a low-cardinality team string with NULLs, and a
+/// A deterministic pseudo-random table: an int key with NULLs, a float score
+/// (not exactly representable in binary) with NULLs, a low-cardinality team string with NULLs, and a
 /// 13-value label string — both string columns are dict-eligible.
 fn random_table(rng: &mut StdRng, rows: usize, name: &str) -> Table {
     let schema = Schema::from_pairs(&[
@@ -107,7 +88,7 @@ fn random_table(rng: &mut StdRng, rows: usize, name: &str) -> Table {
         let score = if rng.gen_bool(0.08) {
             Value::Null
         } else {
-            Value::Float(rng.gen_range(-2000i64..2000) as f64 / 4.0)
+            Value::Float(rng.gen_range(-2_000_000i64..2_000_000) as f64 / 997.0)
         };
         let team = if rng.gen_bool(0.1) {
             Value::Null
@@ -238,19 +219,14 @@ fn fused_filter_project_dict_matches_plain_and_unfused() {
             || ops::filter_project(&encoded, &predicate, &projections),
         );
         // The fused operator must also match the unfused pipeline exactly.
-        for config in configs() {
-            parallel::with_config(config, || {
-                let fused = ops::filter_project(&encoded, &predicate, &projections).unwrap();
-                let unfused =
-                    ops::project(&ops::filter(&encoded, &predicate).unwrap(), &projections)
-                        .unwrap();
-                assert_normalized_identical(
-                    &dict::decode_table(&unfused),
-                    &dict::decode_table(&fused),
-                    &format!("fused vs unfused over {rows} rows"),
-                );
-            });
-        }
+        let fused = ops::filter_project(&encoded, &predicate, &projections).unwrap();
+        let unfused =
+            ops::project(&ops::filter(&encoded, &predicate).unwrap(), &projections).unwrap();
+        assert_normalized_identical(
+            &dict::decode_table(&unfused),
+            &dict::decode_table(&fused),
+            &format!("fused vs unfused over {rows} rows"),
+        );
     }
 }
 
@@ -514,36 +490,25 @@ fn compiled_matches_interpreted_on_random_trees() {
         let (plain, encoded) = both_representations(&mut rng, rows, "t");
         for case in 0..60 {
             let expr = random_expr(&mut rng, 3);
-            for config in configs() {
-                parallel::with_config(config, || {
-                    let label = format!(
-                        "case {case}, {rows} rows [threads={}, morsel_rows={}]",
-                        config.threads, config.morsel_rows
-                    );
-                    assert_compiled_matches_interpreted(&expr, &plain, &format!("plain {label}"));
-                    assert_compiled_matches_interpreted(&expr, &encoded, &format!("dict {label}"));
-                    // Dict transparency at the expression level: compiled
-                    // results over encoded inputs decode to the plain bytes.
-                    let on_plain =
-                        expr.evaluate_batch(plain.schema(), plain.columns(), plain.num_rows());
-                    let on_dict = expr.evaluate_batch(
-                        encoded.schema(),
-                        encoded.columns(),
-                        encoded.num_rows(),
-                    );
-                    match (&on_plain, &on_dict) {
-                        (Ok(p), Ok(d)) => assert_eq!(
-                            dict::decode_column(p),
-                            dict::decode_column(d),
-                            "dict-input result differs from plain-input result: {label} (expr: {expr})"
-                        ),
-                        (Err(p), Err(d)) => assert_eq!(p, d),
-                        (p, d) => panic!(
-                            "plain/dict outcomes disagree: {label} (expr: {expr})\n  \
-                             plain: {p:?}\n  dict: {d:?}"
-                        ),
-                    }
-                });
+            let label = format!("case {case}, {rows} rows");
+            assert_compiled_matches_interpreted(&expr, &plain, &format!("plain {label}"));
+            assert_compiled_matches_interpreted(&expr, &encoded, &format!("dict {label}"));
+            // Dict transparency at the expression level: compiled results
+            // over encoded inputs decode to the plain bytes.
+            let on_plain = expr.evaluate_batch(plain.schema(), plain.columns(), plain.num_rows());
+            let on_dict =
+                expr.evaluate_batch(encoded.schema(), encoded.columns(), encoded.num_rows());
+            match (&on_plain, &on_dict) {
+                (Ok(p), Ok(d)) => assert_eq!(
+                    dict::decode_column(p),
+                    dict::decode_column(d),
+                    "dict-input result differs from plain-input result: {label} (expr: {expr})"
+                ),
+                (Err(p), Err(d)) => assert_eq!(p, d),
+                (p, d) => panic!(
+                    "plain/dict outcomes disagree: {label} (expr: {expr})\n  \
+                     plain: {p:?}\n  dict: {d:?}"
+                ),
             }
         }
     }
@@ -576,16 +541,8 @@ fn division_by_zero_and_type_errors_are_identical() {
         },
     ];
     for (i, expr) in exprs.iter().enumerate() {
-        for config in configs() {
-            parallel::with_config(config, || {
-                assert_compiled_matches_interpreted(expr, &plain, &format!("error expr #{i}"));
-                assert_compiled_matches_interpreted(
-                    expr,
-                    &encoded,
-                    &format!("error expr #{i} (dict)"),
-                );
-            });
-        }
+        assert_compiled_matches_interpreted(expr, &plain, &format!("error expr #{i}"));
+        assert_compiled_matches_interpreted(expr, &encoded, &format!("error expr #{i} (dict)"));
     }
 }
 
@@ -614,16 +571,12 @@ fn lazy_branches_never_evaluate_their_errors() {
         negated: false,
     };
     for table in [&plain, &encoded] {
-        for config in configs() {
-            parallel::with_config(config, || {
-                case.evaluate_batch(table.schema(), table.columns(), table.num_rows())
-                    .expect("untaken CASE branch must stay unevaluated");
-                in_list
-                    .evaluate_batch(table.schema(), table.columns(), table.num_rows())
-                    .expect("IN must short-circuit before the erroring item");
-                assert_compiled_matches_interpreted(&case, table, "lazy case");
-                assert_compiled_matches_interpreted(&in_list, table, "lazy in-list");
-            });
-        }
+        case.evaluate_batch(table.schema(), table.columns(), table.num_rows())
+            .expect("untaken CASE branch must stay unevaluated");
+        in_list
+            .evaluate_batch(table.schema(), table.columns(), table.num_rows())
+            .expect("IN must short-circuit before the erroring item");
+        assert_compiled_matches_interpreted(&case, table, "lazy case");
+        assert_compiled_matches_interpreted(&in_list, table, "lazy in-list");
     }
 }

@@ -13,6 +13,7 @@
 //!   join, aggregate, sort, distinct/limit/union) produces exactly the rows a
 //!   naive row-at-a-time reference implementation produces on random tables.
 
+use caesura::engine::parallel::{self, ExecConfig};
 use caesura::engine::{
     ops, sql, BinaryOp, Catalog, DataType, Expr, Schema, Table, TableBuilder, UnaryOp, Value,
 };
@@ -261,6 +262,40 @@ fn aggregate_matches_row_at_a_time_reference() {
         .unwrap();
         assert_tables_equal_rows(&actual, &expected, "aggregate");
     }
+}
+
+/// Grouped float `SUM`/`AVG` over values with no exact binary form are
+/// byte-identical whatever the thread count: aggregation folds every group
+/// in row order on the calling thread.
+#[test]
+fn float_sum_and_avg_are_byte_identical_under_every_thread_count() {
+    let schema = Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]);
+    let mut builder = TableBuilder::new("t", schema);
+    for i in 0..2_000 {
+        let x = 0.1 * (i % 17) as f64 + 0.01;
+        builder
+            .push_row(vec![Value::Int(i % 3), Value::Float(x)])
+            .unwrap();
+    }
+    let table = builder.build();
+    let bits = |threads: usize| -> Vec<u64> {
+        let out = parallel::with_config(ExecConfig::new(threads), || {
+            ops::aggregate(
+                &table,
+                &[(Expr::col("g"), "g".to_string())],
+                &[
+                    ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("x")), "total"),
+                    ops::AggCall::new(ops::AggFunc::Avg, Some(Expr::col("x")), "mean"),
+                ],
+            )
+            .unwrap()
+        });
+        out.rows()
+            .flat_map(|row| [row.get(1), row.get(2)])
+            .map(|v| v.as_float().unwrap().to_bits())
+            .collect()
+    };
+    assert_eq!(bits(1), bits(4));
 }
 
 /// Vectorized sort (including the typed single-int-key path) equals a stable

@@ -9,11 +9,9 @@
 //! for inner and left joins over every key path (int, dict with a shared and
 //! with a foreign entry table, dict ⋈ utf8, utf8 ⋈ dict, utf8, mixed,
 //! int ⋈ float), with duplicate keys, NULL keys, a shuffled right side and
-//! unmatched probe rows, under the sequential, the default and a pinned
-//! parallel configuration. A second family of tests pins *what is shared*:
+//! unmatched probe rows. A second family of tests pins *what is shared*:
 //! the columns of an identity side are the input's own `Arc`s.
 
-use caesura::engine::parallel::{self, ExecConfig};
 use caesura::engine::{dict, ops, Column, DataType, JoinType, Schema, Table, Value};
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::HashMap;
@@ -165,29 +163,14 @@ fn keyed_table(rng: &mut StdRng, name: &str, key: Column) -> Table {
     Table::from_columns(name, schema, columns).unwrap()
 }
 
-/// Compare `hash_join` with the reference for both join types under the
-/// sequential, the default (gated) and a pinned parallel configuration.
+/// Compare `hash_join` with the reference for both join types.
 fn check(left: &Table, right: &Table, context: &str) {
     for join_type in [JoinType::Inner, JoinType::Left] {
-        let expected = reference_join(left, right, "k", join_type);
-        let join = || ops::hash_join(left, right, "k", "k", join_type).unwrap();
-        for (label, actual) in [
-            ("default", join()),
-            (
-                "sequential",
-                parallel::with_config(ExecConfig::sequential(), join),
-            ),
-            (
-                "pinned 4x7",
-                parallel::with_config(ExecConfig::new(4, 7), join),
-            ),
-        ] {
-            assert_byte_identical(
-                &expected,
-                &actual,
-                &format!("{context}, {join_type:?}, {label}"),
-            );
-        }
+        assert_byte_identical(
+            &reference_join(left, right, "k", join_type),
+            &ops::hash_join(left, right, "k", "k", join_type).unwrap(),
+            &format!("{context}, {join_type:?}"),
+        );
     }
 }
 
