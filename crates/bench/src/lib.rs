@@ -13,6 +13,7 @@
 //! | Figure 4 (anecdote plans) | `cargo run -p caesura-bench --bin figure4_anecdotes` |
 //! | Ablation: interleaved execution | `cargo run -p caesura-bench --bin ablation_interleaving` |
 //! | Ablation: few-shot planning examples | `cargo run -p caesura-bench --bin ablation_fewshot` |
+//! | Suite ledger (`SUITE_LEDGER.jsonl`, rewritten in place) | `cargo run -p caesura-bench --bin suite_ledger` |
 //!
 //! The repo's end-to-end benchmark (latency, throughput, model calls per
 //! query) is the standalone `benchmark/` package.

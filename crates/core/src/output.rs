@@ -66,6 +66,49 @@ impl QueryOutput {
             _ => None,
         }
     }
+
+    /// A 64-bit digest of the output's content, stable across processes and
+    /// builds (FNV-1a, not `DefaultHasher`): the kind, then the value, or the
+    /// plot's spec and points and the table's column names, types and cells.
+    /// How a table is stored (dictionary-encoded or not) does not enter it.
+    pub fn digest(&self) -> u64 {
+        let mut hash = Fnv1a::new();
+        hash.write(self.kind());
+        match self {
+            QueryOutput::Value(value) => hash.write(&format!("{value:?}")),
+            QueryOutput::Table(_) => {}
+            QueryOutput::Plot { plot, .. } => hash.write(&format!("{plot:?}")),
+        }
+        if let Some(table) = self.table() {
+            for field in table.schema().fields() {
+                hash.write(&format!("{}:{:?}", field.name, field.data_type));
+            }
+            for row in table.rows() {
+                for value in row.values() {
+                    hash.write(&format!("{value:?}"));
+                }
+            }
+        }
+        hash.0
+    }
+}
+
+/// FNV-1a over length-prefixed strings, so adjacent parts cannot run into
+/// each other.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, part: &str) {
+        let length = (part.len() as u64).to_le_bytes();
+        for byte in length.iter().chain(part.as_bytes()) {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
 }
 
 impl fmt::Display for QueryOutput {
@@ -104,6 +147,27 @@ mod tests {
         assert_eq!(output.table().unwrap().num_rows(), 2);
         assert!(output.as_value().is_none());
         assert!(output.plot().is_none());
+    }
+
+    #[test]
+    fn digests_follow_content_and_are_pinned() {
+        let table = |values: &[i64]| {
+            let schema = Schema::from_pairs(&[("n", DataType::Int)]);
+            let mut b = TableBuilder::new("result", schema);
+            for value in values {
+                b.push_row(vec![Value::Int(*value)]).unwrap();
+            }
+            QueryOutput::from_table(b.build())
+        };
+        assert_eq!(table(&[1, 2]).digest(), table(&[1, 2]).digest());
+        assert_ne!(table(&[1, 2]).digest(), table(&[2, 1]).digest());
+        assert_ne!(
+            QueryOutput::Value(Value::Int(1)).digest(),
+            QueryOutput::Value(Value::str("1")).digest()
+        );
+        // Pinned: the digest is committed in the suite ledger, so it must not
+        // change between processes or builds.
+        assert_eq!(table(&[1, 2]).digest(), 0xba64_aa91_ff19_f9d1);
     }
 
     #[test]

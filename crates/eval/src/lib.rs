@@ -11,6 +11,7 @@
 
 pub mod errors;
 pub mod grade;
+pub mod ledger;
 pub mod oracle;
 pub mod queries;
 pub mod report;
@@ -19,6 +20,7 @@ pub use errors::{classify, ErrorCategory};
 pub use grade::{
     grade, grade_logical, grade_physical, known_identifiers, matches_reference, Grade,
 };
+pub use ledger::{suite_ledger, LEDGER_FILE};
 pub use oracle::{fieldwork_reference_for, reference_for, Reference};
 pub use queries::{
     benchmark_queries, fieldwork_queries, BenchmarkQuery, Capability, Dataset, Expectation,

@@ -8,12 +8,12 @@ use crate::queries::{
     benchmark_queries, fieldwork_queries, BenchmarkQuery, Dataset, Expectation, ExpectedOutput,
     Tier,
 };
-use caesura_core::{Caesura, CaesuraConfig, QueryRun};
+use caesura_core::{Caesura, CaesuraConfig, QueryOutput, QueryRun};
 use caesura_data::{
     generate_artwork, generate_fieldwork, generate_rotowire, ArtworkConfig, FieldworkConfig,
     RotowireConfig,
 };
-use caesura_llm::{ModelProfile, SimulatedLlm};
+use caesura_llm::{LogicalPlan, ModelProfile, OperatorDecision, SimulatedLlm};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,6 +98,16 @@ pub struct QueryEvaluation {
     /// conversations served; a `complete_batch` dispatch can carry several
     /// completions in one round trip).
     pub llm_calls: usize,
+    /// Approximate tokens of every prompt the run sent.
+    pub prompt_tokens: usize,
+    /// The rendered logical plan of the last planning pass, if any.
+    pub plan: Option<String>,
+    /// Per step of that plan that ran, the last decision executed for it,
+    /// rendered as the trace's `decision` events are.
+    pub decisions: Vec<String>,
+    /// [`QueryOutput::digest`](caesura_core::QueryOutput::digest) of the
+    /// output, if the run succeeded.
+    pub digest: Option<u64>,
     /// Batched perception-operator call accounting of the run (rows walked,
     /// unique model calls, batches, calls saved by dedup).
     pub perception: caesura_core::PerceptionCalls,
@@ -302,6 +312,15 @@ fn grade_run(
             .is_some_and(|e| e.to_string().contains(needle)),
         Expectation::Category(expected) => category == Some(expected),
     };
+    // A failed attempt and its retries are pushed in order, so the last
+    // decision of a step number is the one that ran last.
+    let mut decisions: Vec<&OperatorDecision> = Vec::new();
+    for decision in &run.decisions {
+        match decisions.last_mut() {
+            Some(last) if last.step_number == decision.step_number => *last = decision,
+            _ => decisions.push(decision),
+        }
+    }
     QueryEvaluation {
         id: query.id.to_string(),
         text: query.text.to_string(),
@@ -314,6 +333,20 @@ fn grade_run(
         grade: query_grade,
         category,
         llm_calls: run.trace.llm_calls(),
+        prompt_tokens: run.trace.prompt_tokens(),
+        plan: run.logical_plan.as_ref().map(LogicalPlan::render),
+        decisions: decisions
+            .iter()
+            .map(|d| {
+                let arguments = d.arguments.join("; ");
+                format!(
+                    "Step {}: {} ({arguments})",
+                    d.step_number,
+                    d.operator.name()
+                )
+            })
+            .collect(),
+        digest: run.output.as_ref().ok().map(QueryOutput::digest),
         perception: run.trace.perception_calls(),
         plan_cache: run.trace.plan_cache_calls(),
         plan_source: run.trace.plan_source(),
