@@ -25,7 +25,9 @@ pub enum CoreError {
         step_description: String,
         /// The last error message.
         message: String,
-        /// How many recovery attempts were made.
+        /// How many decisions the model made for the step: every executed
+        /// attempt, plus a final decision that repeated a failed one and
+        /// was therefore not executed.
         attempts: usize,
     },
     /// The planning phase produced an empty or unusable plan.
@@ -107,6 +109,29 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl CoreError {
+    /// Whether this error, raised by executing an operator decision, is a
+    /// verdict on the decision: executing the same decision against the same
+    /// state must fail the same way. True for engine, missing-input and modal
+    /// errors; false for a perception backend that failed to answer
+    /// ([`ModalError::Backend`]), a language-model failure, a cancellation,
+    /// a panic — which another try may not repeat — and for the errors no
+    /// step execution raises.
+    pub fn is_deterministic(&self) -> bool {
+        match self {
+            CoreError::Engine(_) | CoreError::MissingInput { .. } => true,
+            CoreError::Modal(error) => !matches!(error, ModalError::Backend { .. }),
+            CoreError::Llm(_)
+            | CoreError::Cancelled
+            | CoreError::Internal { .. }
+            | CoreError::PlanFailed { .. }
+            | CoreError::PlanningFailed { .. }
+            | CoreError::NoRelevantData { .. }
+            | CoreError::StoreUnavailable { .. } => false,
+        }
+    }
+}
+
 impl From<EngineError> for CoreError {
     fn from(e: EngineError) -> Self {
         CoreError::Engine(e)
@@ -153,5 +178,40 @@ mod tests {
         assert!(text.contains("step 3"));
         assert!(text.contains("2 attempt"));
         assert!(CoreError::Cancelled.to_string().contains("cancelled"));
+    }
+
+    #[test]
+    fn only_verdicts_on_a_decision_are_deterministic() {
+        let modal = |error: ModalError| CoreError::Modal(error);
+        let deterministic = [
+            CoreError::Engine(EngineError::execution("unknown column")),
+            CoreError::MissingInput {
+                table: "joined".into(),
+            },
+            modal(ModalError::InvalidPlot {
+                message: "missing column".into(),
+            }),
+            modal(ModalError::Engine(EngineError::execution("boom"))),
+        ];
+        for error in &deterministic {
+            assert!(error.is_deterministic(), "{error:?}");
+        }
+        let transient = [
+            modal(ModalError::Backend {
+                model: "remote".into(),
+                message: "timed out".into(),
+            }),
+            CoreError::Llm(LlmError::ModelFailure {
+                model: "remote".into(),
+                message: "timed out".into(),
+            }),
+            CoreError::Cancelled,
+            CoreError::Internal {
+                message: "panicked".into(),
+            },
+        ];
+        for error in &transient {
+            assert!(!error.is_deterministic(), "{error:?}");
+        }
     }
 }

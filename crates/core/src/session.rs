@@ -48,7 +48,11 @@ pub struct CaesuraConfig {
     pub retrieval_top_k: usize,
     /// Example values per relevant column shown in prompts.
     pub example_values: usize,
-    /// Maximum execution attempts per step (1 = no error recovery).
+    /// Maximum decisions per step (1 = no error recovery). The budget is an
+    /// upper bound: a retry whose decision repeats one that already failed
+    /// on the step with a deterministic error
+    /// ([`CoreError::is_deterministic`]) is not executed, and the step ends
+    /// there with that failure's message.
     pub max_step_attempts: usize,
     /// Maximum full replans after an unrecoverable error.
     pub max_replans: usize,
@@ -184,7 +188,9 @@ pub struct QueryRun {
     pub query: String,
     /// The logical plan produced by the planning phase (if planning succeeded).
     pub logical_plan: Option<LogicalPlan>,
-    /// The operator decisions, in execution order.
+    /// The operator decisions that executed, in execution order, failed
+    /// attempts included. A retry that repeated a failed decision was not
+    /// executed and is not listed.
     pub decisions: Vec<OperatorDecision>,
     /// The final output, or the error that stopped execution.
     pub output: Result<QueryOutput, CoreError>,
@@ -1016,10 +1022,12 @@ impl SessionCore {
 
     /// The one step loop: decide each step of `plan` as `decisions` says,
     /// execute it, observe, and recover (§3.1–3.2), over a fresh executor.
-    /// Every attempt's decision is pushed onto `decisions_out`; the output
-    /// comes back with the positions of the failed ones (so what is left is,
-    /// per step, the decision that worked — what the plan cache stores), or
-    /// `(error, replan_requested)` on failure.
+    /// Recovery stops when it stops learning: a retry that repeats a decision
+    /// the step already failed with ends the step with that failure, unrun.
+    /// Every executed attempt's decision is pushed onto `decisions_out`; the
+    /// output comes back with the positions of the failed ones (so what is
+    /// left is, per step, the decision that worked — what the plan cache
+    /// stores), or `(error, replan_requested)` on failure.
     fn run_steps(
         &self,
         discovered: Discovered<'_>,
@@ -1043,8 +1051,15 @@ impl SessionCore {
             // mapping or executing the next step.
             self.check_cancel(cancel, trace, "between plan steps")
                 .map_err(|e| (e, false))?;
+            let plan_failed = |message: String, attempts: usize| CoreError::PlanFailed {
+                step: step.number,
+                step_description: step.description.clone(),
+                message,
+                attempts,
+            };
             let mut attempt = 0usize;
             let mut error_note: Option<String> = None;
+            let mut dead_ends = DeadEnds::default();
             loop {
                 attempt += 1;
                 let decision = match decisions.fixed {
@@ -1080,6 +1095,20 @@ impl SessionCore {
                 // step's perception batches would dispatch.
                 self.check_cancel(cancel, trace, "before a step execution")
                     .map_err(|e| (e, false))?;
+                // Recovery stops when it stops learning: a decision that
+                // already failed here would fail the same way again.
+                if let Some((earlier, message)) = dead_ends.repeated_by(&decision) {
+                    trace.record(
+                        Phase::Recovery,
+                        "repeated-decision",
+                        format!(
+                            "Step {}: attempt {attempt} repeats the decision of attempt \
+                             {earlier}, which failed; the step ends without executing it",
+                            step.number
+                        ),
+                    );
+                    return Err((plan_failed(message.to_string(), attempt), false));
+                }
                 let step_result = executor.execute_traced(step, &decision, trace);
                 match step_result {
                     Ok(outcome) => {
@@ -1099,15 +1128,7 @@ impl SessionCore {
                         failed.push(decisions_out.len());
                         decisions_out.push(decision.clone());
                         if attempt >= self.config.max_step_attempts {
-                            return Err((
-                                CoreError::PlanFailed {
-                                    step: step.number,
-                                    step_description: step.description.clone(),
-                                    message: error.to_string(),
-                                    attempts: attempt,
-                                },
-                                false,
-                            ));
+                            return Err((plan_failed(error.to_string(), attempt), false));
                         }
                         // Error recovery (§3.2): ask the model what went wrong.
                         let phase_start = Instant::now();
@@ -1123,17 +1144,10 @@ impl SessionCore {
                         trace.record_phase_duration(Phase::Recovery, phase_start.elapsed());
                         let analysis = analysis.map_err(|e| (e, false))?;
                         if analysis.should_replan() {
-                            return Err((
-                                CoreError::PlanFailed {
-                                    step: step.number,
-                                    step_description: step.description.clone(),
-                                    message: error.to_string(),
-                                    attempts: attempt,
-                                },
-                                true,
-                            ));
+                            return Err((plan_failed(error.to_string(), attempt), true));
                         }
                         error_note = Some(format!("The error was: {error}. {}", analysis.fix));
+                        dead_ends.record(attempt, decision, &error);
                     }
                 }
             }
@@ -1181,6 +1195,34 @@ impl SessionCore {
         let analysis = ErrorAnalysis::parse(&response)?;
         trace.record(Phase::Recovery, "analysis", analysis.render());
         Ok(analysis)
+    }
+}
+
+/// The decisions that already failed on the step being run, with the
+/// attempt that made each and its error message. Only deterministic failures
+/// ([`CoreError::is_deterministic`]) are kept: a failed step registers
+/// nothing, so executing one of these again meets the same state and can
+/// only fail the same way.
+#[derive(Default)]
+struct DeadEnds(Vec<(usize, OperatorDecision, String)>);
+
+impl DeadEnds {
+    fn record(&mut self, attempt: usize, decision: OperatorDecision, error: &CoreError) {
+        if error.is_deterministic() {
+            self.0.push((attempt, decision, error.to_string()));
+        }
+    }
+
+    /// The attempt and error message of the failed decision `decision`
+    /// repeats: the same operator with the same arguments. The reasoning line
+    /// and step number differ freely; the executor reads neither.
+    fn repeated_by(&self, decision: &OperatorDecision) -> Option<(usize, &str)> {
+        self.0
+            .iter()
+            .find(|(_, failed, _)| {
+                failed.operator == decision.operator && failed.arguments == decision.arguments
+            })
+            .map(|(attempt, _, message)| (*attempt, message.as_str()))
     }
 }
 
@@ -1342,6 +1384,199 @@ mod tests {
         );
         assert_eq!(run.trace.llm_calls(), 2);
         assert!(run.trace.timings().of(Phase::Mapping) > std::time::Duration::ZERO);
+    }
+
+    /// A one-step plan over the small artwork lake whose scripted decisions
+    /// fail until they name a real column.
+    mod recovery {
+        use super::*;
+        use caesura_llm::ScriptedLlm;
+        use caesura_modal::{ModalError, OperatorKind};
+
+        const QUERY: &str = "How many paintings are in the museum?";
+
+        fn step() -> LogicalStep {
+            LogicalStep::new(
+                1,
+                "Count the rows of the 'paintings_metadata' table.",
+                vec!["paintings_metadata".into()],
+                "result_table",
+                vec!["n".into()],
+            )
+        }
+
+        fn plan() -> String {
+            let steps = vec![step()];
+            let thought = "count".into();
+            LogicalPlan { thought, steps }.render()
+        }
+
+        /// The operator decision counting the rows where `column = 1`.
+        fn decision(column: &str, reasoning: &str) -> OperatorDecision {
+            OperatorDecision {
+                step_number: 1,
+                reasoning: reasoning.into(),
+                operator: OperatorKind::SqlAggregation,
+                arguments: vec![format!(
+                    "SELECT COUNT(*) AS n FROM paintings_metadata WHERE {column} = 1"
+                )],
+            }
+        }
+
+        fn mapped(column: &str) -> String {
+            decision(column, "scripted").render(&step().description)
+        }
+
+        fn analysis() -> String {
+            let causes = "a column that does not exist".into();
+            let fix = "use another column".into();
+            ErrorAnalysis {
+                causes,
+                fix,
+                update_arguments: true,
+                ..ErrorAnalysis::default()
+            }
+            .render()
+        }
+
+        fn run(script: Vec<String>, interleaved: bool) -> QueryRun {
+            let config = CaesuraConfig {
+                interleaved,
+                plan_cache: Some(caesura_llm::PlanCacheConfig::off()),
+                persist: None,
+                ..CaesuraConfig::default()
+            };
+            let lake = generate_artwork(&ArtworkConfig::small()).lake;
+            let llm = Arc::new(ScriptedLlm::new(script));
+            Caesura::with_config(lake, llm, config).run(QUERY)
+        }
+
+        fn details<'a>(run: &'a QueryRun, label: &str) -> Vec<&'a str> {
+            let events = run.trace.events().iter();
+            let labelled = events.filter(|event| event.label == label);
+            labelled.map(|event| event.detail.as_str()).collect()
+        }
+
+        /// The step failure the run ended with: its message and attempts.
+        fn plan_failed(run: &QueryRun) -> (&str, usize) {
+            match &run.output {
+                Err(CoreError::PlanFailed {
+                    step: 1,
+                    message,
+                    attempts,
+                    ..
+                }) => (message, *attempts),
+                other => panic!("expected a step failure, got {other:?}"),
+            }
+        }
+
+        /// The run ends as the exhausted loop ended it — the same message,
+        /// and a record from which the evaluation derives the same error
+        /// category (the suite ledger's `category` fields pin that for every
+        /// suite query) — two round trips sooner.
+        #[test]
+        fn a_repeated_decision_ends_the_step_after_two_mappings_and_one_analysis() {
+            let script = vec![plan(), mapped("nope"), analysis(), mapped("nope")];
+            let run = run(script, true);
+            // Only the decision that executed is recorded.
+            let errors = details(&run, "error");
+            assert_eq!(plan_failed(&run), (errors[0], 2));
+            assert_eq!(errors.len(), 1);
+            assert!(errors[0].contains("nope"), "{}", errors[0]);
+            assert_eq!(run.trace.events_of(Phase::Mapping).len(), 2 * 3);
+            assert_eq!(details(&run, "analysis").len(), 1);
+            assert_eq!(run.trace.llm_calls(), 4);
+            assert_eq!(run.decisions, [decision("nope", "scripted")]);
+            assert_eq!(
+                details(&run, "repeated-decision"),
+                [
+                    "Step 1: attempt 2 repeats the decision of attempt 1, which failed; \
+                  the step ends without executing it"
+                ]
+            );
+        }
+
+        #[test]
+        fn a_decision_that_changes_on_retry_gets_the_full_budget() {
+            let script = vec![
+                plan(),
+                mapped("nope"),
+                analysis(),
+                mapped("still_nope"),
+                analysis(),
+                mapped("never"),
+            ];
+            let run = run(script, true);
+            let errors = details(&run, "error");
+            assert_eq!(errors.len(), 3);
+            assert_eq!(plan_failed(&run), (errors[2], 3));
+            assert_eq!(run.trace.llm_calls(), 6);
+            assert!(details(&run, "repeated-decision").is_empty());
+        }
+
+        #[test]
+        fn a_repeat_with_different_reasoning_is_still_a_repeat() {
+            let retry = decision("nope", "on second thought").render(&step().description);
+            let run = run(vec![plan(), mapped("nope"), analysis(), retry], true);
+            assert_eq!(plan_failed(&run).1, 2);
+            assert_eq!(run.trace.llm_calls(), 4);
+            assert_eq!(details(&run, "repeated-decision").len(), 1);
+        }
+
+        #[test]
+        fn a_decision_repeating_an_earlier_attempt_is_not_executed() {
+            let script = vec![
+                plan(),
+                mapped("nope"),
+                analysis(),
+                mapped("still_nope"),
+                analysis(),
+                mapped("nope"),
+            ];
+            let run = run(script, true);
+            let errors = details(&run, "error");
+            assert_eq!(errors.len(), 2, "the third attempt must not execute");
+            assert_eq!(plan_failed(&run), (errors[0], 3));
+            assert_eq!(run.trace.llm_calls(), 6);
+            assert!(details(&run, "repeated-decision")[0]
+                .starts_with("Step 1: attempt 3 repeats the decision of attempt 1"));
+        }
+
+        #[test]
+        fn the_non_interleaved_path_stops_after_one_analysis() {
+            let run = run(vec![plan(), mapped("nope"), analysis()], false);
+            let errors = details(&run, "error");
+            assert_eq!(plan_failed(&run), (errors[0], 2));
+            assert_eq!(errors.len(), 1);
+            assert_eq!(details(&run, "analysis").len(), 1);
+            assert_eq!(run.trace.llm_calls(), 3);
+        }
+
+        /// A step execution raises no transient error today (every perception
+        /// backend is a local model), so the gate is tested on its own: only
+        /// a deterministic failure is ever matched against a retry.
+        #[test]
+        fn a_transient_failure_never_ends_a_step() {
+            let failed = decision("nope", "scripted");
+            let mut dead_ends = DeadEnds::default();
+            let backend = ModalError::Backend {
+                model: "remote".into(),
+                message: "timed out".into(),
+            };
+            dead_ends.record(1, failed.clone(), &CoreError::Modal(backend));
+            let llm = LlmError::ModelFailure {
+                model: "remote".into(),
+                message: "timed out".into(),
+            };
+            dead_ends.record(2, failed.clone(), &CoreError::Llm(llm));
+            dead_ends.record(3, failed.clone(), &CoreError::Cancelled);
+            assert_eq!(dead_ends.repeated_by(&failed), None);
+
+            let engine = caesura_engine::EngineError::execution("unknown column 'nope'");
+            dead_ends.record(4, failed.clone(), &CoreError::Engine(engine));
+            let found = dead_ends.repeated_by(&failed);
+            assert_eq!(found, Some((4, "execution error: unknown column 'nope'")));
+        }
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!   identity.
 
 use crate::column::Column;
-use crate::error::EngineResult;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -168,18 +167,19 @@ where
 /// the morsels in order on the calling thread, re-running only the skipped
 /// ones up to the first failure — bounded by exactly the work a sequential
 /// scan stopping at that failure would do.
-pub fn try_map_morsels<R, F>(
+pub fn try_map_morsels<R, E, F>(
     config: &ExecConfig,
     len: usize,
     morsel_rows: usize,
     f: F,
-) -> EngineResult<Vec<R>>
+) -> Result<Vec<R>, E>
 where
     R: Send,
-    F: Fn(Range<usize>) -> EngineResult<R> + Sync,
+    E: Send,
+    F: Fn(Range<usize>) -> Result<R, E> + Sync,
 {
     let cancelled = AtomicBool::new(false);
-    let slots: Vec<Option<EngineResult<R>>> = map_morsels(config, len, morsel_rows, |range| {
+    let slots: Vec<Option<Result<R, E>>> = map_morsels(config, len, morsel_rows, |range| {
         if cancelled.load(Ordering::Relaxed) {
             return None;
         }

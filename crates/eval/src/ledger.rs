@@ -19,8 +19,9 @@ use std::fmt::Write;
 pub const LEDGER_FILE: &str = "SUITE_LEDGER.jsonl";
 
 /// The evaluation configuration the ledger is recorded under: the default
-/// seed and lakes, with every cache, batch and thread setting pinned to its
-/// default value, so the `CAESURA_*` environment cannot move a line.
+/// seed and lakes, every cache and batch setting pinned to its default value
+/// and perception dispatch to one thread, so the `CAESURA_*` environment
+/// cannot move a line.
 fn ledger_config() -> EvaluationConfig {
     EvaluationConfig {
         caesura: CaesuraConfig {
@@ -87,8 +88,6 @@ fn json(text: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
             c if u32::from(c) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", u32::from(c));
             }

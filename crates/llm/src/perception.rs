@@ -67,9 +67,10 @@ impl<C: LlmClient> PerceptionBackend for PerceptionLlm<C> {
             .into_iter()
             .map(|result| match result {
                 Ok(text) => Ok(Value::str(text.trim())),
-                Err(e) => Err(ModalError::Engine(caesura_engine::EngineError::execution(
-                    format!("perception model '{}' failed: {e}", self.client.name()),
-                ))),
+                Err(e) => Err(ModalError::Backend {
+                    model: self.client.name().to_string(),
+                    message: e.to_string(),
+                }),
             })
             .collect()
     }
@@ -113,12 +114,19 @@ mod tests {
     }
 
     #[test]
-    fn failures_surface_as_execution_errors() {
+    fn client_failures_surface_as_backend_errors() {
         let llm = PerceptionLlm::new(ScriptedLlm::new(vec![]));
         let answers = llm.answer_batch(&[doc_request("report", "Who won?")]);
         let err = answers[0].as_ref().unwrap_err();
-        assert!(err.to_string().contains("perception model"));
-        assert!(err.to_string().contains("scripted"));
+        assert!(
+            matches!(err, ModalError::Backend { model, .. } if model == "scripted"),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "execution error: perception model 'scripted' failed: \
+             model 'scripted' failed: the scripted model ran out of responses"
+        );
     }
 
     #[test]

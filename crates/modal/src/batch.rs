@@ -70,9 +70,9 @@
 //! per query and the session surfaces them in the execution trace.
 
 use crate::cache::{CacheScope, PerceptionCache};
-use crate::error::ModalResult;
+use crate::error::{ModalError, ModalResult};
 use crate::image::ImageObject;
-use caesura_engine::{parallel, EngineError, EngineResult, Value};
+use caesura_engine::{parallel, EngineError, Value};
 use caesura_store::{keyed_hash, Hit, PrehashedMap, Tier};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -568,7 +568,7 @@ impl PerceptionBatch {
         backend: &dyn PerceptionBackend,
         config: &BatchConfig,
         cache: Option<(&PerceptionCache, CacheScope)>,
-    ) -> (EngineResult<Vec<Option<Value>>>, BatchStats) {
+    ) -> (ModalResult<Vec<Option<Value>>>, BatchStats) {
         let PerceptionBatch {
             slots,
             unique,
@@ -614,7 +614,7 @@ impl PerceptionBatch {
         let dispatched = AtomicUsize::new(0);
         let evicted = AtomicUsize::new(0);
         let written = AtomicUsize::new(0);
-        let result: EngineResult<Vec<Vec<Value>>> = if miss_requests.is_empty() {
+        let result: ModalResult<Vec<Vec<Value>>> = if miss_requests.is_empty() {
             Ok(Vec::new())
         } else {
             // One morsel = one batch of `batch_size` unique requests.
@@ -627,11 +627,11 @@ impl PerceptionBatch {
                 // truncating a batch) degrades the query with an execution
                 // error; it must not panic the worker pool.
                 if answers.len() != batch.len() {
-                    return Err(EngineError::execution(format!(
+                    return Err(ModalError::Engine(EngineError::execution(format!(
                         "perception backend returned {} answer(s) for a batch of {} request(s)",
                         answers.len(),
                         batch.len()
-                    )));
+                    ))));
                 }
                 if let Some((cache, scope)) = cache {
                     // Only successful answers are cached; errors are
@@ -646,9 +646,16 @@ impl PerceptionBatch {
                         }
                     }
                 }
+                // A backend failure keeps its type (asking again may cure
+                // it); every other answer error reads as an execution error.
                 answers
                     .into_iter()
-                    .map(|a| a.map_err(|e| EngineError::execution(e.to_string())))
+                    .map(|answer| {
+                        answer.map_err(|error| match error {
+                            ModalError::Backend { .. } => error,
+                            error => ModalError::Engine(EngineError::execution(error.to_string())),
+                        })
+                    })
                     .collect()
             })
         };
@@ -811,6 +818,27 @@ mod tests {
         assert!(err.to_string().contains("always fails"));
         assert_eq!(stats.unique_requests, 1);
         assert_eq!(stats.batches, 1);
+    }
+
+    #[test]
+    fn backend_failures_keep_their_type_through_dispatch() {
+        struct Unreachable;
+        impl PerceptionBackend for Unreachable {
+            fn answer_batch(&self, requests: &[PerceptionRequest]) -> Vec<ModalResult<Value>> {
+                let down = || ModalError::Backend {
+                    model: "remote".into(),
+                    message: "connection refused".into(),
+                };
+                requests.iter().map(|_| Err(down())).collect()
+            }
+        }
+        let mut batch = PerceptionBatch::new();
+        batch.push(doc_request("doc", "Q?"));
+        let (answers, _) = batch.dispatch(&Unreachable, &BatchConfig::new(2), None);
+        assert!(
+            matches!(answers, Err(ModalError::Backend { .. })),
+            "{answers:?}"
+        );
     }
 
     #[test]

@@ -46,6 +46,16 @@ pub enum ModalError {
         /// Description of the problem.
         message: String,
     },
+    /// A perception backend failed to answer: the model behind it is
+    /// unreachable, timed out or refused the call. Unlike every other
+    /// variant this says nothing about the request, so asking again may
+    /// succeed.
+    Backend {
+        /// The backend's model name.
+        model: String,
+        /// The transport's error, rendered as text.
+        message: String,
+    },
     /// Error bubbled up from the relational engine.
     Engine(caesura_engine::EngineError),
 }
@@ -77,6 +87,12 @@ impl fmt::Display for ModalError {
             ModalError::InvalidPlot { message } => write!(f, "invalid plot: {message}"),
             ModalError::InvalidArguments { operator, message } => {
                 write!(f, "invalid arguments for operator '{operator}': {message}")
+            }
+            ModalError::Backend { model, message } => {
+                write!(
+                    f,
+                    "execution error: perception model '{model}' failed: {message}"
+                )
             }
             ModalError::Engine(e) => write!(f, "{e}"),
         }

@@ -232,7 +232,7 @@ fn dispatch_into_column(
 ) -> (BatchStats, ModalResult<Table>) {
     let cache = perception.cache.map(|cache| (cache, scope));
     let (answers, stats) = collector.dispatch(perception.backend, &perception.batch, cache);
-    let result = answers.map_err(ModalError::Engine).and_then(|answers| {
+    let result = answers.and_then(|answers| {
         if let Some(error) = pending_error {
             return Err(ModalError::Engine(error));
         }
@@ -447,7 +447,7 @@ pub fn apply_image_select(
         gather_image_requests(table, store, idx, image_column, description);
     let cache = perception.cache.map(|c| (c, CacheScope::ImageSelect));
     let (answers, stats) = collector.dispatch(perception.backend, &perception.batch, cache);
-    let selected = answers.map_err(ModalError::Engine).and_then(|answers| {
+    let selected = answers.and_then(|answers| {
         if let Some(error) = pending_error {
             return Err(ModalError::Engine(error));
         }

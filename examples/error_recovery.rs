@@ -1,7 +1,8 @@
 //! Error handling demo (§3.2 of the paper): runs a query with the weaker
 //! ChatGPT-3.5 profile so that planning/mapping mistakes occur, and prints the
-//! execution trace showing error-analysis prompts, argument retries, and
-//! backtracking.
+//! execution trace showing error-analysis prompts, argument retries,
+//! backtracking, and the early stop when a retry repeats the decision that
+//! just failed (`repeated-decision`).
 //!
 //! Run with: `cargo run --example error_recovery`
 
