@@ -14,7 +14,8 @@
 //! arguments or to backtrack to the planning phase.
 //!
 //! The session also owns the scaling state that must outlive a single query:
-//! the pinned `ExecConfig`/`BatchConfig` knobs, the session-scoped
+//! the `BatchConfig` its perception dispatch runs under (batch size and
+//! worker threads), the session-scoped
 //! perception answer cache (`caesura_modal::cache`) that collapses repeated
 //! perception questions across plan steps and across queries over the
 //! session's `Arc`-shared lake, and — since PR 5 — the serving scheduler

@@ -29,17 +29,16 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Number of priority tiers when `CaesuraConfig.priority_tiers` is unset:
-/// interactive above batch.
-pub const DEFAULT_PRIORITY_TIERS: usize = 2;
+/// Number of priority tiers the scheduler keeps: interactive above batch.
+pub const PRIORITY_TIERS: usize = 2;
 
 /// Scheduling priority of a submission: a tier index, lower = more urgent.
 ///
 /// The scheduler dequeues strictly by tier — an [interactive](Priority::INTERACTIVE)
 /// query always runs before a queued [batch](Priority::BATCH) one — so tiers
 /// express *preemption at dequeue*, while weights within a tier express
-/// *sharing*. Priorities beyond the configured tier count
-/// (`CaesuraConfig.priority_tiers`, default 2) are clamped to the lowest tier.
+/// *sharing*. Priorities beyond the [`PRIORITY_TIERS`] tiers are clamped to
+/// the lowest tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(u8);
 
@@ -210,24 +209,12 @@ impl std::error::Error for AdmissionError {}
 
 /// The scheduling policy a session's scheduler runs under, resolved once at
 /// session construction from `CaesuraConfig`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SchedPolicy {
-    /// Number of priority tiers (≥ 1); priorities clamp to the lowest tier.
-    pub tiers: usize,
     /// Per-tenant bound on queued + in-flight queries; `None` = unlimited.
     pub tenant_quota: Option<usize>,
     /// DRR weight per tenant name; unlisted tenants weigh 1.
     pub weights: Vec<(String, u32)>,
-}
-
-impl Default for SchedPolicy {
-    fn default() -> Self {
-        SchedPolicy {
-            tiers: DEFAULT_PRIORITY_TIERS,
-            tenant_quota: None,
-            weights: Vec::new(),
-        }
-    }
 }
 
 impl SchedPolicy {
@@ -239,11 +226,11 @@ impl SchedPolicy {
             .map(|&(_, weight)| weight.max(1))
             .unwrap_or(1)
     }
+}
 
-    /// The tier a priority lands in under this policy.
-    pub(crate) fn effective_tier(&self, priority: Priority) -> usize {
-        priority.index().min(self.tiers.saturating_sub(1))
-    }
+/// The tier a priority lands in: its index, clamped to the lowest tier.
+fn effective_tier(priority: Priority) -> usize {
+    priority.index().min(PRIORITY_TIERS - 1)
 }
 
 /// Per-tenant serving counters, read via
@@ -388,7 +375,7 @@ pub(crate) struct TenantQueues<T> {
 impl<T> TenantQueues<T> {
     pub(crate) fn new(policy: SchedPolicy) -> Self {
         TenantQueues {
-            tiers: (0..policy.tiers.max(1)).map(|_| Tier::new()).collect(),
+            tiers: (0..PRIORITY_TIERS).map(|_| Tier::new()).collect(),
             policy,
             len: 0,
         }
@@ -406,7 +393,7 @@ impl<T> TenantQueues<T> {
     /// tier.
     pub(crate) fn push(&mut self, tenant: &Arc<str>, priority: Priority, item: T) {
         self.len += 1;
-        let tier = self.policy.effective_tier(priority);
+        let tier = effective_tier(priority);
         let weight = self.policy.weight_of(tenant);
         self.tiers[tier]
             .lane_mut(tenant, weight)
@@ -502,23 +489,9 @@ mod tests {
 
     #[test]
     fn priorities_clamp_to_the_lowest_tier() {
-        let policy = SchedPolicy {
-            tiers: 2,
-            ..SchedPolicy::default()
-        };
-        assert_eq!(policy.effective_tier(Priority::INTERACTIVE), 0);
-        assert_eq!(policy.effective_tier(Priority::BATCH), 1);
-        assert_eq!(policy.effective_tier(Priority::tier(7)), 1);
-
-        let mut queues = TenantQueues::new(SchedPolicy {
-            tiers: 1,
-            ..SchedPolicy::default()
-        });
-        let a = tenant("a");
-        queues.push(&a, Priority::BATCH, "b");
-        queues.push(&a, Priority::INTERACTIVE, "i");
-        // One tier: priorities collapse, FIFO within the lane.
-        assert_eq!(drain(&mut queues), vec!["b", "i"]);
+        assert_eq!(effective_tier(Priority::INTERACTIVE), 0);
+        assert_eq!(effective_tier(Priority::BATCH), 1);
+        assert_eq!(effective_tier(Priority::tier(7)), 1);
     }
 
     #[test]

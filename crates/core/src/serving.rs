@@ -41,7 +41,6 @@ use crate::sched::{
 };
 use crate::session::{QueryRun, SessionCore};
 use crate::trace::{SchedulingInfo, TraceEvent};
-use caesura_engine::ExecConfig;
 use caesura_llm::CancelToken;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -132,11 +131,10 @@ pub(crate) struct JobState {
     done: Condvar,
     subscribers: Arc<Mutex<Vec<Sender<TraceEvent>>>>,
     submitted: Instant,
-    exec: ExecConfig,
 }
 
 impl JobState {
-    fn new(query: &str, exec: ExecConfig, options: &SubmitOptions) -> Self {
+    fn new(query: &str, options: &SubmitOptions) -> Self {
         let cancel = match options.deadline {
             Some(budget) => CancelToken::with_deadline(Instant::now() + budget),
             None => CancelToken::new(),
@@ -155,7 +153,6 @@ impl JobState {
             done: Condvar::new(),
             subscribers: Arc::new(Mutex::new(Vec::new())),
             submitted: Instant::now(),
-            exec,
         }
     }
 
@@ -169,10 +166,6 @@ impl JobState {
 
     fn tenant(&self) -> &Arc<str> {
         &self.tenant
-    }
-
-    pub(crate) fn exec(&self) -> ExecConfig {
-        self.exec
     }
 
     pub(crate) fn queue_wait(&self) -> Duration {
@@ -461,14 +454,12 @@ impl Scheduler {
         &self,
         session: &Arc<SessionCore>,
         query: &str,
-        exec: ExecConfig,
         options: SubmitOptions,
     ) -> QueryHandle {
-        self.submit_inner(session, query, exec, options, true)
-            .expect(
-                "a blocking submission is only rejected when the session is shutting down or the \
-                 deadline budget is zero",
-            )
+        self.submit_inner(session, query, options, true).expect(
+            "a blocking submission is only rejected when the session is shutting down or the \
+             deadline budget is zero",
+        )
     }
 
     /// Enqueue a query if it passes admission; a typed [`AdmissionError`]
@@ -477,22 +468,20 @@ impl Scheduler {
         &self,
         session: &Arc<SessionCore>,
         query: &str,
-        exec: ExecConfig,
         options: SubmitOptions,
     ) -> Result<QueryHandle, AdmissionError> {
-        self.submit_inner(session, query, exec, options, false)
+        self.submit_inner(session, query, options, false)
     }
 
     fn submit_inner(
         &self,
         session: &Arc<SessionCore>,
         query: &str,
-        exec: ExecConfig,
         options: SubmitOptions,
         blocking: bool,
     ) -> Result<QueryHandle, AdmissionError> {
         self.ensure_workers(session);
-        let state = Arc::new(JobState::new(query, exec, &options));
+        let state = Arc::new(JobState::new(query, &options));
         if let Some(deadline) = options.deadline {
             if deadline == Duration::ZERO {
                 self.reject(state.tenant());
@@ -682,11 +671,7 @@ mod tests {
 
     #[test]
     fn handle_status_and_cancel_token_are_observable_before_scheduling() {
-        let state = Arc::new(JobState::new(
-            "q",
-            ExecConfig::sequential(),
-            &SubmitOptions::default(),
-        ));
+        let state = Arc::new(JobState::new("q", &SubmitOptions::default()));
         let handle = QueryHandle {
             state: Arc::clone(&state),
         };
@@ -707,7 +692,7 @@ mod tests {
         let options = SubmitOptions::for_tenant("acme")
             .batch()
             .with_deadline(Duration::from_secs(9));
-        let state = JobState::new("q", ExecConfig::sequential(), &options);
+        let state = JobState::new("q", &options);
         let info = state.scheduling_info().expect("non-default submission");
         assert_eq!(info.tenant, "acme");
         assert_eq!(info.priority, Priority::BATCH);
@@ -719,11 +704,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_times_out_then_observes_completion() {
-        let state = Arc::new(JobState::new(
-            "q",
-            ExecConfig::sequential(),
-            &SubmitOptions::default(),
-        ));
+        let state = Arc::new(JobState::new("q", &SubmitOptions::default()));
         let handle = QueryHandle {
             state: Arc::clone(&state),
         };
@@ -745,11 +726,7 @@ mod tests {
 
     #[test]
     fn subscribe_after_finish_disconnects_immediately() {
-        let state = Arc::new(JobState::new(
-            "q",
-            ExecConfig::sequential(),
-            &SubmitOptions::default(),
-        ));
+        let state = Arc::new(JobState::new("q", &SubmitOptions::default()));
         state.finish(QueryRun {
             query: "q".into(),
             logical_plan: None,

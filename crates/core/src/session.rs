@@ -18,7 +18,7 @@ use crate::sched::{AdmissionError, SchedPolicy, SubmitOptions, TenantServingStat
 use crate::serving::{JobState, QueryHandle, Scheduler, ServingStats};
 use crate::trace::{ExecutionTrace, Phase, PlanCacheCalls, PlanSource};
 use caesura_data::DataLake;
-use caesura_engine::{parallel, Catalog, ExecConfig};
+use caesura_engine::Catalog;
 use caesura_llm::{
     normalize_query, schema_fingerprint, CancelStatus, CancelToken, Conversation, ErrorAnalysis,
     LlmClient, LlmError, LogicalPlan, LogicalStep, MappingRequest, OperatorDecision, PlanCache,
@@ -56,16 +56,12 @@ pub struct CaesuraConfig {
     pub max_step_attempts: usize,
     /// Maximum full replans after an unrecoverable error.
     pub max_replans: usize,
-    /// Execution configuration (worker threads) pinned for the perception
-    /// dispatch of this session's queries. `None` uses the process default
-    /// (`CAESURA_THREADS` / hardware parallelism);
-    /// `Some(ExecConfig::sequential())` dispatches every batch on the query's
-    /// own worker.
-    pub exec: Option<ExecConfig>,
-    /// Batching configuration (batch size) for the perception-operator model
-    /// calls. `None` uses the environment default (`CAESURA_LLM_BATCH`);
+    /// Perception dispatch configuration: batch size and worker threads of
+    /// the perception-operator model calls. `None` uses the environment
+    /// default (`CAESURA_LLM_BATCH`, `CAESURA_THREADS`);
     /// `Some(BatchConfig::new(1))` forces one dispatch per unique request
-    /// (requests are deduplicated either way).
+    /// (requests are deduplicated either way), and `threads: 1` answers
+    /// every batch on the query's own worker.
     pub llm_batch: Option<BatchConfig>,
     /// Session-scoped perception answer cache configuration. `None` uses the
     /// environment default (`CAESURA_PERCEPTION_CACHE`);
@@ -89,7 +85,7 @@ pub struct CaesuraConfig {
     /// parallelism); `Some(1)` serializes all queries through one worker,
     /// preserving submission order end to end. Note the oversubscription
     /// math: each in-flight query may additionally fan perception batches
-    /// out over `CAESURA_THREADS` workers.
+    /// out over [`BatchConfig::threads`] workers.
     pub session_workers: Option<usize>,
     /// Bound of the serving scheduler's submission queue. `None` uses
     /// [`crate::serving::DEFAULT_QUEUE_DEPTH`] (64). A full queue applies
@@ -97,11 +93,6 @@ pub struct CaesuraConfig {
     /// [`Caesura::try_submit`] / [`Caesura::submit_with`] fail fast with
     /// [`AdmissionError::QueueFull`].
     pub session_queue: Option<usize>,
-    /// Number of priority tiers the scheduler maintains. `None` uses
-    /// [`crate::sched::DEFAULT_PRIORITY_TIERS`] (2: interactive above
-    /// batch); priorities beyond the count clamp to the lowest tier, so
-    /// `Some(1)` collapses all priorities into one tier.
-    pub priority_tiers: Option<usize>,
     /// Per-tenant admission quota: the maximum queued + in-flight queries a
     /// tenant may have before fail-fast submissions are rejected with
     /// [`AdmissionError::TenantOverQuota`] (blocking `submit` waits
@@ -111,12 +102,6 @@ pub struct CaesuraConfig {
     /// consecutive dequeues per round within its tier. Unlisted tenants
     /// (including the default tenant) weigh 1.
     pub tenant_weights: Vec<(String, u32)>,
-    /// Whether table ingest dictionary-encodes low-cardinality string
-    /// columns (see `caesura_engine::dict`). `None` uses the environment
-    /// default (`CAESURA_DICT_ENCODE`, on unless disabled); `Some(..)`
-    /// overrides the process-wide knob at session construction — it affects
-    /// tables ingested from then on, not tables already in the lake.
-    pub dict_encode: Option<bool>,
     /// Persistent on-disk cache tier below the in-memory perception and
     /// plan caches (see `caesura_store`). `None` disables the tier — the
     /// byte-for-byte pre-store behaviour. The default is the environment
@@ -139,16 +124,13 @@ impl Default for CaesuraConfig {
             example_values: 3,
             max_step_attempts: 3,
             max_replans: 1,
-            exec: None,
             llm_batch: None,
             perception_cache: None,
             plan_cache: None,
             session_workers: None,
             session_queue: None,
-            priority_tiers: None,
             tenant_quota: None,
             tenant_weights: Vec::new(),
-            dict_encode: None,
             persist: persist_from_env(),
         }
     }
@@ -382,9 +364,6 @@ impl Caesura {
         llm: Arc<dyn LlmClient>,
         config: CaesuraConfig,
     ) -> CoreResult<Caesura> {
-        if let Some(enabled) = config.dict_encode {
-            caesura_engine::dict::set_dict_encode(enabled);
-        }
         let prompts = PromptBuilder::new(PromptConfig {
             few_shot: config.few_shot,
             example_values: config.example_values,
@@ -426,10 +405,6 @@ impl Caesura {
             .unwrap_or(crate::serving::DEFAULT_QUEUE_DEPTH)
             .max(1);
         let policy = SchedPolicy {
-            tiers: config
-                .priority_tiers
-                .unwrap_or(crate::sched::DEFAULT_PRIORITY_TIERS)
-                .max(1),
             // `Some(0)` means unlimited, like `None`.
             tenant_quota: config.tenant_quota.filter(|&quota| quota > 0),
             weights: config.tenant_weights.clone(),
@@ -492,20 +467,9 @@ impl Caesura {
     /// ([`CaesuraConfig::session_queue`]); when it is full this call
     /// **blocks** until a slot frees (backpressure). Use
     /// [`Caesura::try_submit`] for a non-blocking variant.
-    ///
-    /// The effective execution configuration is captured at
-    /// submission time — [`CaesuraConfig::exec`] if set, otherwise the
-    /// submitting thread's `parallel::exec_config()` — and pinned for the
-    /// whole run, so a `parallel::with_config` scope around `submit` (or the
-    /// blocking wrappers) behaves exactly as it did when queries ran on the
-    /// calling thread.
     pub fn submit(&self, query: &str) -> QueryHandle {
-        self.scheduler.submit(
-            &self.core,
-            query,
-            self.effective_exec(),
-            SubmitOptions::new(),
-        )
+        self.scheduler
+            .submit(&self.core, query, SubmitOptions::new())
     }
 
     /// [`Caesura::submit`] with explicit [`SubmitOptions`]: a tenant, a
@@ -523,8 +487,7 @@ impl Caesura {
         query: &str,
         options: SubmitOptions,
     ) -> Result<QueryHandle, AdmissionError> {
-        self.scheduler
-            .submit_with(&self.core, query, self.effective_exec(), options)
+        self.scheduler.submit_with(&self.core, query, options)
     }
 
     /// Non-blocking [`Caesura::submit`]: fails fast with a typed
@@ -534,10 +497,6 @@ impl Caesura {
     /// options.
     pub fn try_submit(&self, query: &str) -> Result<QueryHandle, AdmissionError> {
         self.submit_with(query, SubmitOptions::new())
-    }
-
-    fn effective_exec(&self) -> ExecConfig {
-        self.core.config.exec.unwrap_or_else(parallel::exec_config)
     }
 
     /// Answer a natural-language query, returning only the output.
@@ -557,10 +516,9 @@ impl Caesura {
 }
 
 impl SessionCore {
-    /// Run one scheduled query on a worker thread: pin the captured
-    /// execution configuration, attach the live trace sink, stamp queue-wait
-    /// and the scheduling decision, and honour the job's cancel token at
-    /// every cooperative checkpoint.
+    /// Run one scheduled query on a worker thread: attach the live trace
+    /// sink, stamp queue-wait and the scheduling decision, and honour the
+    /// job's cancel token at every cooperative checkpoint.
     pub(crate) fn run_scheduled(&self, job: &JobState) -> QueryRun {
         let mut trace = ExecutionTrace::new();
         trace.set_sink(job.subscriber_sink());
@@ -574,16 +532,13 @@ impl SessionCore {
         let mut decisions = Vec::new();
         let mut logical_plan = None;
         let started = Instant::now();
-        let output = {
-            let (trace, logical_plan, decisions) = (&mut trace, &mut logical_plan, &mut decisions);
-            let cancel = job.cancel_token();
-            let query = job.query();
-            // Pin the thread count captured at submission time for the whole
-            // query.
-            parallel::with_config(job.exec(), move || {
-                self.run_inner(query, trace, logical_plan, decisions, cancel)
-            })
-        };
+        let output = self.run_inner(
+            job.query(),
+            &mut trace,
+            &mut logical_plan,
+            &mut decisions,
+            job.cancel_token(),
+        );
         trace.set_total_duration(started.elapsed());
         // Detach the subscriber sink before the trace is stored: the stored
         // run must not keep live-stream channels open.
@@ -826,8 +781,6 @@ impl SessionCore {
     /// `Arc`-shared perception cache attached). A query borrows the lake:
     /// both clones below share it.
     fn make_executor(&self) -> Executor {
-        // No per-executor exec pin here: `run_scheduled` already scopes the
-        // captured `exec` configuration around the whole query.
         let mut executor = Executor::new(self.lake.catalog().clone(), self.lake.images().clone());
         if let Some(batch) = self.config.llm_batch {
             executor = executor.with_batch_config(batch);

@@ -17,7 +17,6 @@
 use crate::column::Column;
 use crate::table::Table;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Columns shorter than this are never dictionary-encoded — the bookkeeping
@@ -29,27 +28,21 @@ pub const MIN_ENCODE_ROWS: usize = 16;
 /// most 1/4. High-cardinality columns (titles, free text) stay plain.
 pub const MIN_ROWS_PER_DISTINCT: usize = 4;
 
-fn enabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let from_env = std::env::var("CAESURA_DICT_ENCODE")
-            .map(|v| !matches!(v.trim(), "0" | "false" | "off" | "no"))
-            .unwrap_or(true);
-        AtomicBool::new(from_env)
-    })
-}
-
-/// Whether table ingest dictionary-encodes eligible string columns.
-/// Defaults to on; `CAESURA_DICT_ENCODE=0` disables it process-wide, and
-/// [`set_dict_encode`] overrides it at runtime.
+/// Whether table ingest dictionary-encodes eligible string columns: on
+/// unless `CAESURA_DICT_ENCODE` says `0` / `off` / `false` / `no` (any
+/// case), read once per process.
 pub fn dict_encode_enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed)
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var("CAESURA_DICT_ENCODE").map_or(true, |raw| enables(&raw)))
 }
 
-/// Override the `CAESURA_DICT_ENCODE` knob at runtime (used by the session
-/// configuration plumbing in `caesura-core` and by tests).
-pub fn set_dict_encode(enabled: bool) {
-    enabled_flag().store(enabled, Ordering::Relaxed)
+/// Whether a `CAESURA_DICT_ENCODE` value leaves encoding on: trimmed and
+/// lowercased, only `0`, `off`, `false` and `no` turn it off.
+fn enables(raw: &str) -> bool {
+    !matches!(
+        raw.trim().to_lowercase().as_str(),
+        "0" | "off" | "false" | "no"
+    )
 }
 
 /// Dictionary-encode a [`Column::Utf8`] whose cardinality is low enough
@@ -280,5 +273,15 @@ mod tests {
     fn entry_ranks_order_lexicographically() {
         let entries: Vec<Arc<str>> = vec![Arc::from("pear"), Arc::from("apple"), Arc::from("fig")];
         assert_eq!(entry_ranks(&entries), vec![2, 0, 1]);
+    }
+
+    #[test]
+    fn the_knob_parses_off_values_in_any_case() {
+        for off in ["OFF", " False ", "no", "0", "off"] {
+            assert!(!enables(off), "{off:?}");
+        }
+        for on in ["1", "on", "garbage", ""] {
+            assert!(enables(on), "{on:?}");
+        }
     }
 }

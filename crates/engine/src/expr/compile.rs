@@ -32,15 +32,8 @@ use crate::column::{Bitmap, Column};
 use crate::error::EngineResult;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-thread argument buffer for row-wise function application, reused
-    /// across every evaluation on the thread.
-    static ARGV_SCRATCH: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
-}
 
 // ---------------------------------------------------------------------------
 // Shared operand views and binary kernels
@@ -556,17 +549,14 @@ impl Node {
                     return Ok(NodeBatch::Scalar(eval_func(*func, &argv)?));
                 }
                 let mut out = Vec::with_capacity(num_rows);
-                ARGV_SCRATCH.with(|scratch| -> EngineResult<()> {
-                    let mut argv = scratch.borrow_mut();
-                    for i in 0..num_rows {
-                        argv.clear();
-                        for batch in &batches {
-                            argv.push(batch.get(i));
-                        }
-                        out.push(eval_func(*func, &argv)?);
+                let mut argv = Vec::with_capacity(batches.len());
+                for i in 0..num_rows {
+                    argv.clear();
+                    for batch in &batches {
+                        argv.push(batch.get(i));
                     }
-                    Ok(())
-                })?;
+                    out.push(eval_func(*func, &argv)?);
+                }
                 Ok(NodeBatch::Col(Arc::new(Column::from_values(out))))
             }
             Node::InList {

@@ -12,7 +12,9 @@
 //!   broadcasting for literals) for the common numeric and string cases and
 //!   an element-wise fallback where per-row dynamic typing demands it;
 //! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
-//!   slice — kept for per-row consumers such as the perception operators.
+//!   slice, or [`Expr::evaluate_at`] against one row of the columns — one
+//!   evaluator over two ways of reading a cell, used by the interpreted
+//!   reference below and by the property tests' row-at-a-time oracles.
 //!
 //! The pre-compilation interpreter is retained as
 //! [`Expr::evaluate_batch_interpreted`] / [`Expr::selection_vector_interpreted`]:
@@ -314,63 +316,7 @@ impl Expr {
     /// Evaluate the expression against one row (a slice of cell values in
     /// schema order).
     pub fn evaluate(&self, schema: &Schema, row: &[Value]) -> EngineResult<Value> {
-        match self {
-            Expr::Literal(value) => Ok(value.clone()),
-            Expr::Column(name) => {
-                let idx = schema.resolve(name)?;
-                Ok(row[idx].clone())
-            }
-            Expr::Binary { left, op, right } => {
-                let lhs = left.evaluate(schema, row)?;
-                let rhs = right.evaluate(schema, row)?;
-                eval_binary(&lhs, *op, &rhs)
-            }
-            Expr::Unary { op, operand } => {
-                let value = operand.evaluate(schema, row)?;
-                eval_unary(*op, &value)
-            }
-            Expr::Func { func, args } => {
-                let mut values = Vec::with_capacity(args.len());
-                for arg in args {
-                    values.push(arg.evaluate(schema, row)?);
-                }
-                eval_func(*func, &values)
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let needle = expr.evaluate(schema, row)?;
-                if needle.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut found = false;
-                for item in list {
-                    let candidate = item.evaluate(schema, row)?;
-                    if needle.sql_eq(&candidate) == Some(true) {
-                        found = true;
-                        break;
-                    }
-                }
-                Ok(Value::Bool(found != *negated))
-            }
-            Expr::Case {
-                branches,
-                otherwise,
-            } => {
-                for (cond, result) in branches {
-                    let test = cond.evaluate(schema, row)?;
-                    if test.as_bool() == Some(true) {
-                        return result.evaluate(schema, row);
-                    }
-                }
-                match otherwise {
-                    Some(e) => e.evaluate(schema, row),
-                    None => Ok(Value::Null),
-                }
-            }
-        }
+        self.evaluate_row(schema, &|idx| row[idx].clone())
     }
 
     /// Evaluate the expression as a boolean predicate (NULL counts as false).
@@ -473,25 +419,32 @@ impl Expr {
         columns: &[Arc<Column>],
         i: usize,
     ) -> EngineResult<Value> {
+        self.evaluate_row(schema, &|idx| columns[idx].get(i))
+    }
+
+    /// The one row evaluator behind [`Expr::evaluate`] and
+    /// [`Expr::evaluate_at`]: `cell(idx)` reads the row's value of the
+    /// column at schema position `idx`.
+    fn evaluate_row(&self, schema: &Schema, cell: &impl Fn(usize) -> Value) -> EngineResult<Value> {
         match self {
             Expr::Literal(value) => Ok(value.clone()),
             Expr::Column(name) => {
                 let idx = schema.resolve(name)?;
-                Ok(columns[idx].get(i))
+                Ok(cell(idx))
             }
             Expr::Binary { left, op, right } => {
-                let lhs = left.evaluate_at(schema, columns, i)?;
-                let rhs = right.evaluate_at(schema, columns, i)?;
+                let lhs = left.evaluate_row(schema, cell)?;
+                let rhs = right.evaluate_row(schema, cell)?;
                 eval_binary(&lhs, *op, &rhs)
             }
             Expr::Unary { op, operand } => {
-                let value = operand.evaluate_at(schema, columns, i)?;
+                let value = operand.evaluate_row(schema, cell)?;
                 eval_unary(*op, &value)
             }
             Expr::Func { func, args } => {
                 let mut values = Vec::with_capacity(args.len());
                 for arg in args {
-                    values.push(arg.evaluate_at(schema, columns, i)?);
+                    values.push(arg.evaluate_row(schema, cell)?);
                 }
                 eval_func(*func, &values)
             }
@@ -500,13 +453,13 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let needle = expr.evaluate_at(schema, columns, i)?;
+                let needle = expr.evaluate_row(schema, cell)?;
                 if needle.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut found = false;
                 for item in list {
-                    let candidate = item.evaluate_at(schema, columns, i)?;
+                    let candidate = item.evaluate_row(schema, cell)?;
                     if needle.sql_eq(&candidate) == Some(true) {
                         found = true;
                         break;
@@ -519,12 +472,12 @@ impl Expr {
                 otherwise,
             } => {
                 for (cond, result) in branches {
-                    if cond.evaluate_at(schema, columns, i)?.as_bool() == Some(true) {
-                        return result.evaluate_at(schema, columns, i);
+                    if cond.evaluate_row(schema, cell)?.as_bool() == Some(true) {
+                        return result.evaluate_row(schema, cell);
                     }
                 }
                 match otherwise {
-                    Some(e) => e.evaluate_at(schema, columns, i),
+                    Some(e) => e.evaluate_row(schema, cell),
                     None => Ok(Value::Null),
                 }
             }

@@ -20,16 +20,15 @@
 //! * [`Expr`] — scalar expressions with both a vectorized column-at-a-time
 //!   evaluator and a row-at-a-time evaluator,
 //! * [`ops`] — vectorized physical relational operators (filter, project,
-//!   hash join, aggregation, sort, limit, distinct, union),
-//! * [`parallel`] — the worker pool perception dispatch fans out on, and
-//!   its [`ExecConfig`] `{ threads }` (`CAESURA_THREADS`),
+//!   hash join, aggregation, sort, limit, distinct, union), whose output
+//!   columns go through one gather (`Selection`),
 //! * [`sql`] — a read-only SQL subset (parser + executor) used by the SQL
 //!   physical operators of CAESURA's plans,
 //! * [`Catalog`] — the named-table registry backing a data lake.
 //!
-//! Every relational operator runs sequentially on the calling thread, so
-//! its result — float `SUM`/`AVG` included — does not depend on the thread
-//! count.
+//! Every relational operator runs sequentially on the calling thread, and
+//! the crate holds no thread setting: float `SUM`/`AVG` fold each group in
+//! row order.
 //!
 //! ```
 //! use caesura_engine::{Catalog, Schema, TableBuilder, DataType, Value, sql::run_sql};
@@ -53,8 +52,8 @@ pub mod dict;
 pub mod error;
 pub mod expr;
 pub mod ops;
-pub mod parallel;
 pub mod schema;
+mod selection;
 pub mod sql;
 pub mod table;
 pub mod value;
@@ -64,7 +63,6 @@ pub use column::{Bitmap, Column, ColumnBuilder};
 pub use error::{EngineError, EngineResult};
 pub use expr::{BinaryOp, CompiledExpr, Expr, ScalarFunc, UnaryOp};
 pub use ops::{AggCall, AggFunc, JoinType, Projection, SortKey, SortOrder};
-pub use parallel::ExecConfig;
 pub use schema::{Field, Schema};
 pub use table::{Observation, Row, RowRef, Rows, Table, TableBuilder};
 pub use value::{DataType, DateValue, Value};

@@ -73,7 +73,7 @@ pub fn filter_project(
             }
         }
     }
-    let selection = crate::parallel::Selection::new(&selected, num_rows);
+    let selection = crate::selection::Selection::new(&selected, num_rows);
     let placeholder = Arc::new(Column::Null(selected.len()));
     let gathered: Vec<Arc<Column>> = input
         .columns()

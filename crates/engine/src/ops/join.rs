@@ -14,7 +14,7 @@
 //!   rendered group key.
 //! * **Probe** walks each probe row's chain and emits matching index vectors
 //!   for both sides.
-//! * **Output** columns go through [`Selection`]: a side whose indices are
+//! * **Output** columns go through `Selection`: a side whose indices are
 //!   the identity — both sides of a foreign-key join whose tables list their
 //!   keys in the same order — is shared (`Arc::clone`), anything else is
 //!   gathered in one pass per column (strings move as `Arc` bumps, never as
@@ -24,7 +24,7 @@
 
 use crate::column::{Bitmap, Column};
 use crate::error::{EngineError, EngineResult};
-use crate::parallel::Selection;
+use crate::selection::Selection;
 use crate::table::Table;
 use std::collections::HashMap;
 use std::hash::Hash;

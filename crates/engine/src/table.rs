@@ -327,10 +327,9 @@ impl Table {
 
     /// Gather the rows at `indices` into a new table (the "take" kernel);
     /// all metadata is preserved. Taking every row in order shares the
-    /// columns instead of copying them (see
-    /// [`Selection`](crate::parallel::Selection)).
+    /// columns instead of copying them (see `Selection`).
     pub fn take(&self, indices: &[usize]) -> Table {
-        let selection = crate::parallel::Selection::new(indices, self.num_rows);
+        let selection = crate::selection::Selection::new(indices, self.num_rows);
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),

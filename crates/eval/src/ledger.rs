@@ -10,7 +10,6 @@
 
 use crate::report::{evaluate_fieldwork, evaluate_model, EvaluationConfig, EvaluationReport};
 use caesura_core::CaesuraConfig;
-use caesura_engine::ExecConfig;
 use caesura_llm::{ModelProfile, PlanCacheConfig};
 use caesura_modal::{BatchConfig, CacheConfig};
 use std::fmt::Write;
@@ -25,8 +24,10 @@ pub const LEDGER_FILE: &str = "SUITE_LEDGER.jsonl";
 fn ledger_config() -> EvaluationConfig {
     EvaluationConfig {
         caesura: CaesuraConfig {
-            exec: Some(ExecConfig::sequential()),
-            llm_batch: Some(BatchConfig::new(BatchConfig::DEFAULT_BATCH_SIZE)),
+            llm_batch: Some(BatchConfig {
+                batch_size: BatchConfig::DEFAULT_BATCH_SIZE,
+                threads: 1,
+            }),
             perception_cache: Some(CacheConfig::new(CacheConfig::DEFAULT_CAPACITY)),
             plan_cache: Some(PlanCacheConfig::new(PlanCacheConfig::DEFAULT_CAPACITY)),
             session_workers: Some(1),

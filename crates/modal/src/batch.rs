@@ -37,12 +37,9 @@
 //!    [`crate::cache`] module docs for why this cannot change an answer).
 //! 4. **Batch + dispatch** — the remaining unique requests are split into chunks of
 //!    [`BatchConfig::batch_size`] and handed to a [`PerceptionBackend`] batch
-//!    by batch, fanned out across the worker pool
-//!    ([`caesura_engine::parallel`], honouring the pinned
-//!    [`ExecConfig::threads`](caesura_engine::ExecConfig) of the surrounding
-//!    query). A backend receives whole batches, so an LLM-backed
-//!    implementation can serve each chunk with a single `complete_batch`
-//!    round trip.
+//!    by batch, fanned out over [`BatchConfig::threads`] scoped workers. A
+//!    backend receives whole batches, so an LLM-backed implementation can
+//!    serve each chunk with a single `complete_batch` round trip.
 //! 5. **Scatter** — answers are mapped back onto the rows in row order. The
 //!    output (values, NULL placeholders, and the first error in row order)
 //!    is byte-identical to what the sequential row-at-a-time path produces;
@@ -51,15 +48,19 @@
 //!
 //! ## Knobs
 //!
+//! One [`BatchConfig`] value, passed to [`PerceptionBatch::dispatch`],
+//! configures all of it; nothing is read from ambient state.
+//!
 //! * [`BatchConfig::batch_size`] — how many unique requests one backend
 //!   dispatch carries. Defaults to the `CAESURA_LLM_BATCH` environment
 //!   variable, or [`BatchConfig::DEFAULT_BATCH_SIZE`] when unset.
 //!   `batch_size = 1` is the degenerate configuration: one dispatch per
 //!   unique request (still deduplicated), which CI exercises alongside the
-//!   default, mirroring the `CAESURA_THREADS=1` job.
-//! * Worker threads come from the ambient
-//!   [`parallel::exec_config()`](caesura_engine::parallel::exec_config), so
-//!   the session's `ExecConfig` knob pins perception dispatch parallelism.
+//!   default.
+//! * [`BatchConfig::threads`] — how many workers one dispatch fans its
+//!   batches out over. Defaults to the `CAESURA_THREADS` environment
+//!   variable, or hardware parallelism when unset; `threads = 1` answers
+//!   every batch on the calling thread.
 //!
 //! ## Saved-call accounting
 //!
@@ -72,16 +73,21 @@
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::{ModalError, ModalResult};
 use crate::image::ImageObject;
-use caesura_engine::{parallel, EngineError, Value};
+use caesura_engine::{EngineError, Value};
 use caesura_store::{keyed_hash, Hit, PrehashedMap, Tier};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Configuration of the perception-call batching layer.
+/// Configuration of perception dispatch: how many unique requests one
+/// backend call carries, and how many workers the calls fan out over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Number of unique requests per backend dispatch (≥ 1).
     pub batch_size: usize,
+    /// Worker threads one dispatch fans its batches out over. `1` answers
+    /// every batch on the calling thread.
+    pub threads: usize,
 }
 
 impl BatchConfig {
@@ -89,28 +95,38 @@ impl BatchConfig {
     /// amortize a round trip, small enough to keep several workers busy.
     pub const DEFAULT_BATCH_SIZE: usize = 32;
 
-    /// A configuration with an explicit batch size (clamped to ≥ 1).
+    /// A configuration with an explicit batch size (clamped to ≥ 1) and the
+    /// default thread count.
     pub fn new(batch_size: usize) -> Self {
         BatchConfig {
             batch_size: batch_size.max(1),
+            threads: BatchConfig::default().threads,
         }
     }
 
     /// The configuration described by the environment: `CAESURA_LLM_BATCH`
-    /// ([`Self::DEFAULT_BATCH_SIZE`] when unset or unparseable).
+    /// ([`Self::DEFAULT_BATCH_SIZE`] when unset or unparseable) and
+    /// `CAESURA_THREADS` (hardware parallelism when unset or unparseable).
     pub fn from_env() -> Self {
-        let batch_size = std::env::var("CAESURA_LLM_BATCH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&b| b > 0)
-            .unwrap_or(Self::DEFAULT_BATCH_SIZE);
-        BatchConfig::new(batch_size)
+        let positive = |var: &str| {
+            std::env::var(var)
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n > 0)
+        };
+        BatchConfig {
+            batch_size: positive("CAESURA_LLM_BATCH").unwrap_or(Self::DEFAULT_BATCH_SIZE),
+            threads: positive("CAESURA_THREADS").unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
+        }
     }
 }
 
 impl Default for BatchConfig {
-    /// The environment-described configuration, read once per process (the
-    /// same caching pattern as `parallel::exec_config`); use
+    /// The environment-described configuration, read once per process; use
     /// [`BatchConfig::from_env`] directly to re-read the environment.
     fn default() -> Self {
         static DEFAULT: OnceLock<BatchConfig> = OnceLock::new();
@@ -533,17 +549,17 @@ impl PerceptionBatch {
     }
 
     /// Dispatch the unique requests to `backend` in batches of
-    /// [`BatchConfig::batch_size`], fanned out across the worker pool
-    /// via [`parallel::try_map_morsels`] (one "morsel" = one batch), and
-    /// scatter the answers back onto the rows.
+    /// [`BatchConfig::batch_size`], fanned out over
+    /// [`BatchConfig::threads`] workers, and scatter the answers back onto
+    /// the rows.
     ///
     /// On success, returns one entry per gathered row, in row order: `None`
     /// for NULL rows, `Some(value)` otherwise (duplicates share a clone of
     /// the same answer). On failure, returns the error of the **first
     /// failing row in row order** — unique indices are assigned in
-    /// first-seen row order, so `try_map_morsels`' earliest-failing-batch
-    /// guarantee maps exactly onto it — reproducing the error behaviour of
-    /// the sequential row-at-a-time path.
+    /// first-seen row order, so the pool's earliest-failing-batch guarantee
+    /// maps exactly onto it — reproducing the error behaviour of the
+    /// sequential row-at-a-time path.
     ///
     /// Failures short-circuit (workers stop claiming further batches, the
     /// row-at-a-time path stopped at its first failing call too), so a
@@ -617,9 +633,7 @@ impl PerceptionBatch {
         let result: ModalResult<Vec<Vec<Value>>> = if miss_requests.is_empty() {
             Ok(Vec::new())
         } else {
-            // One morsel = one batch of `batch_size` unique requests.
-            let exec = parallel::exec_config();
-            parallel::try_map_morsels(&exec, miss_requests.len(), config.batch_size, |range| {
+            try_map_batches(miss_requests.len(), config, |range| {
                 dispatched.fetch_add(1, Ordering::Relaxed);
                 let batch = &miss_requests[range.clone()];
                 let answers = backend.answer_batch(batch);
@@ -688,11 +702,66 @@ impl PerceptionBatch {
     }
 }
 
+/// Split `0..len` into consecutive batches of at most `config.batch_size`
+/// and map `f` over them on up to `config.threads` scoped workers, the
+/// calling thread among them. Returns the results in batch order, or the
+/// error of the earliest batch that failed — the error a sequential scan
+/// reports.
+///
+/// Workers claim batches from a shared atomic cursor (fast workers take
+/// more) and stop claiming once any batch fails, so a failure does not bill
+/// the rest of the input. The earliest error is then recovered by walking
+/// the batches in order on the calling thread, re-running only skipped ones
+/// up to the first failure: never more work than a sequential scan that
+/// stops there.
+fn try_map_batches<R, E, F>(len: usize, config: &BatchConfig, f: F) -> Result<Vec<R>, E>
+where
+    R: Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Result<R, E> + Sync,
+{
+    let step = config.batch_size.max(1);
+    let batches: Vec<Range<usize>> = (0..len)
+        .step_by(step)
+        .map(|start| start..(start + step).min(len))
+        .collect();
+    if config.threads <= 1 || batches.len() <= 1 {
+        return batches.into_iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let slots: Vec<Mutex<Option<Result<R, E>>>> =
+        batches.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= batches.len() || failed.load(Ordering::Relaxed) {
+            break;
+        }
+        // Each index is claimed by exactly one worker, so the per-slot lock
+        // is uncontended.
+        let result = f(batches[i].clone());
+        failed.fetch_or(result.is_err(), Ordering::Relaxed);
+        *slots[i].lock().expect("result slot lock poisoned") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..config.threads.min(batches.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let mut out = Vec::with_capacity(batches.len());
+    for (batch, slot) in batches.into_iter().zip(slots) {
+        match slot.into_inner().expect("result slot lock poisoned") {
+            Some(result) => out.push(result?),
+            None => out.push(f(batch)?),
+        }
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesura_engine::ExecConfig;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A backend that counts calls and answers with the question length.
     struct CountingBackend {
@@ -727,10 +796,95 @@ mod tests {
         }
     }
 
+    /// `BatchConfig { batch_size, threads }` spelled out.
+    fn config(batch_size: usize, threads: usize) -> BatchConfig {
+        BatchConfig {
+            batch_size,
+            threads,
+        }
+    }
+
     #[test]
     fn batch_config_clamps_and_reads_defaults() {
         assert_eq!(BatchConfig::new(0).batch_size, 1);
         assert_eq!(BatchConfig::new(7).batch_size, 7);
+        assert_eq!(BatchConfig::new(7).threads, BatchConfig::default().threads);
+        assert!(BatchConfig::default().threads >= 1);
+    }
+
+    #[test]
+    fn batches_cover_the_input_exactly_once_in_order() {
+        for threads in [1, 4] {
+            let covered = try_map_batches(10, &config(3, threads), Ok::<_, ()>);
+            assert_eq!(covered, Ok(vec![0..3, 3..6, 6..9, 9..10]));
+            let exact = try_map_batches(6, &config(3, threads), Ok::<_, ()>);
+            assert_eq!(exact, Ok(vec![0..3, 3..6]));
+            let none = try_map_batches(0, &config(3, threads), Ok::<_, ()>);
+            assert_eq!(none, Ok(vec![]));
+        }
+    }
+
+    #[test]
+    fn results_keep_batch_order_under_parallelism() {
+        let sums = try_map_batches(17, &config(2, 4), |range| Ok::<usize, ()>(range.sum()));
+        let expected: Vec<usize> = (0..17)
+            .step_by(2)
+            .map(|s| (s..17.min(s + 2)).sum())
+            .collect();
+        assert_eq!(sums, Ok(expected));
+    }
+
+    #[test]
+    fn the_earliest_failing_batch_wins() {
+        for threads in [1, 4] {
+            let result = try_map_batches(10, &config(1, threads), |range| {
+                if range.start >= 3 {
+                    Err(format!("boom at {}", range.start))
+                } else {
+                    Ok(range.start)
+                }
+            });
+            assert_eq!(result, Err("boom at 3".to_string()), "threads={threads}");
+
+            // The first batch fails: later batches may be skipped, and are
+            // re-run (in order) only up to the first failure.
+            let executed = AtomicUsize::new(0);
+            let result = try_map_batches(64, &config(1, threads), |range| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if range.start == 0 {
+                    Err("first batch failed")
+                } else {
+                    Ok(range.start)
+                }
+            });
+            assert_eq!(result, Err("first batch failed"), "threads={threads}");
+            assert!(executed.load(Ordering::Relaxed) <= 64);
+            if threads == 1 {
+                assert_eq!(executed.load(Ordering::Relaxed), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_answers_every_batch_on_the_calling_thread() {
+        /// Records the thread that answered each batch.
+        struct Threads(Mutex<Vec<std::thread::ThreadId>>);
+        impl PerceptionBackend for Threads {
+            fn answer_batch(&self, requests: &[PerceptionRequest]) -> Vec<ModalResult<Value>> {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                requests.iter().map(|_| Ok(Value::Int(1))).collect()
+            }
+        }
+        let mut batch = PerceptionBatch::new();
+        for i in 0..8 {
+            batch.push(doc_request(&format!("doc {i}"), "Q?"));
+        }
+        let backend = Threads(Mutex::new(Vec::new()));
+        let (answers, stats) = batch.dispatch(&backend, &config(1, 1), None);
+        assert_eq!(answers.unwrap().len(), 8);
+        assert_eq!(stats.batches, 8);
+        let answered_on = backend.0.into_inner().unwrap();
+        assert_eq!(answered_on, vec![std::thread::current().id(); 8]);
     }
 
     #[test]
@@ -863,19 +1017,17 @@ mod tests {
                     .collect()
             }
         }
-        // Sequential config so skip behaviour is deterministic: the first
-        // batch fails, the remaining four are never dispatched.
-        parallel::with_config(ExecConfig::sequential(), || {
-            let mut batch = PerceptionBatch::new();
-            for i in 0..10 {
-                batch.push(doc_request(&format!("doc {i}"), &format!("Q{i}?")));
-            }
-            let (answers, stats) = batch.dispatch(&FailFirst, &BatchConfig::new(2), None);
-            let err = answers.unwrap_err();
-            assert!(err.to_string().contains("scripted failure"));
-            assert_eq!(stats.unique_requests, 10);
-            assert_eq!(stats.batches, 1, "later batches must be skipped");
-        });
+        // One thread so skip behaviour is deterministic: the first batch
+        // fails, the remaining four are never dispatched.
+        let mut batch = PerceptionBatch::new();
+        for i in 0..10 {
+            batch.push(doc_request(&format!("doc {i}"), &format!("Q{i}?")));
+        }
+        let (answers, stats) = batch.dispatch(&FailFirst, &config(2, 1), None);
+        let err = answers.unwrap_err();
+        assert!(err.to_string().contains("scripted failure"));
+        assert_eq!(stats.unique_requests, 10);
+        assert_eq!(stats.batches, 1, "later batches must be skipped");
     }
 
     #[test]
@@ -988,18 +1140,13 @@ mod tests {
             }
         }
         let cache = PerceptionCache::with_capacity(16);
-        // Sequential so the good batch deterministically precedes the bad one.
-        parallel::with_config(ExecConfig::sequential(), || {
-            let mut batch = PerceptionBatch::new();
-            batch.push(doc_request("good", "Q?"));
-            batch.push(doc_request("bad", "Q?"));
-            let (answers, _) = batch.dispatch(
-                &FailBad,
-                &BatchConfig::new(1),
-                Some((&cache, CacheScope::TextQa)),
-            );
-            assert!(answers.is_err());
-        });
+        // One thread so the good batch deterministically precedes the bad one.
+        let mut batch = PerceptionBatch::new();
+        batch.push(doc_request("good", "Q?"));
+        batch.push(doc_request("bad", "Q?"));
+        let scope = Some((&cache, CacheScope::TextQa));
+        let (answers, _) = batch.dispatch(&FailBad, &config(1, 1), scope);
+        assert!(answers.is_err());
         let cached = |text: &str| {
             let request = PerceptionRequest {
                 input: PerceptionInput::Document(text.into()),

@@ -3,10 +3,10 @@
 //! over several workers, must produce exactly the results of serial sequential
 //! execution — no data races (the columns are immutable behind `Arc`; the
 //! scoped worker pools never outlive a dispatch) and no cross-query
-//! interference (execution configuration is pinned per thread via a scoped
-//! override, not global mutation).
+//! interference (the dispatch thread count is part of each session's
+//! configuration, not global state).
 
-use caesura::engine::parallel::{self, ExecConfig};
+use caesura::modal::BatchConfig;
 use caesura::prelude::*;
 use std::sync::Arc;
 use std::thread;
@@ -16,27 +16,40 @@ const QUERIES: &[&str] = &[
     "For each conference, how many teams are there?",
 ];
 
+/// The default configuration with perception dispatch fanned out over
+/// `threads` workers.
+fn dispatch_threads(threads: usize) -> CaesuraConfig {
+    CaesuraConfig {
+        llm_batch: Some(BatchConfig {
+            threads,
+            ..BatchConfig::default()
+        }),
+        ..CaesuraConfig::default()
+    }
+}
+
+/// A reference session whose perception dispatch runs on one thread.
+fn sequential_session(lake: &DataLake) -> Caesura {
+    let llm = Arc::new(SimulatedLlm::gpt4());
+    Caesura::with_config(lake.clone(), llm, dispatch_threads(1))
+}
+
 #[test]
 fn concurrent_queries_over_one_shared_catalog_match_serial_results() {
     let data = generate_rotowire(&RotowireConfig::small());
 
     // Serial reference under the sequential configuration.
-    let reference_session = Caesura::new(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()));
-    let expected: Vec<QueryOutput> = parallel::with_config(ExecConfig::sequential(), || {
-        QUERIES
-            .iter()
-            .map(|q| reference_session.query(q).expect("serial query failed"))
-            .collect()
-    });
+    let reference_session = sequential_session(&data.lake);
+    let expected: Vec<QueryOutput> = QUERIES
+        .iter()
+        .map(|q| reference_session.query(q).expect("serial query failed"))
+        .collect();
 
     // One session (and therefore one catalog of Arc-shared tables) shared by
     // every thread; several workers per query fan perception batches out
     // while the queries race each other.
-    let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(4)),
-        ..CaesuraConfig::default()
-    };
-    let session = Caesura::with_config(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
+    let llm = Arc::new(SimulatedLlm::gpt4());
+    let session = Caesura::with_config(data.lake.clone(), llm, dispatch_threads(4));
 
     // The shared lake really is shared: the session's catalog holds the same
     // Arc-backed tables as the reference session's.
@@ -79,16 +92,13 @@ fn concurrent_queries_through_a_shared_perception_cache_match_serial_results() {
 
     let data = generate_rotowire(&RotowireConfig::small());
     let query = QUERIES[0];
-    let reference_session = Caesura::new(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()));
-    let expected = parallel::with_config(ExecConfig::sequential(), || {
-        reference_session.query(query).expect("serial query failed")
-    });
+    let reference_session = sequential_session(&data.lake);
+    let expected = reference_session.query(query).expect("serial query failed");
 
     for capacity in [2usize, 4096] {
         let config = CaesuraConfig {
-            exec: Some(ExecConfig::new(4)),
             perception_cache: Some(CacheConfig::new(capacity)),
-            ..CaesuraConfig::default()
+            ..dispatch_threads(4)
         };
         let session =
             Caesura::with_config(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
@@ -137,19 +147,16 @@ fn racing_submitters_and_cancellers_at_queue_capacity_stay_consistent() {
     use caesura::core::Phase;
 
     let data = generate_rotowire(&RotowireConfig::small());
-    let reference_session = Caesura::new(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()));
-    let expected: Vec<QueryOutput> = parallel::with_config(ExecConfig::sequential(), || {
-        QUERIES
-            .iter()
-            .map(|q| reference_session.query(q).expect("serial query failed"))
-            .collect()
-    });
+    let reference_session = sequential_session(&data.lake);
+    let expected: Vec<QueryOutput> = QUERIES
+        .iter()
+        .map(|q| reference_session.query(q).expect("serial query failed"))
+        .collect();
 
     let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(2)),
         session_workers: Some(2),
         session_queue: Some(4),
-        ..CaesuraConfig::default()
+        ..dispatch_threads(2)
     };
     let session = Caesura::with_config(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
 
@@ -215,19 +222,16 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     let data = generate_rotowire(&RotowireConfig::small());
-    let reference_session = Caesura::new(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()));
-    let expected: Vec<QueryOutput> = parallel::with_config(ExecConfig::sequential(), || {
-        QUERIES
-            .iter()
-            .map(|q| reference_session.query(q).expect("serial query failed"))
-            .collect()
-    });
+    let reference_session = sequential_session(&data.lake);
+    let expected: Vec<QueryOutput> = QUERIES
+        .iter()
+        .map(|q| reference_session.query(q).expect("serial query failed"))
+        .collect();
 
     let config = CaesuraConfig {
-        exec: Some(ExecConfig::new(2)),
         session_workers: Some(2),
         session_queue: Some(2),
-        ..CaesuraConfig::default()
+        ..dispatch_threads(2)
     };
     let session = Caesura::with_config(data.lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
 
@@ -321,25 +325,4 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
         tenants.iter().map(|t| t.rejected).sum::<usize>(),
         stats.rejected
     );
-}
-
-#[test]
-fn per_thread_exec_overrides_do_not_leak_across_threads() {
-    // Two threads pin different configurations simultaneously; each must see
-    // its own, and the spawning thread's default must be untouched.
-    let before = parallel::exec_config();
-    thread::scope(|scope| {
-        for threads in [2usize, 8] {
-            scope.spawn(move || {
-                let pinned = ExecConfig::new(threads);
-                parallel::with_config(pinned, || {
-                    for _ in 0..50 {
-                        assert_eq!(parallel::exec_config(), pinned);
-                        std::thread::yield_now();
-                    }
-                });
-            });
-        }
-    });
-    assert_eq!(parallel::exec_config(), before);
 }

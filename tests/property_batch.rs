@@ -10,9 +10,7 @@
 //! `filter_rows`), re-stated locally so the comparison target stays fixed
 //! while the production path evolves.
 
-use caesura::engine::{
-    parallel, DataType, EngineError, ExecConfig, Schema, Table, TableBuilder, Value,
-};
+use caesura::engine::{DataType, EngineError, Schema, Table, TableBuilder, Value};
 use caesura::llm::{CountingLlm, LlmClient, LlmResult, PerceptionLlm};
 use caesura::modal::operators::{
     apply_image_select, apply_text_qa, apply_visual_qa, template_placeholders, Perception,
@@ -217,9 +215,11 @@ fn assert_equivalent(
 ) {
     for &batch_size in BATCH_SIZES {
         for &threads in THREADS {
-            let config = ExecConfig::new(threads);
             let context = format!("{label} [batch={batch_size}, threads={threads}]");
-            let actual = parallel::with_config(config, || batched(&BatchConfig::new(batch_size)));
+            let actual = batched(&BatchConfig {
+                batch_size,
+                threads,
+            });
             match (&reference, &actual) {
                 (Ok(expected), Ok(actual)) => {
                     assert_tables_byte_identical(expected, actual, &context)

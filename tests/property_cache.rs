@@ -10,7 +10,7 @@
 //! byte-identical to the pre-batching row-at-a-time loops — so transitively
 //! the cached path reproduces the original sequential semantics.
 
-use caesura::engine::{parallel, DataType, ExecConfig, Schema, Table, TableBuilder, Value};
+use caesura::engine::{DataType, Schema, Table, TableBuilder, Value};
 use caesura::modal::operators::{apply_image_select, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, ImageObject, ImageSelectModel, ImageStore, ModalResult, NoiseModel,
@@ -70,17 +70,17 @@ fn assert_cache_transparent(
     for &capacity in CACHE_CAPACITIES {
         for &threads in THREADS {
             for &batch_size in BATCH_SIZES {
-                let config = ExecConfig::new(threads);
-                let batch = BatchConfig::new(batch_size);
+                let batch = BatchConfig {
+                    batch_size,
+                    threads,
+                };
                 let cache = capacity.map(PerceptionCache::with_capacity);
                 let context =
                     format!("{label} [cache={capacity:?}, threads={threads}, batch={batch_size}]");
-                parallel::with_config(config, || {
-                    let cold = operator(&batch, cache.as_ref());
-                    assert_same_outcome(&reference, &cold, &format!("{context} (cold)"));
-                    let warm = operator(&batch, cache.as_ref());
-                    assert_same_outcome(&reference, &warm, &format!("{context} (warm)"));
-                });
+                let cold = operator(&batch, cache.as_ref());
+                assert_same_outcome(&reference, &cold, &format!("{context} (cold)"));
+                let warm = operator(&batch, cache.as_ref());
+                assert_same_outcome(&reference, &warm, &format!("{context} (warm)"));
                 if let Some(cache) = &cache {
                     assert!(
                         cache.len() <= cache.capacity(),
@@ -421,40 +421,42 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
     // Tiny cache under sequential dispatch: evictions must actually happen
     // (more unique requests than capacity), and the warm run re-dispatches
     // at least the evicted share.
-    parallel::with_config(ExecConfig::sequential(), || {
-        let tiny = PerceptionCache::with_capacity(2);
-        let (cold, out) = apply_text_qa(
-            &table,
-            Perception {
-                backend: &model,
-                batch: BatchConfig::new(8),
-                cache: Some(&tiny),
-            },
-            "report",
-            "points",
-            template,
-            DataType::Int,
-        );
-        out.unwrap();
-        assert!(cold.unique_requests > 2, "workload must overflow the cache");
-        assert!(cold.cache_evictions > 0, "a tiny cache must evict");
-        assert!(tiny.len() <= 2);
-        let (warm, out) = apply_text_qa(
-            &table,
-            Perception {
-                backend: &model,
-                batch: BatchConfig::new(8),
-                cache: Some(&tiny),
-            },
-            "report",
-            "points",
-            template,
-            DataType::Int,
-        );
-        out.unwrap();
-        assert!(
-            warm.cache_misses >= warm.unique_requests - 2,
-            "evicted answers must be re-dispatched"
-        );
-    });
+    let tiny = PerceptionCache::with_capacity(2);
+    let sequential = BatchConfig {
+        batch_size: 8,
+        threads: 1,
+    };
+    let (cold, out) = apply_text_qa(
+        &table,
+        Perception {
+            backend: &model,
+            batch: sequential,
+            cache: Some(&tiny),
+        },
+        "report",
+        "points",
+        template,
+        DataType::Int,
+    );
+    out.unwrap();
+    assert!(cold.unique_requests > 2, "workload must overflow the cache");
+    assert!(cold.cache_evictions > 0, "a tiny cache must evict");
+    assert!(tiny.len() <= 2);
+    let (warm, out) = apply_text_qa(
+        &table,
+        Perception {
+            backend: &model,
+            batch: sequential,
+            cache: Some(&tiny),
+        },
+        "report",
+        "points",
+        template,
+        DataType::Int,
+    );
+    out.unwrap();
+    assert!(
+        warm.cache_misses >= warm.unique_requests - 2,
+        "evicted answers must be re-dispatched"
+    );
 }

@@ -13,7 +13,6 @@
 //!   join, aggregate, sort, distinct/limit/union) produces exactly the rows a
 //!   naive row-at-a-time reference implementation produces on random tables.
 
-use caesura::engine::parallel::{self, ExecConfig};
 use caesura::engine::{
     ops, sql, BinaryOp, Catalog, DataType, Expr, Schema, Table, TableBuilder, UnaryOp, Value,
 };
@@ -265,37 +264,44 @@ fn aggregate_matches_row_at_a_time_reference() {
 }
 
 /// Grouped float `SUM`/`AVG` over values with no exact binary form are
-/// byte-identical whatever the thread count: aggregation folds every group
-/// in row order on the calling thread.
+/// bit-for-bit the sums of a plain row-order fold: aggregation folds every
+/// group in row order, so no configuration can reorder the additions.
 #[test]
-fn float_sum_and_avg_are_byte_identical_under_every_thread_count() {
+fn float_sum_and_avg_equal_a_row_order_fold() {
     let schema = Schema::from_pairs(&[("g", DataType::Int), ("x", DataType::Float)]);
     let mut builder = TableBuilder::new("t", schema);
-    for i in 0..2_000 {
-        let x = 0.1 * (i % 17) as f64 + 0.01;
+    let rows: Vec<(i64, f64)> = (0..2_000)
+        .map(|i| (i % 3, 0.1 * (i % 17) as f64 + 0.01))
+        .collect();
+    for &(g, x) in &rows {
         builder
-            .push_row(vec![Value::Int(i % 3), Value::Float(x)])
+            .push_row(vec![Value::Int(g), Value::Float(x)])
             .unwrap();
     }
-    let table = builder.build();
-    let bits = |threads: usize| -> Vec<u64> {
-        let out = parallel::with_config(ExecConfig::new(threads), || {
-            ops::aggregate(
-                &table,
-                &[(Expr::col("g"), "g".to_string())],
-                &[
-                    ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("x")), "total"),
-                    ops::AggCall::new(ops::AggFunc::Avg, Some(Expr::col("x")), "mean"),
-                ],
-            )
-            .unwrap()
-        });
-        out.rows()
-            .flat_map(|row| [row.get(1), row.get(2)])
-            .map(|v| v.as_float().unwrap().to_bits())
-            .collect()
-    };
-    assert_eq!(bits(1), bits(4));
+    let out = ops::aggregate(
+        &builder.build(),
+        &[(Expr::col("g"), "g".to_string())],
+        &[
+            ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("x")), "total"),
+            ops::AggCall::new(ops::AggFunc::Avg, Some(Expr::col("x")), "mean"),
+        ],
+    )
+    .unwrap();
+    let actual: Vec<u64> = out
+        .rows()
+        .flat_map(|row| [row.get(1), row.get(2)])
+        .map(|v| v.as_float().unwrap().to_bits())
+        .collect();
+    // Groups come out in first-appearance order: 0, 1, 2.
+    let expected: Vec<u64> = (0..3)
+        .flat_map(|group| {
+            let xs = rows.iter().filter(|&&(g, _)| g == group).map(|&(_, x)| x);
+            let (sum, count) = xs.fold((0.0, 0), |(sum, count), x| (sum + x, count + 1));
+            [sum, sum / count as f64]
+        })
+        .map(f64::to_bits)
+        .collect();
+    assert_eq!(actual, expected);
 }
 
 /// Vectorized sort (including the typed single-int-key path) equals a stable
