@@ -44,7 +44,7 @@ impl<C: LlmClient> PerceptionLlm<C> {
             // The annotation caption plays the role of the image pixels; the
             // key keeps distinct images distinguishable for the model.
             PerceptionInput::Image(image) => {
-                ("image", format!("{} ({})", image.caption(), image.key))
+                ("image", format!("{} ({})", image.caption(), image.key()))
             }
         };
         Conversation::new()

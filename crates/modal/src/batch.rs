@@ -18,13 +18,20 @@
 //!    (every game report appears once per participating team), so duplicate
 //!    rows cost zero extra model calls. The dedup key is exactly the pair the
 //!    simulated models derive their (deterministic) noise from, so dedup can
-//!    never change an answer. Each row's `(modality, input key, question)`
-//!    is hashed **once**, with the process-wide keyed hasher
-//!    ([`caesura_store::keyed_hash`]); the index is one flat table from that
-//!    hash (not hashed again) to an index into the unique-request vector,
-//!    and the hash of every unique request is kept beside it. The hash only
-//!    finds a candidate; **identity is decided by comparing** the probe's
-//!    modality, key and question with that unique request, and a different
+//!    never change an answer. A row's request hash is **composed**, not
+//!    computed from its bytes: a 64-bit finalizer mixes the input's and the
+//!    question's [`caesura_store::keyed_hash`] with the modality, and each of
+//!    those two parts is **hashed once** and reused by every row that shares
+//!    it. An image's key hash is taken when the image is built
+//!    ([`ImageObject`]); a VisualQA or Image Select step hashes its one
+//!    question once; TextQA hashes each rendered question once and each
+//!    distinct document allocation once per step. The index is one flat
+//!    table from the request hash (not hashed again), pre-sized to the row
+//!    count, to an index into the unique-request vector, and the hash of
+//!    every unique request is kept beside it. The hash only finds a
+//!    candidate; **identity is decided by comparing** the probe's modality,
+//!    key and question with that unique request (two sides that are one
+//!    allocation compare equal without reading their bytes), and a different
 //!    pair under the same hash moves on to the next slot. Probing allocates
 //!    nothing.
 //! 3. **Cache probe** (optional) — when the session attaches a
@@ -75,6 +82,7 @@ use crate::error::{ModalError, ModalResult};
 use crate::image::ImageObject;
 use caesura_engine::{EngineError, Value};
 use caesura_store::{keyed_hash, Hit, PrehashedMap, Tier};
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -302,7 +310,7 @@ impl PerceptionInput {
     pub fn cache_key(&self) -> &str {
         match self {
             PerceptionInput::Document(document) => document,
-            PerceptionInput::Image(image) => &image.key,
+            PerceptionInput::Image(image) => image.key(),
         }
     }
 
@@ -311,7 +319,16 @@ impl PerceptionInput {
     pub fn shared_key(&self) -> Arc<str> {
         match self {
             PerceptionInput::Document(document) => Arc::clone(document),
-            PerceptionInput::Image(image) => Arc::clone(&image.key),
+            PerceptionInput::Image(image) => Arc::clone(image.key()),
+        }
+    }
+
+    /// [`text_hash`] of [`Self::cache_key`]; an image's was taken when it
+    /// was built.
+    fn key_hash(&self) -> u64 {
+        match self {
+            PerceptionInput::Document(document) => text_hash(document),
+            PerceptionInput::Image(image) => image.key_hash(),
         }
     }
 
@@ -341,12 +358,11 @@ pub struct PerceptionRequest {
 impl PerceptionRequest {
     /// The request's one hash, under which the dedup index files it and the
     /// [`PerceptionCache`] (after mixing in its scope) probes and stores it.
+    /// Computed here from both parts, so a standalone cache call meets the
+    /// entries a batch filed under the parts it hashed once per step.
     pub(crate) fn hash64(&self) -> u64 {
-        request_hash(
-            self.input.modality(),
-            self.input.cache_key(),
-            &self.question,
-        )
+        let question_hash = text_hash(&self.question);
+        request_hash(self.input.modality(), self.input.key_hash(), question_hash)
     }
 }
 
@@ -374,9 +390,40 @@ impl<'a, T> PerQuestion<'a, T> {
     }
 }
 
-/// [`keyed_hash`] of a request's identity.
-fn request_hash(modality: u8, key: &str, question: &str) -> u64 {
-    keyed_hash(&(modality, key, question))
+/// The keyed hash of one part of a request: an input key or a question.
+pub(crate) fn text_hash(text: &str) -> u64 {
+    keyed_hash(text)
+}
+
+/// A request's hash, composed from the [`text_hash`] of its input key and of
+/// its question. Every bit is mixed, because the cache takes its shard from
+/// the upper half and every index buckets by the lower bits.
+fn request_hash(modality: u8, input_hash: u64, question_hash: u64) -> u64 {
+    const MODALITY_SALT: [u64; 2] = [0x2545_f491_4f6c_dd1d, 0x9fb2_1c65_1e98_df25];
+    mix64(input_hash ^ question_hash.rotate_left(32) ^ MODALITY_SALT[usize::from(modality)])
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection whose every output bit
+/// depends on every input bit.
+fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// A [`PrehashedMap`] key naming `text`'s allocation: its mixed address.
+/// The mix is a bijection, so two live allocations never share a key; the
+/// caller keeps every allocation it keys alive for as long as the map.
+pub(crate) fn allocation_key(text: &Arc<str>) -> u64 {
+    mix64(Arc::as_ptr(text).cast::<u8>().addr() as u64)
+}
+
+/// Whether two strings are equal, without reading their bytes when both are
+/// one allocation (same address and length).
+pub(crate) fn same_text(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
 }
 
 /// A model that answers perception requests batch by batch.
@@ -419,15 +466,6 @@ enum Slot {
     Unique(usize),
 }
 
-/// Where a pair the dedup index does not hold yet goes.
-#[derive(Debug, Clone, Copy)]
-struct Vacant {
-    /// The free index slot its probe ended on.
-    slot: u64,
-    /// The pair's hash (the slot its probe started from).
-    hash: u64,
-}
-
 /// The request collector: gathers per-row requests, dedups them, dispatches
 /// the unique ones in batches, and scatters answers back in row order.
 #[derive(Debug, Default)]
@@ -451,11 +489,14 @@ impl PerceptionBatch {
         PerceptionBatch::default()
     }
 
-    /// A collector with a row-capacity hint.
+    /// A collector sized for `rows` rows: neither its vectors nor its dedup
+    /// index grow while that many are gathered.
     pub fn with_capacity(rows: usize) -> Self {
         PerceptionBatch {
             slots: Vec::with_capacity(rows),
-            ..PerceptionBatch::default()
+            unique: Vec::with_capacity(rows),
+            hashes: Vec::with_capacity(rows),
+            index: PrehashedMap::with_capacity_and_hasher(rows, Default::default()),
         }
     }
 
@@ -465,71 +506,87 @@ impl PerceptionBatch {
     }
 
     /// Record one row's question about a text document, deduplicating
-    /// against every previously pushed row. The `Arc`-shared document is
-    /// never copied; a new `(document, question)` pair bumps its reference
-    /// count and copies the (per-row) question once.
-    pub fn push_document(&mut self, document: &Arc<str>, question: &str) {
-        let found = self.find(DOCUMENT, document, question);
-        self.record(found, || PerceptionRequest {
+    /// against every previously pushed row. The hashes are the [`text_hash`]
+    /// of `document` and of `question`, which the caller computes once per
+    /// distinct document and question. The `Arc`-shared document is never
+    /// copied; a new `(document, question)` pair bumps its reference count
+    /// and copies the (per-row) question once.
+    pub(crate) fn push_document(
+        &mut self,
+        document: &Arc<str>,
+        document_hash: u64,
+        question: &str,
+        question_hash: u64,
+    ) {
+        let hash = request_hash(DOCUMENT, document_hash, question_hash);
+        self.file(hash, (DOCUMENT, document, question), || PerceptionRequest {
             input: PerceptionInput::Document(Arc::clone(document)),
             question: Arc::from(question),
         });
     }
 
     /// Record one row's question about an image, deduplicating by image key
-    /// (annotations are immutable per key within a store). A new
-    /// `(image, question)` pair bumps two reference counts: the image's and
-    /// the question's, which a step shares across all of its rows.
-    pub fn push_image(&mut self, image: &Arc<ImageObject>, question: &Arc<str>) {
-        let found = self.find(IMAGE, &image.key, question);
-        self.record(found, || PerceptionRequest {
+    /// (annotations are immutable per key within a store). `question_hash`
+    /// is the question's [`text_hash`], computed once per step; the image
+    /// brings its own key hash. A new `(image, question)` pair bumps two
+    /// reference counts: the image's and the question's, which a step shares
+    /// across all of its rows.
+    pub(crate) fn push_image(
+        &mut self,
+        image: &Arc<ImageObject>,
+        question: &Arc<str>,
+        question_hash: u64,
+    ) {
+        let hash = request_hash(IMAGE, image.key_hash(), question_hash);
+        self.file(hash, (IMAGE, image.key(), question), || PerceptionRequest {
             input: PerceptionInput::Image(Arc::clone(image)),
             question: Arc::clone(question),
         });
     }
 
     /// Record one row's request, deduplicating identical `(input, question)`
-    /// pairs against every previously pushed row.
+    /// pairs against every previously pushed row. The probe borrows
+    /// `request`, so a new pair is filed as a clone: two reference-count
+    /// bumps.
     pub fn push(&mut self, request: PerceptionRequest) {
         let PerceptionRequest { input, question } = &request;
-        let found = self.find(input.modality(), input.cache_key(), question);
-        self.record(found, || request);
+        let probe = (input.modality(), input.cache_key(), &**question);
+        self.file(request.hash64(), probe, || request.clone());
     }
 
-    /// [`Self::probe`] under the triple's [`request_hash`].
-    fn find(&self, modality: u8, key: &str, question: &str) -> Result<usize, Vacant> {
-        let hash = request_hash(modality, key, question);
-        self.probe(hash, modality, key, question)
-    }
-
-    /// Walk the dedup index from slot `hash` on: `Ok` with the index of the
-    /// unique request that *equals* the probe, or `Err` with the free slot a
-    /// new pair goes to. Allocates nothing. The hash is a parameter so that
+    /// Record one row whose `(modality, key, question)` probe hashes to
+    /// `hash`: walk the dedup index from slot `hash` on to the unique request
+    /// that *equals* the probe, or to the free slot where the request `build`
+    /// makes (only for a genuinely new pair) is filed. One index probe per
+    /// slot visited; allocates nothing else. The hash is a parameter so that
     /// tests can force collisions.
-    fn probe(&self, hash: u64, modality: u8, key: &str, question: &str) -> Result<usize, Vacant> {
+    fn file(
+        &mut self,
+        hash: u64,
+        (modality, key, question): (u8, &str, &str),
+        build: impl FnOnce() -> PerceptionRequest,
+    ) {
         let mut slot = hash;
-        while let Some(&idx) = self.index.get(&slot) {
-            let seen = &self.unique[idx];
-            if seen.input.modality() == modality
-                && seen.input.cache_key() == key
-                && *seen.question == *question
-            {
-                return Ok(idx);
+        let idx = loop {
+            match self.index.entry(slot) {
+                Entry::Occupied(filed) => {
+                    let seen = &self.unique[*filed.get()];
+                    if seen.input.modality() == modality
+                        && same_text(seen.input.cache_key(), key)
+                        && same_text(&seen.question, question)
+                    {
+                        break *filed.get();
+                    }
+                    slot = slot.wrapping_add(1);
+                }
+                Entry::Vacant(free) => {
+                    free.insert(self.unique.len());
+                    self.unique.push(build());
+                    self.hashes.push(hash);
+                    break self.unique.len() - 1;
+                }
             }
-            slot = slot.wrapping_add(1);
-        }
-        Err(Vacant { slot, hash })
-    }
-
-    /// Record one row given its [`Self::probe`]; `build` runs only for a
-    /// genuinely new pair.
-    fn record(&mut self, found: Result<usize, Vacant>, build: impl FnOnce() -> PerceptionRequest) {
-        let idx = found.unwrap_or_else(|Vacant { slot, hash }| {
-            self.index.insert(slot, self.unique.len());
-            self.unique.push(build());
-            self.hashes.push(hash);
-            self.unique.len() - 1
-        });
+        };
         self.slots.push(Slot::Unique(idx));
     }
 
@@ -1167,7 +1224,7 @@ mod tests {
         let question: Arc<str> = "How many swords are depicted?".into();
         let mut batch = PerceptionBatch::new();
         for _ in 0..3 {
-            batch.push_image(&img, &question);
+            batch.push_image(&img, &question, text_hash(&question));
         }
         assert_eq!(batch.unique_len(), 1);
         // The one request shares the image and the question with the caller.
@@ -1180,10 +1237,62 @@ mod tests {
         // A document whose text equals an image key must not collide with
         // that image's request.
         let img = Arc::new(ImageObject::new("img/1.png"));
+        let question: Arc<str> = "What is depicted?".into();
         let mut batch = PerceptionBatch::new();
-        batch.push_document(&Arc::from("img/1.png"), "What is depicted?");
-        batch.push_image(&img, &"What is depicted?".into());
+        let (key, question_hash) = (text_hash("img/1.png"), text_hash(&question));
+        batch.push_document(&Arc::from("img/1.png"), key, &question, question_hash);
+        batch.push_image(&img, &question, question_hash);
         assert_eq!(batch.unique_len(), 2);
+        // Nor do they share a cache entry.
+        let cache = PerceptionCache::with_capacity(8);
+        let scope = Some((&cache, CacheScope::VisualQa));
+        let (_, stats) = batch.dispatch(&CountingBackend::new(), &BatchConfig::new(8), scope);
+        assert_eq!((stats.cache_misses, cache.len()), (2, 2));
+    }
+
+    /// Whichever push gathers a request files it under the hash a standalone
+    /// cache call computes for that request.
+    #[test]
+    fn every_push_files_its_request_under_hash64() {
+        let img = Arc::new(ImageObject::new("img/1.png"));
+        let question: Arc<str> = "How many swords are depicted?".into();
+        let document: Arc<str> = "report A".into();
+        let mut batch = PerceptionBatch::with_capacity(4);
+        batch.push(doc_request("report B", "Who won?"));
+        batch.push(PerceptionRequest {
+            input: PerceptionInput::Image(Arc::clone(&img)),
+            question: "Is a horse depicted?".into(),
+        });
+        batch.push_image(&img, &question, text_hash(&question));
+        batch.push_document(
+            &document,
+            text_hash(&document),
+            "Who won?",
+            text_hash("Who won?"),
+        );
+        assert_eq!(batch.unique_len(), 4);
+        for (idx, (request, &hash)) in batch.unique.iter().zip(&batch.hashes).enumerate() {
+            assert_eq!(hash, request.hash64(), "{request:?}");
+            assert_eq!(batch.index.get(&hash), Some(&idx), "{request:?}");
+        }
+    }
+
+    /// The composed hash separates what its parts and the modality separate.
+    #[test]
+    fn request_hashes_mix_both_parts_and_the_modality() {
+        let (a, b) = (text_hash("report A"), text_hash("Who won?"));
+        let hashes = [
+            request_hash(DOCUMENT, a, b),
+            request_hash(DOCUMENT, b, a),
+            request_hash(IMAGE, a, b),
+            request_hash(DOCUMENT, a, a),
+            request_hash(DOCUMENT, b, b),
+        ];
+        for (i, x) in hashes.iter().enumerate() {
+            assert!(hashes[i + 1..].iter().all(|y| x != y), "{hashes:x?}");
+            // Both halves carry entropy: the shard reads the upper one.
+            assert!(x >> 32 != 0 && x & 0xffff_ffff != 0);
+        }
     }
 
     #[test]
@@ -1213,8 +1322,8 @@ mod tests {
         let mut batch = PerceptionBatch::new();
         for (document, question) in rows.iter().chain(&rows) {
             let modality = if document.is_some() { DOCUMENT } else { IMAGE };
-            let found = batch.probe(7, modality, document.unwrap_or(&img.key), question);
-            batch.record(found, || PerceptionRequest {
+            let probe = (modality, document.unwrap_or(img.key()), *question);
+            batch.file(7, probe, || PerceptionRequest {
                 input: match document {
                     Some(text) => PerceptionInput::Document((*text).into()),
                     None => PerceptionInput::Image(Arc::clone(&img)),

@@ -41,20 +41,25 @@
 //! scope- and modality-separated key, the [`Value`] codec, and the disk-only
 //! keyspace of compiled transforms.
 //!
-//! A probe never hashes: the batch layer hashes each unique request once while
-//! gathering and hands that hash to `get` and to a miss's `put`, and the
-//! scope is mixed in by XOR with a per-scope constant. A standalone
-//! [`PerceptionCache::get`] / [`PerceptionCache::put`] computes the same
-//! hash of the same request, so both routes meet on the same entries. As
+//! A probe never hashes: the batch layer composes each unique request's hash
+//! while gathering, from an input-key hash and a question hash it computed
+//! once per image, document or question ([`crate::batch`] step 2), and hands
+//! it to `get` and to a miss's `put`; the scope is mixed in by XOR with a
+//! per-scope constant. A standalone [`PerceptionCache::get`] /
+//! [`PerceptionCache::put`] composes the same hash from the same two parts,
+//! so both routes meet on the same entries. The hash lives in memory only:
+//! disk keys are the framed bytes of the request, never its hash. As
 //! everywhere in [`TieredCache`], the hash only finds a slot; the comparison of
-//! scope, modality, input key and question decides identity.
+//! scope, modality, input key and question decides identity, and an entry
+//! that shares the probe's document or key allocation compares equal without
+//! reading the bytes.
 //!
 //! [`CacheConfig`] defaults to the `CAESURA_PERCEPTION_CACHE` environment
 //! variable ([`caesura_store::capacity_from_env`]): `0` / `off` / `false`
 //! means no cache at all — byte-for-byte the pre-cache behaviour. Sessions pin
 //! the knob via `CaesuraConfig::perception_cache`.
 
-use crate::batch::{PerceptionInput, PerceptionRequest};
+use crate::batch::{same_text, PerceptionInput, PerceptionRequest};
 use crate::transform::TransformProgram;
 use caesura_engine::{DateValue, Schema, Value};
 use caesura_store::{
@@ -180,10 +185,14 @@ impl CacheKey<AnswerKey> for AnswerProbe<'_> {
         self.request_hash ^ self.scope.salt()
     }
 
+    /// Scope and modality, then input key and question, each of which
+    /// compares equal without reading its bytes when the stored key shares
+    /// the probe's allocation (a lake document, an image's own key).
     fn equivalent(&self, key: &AnswerKey) -> bool {
         let PerceptionRequest { input, question } = self.request;
-        (self.scope, self.image(), input.cache_key(), &**question)
-            == (key.scope, key.image, &*key.input, &*key.question)
+        (self.scope, self.image()) == (key.scope, key.image)
+            && same_text(input.cache_key(), &key.input)
+            && same_text(question, &key.question)
     }
 
     fn to_key(&self) -> AnswerKey {
@@ -533,6 +542,97 @@ mod tests {
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(found(&cache, CacheScope::VisualQa, &doc("img/1.png")), None);
+
+        // So do the requests the operators gather, whose hashes are composed
+        // from an image's build-time key hash, a document hashed once per
+        // allocation and a question hashed once. The standalone requests
+        // below hold their own copies of the document and question text.
+        use crate::operators::{apply_text_qa, apply_visual_qa, Perception};
+        use caesura_engine::{DataType, TableBuilder};
+        let schema = Schema::from_pairs(&[
+            ("name", DataType::Str),
+            ("image", DataType::Image),
+            ("report", DataType::Text),
+        ]);
+        let games = [
+            ("Heat", "img/2.png", "report B"),
+            ("Spurs", "img/3.png", "report C"),
+        ];
+        let mut store = crate::ImageStore::new();
+        let mut rows = TableBuilder::new("games", schema);
+        for (name, image, report) in games {
+            store.insert(crate::ImageObject::new(image));
+            let row = vec![Value::str(name), Value::image(image), Value::text(report)];
+            rows.push_row(row).unwrap();
+        }
+        let table = rows.build();
+        let perception = Perception {
+            backend: &Seven,
+            batch: BatchConfig::new(8),
+            cache: Some(&cache),
+        };
+        let gathered = |scope, question| {
+            let (stats, out) = match scope {
+                CacheScope::VisualQa => apply_visual_qa(
+                    &table,
+                    &store,
+                    perception,
+                    "image",
+                    "answer",
+                    question,
+                    DataType::Int,
+                ),
+                _ => apply_text_qa(
+                    &table,
+                    perception,
+                    "report",
+                    "answer",
+                    question,
+                    DataType::Int,
+                ),
+            };
+            let out = out.unwrap();
+            let answers: Vec<Value> = (0..2)
+                .map(|row| out.value(row, "answer").unwrap())
+                .collect();
+            (answers, stats.cache_hits)
+        };
+        // A row's request, built standalone: its input and the question the
+        // operator renders for it.
+        let standalone = |scope, row: usize, question: &str| {
+            let (name, image, report) = games[row];
+            match scope {
+                CacheScope::VisualQa => {
+                    let image = Arc::clone(store.get_shared(image).unwrap());
+                    ask(PerceptionInput::Image(image), question)
+                }
+                _ => {
+                    let question = question.replace("<name>", name);
+                    ask(PerceptionInput::Document(report.into()), &question)
+                }
+            }
+        };
+        for (scope, first, second) in [
+            (CacheScope::VisualQa, "How many swords?", "How many horses?"),
+            (CacheScope::TextQa, "Did <name> win?", "Did <name> lose?"),
+        ] {
+            // Put by an operator, hit standalone.
+            assert_eq!(gathered(scope, first), (vec![Value::Int(7); 2], 0));
+            for row in 0..2 {
+                let request = standalone(scope, row, first);
+                assert_eq!(found(&cache, scope, &request), Some(Value::Int(7)));
+            }
+            // Put standalone, hit by an operator.
+            let request = standalone(scope, 1, second);
+            assert!(
+                cache
+                    .put("model-a", scope, &request, Value::Int(1))
+                    .inserted
+            );
+            let answers = vec![Value::Int(7), Value::Int(1)];
+            assert_eq!(gathered(scope, second), (answers, 1));
+        }
+        assert_eq!(cache.len(), 4 + 2 * 4);
     }
 
     #[test]

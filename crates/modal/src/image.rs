@@ -10,7 +10,7 @@
 //!
 //! ## Sharing contract
 //!
-//! An [`ImageStore`] is a handle on an immutable, `Arc`-shared map of
+//! An [`ImageStore`] is a handle on an immutable, `Arc`-shared hash map of
 //! `Arc`-shared images. Cloning a store — and with it a `DataLake`, or the
 //! per-query `Executor` built over one — bumps one reference count and
 //! copies no annotation; a perception request borrows an image the same way
@@ -19,8 +19,14 @@
 //! *map* (the images in it stay shared), so no handle ever observes another
 //! handle's insert. Nothing on a query path clones an [`ImageObject`] itself;
 //! `tests/alloc_budget.rs` holds that.
+//!
+//! An image's key is read-only ([`ImageObject::key`]) and hashed once, when
+//! the image is built: every perception request about the image reuses that
+//! [`keyed_hash`] instead of hashing the key again, and the key and its hash
+//! cannot drift apart.
 
-use std::collections::BTreeMap;
+use caesura_store::keyed_hash;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// A single annotated image.
@@ -29,7 +35,9 @@ pub struct ImageObject {
     /// Stable key, e.g. `img/17.png`; also used as the join key (`img_path`).
     /// Shared with the store's index and with every cache entry about this
     /// image, so it is never copied after ingest.
-    pub key: Arc<str>,
+    key: Arc<str>,
+    /// [`keyed_hash`] of `key`, computed once in [`ImageObject::new`].
+    key_hash: u64,
     /// Depicted entities and how many of each are visible.
     /// Stored sorted so prompt renderings and answers are deterministic.
     pub objects: BTreeMap<String, u32>,
@@ -40,11 +48,23 @@ pub struct ImageObject {
 impl ImageObject {
     /// Create an image with no annotations.
     pub fn new(key: impl Into<String>) -> Self {
+        let key: Arc<str> = Arc::from(key.into());
         ImageObject {
-            key: Arc::from(key.into()),
+            key_hash: keyed_hash(&*key),
+            key,
             objects: BTreeMap::new(),
             attributes: BTreeMap::new(),
         }
+    }
+
+    /// The image's key, shared with its store and its cache entries.
+    pub fn key(&self) -> &Arc<str> {
+        &self.key
+    }
+
+    /// [`keyed_hash`] of [`Self::key`], computed when the image was built.
+    pub(crate) fn key_hash(&self) -> u64 {
+        self.key_hash
     }
 
     /// Add a depicted entity with a count.
@@ -187,7 +207,7 @@ pub fn normalize_entity(entity: &str) -> String {
 /// copy-on-write contract.
 #[derive(Debug, Clone, Default)]
 pub struct ImageStore {
-    images: Arc<BTreeMap<Arc<str>, Arc<ImageObject>>>,
+    images: Arc<HashMap<Arc<str>, Arc<ImageObject>>>,
 }
 
 impl ImageStore {
@@ -223,14 +243,16 @@ impl ImageStore {
         self.images.is_empty()
     }
 
-    /// Iterate over all images in key order.
+    /// Iterate over all images in key order (sorted on every call).
     pub fn iter(&self) -> impl Iterator<Item = &ImageObject> {
-        self.images.values().map(Arc::as_ref)
+        let mut images: Vec<&ImageObject> = self.images.values().map(Arc::as_ref).collect();
+        images.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        images.into_iter()
     }
 
     /// All keys in order.
     pub fn keys(&self) -> Vec<&str> {
-        self.images.keys().map(Arc::as_ref).collect()
+        self.iter().map(|image| &*image.key).collect()
     }
 }
 

@@ -92,7 +92,7 @@ impl ImageSelectModel {
         };
         let noise_key = self
             .noise
-            .key(|| format!("{}\u{1}{}", image.key, description));
+            .key(|| format!("{}\u{1}{}", image.key(), description));
         if self.noise.should_corrupt(&noise_key) {
             result = !result;
         }

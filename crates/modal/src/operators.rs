@@ -8,13 +8,16 @@
 //! argument signature) that the mapping-phase prompt presents to the language
 //! model (Figure 3, right).
 
-use crate::batch::{BatchConfig, BatchStats, PerceptionBackend, PerceptionBatch};
+use crate::batch::{
+    allocation_key, text_hash, BatchConfig, BatchStats, PerceptionBackend, PerceptionBatch,
+};
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::{ModalError, ModalResult};
 use crate::image::ImageStore;
 use crate::plot::{Plot, PlotKind, PlotSpec};
 use crate::transform::TransformCodegen;
 use caesura_engine::{ColumnBuilder, DataType, EngineError, Field, RowRef, Schema, Table, Value};
+use caesura_store::PrehashedMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -315,12 +318,14 @@ fn gather_image_requests(
     question: &str,
 ) -> (PerceptionBatch, Option<EngineError>) {
     let mut collector = PerceptionBatch::with_capacity(table.num_rows());
-    // The step's one question, shared by every request gathered below.
+    // The step's one question, shared and hashed once for every request
+    // gathered below.
     let question: Arc<str> = question.into();
+    let question_hash = text_hash(&question);
     for row in table.rows() {
         match row.get(idx) {
             Value::Image(key) => match store.get_shared(&key) {
-                Some(image) => collector.push_image(image, &question),
+                Some(image) => collector.push_image(image, &question, question_hash),
                 None => {
                     let error = EngineError::execution(format!(
                         "image '{key}' was not found in the image store"
@@ -386,6 +391,10 @@ pub fn apply_text_qa(
     let mut pending_error = None;
     // Every row's question is rendered into this one buffer.
     let mut question = String::new();
+    // Each distinct document allocation is hashed once: `table` keeps every
+    // cell's `Arc` alive for the whole step, so an address names one document.
+    let mut document_hashes =
+        PrehashedMap::with_capacity_and_hasher(table.num_rows(), Default::default());
     for row in table.rows() {
         // Borrow the document for the dedup probe; only genuinely new
         // (document, question) pairs are copied into a request.
@@ -405,8 +414,11 @@ pub fn apply_text_qa(
                 break;
             }
         };
+        let document_hash = *document_hashes
+            .entry(allocation_key(&document))
+            .or_insert_with(|| text_hash(&document));
         template.render(&row, &mut question);
-        collector.push_document(&document, &question);
+        collector.push_document(&document, document_hash, &question, text_hash(&question));
     }
     dispatch_into_column(
         table,
@@ -1285,6 +1297,45 @@ mod tests {
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.null_rows, 1);
         assert_eq!(stats.unique_requests, 1);
+    }
+
+    /// Documents are identified by their text, not by their allocation: two
+    /// cells holding equal text in different `Arc`s are one request and one
+    /// cache entry, although each allocation is hashed on its own.
+    #[test]
+    fn equal_documents_in_two_allocations_share_one_request_and_one_entry() {
+        let schema = Schema::from_pairs(&[("name", DataType::Str), ("report", DataType::Text)]);
+        let mut b = TableBuilder::new("t", schema);
+        let report = "The Spurs defeated the Heat 110-102.";
+        for _ in 0..2 {
+            b.push_row(vec![Value::str("Heat"), Value::text(report)])
+                .unwrap();
+        }
+        let table = b.build();
+        let (Value::Text(first), Value::Text(second)) = (
+            table.value(0, "report").unwrap(),
+            table.value(1, "report").unwrap(),
+        ) else {
+            panic!("TEXT cells");
+        };
+        assert!(!Arc::ptr_eq(&first, &second), "two allocations");
+        let cache = PerceptionCache::with_capacity(8);
+        let run = || {
+            let perception = Perception {
+                backend: &TextQaModel::new(),
+                batch: BatchConfig::new(8),
+                cache: Some(&cache),
+            };
+            let template = "Did <name> win?";
+            apply_text_qa(&table, perception, "report", "won", template, DataType::Str)
+        };
+        let (cold, out) = run();
+        assert_eq!(out.unwrap().value(1, "won").unwrap(), Value::str("no"));
+        assert_eq!((cold.unique_requests, cold.saved_calls), (1, 1));
+        assert_eq!(cold.cache_misses, 1);
+        let (warm, _) = run();
+        assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -198,7 +198,9 @@ impl VisualQaModel {
 
     /// [`Self::answer`] to a question already parsed into `parsed`.
     fn answer_parsed(&self, image: &ImageObject, question: &str, parsed: &VisualQuestion) -> Value {
-        let noise_key = self.noise.key(|| format!("{}\u{1}{}", image.key, question));
+        let noise_key = self
+            .noise
+            .key(|| format!("{}\u{1}{}", image.key(), question));
         match parsed {
             VisualQuestion::Count { entity } => {
                 let mut count = i64::from(image.count_of_keys(entity));

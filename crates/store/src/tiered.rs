@@ -18,11 +18,13 @@
 //! [`keyed_hash`]). The hash picks the shard and the slot of the shard's
 //! index; it is never hashed again ([`PrehashedMap`]) and never decides
 //! identity, which is [`CacheKey::equivalent`]'s comparison of the borrowed
-//! probe with the stored key. Each shard keeps its entries in a slab linked
-//! into a recency list by `u32` positions (head = most recently used, tail =
-//! next victim, vacated nodes on a free list), so a hit is one index lookup,
-//! one comparison and a relink that allocates nothing, and insert-plus-evict
-//! is one lock acquisition.
+//! probe with the stored key. Each shard keeps its entries in a slab and their
+//! recency list in a dense array of `u32` links beside it (`links[i]` holds
+//! node `i`'s neighbours; head = most recently used, tail = next victim,
+//! vacated nodes on a free list). A hit is one index lookup, one comparison
+//! against its node, and a relink that rewrites a few 8-byte links and
+//! allocates nothing; an eviction's unlink likewise touches links, not nodes.
+//! Insert-plus-evict is one lock acquisition.
 //!
 //! **Disk tier.** With a store attached, [`TieredCache::get`] walks memory →
 //! disk → warm memory and reports which [`Tier`] answered,
@@ -235,12 +237,18 @@ struct Counters {
 /// "No node": the end of a recency or free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab node: a cached entry and its links in the shard's recency list.
+/// One slab node: a cached entry and the hash it is indexed under.
 #[derive(Debug)]
 struct Node<K, V> {
     hash: u64,
     /// `None` while the node waits on the free list.
     entry: Option<(K, V)>,
+}
+
+/// A node's place in the shard's recency list, kept in a dense array beside
+/// the slab so that a relink touches 8 bytes per neighbour, not a node.
+#[derive(Debug, Clone, Copy)]
+struct Link {
     /// The next more recently used node.
     prev: u32,
     /// The next less recently used node; on the free list, the next free one.
@@ -255,6 +263,8 @@ struct Shard<K, V> {
     /// live entry count.
     index: PrehashedMap<u32>,
     nodes: Vec<Node<K, V>>,
+    /// `links[at]` links `nodes[at]`; the two always have the same length.
+    links: Vec<Link>,
     /// Most recently used node.
     head: u32,
     /// Least recently used node: the next victim.
@@ -269,6 +279,7 @@ impl<K, V> Shard<K, V> {
             capacity,
             index: PrehashedMap::default(),
             nodes: Vec::new(),
+            links: Vec::new(),
             head: NIL,
             tail: NIL,
             free: NIL,
@@ -295,24 +306,26 @@ impl<K, V> Shard<K, V> {
 
     /// Take node `at` out of the recency list.
     fn unlink(&mut self, at: u32) {
-        let Node { prev, next, .. } = self.nodes[at as usize];
+        let Link { prev, next } = self.links[at as usize];
         match prev {
             NIL => self.head = next,
-            _ => self.nodes[prev as usize].next = next,
+            _ => self.links[prev as usize].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            _ => self.nodes[next as usize].prev = prev,
+            _ => self.links[next as usize].prev = prev,
         }
     }
 
     /// Make the unlinked node `at` the most recently used.
     fn push_front(&mut self, at: u32) {
-        let node = &mut self.nodes[at as usize];
-        (node.prev, node.next) = (NIL, self.head);
+        self.links[at as usize] = Link {
+            prev: NIL,
+            next: self.head,
+        };
         match self.head {
             NIL => self.tail = at,
-            head => self.nodes[head as usize].prev = at,
+            head => self.links[head as usize].prev = at,
         }
         self.head = at;
     }
@@ -323,7 +336,7 @@ impl<K, V> Shard<K, V> {
         let node = &mut self.nodes[at as usize];
         self.index.remove(&node.hash);
         node.entry = None;
-        node.next = self.free;
+        self.links[at as usize].next = self.free;
         self.free = at;
     }
 
@@ -333,18 +346,20 @@ impl<K, V> Shard<K, V> {
         let node = Node {
             hash,
             entry: Some((key, value)),
-            prev: NIL,
-            next: NIL,
         };
         let at = match self.free {
             NIL => {
                 let at = u32::try_from(self.nodes.len()).ok().filter(|&at| at != NIL);
                 let at = at.expect("a cache shard holds fewer than 2^32 - 1 entries");
                 self.nodes.push(node);
+                self.links.push(Link {
+                    prev: NIL,
+                    next: NIL,
+                });
                 at
             }
             at => {
-                self.free = self.nodes[at as usize].next;
+                self.free = self.links[at as usize].next;
                 self.nodes[at as usize] = node;
                 at
             }
@@ -727,27 +742,29 @@ mod tests {
     }
 
     /// The shard's keys from most to least recently used, after checking the
-    /// structure: the walk from the head is the reverse of the walk from the
-    /// tail and visits exactly the indexed nodes, each indexed under its own
-    /// hash, and every other node of the slab is on the free list.
+    /// structure: the link array runs beside the slab, the walk from the head
+    /// is the reverse of the walk from the tail and visits exactly the indexed
+    /// nodes, each indexed under its own hash, and every other node of the
+    /// slab is on the free list.
     fn recency_order(shard: &Shard<String, String>) -> Vec<String> {
-        let walk = |from: u32, step: fn(&Node<String, String>) -> u32| {
+        assert_eq!(shard.links.len(), shard.nodes.len());
+        let walk = |from: u32, step: fn(&Link) -> u32| {
             let mut visited = Vec::new();
             let mut at = from;
             while at != NIL {
-                assert!(visited.len() < shard.nodes.len(), "the list has a cycle");
+                assert!(visited.len() < shard.links.len(), "the list has a cycle");
                 visited.push(at);
-                at = step(&shard.nodes[at as usize]);
+                at = step(&shard.links[at as usize]);
             }
             visited
         };
-        let forward = walk(shard.head, |node| node.next);
-        let mut backward = walk(shard.tail, |node| node.prev);
+        let forward = walk(shard.head, |link| link.next);
+        let mut backward = walk(shard.tail, |link| link.prev);
         backward.reverse();
         assert_eq!(forward, backward);
         assert_eq!(forward.len(), shard.index.len());
         assert!(shard.index.len() <= shard.capacity);
-        let free = walk(shard.free, |node| node.next);
+        let free = walk(shard.free, |link| link.next);
         assert!(free
             .iter()
             .all(|&at| shard.nodes[at as usize].entry.is_none()));
