@@ -148,16 +148,9 @@ impl Executor {
     }
 
     /// The most recently produced table, if any (shared handle).
-    pub fn last_table(&self) -> Option<&Arc<Table>> {
+    fn last_table(&self) -> Option<&Arc<Table>> {
         let name = self.last_output.as_ref()?;
         self.intermediate.table(name).ok()
-    }
-
-    /// Reset the intermediate state (used when CAESURA backtracks to the
-    /// planning phase after an unrecoverable error).
-    pub fn reset(&mut self) {
-        self.intermediate = Catalog::new();
-        self.last_output = None;
     }
 
     /// Base and intermediate tables merged into one catalog for SQL execution.
@@ -625,20 +618,5 @@ mod tests {
         }
         // The perception failure above did reach the model.
         assert!(executor.perception_stats().unique_requests > 0);
-    }
-
-    #[test]
-    fn reset_clears_intermediate_state() {
-        let mut executor = executor();
-        executor
-            .execute(
-                &step(1, "Select", vec!["paintings_metadata"], "filtered", vec![]),
-                &decision(OperatorKind::SqlSelection, vec!["genre = 'portrait'"]),
-            )
-            .unwrap();
-        assert!(executor.last_table().is_some());
-        executor.reset();
-        assert!(executor.last_table().is_none());
-        assert!(executor.intermediate().is_empty());
     }
 }

@@ -22,13 +22,13 @@
 //! ([`serving`]): [`Caesura::submit`] enqueues a query on a persistent
 //! worker pool and returns a [`QueryHandle`] supporting `wait` / `poll` /
 //! cooperative `cancel` / a live `subscribe` trace stream, so many in-flight
-//! queries share one lake, retriever index, and perception cache. Since
-//! PR 8 the scheduler is tenant-aware ([`sched`]): [`Caesura::submit_with`]
-//! tags a submission with a [`SubmitOptions`] (tenant, priority tier,
-//! deadline), admission is typed ([`AdmissionError`]) instead of unbounded
-//! queue wait, dequeue is weighted-fair per tenant under strict priority
-//! tiers, and cancellation/deadlines interrupt even mid-LLM-dispatch through
-//! the cancellable transport (`caesura_llm::CancelToken`). The blocking
+//! queries share one lake, retriever index, and perception cache.
+//! [`Caesura::submit_with`] tags a submission with a [`SubmitOptions`]
+//! (tenant, priority, deadline; see [`sched`]), admission is typed
+//! ([`AdmissionError`]) instead of unbounded queue wait, interactive work
+//! preempts batch work at dequeue, and cancellation/deadlines interrupt even
+//! mid-LLM-dispatch through the cancellable transport
+//! (`caesura_llm::CancelToken`). The blocking
 //! [`Caesura::run`] / [`Caesura::query`] wrappers are byte-identical to
 //! `submit(q).wait()`.
 //!
@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod discovery;
 pub mod error;

@@ -3,23 +3,20 @@
 //! The CAESURA loop spends most of its wall clock waiting on LLM round trips
 //! (plan → map → execute, §3.1 of the paper), and PR 1–4 made everything
 //! underneath `Caesura` concurrency-ready: `Arc`-shared tables, a sharded
-//! perception cache, a morsel worker pool, `&self` queries. This module adds
-//! the serving surface on top — a session-owned scheduler that lets N
-//! in-flight queries share one lake, one retriever index, and one perception
-//! cache:
+//! perception cache, `&self` queries. This module adds the serving surface
+//! on top — a session-owned scheduler that lets N in-flight queries share
+//! one lake, one retriever index, and one perception cache:
 //!
 //! * the scheduler — a persistent worker pool (`CaesuraConfig.session_workers`
 //!   / `CAESURA_SESSION_WORKERS`, default hardware parallelism) pulling jobs
 //!   from a **bounded** submission queue (`CaesuraConfig.session_queue`,
-//!   default 64). Since PR 8 the ready queue is
-//!   tenant-aware (see [`sched`](crate::sched)): priority tiers preempt at
-//!   dequeue, deficit round robin shares each tier across tenants, and
-//!   per-tenant admission quotas bound queued + in-flight queries. A full
-//!   queue applies backpressure: `submit` blocks until a slot frees, while
-//!   the fail-fast `try_submit` / `submit_with` return a typed
-//!   [`AdmissionError`]. Workers spawn lazily on the first submission and
-//!   are joined when the session drops; at that point the queue is drained —
-//!   every accepted query still completes.
+//!   default 64). The ready queue holds one FIFO per priority (see
+//!   [`sched`](crate::sched)): interactive work preempts batch work at
+//!   dequeue. A full queue applies backpressure: `submit` blocks until a
+//!   worker picks a query up, while the fail-fast `try_submit` /
+//!   `submit_with` return a typed [`AdmissionError`]. Workers spawn lazily
+//!   on the first submission and are joined when the session drops; at that
+//!   point the queue is drained — every accepted query still completes.
 //! * [`QueryHandle`] — the submitter's side of one scheduled query:
 //!   blocking [`wait`](QueryHandle::wait) /
 //!   [`wait_timeout`](QueryHandle::wait_timeout), non-blocking
@@ -28,7 +25,8 @@
 //!   [`subscribe`](QueryHandle::subscribe) stream of trace events.
 //! * [`ServingStats`] — aggregate queue-depth / in-flight / completed
 //!   counters ([`Caesura::serving_stats`]), broken out per tenant by
-//!   [`Caesura::tenant_stats`].
+//!   [`Caesura::tenant_stats`]. Both are read under the queue mutex that
+//!   updates the counters, so every read is one consistent snapshot.
 //!
 //! [`Caesura::submit`]: crate::Caesura::submit
 //! [`Caesura::serving_stats`]: crate::Caesura::serving_stats
@@ -36,16 +34,15 @@
 
 use crate::error::CoreError;
 use crate::sched::{
-    AdmissionError, Priority, SchedPolicy, SubmitOptions, TenantCounters, TenantQueues,
-    TenantServingStats,
+    AdmissionError, Priority, ReadyQueue, SubmitOptions, TenantCounters, TenantServingStats,
 };
 use crate::session::{QueryRun, SessionCore};
 use crate::trace::{SchedulingInfo, TraceEvent};
 use caesura_llm::CancelToken;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, Once};
+use std::sync::{Arc, Condvar, Mutex, Once, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -135,8 +132,12 @@ pub(crate) struct JobState {
 
 impl JobState {
     fn new(query: &str, options: &SubmitOptions) -> Self {
-        let cancel = match options.deadline {
-            Some(budget) => CancelToken::with_deadline(Instant::now() + budget),
+        // A budget too large to add to the current instant arms no deadline.
+        let cancel = match options
+            .deadline
+            .and_then(|budget| Instant::now().checked_add(budget))
+        {
+            Some(deadline) => CancelToken::with_deadline(deadline),
             None => CancelToken::new(),
         };
         JobState {
@@ -264,7 +265,7 @@ impl QueryHandle {
         &self.state.tenant
     }
 
-    /// The priority tier this query was submitted at.
+    /// The priority this query was submitted at.
     pub fn priority(&self) -> Priority {
         self.state.priority
     }
@@ -298,7 +299,7 @@ impl QueryHandle {
                 .state
                 .done
                 .wait(slot)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
         slot.result.take().expect("checked above")
     }
@@ -307,24 +308,28 @@ impl QueryHandle {
     /// completion, `None` on timeout. Unlike [`wait`](QueryHandle::wait)
     /// the handle stays usable (the run is a clone, like
     /// [`poll`](QueryHandle::poll)), so callers can keep waiting, cancel,
-    /// or detach after a timeout.
+    /// or detach after a timeout. A timeout too large to add to the current
+    /// instant waits without bound.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<QueryRun> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut slot = lock_job(&self.state.slot);
         loop {
             if slot.result.is_some() {
                 return slot.result.clone();
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            slot = self
-                .state
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
+            let done = &self.state.done;
+            slot = match deadline {
+                None => done.wait(slot).unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    done.wait_timeout(slot, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
     }
 
@@ -355,12 +360,18 @@ impl QueryHandle {
     }
 }
 
-/// Everything the scheduler mutates under one mutex: the tenant-aware ready
-/// queue and the per-tenant counters. One lock keeps admission (quota
-/// checks against queued + in-flight) atomic with the queue itself.
+/// Everything the scheduler mutates under one mutex: the ready queue and
+/// the per-tenant counters. One lock keeps the counters consistent with the
+/// queue and with each other, so a stats read is one snapshot.
 struct SchedState {
-    queues: TenantQueues<Arc<JobState>>,
+    queue: ReadyQueue<Arc<JobState>>,
     tenants: BTreeMap<Arc<str>, TenantCounters>,
+}
+
+impl SchedState {
+    fn counters(&mut self, tenant: &Arc<str>) -> &mut TenantCounters {
+        self.tenants.entry(Arc::clone(tenant)).or_default()
+    }
 }
 
 struct Shared {
@@ -368,18 +379,19 @@ struct Shared {
     job_ready: Condvar,
     space_ready: Condvar,
     shutdown: AtomicBool,
-    queued: AtomicUsize,
-    in_flight: AtomicUsize,
-    completed: AtomicUsize,
-    cancelled: AtomicUsize,
-    rejected: AtomicUsize,
     workers: usize,
     queue_depth: usize,
 }
 
-/// The session-owned scheduler: a bounded, tenant-aware submission queue
-/// drained by a persistent pool of worker threads, each running queries
-/// against the `Arc`-shared [`SessionCore`].
+impl Shared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
+        self.state.lock().expect("submission queue lock")
+    }
+}
+
+/// The session-owned scheduler: a bounded submission queue drained by a
+/// persistent pool of worker threads, each running queries against the
+/// `Arc`-shared [`SessionCore`].
 pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     spawn: Once,
@@ -387,21 +399,16 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(crate) fn new(workers: usize, queue_depth: usize, policy: SchedPolicy) -> Self {
+    pub(crate) fn new(workers: usize, queue_depth: usize) -> Self {
         Scheduler {
             shared: Arc::new(Shared {
                 state: Mutex::new(SchedState {
-                    queues: TenantQueues::new(policy),
+                    queue: ReadyQueue::new(),
                     tenants: BTreeMap::new(),
                 }),
                 job_ready: Condvar::new(),
                 space_ready: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                queued: AtomicUsize::new(0),
-                in_flight: AtomicUsize::new(0),
-                completed: AtomicUsize::new(0),
-                cancelled: AtomicUsize::new(0),
-                rejected: AtomicUsize::new(0),
                 workers: workers.max(1),
                 queue_depth: queue_depth.max(1),
             }),
@@ -410,20 +417,26 @@ impl Scheduler {
         }
     }
 
+    /// The per-tenant counters summed, read under the queue mutex.
     pub(crate) fn stats(&self) -> ServingStats {
-        ServingStats {
-            queued: self.shared.queued.load(Ordering::Acquire),
-            in_flight: self.shared.in_flight.load(Ordering::Acquire),
-            completed: self.shared.completed.load(Ordering::Acquire),
-            cancelled: self.shared.cancelled.load(Ordering::Acquire),
-            rejected: self.shared.rejected.load(Ordering::Acquire),
+        let state = self.shared.lock();
+        let mut stats = ServingStats {
             workers: self.shared.workers,
             queue_depth: self.shared.queue_depth,
+            ..ServingStats::default()
+        };
+        for counters in state.tenants.values() {
+            stats.queued += counters.queued;
+            stats.in_flight += counters.in_flight;
+            stats.completed += counters.completed;
+            stats.cancelled += counters.cancelled;
+            stats.rejected += counters.rejected;
         }
+        stats
     }
 
     pub(crate) fn tenant_stats(&self) -> Vec<TenantServingStats> {
-        let state = self.shared.state.lock().expect("submission queue lock");
+        let state = self.shared.lock();
         state
             .tenants
             .iter()
@@ -448,8 +461,8 @@ impl Scheduler {
         });
     }
 
-    /// Enqueue a query, blocking while the submission queue is full or the
-    /// tenant is at its quota (backpressure).
+    /// Enqueue a query, blocking while the submission queue is full
+    /// (backpressure).
     pub(crate) fn submit(
         &self,
         session: &Arc<SessionCore>,
@@ -482,76 +495,37 @@ impl Scheduler {
     ) -> Result<QueryHandle, AdmissionError> {
         self.ensure_workers(session);
         let state = Arc::new(JobState::new(query, &options));
-        if let Some(deadline) = options.deadline {
-            if deadline == Duration::ZERO {
-                self.reject(state.tenant());
-                return Err(AdmissionError::DeadlineUnmeetable { deadline });
+        let mut sched = self.shared.lock();
+        let error = if options.deadline == Some(Duration::ZERO) {
+            AdmissionError::DeadlineUnmeetable {
+                deadline: Duration::ZERO,
             }
-        }
-        let mut sched = self.shared.state.lock().expect("submission queue lock");
-        loop {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                drop(sched);
-                self.reject(state.tenant());
-                return Err(AdmissionError::ShuttingDown);
-            }
-            let queue_full = sched.queues.len() >= self.shared.queue_depth;
-            let quota = sched.queues.policy().tenant_quota;
-            let over_quota = quota.is_some_and(|quota| {
-                sched
-                    .tenants
-                    .get(state.tenant())
-                    .map(|c| c.queued + c.in_flight >= quota)
-                    .unwrap_or(false)
-            });
-            if !queue_full && !over_quota {
-                sched
-                    .queues
-                    .push(state.tenant(), state.priority, Arc::clone(&state));
-                sched
-                    .tenants
-                    .entry(Arc::clone(state.tenant()))
-                    .or_default()
-                    .queued += 1;
-                self.shared.queued.fetch_add(1, Ordering::AcqRel);
-                drop(sched);
-                self.shared.job_ready.notify_one();
-                return Ok(QueryHandle { state });
-            }
-            if !blocking {
-                // The more specific reason wins: a tenant at quota is told
-                // so even when the queue is also full.
-                let error = if over_quota {
-                    AdmissionError::TenantOverQuota {
-                        tenant: state.tenant().to_string(),
-                        quota: quota.expect("over_quota implies a quota"),
-                    }
-                } else {
-                    AdmissionError::QueueFull {
+        } else {
+            loop {
+                if self.shared.shutdown.load(Ordering::Acquire) {
+                    break AdmissionError::ShuttingDown;
+                }
+                if sched.queue.len() < self.shared.queue_depth {
+                    sched.queue.push(state.priority, Arc::clone(&state));
+                    sched.counters(state.tenant()).queued += 1;
+                    drop(sched);
+                    self.shared.job_ready.notify_one();
+                    return Ok(QueryHandle { state });
+                }
+                if !blocking {
+                    break AdmissionError::QueueFull {
                         depth: self.shared.queue_depth,
-                    }
-                };
-                drop(sched);
-                self.reject(state.tenant());
-                return Err(error);
+                    };
+                }
+                sched = self
+                    .shared
+                    .space_ready
+                    .wait(sched)
+                    .expect("submission queue lock");
             }
-            sched = self
-                .shared
-                .space_ready
-                .wait(sched)
-                .expect("submission queue lock");
-        }
-    }
-
-    /// Count a turned-away submission, globally and for its tenant.
-    fn reject(&self, tenant: &Arc<str>) {
-        self.shared.rejected.fetch_add(1, Ordering::AcqRel);
-        let mut sched = self.shared.state.lock().expect("submission queue lock");
-        sched
-            .tenants
-            .entry(Arc::clone(tenant))
-            .or_default()
-            .rejected += 1;
+        };
+        sched.counters(state.tenant()).rejected += 1;
+        Err(error)
     }
 }
 
@@ -566,7 +540,7 @@ impl Drop for Scheduler {
             // atomically inside `job_ready.wait`, so a store + notify landing
             // in that check-to-wait window without the lock would be a lost
             // wakeup (the worker would sleep forever and `join` would hang).
-            let _state = self.shared.state.lock().expect("submission queue lock");
+            let _state = self.shared.lock();
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.job_ready.notify_all();
@@ -581,15 +555,15 @@ impl Drop for Scheduler {
 fn worker_loop(shared: Arc<Shared>, session: Arc<SessionCore>) {
     loop {
         let job = {
-            let mut sched = shared.state.lock().expect("submission queue lock");
+            let mut sched = shared.lock();
             loop {
-                if let Some(job) = sched.queues.pop() {
-                    // Per-tenant pickup bookkeeping under the same lock that
-                    // guards admission, so quota checks never see a torn
-                    // queued/in-flight pair.
+                if let Some(job) = sched.queue.pop() {
+                    // Pickup moves the query from queued to in flight in one
+                    // step under the lock, so no stats read sees it in
+                    // neither or both.
                     let wait = job.queue_wait();
-                    let counters = sched.tenants.entry(Arc::clone(job.tenant())).or_default();
-                    counters.queued = counters.queued.saturating_sub(1);
+                    let counters = sched.counters(job.tenant());
+                    counters.queued -= 1;
                     counters.in_flight += 1;
                     counters.queue_wait += wait;
                     break job;
@@ -600,9 +574,8 @@ fn worker_loop(shared: Arc<Shared>, session: Arc<SessionCore>) {
                 sched = shared.job_ready.wait(sched).expect("submission queue lock");
             }
         };
-        shared.queued.fetch_sub(1, Ordering::AcqRel);
+        // Pickup freed a queue slot.
         shared.space_ready.notify_all();
-        shared.in_flight.fetch_add(1, Ordering::AcqRel);
         job.mark_running();
         // Catch panics from the query (a buggy operator, a panicking model
         // client): the submitter's `wait()` must still return — with
@@ -628,26 +601,17 @@ fn worker_loop(shared: Arc<Shared>, session: Arc<SessionCore>) {
                         trace: crate::trace::ExecutionTrace::new(),
                     }
                 });
-        let was_cancelled = matches!(run.output, Err(CoreError::Cancelled));
         // Update the counters *before* waking waiters: a submitter observing
         // `wait()` return must see its query in `completed`.
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        shared.completed.fetch_add(1, Ordering::AcqRel);
-        if was_cancelled {
-            shared.cancelled.fetch_add(1, Ordering::AcqRel);
-        }
         {
-            let mut sched = shared.state.lock().expect("submission queue lock");
-            let counters = sched.tenants.entry(Arc::clone(job.tenant())).or_default();
-            counters.in_flight = counters.in_flight.saturating_sub(1);
+            let mut sched = shared.lock();
+            let counters = sched.counters(job.tenant());
+            counters.in_flight -= 1;
             counters.completed += 1;
-            if was_cancelled {
+            if run.cancelled() {
                 counters.cancelled += 1;
             }
         }
-        // Completion frees a quota slot: wake submitters blocked on the
-        // tenant quota, not just on queue space.
-        shared.space_ready.notify_all();
         job.finish(run);
     }
 }
@@ -659,7 +623,7 @@ mod tests {
     #[test]
     fn zero_knobs_clamp_to_at_least_one() {
         // The constructor clamps that protect against zero knobs.
-        let scheduler = Scheduler::new(0, 0, SchedPolicy::default());
+        let scheduler = Scheduler::new(0, 0);
         let stats = scheduler.stats();
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.queue_depth, 1);
@@ -678,7 +642,7 @@ mod tests {
         assert_eq!(handle.status(), QueryStatus::Queued);
         assert_eq!(handle.query(), "q");
         assert_eq!(handle.tenant(), crate::sched::DEFAULT_TENANT);
-        assert_eq!(handle.priority(), Priority::INTERACTIVE);
+        assert_eq!(handle.priority(), Priority::Interactive);
         assert!(handle.poll().is_none());
         assert!(!handle.is_cancelled());
         assert!(state.scheduling_info().is_none());
@@ -695,11 +659,41 @@ mod tests {
         let state = JobState::new("q", &options);
         let info = state.scheduling_info().expect("non-default submission");
         assert_eq!(info.tenant, "acme");
-        assert_eq!(info.priority, Priority::BATCH);
+        assert_eq!(info.priority, Priority::Batch);
         assert_eq!(info.deadline, Some(Duration::from_secs(9)));
         // The deadline budget armed the token.
         assert!(state.cancel_token().deadline().is_some());
         assert!(!state.cancel_token().is_cancelled());
+    }
+
+    #[test]
+    fn a_deadline_budget_past_the_clock_arms_no_deadline() {
+        let options = SubmitOptions::new().with_deadline(Duration::MAX);
+        let state = JobState::new("q", &options);
+        assert!(state.cancel_token().deadline().is_none());
+        assert!(!state.cancel_token().is_cancelled());
+        let info = state.scheduling_info().expect("a deadline is non-default");
+        assert_eq!(info.deadline, Some(Duration::MAX));
+    }
+
+    #[test]
+    fn wait_timeout_past_the_clock_waits_without_bound() {
+        let state = Arc::new(JobState::new("q", &SubmitOptions::default()));
+        let handle = QueryHandle {
+            state: Arc::clone(&state),
+        };
+        let finisher = std::thread::spawn(move || {
+            state.finish(QueryRun {
+                query: "q".into(),
+                logical_plan: None,
+                decisions: Vec::new(),
+                output: Err(CoreError::Cancelled),
+                trace: crate::trace::ExecutionTrace::new(),
+            });
+        });
+        let run = handle.wait_timeout(Duration::MAX).expect("finished");
+        assert!(run.cancelled());
+        finisher.join().unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::discovery::{lexical_relevant_columns, Retriever};
 use crate::error::{CoreError, CoreResult};
 use crate::executor::{Executor, StepOutcome};
 use crate::output::QueryOutput;
-use crate::sched::{AdmissionError, SchedPolicy, SubmitOptions, TenantServingStats};
+use crate::sched::{AdmissionError, SubmitOptions, TenantServingStats};
 use crate::serving::{JobState, QueryHandle, Scheduler, ServingStats};
 use crate::trace::{ExecutionTrace, Phase, PlanCacheCalls, PlanSource};
 use caesura_data::DataLake;
@@ -93,15 +93,6 @@ pub struct CaesuraConfig {
     /// [`Caesura::try_submit`] / [`Caesura::submit_with`] fail fast with
     /// [`AdmissionError::QueueFull`].
     pub session_queue: Option<usize>,
-    /// Per-tenant admission quota: the maximum queued + in-flight queries a
-    /// tenant may have before fail-fast submissions are rejected with
-    /// [`AdmissionError::TenantOverQuota`] (blocking `submit` waits
-    /// instead). `None` and `Some(0)` both mean unlimited.
-    pub tenant_quota: Option<usize>,
-    /// Deficit-round-robin weight per tenant name: a weight-w tenant takes w
-    /// consecutive dequeues per round within its tier. Unlisted tenants
-    /// (including the default tenant) weigh 1.
-    pub tenant_weights: Vec<(String, u32)>,
     /// Persistent on-disk cache tier below the in-memory perception and
     /// plan caches (see `caesura_store`). `None` disables the tier — the
     /// byte-for-byte pre-store behaviour. The default is the environment
@@ -129,8 +120,6 @@ impl Default for CaesuraConfig {
             plan_cache: None,
             session_workers: None,
             session_queue: None,
-            tenant_quota: None,
-            tenant_weights: Vec::new(),
             persist: persist_from_env(),
         }
     }
@@ -404,11 +393,6 @@ impl Caesura {
             .session_queue
             .unwrap_or(crate::serving::DEFAULT_QUEUE_DEPTH)
             .max(1);
-        let policy = SchedPolicy {
-            // `Some(0)` means unlimited, like `None`.
-            tenant_quota: config.tenant_quota.filter(|&quota| quota > 0),
-            weights: config.tenant_weights.clone(),
-        };
         Ok(Caesura {
             core: Arc::new(SessionCore {
                 lake,
@@ -419,7 +403,7 @@ impl Caesura {
                 perception_cache,
                 plan_cache,
             }),
-            scheduler: Scheduler::new(workers, queue_depth, policy),
+            scheduler: Scheduler::new(workers, queue_depth),
         })
     }
 
@@ -446,7 +430,8 @@ impl Caesura {
     }
 
     /// Queue-depth / in-flight / completed counters of the session's serving
-    /// scheduler, aggregated across all tenants.
+    /// scheduler, aggregated across all tenants: one consistent snapshot,
+    /// in which every accepted query is queued, in flight or completed.
     pub fn serving_stats(&self) -> ServingStats {
         self.scheduler.stats()
     }
@@ -473,10 +458,10 @@ impl Caesura {
     }
 
     /// [`Caesura::submit`] with explicit [`SubmitOptions`]: a tenant, a
-    /// priority tier, and/or a deadline budget. Fail-fast: instead of
-    /// blocking, a submission that cannot be admitted — queue full, tenant
-    /// over quota, zero deadline, session shutting down — returns a typed
-    /// [`AdmissionError`] and was never enqueued.
+    /// priority, and/or a deadline budget. Fail-fast: instead of blocking,
+    /// a submission that cannot be admitted — queue full, zero deadline,
+    /// session shutting down — returns a typed [`AdmissionError`] and was
+    /// never enqueued.
     ///
     /// A submission with default options (`SubmitOptions::new()`) behaves
     /// byte-identically to [`Caesura::try_submit`]; the blocking wrappers

@@ -195,7 +195,7 @@ impl PhaseTimings {
     }
 }
 
-/// How the serving scheduler saw one query: its tenant, priority tier, and
+/// How the serving scheduler saw one query: its tenant, priority, and
 /// deadline budget. Stamped on the trace by the serving layer **only for
 /// non-default submissions** (a named tenant, a non-default priority, or a
 /// deadline), so default-path traces — and their rendering — stay
@@ -205,7 +205,7 @@ impl PhaseTimings {
 pub struct SchedulingInfo {
     /// The tenant the query was submitted under.
     pub tenant: String,
-    /// The priority tier it was submitted at.
+    /// The priority it was submitted at.
     pub priority: Priority,
     /// The deadline budget it was submitted with, if any.
     pub deadline: Option<Duration>,
@@ -384,11 +384,6 @@ impl ExecutionTrace {
     /// off, so cache-off traces stay byte-identical to pre-cache ones).
     pub fn plan_source(&self) -> Option<PlanSource> {
         self.plan_source
-    }
-
-    /// Model calls the perception batching layer saved by dedup.
-    pub fn saved_llm_calls(&self) -> usize {
-        self.perception.saved_calls
     }
 
     /// All events in order.
@@ -594,7 +589,7 @@ mod tests {
         assert_eq!(perception.cache_hits, 2);
         assert_eq!(perception.cache_misses, 5);
         assert_eq!(perception.cache_evictions, 1);
-        assert_eq!(trace.saved_llm_calls(), 6);
+        assert_eq!(perception.saved_calls, 6);
         let rendered = trace.render(false);
         assert!(rendered.contains("9 model call(s)"));
         assert!(rendered.contains("6 saved by dedup"));
@@ -687,7 +682,7 @@ mod tests {
         assert!(a.scheduling().is_none());
         a.set_scheduling(SchedulingInfo {
             tenant: "acme".into(),
-            priority: Priority::BATCH,
+            priority: Priority::Batch,
             deadline: Some(Duration::from_millis(500)),
         });
         // Scheduling is serving metadata, like timings: equal logical record.

@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod artwork;
 pub mod fieldwork;

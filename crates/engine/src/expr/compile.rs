@@ -11,9 +11,6 @@
 //! * constant subtrees are folded to a single pre-computed value — or a
 //!   pre-computed error that is only raised if the node is actually
 //!   demanded, preserving the laziness of `CASE` branches and `IN` items,
-//! * evaluation runs over an **offset view** of the input columns
-//!   (`columns` + row range), reading the shared `Arc` buffers in place
-//!   instead of memcpying a slice of them,
 //! * the binary-operator kernels are monomorphized over the operand
 //!   representations, including code-native kernels for dictionary-encoded
 //!   string columns (one comparison per *dictionary entry* instead of one
@@ -32,7 +29,6 @@ use crate::column::{Bitmap, Column};
 use crate::error::EngineResult;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::ops::Range;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -43,16 +39,11 @@ use std::sync::Arc;
 // exactly one implementation of every typed loop.
 // ---------------------------------------------------------------------------
 
-/// A binary-kernel operand: a column viewed at an offset (zero-copy), or a
-/// scalar broadcast across the batch.
+/// A binary-kernel operand: a borrowed column (zero-copy), or a scalar
+/// broadcast across the batch.
 pub(super) enum ValuesView<'a> {
-    /// `col` read at rows `offset..offset + len` (len is the kernel's).
-    View {
-        /// The (possibly larger) backing column.
-        col: &'a Column,
-        /// First row of the batch within `col`.
-        offset: usize,
-    },
+    /// A whole column; the kernel reads its first `num_rows` rows.
+    Col(&'a Column),
     /// One value standing for every row.
     Scalar(&'a Value),
 }
@@ -61,18 +52,17 @@ impl ValuesView<'_> {
     #[inline]
     fn get(&self, i: usize) -> Value {
         match self {
-            ValuesView::View { col, offset } => col.get(offset + i),
+            ValuesView::Col(col) => col.get(i),
             ValuesView::Scalar(v) => (*v).clone(),
         }
     }
 }
 
-/// A unified numeric view of an operand. Column data is pre-sliced to the
-/// batch, while validity checks go through the backing bitmap at the
-/// original offset.
+/// A unified numeric view of an operand: column data sliced to the batch,
+/// with its validity bitmap.
 enum NumOp<'a> {
-    IntCol(&'a [i64], &'a Bitmap, usize),
-    FloatCol(&'a [f64], &'a Bitmap, usize),
+    IntCol(&'a [i64], &'a Bitmap),
+    FloatCol(&'a [f64], &'a Bitmap),
     IntScalar(i64),
     FloatScalar(f64),
 }
@@ -80,11 +70,9 @@ enum NumOp<'a> {
 impl NumOp<'_> {
     fn from_view<'a>(view: &ValuesView<'a>, len: usize) -> Option<NumOp<'a>> {
         match view {
-            ValuesView::View { col, offset } => match col {
-                Column::Int64(v, b) => Some(NumOp::IntCol(&v[*offset..*offset + len], b, *offset)),
-                Column::Float64(v, b) => {
-                    Some(NumOp::FloatCol(&v[*offset..*offset + len], b, *offset))
-                }
+            ValuesView::Col(col) => match col {
+                Column::Int64(v, b) => Some(NumOp::IntCol(&v[..len], b)),
+                Column::Float64(v, b) => Some(NumOp::FloatCol(&v[..len], b)),
                 _ => None,
             },
             ValuesView::Scalar(Value::Int(i)) => Some(NumOp::IntScalar(*i)),
@@ -100,8 +88,7 @@ impl NumOp<'_> {
     #[inline]
     fn valid(&self, i: usize) -> bool {
         match self {
-            NumOp::IntCol(_, b, off) => b.is_valid(off + i),
-            NumOp::FloatCol(_, b, off) => b.is_valid(off + i),
+            NumOp::IntCol(_, b) | NumOp::FloatCol(_, b) => b.is_valid(i),
             _ => true,
         }
     }
@@ -126,28 +113,23 @@ impl NumOp<'_> {
     }
 }
 
-/// A string-column operand: plain UTF-8 or dictionary-encoded. Data slices
-/// are pre-offset to the batch; bitmaps keep the original offset.
+/// A string-column operand: plain UTF-8 or dictionary-encoded, its data
+/// sliced to the batch, with its validity bitmap.
 enum StrSide<'a> {
-    Plain(&'a [Arc<str>], &'a Bitmap, usize),
-    Dict(&'a [u32], &'a Arc<Vec<Arc<str>>>, &'a Bitmap, usize),
+    Plain(&'a [Arc<str>], &'a Bitmap),
+    Dict(&'a [u32], &'a Arc<Vec<Arc<str>>>, &'a Bitmap),
 }
 
 impl StrSide<'_> {
     fn from_view<'a>(view: &ValuesView<'a>, len: usize) -> Option<StrSide<'a>> {
         match view {
-            ValuesView::View { col, offset } => match col {
-                Column::Utf8(v, b) => Some(StrSide::Plain(&v[*offset..*offset + len], b, *offset)),
+            ValuesView::Col(col) => match col {
+                Column::Utf8(v, b) => Some(StrSide::Plain(&v[..len], b)),
                 Column::Dict {
                     codes,
                     dict,
                     bitmap,
-                } => Some(StrSide::Dict(
-                    &codes[*offset..*offset + len],
-                    dict,
-                    bitmap,
-                    *offset,
-                )),
+                } => Some(StrSide::Dict(&codes[..len], dict, bitmap)),
                 _ => None,
             },
             ValuesView::Scalar(_) => None,
@@ -157,8 +139,7 @@ impl StrSide<'_> {
     #[inline]
     fn valid(&self, i: usize) -> bool {
         match self {
-            StrSide::Plain(_, b, off) => b.is_valid(off + i),
-            StrSide::Dict(_, _, b, off) => b.is_valid(off + i),
+            StrSide::Plain(_, b) | StrSide::Dict(_, _, b) => b.is_valid(i),
         }
     }
 
@@ -292,11 +273,11 @@ fn eval_str_view(
     // Column vs scalar — the common predicate shape (`movement = 'Baroque'`).
     if let (Some(side), Some(s)) = (StrSide::from_view(lhs, num_rows), str_scalar(rhs)) {
         let column = match side {
-            StrSide::Plain(data, bitmap, off) => {
+            StrSide::Plain(data, bitmap) => {
                 let mut out = Vec::with_capacity(num_rows);
                 let mut validity = Bitmap::new();
                 for (i, v) in data.iter().enumerate() {
-                    let valid = bitmap.is_valid(off + i);
+                    let valid = bitmap.is_valid(i);
                     out.push(if valid {
                         match op {
                             Like => like_match(v, &s),
@@ -309,7 +290,7 @@ fn eval_str_view(
                 }
                 Column::Bool(out, validity)
             }
-            StrSide::Dict(codes, dict, bitmap, off) => {
+            StrSide::Dict(codes, dict, bitmap) => {
                 // Code-native kernel: one comparison (or LIKE match) per
                 // dictionary *entry*, then a table lookup per row.
                 let table: Vec<bool> = dict
@@ -322,7 +303,7 @@ fn eval_str_view(
                 let mut out = Vec::with_capacity(num_rows);
                 let mut validity = Bitmap::new();
                 for (i, &code) in codes.iter().enumerate() {
-                    let valid = bitmap.is_valid(off + i);
+                    let valid = bitmap.is_valid(i);
                     out.push(valid && table[code as usize]);
                     validity.push(valid);
                 }
@@ -338,16 +319,14 @@ fn eval_str_view(
     ) {
         // Code-native equality when both sides index the same dictionary:
         // entries are duplicate-free, so equal codes ⇔ equal strings.
-        if let (
-            StrSide::Dict(lcodes, ldict, lbitmap, loff),
-            StrSide::Dict(rcodes, rdict, rbitmap, roff),
-        ) = (&left, &right)
+        if let (StrSide::Dict(lcodes, ldict, lbitmap), StrSide::Dict(rcodes, rdict, rbitmap)) =
+            (&left, &right)
         {
             if matches!(op, Eq | NotEq) && Arc::ptr_eq(ldict, rdict) {
                 let mut out = Vec::with_capacity(num_rows);
                 let mut validity = Bitmap::new();
                 for i in 0..num_rows {
-                    let valid = lbitmap.is_valid(loff + i) && rbitmap.is_valid(roff + i);
+                    let valid = lbitmap.is_valid(i) && rbitmap.is_valid(i);
                     let equal = lcodes[i] == rcodes[i];
                     out.push(valid && (equal == matches!(op, Eq)));
                     validity.push(valid);
@@ -410,10 +389,10 @@ enum Node {
     },
 }
 
-/// The result of evaluating a compiled node over a row range.
+/// The result of evaluating a compiled node over the input rows.
 enum NodeBatch<'a> {
-    /// A borrowed input column viewed at an offset — zero-copy.
-    View(&'a Column, usize),
+    /// A borrowed input column — zero-copy.
+    View(&'a Column),
     /// A computed column of exactly the batch length.
     Col(Arc<Column>),
     /// One value standing for every row.
@@ -424,7 +403,7 @@ impl NodeBatch<'_> {
     #[inline]
     fn get(&self, i: usize) -> Value {
         match self {
-            NodeBatch::View(col, off) => col.get(off + i),
+            NodeBatch::View(col) => col.get(i),
             NodeBatch::Col(col) => col.get(i),
             NodeBatch::Scalar(v) => v.clone(),
         }
@@ -432,11 +411,8 @@ impl NodeBatch<'_> {
 
     fn as_view(&self) -> ValuesView<'_> {
         match self {
-            NodeBatch::View(col, off) => ValuesView::View { col, offset: *off },
-            NodeBatch::Col(col) => ValuesView::View {
-                col: col.as_ref(),
-                offset: 0,
-            },
+            NodeBatch::View(col) => ValuesView::Col(col),
+            NodeBatch::Col(col) => ValuesView::Col(col),
             NodeBatch::Scalar(v) => ValuesView::Scalar(v),
         }
     }
@@ -511,25 +487,24 @@ impl Node {
         }
     }
 
-    /// Evaluate the node over `range` of the input columns.
+    /// Evaluate the node over the first `num_rows` rows of the input columns.
     fn eval_batch<'a>(
         &self,
         columns: &'a [Arc<Column>],
-        range: &Range<usize>,
+        num_rows: usize,
     ) -> EngineResult<NodeBatch<'a>> {
-        let num_rows = range.len();
         match self {
             Node::Const(result) => result.clone().map(NodeBatch::Scalar),
-            Node::Col(idx) => Ok(NodeBatch::View(columns[*idx].as_ref(), range.start)),
+            Node::Col(idx) => Ok(NodeBatch::View(columns[*idx].as_ref())),
             Node::Binary { left, op, right } => {
-                let lhs = left.eval_batch(columns, range)?;
-                let rhs = right.eval_batch(columns, range)?;
+                let lhs = left.eval_batch(columns, num_rows)?;
+                let rhs = right.eval_batch(columns, num_rows)?;
                 match eval_binary_view(&lhs.as_view(), *op, &rhs.as_view(), num_rows)? {
                     Batch::Col(col) => Ok(NodeBatch::Col(col)),
                     Batch::Scalar(v) => Ok(NodeBatch::Scalar(v)),
                 }
             }
-            Node::Unary { op, operand } => match operand.eval_batch(columns, range)? {
+            Node::Unary { op, operand } => match operand.eval_batch(columns, num_rows)? {
                 NodeBatch::Scalar(v) => Ok(NodeBatch::Scalar(eval_unary(*op, &v)?)),
                 batch => {
                     let mut out = Vec::with_capacity(num_rows);
@@ -542,7 +517,7 @@ impl Node {
             Node::Func { func, args } => {
                 let mut batches = Vec::with_capacity(args.len());
                 for arg in args {
-                    batches.push(arg.eval_batch(columns, range)?);
+                    batches.push(arg.eval_batch(columns, num_rows)?);
                 }
                 if batches.iter().all(|b| matches!(b, NodeBatch::Scalar(_))) {
                     let argv: Vec<Value> = batches.iter().map(|b| b.get(0)).collect();
@@ -580,9 +555,9 @@ impl Node {
                         if list.iter().all(|item| matches!(item, Node::Const(_))) {
                             let mut memo: Vec<Option<EngineResult<Value>>> = vec![None; dict.len()];
                             let mut out = Vec::with_capacity(num_rows);
-                            for i in range.clone() {
+                            for (i, &code) in codes[..num_rows].iter().enumerate() {
                                 if bitmap.is_valid(i) {
-                                    let code = codes[i] as usize;
+                                    let code = code as usize;
                                     let result = memo[code].get_or_insert_with(|| {
                                         let needle = Value::Str(Arc::clone(&dict[code]));
                                         in_list_scan(&needle, list, *negated, columns, i)
@@ -596,21 +571,21 @@ impl Node {
                         }
                     }
                 }
-                self.eval_rows(columns, range)
+                self.eval_rows(columns, num_rows)
             }
-            Node::Case { .. } => self.eval_rows(columns, range),
+            Node::Case { .. } => self.eval_rows(columns, num_rows),
         }
     }
 
-    /// Row-at-a-time evaluation over `range` — for the constructs whose
-    /// branches/items must only be evaluated as far as each row needs them.
+    /// Row-at-a-time evaluation — for the constructs whose branches/items
+    /// must only be evaluated as far as each row needs them.
     fn eval_rows<'a>(
         &self,
         columns: &[Arc<Column>],
-        range: &Range<usize>,
+        num_rows: usize,
     ) -> EngineResult<NodeBatch<'a>> {
-        let mut out = Vec::with_capacity(range.len());
-        for i in range.clone() {
+        let mut out = Vec::with_capacity(num_rows);
+        for i in 0..num_rows {
             out.push(self.eval_row(columns, i)?);
         }
         Ok(NodeBatch::Col(Arc::new(Column::from_values(out))))
@@ -638,8 +613,7 @@ fn in_list_scan(
 }
 
 /// An [`Expr`] lowered to pre-resolved kernel nodes (see the module docs).
-/// Compile once per batch, then evaluate any number of row ranges over the
-/// shared input columns.
+/// Compile once per batch, then evaluate it over the shared input columns.
 #[derive(Debug, Clone)]
 pub struct CompiledExpr {
     root: Node,
@@ -656,53 +630,41 @@ impl CompiledExpr {
         }
     }
 
-    /// Evaluate over `range` of the input columns, producing a column of
-    /// `range.len()` rows. The inputs are read in place at the range offset —
-    /// no slicing.
-    pub fn evaluate_range(
-        &self,
-        columns: &[Arc<Column>],
-        range: Range<usize>,
-    ) -> EngineResult<Arc<Column>> {
-        let num_rows = range.len();
-        match self.root.eval_batch(columns, &range)? {
+    /// Evaluate over the first `num_rows` rows of the input columns,
+    /// producing a column of `num_rows` rows. The inputs are read in place.
+    pub fn evaluate(&self, columns: &[Arc<Column>], num_rows: usize) -> EngineResult<Arc<Column>> {
+        match self.root.eval_batch(columns, num_rows)? {
             NodeBatch::Col(col) => Ok(col),
-            NodeBatch::View(col, off) => Ok(Arc::new(col.slice(off..off + num_rows))),
+            NodeBatch::View(col) => Ok(Arc::new(col.slice(0..num_rows))),
             NodeBatch::Scalar(v) => Ok(Arc::new(Column::from_values(vec![v; num_rows]))),
         }
     }
 
-    /// Evaluate as a predicate over `range` and return the selected row
-    /// indices **relative to `range.start`** (NULL = not selected).
-    pub fn selection_range(
-        &self,
-        columns: &[Arc<Column>],
-        range: Range<usize>,
-    ) -> EngineResult<Vec<usize>> {
-        let num_rows = range.len();
-        let batch = self.root.eval_batch(columns, &range)?;
-        if let NodeBatch::Scalar(v) = &batch {
-            return Ok(if v.as_bool() == Some(true) {
-                (0..num_rows).collect()
-            } else {
-                Vec::new()
-            });
-        }
-        let (col, off) = match &batch {
-            NodeBatch::View(col, off) => (*col, *off),
-            NodeBatch::Col(col) => (col.as_ref(), 0),
-            NodeBatch::Scalar(_) => unreachable!("handled above"),
+    /// Evaluate as a predicate over the first `num_rows` rows and return the
+    /// selected row indices (NULL = not selected).
+    pub fn selection(&self, columns: &[Arc<Column>], num_rows: usize) -> EngineResult<Vec<usize>> {
+        let batch = self.root.eval_batch(columns, num_rows)?;
+        let col = match &batch {
+            NodeBatch::Scalar(v) => {
+                return Ok(if v.as_bool() == Some(true) {
+                    (0..num_rows).collect()
+                } else {
+                    Vec::new()
+                });
+            }
+            NodeBatch::View(col) => *col,
+            NodeBatch::Col(col) => col.as_ref(),
         };
         let mut selected = Vec::new();
         if let Some((data, validity)) = col.as_bools() {
-            for (i, &b) in data[off..off + num_rows].iter().enumerate() {
-                if b && validity.is_valid(off + i) {
+            for (i, &b) in data[..num_rows].iter().enumerate() {
+                if b && validity.is_valid(i) {
                     selected.push(i);
                 }
             }
         } else {
             for i in 0..num_rows {
-                if col.get(off + i).as_bool() == Some(true) {
+                if col.get(i).as_bool() == Some(true) {
                     selected.push(i);
                 }
             }

@@ -7,8 +7,8 @@
 //! * **column-at-a-time** via [`Expr::evaluate_batch`] — the vectorized path
 //!   the physical operators use. The expression is first lowered to a
 //!   [`CompiledExpr`] (column names bound to indices, constant subtrees
-//!   folded — see [`compile`]), then evaluated over zero-copy row-range
-//!   views of the input columns, with typed kernels (and scalar
+//!   folded — see [`compile`]), then evaluated over the input columns in
+//!   place, with typed kernels (and scalar
 //!   broadcasting for literals) for the common numeric and string cases and
 //!   an element-wise fallback where per-row dynamic typing demands it;
 //! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
@@ -344,7 +344,7 @@ impl Expr {
                 .evaluate_batch_inner(schema, columns, num_rows)?
                 .materialize(num_rows));
         }
-        CompiledExpr::compile(self, schema).evaluate_range(columns, 0..num_rows)
+        CompiledExpr::compile(self, schema).evaluate(columns, num_rows)
     }
 
     /// The pre-compilation batch evaluator, kept as the executable reference
@@ -373,7 +373,7 @@ impl Expr {
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
-        CompiledExpr::compile(self, schema).selection_range(columns, 0..num_rows)
+        CompiledExpr::compile(self, schema).selection(columns, num_rows)
     }
 
     /// The pre-compilation selection-vector evaluator — the executable
@@ -673,10 +673,10 @@ impl Batch {
 }
 
 /// Evaluate a binary operation over two batches. Delegates to the shared
-/// offset-aware kernel [`compile::eval_binary_view`] (typed vector loops for
-/// numeric arithmetic/comparisons and string comparisons/LIKE — including
+/// kernel [`compile::eval_binary_view`] (typed vector loops for numeric
+/// arithmetic/comparisons and string comparisons/LIKE — including
 /// code-native dictionary kernels — with an element-wise [`eval_binary`]
-/// fallback), viewing each batch at offset zero.
+/// fallback).
 fn eval_binary_batch(
     lhs: &Batch,
     op: BinaryOp,
@@ -688,10 +688,7 @@ fn eval_binary_batch(
 
 fn batch_view(batch: &Batch) -> compile::ValuesView<'_> {
     match batch {
-        Batch::Col(col) => compile::ValuesView::View {
-            col: col.as_ref(),
-            offset: 0,
-        },
+        Batch::Col(col) => compile::ValuesView::Col(col),
         Batch::Scalar(v) => compile::ValuesView::Scalar(v),
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 /// `take` of every row moves no cell data. The one gather `hash_join`,
 /// `Table::take` and the fused filter→project go through.
 #[derive(Debug, Clone, Copy)]
-pub struct Selection<'a> {
+pub(crate) struct Selection<'a> {
     indices: &'a [usize],
     identity: bool,
 }
@@ -18,7 +18,7 @@ pub struct Selection<'a> {
 impl<'a> Selection<'a> {
     /// Wrap `indices` into a source of `source_rows` rows (one scan, which
     /// stops at the first index out of place).
-    pub fn new(indices: &'a [usize], source_rows: usize) -> Self {
+    pub(crate) fn new(indices: &'a [usize], source_rows: usize) -> Self {
         Selection {
             indices,
             identity: indices.len() == source_rows
@@ -30,7 +30,7 @@ impl<'a> Selection<'a> {
     /// is the identity, a gather otherwise. Byte-identical to
     /// `column.take(indices)` either way — a `Mixed` column is always
     /// gathered, because `take` re-packs it.
-    pub fn gather(&self, column: &Arc<Column>) -> Arc<Column> {
+    pub(crate) fn gather(&self, column: &Arc<Column>) -> Arc<Column> {
         if self.identity && !matches!(**column, Column::Mixed(_)) {
             Arc::clone(column)
         } else {

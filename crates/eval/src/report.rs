@@ -210,30 +210,6 @@ impl EvaluationReport {
         self.results.iter().map(|r| r.llm_calls).sum()
     }
 
-    /// Total perception-operator model calls dispatched across the benchmark
-    /// (after dedup and cache hits), and the calls dedup saved versus one
-    /// call per row.
-    pub fn total_perception_calls(&self) -> (usize, usize) {
-        let dispatched = self.results.iter().map(|r| r.perception.calls).sum();
-        let saved = self.results.iter().map(|r| r.perception.saved_calls).sum();
-        (dispatched, saved)
-    }
-
-    /// Total unique perception requests served by the session-scoped answer
-    /// cache instead of a backend dispatch (0 when the cache is disabled;
-    /// the evaluation sessions run 48 queries each, so questions repeated
-    /// across queries hit the cache).
-    pub fn total_perception_cache_hits(&self) -> usize {
-        self.results.iter().map(|r| r.perception.cache_hits).sum()
-    }
-
-    /// Plan-cache hits across the benchmark (0 when the cache is disabled —
-    /// and also on a cold cache over the 48 distinct benchmark queries; the
-    /// counter only moves on repeat traffic).
-    pub fn total_plan_cache_hits(&self) -> usize {
-        self.results.iter().map(|r| r.plan_cache.hits).sum()
-    }
-
     /// Per-query run latencies, in benchmark order.
     pub fn latencies(&self) -> Vec<Duration> {
         self.results.iter().map(|r| r.latency).collect()
@@ -241,32 +217,9 @@ impl EvaluationReport {
 
     /// Nearest-rank latency percentile over the per-query run latencies
     /// (`p` in `0.0..=1.0`; `0.5` is the median). Zero for an empty report.
-    ///
-    /// Collects and sorts the latencies on every call; when reading several
-    /// percentiles of one report, [`EvaluationReport::latency_percentiles`]
-    /// sorts once.
+    /// Collects and sorts the latencies on every call.
     pub fn latency_percentile(&self, p: f64) -> Duration {
         percentile(&mut self.latencies(), p)
-    }
-
-    /// Nearest-rank latency percentiles for every `p` in `ps`, sorting the
-    /// per-query latencies once (unlike repeated
-    /// [`EvaluationReport::latency_percentile`] calls, which re-sort a fresh
-    /// copy per call).
-    pub fn latency_percentiles(&self, ps: &[f64]) -> Vec<Duration> {
-        let mut samples = self.latencies();
-        samples.sort_unstable();
-        ps.iter()
-            .map(|&p| percentile_of_sorted(&samples, p))
-            .collect()
-    }
-
-    /// Mean per-query run latency (zero for an empty report).
-    pub fn mean_latency(&self) -> Duration {
-        if self.results.is_empty() {
-            return Duration::ZERO;
-        }
-        self.latencies().iter().sum::<Duration>() / self.results.len() as u32
     }
 }
 
@@ -278,14 +231,6 @@ pub fn percentile(samples: &mut [Duration], p: f64) -> Duration {
         return Duration::ZERO;
     }
     samples.sort_unstable();
-    percentile_of_sorted(samples, p)
-}
-
-/// Nearest-rank percentile of an **already sorted** set of durations.
-fn percentile_of_sorted(samples: &[Duration], p: f64) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
     // `f64::clamp` propagates NaN, so clear it first: a NaN rank would cast
     // to 0 and silently alias the minimum.
     let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
@@ -824,7 +769,6 @@ mod tests {
         let p95 = report.latency_percentile(0.95);
         assert!(p50 > Duration::ZERO);
         assert!(p95 >= p50);
-        assert!(report.mean_latency() > Duration::ZERO);
         assert!(report.latency_percentile(1.0) >= p95);
     }
 
@@ -842,17 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_percentiles_match_single_percentile_calls() {
-        let config = EvaluationConfig::small();
-        let report = evaluate_model(ModelProfile::Gpt4, &config);
-        let ps = [0.0, 0.5, 0.95, 1.0];
-        let batch = report.latency_percentiles(&ps);
-        for (&p, &value) in ps.iter().zip(&batch) {
-            assert_eq!(value, report.latency_percentile(p));
-        }
-    }
-
-    #[test]
     fn benchmark_queries_are_distinct_templates_so_cache_never_hits() {
         // The 48 benchmark queries carry no quoted strings or standalone
         // numbers, so each normalizes to its own plan-cache template: a cold
@@ -860,7 +793,7 @@ mod tests {
         // is why enabling the cache cannot change benchmark grades.
         let config = EvaluationConfig::small();
         let report = evaluate_model(ModelProfile::Gpt4, &config);
-        assert_eq!(report.total_plan_cache_hits(), 0);
+        assert!(report.results.iter().all(|r| r.plan_cache.hits == 0));
         if caesura_llm::PlanCacheConfig::default().is_enabled() {
             // The cache defaults on, so every run probes it and misses.
             assert!(report

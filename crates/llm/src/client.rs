@@ -208,21 +208,15 @@ impl<C: LlmClient + ?Sized> LlmClient for Arc<C> {
 
 /// A test double that replays a fixed sequence of responses.
 pub struct ScriptedLlm {
-    responses: parking_lot_free::Mutex<Vec<String>>,
+    responses: Mutex<Vec<String>>,
     name: String,
-}
-
-/// Minimal mutex shim so the llm crate does not need a locking dependency for
-/// one test helper. (The std mutex's poisoning is irrelevant here.)
-mod parking_lot_free {
-    pub use std::sync::Mutex;
 }
 
 impl ScriptedLlm {
     /// Build a scripted model from responses, returned in order.
     pub fn new(responses: Vec<String>) -> Self {
         ScriptedLlm {
-            responses: parking_lot_free::Mutex::new(responses),
+            responses: Mutex::new(responses),
             name: "scripted".to_string(),
         }
     }

@@ -13,10 +13,10 @@
 //!    checkpoint (between plan steps / before any LLM dispatch, or mid-
 //!    dispatch for cancellation-aware transports); a query cancelled while
 //!    still queued never runs at all.
-//! 4. **Multi-tenant scheduling** (PR 8) — `submit_with` tags submissions
-//!    with a tenant and a priority tier; the weighted-fair scheduler
-//!    dequeues interactive work ahead of a batch tenant's backlog, and
-//!    `tenant_stats` breaks the serving counters out per tenant.
+//! 4. **Priorities and tenants** (PR 8) — `submit_with` tags submissions
+//!    with a tenant and a priority; the scheduler dequeues interactive work
+//!    ahead of any queued batch work, and `tenant_stats` breaks the serving
+//!    counters out per tenant.
 //!
 //! Run with: `cargo run --example concurrent_serving`
 
@@ -100,8 +100,8 @@ fn main() {
     // -- 4. Two tenants: interactive vs batch ------------------------------
     // A fresh single-worker session makes the scheduling decision visible:
     // tenant "nightly" floods six batch-priority reports, then tenant
-    // "dashboard" submits one interactive query — which the fair scheduler
-    // dequeues ahead of the entire remaining backlog.
+    // "dashboard" submits one interactive query — which the scheduler
+    // dequeues ahead of the entire remaining batch backlog.
     let config = CaesuraConfig {
         session_workers: Some(1),
         session_queue: Some(16),

@@ -48,8 +48,8 @@ pub use caesura_store as store;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use caesura_core::{
-        AdmissionError, Caesura, CaesuraConfig, CoreError, Priority, QueryHandle, QueryOutput,
-        QueryRun, QueryStatus, ServingStats, SubmitOptions, TenantServingStats,
+        AdmissionError, Caesura, CaesuraConfig, CoreError, QueryHandle, QueryOutput, QueryRun,
+        QueryStatus, ServingStats, SubmitOptions, TenantServingStats,
     };
     pub use caesura_data::{
         generate_artwork, generate_fieldwork, generate_rotowire, ArtworkConfig, DataLake,

@@ -217,9 +217,10 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
     // is on the books as a rejection, and the per-tenant counters balance —
     // each tenant's completed count equals its admissions, nothing remains
     // queued or in flight, and the per-tenant breakdown sums to the global
-    // [`ServingStats`].
+    // [`ServingStats`]. Meanwhile a sampler reads `serving_stats()` in a
+    // loop: every read must be one consistent snapshot.
     use caesura::core::{AdmissionError, Phase, SubmitOptions};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     let data = generate_rotowire(&RotowireConfig::small());
     let reference_session = sequential_session(&data.lake);
@@ -238,13 +239,35 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
     const SUBMITTERS: usize = 8;
     const ROUNDS: usize = 3;
     let declines_seen = AtomicUsize::new(0);
+    let submitters_done = AtomicBool::new(false);
     thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut reads = 0usize;
+            let mut accounted = 0;
+            while !submitters_done.load(Ordering::Acquire) {
+                let stats = session.serving_stats();
+                // A query is always in exactly one of the three, and only
+                // ever moves forward through them.
+                let total = stats.queued + stats.in_flight + stats.completed;
+                assert!(
+                    total >= accounted,
+                    "queued + in_flight + completed fell from {accounted}: {stats:?}"
+                );
+                assert!(stats.queued <= stats.queue_depth, "{stats:?}");
+                assert!(stats.in_flight <= stats.workers, "{stats:?}");
+                accounted = total;
+                reads += 1;
+                thread::yield_now();
+            }
+            reads
+        });
+        let mut submitters = Vec::new();
         for submitter in 0..SUBMITTERS {
             let (session, expected, declines_seen) = (&session, &expected, &declines_seen);
-            scope.spawn(move || {
+            submitters.push(scope.spawn(move || {
                 let tenant = format!("tenant-{submitter}");
-                // Half the tenants submit at batch priority: tier membership
-                // must not affect any balance invariant.
+                // Half the tenants submit at batch priority: priority must
+                // not affect any balance invariant.
                 let options = if submitter % 2 == 0 {
                     SubmitOptions::for_tenant(&tenant)
                 } else {
@@ -289,8 +312,18 @@ fn tenant_submitters_with_typed_admission_keep_per_tenant_counters_balanced() {
                         }
                     }
                 }
-            });
+            }));
         }
+        // Stop the sampler before re-raising a submitter's panic, or the
+        // scope would wait on it forever.
+        let joined: Vec<_> = submitters.into_iter().map(|h| h.join()).collect();
+        submitters_done.store(true, Ordering::Release);
+        for outcome in joined {
+            if let Err(panic) = outcome {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        assert!(sampler.join().expect("sampler panicked") > 0);
     });
 
     let stats = session.serving_stats();

@@ -1,19 +1,16 @@
 //! The multi-tenant serving control plane (PR 8): typed admission, priority
-//! tiers, deficit-round-robin fairness across tenants, and the guarantee
-//! that none of it changes default-path behaviour.
+//! preemption, and the guarantee that neither changes default-path
+//! behaviour.
 //!
 //! These tests pin:
 //!
-//! * **byte-identity**: default-tenant / default-priority submissions under
-//!   the weighted-fair scheduler produce exactly the outputs *and traces* of
-//!   a serial `run` baseline, across worker counts {1, 4};
-//! * **typed admission**: `submit_with` distinguishes `QueueFull`,
-//!   `TenantOverQuota` (which wins when both apply), and
+//! * **byte-identity**: default-tenant / default-priority submissions
+//!   produce exactly the outputs *and traces* of a serial `run` baseline,
+//!   across worker counts {1, 4};
+//! * **typed admission**: `submit_with` distinguishes `QueueFull` and
 //!   `DeadlineUnmeetable`, and every decline is on the books as a rejection;
 //! * **priority preemption**: an interactive submission is dequeued before
 //!   batch work that was queued earlier;
-//! * **weighted fairness**: a weight-2 tenant takes two consecutive turns
-//!   per deficit-round-robin round against a weight-1 tenant;
 //! * **`wait_timeout`**: returns `None` while the query runs, `Some(run)`
 //!   once it finishes, and leaves the handle usable;
 //! * **observability**: non-default submissions stamp their scheduling
@@ -98,9 +95,8 @@ fn artwork_session_with(config: CaesuraConfig, llm: Arc<dyn LlmClient>) -> Caesu
 
 #[test]
 fn default_submissions_match_a_serial_run_baseline() {
-    // With the default tenant and default priority, the tiered
-    // deficit-round-robin queue must be indistinguishable from a plain
-    // FIFO: whatever the worker count, submissions produce the outputs and
+    // With the default tenant and default priority, the ready queue is a
+    // plain FIFO: whatever the worker count, submissions produce the outputs and
     // traces of a one-worker session driven through the blocking `run`
     // (trace equality covers every event, phase sequence, and counter;
     // timings and scheduling metadata are excluded from `PartialEq` by
@@ -138,18 +134,17 @@ fn default_submissions_match_a_serial_run_baseline() {
 }
 
 #[test]
-fn typed_admission_distinguishes_queue_full_quota_and_deadline() {
+fn typed_admission_distinguishes_queue_full_and_deadline() {
     let gated = Arc::new(GatedLlm::new(SimulatedLlm::gpt4()));
     let config = CaesuraConfig {
         session_workers: Some(1),
         session_queue: Some(2),
-        tenant_quota: Some(2),
         ..CaesuraConfig::default()
     };
     let session = artwork_session_with(config, Arc::clone(&gated) as Arc<dyn LlmClient>);
 
     // A zero deadline can never be met: rejected up front, before any queue
-    // or quota accounting.
+    // accounting.
     let zero = session.submit_with(SUITE[0], SubmitOptions::new().with_deadline(Duration::ZERO));
     assert!(
         matches!(zero, Err(AdmissionError::DeadlineUnmeetable { .. })),
@@ -157,43 +152,26 @@ fn typed_admission_distinguishes_queue_full_quota_and_deadline() {
     );
 
     // Tenant "flood" occupies the worker (held at the LLM gate) and one of
-    // the two queue slots: its quota of 2 (queued + in flight) is exhausted.
+    // the two queue slots; tenant "other" takes the second slot.
     let running = session
         .submit_with(SUITE[0], SubmitOptions::for_tenant("flood"))
         .expect("empty session admits");
     gated.wait_entered(GATE_WAIT);
     let queued = session
         .submit_with(SUITE[1], SubmitOptions::for_tenant("flood"))
-        .expect("one queue slot free, quota not yet reached");
-
-    let over_quota = session.submit_with(SUITE[2], SubmitOptions::for_tenant("flood"));
-    assert!(
-        matches!(
-            over_quota,
-            Err(AdmissionError::TenantOverQuota { quota: 2, .. })
-        ),
-        "expected TenantOverQuota, got {over_quota:?}"
-    );
-
-    // Another tenant still fits: quota is per tenant, and one queue slot
-    // remains.
+        .expect("two queue slots free");
     let other = session
         .submit_with(SUITE[2], SubmitOptions::for_tenant("other"))
-        .expect("a fresh tenant has quota and the queue has space");
+        .expect("one queue slot free");
 
-    // Now the queue is full. A third tenant gets the queue-full error…
-    let full = session.submit_with(SUITE[3], SubmitOptions::for_tenant("third"));
-    assert!(
-        matches!(full, Err(AdmissionError::QueueFull { depth: 2 })),
-        "expected QueueFull, got {full:?}"
-    );
-    // …while the flooding tenant — over quota *and* facing a full queue —
-    // gets the more specific quota error.
-    let both = session.submit_with(SUITE[3], SubmitOptions::for_tenant("flood"));
-    assert!(
-        matches!(both, Err(AdmissionError::TenantOverQuota { quota: 2, .. })),
-        "expected TenantOverQuota to win over QueueFull, got {both:?}"
-    );
+    // Now the queue is full, whichever tenant asks.
+    for tenant in ["third", "flood"] {
+        let full = session.submit_with(SUITE[3], SubmitOptions::for_tenant(tenant));
+        assert!(
+            matches!(full, Err(AdmissionError::QueueFull { depth: 2 })),
+            "{tenant}: expected QueueFull, got {full:?}"
+        );
+    }
 
     gated.release();
     for handle in [running, queued, other] {
@@ -202,7 +180,7 @@ fn typed_admission_distinguishes_queue_full_quota_and_deadline() {
 
     // Every decline above is on the books, globally and per tenant.
     let stats = session.serving_stats();
-    assert_eq!(stats.rejected, 4);
+    assert_eq!(stats.rejected, 3);
     assert_eq!(stats.completed, 3);
     let tenants = session.tenant_stats();
     let rejected_of = |name: &str| {
@@ -213,7 +191,7 @@ fn typed_admission_distinguishes_queue_full_quota_and_deadline() {
             .unwrap_or(0)
     };
     assert_eq!(rejected_of("default"), 1, "the zero-deadline submission");
-    assert_eq!(rejected_of("flood"), 2);
+    assert_eq!(rejected_of("flood"), 1);
     assert_eq!(rejected_of("third"), 1);
     assert_eq!(rejected_of("other"), 0);
 }
@@ -245,7 +223,7 @@ fn interactive_submissions_preempt_queued_batch_work_at_dequeue() {
         assert!(handle.wait().succeeded());
     }
 
-    // The interactive tier drains first at every dequeue: i1 jumps the two
+    // Interactive work drains first at every dequeue: i1 jumps the two
     // batch queries that were queued before it.
     assert_eq!(
         recorder.first_seen(),
@@ -263,57 +241,6 @@ fn interactive_submissions_preempt_queued_batch_work_at_dequeue() {
     assert!(tenants
         .iter()
         .any(|t| t.tenant == "dash" && t.completed == 1));
-}
-
-#[test]
-fn weighted_tenants_take_proportional_turns_within_a_tier() {
-    let gated = Arc::new(GatedLlm::new(SimulatedLlm::gpt4()));
-    let recorder = Arc::new(RecordingLlm::new(Arc::clone(&gated)));
-    let config = CaesuraConfig {
-        session_workers: Some(1),
-        session_queue: Some(16),
-        tenant_weights: vec![("heavy".to_string(), 2)],
-        ..CaesuraConfig::default()
-    };
-    let session = artwork_session_with(config, Arc::clone(&recorder) as Arc<dyn LlmClient>);
-
-    // The blocker comes from the weight-1 tenant: popping it spends the
-    // light lane's whole round while it is the only lane, so the cursor
-    // wraps back onto it and the drain below starts a fresh round there.
-    let blocker = session
-        .submit_with(SUITE[5], SubmitOptions::for_tenant("light"))
-        .unwrap();
-    gated.wait_entered(GATE_WAIT);
-    let a1 = session
-        .submit_with(SUITE[0], SubmitOptions::for_tenant("heavy"))
-        .unwrap();
-    let a2 = session
-        .submit_with(SUITE[1], SubmitOptions::for_tenant("heavy"))
-        .unwrap();
-    let a3 = session
-        .submit_with(SUITE[2], SubmitOptions::for_tenant("heavy"))
-        .unwrap();
-    let b1 = session
-        .submit_with(SUITE[3], SubmitOptions::for_tenant("light"))
-        .unwrap();
-    let b2 = session
-        .submit_with(SUITE[4], SubmitOptions::for_tenant("light"))
-        .unwrap();
-    gated.release();
-
-    for handle in [blocker, a1, a2, a3, b1, b2] {
-        assert!(handle.wait().succeeded());
-    }
-
-    // Deficit round robin at weight 2 vs 1: per round the light tenant gets
-    // one pop and the heavy tenant two consecutive pops — after the blocker
-    // the backlog drains b1 | a1 a2 | b2 | a3, never three heavy pops in a
-    // row and never two light pops in a row.
-    assert_eq!(
-        recorder.first_seen(),
-        vec![5, 3, 0, 1, 4, 2],
-        "expected blocker, b1, a1, a2, b2, a3"
-    );
 }
 
 /// Fieldwork-lake queries whose plans chain 3+ steps across modalities:
@@ -384,7 +311,7 @@ fn tenants_racing_fieldwork_queries_match_serial_baselines_and_balance_counters(
             let tenant = tenant_of(index);
             let handle = session
                 .submit_with(query, SubmitOptions::for_tenant(tenant))
-                .expect("admission with default quotas");
+                .expect("the queue has space");
             (tenant, index, handle)
         })
         .collect();
