@@ -79,13 +79,6 @@ impl Catalog {
         self.tables.insert(table.name().to_string(), table);
     }
 
-    /// Register a table under an explicit name.
-    pub fn register_as(&mut self, name: impl Into<String>, table: Table) {
-        let name = name.into();
-        self.tables
-            .insert(name.clone(), Arc::new(table.renamed(name)));
-    }
-
     /// Remove a table.
     pub fn remove(&mut self, name: &str) -> Option<Arc<Table>> {
         self.tables.remove(name)
@@ -202,16 +195,6 @@ mod tests {
         assert!(catalog.contains("TEAMS"));
         assert!(catalog.table("players").is_err());
         assert_eq!(catalog.len(), 1);
-    }
-
-    #[test]
-    fn register_as_renames_the_table() {
-        let mut catalog = Catalog::new();
-        catalog.register_as("game_reports", sample_table("raw"));
-        assert_eq!(
-            catalog.table("game_reports").unwrap().name(),
-            "game_reports"
-        );
     }
 
     #[test]

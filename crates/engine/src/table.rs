@@ -511,29 +511,6 @@ impl Table {
         out
     }
 
-    /// Export the table as CSV (used by the report binaries).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.schema.names().join(","));
-        out.push('\n');
-        for row in self.rows() {
-            let cells: Vec<String> = row
-                .values()
-                .map(|v| {
-                    let s = v.to_string();
-                    if s.contains(',') || s.contains('"') || s.contains('\n') {
-                        format!("\"{}\"", s.replace('"', "\"\""))
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Describe this table to the LLM after an operator has executed
     /// (Figure 2: "New column madonna_depicted has been added. Example
     /// values: ...").
@@ -801,15 +778,6 @@ mod tests {
             format!("{} {}", obs.shape, obs.new_columns)
         );
         assert_eq!(table.observation(&[]).to_string(), obs.shape);
-    }
-
-    #[test]
-    fn csv_export_quotes_fields_with_commas() {
-        let schema = Schema::from_pairs(&[("a", DataType::Str)]);
-        let mut builder = TableBuilder::new("t", schema);
-        builder.push_values(["hello, world"]).unwrap();
-        let table = builder.build();
-        assert!(table.to_csv().contains("\"hello, world\""));
     }
 
     #[test]

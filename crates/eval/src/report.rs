@@ -443,14 +443,6 @@ pub struct ServingEvaluation {
 }
 
 impl ServingEvaluation {
-    /// Benchmark throughput: completed queries per second of wall clock.
-    pub fn queries_per_second(&self) -> f64 {
-        if self.wall_clock.is_zero() {
-            return 0.0;
-        }
-        self.report.results.len() as f64 / self.wall_clock.as_secs_f64()
-    }
-
     /// Nearest-rank percentile over the submission-to-completion latencies
     /// (`p` in `0.0..=1.0`).
     pub fn latency_percentile(&self, p: f64) -> Duration {
@@ -818,7 +810,6 @@ mod tests {
         assert_eq!(serving.report.results.len(), serial.results.len());
         assert_eq!(serving.end_to_end.len(), serial.results.len());
         assert!(serving.wall_clock > Duration::ZERO);
-        assert!(serving.queries_per_second() > 0.0);
         // 48 queries submitted up front onto 4 workers: most sit in the
         // queue before pickup, so some queue wait must have been recorded.
         assert!(serving
@@ -918,7 +909,6 @@ mod tests {
         let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
         assert_eq!(serving.concurrency, 4);
         assert_eq!(serving.report.results.len(), serial.results.len());
-        assert!(serving.queries_per_second() > 0.0);
         for (concurrent, reference) in serving.report.results.iter().zip(&serial.results) {
             assert_eq!(concurrent.id, reference.id);
             assert_eq!(concurrent.grade, reference.grade, "{}", reference.id);

@@ -309,10 +309,10 @@ impl PlanCache {
         }
         let key = Self::key(fingerprint, template);
         match self.tiers.put(&*key, Arc::new(entry), &self.identity) {
-            put if !put.inserted => PlanInsertOutcome::AlreadyPresent,
+            put if put.inserted == 0 => PlanInsertOutcome::AlreadyPresent,
             put => PlanInsertOutcome::Inserted {
                 evictions: put.evictions,
-                written: put.written,
+                written: put.written == 1,
             },
         }
     }

@@ -36,8 +36,8 @@
 //!    nothing.
 //! 3. **Cache probe** (optional) — when the session attaches a
 //!    [`PerceptionCache`], every unique request is probed against it first,
-//!    under the hash the gather computed (the cache's `get` and a miss's
-//!    `put` both reuse it, so no byte of a document is hashed twice);
+//!    under the hash the gather computed (the cache's `get` and the put of a
+//!    miss's answer both reuse it, so no byte of a document is hashed twice);
 //!    hits resolve immediately and never reach the backend, so questions
 //!    repeated across plan steps or across queries cost zero additional
 //!    model calls (see [`PerceptionBatch::dispatch`] and the
@@ -46,7 +46,12 @@
 //!    [`BatchConfig::batch_size`] and handed to a [`PerceptionBackend`] batch
 //!    by batch, fanned out over [`BatchConfig::threads`] scoped workers. A
 //!    backend receives whole batches, so an LLM-backed implementation can
-//!    serve each chunk with a single `complete_batch` round trip.
+//!    serve each chunk with a single `complete_batch` round trip. The worker
+//!    that answered a batch files its successful answers in the cache with
+//!    one call, so with a disk tier attached a batch's new answers reach the
+//!    store as **one group append** (one store lock, one `write(2)`) before
+//!    the worker moves on; the group is the batch, and no other setting
+//!    sizes it.
 //! 5. **Scatter** — answers are mapped back onto the rows in row order. The
 //!    output (values, NULL placeholders, and the first error in row order)
 //!    is byte-identical to what the sequential row-at-a-time path produces;
@@ -184,7 +189,9 @@ pub struct BatchStats {
     /// disk tier is attached, in which case `disk_hits + disk_misses ==
     /// cache_misses`).
     pub disk_misses: usize,
-    /// Successful answers written through to the disk tier.
+    /// Successful answers written through to the disk tier: records, not
+    /// appends (a dispatch batch's new answers share one group append). A
+    /// group whose append failed contributes none.
     pub disk_writes: usize,
 }
 
@@ -633,9 +640,12 @@ impl PerceptionBatch {
     /// always misses, and the miss subsequence preserves their relative
     /// order). Successful answers populate the cache on the way back,
     /// including the answers of a dispatch whose later batch failed — the
-    /// row-at-a-time path paid for those calls too. [`BatchStats`] gains the
-    /// hit/miss/eviction counts of this dispatch; with `cache = None` the
-    /// probe is skipped and the bytes are those of the cache-less pipeline.
+    /// row-at-a-time path paid for those calls too. Each batch's answers are
+    /// filed as one group, so a disk tier appends one group per batch, and
+    /// every record of the batch has reached `write(2)` before the dispatch
+    /// returns. [`BatchStats`] gains the hit/miss/eviction/write counts of
+    /// this dispatch; with `cache = None` the probe is skipped and the bytes
+    /// are those of the cache-less pipeline.
     pub fn dispatch(
         self,
         backend: &dyn PerceptionBackend,
@@ -707,13 +717,16 @@ impl PerceptionBatch {
                 if let Some((cache, scope)) = cache {
                     // Only successful answers are cached; errors are
                     // re-dispatched on every attempt, like the uncached path.
+                    // The batch files them as one group: one store append.
                     let batch_hashes = miss_slots[range].iter().map(|&idx| hashes[idx]);
-                    for ((request, hash), answer) in batch.iter().zip(batch_hashes).zip(&answers) {
-                        if let Ok(value) = answer {
-                            let put =
-                                cache.put_hashed(identity, scope, request, hash, value.clone());
-                            evicted.fetch_add(put.evictions, Ordering::Relaxed);
-                            written.fetch_add(usize::from(put.written), Ordering::Relaxed);
+                    let answered = batch.iter().zip(batch_hashes).zip(&answers);
+                    let successes = answered.filter_map(|((request, hash), answer)| {
+                        Some((request, hash, answer.as_ref().ok()?.clone()))
+                    });
+                    let put = cache.put_answers(identity, scope, successes);
+                    for (counter, count) in [(&evicted, put.evictions), (&written, put.written)] {
+                        if count > 0 {
+                            counter.fetch_add(count, Ordering::Relaxed);
                         }
                     }
                 }
@@ -1172,6 +1185,48 @@ mod tests {
         );
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(backend.calls.load(Ordering::Relaxed), 3);
+    }
+
+    /// With a disk tier, each dispatch batch reaches the store as one group
+    /// append: a cold step of N unique requests at batch size b writes N
+    /// records in ceil(N / b) appends, whichever worker filed each batch, and
+    /// repeating the step writes nothing.
+    #[test]
+    fn a_cold_step_appends_one_group_per_batch() {
+        let (requests, batch_size) = (10, 4);
+        for threads in [1, 2] {
+            let mut dir = std::env::temp_dir();
+            dir.push(format!("caesura-groups-{threads}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = Arc::new(caesura_store::CacheStore::open(&dir).expect("open store"));
+            let mut cache = PerceptionCache::with_capacity(64);
+            cache.attach_disk(Arc::clone(&store));
+            let step = || {
+                let mut batch = PerceptionBatch::new();
+                for i in 0..requests {
+                    batch.push(doc_request(&format!("doc {i}"), "Q?"));
+                }
+                let scope = Some((&cache, CacheScope::TextQa));
+                let dispatch = config(batch_size, threads);
+                let (answers, stats) = batch.dispatch(&CountingBackend::new(), &dispatch, scope);
+                assert_eq!(answers.unwrap().len(), requests);
+                stats
+            };
+            let cold = step();
+            let after_cold = store.stats();
+            assert_eq!(
+                (cold.disk_writes, after_cold.live_records),
+                (requests, requests)
+            );
+            let groups = requests.div_ceil(batch_size) as u64;
+            assert_eq!(after_cold.appends, groups, "threads {threads}");
+
+            let warm = step();
+            assert_eq!((warm.cache_hits, warm.disk_writes), (requests, 0));
+            assert_eq!(store.stats().appends, groups, "threads {threads}");
+            drop((cache, store));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -44,8 +44,10 @@
 //! A probe never hashes: the batch layer composes each unique request's hash
 //! while gathering, from an input-key hash and a question hash it computed
 //! once per image, document or question ([`crate::batch`] step 2), and hands
-//! it to `get` and to a miss's `put`; the scope is mixed in by XOR with a
-//! per-scope constant. A standalone [`PerceptionCache::get`] /
+//! it to `get` and, with a miss's answer, to the one put that files each
+//! dispatch batch's answers as a group (one store append when a disk tier is
+//! attached); the scope is mixed in by XOR with a per-scope constant. A
+//! standalone [`PerceptionCache::get`] /
 //! [`PerceptionCache::put`] composes the same hash from the same two parts,
 //! so both routes meet on the same entries. The hash lives in memory only:
 //! disk keys are the framed bytes of the request, never its hash. As
@@ -322,25 +324,29 @@ impl PerceptionCache {
         request: &PerceptionRequest,
         value: Value,
     ) -> Put {
-        self.put_hashed(identity, scope, request, request.hash64(), value)
+        let answer = (request, request.hash64(), value);
+        self.put_answers(identity, scope, [answer])
     }
 
-    /// [`Self::put`] for a caller that already holds `request`'s
-    /// [`PerceptionRequest::hash64`].
-    pub(crate) fn put_hashed(
+    /// [`Self::put`] for a group of answers, each with its request's
+    /// [`PerceptionRequest::hash64`]: the new ones are written through as one
+    /// store append ([`TieredCache::put_batch`]). A dispatch batch files its
+    /// successful answers with one call.
+    pub(crate) fn put_answers<'r>(
         &self,
         identity: &str,
         scope: CacheScope,
-        request: &PerceptionRequest,
-        request_hash: u64,
-        value: Value,
+        answers: impl IntoIterator<Item = (&'r PerceptionRequest, u64, Value)>,
     ) -> Put {
-        let probe = AnswerProbe {
-            scope,
-            request,
-            request_hash,
-        };
-        self.tiers.put(&probe, value, identity)
+        let probes = answers.into_iter().map(|(request, request_hash, value)| {
+            let probe = AnswerProbe {
+                scope,
+                request,
+                request_hash,
+            };
+            (probe, value)
+        });
+        self.tiers.put_batch(probes, identity)
     }
 
     /// Probe the disk tier for a compiled transform program — the Python-UDF
@@ -378,7 +384,7 @@ impl PerceptionCache {
         let bytes = program.cache_bytes();
         let key = || transform_disk_key(identity, description, schema);
         TransformProgram::from_cache_bytes(&bytes, schema).as_ref() == Some(program)
-            && self.tiers.disk_put(key, &bytes)
+            && self.tiers.disk_put(key, bytes)
     }
 }
 
@@ -537,7 +543,10 @@ mod tests {
             assert_eq!(found(&cache, scope, &request), Some(Value::Int(7)));
             // Put standalone, hit by a batch (the backend would answer 7).
             let other = ask(request.input.clone(), "Another?");
-            assert!(cache.put("model-a", scope, &other, Value::Int(1)).inserted);
+            assert_eq!(
+                cache.put("model-a", scope, &other, Value::Int(1)).inserted,
+                1
+            );
             assert_eq!(dispatch(&other, scope), (vec![Some(Value::Int(1))], 1));
         }
         assert_eq!(cache.len(), 4);
@@ -624,11 +633,8 @@ mod tests {
             }
             // Put standalone, hit by an operator.
             let request = standalone(scope, 1, second);
-            assert!(
-                cache
-                    .put("model-a", scope, &request, Value::Int(1))
-                    .inserted
-            );
+            let put = cache.put("model-a", scope, &request, Value::Int(1));
+            assert_eq!(put.inserted, 1);
             let answers = vec![Value::Int(7), Value::Int(1)];
             assert_eq!(gathered(scope, second), (answers, 1));
         }
@@ -674,7 +680,7 @@ mod tests {
         let input = doc("report A");
         let writer = fresh();
         let put = writer.put("model-a", CacheScope::TextQa, &input, Value::Int(7));
-        assert!(put.written);
+        assert_eq!(put.written, 1);
 
         // A restarted cache answers from disk, then from the warmed memory.
         let cache = fresh();
@@ -747,7 +753,7 @@ mod tests {
             ),
         ];
         for ((scope, request), value, key, bytes) in answers {
-            assert!(cache.put("model-a", scope, &request, value).written);
+            assert_eq!(cache.put("model-a", scope, &request, value).written, 1);
             assert_eq!(store.get(&unhex(key)), Some(unhex(bytes)), "{scope:?}");
         }
         let schema = Schema::from_pairs(&[("points", caesura_engine::DataType::Int)]);

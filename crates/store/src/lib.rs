@@ -8,6 +8,11 @@
 //! - Writes append fixed-framed records (`checksum | key_len | val_len |
 //!   tombstone | key | value`) to the active segment file; deletes append a
 //!   tombstone record. Nothing is ever updated in place.
+//! - Records are appended in **groups** ([`CacheStore::put_batch`];
+//!   [`CacheStore::put`] is a group of one): a group's records are framed
+//!   into one buffer and their index entries built before the store lock is
+//!   taken, then the group costs one lock and one `write_all`. The perception
+//!   cache files one group per dispatch batch.
 //! - Reads are served from an in-memory index (`key -> value`) rebuilt by
 //!   scanning the segments on [`CacheStore::open`]. The index is the
 //!   authoritative read path; the log exists only for durability.
@@ -27,6 +32,25 @@
 //! keys with backend identity and schema fingerprints — see the cache
 //! integrations — so a store written under one model configuration can never
 //! answer for another.
+//!
+//! What a group append promises:
+//!
+//! - **Durability.** Every record of a group reaches `write(2)` before
+//!   [`CacheStore::put_batch`] returns, so a process crash after that loses
+//!   none of them. No append calls `fsync` (only compaction syncs), so a
+//!   machine crash may still lose what the page cache had not flushed.
+//! - **Crash window.** Groups are appended one at a time under the store
+//!   lock, so a process crash mid-append tears at most the tail of one group.
+//!   Valid-prefix recovery on the next open keeps every record before the
+//!   tear.
+//! - **Segment roll.** The size bound is checked once per group, before it
+//!   is written, so a segment can exceed [`StoreOptions::segment_bytes`] by at
+//!   most one group, and a group never spans two segments.
+//! - **Failed append.** A group whose write fails indexes none of its
+//!   records, and its torn bytes are cut back off the segment where the
+//!   filesystem allows. The caller gets the error: [`TieredCache`] counts
+//!   every record of the group in [`TieredStats::disk_errors`] and keeps
+//!   serving the entries from memory.
 //!
 //! A `LOCK` file guarded by an OS advisory lock ([`std::fs::File::try_lock`])
 //! makes concurrent opens of one directory fail fast with
@@ -157,6 +181,10 @@ pub struct StoreStats {
     pub corrupt_bytes_dropped: u64,
     /// Number of compactions performed since open.
     pub compactions: u64,
+    /// Segment writes that carried records since open: one per group
+    /// appended by [`CacheStore::put_batch`] (or [`CacheStore::put`]), one
+    /// per tombstone, and one per record a compaction rewrites.
+    pub appends: u64,
 }
 
 struct IndexEntry {
@@ -174,6 +202,7 @@ struct Inner {
     dead_bytes: u64,
     corrupt_bytes_dropped: u64,
     compactions: u64,
+    appends: u64,
 }
 
 /// A crash-safe on-disk key-value store (see the crate docs for the design).
@@ -221,14 +250,19 @@ fn record_checksum(key: &[u8], value: &[u8], tombstone: bool) -> u32 {
     (hash ^ (hash >> 32)) as u32
 }
 
-fn encode_record(key: &[u8], value: &[u8], tombstone: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEADER + key.len() + value.len());
+/// Frame one record onto the end of `out`.
+fn push_record(out: &mut Vec<u8>, key: &[u8], value: &[u8], tombstone: bool) {
     out.extend_from_slice(&record_checksum(key, value, tombstone).to_le_bytes());
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(&(value.len() as u32).to_le_bytes());
     out.push(u8::from(tombstone));
     out.extend_from_slice(key);
     out.extend_from_slice(value);
+}
+
+fn encode_record(key: &[u8], value: &[u8], tombstone: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_HEADER + key.len() + value.len());
+    push_record(&mut out, key, value, tombstone);
     out
 }
 
@@ -341,6 +375,7 @@ impl CacheStore {
                 dead_bytes,
                 corrupt_bytes_dropped,
                 compactions: 0,
+                appends: 0,
             }),
             _lock: lock,
         })
@@ -363,19 +398,44 @@ impl CacheStore {
         inner.index.contains_key(key)
     }
 
-    /// Insert or overwrite `key`, appending the record to the active segment.
+    /// Insert or overwrite `key`: a group of one record (see
+    /// [`CacheStore::put_batch`]).
     pub fn put(&self, key: &[u8], value: &[u8]) -> StoreResult<()> {
-        let record = encode_record(key, value, false);
+        self.put_batch(vec![(key.to_vec(), value.to_vec())])
+    }
+
+    /// Insert or overwrite every `(key, value)` of `records`, in order (a key
+    /// given twice keeps its last value), as one group appended to the active
+    /// segment: the records are framed into one buffer and their index
+    /// entries built before the lock is taken, then the group costs one lock
+    /// and one write. The crate docs state what a group append promises; on
+    /// an error no record of the group is indexed.
+    pub fn put_batch(&self, records: Vec<(Vec<u8>, Vec<u8>)>) -> StoreResult<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let framed = |(key, value): &(Vec<u8>, Vec<u8>)| RECORD_HEADER + key.len() + value.len();
+        let mut group = Vec::with_capacity(records.iter().map(framed).sum());
+        let entries: Vec<(Box<[u8]>, IndexEntry)> = records
+            .into_iter()
+            .map(|(key, value)| {
+                let start = group.len();
+                push_record(&mut group, &key, &value, false);
+                let entry = IndexEntry {
+                    value: value.into_boxed_slice(),
+                    record_bytes: (group.len() - start) as u64,
+                };
+                (key.into_boxed_slice(), entry)
+            })
+            .collect();
         let mut inner = self.inner.lock().expect("store mutex poisoned");
-        self.append(&mut inner, &record)?;
-        let entry = IndexEntry {
-            value: value.into(),
-            record_bytes: record.len() as u64,
-        };
-        inner.live_bytes += record.len() as u64;
-        if let Some(old) = inner.index.insert(key.into(), entry) {
-            inner.live_bytes -= old.record_bytes;
-            inner.dead_bytes += old.record_bytes;
+        self.append(&mut inner, &group)?;
+        for (key, entry) in entries {
+            inner.live_bytes += entry.record_bytes;
+            if let Some(old) = inner.index.insert(key, entry) {
+                inner.live_bytes -= old.record_bytes;
+                inner.dead_bytes += old.record_bytes;
+            }
         }
         self.maybe_compact(&mut inner)
     }
@@ -416,12 +476,14 @@ impl CacheStore {
             dead_bytes: inner.dead_bytes,
             corrupt_bytes_dropped: inner.corrupt_bytes_dropped,
             compactions: inner.compactions,
+            appends: inner.appends,
         }
     }
 
-    /// Append a framed record, rolling the active segment first if it is
-    /// over the size bound.
-    fn append(&self, inner: &mut Inner, record: &[u8]) -> StoreResult<()> {
+    /// Append framed records with one write, rolling the active segment first
+    /// if it is over the size bound. A failed write is cut back off the
+    /// segment (best effort), so later appends continue the valid prefix.
+    fn append(&self, inner: &mut Inner, records: &[u8]) -> StoreResult<()> {
         if inner.active_len >= self.options.segment_bytes {
             let next_id = inner.segments.last().copied().unwrap_or(0) + 1;
             let path = segment_path(&self.dir, next_id);
@@ -438,11 +500,13 @@ impl CacheStore {
             inner.active = file;
             inner.active_len = SEGMENT_MAGIC.len() as u64;
         }
-        let path = segment_path(&self.dir, *inner.segments.last().expect("active segment"));
-        (&inner.active)
-            .write_all(record)
-            .map_err(|e| StoreError::io(&path, e))?;
-        inner.active_len += record.len() as u64;
+        if let Err(e) = (&inner.active).write_all(records) {
+            let _ = inner.active.set_len(inner.active_len);
+            let path = segment_path(&self.dir, *inner.segments.last().expect("active segment"));
+            return Err(StoreError::io(&path, e));
+        }
+        inner.active_len += records.len() as u64;
+        inner.appends += 1;
         Ok(())
     }
 
@@ -491,6 +555,7 @@ impl CacheStore {
             (&file)
                 .write_all(&record)
                 .map_err(|e| StoreError::io(&path, e))?;
+            inner.appends += 1;
             written += record.len() as u64;
             entry.record_bytes = record.len() as u64;
             live_bytes += record.len() as u64;
@@ -716,6 +781,113 @@ mod tests {
         drop(store);
         let store = CacheStore::open(&tmp.0).expect("reopen again");
         assert_eq!(store.get(b"tail"), Some(b"rewritten".to_vec()));
+    }
+
+    /// `(key, value)` records, owned as a group takes them.
+    fn records(pairs: &[(&str, &str)]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let owned =
+            |(key, value): &(&str, &str)| (key.as_bytes().to_vec(), value.as_bytes().to_vec());
+        pairs.iter().map(owned).collect()
+    }
+
+    #[test]
+    fn a_group_round_trips_through_reopen() {
+        let tmp = TempDir::new("group");
+        let group = [("k1", "v1"), ("k2", "v2"), ("k3", "v3")];
+        {
+            let store = CacheStore::open(&tmp.0).expect("open");
+            store.put_batch(records(&group)).expect("group");
+            store.put_batch(Vec::new()).expect("an empty group");
+            let stats = store.stats();
+            assert_eq!((stats.live_records, stats.appends), (3, 1));
+        }
+        let store = CacheStore::open(&tmp.0).expect("reopen");
+        for (key, value) in group {
+            assert_eq!(store.get(key.as_bytes()), Some(value.as_bytes().to_vec()));
+        }
+        assert_eq!(store.stats().corrupt_bytes_dropped, 0);
+    }
+
+    #[test]
+    fn a_key_twice_in_one_group_keeps_its_last_value() {
+        let tmp = TempDir::new("group-repeat");
+        let before = {
+            let store = CacheStore::open(&tmp.0).expect("open");
+            store.put(b"a", b"0").expect("put");
+            let group = [("a", "1"), ("b", "2"), ("a", "three")];
+            store.put_batch(records(&group)).expect("group");
+            assert_eq!(store.get(b"a"), Some(b"three".to_vec()));
+            store.stats()
+        };
+        let store = CacheStore::open(&tmp.0).expect("reopen");
+        assert_eq!(store.get(b"a"), Some(b"three".to_vec()));
+        assert_eq!(store.get(b"b"), Some(b"2".to_vec()));
+        let after = store.stats();
+        let bytes = |s: StoreStats| (s.live_records, s.live_bytes, s.dead_bytes);
+        assert_eq!(
+            bytes(after),
+            bytes(before),
+            "live and dead bytes match a reopen"
+        );
+        assert_eq!(after.live_records, 2);
+        assert!(after.dead_bytes > 0);
+    }
+
+    #[test]
+    fn a_tear_inside_a_group_keeps_the_records_before_it() {
+        let tmp = TempDir::new("group-tear");
+        let group = [("r1", "one"), ("r2", "two"), ("r3", "six"), ("r4", "ten")];
+        {
+            let store = CacheStore::open(&tmp.0).expect("open");
+            store.put_batch(records(&group)).expect("group");
+        }
+        // Every record frames a 2-byte key and a 3-byte value: cut the
+        // segment inside the third.
+        let record = (RECORD_HEADER + 2 + 3) as u64;
+        let cut = SEGMENT_MAGIC.len() as u64 + 2 * record + 4;
+        let seg = segment_path(&tmp.0, 1);
+        let file = OpenOptions::new().write(true).open(&seg).expect("open seg");
+        file.set_len(cut).expect("truncate");
+        drop(file);
+
+        let store = CacheStore::open(&tmp.0).expect("reopen");
+        for (i, (key, value)) in group.iter().enumerate() {
+            let expected = (i < 2).then(|| value.as_bytes().to_vec());
+            assert_eq!(store.get(key.as_bytes()), expected, "record {}", i + 1);
+        }
+        assert!(store.stats().corrupt_bytes_dropped > 0);
+        // A later put continues the valid prefix.
+        store.put(b"r5", b"new").expect("put after recovery");
+        drop(store);
+        let store = CacheStore::open(&tmp.0).expect("reopen again");
+        assert_eq!(store.len(), 3);
+        assert_eq!(store.get(b"r5"), Some(b"new".to_vec()));
+        assert_eq!(store.stats().corrupt_bytes_dropped, 0);
+    }
+
+    #[test]
+    fn a_group_larger_than_a_segment_lands_whole_and_the_next_group_rolls() {
+        let tmp = TempDir::new("group-roll");
+        let options = StoreOptions {
+            segment_bytes: 64,
+            ..StoreOptions::default()
+        };
+        let store = CacheStore::open_with(&tmp.0, options).expect("open");
+        let value = "x".repeat(32);
+        let first = [("a1", &*value), ("a2", &value), ("a3", &value)];
+        store.put_batch(records(&first)).expect("first group");
+        let first_len = fs::metadata(segment_path(&tmp.0, 1)).expect("meta").len();
+        assert_eq!(store.stats().segments, 1, "the group lands whole");
+        assert!(first_len > 2 * options.segment_bytes);
+
+        let second = [("b1", &*value), ("b2", &value)];
+        store.put_batch(records(&second)).expect("second group");
+        assert_eq!(store.stats().segments, 2, "the next group rolls");
+        let untouched = fs::metadata(segment_path(&tmp.0, 1)).expect("meta").len();
+        assert_eq!(untouched, first_len);
+        drop(store);
+        let store = CacheStore::open_with(&tmp.0, options).expect("reopen");
+        assert_eq!((store.len(), store.stats().segments), (5, 2));
     }
 
     #[test]

@@ -28,15 +28,18 @@
 //!
 //! **Disk tier.** With a store attached, [`TieredCache::get`] walks memory →
 //! disk → warm memory and reports which [`Tier`] answered,
-//! [`TieredCache::put`] inserts and writes through, and
-//! [`TieredCache::remove`] also tombstones. Store IO happens outside the
-//! shard locks (a racing warm-up is idempotent). Disk keys are namespaced by
-//! a caller-supplied *identity*, so records written under one model
-//! configuration never answer for another. Memory eviction leaves the disk
-//! record alone; a later probe re-warms from it. The tier is an optimisation,
-//! never a dependency: a record that does not decode is a disk miss, and a
-//! failed write or tombstone costs at most a future cold miss — the caller
-//! still succeeds — but is counted in [`TieredStats::disk_errors`].
+//! [`TieredCache::put_batch`] inserts a group of entries and writes the new
+//! ones through as one store append ([`CacheStore::put_batch`];
+//! [`TieredCache::put`] is a group of one), and [`TieredCache::remove`] also
+//! tombstones. A group adds to the shared counters once, not once per entry.
+//! Store IO happens outside the shard locks (a racing warm-up is
+//! idempotent). Disk keys are namespaced by a caller-supplied *identity*, so
+//! records written under one model configuration never answer for another.
+//! Memory eviction leaves the disk record alone; a later probe re-warms from
+//! it. The tier is an optimisation, never a dependency: a record that does
+//! not decode is a disk miss, and a failed write or tombstone costs at most a
+//! future cold miss — the caller still succeeds — but is counted in
+//! [`TieredStats::disk_errors`] (a failed group append once per record).
 
 use crate::CacheStore;
 use std::collections::hash_map::RandomState;
@@ -158,6 +161,26 @@ impl CacheKey<String> for str {
     }
 }
 
+/// A borrowed probe is a probe, so [`TieredCache::put`] hands its one entry
+/// to [`TieredCache::put_batch`] as is.
+impl<K, Q: CacheKey<K> + ?Sized> CacheKey<K> for &Q {
+    fn hash64(&self) -> u64 {
+        (**self).hash64()
+    }
+
+    fn equivalent(&self, key: &K) -> bool {
+        (**self).equivalent(key)
+    }
+
+    fn to_key(&self) -> K {
+        (**self).to_key()
+    }
+
+    fn disk_key(&self, identity: &str) -> Vec<u8> {
+        (**self).disk_key(identity)
+    }
+}
+
 /// Which tier answered a [`TieredCache::get`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
@@ -178,17 +201,19 @@ pub struct Hit<V> {
     pub evictions: usize,
 }
 
-/// Outcome of one [`TieredCache::put`].
+/// Outcome of one [`TieredCache::put_batch`] (or [`TieredCache::put`], a
+/// group of one), counted over the group's entries.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Put {
-    /// Whether the entry is new. `false`: the key was already cached, its
-    /// LRU position was refreshed and nothing was written.
-    pub inserted: bool,
-    /// Entries evicted to respect the capacity bound (0 or 1).
+    /// Entries new to the memory tier. A key already cached only had its LRU
+    /// position refreshed, and nothing was written for it.
+    pub inserted: usize,
+    /// Entries evicted to respect the capacity bound (at most one per
+    /// inserted entry).
     pub evictions: usize,
-    /// Whether the record reached the disk tier (`false` without one, and
-    /// when the write failed).
-    pub written: bool,
+    /// Records the disk tier appended (0 without one, and when the append
+    /// failed).
+    pub written: usize,
 }
 
 /// Outcome of one [`TieredCache::remove`].
@@ -451,7 +476,7 @@ impl<K, V: Clone> TieredCache<K, V> {
     /// Insert into the memory tier, evicting the shard's least-recently-used
     /// entry on overflow. Returns the evictions (0 or 1), or `None` when the
     /// key was already present: values are deterministic per key, so only
-    /// its LRU position is refreshed.
+    /// its LRU position is refreshed. The caller counts what it inserted.
     fn insert<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, hash: u64, value: V) -> Option<usize> {
         let mut shard = self.shard_of(hash);
         if shard.touch(probe, hash).is_some() {
@@ -466,10 +491,7 @@ impl<K, V: Clone> TieredCache<K, V> {
             shard.release(victim);
         }
         shard.push_new(hash, probe.to_key(), value);
-        let evictions = usize::from(victim.is_some());
-        self.counters.insertions.fetch_add(1, Relaxed);
-        self.counters.evictions.fetch_add(evictions, Relaxed);
-        Some(evictions)
+        Some(usize::from(victim.is_some()))
     }
 
     /// Look `probe` up: memory first (refreshing the LRU position), then the
@@ -489,7 +511,13 @@ impl<K, V: Clone> TieredCache<K, V> {
         self.counters.misses.fetch_add(1, Relaxed);
         let value = self.disk_get(|| probe.disk_key(identity), self.decode)?;
         // A concurrent probe may have warmed this key first.
-        let evictions = self.insert(probe, hash, value.clone()).unwrap_or(0);
+        let evictions = self
+            .insert(probe, hash, value.clone())
+            .map_or(0, |evictions| {
+                self.counters.insertions.fetch_add(1, Relaxed);
+                add(&self.counters.evictions, evictions);
+                evictions
+            });
         Some(Hit {
             value,
             tier: Tier::Disk,
@@ -497,22 +525,48 @@ impl<K, V: Clone> TieredCache<K, V> {
         })
     }
 
-    /// Store `value` under `probe` and write a new entry through to the disk
-    /// tier under `identity`.
+    /// Store `value` under `probe`: a group of one (see [`Self::put_batch`]).
     pub fn put<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, value: V, identity: &str) -> Put {
-        // Encode before the value moves into the map; the write itself
-        // happens after the shard lock is released.
-        let encoded = self.disk.as_ref().map(|_| (self.encode)(&value));
-        let Some(evictions) = self.insert(probe, probe.hash64(), value) else {
-            return Put::default();
+        self.put_batch([(probe, value)], identity)
+    }
+
+    /// Store a group of entries, in order. A key not yet cached enters the
+    /// memory tier; a key already cached (earlier in the group too) only has
+    /// its LRU position refreshed. With a store attached, the new entries are
+    /// written through under `identity` as one append
+    /// ([`CacheStore::put_batch`]), after every shard lock is released; a
+    /// value is encoded and its disk key built only when its entry is new.
+    /// The shared counters add the group's totals once. A failed append
+    /// counts each of its records in [`TieredStats::disk_errors`], and the
+    /// entries still answer from memory.
+    pub fn put_batch<Q: CacheKey<K>>(
+        &self,
+        entries: impl IntoIterator<Item = (Q, V)>,
+        identity: &str,
+    ) -> Put {
+        let entries = entries.into_iter();
+        let mut records = match self.disk {
+            Some(_) => Vec::with_capacity(entries.size_hint().1.unwrap_or(0)),
+            None => Vec::new(),
         };
-        let written =
-            encoded.is_some_and(|bytes| self.disk_put(|| probe.disk_key(identity), &bytes));
-        Put {
-            inserted: true,
-            evictions,
-            written,
+        let mut put = Put::default();
+        for (probe, value) in entries {
+            // The value moves into the memory tier; a new entry's record is
+            // encoded from the copy kept for the disk tier.
+            let kept = self.disk.as_ref().map(|_| value.clone());
+            let Some(evictions) = self.insert(&probe, probe.hash64(), value) else {
+                continue;
+            };
+            put.inserted += 1;
+            put.evictions += evictions;
+            if let Some(value) = kept {
+                records.push((probe.disk_key(identity), (self.encode)(&value)));
+            }
         }
+        add(&self.counters.insertions, put.inserted);
+        add(&self.counters.evictions, put.evictions);
+        put.written = self.write_through(records);
+        put
     }
 
     /// Drop `probe` from the memory tier and tombstone its disk record.
@@ -554,20 +608,39 @@ impl<K, V: Clone> TieredCache<K, V> {
         found
     }
 
-    /// Write one record to the disk tier alone. Returns whether it was
-    /// appended: `false` uncounted without a store, `false` and one
+    /// Write one record to the disk tier alone, as a group of one. Returns
+    /// whether it was appended: `false` uncounted without a store (in which
+    /// case `key` is never built), `false` and one
     /// [`TieredStats::disk_errors`] when the store refused it.
-    pub fn disk_put(&self, key: impl FnOnce() -> Vec<u8>, value: &[u8]) -> bool {
-        let Some(store) = self.disk.as_ref() else {
-            return false;
+    pub fn disk_put(&self, key: impl FnOnce() -> Vec<u8>, value: Vec<u8>) -> bool {
+        self.disk.is_some() && self.write_through(vec![(key(), value)]) == 1
+    }
+
+    /// Append `records` to the disk tier as one group and count the outcome
+    /// once. Returns how many were written: all of them, or none (uncounted
+    /// without a store or without records).
+    fn write_through(&self, records: Vec<(Vec<u8>, Vec<u8>)>) -> usize {
+        let Some(store) = self.disk.as_ref().filter(|_| !records.is_empty()) else {
+            return 0;
         };
-        let written = store.put(&key(), value).is_ok();
-        let counter = match written {
-            true => &self.counters.disk_writes,
-            false => &self.counters.disk_errors,
-        };
-        counter.fetch_add(1, Relaxed);
-        written
+        let count = records.len();
+        match store.put_batch(records) {
+            Ok(()) => {
+                add(&self.counters.disk_writes, count);
+                count
+            }
+            Err(_) => {
+                add(&self.counters.disk_errors, count);
+                0
+            }
+        }
+    }
+}
+
+/// Add `n` to a shared counter, leaving its cache line alone when `n` is 0.
+fn add(counter: &AtomicUsize, n: usize) {
+    if n > 0 {
+        counter.fetch_add(n, Relaxed);
     }
 }
 
@@ -719,15 +792,27 @@ mod tests {
                 Some(disk) => {
                     disk.insert(probe.key.to_string(), value.to_string());
                     self.stats.disk_writes += 1;
-                    true
+                    1
                 }
-                None => false,
+                None => 0,
             };
             Put {
-                inserted: true,
+                inserted: 1,
                 evictions,
                 written,
             }
+        }
+
+        /// A group put is its puts in order; the outcome is their sum.
+        fn put_batch(&mut self, entries: &[(Probe<'_>, String)]) -> Put {
+            let mut sum = Put::default();
+            for (probe, value) in entries {
+                let one = self.put(probe, value);
+                sum.inserted += one.inserted;
+                sum.evictions += one.evictions;
+                sum.written += one.written;
+            }
+            sum
         }
 
         fn remove(&mut self, probe: &Probe<'_>) -> Removed {
@@ -778,13 +863,15 @@ mod tests {
         forward.iter().map(key_of).collect()
     }
 
-    /// Random `get` / `put` / `remove` sequences must be indistinguishable
-    /// from the reference: answers, tiers, every outcome, every counter and,
-    /// after every operation, each shard's whole recency order. Run under
+    /// Random `get` / `put` / group put / `remove` sequences must be
+    /// indistinguishable from the reference: answers, tiers, every outcome,
+    /// every counter and, after every operation, each shard's whole recency
+    /// order. A group of 1–8 entries (repeats within the group, keys already
+    /// cached) is applied by the reference as its puts in order. Run under
     /// the real hash, under a hash three keys share, and under one constant
-    /// hash for all keys. This one suite stands in for the per-cache LRU,
-    /// capacity-bound, re-insert and shard-split unit tests the two caches
-    /// used to carry.
+    /// hash for all keys (which also collides entries of one group). This one
+    /// suite stands in for the per-cache LRU, capacity-bound, re-insert and
+    /// shard-split unit tests the two caches used to carry.
     #[test]
     fn random_operations_match_the_reference_model() {
         /// The hash a key number is filed under.
@@ -818,7 +905,36 @@ mod tests {
                     let value = format!("{key}@{step}");
                     let context =
                         format!("capacity {capacity}, store {with_store}, {hashing}, step {step}");
-                    let op = rng.below(9);
+                    let op = rng.below(10);
+                    if op == 9 {
+                        // Each entry is a fresh draw or, one time in four, a
+                        // repeat of an earlier entry's key.
+                        let mut drawn: Vec<usize> = Vec::new();
+                        for i in 0..1 + rng.below(8) {
+                            let repeat = i > 0 && rng.below(4) == 0;
+                            drawn.push(if repeat {
+                                drawn[rng.below(i)]
+                            } else {
+                                rng.below(keys)
+                            });
+                        }
+                        let names: Vec<String> = drawn.iter().map(|n| format!("key-{n}")).collect();
+                        let entries: Vec<(Probe<'_>, String)> = drawn
+                            .iter()
+                            .zip(&names)
+                            .enumerate()
+                            .map(|(i, (&n, name))| {
+                                let probe = Probe {
+                                    key: name,
+                                    hash: hasher(n),
+                                };
+                                (probe, format!("{name}@{step}.{i}"))
+                            })
+                            .collect();
+                        let group = entries.iter().map(|(p, v)| (p, v.clone()));
+                        let put = cache.put_batch(group, "id");
+                        assert_eq!(put, model.put_batch(&entries), "{context}");
+                    }
                     if op <= 3 {
                         assert_eq!(cache.get(&probe, "id"), model.get(&probe), "{context}");
                     }
@@ -914,17 +1030,24 @@ mod tests {
         let store = CacheStore::open_with(&dir, options).expect("open store");
         let mut cache = string_cache(8);
         cache.attach_disk(Arc::new(store));
-        assert!(cache.put("before", "1".to_string(), "id").written);
+        assert_eq!(cache.put("before", "1".to_string(), "id").written, 1);
         std::fs::remove_dir_all(&dir).expect("remove the store directory");
 
         let put = cache.put("after", "2".to_string(), "id");
-        assert!(put.inserted && !put.written);
+        assert_eq!((put.inserted, put.written), (1, 0));
         let removed = cache.remove("before", "id");
         assert!(removed.memory && !removed.disk, "the tombstone failed too");
         let stats = cache.stats();
         assert_eq!((stats.disk_writes, stats.disk_errors), (1, 2));
         let hit = cache.get("after", "id").expect("memory still answers");
         assert_eq!((hit.value.as_str(), hit.tier), ("2", Tier::Memory));
+
+        // A failed group append counts every record of the group.
+        let group = ["x", "y", "z"].map(|key| (key, key.to_string()));
+        let put = cache.put_batch(group, "id");
+        assert_eq!((put.inserted, put.written), (3, 0));
+        assert_eq!(cache.stats().disk_errors, 2 + 3);
+        assert!(cache.get("y", "id").is_some(), "memory still answers");
     }
 
     #[test]

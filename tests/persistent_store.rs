@@ -117,6 +117,27 @@ fn restart_replays_the_benchmark_with_zero_planner_and_backend_calls() {
         inserted_count >= 40,
         "expected most of the 48 cold plans to be cacheable, got {inserted_count}"
     );
+    // The cold sessions dispatched perception over the default worker count,
+    // so groups of answers were appended concurrently. None tore or
+    // interleaved inside a record: both stores reopen without dropping a
+    // byte, and every record the runs wrote is one live record.
+    let persist = tmp.persist().unwrap();
+    let written = |calls: fn(&QueryRun) -> usize| cold_runs.iter().map(calls).sum::<usize>();
+    let stores = [
+        (
+            persist.perception_dir(),
+            written(|run| run.trace.perception_calls().disk_writes),
+        ),
+        (
+            persist.plans_dir(),
+            written(|run| run.trace.plan_cache_calls().disk_writes),
+        ),
+    ];
+    for (dir, written) in stores {
+        let stats = CacheStore::open(&dir).expect("the store reopens").stats();
+        assert_eq!(stats.corrupt_bytes_dropped, 0, "{}", dir.display());
+        assert_eq!(stats.live_records, written, "{}", dir.display());
+    }
 
     // Simulated restart: a fresh "process" — new sessions, new caches, new
     // CountingLlm — over the same store directory.
