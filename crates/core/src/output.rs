@@ -77,7 +77,17 @@ impl QueryOutput {
         match self {
             QueryOutput::Value(value) => hash.write(&format!("{value:?}")),
             QueryOutput::Table(_) => {}
-            QueryOutput::Plot { plot, .. } => hash.write(&format!("{plot:?}")),
+            // Spelled out rather than `{plot:?}`, so the digests the ledger
+            // holds survive a change to the plot types: this is the text a
+            // plot was first recorded as, title slot included.
+            QueryOutput::Plot { plot, .. } => {
+                let spec = &plot.spec;
+                hash.write(&format!(
+                    "Plot {{ spec: PlotSpec {{ kind: {:?}, x_column: {:?}, y_column: {:?}, \
+                     title: None }}, points: {:?} }}",
+                    spec.kind, spec.x_column, spec.y_column, plot.points
+                ))
+            }
         }
         if let Some(table) = self.table() {
             for field in table.schema().fields() {

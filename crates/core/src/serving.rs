@@ -7,8 +7,8 @@
 //! on top — a session-owned scheduler that lets N in-flight queries share
 //! one lake, one retriever index, and one perception cache:
 //!
-//! * the scheduler — a persistent worker pool (`CaesuraConfig.session_workers`
-//!   / `CAESURA_SESSION_WORKERS`, default hardware parallelism) pulling jobs
+//! * the scheduler — a persistent worker pool (`CaesuraConfig.session_workers`,
+//!   default hardware parallelism) pulling jobs
 //!   from a **bounded** submission queue (`CaesuraConfig.session_queue`,
 //!   default 64). The ready queue holds one FIFO per priority (see
 //!   [`sched`](crate::sched)): interactive work preempts batch work at
@@ -57,20 +57,6 @@ fn lock_job<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Scheduler worker count described by the environment:
-/// `CAESURA_SESSION_WORKERS`, or hardware parallelism when unset.
-pub(crate) fn workers_from_env() -> usize {
-    std::env::var("CAESURA_SESSION_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
 }
 
 /// Where a submitted query currently is in its lifecycle.

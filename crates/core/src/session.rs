@@ -48,30 +48,22 @@ pub struct CaesuraConfig {
     pub retrieval_top_k: usize,
     /// Example values per relevant column shown in prompts.
     pub example_values: usize,
-    /// Maximum decisions per step (1 = no error recovery). The budget is an
-    /// upper bound: a retry whose decision repeats one that already failed
-    /// on the step with a deterministic error
-    /// ([`CoreError::is_deterministic`]) is not executed, and the step ends
-    /// there with that failure's message.
-    pub max_step_attempts: usize,
-    /// Maximum full replans after an unrecoverable error.
-    pub max_replans: usize,
     /// Perception dispatch configuration: batch size and worker threads of
-    /// the perception-operator model calls. `None` uses the environment
-    /// default (`CAESURA_LLM_BATCH`, `CAESURA_THREADS`);
-    /// `Some(BatchConfig::new(1))` forces one dispatch per unique request
-    /// (requests are deduplicated either way), and `threads: 1` answers
-    /// every batch on the query's own worker.
+    /// the perception-operator model calls. `None` means
+    /// [`BatchConfig::default`] (32 requests per batch over hardware
+    /// parallelism); `Some(BatchConfig::new(1))` forces one dispatch per
+    /// unique request (requests are deduplicated either way), and
+    /// `threads: 1` answers every batch on the query's own worker.
     pub llm_batch: Option<BatchConfig>,
-    /// Session-scoped perception answer cache configuration. `None` uses the
-    /// environment default (`CAESURA_PERCEPTION_CACHE`);
-    /// `Some(CacheConfig::off())` disables caching, byte-for-byte preserving
-    /// the uncached dispatch behaviour. When enabled, the session owns one
-    /// cache shared by every query it runs, so a question re-asked by a
-    /// later plan step or a back-to-back query costs zero model calls.
+    /// Session-scoped perception answer cache configuration. `None` means
+    /// [`CacheConfig::default`] (65,536 entries); `Some(CacheConfig::off())`
+    /// disables caching, byte-for-byte preserving the uncached dispatch
+    /// behaviour. When enabled, the session owns one cache shared by every
+    /// query it runs, so a question re-asked by a later plan step or a
+    /// back-to-back query costs zero model calls.
     pub perception_cache: Option<CacheConfig>,
-    /// Session-scoped validated-plan cache configuration. `None` uses the
-    /// environment default (`CAESURA_PLAN_CACHE`);
+    /// Session-scoped validated-plan cache configuration. `None` means
+    /// [`PlanCacheConfig::default`] (1,024 entries);
     /// `Some(PlanCacheConfig::off())` disables plan caching, byte-for-byte
     /// preserving the always-plan-live behaviour. When enabled, a query
     /// whose `(schema fingerprint, query template)` matches a previously
@@ -80,9 +72,8 @@ pub struct CaesuraConfig {
     /// evicted and re-planned live (see `caesura_llm::plan_cache`).
     pub plan_cache: Option<PlanCacheConfig>,
     /// Worker threads of the session's serving scheduler — how many
-    /// submitted queries run concurrently. `None` uses the environment
-    /// default (`CAESURA_SESSION_WORKERS`, falling back to hardware
-    /// parallelism); `Some(1)` serializes all queries through one worker,
+    /// submitted queries run concurrently. `None` means hardware
+    /// parallelism; `Some(1)` serializes all queries through one worker,
     /// preserving submission order end to end. Note the oversubscription
     /// math: each in-flight query may additionally fan perception batches
     /// out over [`BatchConfig::threads`] workers.
@@ -95,15 +86,23 @@ pub struct CaesuraConfig {
     pub session_queue: Option<usize>,
     /// Persistent on-disk cache tier below the in-memory perception and
     /// plan caches (see `caesura_store`). `None` disables the tier — the
-    /// byte-for-byte pre-store behaviour. The default is the environment
-    /// configuration: `CAESURA_CACHE_DIR` names the store directory (unset
-    /// or empty means fully off), with both tiers on;
-    /// [`PersistConfig::perception`] / [`PersistConfig::plans`] gate the
-    /// tiers individually. A tier whose
-    /// in-memory cache is disabled skips its disk tier too: the store is a
-    /// second tier *under* the memory cache, never a replacement for it.
+    /// byte-for-byte pre-store behaviour; `Some` attaches both tiers under
+    /// its directory. The default is the environment configuration:
+    /// `CAESURA_CACHE_DIR` names the store directory (unset or empty means
+    /// off). A tier whose in-memory cache is disabled skips its disk tier
+    /// too: the store is a second tier *under* the memory cache, never a
+    /// replacement for it.
     pub persist: Option<PersistConfig>,
 }
+
+/// Decisions one plan step may take (1 = no error recovery). The budget is
+/// an upper bound: a retry whose decision repeats one that already failed on
+/// the step with a deterministic error ([`CoreError::is_deterministic`]) is
+/// not executed, and the step ends there with that failure's message.
+const MAX_STEP_ATTEMPTS: usize = 3;
+
+/// Full replans after an unrecoverable error.
+const MAX_REPLANS: usize = 1;
 
 impl Default for CaesuraConfig {
     fn default() -> Self {
@@ -113,8 +112,6 @@ impl Default for CaesuraConfig {
             llm_discovery: false,
             retrieval_top_k: 4,
             example_values: 3,
-            max_step_attempts: 3,
-            max_replans: 1,
             llm_batch: None,
             perception_cache: None,
             plan_cache: None,
@@ -126,8 +123,8 @@ impl Default for CaesuraConfig {
 }
 
 /// The environment-described persistence configuration, read once per
-/// process (the same caching pattern as the other `CAESURA_*` knobs); use
-/// [`PersistConfig::from_env`] directly to re-read the environment.
+/// process; use [`PersistConfig::from_env`] directly to re-read the
+/// environment.
 fn persist_from_env() -> Option<PersistConfig> {
     static DEFAULT: OnceLock<Option<PersistConfig>> = OnceLock::new();
     DEFAULT.get_or_init(PersistConfig::from_env).clone()
@@ -137,17 +134,20 @@ fn persist_from_env() -> Option<PersistConfig> {
 /// planner model, the version of the prompt format (`v2`: step-scoped
 /// mapping prompts; bump it whenever a prompt's text changes, since the
 /// prompts are part of what produced the stored decisions), plus every
-/// prompt-shaping knob that changes which plans the model produces. Sessions
+/// prompt-shaping knob that changes which plans the model produces —
+/// `llm_discovery` among them, since it decides which relevant columns the
+/// planning prompt carries. Sessions
 /// whose identities differ share a store directory without ever seeing each
 /// other's entries (the schema fingerprint inside the key already isolates
 /// different lake shapes).
 fn plan_cache_identity(llm: &dyn LlmClient, config: &CaesuraConfig) -> String {
     format!(
-        "{}:v2:few_shot={}:interleaved={}:examples={}",
+        "{}:v2:few_shot={}:interleaved={}:examples={}:llm_discovery={}",
         llm.name(),
         config.few_shot,
         config.interleaved,
-        config.example_values
+        config.example_values,
+        config.llm_discovery
     )
 }
 
@@ -363,7 +363,7 @@ impl Caesura {
         // Attach the persistent tier *under* the in-memory caches. Each tier
         // opens (and locks) its own store directory; a tier whose memory
         // cache is disabled stays disk-less too.
-        if let Some(persist) = config.persist.as_ref().filter(|p| p.is_enabled()) {
+        if let Some(persist) = &config.persist {
             let open = |dir: std::path::PathBuf| {
                 CacheStore::open(dir)
                     .map(Arc::new)
@@ -371,23 +371,20 @@ impl Caesura {
                         message: e.to_string(),
                     })
             };
-            if persist.perception {
-                if let Some(cache) = perception_cache.as_mut() {
-                    cache.attach_disk(open(persist.perception_dir())?);
-                }
+            if let Some(cache) = perception_cache.as_mut() {
+                cache.attach_disk(open(persist.perception_dir())?);
             }
-            if persist.plans {
-                if let Some(cache) = plan_cache.as_mut() {
-                    let identity = plan_cache_identity(llm.as_ref(), &config);
-                    cache.attach_disk(open(persist.plans_dir())?, identity);
-                }
+            if let Some(cache) = plan_cache.as_mut() {
+                let identity = plan_cache_identity(llm.as_ref(), &config);
+                cache.attach_disk(open(persist.plans_dir())?, identity);
             }
         }
         let perception_cache = perception_cache.map(Arc::new);
         let plan_cache = plan_cache.map(Arc::new);
+        // Hardware parallelism, as the perception dispatch default reads it.
         let workers = config
             .session_workers
-            .unwrap_or_else(crate::serving::workers_from_env)
+            .unwrap_or_else(|| BatchConfig::default().threads)
             .max(1);
         let queue_depth = config
             .session_queue
@@ -743,7 +740,7 @@ impl SessionCore {
                     return Ok(output);
                 }
                 Err((error, replan_requested)) => {
-                    if replan_requested && replans < self.config.max_replans {
+                    if replan_requested && replans < MAX_REPLANS {
                         replans += 1;
                         planning_note = Some(format!(
                             "A previous plan failed with the error: {error}. Produce a corrected plan."
@@ -1065,7 +1062,7 @@ impl SessionCore {
                         }
                         failed.push(decisions_out.len());
                         decisions_out.push(decision.clone());
-                        if attempt >= self.config.max_step_attempts {
+                        if attempt >= MAX_STEP_ATTEMPTS {
                             return Err((plan_failed(error.to_string(), attempt), false));
                         }
                         // Error recovery (§3.2): ask the model what went wrong.

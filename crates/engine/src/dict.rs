@@ -8,16 +8,16 @@
 //! operations: no string hashing or byte comparison per row.
 //!
 //! Encoding happens at table **ingest** ([`Table::new`](crate::table::Table::new)
-//! and [`TableBuilder::build`](crate::table::TableBuilder::build)) behind the
-//! `CAESURA_DICT_ENCODE` knob — never inside operators, so every operator of
-//! a query sees the same representation. `slice`/`take` on a dict column preserve the encoding and
+//! and [`TableBuilder::build`](crate::table::TableBuilder::build)), always,
+//! and never inside operators, so every operator of a query sees the same
+//! representation. `slice`/`take` on a dict column preserve the encoding and
 //! share the entry table `Arc`; operators that cannot exploit the codes fall
 //! back to the exact `Value`-level semantics of a plain [`Column::Utf8`].
 
 use crate::column::Column;
 use crate::table::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Columns shorter than this are never dictionary-encoded — the bookkeeping
 /// would cost more than the strings.
@@ -27,23 +27,6 @@ pub const MIN_ENCODE_ROWS: usize = 16;
 /// (`distinct * MIN_ROWS_PER_DISTINCT <= rows`), i.e. a distinct-ratio of at
 /// most 1/4. High-cardinality columns (titles, free text) stay plain.
 pub const MIN_ROWS_PER_DISTINCT: usize = 4;
-
-/// Whether table ingest dictionary-encodes eligible string columns: on
-/// unless `CAESURA_DICT_ENCODE` says `0` / `off` / `false` / `no` (any
-/// case), read once per process.
-pub fn dict_encode_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("CAESURA_DICT_ENCODE").map_or(true, |raw| enables(&raw)))
-}
-
-/// Whether a `CAESURA_DICT_ENCODE` value leaves encoding on: trimmed and
-/// lowercased, only `0`, `off`, `false` and `no` turn it off.
-fn enables(raw: &str) -> bool {
-    !matches!(
-        raw.trim().to_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
-}
 
 /// Dictionary-encode a [`Column::Utf8`] whose cardinality is low enough
 /// (see [`MIN_ENCODE_ROWS`] / [`MIN_ROWS_PER_DISTINCT`]). Returns `None` for
@@ -119,21 +102,18 @@ pub fn decode_column(column: &Column) -> Column {
     }
 }
 
-/// Apply [`encode_column`] to an ingested column if the knob is on; otherwise
-/// (or when the column is not eligible) pass it through untouched.
+/// Apply [`encode_column`] to an ingested column, or pass it through
+/// untouched when it is not eligible.
 pub fn maybe_encode(column: Arc<Column>) -> Arc<Column> {
-    if !dict_encode_enabled() {
-        return column;
-    }
     match encode_column(&column) {
         Some(encoded) => Arc::new(encoded),
         None => column,
     }
 }
 
-/// Dictionary-encode every eligible column of a table, ignoring the
-/// `CAESURA_DICT_ENCODE` knob. Used by tests and benches that need both
-/// representations of the same data in one process.
+/// Dictionary-encode every eligible column of a table. With
+/// [`decode_table`], used by tests that need both representations of the
+/// same data in one process.
 pub fn encode_table(table: &Table) -> Table {
     let columns: Vec<Arc<Column>> = table
         .columns()
@@ -273,15 +253,5 @@ mod tests {
     fn entry_ranks_order_lexicographically() {
         let entries: Vec<Arc<str>> = vec![Arc::from("pear"), Arc::from("apple"), Arc::from("fig")];
         assert_eq!(entry_ranks(&entries), vec![2, 0, 1]);
-    }
-
-    #[test]
-    fn the_knob_parses_off_values_in_any_case() {
-        for off in ["OFF", " False ", "no", "0", "off"] {
-            assert!(!enables(off), "{off:?}");
-        }
-        for on in ["1", "on", "garbage", ""] {
-            assert!(enables(on), "{on:?}");
-        }
     }
 }

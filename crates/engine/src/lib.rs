@@ -11,9 +11,9 @@
 //!   multi-modal `IMAGE` and `TEXT` types the planner reasons about,
 //! * [`Column`] / [`Bitmap`] — typed, `Arc`-shared columnar storage with
 //!   validity bitmaps,
-//! * [`dict`] — dictionary encoding for low-cardinality string columns
-//!   (`CAESURA_DICT_ENCODE`), letting joins, group-bys, sorts, and equality
-//!   filters run on `u32` codes instead of strings,
+//! * [`dict`] — dictionary encoding for low-cardinality string columns at
+//!   ingest, letting joins, group-bys, sorts, and equality filters run on
+//!   `u32` codes instead of strings,
 //! * [`Schema`] / [`Table`] — columnar tables (with a row-view iterator) and
 //!   the prompt-rendering helpers CAESURA uses to describe data to the
 //!   language model,

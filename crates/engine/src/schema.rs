@@ -249,15 +249,6 @@ impl Schema {
             .collect();
         format!("[{}]", cols.join(", "))
     }
-
-    /// Names of multi-modal columns (IMAGE / TEXT typed).
-    pub fn multimodal_columns(&self) -> Vec<String> {
-        self.fields
-            .iter()
-            .filter(|f| f.data_type.is_multimodal())
-            .map(|f| f.name.clone())
-            .collect()
-    }
 }
 
 impl fmt::Display for Schema {
@@ -335,16 +326,6 @@ mod tests {
             schema.prompt_notation(),
             "['img_path': 'str', 'image': 'IMAGE']"
         );
-    }
-
-    #[test]
-    fn multimodal_columns_are_detected() {
-        let schema = Schema::from_pairs(&[
-            ("game_id", DataType::Int),
-            ("report", DataType::Text),
-            ("image", DataType::Image),
-        ]);
-        assert_eq!(schema.multimodal_columns(), vec!["report", "image"]);
     }
 
     #[test]

@@ -163,8 +163,8 @@ impl Table {
             name: name.into(),
             schema,
             // Ingest is the one place low-cardinality string columns get
-            // dictionary-encoded (`CAESURA_DICT_ENCODE`); operators preserve
-            // whatever representation they are handed.
+            // dictionary-encoded; operators preserve whatever representation
+            // they are handed.
             columns: builders
                 .into_iter()
                 .map(|b| crate::dict::maybe_encode(Arc::new(b.finish())))
@@ -639,7 +639,7 @@ impl TableBuilder {
     }
 
     /// Finish building. Low-cardinality string columns are
-    /// dictionary-encoded here (table ingest), behind `CAESURA_DICT_ENCODE`.
+    /// dictionary-encoded here (table ingest).
     pub fn build(self) -> Table {
         Table {
             name: self.name,

@@ -56,11 +56,6 @@ impl DataType {
     pub fn is_numeric(&self) -> bool {
         matches!(self, DataType::Int | DataType::Float)
     }
-
-    /// Whether the type is a non-relational modality (image or text document).
-    pub fn is_multimodal(&self) -> bool {
-        matches!(self, DataType::Image | DataType::Text)
-    }
 }
 
 impl fmt::Display for DataType {
@@ -420,10 +415,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn data_types_report_multimodality() {
-        assert!(DataType::Image.is_multimodal());
-        assert!(DataType::Text.is_multimodal());
-        assert!(!DataType::Str.is_multimodal());
+    fn data_types_report_numericness() {
         assert!(DataType::Int.is_numeric());
         assert!(DataType::Float.is_numeric());
         assert!(!DataType::Bool.is_numeric());

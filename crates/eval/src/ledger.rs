@@ -10,37 +10,41 @@
 
 use crate::report::{evaluate_fieldwork, evaluate_model, EvaluationConfig, EvaluationReport};
 use caesura_core::CaesuraConfig;
-use caesura_llm::{ModelProfile, PlanCacheConfig};
-use caesura_modal::{BatchConfig, CacheConfig};
+use caesura_llm::ModelProfile;
+use caesura_modal::BatchConfig;
 use std::fmt::Write;
 
 /// The ledger's file name, relative to the workspace root.
 pub const LEDGER_FILE: &str = "SUITE_LEDGER.jsonl";
 
-/// The evaluation configuration the ledger is recorded under: the default
-/// seed and lakes, every cache and batch setting pinned to its default value
-/// and perception dispatch to one thread, so the `CAESURA_*` environment
-/// cannot move a line.
-fn ledger_config() -> EvaluationConfig {
-    EvaluationConfig {
-        caesura: CaesuraConfig {
-            llm_batch: Some(BatchConfig {
-                batch_size: BatchConfig::DEFAULT_BATCH_SIZE,
-                threads: 1,
-            }),
-            perception_cache: Some(CacheConfig::new(CacheConfig::DEFAULT_CAPACITY)),
-            plan_cache: Some(PlanCacheConfig::new(PlanCacheConfig::DEFAULT_CAPACITY)),
-            session_workers: Some(1),
-            persist: None,
-            ..CaesuraConfig::default()
-        },
-        ..EvaluationConfig::default()
+/// The session configuration the ledger is recorded under: every cache and
+/// batch setting at its default, perception dispatch on one thread, one
+/// session worker and no store, so neither the machine nor
+/// `CAESURA_CACHE_DIR` can move a line.
+fn ledger_config() -> CaesuraConfig {
+    CaesuraConfig {
+        llm_batch: Some(BatchConfig {
+            threads: 1,
+            ..BatchConfig::default()
+        }),
+        session_workers: Some(1),
+        persist: None,
+        ..CaesuraConfig::default()
     }
 }
 
 /// Run both suites under both profiles and render the ledger.
 pub fn suite_ledger() -> String {
-    let config = ledger_config();
+    suite_ledger_under(ledger_config())
+}
+
+/// [`suite_ledger`] with `caesura` as the session configuration, over the
+/// default seed and lakes.
+pub fn suite_ledger_under(caesura: CaesuraConfig) -> String {
+    let config = EvaluationConfig {
+        caesura,
+        ..EvaluationConfig::default()
+    };
     let profiles = [ModelProfile::Gpt4, ModelProfile::ChatGpt35];
     let mut out = String::new();
     for profile in profiles {

@@ -21,7 +21,7 @@ pub use errors::{classify, ErrorCategory};
 pub use grade::{
     grade, grade_logical, grade_physical, known_identifiers, matches_reference, Grade,
 };
-pub use ledger::{suite_ledger, LEDGER_FILE};
+pub use ledger::{suite_ledger, suite_ledger_under, LEDGER_FILE};
 pub use oracle::{fieldwork_reference_for, reference_for, Reference};
 pub use queries::{
     benchmark_queries, fieldwork_queries, BenchmarkQuery, Capability, Dataset, Expectation,
@@ -29,6 +29,6 @@ pub use queries::{
 };
 pub use report::{
     evaluate_both, evaluate_fieldwork, evaluate_fieldwork_concurrent, evaluate_model,
-    evaluate_model_concurrent, percentile, render_per_query, render_table1, render_table2,
-    render_table3, EvaluationConfig, EvaluationReport, QueryEvaluation, ServingEvaluation,
+    evaluate_model_concurrent, render_per_query, render_table1, render_table2, render_table3,
+    EvaluationConfig, EvaluationReport, QueryEvaluation,
 };

@@ -16,7 +16,7 @@ use caesura_data::{
 use caesura_llm::{LogicalPlan, ModelProfile, OperatorDecision, SimulatedLlm};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of one evaluation run.
 #[derive(Debug, Clone)]
@@ -209,33 +209,6 @@ impl EvaluationReport {
     pub fn total_llm_calls(&self) -> usize {
         self.results.iter().map(|r| r.llm_calls).sum()
     }
-
-    /// Per-query run latencies, in benchmark order.
-    pub fn latencies(&self) -> Vec<Duration> {
-        self.results.iter().map(|r| r.latency).collect()
-    }
-
-    /// Nearest-rank latency percentile over the per-query run latencies
-    /// (`p` in `0.0..=1.0`; `0.5` is the median). Zero for an empty report.
-    /// Collects and sorts the latencies on every call.
-    pub fn latency_percentile(&self, p: f64) -> Duration {
-        percentile(&mut self.latencies(), p)
-    }
-}
-
-/// Nearest-rank percentile of a set of durations (`p` clamped to
-/// `0.0..=1.0`; a NaN `p` is treated as `0.0` rather than poisoning the
-/// clamp). Sorts in place; zero for an empty set.
-pub fn percentile(samples: &mut [Duration], p: f64) -> Duration {
-    if samples.is_empty() {
-        return Duration::ZERO;
-    }
-    samples.sort_unstable();
-    // `f64::clamp` propagates NaN, so clear it first: a NaN rank would cast
-    // to 0 and silently alias the minimum.
-    let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-    let rank = ((p * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
 }
 
 /// Grade one finished run into its evaluation record (shared by the serial
@@ -374,7 +347,7 @@ pub fn evaluate_fieldwork_concurrent(
     profile: ModelProfile,
     config: &EvaluationConfig,
     concurrency: usize,
-) -> ServingEvaluation {
+) -> EvaluationReport {
     let concurrency = concurrency.max(1);
     let clean = generate_fieldwork(&config.fieldwork);
     let corrupted = generate_fieldwork(&config.corrupted_fieldwork());
@@ -391,7 +364,6 @@ pub fn evaluate_fieldwork_concurrent(
         Caesura::with_config(corrupted.lake.clone(), llm.clone(), caesura_config);
     let known = known_identifiers(clean.lake.catalog());
 
-    let started = Instant::now();
     let handles: Vec<_> = queries
         .iter()
         .map(|query| {
@@ -404,49 +376,19 @@ pub fn evaluate_fieldwork_concurrent(
         })
         .collect();
     let runs: Vec<QueryRun> = handles.into_iter().map(|handle| handle.wait()).collect();
-    let wall_clock = started.elapsed();
 
-    let mut results = Vec::new();
-    let mut end_to_end = Vec::new();
-    for (query, run) in queries.iter().zip(&runs) {
-        let reference = fieldwork_reference_for(query, &clean);
-        results.push(grade_run(query, run, &reference, &known));
-        end_to_end.push(run.trace.timings().end_to_end());
-    }
+    let results = queries
+        .iter()
+        .zip(&runs)
+        .map(|(query, run)| {
+            let reference = fieldwork_reference_for(query, &clean);
+            grade_run(query, run, &reference, &known)
+        })
+        .collect();
 
-    ServingEvaluation {
-        report: EvaluationReport {
-            model: profile.name().to_string(),
-            results,
-        },
-        concurrency,
-        wall_clock,
-        end_to_end,
-    }
-}
-
-/// The result of driving the 48-query benchmark through concurrent
-/// submission (see [`evaluate_model_concurrent`]): the usual graded report
-/// plus serving-level throughput and latency measurements.
-#[derive(Debug, Clone)]
-pub struct ServingEvaluation {
-    /// The graded report, in benchmark order — produced by exactly the same
-    /// grading as [`evaluate_model`].
-    pub report: EvaluationReport,
-    /// Scheduler workers the sessions served the workload with.
-    pub concurrency: usize,
-    /// Wall clock from the first submission to the last completion.
-    pub wall_clock: Duration,
-    /// Per-query submission-to-completion latencies (queue wait + run time),
-    /// in benchmark order.
-    pub end_to_end: Vec<Duration>,
-}
-
-impl ServingEvaluation {
-    /// Nearest-rank percentile over the submission-to-completion latencies
-    /// (`p` in `0.0..=1.0`).
-    pub fn latency_percentile(&self, p: f64) -> Duration {
-        percentile(&mut self.end_to_end.clone(), p)
+    EvaluationReport {
+        model: profile.name().to_string(),
+        results,
     }
 }
 
@@ -465,7 +407,7 @@ pub fn evaluate_model_concurrent(
     profile: ModelProfile,
     config: &EvaluationConfig,
     concurrency: usize,
-) -> ServingEvaluation {
+) -> EvaluationReport {
     let concurrency = concurrency.max(1);
     let artwork = generate_artwork(&config.artwork);
     let rotowire = generate_rotowire(&config.rotowire);
@@ -484,7 +426,6 @@ pub fn evaluate_model_concurrent(
     let artwork_known = known_identifiers(artwork.lake.catalog());
     let rotowire_known = known_identifiers(rotowire.lake.catalog());
 
-    let started = Instant::now();
     let handles: Vec<_> = queries
         .iter()
         .map(|query| {
@@ -497,10 +438,8 @@ pub fn evaluate_model_concurrent(
         })
         .collect();
     let runs: Vec<QueryRun> = handles.into_iter().map(|handle| handle.wait()).collect();
-    let wall_clock = started.elapsed();
 
     let mut results = Vec::new();
-    let mut end_to_end = Vec::new();
     for (query, run) in queries.iter().zip(&runs) {
         let known = match query.dataset {
             Dataset::Artwork => &artwork_known,
@@ -509,17 +448,11 @@ pub fn evaluate_model_concurrent(
         };
         let reference = reference_for(query, &artwork, &rotowire);
         results.push(grade_run(query, run, &reference, known));
-        end_to_end.push(run.trace.timings().end_to_end());
     }
 
-    ServingEvaluation {
-        report: EvaluationReport {
-            model: profile.name().to_string(),
-            results,
-        },
-        concurrency,
-        wall_clock,
-        end_to_end,
+    EvaluationReport {
+        model: profile.name().to_string(),
+        results,
     }
 }
 
@@ -753,28 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn latencies_are_recorded_and_percentiles_are_ordered() {
+    fn every_run_records_a_latency() {
         let config = EvaluationConfig::small();
         let report = evaluate_model(ModelProfile::Gpt4, &config);
         assert!(report.results.iter().all(|r| r.latency > Duration::ZERO));
-        let p50 = report.latency_percentile(0.5);
-        let p95 = report.latency_percentile(0.95);
-        assert!(p50 > Duration::ZERO);
-        assert!(p95 >= p50);
-        assert!(report.latency_percentile(1.0) >= p95);
-    }
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let mut samples: Vec<Duration> = (1..=10).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&mut samples, 0.5), Duration::from_millis(5));
-        assert_eq!(percentile(&mut samples, 0.95), Duration::from_millis(10));
-        assert_eq!(percentile(&mut samples, 0.0), Duration::from_millis(1));
-        assert_eq!(percentile(&mut [], 0.5), Duration::ZERO);
-        // Out-of-range and NaN `p` clamp instead of panicking or aliasing.
-        assert_eq!(percentile(&mut samples, 2.0), Duration::from_millis(10));
-        assert_eq!(percentile(&mut samples, -1.0), Duration::from_millis(1));
-        assert_eq!(percentile(&mut samples, f64::NAN), Duration::from_millis(1));
     }
 
     #[test]
@@ -786,19 +701,11 @@ mod tests {
         let config = EvaluationConfig::small();
         let report = evaluate_model(ModelProfile::Gpt4, &config);
         assert!(report.results.iter().all(|r| r.plan_cache.hits == 0));
-        if caesura_llm::PlanCacheConfig::default().is_enabled() {
-            // The cache defaults on, so every run probes it and misses.
-            assert!(report
-                .results
-                .iter()
-                .all(|r| r.plan_source.is_some() && r.plan_cache.misses == 1));
-        } else {
-            // Under `CAESURA_PLAN_CACHE=0` nothing probes at all.
-            assert!(report
-                .results
-                .iter()
-                .all(|r| r.plan_source.is_none() && r.plan_cache == Default::default()));
-        }
+        // The cache defaults on, so every run probes it and misses.
+        assert!(report
+            .results
+            .iter()
+            .all(|r| r.plan_source.is_some() && r.plan_cache.misses == 1));
     }
 
     #[test]
@@ -806,19 +713,14 @@ mod tests {
         let config = EvaluationConfig::small();
         let serial = evaluate_model(ModelProfile::Gpt4, &config);
         let serving = evaluate_model_concurrent(ModelProfile::Gpt4, &config, 4);
-        assert_eq!(serving.concurrency, 4);
-        assert_eq!(serving.report.results.len(), serial.results.len());
-        assert_eq!(serving.end_to_end.len(), serial.results.len());
-        assert!(serving.wall_clock > Duration::ZERO);
+        assert_eq!(serving.results.len(), serial.results.len());
         // 48 queries submitted up front onto 4 workers: most sit in the
         // queue before pickup, so some queue wait must have been recorded.
         assert!(serving
-            .report
             .results
             .iter()
             .any(|r| r.queue_wait > Duration::ZERO));
-        assert!(serving.latency_percentile(0.95) >= serving.latency_percentile(0.5));
-        for (concurrent, reference) in serving.report.results.iter().zip(&serial.results) {
+        for (concurrent, reference) in serving.results.iter().zip(&serial.results) {
             assert_eq!(concurrent.id, reference.id);
             assert_eq!(
                 concurrent.grade, reference.grade,
@@ -907,9 +809,8 @@ mod tests {
         let config = EvaluationConfig::small();
         let serial = evaluate_fieldwork(ModelProfile::Gpt4, &config);
         let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
-        assert_eq!(serving.concurrency, 4);
-        assert_eq!(serving.report.results.len(), serial.results.len());
-        for (concurrent, reference) in serving.report.results.iter().zip(&serial.results) {
+        assert_eq!(serving.results.len(), serial.results.len());
+        for (concurrent, reference) in serving.results.iter().zip(&serial.results) {
             assert_eq!(concurrent.id, reference.id);
             assert_eq!(concurrent.grade, reference.grade, "{}", reference.id);
             assert_eq!(concurrent.category, reference.category, "{}", reference.id);

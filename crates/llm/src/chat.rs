@@ -104,11 +104,6 @@ impl Conversation {
         self.join_role(Role::Human)
     }
 
-    /// Concatenated content of all assistant messages.
-    pub fn assistant_text(&self) -> String {
-        self.join_role(Role::Assistant)
-    }
-
     fn join_role(&self, role: Role) -> String {
         self.messages
             .iter()
@@ -157,7 +152,6 @@ mod tests {
         assert_eq!(convo.messages().len(), 3);
         assert!(convo.system_text().contains("CAESURA"));
         assert!(convo.human_text().contains("count the paintings"));
-        assert!(convo.assistant_text().contains("Step 1"));
     }
 
     #[test]

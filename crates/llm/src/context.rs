@@ -81,14 +81,6 @@ impl TableSketch {
             .any(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// Type of a column, if present.
-    pub fn column_type(&self, name: &str) -> Option<&str> {
-        self.columns
-            .iter()
-            .find(|c| c.name.eq_ignore_ascii_case(name))
-            .map(|c| c.dtype.as_str())
-    }
-
     /// Names of IMAGE-typed columns.
     pub fn image_columns(&self) -> Vec<&str> {
         self.columns
@@ -532,7 +524,8 @@ mod tests {
         assert_eq!(context.tables.len(), 2);
         let metadata = context.find_table("paintings_metadata").unwrap();
         assert_eq!(metadata.num_rows, 1);
-        assert_eq!(metadata.column_type("inception"), Some("str"));
+        let inception = metadata.columns.iter().find(|c| c.name == "inception");
+        assert_eq!(inception.map(|c| c.dtype.as_str()), Some("str"));
         assert_eq!(metadata.description, "");
         assert!(metadata.foreign_keys.is_empty());
         assert_eq!(context.image_table().unwrap().name, "painting_images");

@@ -75,10 +75,10 @@
 //! adds what is particular to plans: the insert-time threading check, the
 //! hit-time literal instantiation, and the rejection / invalidation counters.
 //!
-//! [`PlanCacheConfig`] defaults to the `CAESURA_PLAN_CACHE` environment
-//! variable ([`caesura_store::capacity_from_env`]): `0` / `off` / `false`
-//! means no cache at all — byte-for-byte the always-plan-live behaviour.
-//! Sessions pin the knob via `CaesuraConfig::plan_cache`.
+//! [`PlanCacheConfig`] defaults to [`PlanCacheConfig::DEFAULT_CAPACITY`]
+//! entries; [`PlanCacheConfig::off`] means no cache at all — byte-for-byte
+//! the always-plan-live behaviour. Sessions set it via
+//! `CaesuraConfig::plan_cache`.
 
 use crate::plan::{LogicalPlan, LogicalStep, OperatorDecision};
 use crate::template::{
@@ -86,9 +86,9 @@ use crate::template::{
     normalize_decisions, normalize_plan, QueryTemplate,
 };
 use caesura_modal::OperatorKind;
-use caesura_store::{capacity_from_env, push_part, take_part, CacheStore, TieredCache};
+use caesura_store::{push_part, take_part, CacheStore, TieredCache};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which tier answered a [`PlanCache::lookup_tiered`] probe.
 pub use caesura_store::Tier as PlanTier;
@@ -102,7 +102,7 @@ pub struct PlanCacheConfig {
 }
 
 impl PlanCacheConfig {
-    /// Entry capacity when `CAESURA_PLAN_CACHE` is unset. Entries are a few
+    /// Entry capacity of the default configuration. Entries are a few
     /// kilobytes of plan text, and literal-only variants share one, so it is
     /// sized for the distinct query *shapes* of a serving workload.
     pub const DEFAULT_CAPACITY: usize = 1024;
@@ -117,11 +117,6 @@ impl PlanCacheConfig {
         PlanCacheConfig::new(0)
     }
 
-    /// Whether this configuration creates a cache at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Build the cache this configuration describes (`None` when disabled).
     pub fn build(&self) -> Option<PlanCache> {
         (self.capacity > 0).then(|| PlanCache::with_capacity(self.capacity))
@@ -129,11 +124,9 @@ impl PlanCacheConfig {
 }
 
 impl Default for PlanCacheConfig {
-    /// What `CAESURA_PLAN_CACHE` describes, read once per process.
+    /// [`Self::DEFAULT_CAPACITY`] entries.
     fn default() -> Self {
-        static CAPACITY: OnceLock<usize> = OnceLock::new();
-        let read = || capacity_from_env("CAESURA_PLAN_CACHE", Self::DEFAULT_CAPACITY);
-        PlanCacheConfig::new(*CAPACITY.get_or_init(read))
+        PlanCacheConfig::new(Self::DEFAULT_CAPACITY)
     }
 }
 

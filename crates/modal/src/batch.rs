@@ -64,15 +64,13 @@
 //! configures all of it; nothing is read from ambient state.
 //!
 //! * [`BatchConfig::batch_size`] — how many unique requests one backend
-//!   dispatch carries. Defaults to the `CAESURA_LLM_BATCH` environment
-//!   variable, or [`BatchConfig::DEFAULT_BATCH_SIZE`] when unset.
+//!   dispatch carries, [`BatchConfig::DEFAULT_BATCH_SIZE`] by default.
 //!   `batch_size = 1` is the degenerate configuration: one dispatch per
-//!   unique request (still deduplicated), which CI exercises alongside the
-//!   default.
+//!   unique request (still deduplicated), which `tests/suite_ledger.rs` runs
+//!   both suites under beside the default.
 //! * [`BatchConfig::threads`] — how many workers one dispatch fans its
-//!   batches out over. Defaults to the `CAESURA_THREADS` environment
-//!   variable, or hardware parallelism when unset; `threads = 1` answers
-//!   every batch on the calling thread.
+//!   batches out over, hardware parallelism by default; `threads = 1`
+//!   answers every batch on the calling thread.
 //!
 //! ## Saved-call accounting
 //!
@@ -104,8 +102,8 @@ pub struct BatchConfig {
 }
 
 impl BatchConfig {
-    /// Default batch size when `CAESURA_LLM_BATCH` is unset: large enough to
-    /// amortize a round trip, small enough to keep several workers busy.
+    /// Default batch size: large enough to amortize a round trip, small
+    /// enough to keep several workers busy.
     pub const DEFAULT_BATCH_SIZE: usize = 32;
 
     /// A configuration with an explicit batch size (clamped to ≥ 1) and the
@@ -116,34 +114,20 @@ impl BatchConfig {
             threads: BatchConfig::default().threads,
         }
     }
-
-    /// The configuration described by the environment: `CAESURA_LLM_BATCH`
-    /// ([`Self::DEFAULT_BATCH_SIZE`] when unset or unparseable) and
-    /// `CAESURA_THREADS` (hardware parallelism when unset or unparseable).
-    pub fn from_env() -> Self {
-        let positive = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        };
-        BatchConfig {
-            batch_size: positive("CAESURA_LLM_BATCH").unwrap_or(Self::DEFAULT_BATCH_SIZE),
-            threads: positive("CAESURA_THREADS").unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }),
-        }
-    }
 }
 
 impl Default for BatchConfig {
-    /// The environment-described configuration, read once per process; use
-    /// [`BatchConfig::from_env`] directly to re-read the environment.
+    /// [`Self::DEFAULT_BATCH_SIZE`] requests per batch over hardware
+    /// parallelism, which is read once per process: an executor is built per
+    /// query, and asking the OS (cgroup files included) each time would cost
+    /// every query.
     fn default() -> Self {
-        static DEFAULT: OnceLock<BatchConfig> = OnceLock::new();
-        *DEFAULT.get_or_init(BatchConfig::from_env)
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        BatchConfig {
+            batch_size: Self::DEFAULT_BATCH_SIZE,
+            threads: *THREADS
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from)),
+        }
     }
 }
 

@@ -56,18 +56,15 @@
 //! that shares the probe's document or key allocation compares equal without
 //! reading the bytes.
 //!
-//! [`CacheConfig`] defaults to the `CAESURA_PERCEPTION_CACHE` environment
-//! variable ([`caesura_store::capacity_from_env`]): `0` / `off` / `false`
-//! means no cache at all — byte-for-byte the pre-cache behaviour. Sessions pin
-//! the knob via `CaesuraConfig::perception_cache`.
+//! [`CacheConfig`] defaults to [`CacheConfig::DEFAULT_CAPACITY`] entries;
+//! [`CacheConfig::off`] means no cache at all — byte-for-byte the pre-cache
+//! behaviour. Sessions set it via `CaesuraConfig::perception_cache`.
 
 use crate::batch::{same_text, PerceptionInput, PerceptionRequest};
 use crate::transform::TransformProgram;
 use caesura_engine::{DateValue, Schema, Value};
-use caesura_store::{
-    capacity_from_env, push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache,
-};
-use std::sync::{Arc, OnceLock};
+use caesura_store::{push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache};
+use std::sync::Arc;
 
 /// Lifetime counters of one [`PerceptionCache`]: `hits` are model calls
 /// avoided, `misses` fell through to the disk tier or the backend.
@@ -82,7 +79,7 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Entry capacity when `CAESURA_PERCEPTION_CACHE` is unset. Entries are
+    /// Entry capacity of the default configuration. Entries are
     /// small (the input key is `Arc`-shared with the table columns; the value
     /// is one extracted answer), so it is sized for whole-lake workloads.
     pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -97,11 +94,6 @@ impl CacheConfig {
         CacheConfig::new(0)
     }
 
-    /// Whether this configuration creates a cache at all.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Build the cache this configuration describes (`None` when disabled).
     pub fn build(&self) -> Option<PerceptionCache> {
         (self.capacity > 0).then(|| PerceptionCache::with_capacity(self.capacity))
@@ -109,11 +101,9 @@ impl CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// What `CAESURA_PERCEPTION_CACHE` describes, read once per process.
+    /// [`Self::DEFAULT_CAPACITY`] entries.
     fn default() -> Self {
-        static CAPACITY: OnceLock<usize> = OnceLock::new();
-        let read = || capacity_from_env("CAESURA_PERCEPTION_CACHE", Self::DEFAULT_CAPACITY);
-        CacheConfig::new(*CAPACITY.get_or_init(read))
+        CacheConfig::new(Self::DEFAULT_CAPACITY)
     }
 }
 

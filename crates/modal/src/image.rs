@@ -249,16 +249,15 @@ impl ImageStore {
         images.sort_unstable_by(|a, b| a.key.cmp(&b.key));
         images.into_iter()
     }
-
-    /// All keys in order.
-    pub fn keys(&self) -> Vec<&str> {
-        self.iter().map(|image| &*image.key).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn keys(store: &ImageStore) -> Vec<&str> {
+        store.iter().map(|image| &*image.key).collect()
+    }
 
     fn madonna_image() -> ImageObject {
         ImageObject::new("img/1.png")
@@ -370,7 +369,7 @@ mod tests {
         store.insert(ImageObject::new("img/2.png"));
         store.insert(ImageObject::new("img/1.png"));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.keys(), vec!["img/1.png", "img/2.png"]);
+        assert_eq!(keys(&store), vec!["img/1.png", "img/2.png"]);
         assert!(store.get("img/1.png").is_some());
         assert!(store.get("img/9.png").is_none());
     }
@@ -395,7 +394,7 @@ mod tests {
         assert_eq!(original.len(), 2);
         assert!(original.get("img/3.png").is_none());
         assert_eq!(clone.get("img/1.png").unwrap().count_of("sword"), 9);
-        assert_eq!(clone.keys(), vec!["img/1.png", "img/2.png", "img/3.png"]);
+        assert_eq!(keys(&clone), vec!["img/1.png", "img/2.png", "img/3.png"]);
         // Only the map was copied: untouched images are still shared.
         assert!(shared(&original, &clone, "img/2.png"));
     }

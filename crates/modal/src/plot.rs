@@ -53,8 +53,6 @@ pub struct PlotSpec {
     pub x_column: String,
     /// Column providing the Y axis values.
     pub y_column: String,
-    /// Optional title.
-    pub title: Option<String>,
 }
 
 impl PlotSpec {
@@ -64,14 +62,7 @@ impl PlotSpec {
             kind,
             x_column: x.into(),
             y_column: y.into(),
-            title: None,
         }
-    }
-
-    /// Attach a title.
-    pub fn with_title(mut self, title: impl Into<String>) -> Self {
-        self.title = Some(title.into());
-        self
     }
 }
 
@@ -128,16 +119,12 @@ impl Plot {
     /// Render an ASCII chart (bar charts render horizontal bars; line/scatter
     /// render the series as label→value pairs).
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        if let Some(title) = &self.spec.title {
-            out.push_str(&format!("{title}\n"));
-        }
-        out.push_str(&format!(
+        let mut out = format!(
             "[{} plot] x={}, y={}\n",
             self.spec.kind.name(),
             self.spec.x_column,
             self.spec.y_column
-        ));
+        );
         let max = self.max_value().max(1e-9);
         let label_width = self
             .points
@@ -169,63 +156,6 @@ impl Plot {
         }
         out
     }
-
-    /// Render a minimal standalone SVG document.
-    pub fn render_svg(&self) -> String {
-        let width = 640.0;
-        let height = 400.0;
-        let margin = 60.0;
-        let n = self.points.len().max(1) as f64;
-        let max = self.max_value().max(1e-9);
-        let mut svg = String::new();
-        svg.push_str(&format!(
-            "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width}\" height=\"{height}\">\n"
-        ));
-        if let Some(title) = &self.spec.title {
-            svg.push_str(&format!(
-                "  <text x=\"{}\" y=\"24\" text-anchor=\"middle\" font-size=\"16\">{}</text>\n",
-                width / 2.0,
-                escape_xml(title)
-            ));
-        }
-        let plot_width = width - 2.0 * margin;
-        let plot_height = height - 2.0 * margin;
-        for (i, point) in self.points.iter().enumerate() {
-            let x = margin + plot_width * (i as f64 + 0.5) / n;
-            let bar_height = plot_height * (point.value / max);
-            let y = height - margin - bar_height;
-            match self.spec.kind {
-                PlotKind::Bar => {
-                    let bar_width = (plot_width / n) * 0.8;
-                    svg.push_str(&format!(
-                        "  <rect x=\"{:.1}\" y=\"{:.1}\" width=\"{:.1}\" height=\"{:.1}\" fill=\"steelblue\"/>\n",
-                        x - bar_width / 2.0,
-                        y,
-                        bar_width,
-                        bar_height
-                    ));
-                }
-                PlotKind::Line | PlotKind::Scatter => {
-                    svg.push_str(&format!(
-                        "  <circle cx=\"{x:.1}\" cy=\"{y:.1}\" r=\"4\" fill=\"steelblue\"/>\n"
-                    ));
-                }
-            }
-            svg.push_str(&format!(
-                "  <text x=\"{x:.1}\" y=\"{:.1}\" text-anchor=\"middle\" font-size=\"10\">{}</text>\n",
-                height - margin + 16.0,
-                escape_xml(&point.label)
-            ));
-        }
-        svg.push_str(&format!(
-            "  <text x=\"16\" y=\"{:.1}\" font-size=\"12\" transform=\"rotate(-90 16 {:.1})\">{}</text>\n",
-            height / 2.0,
-            height / 2.0,
-            escape_xml(&self.spec.y_column)
-        ));
-        svg.push_str("</svg>\n");
-        svg
-    }
 }
 
 impl fmt::Display for Plot {
@@ -247,12 +177,6 @@ fn format_value(value: f64) -> String {
     } else {
         format!("{value:.2}")
     }
-}
-
-fn escape_xml(text: &str) -> String {
-    text.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
 }
 
 #[cfg(test)]
@@ -291,22 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn svg_rendering_contains_bars_and_labels() {
-        let spec = PlotSpec::new(PlotKind::Bar, "century", "max_num_swords")
-            .with_title("Swords per century");
-        let plot = Plot::from_table(&result_table(), spec).unwrap();
-        let svg = plot.render_svg();
-        assert!(svg.starts_with("<svg"));
-        assert_eq!(svg.matches("<rect").count(), 3);
-        assert!(svg.contains("Swords per century"));
-    }
-
-    #[test]
     fn line_and_scatter_render_points() {
         for kind in [PlotKind::Line, PlotKind::Scatter] {
             let spec = PlotSpec::new(kind, "century", "max_num_swords");
             let plot = Plot::from_table(&result_table(), spec).unwrap();
-            assert!(plot.render_svg().contains("<circle"));
             assert!(plot.render_text().contains("15"));
         }
     }

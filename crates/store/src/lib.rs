@@ -68,8 +68,8 @@
 pub mod tiered;
 
 pub use tiered::{
-    capacity_from_env, keyed_hash, push_part, take_part, CacheKey, Hit, PrehashedMap, Put, Removed,
-    Tier, TieredCache, TieredStats,
+    keyed_hash, push_part, take_part, CacheKey, Hit, PrehashedMap, Put, Removed, Tier, TieredCache,
+    TieredStats,
 };
 
 use std::collections::HashMap;
@@ -636,8 +636,8 @@ fn scan_segment(
 // Persistence configuration shared by the cache tiers.
 // ---------------------------------------------------------------------------
 
-/// Configuration for the persistent cache tier, read from `CAESURA_CACHE_DIR`
-/// (both tiers on) or built programmatically.
+/// Configuration for the persistent cache tier: the directory both tiers
+/// live under, read from `CAESURA_CACHE_DIR` or built programmatically.
 ///
 /// With `CAESURA_CACHE_DIR` unset the whole disk tier is off and sessions
 /// behave byte-identically to a build without this crate.
@@ -646,20 +646,12 @@ pub struct PersistConfig {
     /// Root directory for the on-disk tier. The perception and plan stores
     /// live in `perception/` and `plans/` subdirectories.
     pub dir: PathBuf,
-    /// Whether the perception answer cache gets a disk tier.
-    pub perception: bool,
-    /// Whether the validated plan cache gets a disk tier.
-    pub plans: bool,
 }
 
 impl PersistConfig {
     /// A config persisting both tiers under `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        PersistConfig {
-            dir: dir.into(),
-            perception: true,
-            plans: true,
-        }
+        PersistConfig { dir: dir.into() }
     }
 
     /// Both tiers under the directory `CAESURA_CACHE_DIR` names. Returns
@@ -668,11 +660,6 @@ impl PersistConfig {
         let dir = std::env::var("CAESURA_CACHE_DIR").ok()?;
         let dir = dir.trim();
         (!dir.is_empty()).then(|| PersistConfig::new(dir))
-    }
-
-    /// Whether at least one tier is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.perception || self.plans
     }
 
     /// Directory of the perception-answer store.
@@ -971,18 +958,10 @@ mod tests {
         // other tests run in parallel, so from_env is covered by the
         // dedicated integration suite instead.
         let config = PersistConfig::new("/tmp/somewhere");
-        assert!(config.is_enabled());
-        assert!(config.perception && config.plans);
         assert_eq!(
             config.perception_dir(),
             PathBuf::from("/tmp/somewhere/perception")
         );
         assert_eq!(config.plans_dir(), PathBuf::from("/tmp/somewhere/plans"));
-        let off = PersistConfig {
-            dir: PathBuf::from("/tmp/x"),
-            perception: false,
-            plans: false,
-        };
-        assert!(!off.is_enabled());
     }
 }

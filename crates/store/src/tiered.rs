@@ -54,21 +54,6 @@ const MAX_SHARDS: usize = 16;
 
 const POISONED: &str = "cache shard lock poisoned: a thread panicked while holding it";
 
-/// The entry capacity an environment knob describes — the one parsing rule of
-/// `CAESURA_PERCEPTION_CACHE` and `CAESURA_PLAN_CACHE`: unset or unparseable
-/// gives `default`, `0` / `off` / `false` gives 0 (no cache), any other
-/// number is the capacity.
-pub fn capacity_from_env(var: &str, default: usize) -> usize {
-    std::env::var(var).map_or(default, |raw| parse_capacity(&raw, default))
-}
-
-fn parse_capacity(raw: &str, default: usize) -> usize {
-    match raw.trim().to_lowercase().as_str() {
-        "off" | "false" | "0" => 0,
-        value => value.parse().ok().filter(|&c| c > 0).unwrap_or(default),
-    }
-}
-
 /// Append `part` to `out` behind its little-endian `u32` length. Every disk
 /// key and value of the cache tiers is framed with this writer, so no part
 /// can masquerade as another whatever it contains.
@@ -1048,28 +1033,6 @@ mod tests {
         assert_eq!((put.inserted, put.written), (3, 0));
         assert_eq!(cache.stats().disk_errors, 2 + 3);
         assert!(cache.get("y", "id").is_some(), "memory still answers");
-    }
-
-    #[test]
-    fn capacity_knob_values_parse_by_one_rule() {
-        for (raw, expected) in [
-            ("128", 128),
-            (" 7 ", 7),
-            ("0", 0),
-            ("off", 0),
-            ("OFF", 0),
-            ("false", 0),
-            ("00", 99),
-            ("-3", 99),
-            ("lots", 99),
-            ("", 99),
-        ] {
-            assert_eq!(parse_capacity(raw, 99), expected, "{raw:?}");
-        }
-        assert_eq!(
-            capacity_from_env("TIERED_TEST_KNOB_THAT_IS_NEVER_SET", 5),
-            5
-        );
     }
 
     #[test]

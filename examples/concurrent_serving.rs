@@ -26,8 +26,7 @@ use std::sync::Arc;
 fn main() {
     let data = generate_artwork(&ArtworkConfig::default());
     // Four scheduler workers and a bounded submission queue. Without these
-    // knobs the session uses `CAESURA_SESSION_WORKERS` / hardware
-    // parallelism and a queue of 64.
+    // fields the session uses hardware parallelism and a queue of 64.
     let config = CaesuraConfig {
         session_workers: Some(4),
         session_queue: Some(8),

@@ -49,19 +49,12 @@ impl Drop for TempDir {
     }
 }
 
-/// A session config with an explicit persistence setting and both caches
-/// pinned on at their default capacities (never the environment defaults, so
-/// these tests are immune to `CAESURA_CACHE_DIR`, `CAESURA_PLAN_CACHE=0` and
-/// `CAESURA_PERCEPTION_CACHE=0`: a disk tier only exists under a memory tier).
+/// A session config with an explicit persistence setting (never the
+/// environment's, so these tests are immune to `CAESURA_CACHE_DIR`) and both
+/// caches at their defaults: a disk tier only exists under a memory tier.
 fn config_with(persist: Option<PersistConfig>) -> CaesuraConfig {
     CaesuraConfig {
         persist,
-        perception_cache: Some(caesura_modal::CacheConfig::new(
-            caesura_modal::CacheConfig::DEFAULT_CAPACITY,
-        )),
-        plan_cache: Some(caesura_llm::PlanCacheConfig::new(
-            caesura_llm::PlanCacheConfig::DEFAULT_CAPACITY,
-        )),
         ..CaesuraConfig::default()
     }
 }
@@ -326,6 +319,23 @@ fn identities_are_isolated_in_a_shared_store() {
         assert_eq!(run.trace.plan_source(), Some(PlanSource::Planned));
     }
 
+    // So is LLM discovery: it decides which relevant columns the planning
+    // prompt carries.
+    {
+        let config = CaesuraConfig {
+            llm_discovery: true,
+            ..config_with(tmp.persist())
+        };
+        let session = Caesura::with_config(lake.clone(), Arc::new(SimulatedLlm::gpt4()), config);
+        let run = session.run(query);
+        assert_eq!(
+            run.trace.plan_source(),
+            Some(PlanSource::Planned),
+            "an llm-discovery session replayed a lexical-discovery plan"
+        );
+        assert_eq!(run.trace.plan_cache_calls().disk_hits, 0);
+    }
+
     // The original identity still warm-hits from disk after all of that.
     {
         let session = Caesura::with_config(
@@ -351,7 +361,7 @@ fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
     let llm = SimulatedLlm::gpt4();
     let identity = |version: &str| {
         format!(
-            "{}:{version}:few_shot=true:interleaved=true:examples=3",
+            "{}:{version}:few_shot=true:interleaved=true:examples=3:llm_discovery=false",
             llm.name()
         )
     };
@@ -453,15 +463,15 @@ fn results_are_byte_identical_across_cache_configurations_and_workers() {
     }
 }
 
-/// The CI persistent-tier matrix hook: a no-op unless `CAESURA_CACHE_DIR` is
-/// exported. The CI step runs this test binary twice against one temp
+/// The hook of CI's store-attached pass: a no-op unless `CAESURA_CACHE_DIR`
+/// is exported. The CI step runs this test binary twice against one temp
 /// directory; this test detects which leg it is on by probing the store —
 /// empty means cold (live planning populates it), non-empty means warm (the
 /// whole workload must replay with zero planner and zero backend calls).
 #[test]
 fn env_cache_dir_runs_cold_then_warm() {
     let Some(persist) = PersistConfig::from_env() else {
-        eprintln!("CAESURA_CACHE_DIR unset; skipping the env matrix leg");
+        eprintln!("CAESURA_CACHE_DIR unset; skipping the store-attached leg");
         return;
     };
     // Probe-then-drop: the store lock must be released before the sessions

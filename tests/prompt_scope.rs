@@ -52,7 +52,8 @@ struct Suite {
 impl Suite {
     fn new(lakes: Vec<DataLake>, queries: Vec<(BenchmarkQuery, usize)>) -> Suite {
         // Plan cache and disk tier pinned off: a replayed plan sends no
-        // prompts, so no `CAESURA_*` CI row may change what is counted here.
+        // prompts, so neither a default cache nor `CAESURA_CACHE_DIR` may
+        // change what is counted here.
         let config = CaesuraConfig {
             plan_cache: Some(PlanCacheConfig::off()),
             persist: None,

@@ -102,8 +102,8 @@ fn random_table(rng: &mut StdRng, rows: usize, name: &str) -> Table {
     builder.build()
 }
 
-/// Plain + dict-encoded versions of the same table, independent of the
-/// `CAESURA_DICT_ENCODE` process knob.
+/// Plain + dict-encoded versions of the same table, whatever ingest chose
+/// for it.
 fn both_representations(rng: &mut StdRng, rows: usize, name: &str) -> (Table, Table) {
     let base = random_table(rng, rows, name);
     let plain = dict::decode_table(&base);

@@ -117,8 +117,8 @@ fn key_column(rng: &mut StdRng, kind: KeyKind, rows: usize, domain: i64) -> Colu
         .collect();
     let column = Column::from_values(values);
     match kind {
-        // Encoded by hand, so the representation does not depend on
-        // `CAESURA_DICT_ENCODE` or on the ingest heuristic's thresholds.
+        // Encoded by hand, so the representation does not depend on the
+        // ingest heuristic's thresholds.
         KeyKind::Dict => dict::encode_column(&column).unwrap_or(column),
         _ => column,
     }

@@ -268,7 +268,7 @@ fn plan_cache_configurations_never_change_outputs() {
     let baseline = run_workload_serially(&cache_session(Some(PlanCacheConfig::off()), 1));
 
     // Cache off: the trace carries no plan-cache marks at all — the
-    // `CAESURA_PLAN_CACHE=0` tree is indistinguishable from a build without
+    // `PlanCacheConfig::off()` tree is indistinguishable from a build without
     // the cache. Full-trace equality (it includes the counters and the plan
     // source) across two identically configured sessions proves the off
     // path stays deterministic.
@@ -280,8 +280,7 @@ fn plan_cache_configurations_never_change_outputs() {
         assert_eq!(output_repr(run), output_repr(again));
     }
 
-    // Capacities are pinned explicitly (not `None` = read the environment),
-    // so this property holds under every `CAESURA_PLAN_CACHE` CI matrix row.
+    // A capacity small enough to evict, and the default one.
     for capacity in [
         Some(PlanCacheConfig::new(2)),
         Some(PlanCacheConfig::new(PlanCacheConfig::DEFAULT_CAPACITY)),

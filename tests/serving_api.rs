@@ -226,9 +226,6 @@ fn concurrent_submissions_share_one_perception_cache() {
     let config = CaesuraConfig {
         session_workers: Some(4),
         session_queue: Some(8),
-        // Pinned (not the env default) so the test is meaningful under the
-        // CAESURA_PERCEPTION_CACHE=0 CI matrix row too.
-        perception_cache: Some(caesura::modal::CacheConfig::new(4096)),
         ..CaesuraConfig::default()
     };
     let session = Caesura::with_config(data.lake, Arc::new(SimulatedLlm::gpt4()), config);
@@ -237,7 +234,7 @@ fn concurrent_submissions_share_one_perception_cache() {
         let run = handle.wait();
         assert_eq!(run.output.expect("concurrent run failed"), expected);
     }
-    let cache = session.perception_cache().expect("cache pinned on");
+    let cache = session.perception_cache().expect("the cache defaults on");
     assert!(
         cache.stats().hits > 0,
         "eight identical queries must share cached perception answers"

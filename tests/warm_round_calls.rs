@@ -8,8 +8,8 @@
 //! perception answer comes from the cache; the only backend calls left are
 //! the transform compiles, which have no memory tier.
 //!
-//! Every cache is pinned on in the config, so the counts hold under both of
-//! CI's environments (defaults, and every optimisation off).
+//! Every cache is pinned on in the config, so the counts do not depend on
+//! the defaults.
 
 use caesura::core::{Caesura, CaesuraConfig, PlanSource, QueryRun};
 use caesura::data::{generate_artwork, generate_rotowire, ArtworkConfig, RotowireConfig};
