@@ -28,7 +28,7 @@ use caesura_llm::{ModelProfile, SimulatedLlm};
 use std::sync::Arc;
 
 /// The standard benchmark seed used by every binary (kept fixed so that the
-/// numbers in EXPERIMENTS.md are reproducible).
+/// tables and figures they print are reproducible run to run).
 pub const BENCH_SEED: u64 = 42;
 
 /// Build the default artwork session used by the figure binaries.

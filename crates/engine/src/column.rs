@@ -485,86 +485,6 @@ impl Column {
         }
     }
 
-    /// Gather with optional indices: `None` slots become NULL. Used by the
-    /// probe side of left-outer joins. Typed columns stay typed (the padded
-    /// slots are marked invalid); only mixed columns round-trip through
-    /// [`Value`]s.
-    pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        macro_rules! take_opt_typed {
-            ($variant:ident, $data:ident, $bitmap:ident, $null:expr, $copy:expr) => {{
-                let mut out = Vec::with_capacity(indices.len());
-                let mut validity = Bitmap::new();
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            #[allow(clippy::redundant_closure_call)]
-                            out.push($copy(&$data[*i]));
-                            validity.push($bitmap.is_valid(*i));
-                        }
-                        None => {
-                            out.push($null);
-                            validity.push(false);
-                        }
-                    }
-                }
-                Column::$variant(out, validity)
-            }};
-        }
-        match self {
-            Column::Bool(v, b) => take_opt_typed!(Bool, v, b, false, |x: &bool| *x),
-            Column::Int64(v, b) => take_opt_typed!(Int64, v, b, 0, |x: &i64| *x),
-            Column::Float64(v, b) => take_opt_typed!(Float64, v, b, 0.0, |x: &f64| *x),
-            Column::Utf8(v, b) => {
-                take_opt_typed!(Utf8, v, b, Arc::from(""), |x: &Arc<str>| Arc::clone(x))
-            }
-            Column::Date(v, b) => {
-                take_opt_typed!(Date, v, b, DateValue::from_year(0), |x: &DateValue| x
-                    .clone())
-            }
-            Column::Image(v, b) => {
-                take_opt_typed!(Image, v, b, Arc::from(""), |x: &Arc<str>| Arc::clone(x))
-            }
-            Column::Text(v, b) => {
-                take_opt_typed!(Text, v, b, Arc::from(""), |x: &Arc<str>| Arc::clone(x))
-            }
-            Column::Dict {
-                codes,
-                dict,
-                bitmap,
-            } => {
-                let mut out = Vec::with_capacity(indices.len());
-                let mut validity = Bitmap::new();
-                for idx in indices {
-                    match idx {
-                        Some(i) => {
-                            out.push(codes[*i]);
-                            validity.push(bitmap.is_valid(*i));
-                        }
-                        None => {
-                            out.push(0);
-                            validity.push(false);
-                        }
-                    }
-                }
-                Column::Dict {
-                    codes: out,
-                    dict: Arc::clone(dict),
-                    bitmap: validity,
-                }
-            }
-            Column::Null(_) => Column::Null(indices.len()),
-            Column::Mixed(v) => Column::from_values(
-                indices
-                    .iter()
-                    .map(|i| match i {
-                        Some(i) => v[*i].clone(),
-                        None => Value::Null,
-                    })
-                    .collect(),
-            ),
-        }
-    }
-
     /// Concatenate columns end to end (UNION ALL). Parts sharing one typed representation are
     /// **moved** into the first part's buffers — no per-cell clone, validity
     /// appended a word at a time; mixed-representation inputs fall back to
@@ -884,15 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn take_opt_pads_missing_with_nulls() {
-        let col = Column::from_values(vec![Value::Int(10), Value::Int(20)]);
-        let taken = col.take_opt(&[Some(1), None, Some(0)]);
-        assert_eq!(taken.get(0), Value::Int(20));
-        assert!(taken.get(1).is_null());
-        assert_eq!(taken.get(2), Value::Int(10));
-    }
-
-    #[test]
     fn concat_joins_columns() {
         let a = Column::from_values(vec![Value::Int(1)]);
         let b = Column::from_values(vec![Value::Int(2), Value::Null]);
@@ -976,16 +887,6 @@ mod tests {
         assert_eq!(joined.get(0), Value::Int(1));
         assert!(joined.get(1).is_null());
         assert_eq!(joined.get(2), Value::Int(3));
-    }
-
-    #[test]
-    fn take_opt_keeps_typed_representation() {
-        let col = Column::from_values(vec![Value::str("a"), Value::str("b")]);
-        let taken = col.take_opt(&[Some(1), None, Some(0)]);
-        assert!(matches!(taken, Column::Utf8(..)));
-        assert_eq!(taken.get(0), Value::str("b"));
-        assert!(taken.get(1).is_null());
-        assert_eq!(taken.get(2), Value::str("a"));
     }
 
     /// One column per storage representation, each with a NULL slot so the
@@ -1114,7 +1015,7 @@ mod tests {
     }
 
     #[test]
-    fn take_and_take_opt_preserve_dict_representation() {
+    fn take_preserves_dict_representation() {
         let Some(dict_col) = every_representation()
             .into_iter()
             .find(|c| matches!(c, Column::Dict { .. }))
@@ -1125,12 +1026,6 @@ mod tests {
         assert!(matches!(taken, Column::Dict { .. }));
         assert_eq!(taken.get(0), dict_col.get(5));
         assert!(!taken.is_valid(2));
-
-        let padded = dict_col.take_opt(&[Some(1), None, Some(0)]);
-        assert!(matches!(padded, Column::Dict { .. }));
-        assert_eq!(padded.get(0), dict_col.get(1));
-        assert!(padded.get(1).is_null());
-        assert_eq!(padded.get(2), dict_col.get(0));
     }
 
     #[test]

@@ -3,16 +3,24 @@
 //! A [`Column::Dict`] stores each row as a `u32` code into a shared,
 //! duplicate-free entry table instead of a per-row `Arc<str>`. For columns
 //! whose distinct-value count is small relative to the row count (category
-//! tags, join keys, enum-like labels) this turns the hot paths of hash join,
-//! grouped aggregation, sorting, and equality filtering into integer
-//! operations: no string hashing or byte comparison per row.
+//! tags, join keys, enum-like labels) three kernels work on the codes, with
+//! one string hash or comparison per *entry* instead of one per row:
+//!
+//! * grouped aggregation keyed by one dictionary column
+//!   ([`aggregate`](crate::ops::aggregate())),
+//! * a column compared with, or `LIKE`-matched against, a string literal
+//!   (the compiled expression kernels),
+//! * a hash join whose build side is dictionary-encoded and whose probe side
+//!   is a plain string column ([`hash_join`](crate::ops::hash_join)).
 //!
 //! Encoding happens at table **ingest** ([`Table::new`](crate::table::Table::new)
 //! and [`TableBuilder::build`](crate::table::TableBuilder::build)), always,
 //! and never inside operators, so every operator of a query sees the same
 //! representation. `slice`/`take` on a dict column preserve the encoding and
-//! share the entry table `Arc`; operators that cannot exploit the codes fall
-//! back to the exact `Value`-level semantics of a plain [`Column::Utf8`].
+//! share the entry table `Arc`; every other operator and key shape (sorts,
+//! `IN` lists, dictionary-encoded join probes, column-vs-column compares)
+//! reads the strings through the exact `Value`-level semantics of a plain
+//! [`Column::Utf8`].
 
 use crate::column::Column;
 use crate::table::Table;
@@ -141,39 +149,6 @@ pub fn decode_table(table: &Table) -> Table {
         .expect("decoding preserves arity and lengths")
 }
 
-/// Remap the codes of `from` (a dict entry table) into the code space of
-/// `to`: `remap[c]` is the code of entry `c` in `to`, or [`NO_REMAP`] when
-/// the entry does not occur there. One string hash per **entry** replaces
-/// one per **row** on the join/filter hot paths.
-pub fn remap_entries(from: &[Arc<str>], to: &[Arc<str>]) -> Vec<u32> {
-    let index: HashMap<&str, u32> = to
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_ref(), i as u32))
-        .collect();
-    from.iter()
-        .map(|s| index.get(s.as_ref()).copied().unwrap_or(NO_REMAP))
-        .collect()
-}
-
-/// Sentinel produced by [`remap_entries`] for entries absent from the target
-/// dictionary. Safe because encoding caps dictionaries far below `u32::MAX`.
-pub const NO_REMAP: u32 = u32::MAX;
-
-/// Byte-order ranks for a dict entry table: `rank[code]` is the position of
-/// entry `code` in the lexicographic ordering of the (duplicate-free)
-/// entries. Sorting rows by rank is then identical to sorting them by string
-/// value, which is what the sort fast path relies on.
-pub fn entry_ranks(entries: &[Arc<str>]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..entries.len() as u32).collect();
-    order.sort_by(|&a, &b| entries[a as usize].cmp(&entries[b as usize]));
-    let mut ranks = vec![0u32; entries.len()];
-    for (rank, &code) in order.iter().enumerate() {
-        ranks[code as usize] = rank as u32;
-    }
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,18 +215,5 @@ mod tests {
         assert_eq!(dict[0].as_ref(), "b");
         assert_eq!(dict[1].as_ref(), "a");
         assert_eq!(&codes[..4], &[0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn remap_translates_codes_and_flags_missing_entries() {
-        let from: Vec<Arc<str>> = vec![Arc::from("x"), Arc::from("y"), Arc::from("z")];
-        let to: Vec<Arc<str>> = vec![Arc::from("y"), Arc::from("x")];
-        assert_eq!(remap_entries(&from, &to), vec![1, 0, NO_REMAP]);
-    }
-
-    #[test]
-    fn entry_ranks_order_lexicographically() {
-        let entries: Vec<Arc<str>> = vec![Arc::from("pear"), Arc::from("apple"), Arc::from("fig")];
-        assert_eq!(entry_ranks(&entries), vec![2, 0, 1]);
     }
 }

@@ -12,9 +12,11 @@
 //!   pre-computed error that is only raised if the node is actually
 //!   demanded, preserving the laziness of `CASE` branches and `IN` items,
 //! * the binary-operator kernels are monomorphized over the operand
-//!   representations, including code-native kernels for dictionary-encoded
-//!   string columns (one comparison per *dictionary entry* instead of one
-//!   per row).
+//!   representations: typed numeric loops, and string compare/`LIKE` loops
+//!   over plain or dictionary-encoded columns. A dictionary column compared
+//!   with a string literal runs one comparison per *dictionary entry*
+//!   instead of one per row; every other construct over a dictionary column
+//!   (`IN` lists, column-vs-column compares) reads its strings row by row.
 //!
 //! The interpreted evaluator
 //! ([`Expr::evaluate_batch_interpreted`](super::Expr::evaluate_batch_interpreted))
@@ -155,8 +157,9 @@ impl StrSide<'_> {
 /// Evaluate a binary operation over two operand views — the single shared
 /// kernel behind both the interpreted and the compiled evaluator. Uses typed
 /// vector loops for numeric arithmetic/comparisons and string
-/// comparisons/LIKE (with code-native dictionary kernels), and falls back to
-/// element-wise [`eval_binary`] everywhere else.
+/// comparisons/LIKE (with a code-native kernel for a dictionary column
+/// against a string literal), and falls back to element-wise
+/// [`eval_binary`] everywhere else.
 pub(super) fn eval_binary_view(
     lhs: &ValuesView<'_>,
     op: BinaryOp,
@@ -317,23 +320,6 @@ fn eval_str_view(
         StrSide::from_view(lhs, num_rows),
         StrSide::from_view(rhs, num_rows),
     ) {
-        // Code-native equality when both sides index the same dictionary:
-        // entries are duplicate-free, so equal codes ⇔ equal strings.
-        if let (StrSide::Dict(lcodes, ldict, lbitmap), StrSide::Dict(rcodes, rdict, rbitmap)) =
-            (&left, &right)
-        {
-            if matches!(op, Eq | NotEq) && Arc::ptr_eq(ldict, rdict) {
-                let mut out = Vec::with_capacity(num_rows);
-                let mut validity = Bitmap::new();
-                for i in 0..num_rows {
-                    let valid = lbitmap.is_valid(i) && rbitmap.is_valid(i);
-                    let equal = lcodes[i] == rcodes[i];
-                    out.push(valid && (equal == matches!(op, Eq)));
-                    validity.push(valid);
-                }
-                return Some(Batch::Col(Arc::new(Column::Bool(out, validity))));
-            }
-        }
         let mut out = Vec::with_capacity(num_rows);
         let mut validity = Bitmap::new();
         for i in 0..num_rows {
@@ -376,7 +362,7 @@ enum Node {
     Unary { op: UnaryOp, operand: Box<Node> },
     /// A scalar function call.
     Func { func: ScalarFunc, args: Vec<Node> },
-    /// `expr IN (...)`, evaluated lazily per row (or per dictionary entry).
+    /// `expr IN (...)`, evaluated lazily per row.
     InList {
         expr: Box<Node>,
         list: Vec<Node>,
@@ -468,7 +454,12 @@ impl Node {
                 if needle.is_null() {
                     return Ok(Value::Null);
                 }
-                in_list_scan(&needle, list, *negated, columns, i)
+                for item in list {
+                    if needle.sql_eq(&item.eval_row(columns, i)?) == Some(true) {
+                        return Ok(Value::Bool(!negated));
+                    }
+                }
+                Ok(Value::Bool(*negated))
             }
             Node::Case {
                 branches,
@@ -534,46 +525,7 @@ impl Node {
                 }
                 Ok(NodeBatch::Col(Arc::new(Column::from_values(out))))
             }
-            Node::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                // Code-native IN: when the needle is a dictionary-encoded
-                // column and every list item is a constant, the scan result
-                // depends only on the needle's *entry* — memoize one lazy
-                // item scan per entry instead of one per row. Entries (and
-                // erroring items) that no scanned row demands are never
-                // evaluated, exactly like the row-at-a-time path.
-                if let Node::Col(idx) = expr.as_ref() {
-                    if let Column::Dict {
-                        codes,
-                        dict,
-                        bitmap,
-                    } = columns[*idx].as_ref()
-                    {
-                        if list.iter().all(|item| matches!(item, Node::Const(_))) {
-                            let mut memo: Vec<Option<EngineResult<Value>>> = vec![None; dict.len()];
-                            let mut out = Vec::with_capacity(num_rows);
-                            for (i, &code) in codes[..num_rows].iter().enumerate() {
-                                if bitmap.is_valid(i) {
-                                    let code = code as usize;
-                                    let result = memo[code].get_or_insert_with(|| {
-                                        let needle = Value::Str(Arc::clone(&dict[code]));
-                                        in_list_scan(&needle, list, *negated, columns, i)
-                                    });
-                                    out.push(result.clone()?);
-                                } else {
-                                    out.push(Value::Null);
-                                }
-                            }
-                            return Ok(NodeBatch::Col(Arc::new(Column::from_values(out))));
-                        }
-                    }
-                }
-                self.eval_rows(columns, num_rows)
-            }
-            Node::Case { .. } => self.eval_rows(columns, num_rows),
+            Node::InList { .. } | Node::Case { .. } => self.eval_rows(columns, num_rows),
         }
     }
 
@@ -590,26 +542,6 @@ impl Node {
         }
         Ok(NodeBatch::Col(Arc::new(Column::from_values(out))))
     }
-}
-
-/// Scan IN-list items for `needle` (non-NULL), stopping at the first match —
-/// the shared lazy scan of the per-row and per-entry paths.
-fn in_list_scan(
-    needle: &Value,
-    list: &[Node],
-    negated: bool,
-    columns: &[Arc<Column>],
-    i: usize,
-) -> EngineResult<Value> {
-    let mut found = false;
-    for item in list {
-        let candidate = item.eval_row(columns, i)?;
-        if needle.sql_eq(&candidate) == Some(true) {
-            found = true;
-            break;
-        }
-    }
-    Ok(Value::Bool(found != negated))
 }
 
 /// An [`Expr`] lowered to pre-resolved kernel nodes (see the module docs).

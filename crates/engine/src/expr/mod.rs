@@ -674,9 +674,9 @@ impl Batch {
 
 /// Evaluate a binary operation over two batches. Delegates to the shared
 /// kernel [`compile::eval_binary_view`] (typed vector loops for numeric
-/// arithmetic/comparisons and string comparisons/LIKE — including
-/// code-native dictionary kernels — with an element-wise [`eval_binary`]
-/// fallback).
+/// arithmetic/comparisons and string comparisons/LIKE — including the
+/// code-native dictionary-vs-literal kernel — with an element-wise
+/// [`eval_binary`] fallback).
 fn eval_binary_batch(
     lhs: &Batch,
     op: BinaryOp,

@@ -12,8 +12,8 @@
 //! * [`Column`] / [`Bitmap`] — typed, `Arc`-shared columnar storage with
 //!   validity bitmaps,
 //! * [`dict`] — dictionary encoding for low-cardinality string columns at
-//!   ingest, letting joins, group-bys, sorts, and equality filters run on
-//!   `u32` codes instead of strings,
+//!   ingest, letting group-bys, string-literal compares and plain ⋈ dict
+//!   join probes run on `u32` codes instead of strings,
 //! * [`Schema`] / [`Table`] — columnar tables (with a row-view iterator) and
 //!   the prompt-rendering helpers CAESURA uses to describe data to the
 //!   language model,
@@ -63,7 +63,7 @@ pub use catalog::{Catalog, ForeignKey};
 pub use column::{Bitmap, Column, ColumnBuilder};
 pub use error::{EngineError, EngineResult};
 pub use expr::{BinaryOp, CompiledExpr, Expr, ScalarFunc, UnaryOp};
-pub use ops::{AggCall, AggFunc, JoinType, Projection, SortKey, SortOrder};
+pub use ops::{AggCall, AggFunc, Projection, SortKey, SortOrder};
 pub use schema::{Field, Schema};
 pub use table::{Observation, Row, RowRef, Rows, Table, TableBuilder};
 pub use value::{DataType, DateValue, Value};

@@ -3,14 +3,14 @@
 //! Vectorized: the predicate is evaluated column-at-a-time into a selection
 //! vector of surviving row indices, which is then gathered in one pass per
 //! column. If every row survives, the output shares the input's columns
-//! zero-copy.
+//! zero-copy. A SQL `WHERE` runs here, before its projection. Of the
+//! predicate kernels, only a dictionary-encoded column compared with (or
+//! `LIKE`-matched against) a string literal works on codes — one comparison
+//! per dictionary entry; every other predicate reads the column's strings.
 
-use crate::column::Column;
 use crate::error::EngineResult;
 use crate::expr::Expr;
-use crate::ops::Projection;
 use crate::table::Table;
-use std::sync::Arc;
 
 /// Filter `input`, keeping rows for which `predicate` evaluates to true.
 ///
@@ -23,79 +23,6 @@ pub fn filter(input: &Table, predicate: &Expr) -> EngineResult<Table> {
         input.take(&selected)
     };
     Ok(filtered.renamed(format!("{}_filtered", input.name())))
-}
-
-/// Fused σ→π: filter `input` by `predicate` and immediately project.
-///
-/// A `filter` followed by `project` gathers **every** input column through
-/// the selection vector, then drops all but the projected ones. The fused
-/// operator applies the selection during projection instead: only the
-/// columns the projection expressions actually reference are gathered (each
-/// once, shared across expressions), and everything else is never touched.
-/// The output is byte-identical to
-/// `project(&filter(input, predicate)?, projections)` — the same selection
-/// vector feeds the same take kernels, and expression evaluation sees the
-/// same gathered columns.
-pub fn filter_project(
-    input: &Table,
-    predicate: &Expr,
-    projections: &[Projection],
-) -> EngineResult<Table> {
-    let in_schema = input.schema();
-    let num_rows = input.num_rows();
-    let selected = predicate.selection_vector(in_schema, input.columns(), num_rows)?;
-    let out_schema = super::project::projection_schema(in_schema, projections)?;
-    let out_name = format!("{}_filtered_projected", input.name());
-
-    // Everything survived: the filtered table would share the input's columns
-    // zero-copy, so project straight off the input.
-    if selected.len() == num_rows {
-        let mut columns = Vec::with_capacity(projections.len());
-        for p in projections {
-            columns.push(
-                p.expr
-                    .evaluate_batch(in_schema, input.columns(), num_rows)?,
-            );
-        }
-        return Table::from_columns(out_name, out_schema, columns);
-    }
-
-    // Gather only the referenced input columns through the selection vector,
-    // each exactly once. Unreferenced positions get a shared NULL placeholder
-    // that keeps the schema arity without moving any data (they are never
-    // read — and an expression referencing an unknown name errors during
-    // evaluation exactly as the unfused pipeline would).
-    let mut referenced = vec![false; input.num_columns()];
-    for p in projections {
-        for name in p.expr.referenced_columns() {
-            if let Ok(idx) = in_schema.resolve(&name) {
-                referenced[idx] = true;
-            }
-        }
-    }
-    let selection = crate::selection::Selection::new(&selected, num_rows);
-    let placeholder = Arc::new(Column::Null(selected.len()));
-    let gathered: Vec<Arc<Column>> = input
-        .columns()
-        .iter()
-        .zip(&referenced)
-        .map(|(col, &read)| {
-            if read {
-                selection.gather(col)
-            } else {
-                Arc::clone(&placeholder)
-            }
-        })
-        .collect();
-
-    let mut columns = Vec::with_capacity(projections.len());
-    for p in projections {
-        columns.push(
-            p.expr
-                .evaluate_batch(in_schema, &gathered, selected.len())?,
-        );
-    }
-    Table::from_columns(out_name, out_schema, columns)
 }
 
 #[cfg(test)]

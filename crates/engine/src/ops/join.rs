@@ -2,16 +2,18 @@
 //!
 //! The paper's example plans join the metadata table with the
 //! `painting_images` collection on `img_path`, and the rotowire `teams` table
-//! with `team_to_games` / `game_reports`. All of those are equi-joins,
+//! with `team_to_games` / `game_reports`. All of those are inner equi-joins,
 //! implemented as a classic build/probe hash join over the key *columns*.
 //!
 //! * **Build** files every build row into its key's *chain*: the table maps
 //!   a key to the `(first, last)` build rows holding it, and one
 //!   `next: Vec<u32>` links each build row to the next one with the same
-//!   key — ascending row order, no heap `Vec` per key. Typed fast paths hash
-//!   `i64` and `&str` keys directly, dictionary codes index a dense table
-//!   without hashing at all, and other key types fall back to the stable
-//!   rendered group key.
+//!   key — ascending row order, no heap `Vec` per key. Three key shapes have
+//!   typed probes: `i64` ⋈ `i64` and plain string ⋈ plain string hash the
+//!   keys directly, and a plain string probe against a dictionary-encoded
+//!   build indexes the chains by `u32` code (one string hash per build
+//!   *entry*). Every other pair of key columns — a dictionary-encoded probe
+//!   side included — hashes the stable rendered group key.
 //! * **Probe** walks each probe row's chain and emits matching index vectors
 //!   for both sides.
 //! * **Output** columns go through `Selection`: a side whose indices are
@@ -19,8 +21,6 @@
 //!   keys in the same order — is shared (`Arc::clone`), anything else is
 //!   gathered in one pass per column (strings move as `Arc` bumps, never as
 //!   character copies).
-//!
-//! A left-outer variant pads unmatched probe rows with NULLs.
 
 use crate::column::{Bitmap, Column};
 use crate::error::{EngineError, EngineResult};
@@ -30,16 +30,8 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// The supported join types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Inner equi-join.
-    Inner,
-    /// Left outer equi-join (unmatched left rows padded with NULLs).
-    Left,
-}
-
-/// Hash-join `left` and `right` on equality of `left_key` and `right_key`.
+/// Inner hash-join `left` and `right` on equality of `left_key` and
+/// `right_key`.
 ///
 /// The output schema is the join of both schemas with colliding column names
 /// qualified by the input table names (see [`Schema::join`](crate::schema::Schema::join)).
@@ -48,7 +40,6 @@ pub fn hash_join(
     right: &Table,
     left_key: &str,
     right_key: &str,
-    join_type: JoinType,
 ) -> EngineResult<Table> {
     let left_idx = left.schema().resolve(left_key)?;
     let right_idx = right.schema().resolve(right_key)?;
@@ -57,26 +48,13 @@ pub fn hash_join(
         .schema()
         .join(left.name(), right.schema(), right.name());
 
-    let (left_indices, right_indices) = probe_indices(
-        &left.columns()[left_idx],
-        &right.columns()[right_idx],
-        join_type,
-    );
+    let (left_indices, right_indices) =
+        probe_indices(&left.columns()[left_idx], &right.columns()[right_idx]);
 
-    // Share or gather both sides. Joins that padded nothing emit dense right
-    // indices, so the cheaper non-optional take kernel (and the identity
-    // check) applies without a scan-and-repack pass.
     let mut columns: Vec<Arc<Column>> = Vec::with_capacity(schema.len());
-    let selection = Selection::new(&left_indices, left.num_rows());
-    columns.extend(left.columns().iter().map(|c| selection.gather(c)));
-    match &right_indices {
-        RightIndices::Dense(plain) => {
-            let selection = Selection::new(plain, right.num_rows());
-            columns.extend(right.columns().iter().map(|c| selection.gather(c)));
-        }
-        RightIndices::Padded(padded) => {
-            columns.extend(right.columns().iter().map(|c| Arc::new(c.take_opt(padded))));
-        }
+    for (indices, side) in [(&left_indices, left), (&right_indices, right)] {
+        let selection = Selection::new(indices, side.num_rows());
+        columns.extend(side.columns().iter().map(|c| selection.gather(c)));
     }
 
     Table::from_columns(
@@ -89,14 +67,6 @@ pub fn hash_join(
             "internal error: join produced columns that do not match the joined schema",
         )
     })
-}
-
-/// Right-side match indices: a dense index per output row when nothing was
-/// padded (every inner join, and a left join whose probe rows all matched);
-/// `None` marks the NULL padding of an unmatched left row.
-enum RightIndices {
-    Dense(Vec<usize>),
-    Padded(Vec<Option<usize>>),
 }
 
 /// End of a chain, and the `first` of a key no build row holds.
@@ -149,11 +119,7 @@ fn build_coded(codes: &[u32], valid: &Bitmap, entries: usize, next: &mut [u32]) 
 
 /// Build the chains over the right key column, probe with the left key
 /// column, and emit matching index pairs.
-fn probe_indices(
-    left_key: &Column,
-    right_key: &Column,
-    join_type: JoinType,
-) -> (Vec<usize>, RightIndices) {
+fn probe_indices(left_key: &Column, right_key: &Column) -> (Vec<usize>, Vec<usize>) {
     assert!(
         right_key.len() < NIL as usize,
         "join build side exceeds the u32 row space of its chains"
@@ -166,55 +132,9 @@ fn probe_indices(
         (left_key.as_int64(), right_key.as_int64())
     {
         let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i]));
-        return emit(ldata.len(), join_type, &next, |i, _| {
+        return emit(ldata.len(), &next, |i, _| {
             if lvalid.is_valid(i) {
                 first(chains.get(&ldata[i]))
-            } else {
-                NIL
-            }
-        });
-    }
-    // Code-native fast path: both sides are dictionary-encoded string keys.
-    // The build indexes chains by `u32` code; when the two columns do not
-    // share one entry table, the probe side's entries are remapped into the
-    // build side's code space first — one string hash per *entry* instead of
-    // one per row.
-    if let (Some((lcodes, ldict, lvalid)), Some((rcodes, rdict, rvalid))) =
-        (left_key.as_dict(), right_key.as_dict())
-    {
-        let chains = build_coded(rcodes, rvalid, rdict.len(), &mut next);
-        // Resolve the chain once per probe *entry*; the per-row probe is
-        // then a plain index. Entries absent from the build dictionary
-        // (`NO_REMAP`) simply miss.
-        let per_entry: Vec<u32> = if Arc::ptr_eq(ldict, rdict) {
-            chains.iter().map(|ends| ends.0).collect()
-        } else {
-            crate::dict::remap_entries(ldict, rdict)
-                .into_iter()
-                .map(|code| first(chains.get(code as usize)))
-                .collect()
-        };
-        return emit(lcodes.len(), join_type, &next, |i, _| {
-            if lvalid.is_valid(i) {
-                per_entry[lcodes[i] as usize]
-            } else {
-                NIL
-            }
-        });
-    }
-    // Mixed fast path: dictionary-encoded probe side against a plain string
-    // build side — hash each probe *entry* once, then look rows up by code.
-    if let (Some((lcodes, ldict, lvalid)), Some((rdata, rvalid))) =
-        (left_key.as_dict(), right_key.as_utf8())
-    {
-        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
-        let per_entry: Vec<u32> = ldict
-            .iter()
-            .map(|entry| first(chains.get(entry.as_ref())))
-            .collect();
-        return emit(lcodes.len(), join_type, &next, |i, _| {
-            if lvalid.is_valid(i) {
-                per_entry[lcodes[i] as usize]
             } else {
                 NIL
             }
@@ -232,7 +152,7 @@ fn probe_indices(
             .zip(&chains)
             .map(|(entry, ends)| (entry.as_ref(), ends.0))
             .collect();
-        return emit(ldata.len(), join_type, &next, |i, _| {
+        return emit(ldata.len(), &next, |i, _| {
             if lvalid.is_valid(i) {
                 entry_first.get(ldata[i].as_ref()).copied().unwrap_or(NIL)
             } else {
@@ -245,7 +165,7 @@ fn probe_indices(
         (left_key.as_utf8(), right_key.as_utf8())
     {
         let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
-        return emit(ldata.len(), join_type, &next, |i, _| {
+        return emit(ldata.len(), &next, |i, _| {
             if lvalid.is_valid(i) {
                 first(chains.get(ldata[i].as_ref()))
             } else {
@@ -261,7 +181,7 @@ fn probe_indices(
             key
         })
     });
-    emit(left_key.len(), join_type, &next, |i, buf| {
+    emit(left_key.len(), &next, |i, buf| {
         if left_key.is_valid(i) {
             buf.clear();
             left_key.write_group_key(i, buf);
@@ -276,48 +196,24 @@ fn probe_indices(
 /// chain, or [`NIL`] — and emit the matching index pairs. The `String`
 /// scratch buffer serves the generic rendered-key path (the typed paths
 /// ignore it).
-fn emit<F>(
-    left_len: usize,
-    join_type: JoinType,
-    next: &[u32],
-    first_of: F,
-) -> (Vec<usize>, RightIndices)
+fn emit<F>(left_len: usize, next: &[u32], first_of: F) -> (Vec<usize>, Vec<usize>)
 where
     F: Fn(usize, &mut String) -> u32,
 {
-    /// Stands in for `None` until a join that padded is repacked.
-    const PAD: usize = usize::MAX;
-    let pad_unmatched = join_type == JoinType::Left;
-    // FK-shaped joins emit ~1 row per probe row (a left join at least one);
-    // reserving the probe length up front avoids ~20 doubling reallocations
-    // on the way to a million-row output.
+    // FK-shaped joins emit ~1 row per probe row; reserving the probe length
+    // up front avoids ~20 doubling reallocations on the way to a million-row
+    // output.
     let mut left_indices = Vec::with_capacity(left_len);
     let mut right_indices = Vec::with_capacity(left_len);
-    let mut padded = false;
     let mut buf = String::new();
     for i in 0..left_len {
         let mut j = first_of(i, &mut buf);
-        if j == NIL && pad_unmatched {
-            left_indices.push(i);
-            right_indices.push(PAD);
-            padded = true;
-        }
         while j != NIL {
             left_indices.push(i);
             right_indices.push(j as usize);
             j = next[j as usize];
         }
     }
-    let right_indices = if padded {
-        RightIndices::Padded(
-            right_indices
-                .into_iter()
-                .map(|j| (j != PAD).then_some(j))
-                .collect(),
-        )
-    } else {
-        RightIndices::Dense(right_indices)
-    };
     (left_indices, right_indices)
 }
 
@@ -349,38 +245,12 @@ mod tests {
 
     #[test]
     fn inner_join_on_img_path_matches_figure4() {
-        let joined = hash_join(
-            &metadata(),
-            &images(),
-            "img_path",
-            "img_path",
-            JoinType::Inner,
-        )
-        .unwrap();
+        let joined = hash_join(&metadata(), &images(), "img_path", "img_path").unwrap();
         assert_eq!(joined.num_rows(), 2);
         assert_eq!(joined.num_columns(), 4);
         assert!(joined.schema().contains("paintings_metadata.img_path"));
         assert!(joined.schema().contains("painting_images.img_path"));
         assert!(joined.schema().contains("image"));
-    }
-
-    #[test]
-    fn left_join_pads_missing_matches_with_nulls() {
-        let joined = hash_join(
-            &metadata(),
-            &images(),
-            "img_path",
-            "img_path",
-            JoinType::Left,
-        )
-        .unwrap();
-        assert_eq!(joined.num_rows(), 3);
-        let lost_row = joined
-            .iter()
-            .find(|r| r.get(0) == Value::str("Lost"))
-            .expect("row for 'Lost' painting");
-        assert!(lost_row.get(2).is_null());
-        assert!(lost_row.get(3).is_null());
     }
 
     #[test]
@@ -392,10 +262,8 @@ mod tests {
         let mut b = TableBuilder::new("r", schema);
         b.push_row(vec![Value::Null]).unwrap();
         let right = b.build();
-        let joined = hash_join(&left, &right, "k", "k", JoinType::Inner).unwrap();
+        let joined = hash_join(&left, &right, "k", "k").unwrap();
         assert_eq!(joined.num_rows(), 0);
-        let joined = hash_join(&left, &right, "k", "k", JoinType::Left).unwrap();
-        assert_eq!(joined.num_rows(), 1);
     }
 
     #[test]
@@ -413,7 +281,7 @@ mod tests {
         b.push_values::<_, Value>(vec![Value::Int(1), Value::str("y")])
             .unwrap();
         let right = b.build();
-        let joined = hash_join(&left, &right, "k", "k", JoinType::Inner).unwrap();
+        let joined = hash_join(&left, &right, "k", "k").unwrap();
         assert_eq!(joined.num_rows(), 4);
     }
 
@@ -429,19 +297,13 @@ mod tests {
         let mut b = TableBuilder::new("r", schema);
         b.push_row(vec![Value::Float(2.0)]).unwrap();
         let right = b.build();
-        let joined = hash_join(&left, &right, "k", "k", JoinType::Inner).unwrap();
+        let joined = hash_join(&left, &right, "k", "k").unwrap();
         assert_eq!(joined.num_rows(), 1);
     }
 
     #[test]
     fn unknown_key_column_is_reported() {
-        let err = hash_join(
-            &metadata(),
-            &images(),
-            "imgpath",
-            "img_path",
-            JoinType::Inner,
-        );
+        let err = hash_join(&metadata(), &images(), "imgpath", "img_path");
         assert!(matches!(err, Err(EngineError::UnknownColumn { .. })));
     }
 }

@@ -12,8 +12,8 @@ mod set;
 mod sort;
 
 pub use aggregate::{aggregate, AggCall, AggFunc};
-pub use filter::{filter, filter_project};
-pub use join::{hash_join, JoinType};
+pub use filter::filter;
+pub use join::hash_join;
 pub use project::{project, Projection};
 pub use set::{distinct, limit, union_all};
 pub use sort::{sort, SortKey, SortOrder};

@@ -39,12 +39,8 @@ impl Projection {
 }
 
 /// The output schema of a projection list against an input schema, with
-/// duplicate aliases disambiguated by appending a counter. Shared by
-/// [`project`] and the fused [`filter_project`](super::filter_project).
-pub(crate) fn projection_schema(
-    in_schema: &Schema,
-    projections: &[Projection],
-) -> EngineResult<Schema> {
+/// duplicate aliases disambiguated by appending a counter.
+fn projection_schema(in_schema: &Schema, projections: &[Projection]) -> EngineResult<Schema> {
     let mut fields = Vec::with_capacity(projections.len());
     for p in projections {
         let data_type = p.expr.output_type(in_schema);

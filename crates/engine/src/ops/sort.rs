@@ -1,15 +1,16 @@
 //! ORDER BY: sort a table by one or more keys.
 //!
-//! Vectorized: the key expressions are evaluated column-at-a-time, a row
-//! index permutation is sorted against those key columns (a typed comparator
-//! for a single integer key, materialized key rows otherwise), and the output
-//! gathers every column once through the permutation.
+//! Vectorized: the key expressions are evaluated column-at-a-time, each row's
+//! key values are materialized once, a row index permutation is sorted
+//! against them with [`Value::total_cmp`], and the output gathers every
+//! column once through the permutation. Every key type — integers and
+//! dictionary-encoded strings included — takes this one path.
 
 use crate::error::EngineResult;
 use crate::expr::Expr;
 use crate::table::Table;
 use crate::value::Value;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 
 /// Sort direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,64 +60,25 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
         key_columns.push(key.expr.evaluate_batch(schema, input.columns(), num_rows)?);
     }
 
-    // Typed fast path: one integer key with no NULLs.
-    let typed = if keys.len() == 1 {
-        key_columns[0]
-            .as_int64()
-            .filter(|(_, validity)| validity.is_all_valid())
-    } else {
-        None
-    };
-    // Code-native fast path: one dictionary-encoded string key. Rows compare
-    // by the precomputed lexicographic rank of their entry (`u32` compares
-    // instead of byte compares), which orders them exactly as comparing the
-    // strings would; NULL ranks (`None`) sort first ascending and last
-    // descending, matching `Value::total_cmp`.
-    let dict_key = if keys.len() == 1 {
-        key_columns[0].as_dict()
-    } else {
-        None
-    };
-    // Every branch is a stable sort of the row permutation, so rows with
-    // equal keys keep their input order.
+    // Materialize the key rows once (decorate), then stable-sort the row
+    // permutation, so rows with equal keys keep their input order.
+    let decorated: Vec<Vec<Value>> = (0..num_rows)
+        .map(|i| key_columns.iter().map(|c| c.get(i)).collect())
+        .collect();
     let mut indices: Vec<usize> = (0..num_rows).collect();
-    if let Some((codes, dict, validity)) = dict_key {
-        let ranks = crate::dict::entry_ranks(dict);
-        let rank_of = |i: usize| {
-            if validity.is_valid(i) {
-                Some(ranks[codes[i] as usize])
-            } else {
-                None
+    indices.sort_by(|&a, &b| {
+        for (idx, key) in keys.iter().enumerate() {
+            let ord = decorated[a][idx].total_cmp(&decorated[b][idx]);
+            let ord = match key.order {
+                SortOrder::Asc => ord,
+                SortOrder::Desc => ord.reverse(),
+            };
+            if ord != Ordering::Equal {
+                return ord;
             }
-        };
-        match keys[0].order {
-            SortOrder::Asc => indices.sort_by_key(|&i| rank_of(i)),
-            SortOrder::Desc => indices.sort_by_key(|&i| Reverse(rank_of(i))),
         }
-    } else if let Some((data, _)) = typed {
-        match keys[0].order {
-            SortOrder::Asc => indices.sort_by_key(|&i| data[i]),
-            SortOrder::Desc => indices.sort_by_key(|&i| Reverse(data[i])),
-        }
-    } else {
-        // Materialize the key rows once (decorate), then sort the indices.
-        let decorated: Vec<Vec<Value>> = (0..num_rows)
-            .map(|i| key_columns.iter().map(|c| c.get(i)).collect())
-            .collect();
-        indices.sort_by(|&a, &b| {
-            for (idx, key) in keys.iter().enumerate() {
-                let ord = decorated[a][idx].total_cmp(&decorated[b][idx]);
-                let ord = match key.order {
-                    SortOrder::Asc => ord,
-                    SortOrder::Desc => ord.reverse(),
-                };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        });
-    }
+        Ordering::Equal
+    });
 
     Ok(input
         .take(&indices)
@@ -186,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn descending_int_fast_path_is_stable() {
+    fn descending_sort_is_stable() {
         let schema = Schema::from_pairs(&[("x", DataType::Int), ("tag", DataType::Str)]);
         let mut b = TableBuilder::new("t", schema);
         for (x, tag) in [(1, "a"), (2, "b"), (1, "c"), (2, "d")] {

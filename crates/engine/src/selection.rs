@@ -7,8 +7,8 @@ use std::sync::Arc;
 /// it is the identity `0..source_rows`. Gathering the identity reproduces the
 /// column, so [`Selection::gather`] shares the column (`Arc::clone`) instead:
 /// a foreign-key join whose probe emitted every row once, in order, or a
-/// `take` of every row moves no cell data. The one gather `hash_join`,
-/// `Table::take` and the fused filter→project go through.
+/// `take` of every row moves no cell data. The one gather `hash_join` and
+/// `Table::take` go through.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Selection<'a> {
     indices: &'a [usize],

@@ -5,8 +5,7 @@ use crate::catalog::Catalog;
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{BinaryOp, Expr};
 use crate::ops::{
-    aggregate, distinct, filter, filter_project, hash_join, limit, project, sort, AggCall,
-    JoinType, Projection, SortKey,
+    aggregate, distinct, filter, hash_join, limit, project, sort, AggCall, Projection, SortKey,
 };
 use crate::table::Table;
 
@@ -19,29 +18,16 @@ pub fn execute_select(catalog: &Catalog, statement: &SelectStatement) -> EngineR
         current = execute_join(&current, &right, &join.condition)?;
     }
 
-    // 2 + 3. WHERE, then aggregation or plain projection. A WHERE feeding a
-    // plain projection runs as the fused σ→π operator, which gathers only
-    // the projected columns through the selection vector. The ORDER BY
-    // fallback below re-sorts the filtered (pre-projection) table, so fusion
-    // only applies when there is no ORDER BY; HAVING keeps the unfused path
-    // so its error surfaces after the filter's, exactly as before.
-    let fuse =
-        !statement.is_aggregation() && statement.order_by.is_empty() && statement.having.is_none();
-    let mut result = match &statement.where_clause {
-        Some(predicate) if fuse => {
-            let projections = projection_items(&current, statement);
-            filter_project(&current, predicate, &projections)?
-        }
-        _ => {
-            if let Some(predicate) = &statement.where_clause {
-                current = filter(&current, predicate)?;
-            }
-            if statement.is_aggregation() {
-                execute_aggregation(&current, statement)?
-            } else {
-                execute_projection(&current, statement)?
-            }
-        }
+    // 2. WHERE.
+    if let Some(predicate) = &statement.where_clause {
+        current = filter(&current, predicate)?;
+    }
+
+    // 3. Aggregation or plain projection.
+    let mut result = if statement.is_aggregation() {
+        execute_aggregation(&current, statement)?
+    } else {
+        execute_projection(&current, statement)?
     };
 
     // 4. HAVING on the (already projected) aggregate output for the
@@ -104,12 +90,12 @@ fn execute_join(left: &Table, right: &Table, condition: &Expr) -> EngineResult<T
             let a_in_left = left.schema().contains(a);
             let b_in_right = right.schema().contains(b);
             if a_in_left && b_in_right {
-                return hash_join(left, right, a, b, JoinType::Inner);
+                return hash_join(left, right, a, b);
             }
             let b_in_left = left.schema().contains(b);
             let a_in_right = right.schema().contains(a);
             if b_in_left && a_in_right {
-                return hash_join(left, right, b, a, JoinType::Inner);
+                return hash_join(left, right, b, a);
             }
             return Err(EngineError::execution(format!(
                 "join condition '{condition}' does not reference one column from each side \
@@ -153,9 +139,14 @@ fn cross_join(left: &Table, right: &Table) -> EngineResult<Table> {
     )
 }
 
-/// The projection list of a non-aggregate SELECT, with wildcards expanded
-/// against the input schema.
-fn projection_items(input: &Table, statement: &SelectStatement) -> Vec<Projection> {
+/// Project a non-aggregate SELECT list, with wildcards expanded against the
+/// input schema.
+fn execute_projection(input: &Table, statement: &SelectStatement) -> EngineResult<Table> {
+    if statement.having.is_some() {
+        return Err(EngineError::InvalidAggregate {
+            message: "HAVING requires GROUP BY or aggregate functions".into(),
+        });
+    }
     let mut projections = Vec::new();
     for (i, item) in statement.items.iter().enumerate() {
         match item {
@@ -173,16 +164,7 @@ fn projection_items(input: &Table, statement: &SelectStatement) -> Vec<Projectio
             SelectItem::Aggregate { .. } => unreachable!("handled by execute_aggregation"),
         }
     }
-    projections
-}
-
-fn execute_projection(input: &Table, statement: &SelectStatement) -> EngineResult<Table> {
-    if statement.having.is_some() {
-        return Err(EngineError::InvalidAggregate {
-            message: "HAVING requires GROUP BY or aggregate functions".into(),
-        });
-    }
-    project(input, &projection_items(input, statement))
+    project(input, &projections)
 }
 
 fn execute_aggregation(input: &Table, statement: &SelectStatement) -> EngineResult<Table> {

@@ -20,7 +20,10 @@
 //! ```
 //!
 //! where `item` is `*`, `expr [AS alias]`, or `agg(expr) [AS alias]` with
-//! `agg ∈ {COUNT, SUM, AVG, MIN, MAX}` (including `COUNT(*)`).
+//! `agg ∈ {COUNT, SUM, AVG, MIN, MAX}` (including `COUNT(*)`). `JOIN` (also
+//! spelled `INNER JOIN`) is an inner join; `LEFT`, `RIGHT` and `FULL [OUTER]
+//! JOIN` are rejected with an [`EngineError::SqlParse`](crate::error::EngineError::SqlParse)
+//! that names the clause.
 //!
 //! Any non-`SELECT` statement (UPDATE / INSERT / DELETE / DROP / ...) is
 //! rejected with [`EngineError::ForbiddenStatement`](crate::error::EngineError::ForbiddenStatement),
@@ -50,6 +53,7 @@ pub fn run_sql(catalog: &Catalog, sql: &str) -> EngineResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::schema::Schema;
     use crate::table::TableBuilder;
     use crate::value::{DataType, Value};
@@ -94,6 +98,33 @@ mod tests {
         .unwrap();
         assert_eq!(table.num_rows(), 2);
         assert!(table.schema().contains("max_points"));
+    }
+
+    #[test]
+    fn a_left_join_is_an_error_not_an_inner_join() {
+        // Three teams, one of which has a game row: an inner join would
+        // return one row where a left join returns three.
+        let mut catalog = catalog();
+        let schema = Schema::from_pairs(&[("name", DataType::Str), ("game_id", DataType::Int)]);
+        let mut b = TableBuilder::new("games", schema);
+        b.push_values::<_, Value>(vec![Value::str("Heat"), Value::Int(1)])
+            .unwrap();
+        catalog.register(b.build());
+        let inner = run_sql(
+            &catalog,
+            "SELECT t.name FROM teams t JOIN games g ON t.name = g.name",
+        )
+        .unwrap();
+        assert_eq!(inner.num_rows(), 1);
+        let err = run_sql(
+            &catalog,
+            "SELECT t.name FROM teams t LEFT JOIN games g ON t.name = g.name",
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::SqlParse { message, .. } if message.contains("LEFT [OUTER] JOIN")),
+            "{err:?}"
+        );
     }
 
     #[test]

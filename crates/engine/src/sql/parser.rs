@@ -7,6 +7,9 @@ use crate::expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 use crate::ops::{AggFunc, SortOrder};
 use crate::value::Value;
 
+/// The keywords that open an outer join, which the parser rejects by name.
+const OUTER_JOINS: [&str; 3] = ["LEFT", "RIGHT", "FULL"];
+
 /// Parse a full SELECT statement. Non-SELECT statements are rejected.
 pub fn parse_select(sql: &str) -> EngineResult<SelectStatement> {
     let tokens = tokenize(sql)?;
@@ -124,8 +127,9 @@ impl Parser {
 
         let mut joins = Vec::new();
         loop {
-            // Accept `JOIN`, `INNER JOIN`, and `LEFT [OUTER] JOIN` (all treated
-            // as inner joins except LEFT).
+            // Accept `JOIN` and `INNER JOIN`. An outer join would have to pad
+            // unmatched rows with NULLs, which the executor does not do, so
+            // it is rejected rather than run as an inner join.
             if self.eat_keyword("JOIN") || {
                 if self.peek_keyword("INNER") {
                     self.pos += 1;
@@ -139,16 +143,10 @@ impl Parser {
                 self.expect_keyword("ON")?;
                 let condition = self.parse_expr()?;
                 joins.push(JoinClause { table, condition });
-            } else if self.peek_keyword("LEFT") {
-                self.pos += 1;
-                self.eat_keyword("OUTER");
-                self.expect_keyword("JOIN")?;
-                let table = self.parse_table_ref()?;
-                self.expect_keyword("ON")?;
-                let condition = self.parse_expr()?;
-                // LEFT joins are recorded like inner joins; the executor treats
-                // every join as inner, which is sufficient for the paper's plans.
-                joins.push(JoinClause { table, condition });
+            } else if let Some(kind) = OUTER_JOINS.iter().find(|kind| self.peek_keyword(kind)) {
+                return Err(EngineError::sql(format!(
+                    "{kind} [OUTER] JOIN is not supported: only inner joins (JOIN or INNER JOIN) run"
+                )));
             } else {
                 break;
             }
@@ -231,7 +229,8 @@ impl Parser {
         // Optional alias: `teams t` or `teams AS t`. Keywords that start the
         // next clause must not be swallowed as aliases.
         const CLAUSE_KEYWORDS: &[&str] = &[
-            "JOIN", "INNER", "LEFT", "ON", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "AS",
+            "JOIN", "INNER", "LEFT", "RIGHT", "FULL", "ON", "WHERE", "GROUP", "HAVING", "ORDER",
+            "LIMIT", "AS",
         ];
         let alias = if self.eat_keyword("AS") {
             match self.next() {
@@ -641,9 +640,22 @@ mod tests {
     }
 
     #[test]
-    fn left_join_is_accepted() {
-        let stmt =
-            parse_select("SELECT * FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE a.x = 1").unwrap();
-        assert_eq!(stmt.joins.len(), 1);
+    fn outer_joins_are_rejected_by_name() {
+        for (sql, clause) in [
+            ("SELECT * FROM a LEFT JOIN b ON a.id = b.id", "LEFT"),
+            (
+                "SELECT * FROM a LEFT OUTER JOIN b ON a.id = b.id WHERE a.x = 1",
+                "LEFT",
+            ),
+            ("SELECT * FROM a x RIGHT JOIN b ON x.id = b.id", "RIGHT"),
+            ("SELECT * FROM a FULL OUTER JOIN b ON a.id = b.id", "FULL"),
+        ] {
+            let err = parse_select(sql).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::SqlParse { message, .. }
+                    if message.starts_with(&format!("{clause} [OUTER] JOIN"))),
+                "{sql}: {err:?}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@ pub use queries::{
     ExpectedOutput, Tier,
 };
 pub use report::{
-    evaluate_both, evaluate_fieldwork, evaluate_fieldwork_concurrent, evaluate_model,
-    evaluate_model_concurrent, render_per_query, render_table1, render_table2, render_table3,
-    EvaluationConfig, EvaluationReport, QueryEvaluation,
+    evaluate_fieldwork, evaluate_fieldwork_concurrent, evaluate_model, render_per_query,
+    render_table1, render_table2, render_table3, EvaluationConfig, EvaluationReport,
+    QueryEvaluation,
 };

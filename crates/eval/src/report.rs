@@ -123,7 +123,7 @@ pub struct QueryEvaluation {
     pub latency: Duration,
     /// Time the submission sat in the scheduler queue before a worker picked
     /// it up — negligible under the serial driver (an idle worker picks each
-    /// blocking `run` up immediately); under [`evaluate_model_concurrent`]
+    /// blocking `run` up immediately); under [`evaluate_fieldwork_concurrent`]
     /// this is the scheduling-delay component of the end-to-end latency
     /// (`queue_wait + latency`).
     pub queue_wait: Duration,
@@ -339,10 +339,17 @@ pub fn evaluate_fieldwork(profile: ModelProfile, config: &EvaluationConfig) -> E
     }
 }
 
-/// Run the 42-query fieldwork suite through **concurrent submission**, the
-/// fieldwork counterpart of [`evaluate_model_concurrent`]: every query is
-/// submitted up front to its (clean or corrupted) session, then graded in
-/// suite order as the handles complete.
+/// Run the 42-query fieldwork suite through **concurrent submission**: every
+/// query is submitted up front via [`Caesura::submit`] to its (clean or
+/// corrupted) session, whose serving scheduler runs `concurrency` workers,
+/// then graded in suite order as the handles complete.
+///
+/// Grades, outputs, and plan-level accounting are identical to the serial
+/// [`evaluate_fieldwork`] — the simulated models answer as deterministic
+/// functions of each prompt, so interleaving cannot change results. The one
+/// exception is the *distribution* of perception-cache hit counters across
+/// queries: which of two racing queries warms the shared cache first is
+/// scheduling-dependent (the answers themselves are not).
 pub fn evaluate_fieldwork_concurrent(
     profile: ModelProfile,
     config: &EvaluationConfig,
@@ -356,6 +363,8 @@ pub fn evaluate_fieldwork_concurrent(
     let queries = fieldwork_queries();
     let mut caesura_config = config.caesura.clone();
     caesura_config.session_workers = Some(concurrency);
+    // Deep enough to hold the whole suite: this evaluation measures worker
+    // concurrency, not submission backpressure.
     caesura_config.session_queue = Some(queries.len().max(concurrency));
 
     let clean_session =
@@ -390,78 +399,6 @@ pub fn evaluate_fieldwork_concurrent(
         model: profile.name().to_string(),
         results,
     }
-}
-
-/// Run the 48-query benchmark through **concurrent submission**: all queries
-/// are submitted up front via [`Caesura::submit`] to sessions whose serving
-/// scheduler runs `concurrency` workers, then graded in benchmark order as
-/// their handles complete.
-///
-/// Grades, outputs, and plan-level accounting are identical to the serial
-/// [`evaluate_model`] — the simulated models answer as deterministic
-/// functions of each prompt, so interleaving cannot change results. The one
-/// exception is the *distribution* of perception-cache hit counters across
-/// queries: which of two racing queries warms the shared cache first is
-/// scheduling-dependent (the answers themselves are not).
-pub fn evaluate_model_concurrent(
-    profile: ModelProfile,
-    config: &EvaluationConfig,
-    concurrency: usize,
-) -> EvaluationReport {
-    let concurrency = concurrency.max(1);
-    let artwork = generate_artwork(&config.artwork);
-    let rotowire = generate_rotowire(&config.rotowire);
-    let llm = Arc::new(SimulatedLlm::new(profile, config.seed));
-
-    let queries = benchmark_queries();
-    let mut caesura_config = config.caesura.clone();
-    caesura_config.session_workers = Some(concurrency);
-    // Deep enough to hold the whole benchmark: this driver measures worker
-    // concurrency, not submission backpressure.
-    caesura_config.session_queue = Some(queries.len().max(concurrency));
-
-    let artwork_session =
-        Caesura::with_config(artwork.lake.clone(), llm.clone(), caesura_config.clone());
-    let rotowire_session = Caesura::with_config(rotowire.lake.clone(), llm.clone(), caesura_config);
-    let artwork_known = known_identifiers(artwork.lake.catalog());
-    let rotowire_known = known_identifiers(rotowire.lake.catalog());
-
-    let handles: Vec<_> = queries
-        .iter()
-        .map(|query| {
-            let session = match query.dataset {
-                Dataset::Artwork => &artwork_session,
-                Dataset::Rotowire => &rotowire_session,
-                Dataset::Fieldwork => unreachable!("fieldwork queries run via evaluate_fieldwork"),
-            };
-            session.submit(query.text)
-        })
-        .collect();
-    let runs: Vec<QueryRun> = handles.into_iter().map(|handle| handle.wait()).collect();
-
-    let mut results = Vec::new();
-    for (query, run) in queries.iter().zip(&runs) {
-        let known = match query.dataset {
-            Dataset::Artwork => &artwork_known,
-            Dataset::Rotowire => &rotowire_known,
-            Dataset::Fieldwork => unreachable!("fieldwork queries run via evaluate_fieldwork"),
-        };
-        let reference = reference_for(query, &artwork, &rotowire);
-        results.push(grade_run(query, run, &reference, known));
-    }
-
-    EvaluationReport {
-        model: profile.name().to_string(),
-        results,
-    }
-}
-
-/// Evaluate both paper models (ChatGPT-3.5 and GPT-4 profiles).
-pub fn evaluate_both(config: &EvaluationConfig) -> Vec<EvaluationReport> {
-    vec![
-        evaluate_model(ModelProfile::ChatGpt35, config),
-        evaluate_model(ModelProfile::Gpt4, config),
-    ]
 }
 
 /// Render Table 1 (plan quality) for a set of reports, in the layout of the
@@ -627,7 +564,7 @@ pub fn render_table3(reports: &[EvaluationReport]) -> String {
     out
 }
 
-/// Render a per-query breakdown (useful for debugging and EXPERIMENTS.md).
+/// Render a per-query breakdown (what the `table2` binary prints per model).
 pub fn render_per_query(report: &EvaluationReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("Per-query results for {}\n", report.model));
@@ -709,46 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_evaluation_grades_identically_to_serial() {
-        let config = EvaluationConfig::small();
-        let serial = evaluate_model(ModelProfile::Gpt4, &config);
-        let serving = evaluate_model_concurrent(ModelProfile::Gpt4, &config, 4);
-        assert_eq!(serving.results.len(), serial.results.len());
-        // 48 queries submitted up front onto 4 workers: most sit in the
-        // queue before pickup, so some queue wait must have been recorded.
-        assert!(serving
-            .results
-            .iter()
-            .any(|r| r.queue_wait > Duration::ZERO));
-        for (concurrent, reference) in serving.results.iter().zip(&serial.results) {
-            assert_eq!(concurrent.id, reference.id);
-            assert_eq!(
-                concurrent.grade, reference.grade,
-                "grade diverged: {}",
-                reference.id
-            );
-            assert_eq!(
-                concurrent.category, reference.category,
-                "category diverged: {}",
-                reference.id
-            );
-            assert_eq!(
-                concurrent.error, reference.error,
-                "error diverged: {}",
-                reference.id
-            );
-            assert_eq!(
-                concurrent.llm_calls, reference.llm_calls,
-                "llm calls diverged: {}",
-                reference.id
-            );
-            // Perception-cache hit *distribution* across queries is
-            // scheduling-dependent (which racing query warms the shared
-            // cache first); everything above is not.
-        }
-    }
-
-    #[test]
     fn fieldwork_suite_meets_every_expectation_under_both_profiles() {
         let config = EvaluationConfig::small();
         // The fieldwork corruptions are scripted by query markers, not by the
@@ -810,6 +707,12 @@ mod tests {
         let serial = evaluate_fieldwork(ModelProfile::Gpt4, &config);
         let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
         assert_eq!(serving.results.len(), serial.results.len());
+        // 42 queries submitted up front onto 4 workers: most sit in the
+        // queue before pickup, so some queue wait must have been recorded.
+        assert!(serving
+            .results
+            .iter()
+            .any(|r| r.queue_wait > Duration::ZERO));
         for (concurrent, reference) in serving.results.iter().zip(&serial.results) {
             assert_eq!(concurrent.id, reference.id);
             assert_eq!(concurrent.grade, reference.grade, "{}", reference.id);
@@ -819,6 +722,15 @@ mod tests {
                 "{}",
                 reference.id
             );
+            assert_eq!(concurrent.error, reference.error, "{}", reference.id);
+            assert_eq!(
+                concurrent.llm_calls, reference.llm_calls,
+                "{}",
+                reference.id
+            );
+            // Perception-cache hit *distribution* across queries is
+            // scheduling-dependent (which racing query warms the shared
+            // cache first); everything above is not.
         }
     }
 

@@ -10,7 +10,7 @@
 
 use caesura::core::Executor;
 use caesura::data::DataLake;
-use caesura::engine::{ops, JoinType};
+use caesura::engine::ops;
 use caesura::modal::operators::{apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
@@ -129,9 +129,8 @@ fn fk_pair(rows: usize, order: impl Iterator<Item = usize>) -> (Table, Table) {
 #[test]
 fn a_foreign_key_join_allocates_the_same_whatever_the_row_count() {
     let join_blocks = |(metadata, images): &(Table, Table)| {
-        let (blocks, joined) = blocks_allocated(|| {
-            ops::hash_join(metadata, images, "img_path", "img_path", JoinType::Inner).unwrap()
-        });
+        let (blocks, joined) =
+            blocks_allocated(|| ops::hash_join(metadata, images, "img_path", "img_path").unwrap());
         assert_eq!(joined.num_rows(), metadata.num_rows());
         blocks
     };

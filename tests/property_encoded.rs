@@ -8,9 +8,13 @@
 //!    ([`dict::encode_table`]) and once fully decoded ([`dict::decode_table`]).
 //!    After normalizing the outputs back to plain representation, they must be
 //!    **byte-identical** (validity bitmap words and NULL placeholders
-//!    included), and errors must be identical too. This pins the code-native
-//!    join/group-by/sort/filter kernels to the exact semantics of the string
-//!    paths they replace.
+//!    included), and errors must be identical too. This pins the three
+//!    code-native kernels — the dict group-by, the dict column-vs-literal
+//!    compare and `LIKE`, and the plain ⋈ dict join probe — to the exact
+//!    semantics of the string paths they replace, and checks that every
+//!    other operator (sorts, `IN` lists, column-vs-column compares, joins
+//!    probed by a dict key, a `WHERE` feeding a projection) reads dict
+//!    columns exactly as it reads plain ones.
 //!
 //! 2. **Compiled ≡ interpreted.** Randomized expression trees — including
 //!    NULL-heavy inputs, per-row type errors, division by zero, unknown
@@ -21,8 +25,8 @@
 //!    byte-identical and errors equal, for selection vectors as well.
 
 use caesura::engine::{
-    dict, ops, BinaryOp, DataType, EngineError, Expr, ScalarFunc, Schema, Table, TableBuilder,
-    UnaryOp, Value,
+    dict, ops, sql, BinaryOp, Catalog, DataType, EngineError, Expr, ScalarFunc, Schema, Table,
+    TableBuilder, UnaryOp, Value,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -140,7 +144,7 @@ fn filter_dict_matches_plain() {
             list: vec![Expr::lit("Celtics")],
             negated: true,
         },
-        // Dict column against dict column (same entry table → code compare).
+        // Dict column against itself (one entry table on both sides).
         Expr::binary(Expr::col("team"), BinaryOp::Eq, Expr::col("team")),
         // Dict column against a differently encoded column.
         Expr::binary(Expr::col("team"), BinaryOp::Eq, Expr::col("label")),
@@ -201,31 +205,21 @@ fn project_dict_matches_plain() {
 }
 
 #[test]
-fn fused_filter_project_dict_matches_plain_and_unfused() {
+fn sql_where_then_project_dict_matches_plain() {
     let mut rng = StdRng::seed_from_u64(0xD1C700F0);
-    let predicate = Expr::binary(Expr::col("team"), BinaryOp::Eq, Expr::lit("Spurs"));
-    let projections = [
-        ops::Projection::column("team"),
-        ops::Projection::new(
-            Expr::binary(Expr::col("k"), BinaryOp::Mul, Expr::lit(2)),
-            "k2",
-        ),
-    ];
+    let query = "SELECT team, k * 2 AS k2 FROM t WHERE team = 'Spurs'";
     for rows in [0usize, 60, 500] {
         let (plain, encoded) = both_representations(&mut rng, rows, "t");
+        let catalog_of = |table: Table| {
+            let mut catalog = Catalog::new();
+            catalog.register(table);
+            catalog
+        };
+        let (plain, encoded) = (catalog_of(plain), catalog_of(encoded));
         check_dict_vs_plain(
-            &format!("fused filter_project over {rows} rows"),
-            || ops::filter_project(&plain, &predicate, &projections),
-            || ops::filter_project(&encoded, &predicate, &projections),
-        );
-        // The fused operator must also match the unfused pipeline exactly.
-        let fused = ops::filter_project(&encoded, &predicate, &projections).unwrap();
-        let unfused =
-            ops::project(&ops::filter(&encoded, &predicate).unwrap(), &projections).unwrap();
-        assert_normalized_identical(
-            &dict::decode_table(&unfused),
-            &dict::decode_table(&fused),
-            &format!("fused vs unfused over {rows} rows"),
+            &format!("{query} over {rows} rows"),
+            || sql::run_sql(&plain, query),
+            || sql::run_sql(&encoded, query),
         );
     }
 }
@@ -236,31 +230,29 @@ fn hash_join_dict_matches_plain_in_every_combination() {
     for rows in [0usize, 30, 350] {
         let (lplain, ldict) = both_representations(&mut rng, rows, "l");
         let (rplain, rdict) = both_representations(&mut rng, (rows / 2).max(20), "r");
-        for join_type in [ops::JoinType::Inner, ops::JoinType::Left] {
-            // Dict ⋈ dict with distinct entry tables (the remap path).
-            check_dict_vs_plain(
-                &format!("dict⋈dict {join_type:?} over {rows} rows"),
-                || ops::hash_join(&lplain, &rplain, "team", "team", join_type),
-                || ops::hash_join(&ldict, &rdict, "team", "team", join_type),
-            );
-            // Self-join: both sides share one entry table `Arc` (no remap).
-            check_dict_vs_plain(
-                &format!("self dict⋈dict {join_type:?} over {rows} rows"),
-                || ops::hash_join(&lplain, &lplain, "team", "team", join_type),
-                || ops::hash_join(&ldict, &ldict, "team", "team", join_type),
-            );
-            // Mixed representations on either side.
-            check_dict_vs_plain(
-                &format!("dict⋈plain {join_type:?} over {rows} rows"),
-                || ops::hash_join(&lplain, &rplain, "team", "team", join_type),
-                || ops::hash_join(&ldict, &rplain, "team", "team", join_type),
-            );
-            check_dict_vs_plain(
-                &format!("plain⋈dict {join_type:?} over {rows} rows"),
-                || ops::hash_join(&lplain, &rplain, "team", "team", join_type),
-                || ops::hash_join(&lplain, &rdict, "team", "team", join_type),
-            );
-        }
+        // Dict ⋈ dict with distinct entry tables.
+        check_dict_vs_plain(
+            &format!("dict⋈dict over {rows} rows"),
+            || ops::hash_join(&lplain, &rplain, "team", "team"),
+            || ops::hash_join(&ldict, &rdict, "team", "team"),
+        );
+        // Self-join: both sides share one entry table `Arc`.
+        check_dict_vs_plain(
+            &format!("self dict⋈dict over {rows} rows"),
+            || ops::hash_join(&lplain, &lplain, "team", "team"),
+            || ops::hash_join(&ldict, &ldict, "team", "team"),
+        );
+        // Mixed representations on either side.
+        check_dict_vs_plain(
+            &format!("dict⋈plain over {rows} rows"),
+            || ops::hash_join(&lplain, &rplain, "team", "team"),
+            || ops::hash_join(&ldict, &rplain, "team", "team"),
+        );
+        check_dict_vs_plain(
+            &format!("plain⋈dict over {rows} rows"),
+            || ops::hash_join(&lplain, &rplain, "team", "team"),
+            || ops::hash_join(&lplain, &rdict, "team", "team"),
+        );
     }
 }
 
@@ -300,10 +292,10 @@ fn sort_dict_matches_plain() {
     for rows in [0usize, 1, 45, 600] {
         let (plain, encoded) = both_representations(&mut rng, rows, "t");
         let key_sets: Vec<(&str, Vec<ops::SortKey>)> = vec![
-            // The rank fast path, NULLs first ascending / last descending.
+            // NULLs first ascending / last descending.
             ("team asc", vec![ops::SortKey::asc(Expr::col("team"))]),
             ("team desc", vec![ops::SortKey::desc(Expr::col("team"))]),
-            // Two keys force the decorate path through `Column::get`.
+            // Two keys, one of them an int.
             (
                 "team asc, k desc",
                 vec![

@@ -192,7 +192,7 @@ fn join_matches_nested_loop_reference() {
                 }
             }
         }
-        let actual = ops::hash_join(&left, &right, key, key, ops::JoinType::Inner).unwrap();
+        let actual = ops::hash_join(&left, &right, key, key).unwrap();
         assert_tables_equal_rows(&actual, &expected, "join");
     }
 }
@@ -518,7 +518,7 @@ fn join_cardinality_matches_key_multiplicities() {
             .collect();
         let left = int_table(&left_keys).renamed("left_t");
         let right = int_table(&right_keys).renamed("right_t");
-        let joined = ops::hash_join(&left, &right, "x", "x", ops::JoinType::Inner).unwrap();
+        let joined = ops::hash_join(&left, &right, "x", "x").unwrap();
         let mut expected = 0usize;
         for key in 0i64..6 {
             let l = left_keys.iter().filter(|v| **v == key).count();

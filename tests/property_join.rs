@@ -3,23 +3,23 @@
 //! `ops::hash_join` chains build rows through one `next` array and shares a
 //! side whose indices are the identity. The reference kept here is the join
 //! it replaced, reduced to its definition: one heap `Vec` of build rows per
-//! rendered key, every output column gathered with `Column::take` /
-//! `Column::take_opt`, nothing shared. The two must be **byte-identical** —
-//! storage variants, validity bitmap words and NULL placeholders included —
-//! for inner and left joins over every key path (int, dict with a shared and
-//! with a foreign entry table, dict ⋈ utf8, utf8 ⋈ dict, utf8, mixed,
-//! int ⋈ float), with duplicate keys, NULL keys, a shuffled right side and
-//! unmatched probe rows. A second family of tests pins *what is shared*:
-//! the columns of an identity side are the input's own `Arc`s.
+//! rendered key, every output column gathered with `Column::take`, nothing
+//! shared. The two must be **byte-identical** — storage variants, validity
+//! bitmap words and NULL placeholders included — over every key path: the
+//! typed int, utf8 and utf8 ⋈ dict probes, and the rendered-key path that
+//! dict ⋈ dict (shared and foreign entry tables), dict ⋈ utf8, mixed and
+//! int ⋈ float keys take, with duplicate keys, NULL keys, a shuffled right
+//! side and unmatched probe rows. A second family of tests pins *what is
+//! shared*: the columns of an identity side are the input's own `Arc`s.
 
-use caesura::engine::{dict, ops, Column, DataType, JoinType, Schema, Table, Value};
+use caesura::engine::{dict, ops, Column, DataType, Schema, Table, Value};
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The reference join: `Vec`-per-key build over rendered group keys, a
 /// gather per output column.
-fn reference_join(left: &Table, right: &Table, key: &str, join_type: JoinType) -> Table {
+fn reference_join(left: &Table, right: &Table, key: &str) -> Table {
     let left_key = &left.columns()[left.schema().resolve(key).unwrap()];
     let right_key = &right.columns()[right.schema().resolve(key).unwrap()];
     let rendered = |column: &Column, row: usize| {
@@ -34,24 +34,15 @@ fn reference_join(left: &Table, right: &Table, key: &str, join_type: JoinType) -
         }
     }
     let mut left_indices = Vec::new();
-    let mut right_indices: Vec<Option<usize>> = Vec::new();
+    let mut right_indices = Vec::new();
     for row in 0..left_key.len() {
         let matches = left_key
             .is_valid(row)
             .then(|| build.get(&rendered(left_key, row)))
             .flatten();
-        match matches {
-            Some(found) => {
-                for &j in found {
-                    left_indices.push(row);
-                    right_indices.push(Some(j));
-                }
-            }
-            None if join_type == JoinType::Left => {
-                left_indices.push(row);
-                right_indices.push(None);
-            }
-            None => {}
+        for &j in matches.into_iter().flatten() {
+            left_indices.push(row);
+            right_indices.push(j);
         }
     }
     let mut columns: Vec<Arc<Column>> = left
@@ -63,7 +54,7 @@ fn reference_join(left: &Table, right: &Table, key: &str, join_type: JoinType) -
         right
             .columns()
             .iter()
-            .map(|c| Arc::new(c.take_opt(&right_indices))),
+            .map(|c| Arc::new(c.take(&right_indices))),
     );
     Table::from_columns(
         format!("{}_{}_joined", left.name(), right.name()),
@@ -163,21 +154,20 @@ fn keyed_table(rng: &mut StdRng, name: &str, key: Column) -> Table {
     Table::from_columns(name, schema, columns).unwrap()
 }
 
-/// Compare `hash_join` with the reference for both join types.
+/// Compare `hash_join` with the reference.
 fn check(left: &Table, right: &Table, context: &str) {
-    for join_type in [JoinType::Inner, JoinType::Left] {
-        assert_byte_identical(
-            &reference_join(left, right, "k", join_type),
-            &ops::hash_join(left, right, "k", "k", join_type).unwrap(),
-            &format!("{context}, {join_type:?}"),
-        );
-    }
+    assert_byte_identical(
+        &reference_join(left, right, "k"),
+        &ops::hash_join(left, right, "k", "k").unwrap(),
+        context,
+    );
 }
 
 #[test]
 fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
     use KeyKind::*;
-    // (probe key, build key): every branch of `probe_indices`.
+    // (probe key, build key): every branch of `probe_indices`, and each key
+    // pair that falls through to the rendered-key path.
     let paths = [
         (Int, Int),
         (Dict, Dict),
@@ -213,8 +203,9 @@ fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
                 "seed {seed}, {left_kind:?} x {right_kind:?}, {left_rows} x {right_rows} rows"
             );
             check(&left, &right, &context);
-            // A self-join probes a dict key through its own entry table (no
-            // remap), and emits every duplicate pair.
+            // A self-join probes a key against its own column (for a dict
+            // key, one entry table on both sides) and emits every duplicate
+            // pair.
             check(&left, &left, &format!("self-join, {context}"));
         }
     }
@@ -248,23 +239,14 @@ fn identity_sides_of_a_foreign_key_join_are_shared_not_gathered() {
     let order: Vec<usize> = (0..200).collect();
     let metadata = fk_table("metadata", &order, &[]);
     let images = fk_table("images", &order, &[]);
-    for join_type in [JoinType::Inner, JoinType::Left] {
-        let joined = ops::hash_join(&metadata, &images, "k", "k", join_type).unwrap();
-        assert_byte_identical(
-            &reference_join(&metadata, &images, "k", join_type),
-            &joined,
-            "fk join",
+    let joined = ops::hash_join(&metadata, &images, "k", "k").unwrap();
+    assert_byte_identical(&reference_join(&metadata, &images, "k"), &joined, "fk join");
+    for column in 0..2 {
+        assert!(shares(&joined, column, &metadata, column), "left {column}");
+        assert!(
+            shares(&joined, 2 + column, &images, column),
+            "right {column}"
         );
-        for column in 0..2 {
-            assert!(
-                shares(&joined, column, &metadata, column),
-                "left {column} {join_type:?}"
-            );
-            assert!(
-                shares(&joined, 2 + column, &images, column),
-                "right {column} {join_type:?}"
-            );
-        }
     }
 }
 
@@ -278,16 +260,14 @@ fn a_shuffled_right_side_is_gathered_while_the_left_stays_shared() {
     }
     let metadata = fk_table("metadata", &order, &[]);
     let images = fk_table("images", &shuffled, &[]);
-    for join_type in [JoinType::Inner, JoinType::Left] {
-        let joined = ops::hash_join(&metadata, &images, "k", "k", join_type).unwrap();
-        assert_byte_identical(
-            &reference_join(&metadata, &images, "k", join_type),
-            &joined,
-            "shuffled right side",
-        );
-        assert!(shares(&joined, 0, &metadata, 0) && shares(&joined, 1, &metadata, 1));
-        assert!(!shares(&joined, 2, &images, 0) && !shares(&joined, 3, &images, 1));
-    }
+    let joined = ops::hash_join(&metadata, &images, "k", "k").unwrap();
+    assert_byte_identical(
+        &reference_join(&metadata, &images, "k"),
+        &joined,
+        "shuffled right side",
+    );
+    assert!(shares(&joined, 0, &metadata, 0) && shares(&joined, 1, &metadata, 1));
+    assert!(!shares(&joined, 2, &images, 0) && !shares(&joined, 3, &images, 1));
 }
 
 #[test]
@@ -297,28 +277,15 @@ fn unmatched_and_null_probe_rows_share_only_where_the_gather_is_the_identity() {
     let metadata = fk_table("metadata", &order, &[3, 40]);
     let images = fk_table("images", &order[..90], &[]);
 
-    // Inner: probe rows drop out, so neither side is the identity.
-    let inner = ops::hash_join(&metadata, &images, "k", "k", JoinType::Inner).unwrap();
+    // Probe rows drop out, so neither side is the identity.
+    let inner = ops::hash_join(&metadata, &images, "k", "k").unwrap();
     assert_eq!(inner.num_rows(), 88);
     assert_byte_identical(
-        &reference_join(&metadata, &images, "k", JoinType::Inner),
+        &reference_join(&metadata, &images, "k"),
         &inner,
         "inner with unmatched rows",
     );
     assert!(!shares(&inner, 0, &metadata, 0) && !shares(&inner, 2, &images, 0));
-
-    // Left: every probe row is emitted once, in order — the left side is the
-    // identity and shared; the right side is padded, so it is gathered.
-    let left = ops::hash_join(&metadata, &images, "k", "k", JoinType::Left).unwrap();
-    assert_eq!(left.num_rows(), 100);
-    assert_byte_identical(
-        &reference_join(&metadata, &images, "k", JoinType::Left),
-        &left,
-        "left with unmatched rows",
-    );
-    assert!(shares(&left, 0, &metadata, 0) && shares(&left, 1, &metadata, 1));
-    assert!(!shares(&left, 2, &images, 0));
-    assert!(left.cell(3, 2).unwrap().is_null() && left.cell(95, 3).unwrap().is_null());
 }
 
 #[test]
