@@ -558,13 +558,15 @@ mod tests {
         // Tables and images by address: equal snapshots share every `Arc`.
         let snapshot = |executor: &Executor| {
             let tables: Vec<_> = executor.intermediate().tables().map(Arc::as_ptr).collect();
-            let images = executor.images.iter();
-            let images: Vec<_> = images.map(|image| image as *const _).collect();
+            let image = |n| executor.images.get(&format!("img/{n}.png"));
+            let images: Vec<_> = (1..=executor.images.len())
+                .map(|n| image(n).map(|image| image as *const _))
+                .collect();
             (tables, executor.last_output.clone(), images)
         };
         let before = snapshot(&executor);
         assert_eq!(before.0.len(), 1);
-        assert!(!before.2.is_empty());
+        assert!(!before.2.is_empty() && before.2.iter().all(Option::is_some));
 
         for &operator in OperatorKind::all() {
             // Each overwrites `joined_table` if it gets that far. The first of

@@ -242,22 +242,11 @@ impl ImageStore {
     pub fn is_empty(&self) -> bool {
         self.images.is_empty()
     }
-
-    /// Iterate over all images in key order (sorted on every call).
-    pub fn iter(&self) -> impl Iterator<Item = &ImageObject> {
-        let mut images: Vec<&ImageObject> = self.images.values().map(Arc::as_ref).collect();
-        images.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        images.into_iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn keys(store: &ImageStore) -> Vec<&str> {
-        store.iter().map(|image| &*image.key).collect()
-    }
 
     fn madonna_image() -> ImageObject {
         ImageObject::new("img/1.png")
@@ -364,13 +353,15 @@ mod tests {
     }
 
     #[test]
-    fn store_inserts_and_iterates_in_key_order() {
+    fn store_inserts_and_looks_up_by_key() {
         let mut store = ImageStore::new();
+        assert!(store.is_empty());
         store.insert(ImageObject::new("img/2.png"));
-        store.insert(ImageObject::new("img/1.png"));
-        assert_eq!(store.len(), 2);
-        assert_eq!(keys(&store), vec!["img/1.png", "img/2.png"]);
-        assert!(store.get("img/1.png").is_some());
+        store.insert(ImageObject::new("img/1.png").with_object("sword", 1));
+        store.insert(ImageObject::new("img/1.png").with_object("sword", 3));
+        assert_eq!(store.len(), 2, "a key inserted twice is replaced");
+        assert_eq!(store.get("img/1.png").unwrap().count_of("sword"), 3);
+        assert_eq!(&*store.get("img/2.png").unwrap().key, "img/2.png");
         assert!(store.get("img/9.png").is_none());
     }
 
@@ -394,7 +385,8 @@ mod tests {
         assert_eq!(original.len(), 2);
         assert!(original.get("img/3.png").is_none());
         assert_eq!(clone.get("img/1.png").unwrap().count_of("sword"), 9);
-        assert_eq!(keys(&clone), vec!["img/1.png", "img/2.png", "img/3.png"]);
+        assert_eq!(clone.len(), 3);
+        assert!(clone.get("img/3.png").is_some());
         // Only the map was copied: untouched images are still shared.
         assert!(shared(&original, &clone, "img/2.png"));
     }

@@ -575,6 +575,8 @@ impl<K, V: Clone> TieredCache<K, V> {
     }
 
     /// Probe the disk tier alone, for keyspaces that have no memory tier.
+    /// `decode` reads the value where it lies in the store, under the store
+    /// lock ([`CacheStore::get_with`]), so nothing is copied before it.
     /// Counts a disk hit when the record exists and `decode` accepts it, a
     /// disk miss otherwise; `None` uncounted when no store is attached (in
     /// which case `key` is never built).
@@ -584,7 +586,7 @@ impl<K, V: Clone> TieredCache<K, V> {
         decode: impl FnOnce(&[u8]) -> Option<T>,
     ) -> Option<T> {
         let store = self.disk.as_ref()?;
-        let found = store.get(&key()).and_then(|bytes| decode(&bytes));
+        let found = store.get_with(&key(), decode).flatten();
         let counter = match found {
             Some(_) => &self.counters.disk_hits,
             None => &self.counters.disk_misses,
@@ -609,7 +611,7 @@ impl<K, V: Clone> TieredCache<K, V> {
             return 0;
         };
         let count = records.len();
-        match store.put_batch(records) {
+        match store.put_batch(&records) {
             Ok(()) => {
                 add(&self.counters.disk_writes, count);
                 count
@@ -632,6 +634,7 @@ fn add(counter: &AtomicUsize, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Rng;
     use crate::StoreOptions;
     use std::path::PathBuf;
 
@@ -650,19 +653,6 @@ mod tests {
         dir.push(format!("caesura-tiered-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// SplitMix64: a seeded generator is all the model suite needs.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        }
     }
 
     /// A string key filed under a hash the test chooses, so collisions can

@@ -893,7 +893,12 @@ fn a_repaired_entry_whose_replay_fails_is_invalidated_and_replanned_live() {
     for fk in full.catalog().foreign_keys() {
         damaged.add_foreign_key(fk.clone());
     }
-    for image in full.images().iter().skip(1) {
+    // Every image but the first.
+    for n in 2..=full.images().len() {
+        let image = full
+            .images()
+            .get(&format!("img/{n}.png"))
+            .expect("an image per painting");
         damaged.images_mut().insert(image.clone());
     }
 
