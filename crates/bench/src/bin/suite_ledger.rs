@@ -1,6 +1,7 @@
 //! Rewrites the committed suite ledger (`SUITE_LEDGER.jsonl` at the
-//! workspace root): one JSON line per paper and fieldwork query under each
-//! simulated planner profile. `tests/suite_ledger.rs` holds the committed
+//! workspace root): one JSON line per paper query under each simulated
+//! planner profile, and one per fieldwork query, which runs once under
+//! gpt-4-sim. `tests/suite_ledger.rs` holds the committed
 //! file equal to a fresh run.
 //!
 //! ```text

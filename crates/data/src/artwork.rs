@@ -250,6 +250,7 @@ fn build_lake(records: &[PaintingRecord]) -> DataLake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caesura_modal::image::EntityKeys;
 
     #[test]
     fn generation_is_deterministic_for_a_seed() {
@@ -288,13 +289,13 @@ mod tests {
         for record in &data.records {
             let image = data.lake.images().get(&record.img_path).unwrap();
             assert_eq!(
-                image.depicts("madonna and child"),
+                image.depicts_keys(&EntityKeys::of("madonna and child")),
                 record.madonna_and_child,
                 "annotation mismatch for {}",
                 record.img_path
             );
             for (object, count) in &record.objects {
-                assert_eq!(image.count_of(object), *count);
+                assert_eq!(image.count_of_keys(&EntityKeys::of(object)), *count);
             }
         }
     }

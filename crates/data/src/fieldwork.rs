@@ -381,6 +381,7 @@ fn build_lake(data: &FieldworkData) -> DataLake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caesura_modal::image::EntityKeys;
     use caesura_modal::TextQaModel;
 
     #[test]
@@ -454,7 +455,7 @@ mod tests {
         for station in &data.stations {
             let image = data.lake.images().get(&station.img_path).unwrap();
             for (object, count) in &station.objects {
-                assert_eq!(image.count_of(object), *count);
+                assert_eq!(image.count_of_keys(&EntityKeys::of(object)), *count);
             }
         }
     }

@@ -1,7 +1,8 @@
 //! The suite ledger: one JSON line per suite query and planner profile —
-//! the 48 paper queries and the 42 fieldwork queries, each under gpt-4-sim
-//! and chatgpt-3.5-sim — holding what the run planned, what it executed, how
-//! it ended, and what it cost.
+//! the 48 paper queries under gpt-4-sim and chatgpt-3.5-sim, and the 42
+//! fieldwork queries once, under gpt-4-sim (the simulated planner scripts
+//! its fieldwork mistakes, so the profile does not change them) — holding
+//! what the run planned, what it executed, how it ended, and what it cost.
 //!
 //! The ledger is committed (`SUITE_LEDGER.jsonl` at the workspace root,
 //! rewritten by `cargo run --release -p caesura-bench --bin suite_ledger`)
@@ -33,7 +34,8 @@ fn ledger_config() -> CaesuraConfig {
     }
 }
 
-/// Run both suites under both profiles and render the ledger.
+/// Run the paper suite under both profiles and the fieldwork suite once, and
+/// render the ledger.
 pub fn suite_ledger() -> String {
     suite_ledger_under(ledger_config())
 }
@@ -45,14 +47,11 @@ pub fn suite_ledger_under(caesura: CaesuraConfig) -> String {
         caesura,
         ..EvaluationConfig::default()
     };
-    let profiles = [ModelProfile::Gpt4, ModelProfile::ChatGpt35];
     let mut out = String::new();
-    for profile in profiles {
+    for profile in [ModelProfile::Gpt4, ModelProfile::ChatGpt35] {
         render_ledger(&mut out, "paper", &evaluate_model(profile, &config));
     }
-    for profile in profiles {
-        render_ledger(&mut out, "fieldwork", &evaluate_fieldwork(profile, &config));
-    }
+    render_ledger(&mut out, "fieldwork", &evaluate_fieldwork(&config));
     out
 }
 

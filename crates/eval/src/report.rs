@@ -305,14 +305,21 @@ pub fn evaluate_model(profile: ModelProfile, config: &EvaluationConfig) -> Evalu
     }
 }
 
-/// Run the 42-query fieldwork suite for one model profile. Clean-tier
-/// queries run against the clean lake; queries flagged `corrupted` run
-/// against the adversarial lake variant (same ground-truth records, plus
-/// missing images and dirty report cells) through a second session.
-pub fn evaluate_fieldwork(profile: ModelProfile, config: &EvaluationConfig) -> EvaluationReport {
+/// The planner profile the fieldwork suite runs under (see
+/// [`evaluate_fieldwork`]).
+const FIELDWORK_PROFILE: ModelProfile = ModelProfile::Gpt4;
+
+/// Run the 42-query fieldwork suite once, under gpt-4-sim. The simulated
+/// planner scripts its fieldwork mistakes by query markers and never draws
+/// them from a profile's error rates, so every profile answers this suite
+/// identically. Clean-tier queries run against the clean lake;
+/// queries flagged `corrupted` run against the adversarial lake variant
+/// (same ground-truth records, plus missing images and dirty report cells)
+/// through a second session.
+pub fn evaluate_fieldwork(config: &EvaluationConfig) -> EvaluationReport {
     let clean = generate_fieldwork(&config.fieldwork);
     let corrupted = generate_fieldwork(&config.corrupted_fieldwork());
-    let llm = Arc::new(SimulatedLlm::new(profile, config.seed));
+    let llm = Arc::new(SimulatedLlm::new(FIELDWORK_PROFILE, config.seed));
 
     let clean_session =
         Caesura::with_config(clean.lake.clone(), llm.clone(), config.caesura.clone());
@@ -334,7 +341,7 @@ pub fn evaluate_fieldwork(profile: ModelProfile, config: &EvaluationConfig) -> E
     }
 
     EvaluationReport {
-        model: profile.name().to_string(),
+        model: FIELDWORK_PROFILE.name().to_string(),
         results,
     }
 }
@@ -351,14 +358,13 @@ pub fn evaluate_fieldwork(profile: ModelProfile, config: &EvaluationConfig) -> E
 /// queries: which of two racing queries warms the shared cache first is
 /// scheduling-dependent (the answers themselves are not).
 pub fn evaluate_fieldwork_concurrent(
-    profile: ModelProfile,
     config: &EvaluationConfig,
     concurrency: usize,
 ) -> EvaluationReport {
     let concurrency = concurrency.max(1);
     let clean = generate_fieldwork(&config.fieldwork);
     let corrupted = generate_fieldwork(&config.corrupted_fieldwork());
-    let llm = Arc::new(SimulatedLlm::new(profile, config.seed));
+    let llm = Arc::new(SimulatedLlm::new(FIELDWORK_PROFILE, config.seed));
 
     let queries = fieldwork_queries();
     let mut caesura_config = config.caesura.clone();
@@ -396,7 +402,7 @@ pub fn evaluate_fieldwork_concurrent(
         .collect();
 
     EvaluationReport {
-        model: profile.name().to_string(),
+        model: FIELDWORK_PROFILE.name().to_string(),
         results,
     }
 }
@@ -646,34 +652,30 @@ mod tests {
     }
 
     #[test]
-    fn fieldwork_suite_meets_every_expectation_under_both_profiles() {
+    fn fieldwork_suite_meets_every_expectation() {
         let config = EvaluationConfig::small();
-        // The fieldwork corruptions are scripted by query markers, not by the
-        // profile's stochastic injector, so both paper profiles behave
-        // identically and deterministically on this suite.
-        for profile in [ModelProfile::Gpt4, ModelProfile::ChatGpt35] {
-            let report = evaluate_fieldwork(profile, &config);
-            assert_eq!(report.results.len(), 42);
-            for result in &report.results {
-                assert!(
-                    result.expectation_met,
-                    "{} ({:?}) missed its expectation: grade={:?} category={:?} error={:?}",
-                    result.id, result.expectation, result.grade, result.category, result.error
-                );
-            }
-            // The clean tier is fully correct; the adversarial tier fails in
-            // exactly the scripted ways.
-            let (clean_logical, clean_physical) = report.tier_accuracy(Tier::Clean);
-            assert_eq!(clean_logical, 1.0);
-            assert_eq!(clean_physical, 1.0);
-            assert_eq!(report.expectation_accuracy(|_| true), 1.0);
+        let report = evaluate_fieldwork(&config);
+        assert_eq!(report.model, "gpt-4-sim");
+        assert_eq!(report.results.len(), 42);
+        for result in &report.results {
+            assert!(
+                result.expectation_met,
+                "{} ({:?}) missed its expectation: grade={:?} category={:?} error={:?}",
+                result.id, result.expectation, result.grade, result.category, result.error
+            );
         }
+        // The clean tier is fully correct; the adversarial tier fails in
+        // exactly the scripted ways.
+        let (clean_logical, clean_physical) = report.tier_accuracy(Tier::Clean);
+        assert_eq!(clean_logical, 1.0);
+        assert_eq!(clean_physical, 1.0);
+        assert_eq!(report.expectation_accuracy(|_| true), 1.0);
     }
 
     #[test]
     fn fieldwork_error_counts_sum_to_the_non_correct_runs() {
         let config = EvaluationConfig::small();
-        let report = evaluate_fieldwork(ModelProfile::Gpt4, &config);
+        let report = evaluate_fieldwork(&config);
         let non_correct = report
             .results
             .iter()
@@ -704,8 +706,8 @@ mod tests {
     #[test]
     fn fieldwork_concurrent_evaluation_grades_identically_to_serial() {
         let config = EvaluationConfig::small();
-        let serial = evaluate_fieldwork(ModelProfile::Gpt4, &config);
-        let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
+        let serial = evaluate_fieldwork(&config);
+        let serving = evaluate_fieldwork_concurrent(&config, 4);
         assert_eq!(serving.results.len(), serial.results.len());
         // 42 queries submitted up front onto 4 workers: most sit in the
         // queue before pickup, so some queue wait must have been recorded.
@@ -737,7 +739,7 @@ mod tests {
     #[test]
     fn table3_renders_tiers_and_expected_categories() {
         let config = EvaluationConfig::small();
-        let reports = vec![evaluate_fieldwork(ModelProfile::Gpt4, &config)];
+        let reports = vec![evaluate_fieldwork(&config)];
         let table3 = render_table3(&reports);
         assert!(table3.contains("clean tier"));
         assert!(table3.contains("adversarial tier"));

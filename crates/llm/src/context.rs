@@ -210,16 +210,6 @@ impl PromptContext {
             .chain(self.tables.iter())
             .find(|t| t.name.eq_ignore_ascii_case(name))
     }
-
-    /// The table holding an IMAGE column, if any.
-    pub fn image_table(&self) -> Option<&TableSketch> {
-        self.tables.iter().find(|t| !t.image_columns().is_empty())
-    }
-
-    /// The table holding a TEXT column, if any.
-    pub fn text_table(&self) -> Option<&TableSketch> {
-        self.tables.iter().find(|t| !t.text_columns().is_empty())
-    }
 }
 
 fn split_table_sections(system: &str) -> (String, String) {
@@ -475,7 +465,7 @@ mod tests {
         assert_eq!(metadata.description, "Painting metadata");
         assert_eq!(metadata.foreign_keys.len(), 1);
         assert_eq!(metadata.foreign_keys[0].to_table, "painting_images");
-        let images = context.image_table().unwrap();
+        let images = context.find_table("painting_images").unwrap();
         assert_eq!(images.name, "painting_images");
         assert_eq!(images.image_columns(), vec!["image"]);
         assert_eq!(context.relevant_columns.len(), 1);
@@ -528,7 +518,8 @@ mod tests {
         assert_eq!(inception.map(|c| c.dtype.as_str()), Some("str"));
         assert_eq!(metadata.description, "");
         assert!(metadata.foreign_keys.is_empty());
-        assert_eq!(context.image_table().unwrap().name, "painting_images");
+        let images = context.find_table("painting_images").unwrap();
+        assert_eq!(images.image_columns(), vec!["image"]);
         let step = context.step.unwrap();
         assert_eq!(step.number, 3);
         assert!(step.description.contains("Madonna and Child"));

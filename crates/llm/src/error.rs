@@ -45,7 +45,10 @@ impl LlmError {
     ) -> Self {
         let mut response = response.into();
         if response.len() > 400 {
-            response.truncate(400);
+            // Cut at a character boundary: a reply is outside input, and
+            // byte 400 may fall inside a multi-byte character.
+            let cut = (0..=400).rev().find(|&i| response.is_char_boundary(i));
+            response.truncate(cut.unwrap_or(0));
         }
         LlmError::MalformedResponse {
             phase: phase.into(),
@@ -93,6 +96,21 @@ mod tests {
         match err {
             LlmError::MalformedResponse { response, .. } => assert!(response.len() <= 400),
             _ => panic!("wrong variant"),
+        }
+    }
+
+    #[test]
+    fn malformed_response_cuts_multi_byte_replies_at_a_char_boundary() {
+        for tail in ["é…", "İ", "“quoted”"] {
+            let reply = "a".repeat(399) + tail + &"b".repeat(100);
+            let err = LlmError::malformed_response("planning", "no steps found", reply);
+            match err {
+                LlmError::MalformedResponse { response, .. } => {
+                    assert!(response.len() <= 400);
+                    assert!(response.len() >= 399, "{} bytes kept", response.len());
+                }
+                _ => panic!("wrong variant"),
+            }
         }
     }
 

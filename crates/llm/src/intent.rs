@@ -33,8 +33,6 @@ pub enum AggKind {
     Min,
     /// AVG.
     Avg,
-    /// SUM.
-    Sum,
 }
 
 impl AggKind {
@@ -45,7 +43,6 @@ impl AggKind {
             AggKind::Max => "maximum",
             AggKind::Min => "minimum",
             AggKind::Avg => "average",
-            AggKind::Sum => "sum",
         }
     }
 }
@@ -161,24 +158,8 @@ pub fn sanitize_identifier(text: &str) -> String {
 pub enum FilterOp {
     /// Equality.
     Eq,
-    /// Greater than.
-    Gt,
     /// Greater than or equal.
     GtEq,
-    /// Less than.
-    Lt,
-}
-
-impl FilterOp {
-    /// SQL spelling.
-    pub fn sql(&self) -> &'static str {
-        match self {
-            FilterOp::Eq => "=",
-            FilterOp::Gt => ">",
-            FilterOp::GtEq => ">=",
-            FilterOp::Lt => "<",
-        }
-    }
 }
 
 /// One filter of the query.
@@ -256,6 +237,8 @@ pub fn analyze(query: &str, tables: &[TableSketch]) -> QueryIntent {
 
 struct Analyzer<'a> {
     query: String,
+    /// `query` lowercased by [`lowercase_keeping_offsets`], so a byte offset
+    /// found in it is an offset into `query`.
     lower: String,
     tables: &'a [TableSketch],
 }
@@ -270,7 +253,7 @@ impl<'a> Analyzer<'a> {
     fn new(query: &str, tables: &'a [TableSketch]) -> Self {
         Analyzer {
             query: query.to_string(),
-            lower: query.to_lowercase(),
+            lower: lowercase_keeping_offsets(query),
             tables,
         }
     }
@@ -422,16 +405,11 @@ impl<'a> Analyzer<'a> {
         Some(self.resolve_group_phrase(&head, main_table))
     }
 
-    /// Resolve the grouping phrase ("century", "movement", "team", "game", ...).
+    /// Resolve the grouping phrase ("century", "movement", "team", ...).
     fn resolve_group_phrase(&self, phrase: &str, main_table: &str) -> AttributeRef {
         let phrase = phrase.trim();
         if phrase.contains("century") {
             if let Some(attr) = self.derived_date_attribute(true) {
-                return attr;
-            }
-        }
-        if phrase.contains("year") {
-            if let Some(attr) = self.derived_date_attribute(false) {
                 return attr;
             }
         }
@@ -459,33 +437,6 @@ impl<'a> Analyzer<'a> {
         // Direct column match (movement, genre, artist, conference, ...).
         if let Some(column) = self.find_column_in_phrase(phrase) {
             return column;
-        }
-        // Entity nouns that only partially match a table name.
-        for table in self.tables {
-            if table.is_multimodal() {
-                continue;
-            }
-            let table_stem = singular(&table.name.to_lowercase());
-            if table_stem.contains(&stem) && !stem.is_empty() {
-                for preferred in ["name", "title", "id"] {
-                    if table.has_column(preferred) {
-                        return AttributeRef::Column {
-                            table: table.name.clone(),
-                            column: preferred.to_string(),
-                        };
-                    }
-                }
-            }
-        }
-        if stem == "game" {
-            for table in self.tables {
-                if table.has_column("game_id") && !table.is_multimodal() {
-                    return AttributeRef::Column {
-                        table: table.name.clone(),
-                        column: "game_id".to_string(),
-                    };
-                }
-            }
         }
         // Fall back to the first string column of the main table.
         if let Some(table) = self
@@ -526,8 +477,6 @@ impl<'a> Analyzer<'a> {
             Some(AggKind::Min)
         } else if q.contains("average") || q.contains("mean") {
             Some(AggKind::Avg)
-        } else if q.contains("total number") || q.contains("sum of") {
-            Some(AggKind::Sum)
         } else if q.contains("how many") || q.contains("number of") || q.contains("count") {
             Some(AggKind::Count)
         } else {
@@ -569,7 +518,6 @@ impl<'a> Analyzer<'a> {
             "highest number of ",
             "average number of ",
             "minimum number of ",
-            "total number of ",
             "number of ",
             "how many ",
             "maximum ",
@@ -637,12 +585,7 @@ impl<'a> Analyzer<'a> {
         if let Some(stat) = self.text_stat_in(phrase) {
             return AttributeRef::TextStat { stat };
         }
-        // "year" / "century" / "inception year".
-        if phrase.contains("century") {
-            if let Some(attr) = self.derived_date_attribute(true) {
-                return attr;
-            }
-        }
+        // "year" / "inception year".
         if phrase.contains("year") || phrase.contains("inception") {
             if let Some(attr) = self.derived_date_attribute(false) {
                 return attr;
@@ -651,12 +594,6 @@ impl<'a> Analyzer<'a> {
         // Direct column match ("height", "height of the tallest player").
         if let Some(column) = self.find_column_in_phrase(phrase) {
             return column;
-        }
-        // "tallest player" → the height column of the players table.
-        if func == AggKind::Max || func == AggKind::Min {
-            if let Some(column) = self.numeric_column_hint(phrase) {
-                return column;
-            }
         }
         // Otherwise, if an image table exists, this is something depicted.
         if self.image_table().is_some() {
@@ -786,27 +723,6 @@ impl<'a> Analyzer<'a> {
         None
     }
 
-    fn numeric_column_hint(&self, phrase: &str) -> Option<AttributeRef> {
-        // "tallest player" → height; "longest" → length; fall back to the
-        // first numeric, non-id column of the table whose entity is mentioned.
-        let wants_height = phrase.contains("tall") || self.lower.contains("tallest");
-        for table in self.tables {
-            if table.is_multimodal() {
-                continue;
-            }
-            for column in &table.columns {
-                let name = column.name.to_lowercase();
-                if wants_height && name.contains("height") {
-                    return Some(AttributeRef::Column {
-                        table: table.name.clone(),
-                        column: column.name.clone(),
-                    });
-                }
-            }
-        }
-        None
-    }
-
     fn filters(&self, main_table: &str, aggregate: Option<&AggregateIntent>) -> Vec<FilterIntent> {
         let mut filters = Vec::new();
 
@@ -911,15 +827,6 @@ impl<'a> Analyzer<'a> {
                     value: team,
                 });
             }
-        }
-
-        // 6. Numeric comparisons: "taller than 200".
-        if let Some((column, op, value)) = self.numeric_comparison() {
-            filters.push(FilterIntent {
-                attribute: column,
-                op,
-                value,
-            });
         }
 
         filters
@@ -1092,34 +999,6 @@ impl<'a> Analyzer<'a> {
         })
     }
 
-    fn numeric_comparison(&self) -> Option<(AttributeRef, FilterOp, String)> {
-        let (marker, op) = if self.lower.contains("taller than") {
-            ("taller than", FilterOp::Gt)
-        } else if self.lower.contains("more than") {
-            ("more than", FilterOp::Gt)
-        } else if self.lower.contains("less than") {
-            ("less than", FilterOp::Lt)
-        } else {
-            return None;
-        };
-        let pos = self.lower.find(marker)?;
-        let rest = &self.lower[pos + marker.len()..];
-        let number: String = rest
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit())
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if number.is_empty() {
-            return None;
-        }
-        let column = if marker == "taller than" {
-            self.numeric_column_hint("tall")?
-        } else {
-            self.find_column_in_phrase(rest)?
-        };
-        Some((column, op, number))
-    }
-
     fn projection(&self, main_table: &str) -> Vec<AttributeRef> {
         let q = &self.lower;
         if !(q.starts_with("list") || q.starts_with("show")) {
@@ -1193,6 +1072,23 @@ impl<'a> Analyzer<'a> {
     }
 }
 
+/// `text` with every character lowercased whose lowercase has the same UTF-8
+/// length; the few that do not (`İ`, `ẞ`, the Kelvin sign, ...) stay as they
+/// are. Offsets into the result are offsets into `text`, which a plain
+/// `to_lowercase` does not promise: the query can carry a model's error text
+/// from a failed plan, so it is outside input.
+fn lowercase_keeping_offsets(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        let mut lower = c.to_lowercase();
+        match (lower.next(), lower.next()) {
+            (Some(l), None) if l.len_utf8() == c.len_utf8() => out.push(l),
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
 /// Strip articles, verbs, and generic nouns from a depiction phrase, keeping
 /// the entity ("the number of swords depicted on the paintings" → "swords").
 fn strip_depiction_words(phrase: &str) -> String {
@@ -1234,19 +1130,14 @@ fn strip_depiction_words(phrase: &str) -> String {
         "five",
         "six",
     ];
-    let mut words: Vec<&str> = phrase
+    // "and" is not a stop word, so "madonna and child" keeps it.
+    phrase
         .split(|c: char| !c.is_alphanumeric())
         .filter(|w| !w.is_empty())
         .filter(|w| !STOP.contains(&w.to_lowercase().as_str()))
         .filter(|w| w.parse::<i64>().is_err())
-        .collect();
-    // "madonna and child" keeps the "and"; re-insert it for two-entity phrases.
-    let joined = if words.len() == 2 && phrase.contains(&format!("{} and {}", words[0], words[1])) {
-        format!("{} and {}", words[0], words[1])
-    } else {
-        std::mem::take(&mut words).join(" ")
-    };
-    joined.trim().to_string()
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Naive singularization used for matching nouns to table/column names.
@@ -1544,17 +1435,20 @@ mod tests {
         assert!(intent.group_by.is_some());
     }
 
+    /// `İ` lowercases to three bytes and `ẞ` to two, so an offset found in a
+    /// plainly lowercased query can fall inside a character of the original,
+    /// or past its end.
     #[test]
-    fn taller_than_comparison() {
-        let intent = analyze(
-            "How many players are taller than 200 cm?",
-            &rotowire_tables(),
-        );
-        assert!(intent.filters.iter().any(|f| {
-            f.op == FilterOp::Gt
-                && f.value == "200"
-                && matches!(&f.attribute, AttributeRef::Column { column, .. } if column == "height_cm")
-        }));
+    fn queries_whose_lowercase_has_another_length_analyze() {
+        for query in [
+            "Which paintings İİİİİİİİİİİİ movement",
+            "ẞẞ movement paintings",
+            "Did the İstanbul Kings win? (failed with: unknown table 'result_İ')",
+        ] {
+            analyze(query, &artwork_tables());
+            analyze(query, &rotowire_tables());
+        }
+        assert_eq!(lowercase_keeping_offsets("İẞÉa"), "İẞéa");
     }
 
     #[test]

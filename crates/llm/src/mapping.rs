@@ -22,7 +22,7 @@ pub fn decide(step: &LogicalStep, context: &PromptContext) -> OperatorDecision {
         .and_then(|name| context.find_table(name));
 
     let (operator, arguments, reasoning) = if lower.starts_with("join ") {
-        decide_join(&quoted, &lower)
+        decide_join(&quoted)
     } else if lower.contains("'image' column")
         || (lower.contains("depicted") && lower.contains("extract"))
     {
@@ -48,9 +48,8 @@ pub fn decide(step: &LogicalStep, context: &PromptContext) -> OperatorDecision {
         decide_aggregation(step, &quoted, &lower, input_sketch)
     } else if lower.starts_with("keep only") || lower.starts_with("project") {
         decide_projection(step, &quoted, input_sketch)
-    } else if lower.starts_with("plot") || lower.contains("bar plot") || lower.contains("line plot")
-    {
-        decide_plot(&quoted, &lower)
+    } else if lower.starts_with("plot") || lower.contains("bar plot") {
+        decide_plot(&quoted)
     } else {
         // Fallback: pass the input through unchanged.
         let table = step
@@ -91,7 +90,7 @@ pub fn quoted_spans(text: &str) -> Vec<String> {
     spans
 }
 
-fn decide_join(quoted: &[String], lower: &str) -> (OperatorKind, Vec<String>, String) {
+fn decide_join(quoted: &[String]) -> (OperatorKind, Vec<String>, String) {
     // "Join the 'A' and 'B' tables on the 'k' column" — quoted = [A, B, k]
     // or [A, B, k_left, k_right] when the key columns differ.
     let (left, right) = match (quoted.first(), quoted.get(1)) {
@@ -105,7 +104,6 @@ fn decide_join(quoted: &[String], lower: &str) -> (OperatorKind, Vec<String>, St
     };
     let sql =
         format!("SELECT * FROM {left} JOIN {right} ON {left}.{left_key} = {right}.{right_key}");
-    let _ = lower;
     (
         OperatorKind::SqlJoin,
         vec![sql],
@@ -124,10 +122,6 @@ fn decide_visual_qa(step: &LogicalStep, lower: &str) -> (OperatorKind, Vec<Strin
         (format!("How many {} are depicted?", entity.trim()), "int")
     } else if let Some(entity) = between(lower, "whether ", " is depicted") {
         (format!("Is {} depicted?", entity.trim()), "str")
-    } else if let Some(entity) = between(lower, "whether ", " are depicted") {
-        (format!("Are {} depicted?", entity.trim()), "str")
-    } else if let Some(entity) = between(lower, "extract what ", " from") {
-        (format!("What {}?", entity.trim()), "str")
     } else {
         ("What is depicted?".to_string(), "str")
     };
@@ -157,16 +151,6 @@ fn decide_text_qa(
     let (question, dtype) = if lower.contains("points") {
         (
             format!("How many points did <{subject_column}> score?"),
-            "int",
-        )
-    } else if lower.contains("rebounds") {
-        (
-            format!("How many rebounds did <{subject_column}> grab?"),
-            "int",
-        )
-    } else if lower.contains("assists") {
-        (
-            format!("How many assists did <{subject_column}> dish?"),
             "int",
         )
     } else if lower.contains("specimens") {
@@ -272,10 +256,6 @@ fn decide_selection(
     let column = qualify(input_sketch, &column);
     let op = if lower.contains("is at least") {
         ">="
-    } else if lower.contains("is greater than") {
-        ">"
-    } else if lower.contains("is less than") {
-        "<"
     } else {
         "="
     };
@@ -337,8 +317,6 @@ fn decide_aggregation(
             "MIN"
         } else if lower.contains("average") {
             "AVG"
-        } else if lower.contains("sum") {
-            "SUM"
         } else {
             "COUNT"
         };
@@ -415,21 +393,14 @@ fn decide_projection(
     )
 }
 
-fn decide_plot(quoted: &[String], lower: &str) -> (OperatorKind, Vec<String>, String) {
-    let kind = if lower.contains("line plot") || lower.contains("line chart") {
-        "line"
-    } else if lower.contains("scatter") {
-        "scatter"
-    } else {
-        "bar"
-    };
+fn decide_plot(quoted: &[String]) -> (OperatorKind, Vec<String>, String) {
     // "Plot the 'T' in a bar plot. The 'x' should be on the X-axis and the 'y'
     // on the Y-axis." — quoted = [T, x, y].
     let x = quoted.get(1).cloned().unwrap_or_else(|| "x".to_string());
     let y = quoted.get(2).cloned().unwrap_or_else(|| "y".to_string());
     (
         OperatorKind::Plot,
-        vec![kind.to_string(), x, y],
+        vec!["bar".to_string(), x, y],
         "The user asked for a plot of the final result, so the Plot operator is used.".to_string(),
     )
 }

@@ -423,9 +423,7 @@ impl<'a> Synthesizer<'a> {
             let current = self.current.clone();
             let op_phrase = match filter.op {
                 FilterOp::Eq => "equals",
-                FilterOp::Gt => "is greater than",
                 FilterOp::GtEq => "is at least",
-                FilterOp::Lt => "is less than",
             };
             self.push_step(
                 format!(

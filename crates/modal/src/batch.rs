@@ -16,9 +16,8 @@
 //! 2. **Dedup** — requests with an identical `(input, question)` pair share
 //!    one slot: Rotowire-style tables repeat documents and entities heavily
 //!    (every game report appears once per participating team), so duplicate
-//!    rows cost zero extra model calls. The dedup key is exactly the pair the
-//!    simulated models derive their (deterministic) noise from, so dedup can
-//!    never change an answer. A row's request hash is **composed**, not
+//!    rows cost zero extra model calls. Backends answer each pair
+//!    deterministically, so dedup can never change an answer. A row's request hash is **composed**, not
 //!    computed from its bytes: a 64-bit finalizer mixes the input's and the
 //!    question's [`caesura_store::keyed_hash`] with the modality, and each of
 //!    those two parts is **hashed once** and reused by every row that shares
@@ -439,7 +438,7 @@ pub trait PerceptionBackend: Sync {
     /// The durable cache tier namespaces its keys with this string, so a
     /// store written under one model configuration can never answer for
     /// another — implementations must fold in anything that changes answers
-    /// (model name, noise seed/rate, prompt format version). The default is
+    /// (model name, answering rules, prompt format version). The default is
     /// the concrete type name, which is correct for stateless deterministic
     /// backends and conservatively safe otherwise (renaming a type only
     /// costs a cold start).

@@ -16,8 +16,7 @@
 //!
 //! * [`PerceptionBackend`](crate::batch::PerceptionBackend) implementations are required to answer a given
 //!   `(input, question)` pair deterministically (the dedup layer already
-//!   reuses one answer for every duplicate row, and the simulated models
-//!   derive their noise from exactly this pair). A cached answer is therefore
+//!   reuses one answer for every duplicate row). A cached answer is therefore
 //!   provably the answer the model would have given.
 //! * The scope keeps *different backends* from sharing answers: VisualQA and
 //!   Image Select both ask about images, but route through different models —

@@ -57,7 +57,11 @@ pub fn extract_numbers(text: &str) -> Vec<i64> {
 
 /// Find the first number that appears immediately before a keyword
 /// (e.g. `extract_number_before("scored 31 points", "points") == Some(31)`).
+/// An empty keyword names nothing, so it finds nothing.
 pub fn extract_number_before(text: &str, keyword: &str) -> Option<i64> {
+    if keyword.is_empty() {
+        return None;
+    }
     let lower = text.to_lowercase();
     let keyword = keyword.to_lowercase();
     let mut best: Option<i64> = None;
@@ -110,6 +114,24 @@ mod tests {
             Some(9)
         );
         assert_eq!(extract_number_before("no points here", "points"), None);
+    }
+
+    /// An empty keyword matches at every offset, so the search must stop at
+    /// once instead of spinning; it runs on a thread here so that a
+    /// regression fails instead of hanging the suite.
+    #[test]
+    fn an_empty_keyword_finds_nothing() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send([
+                extract_number_before("no numbers before it", ""),
+                extract_number_before("", ""),
+            ]);
+        });
+        let found = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("extract_number_before must return for an empty keyword");
+        assert_eq!(found, [None, None]);
     }
 
     #[test]

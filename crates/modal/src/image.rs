@@ -80,12 +80,8 @@ impl ImageObject {
         self
     }
 
-    /// Number of instances of an entity visible in the image (0 if absent).
-    pub fn count_of(&self, entity: &str) -> u32 {
-        self.count_of_keys(&EntityKeys::of(entity))
-    }
-
-    /// [`Self::count_of`] the entity `keys` were derived from.
+    /// Number of instances of the entity `keys` were derived from visible in
+    /// the image (0 if absent).
     pub fn count_of_keys(&self, keys: &EntityKeys) -> u32 {
         self.annotated(&keys.phrase)
     }
@@ -110,23 +106,12 @@ impl ImageObject {
         0
     }
 
-    /// Whether an entity (or phrase of entities joined by "and") is depicted.
-    pub fn depicts(&self, entity: &str) -> bool {
-        self.depicts_keys(&EntityKeys::of(entity))
-    }
-
-    /// [`Self::depicts`] the entity `keys` were derived from.
+    /// Whether the entity (or phrase of entities joined by "and") `keys` were
+    /// derived from is depicted.
     pub fn depicts_keys(&self, keys: &EntityKeys) -> bool {
         let depicted = |entity: &String| self.annotated(entity) > 0;
         // "madonna and child" → require every part to be depicted.
         depicted(&keys.whole) || (keys.parts.len() > 1 && keys.parts.iter().all(depicted))
-    }
-
-    /// Attribute lookup (case-insensitive key).
-    pub fn attribute(&self, name: &str) -> Option<&str> {
-        self.attributes
-            .get(&name.to_lowercase())
-            .map(String::as_str)
     }
 
     /// Human-readable caption (what a captioning model would produce).
@@ -151,19 +136,18 @@ impl ImageObject {
 
 /// The annotation keys an entity phrase is looked up under, derived once so
 /// that a model asking many images about one entity normalizes it once.
-/// [`ImageObject::count_of`] and [`ImageObject::depicts`] derive theirs here
-/// too.
 ///
 /// [`normalize_entity`] is not idempotent (each pass strips one leading
-/// article and one plural `s`), and `depicts` has always looked the phrase up
-/// one pass further than `count_of`; the keys keep both.
+/// article and one plural `s`), and [`ImageObject::depicts_keys`] has always
+/// looked the phrase up one pass further than
+/// [`ImageObject::count_of_keys`]; the keys keep both.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EntityKeys {
-    /// The normalized phrase: what `count_of` looks up.
+    /// The normalized phrase: what `count_of_keys` looks up.
     phrase: String,
-    /// What `depicts` looks up as one annotation.
+    /// What `depicts_keys` looks up as one annotation.
     whole: String,
-    /// The phrase split at " and ": what `depicts` looks up part by part.
+    /// The phrase split at " and ": what `depicts_keys` looks up part by part.
     parts: Vec<String>,
 }
 
@@ -253,24 +237,28 @@ mod tests {
             .with_object("Madonna", 1)
             .with_object("Child", 1)
             .with_object("sword", 2)
-            .with_attribute("style", "renaissance")
+    }
+
+    fn count(image: &ImageObject, entity: &str) -> u32 {
+        image.count_of_keys(&EntityKeys::of(entity))
     }
 
     #[test]
     fn count_of_handles_plural_and_case() {
         let img = madonna_image();
-        assert_eq!(img.count_of("sword"), 2);
-        assert_eq!(img.count_of("Swords"), 2);
-        assert_eq!(img.count_of("SWORD"), 2);
-        assert_eq!(img.count_of("horse"), 0);
+        assert_eq!(count(&img, "sword"), 2);
+        assert_eq!(count(&img, "Swords"), 2);
+        assert_eq!(count(&img, "SWORD"), 2);
+        assert_eq!(count(&img, "horse"), 0);
     }
 
     #[test]
     fn depicts_supports_multi_entity_phrases() {
         let img = madonna_image();
-        assert!(img.depicts("Madonna"));
-        assert!(img.depicts("Madonna and Child"));
-        assert!(!img.depicts("Madonna and Horse"));
+        let depicts = |entity| img.depicts_keys(&EntityKeys::of(entity));
+        assert!(depicts("Madonna"));
+        assert!(depicts("Madonna and Child"));
+        assert!(!depicts("Madonna and Horse"));
     }
 
     /// `EntityKeys` hold exactly the strings `count_of` and `depicts` derived
@@ -330,13 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn attribute_lookup_is_case_insensitive() {
-        let img = madonna_image();
-        assert_eq!(img.attribute("Style"), Some("renaissance"));
-        assert_eq!(img.attribute("genre"), None);
-    }
-
-    #[test]
     fn caption_describes_contents() {
         let caption = madonna_image().caption();
         assert!(caption.contains("madonna"));
@@ -360,7 +341,7 @@ mod tests {
         store.insert(ImageObject::new("img/1.png").with_object("sword", 1));
         store.insert(ImageObject::new("img/1.png").with_object("sword", 3));
         assert_eq!(store.len(), 2, "a key inserted twice is replaced");
-        assert_eq!(store.get("img/1.png").unwrap().count_of("sword"), 3);
+        assert_eq!(count(store.get("img/1.png").unwrap(), "sword"), 3);
         assert_eq!(&*store.get("img/2.png").unwrap().key, "img/2.png");
         assert!(store.get("img/9.png").is_none());
     }
@@ -381,10 +362,10 @@ mod tests {
 
         clone.insert(ImageObject::new("img/1.png").with_object("sword", 9));
         clone.insert(ImageObject::new("img/3.png"));
-        assert_eq!(original.get("img/1.png").unwrap().count_of("sword"), 2);
+        assert_eq!(count(original.get("img/1.png").unwrap(), "sword"), 2);
         assert_eq!(original.len(), 2);
         assert!(original.get("img/3.png").is_none());
-        assert_eq!(clone.get("img/1.png").unwrap().count_of("sword"), 9);
+        assert_eq!(count(clone.get("img/1.png").unwrap(), "sword"), 9);
         assert_eq!(clone.len(), 3);
         assert!(clone.get("img/3.png").is_some());
         // Only the map was copied: untouched images are still shared.

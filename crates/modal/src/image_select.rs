@@ -7,8 +7,7 @@
 
 use crate::batch::{PerQuestion, PerceptionBackend, PerceptionInput, PerceptionRequest};
 use crate::error::{ModalError, ModalResult};
-use crate::image::{normalize_entity, ImageObject};
-use crate::noise::NoiseModel;
+use crate::image::{normalize_entity, EntityKeys, ImageObject};
 use caesura_engine::Value;
 
 /// Words that carry no selective content and are ignored when matching.
@@ -46,21 +45,12 @@ const STOPWORDS: &[&str] = &[
 
 /// The simulated image-selection model.
 #[derive(Debug, Clone, Default)]
-pub struct ImageSelectModel {
-    noise: NoiseModel,
-}
+pub struct ImageSelectModel;
 
 impl ImageSelectModel {
-    /// A noiseless model.
+    /// The model.
     pub fn new() -> Self {
-        ImageSelectModel {
-            noise: NoiseModel::none(),
-        }
-    }
-
-    /// A model that corrupts a fraction of its decisions (deterministically).
-    pub fn with_noise(noise: NoiseModel) -> Self {
-        ImageSelectModel { noise }
+        ImageSelectModel
     }
 
     /// The content terms of a description ("paintings depicting Madonna and
@@ -77,26 +67,16 @@ impl ImageSelectModel {
     /// Whether an image matches a free-text description. Every content term
     /// must be depicted in the image or appear as an attribute value.
     pub fn matches(&self, image: &ImageObject, description: &str) -> bool {
-        self.matches_terms(image, description, &Self::content_terms(description))
+        self.matches_terms(image, &Self::content_terms(description))
     }
 
-    /// [`Self::matches`] given `description`'s [`Self::content_terms`].
-    fn matches_terms(&self, image: &ImageObject, description: &str, terms: &[String]) -> bool {
-        let mut result = if terms.is_empty() {
-            // A description with no content words matches everything.
-            true
-        } else {
-            terms.iter().all(|term| {
-                image.depicts(term) || image.attributes.values().any(|v| v.to_lowercase() == *term)
-            })
-        };
-        let noise_key = self
-            .noise
-            .key(|| format!("{}\u{1}{}", image.key(), description));
-        if self.noise.should_corrupt(&noise_key) {
-            result = !result;
-        }
-        result
+    /// [`Self::matches`] given `description`'s [`Self::content_terms`]; a
+    /// description with no content words matches everything.
+    fn matches_terms(&self, image: &ImageObject, terms: &[String]) -> bool {
+        terms.iter().all(|term| {
+            image.depicts_keys(&EntityKeys::of(term))
+                || image.attributes.values().any(|v| v.to_lowercase() == *term)
+        })
     }
 }
 
@@ -111,9 +91,8 @@ impl PerceptionBackend for ImageSelectModel {
             .iter()
             .map(|request| match &request.input {
                 PerceptionInput::Image(image) => {
-                    let description = &request.question;
-                    let terms = terms.get(description, Self::content_terms);
-                    Ok(Value::Bool(self.matches_terms(image, description, terms)))
+                    let terms = terms.get(&request.question, Self::content_terms);
+                    Ok(Value::Bool(self.matches_terms(image, terms)))
                 }
                 PerceptionInput::Document(_) => Err(ModalError::InvalidArguments {
                     operator: "Image Select".to_string(),
@@ -124,13 +103,10 @@ impl PerceptionBackend for ImageSelectModel {
             .collect()
     }
 
-    /// Decisions depend only on the image annotations and the noise
-    /// configuration, so the identity versions exactly those.
+    /// Decisions depend only on the image annotations, so the identity
+    /// versions only the matching rules.
     fn identity(&self) -> String {
-        format!(
-            "sim:image_select:v1:noise={}@{}",
-            self.noise.error_rate, self.noise.seed
-        )
+        "sim:image_select:v2".to_string()
     }
 }
 
@@ -176,14 +152,5 @@ mod tests {
     fn content_terms_strip_stopwords_and_plurals() {
         let terms = ImageSelectModel::content_terms("paintings depicting swords and flowers");
         assert_eq!(terms, vec!["sword", "flower"]);
-    }
-
-    #[test]
-    fn noise_flips_decisions_deterministically() {
-        let model = ImageSelectModel::with_noise(NoiseModel::with_rate(1.0, 5));
-        let first = model.matches(&madonna(), "paintings depicting Madonna");
-        let second = model.matches(&madonna(), "paintings depicting Madonna");
-        assert!(!first);
-        assert_eq!(first, second);
     }
 }

@@ -11,8 +11,7 @@
 //! `caesura-data` crate) instead of running neural networks. The operator
 //! contracts — question in, per-row structured value out — are identical to
 //! the paper's, which is what CAESURA's planner (and the evaluation of plan
-//! quality) depends on. A deterministic [`NoiseModel`] can be attached to any
-//! model to study the effect of imperfect extraction.
+//! quality) depends on.
 //!
 //! Perception-operator model calls are gathered, deduplicated, and dispatched
 //! in configurable batches by the [`batch`] layer (see its module docs for
@@ -33,7 +32,6 @@ pub mod document;
 pub mod error;
 pub mod image;
 pub mod image_select;
-pub mod noise;
 pub mod operators;
 pub mod plot;
 pub mod text_qa;
@@ -48,7 +46,6 @@ pub use document::TextDocument;
 pub use error::{ModalError, ModalResult};
 pub use image::{ImageObject, ImageStore};
 pub use image_select::ImageSelectModel;
-pub use noise::NoiseModel;
 pub use operators::OperatorKind;
 pub use plot::{Plot, PlotKind, PlotPoint, PlotSpec};
 pub use text_qa::TextQaModel;

@@ -1350,8 +1350,8 @@ mod tests {
                 cache: None,
             },
             "report",
-            "winner",
-            "Who won the game?",
+            "spurs_won",
+            "Did Spurs win?",
             DataType::Str,
         );
         let out = out.unwrap();
@@ -1360,8 +1360,8 @@ mod tests {
         assert_eq!(stats.saved_calls, 1);
         assert_eq!(stats.batches, 1);
         assert_eq!(
-            out.value(0, "winner").unwrap(),
-            out.value(1, "winner").unwrap()
+            out.value(0, "spurs_won").unwrap(),
+            out.value(1, "spurs_won").unwrap()
         );
     }
 }

@@ -9,7 +9,6 @@
 use crate::batch::{PerceptionBackend, PerceptionInput, PerceptionRequest};
 use crate::document::{extract_number_before, split_sentences};
 use crate::error::{ModalError, ModalResult};
-use crate::noise::NoiseModel;
 use caesura_engine::Value;
 
 /// The kind of question a TextQA model was asked.
@@ -27,11 +26,6 @@ pub enum TextQuestion {
         /// The subject (team name).
         subject: String,
         /// `true` for "win", `false` for "lose".
-        win: bool,
-    },
-    /// "Who won the game?" / "Who lost the game?" → a name.
-    WhoOutcome {
-        /// `true` for winner, `false` for loser.
         win: bool,
     },
 }
@@ -54,6 +48,10 @@ pub fn parse_text_question(question: &str) -> ModalResult<TextQuestion> {
     // "how many points did heat score" / "how many rebounds did lebron james grab"
     if let Some(rest) = q.strip_prefix("how many ") {
         if let Some((stat, tail)) = rest.split_once(" did ") {
+            let stat = stat.trim();
+            if stat.is_empty() {
+                return unanswerable("could not identify the statistic of the question");
+            }
             // Strip the trailing verb ("score", "grab", "have", ...).
             let words: Vec<&str> = tail.split_whitespace().collect();
             if words.len() < 2 {
@@ -61,18 +59,9 @@ pub fn parse_text_question(question: &str) -> ModalResult<TextQuestion> {
             }
             let subject = words[..words.len() - 1].join(" ");
             return Ok(TextQuestion::HowMany {
-                stat: stat.trim().to_string(),
+                stat: stat.to_string(),
                 subject,
             });
-        }
-        // "how many points were scored by heat"
-        if let Some((stat, tail)) = rest.split_once(" were ") {
-            if let Some(subject) = tail.split(" by ").nth(1) {
-                return Ok(TextQuestion::HowMany {
-                    stat: stat.trim().to_string(),
-                    subject: subject.trim().to_string(),
-                });
-            }
         }
         return unanswerable("counting questions must follow 'How many <stat> did <name> <verb>?'");
     }
@@ -97,33 +86,17 @@ pub fn parse_text_question(question: &str) -> ModalResult<TextQuestion> {
         return unanswerable("only win/lose outcome questions are supported for 'Did ...?'");
     }
 
-    if q.starts_with("who won") {
-        return Ok(TextQuestion::WhoOutcome { win: true });
-    }
-    if q.starts_with("who lost") {
-        return Ok(TextQuestion::WhoOutcome { win: false });
-    }
-
     unanswerable("the question does not match any supported text question pattern")
 }
 
 /// The simulated TextQA reader.
 #[derive(Debug, Clone, Default)]
-pub struct TextQaModel {
-    noise: NoiseModel,
-}
+pub struct TextQaModel;
 
 impl TextQaModel {
-    /// A noiseless reader.
+    /// The reader.
     pub fn new() -> Self {
-        TextQaModel {
-            noise: NoiseModel::none(),
-        }
-    }
-
-    /// A reader that corrupts a fraction of its answers (deterministically).
-    pub fn with_noise(noise: NoiseModel) -> Self {
-        TextQaModel { noise }
+        TextQaModel
     }
 
     /// Answer an instantiated question against a report document.
@@ -133,10 +106,6 @@ impl TextQaModel {
     /// question itself cannot be understood.
     pub fn answer(&self, document: &str, question: &str) -> ModalResult<Value> {
         let parsed = parse_text_question(question)?;
-        let noise_key = self.noise.key(|| {
-            let prefix: String = document.chars().take(32).collect();
-            format!("{prefix}\u{1}{question}")
-        });
         let doc_lower = document.to_lowercase();
         Ok(match parsed {
             TextQuestion::HowMany { stat, subject } => {
@@ -157,15 +126,7 @@ impl TextQaModel {
                         }
                     }
                 }
-                match answer {
-                    Some(mut n) => {
-                        if self.noise.should_corrupt(&noise_key) {
-                            n = self.noise.perturb_count(&noise_key, n);
-                        }
-                        Value::Int(n)
-                    }
-                    None => Value::Null,
-                }
+                answer.map_or(Value::Null, Value::Int)
             }
             TextQuestion::DidOutcome { subject, win } => {
                 let subject_lower = subject.to_lowercase();
@@ -189,51 +150,11 @@ impl TextQaModel {
                             break;
                         }
                     }
-                    // Alternative phrasing: "<winner> beat <loser>".
-                    if let Some(pos) = sentence.find(" beat ") {
-                        let before = &sentence[..pos];
-                        let after = &sentence[pos..];
-                        if before.contains(&subject_lower) {
-                            won = Some(true);
-                            break;
-                        }
-                        if after.contains(&subject_lower) {
-                            won = Some(false);
-                            break;
-                        }
-                    }
                 }
                 match won {
-                    Some(mut outcome) => {
-                        if !win {
-                            outcome = !outcome;
-                        }
-                        if self.noise.should_corrupt(&noise_key) {
-                            outcome = !outcome;
-                        }
-                        Value::str(if outcome { "yes" } else { "no" })
-                    }
+                    Some(won) => Value::str(if won == win { "yes" } else { "no" }),
                     None => Value::Null,
                 }
-            }
-            TextQuestion::WhoOutcome { win } => {
-                // "The <winner> defeated the <loser> ..."
-                let mut result = Value::Null;
-                for sentence in split_sentences(document) {
-                    if let Some(pos) = find_ascii_ignore_case(sentence, "defeated") {
-                        let (before, after) = sentence.split_at(pos);
-                        let name = if win {
-                            clean_team_phrase(before)
-                        } else {
-                            clean_team_phrase(&after["defeated".len()..])
-                        };
-                        if !name.is_empty() {
-                            result = Value::str(name);
-                        }
-                        break;
-                    }
-                }
-                result
             }
         })
     }
@@ -255,47 +176,11 @@ impl PerceptionBackend for TextQaModel {
             .collect()
     }
 
-    /// Answers depend only on the document text and the noise configuration,
-    /// so the identity versions exactly those.
+    /// Answers depend only on the document text, so the identity versions
+    /// only the reading rules.
     fn identity(&self) -> String {
-        format!(
-            "sim:text_qa:v2:noise={}@{}",
-            self.noise.error_rate, self.noise.seed
-        )
+        "sim:text_qa:v3".to_string()
     }
-}
-
-/// Byte offset of the first occurrence of the ASCII `needle` in `haystack`,
-/// ignoring ASCII case. Offsets into a lowercased copy would not do:
-/// lowercasing changes the byte length of characters such as `İ` and `ẞ`.
-fn find_ascii_ignore_case(haystack: &str, needle: &str) -> Option<usize> {
-    let needle = needle.as_bytes();
-    let windows = haystack.as_bytes().windows(needle.len());
-    windows
-        .into_iter()
-        .position(|window| window.eq_ignore_ascii_case(needle))
-}
-
-/// Strip articles, scores, and punctuation from a phrase like
-/// "The Miami Heat " or " the San Antonio Spurs 110-102." to get a team name.
-fn clean_team_phrase(phrase: &str) -> String {
-    let words: Vec<&str> = phrase
-        .split_whitespace()
-        .filter(|w| {
-            let lower = w.to_lowercase();
-            lower != "the"
-                && !w
-                    .chars()
-                    .next()
-                    .map(|c| c.is_ascii_digit())
-                    .unwrap_or(false)
-        })
-        .collect();
-    words
-        .join(" ")
-        .trim_end_matches(['.', ',', '!'])
-        .trim()
-        .to_string()
 }
 
 #[cfg(test)]
@@ -383,35 +268,24 @@ mod tests {
         );
     }
 
+    /// "How many  did Heat score?" names no statistic, and an empty one
+    /// matches everywhere: the reader must refuse the question instead of
+    /// searching forever. The question comes from the model's mapping
+    /// arguments, so it is outside input; it runs on a thread here so that a
+    /// regression fails instead of hanging the suite.
     #[test]
-    fn who_won_extracts_the_team_name() {
-        let model = TextQaModel::new();
-        let winner = model.answer(REPORT, "Who won the game?").unwrap();
-        assert_eq!(winner, Value::str("San Antonio Spurs"));
-        let loser = model.answer(REPORT, "Who lost the game?").unwrap();
-        assert!(loser.to_string().contains("Miami Heat"));
-    }
-
-    /// Lowercasing `İ` grows it by a byte and `ẞ` shrinks by one, so an
-    /// offset found in the lowercased sentence cut the original mid-name, or
-    /// mid-character.
-    #[test]
-    fn who_won_survives_names_whose_lowercase_has_another_length() {
-        let model = TextQaModel::new();
-        for (report, winner, loser) in [
-            (
-                "The İstanbul Kings defeated the Miami Heat 100-90.",
-                "İstanbul Kings",
-                "Miami Heat",
-            ),
-            ("ẞẞé defeated the Heat 100-90.", "ẞẞé", "Heat"),
-            ("THE ÉTOILES DEFEATED THE HEAT 100-90.", "ÉTOILES", "HEAT"),
-        ] {
-            let won = model.answer(report, "Who won the game?").unwrap();
-            assert_eq!(won, Value::str(winner), "{report}");
-            let lost = model.answer(report, "Who lost the game?").unwrap();
-            assert_eq!(lost, Value::str(loser), "{report}");
-        }
+    fn an_empty_statistic_is_unanswerable_not_a_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(TextQaModel::new().answer(REPORT, "How many  did Heat score?"));
+        });
+        let answer = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("the reader must answer a question with an empty statistic");
+        assert!(matches!(
+            answer,
+            Err(ModalError::UnanswerableQuestion { .. })
+        ));
     }
 
     #[test]
@@ -422,19 +296,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ModalError::UnanswerableQuestion { .. }));
         assert!(err.to_string().contains("TextQA"));
-    }
-
-    #[test]
-    fn noise_perturbs_deterministically() {
-        let noisy = TextQaModel::with_noise(NoiseModel::with_rate(1.0, 11));
-        let a = noisy
-            .answer(REPORT, "How many points did Heat score?")
-            .unwrap();
-        assert_ne!(a, Value::Int(102));
-        let b = noisy
-            .answer(REPORT, "How many points did Heat score?")
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

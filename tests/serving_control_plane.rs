@@ -363,8 +363,8 @@ fn the_fieldwork_suite_meets_every_expectation_when_scheduled_concurrently() {
     // way it is expected to — scheduling never turns a typed execution error
     // into a NULL or the other way round.
     let config = EvaluationConfig::small();
-    let serial = evaluate_fieldwork(ModelProfile::Gpt4, &config);
-    let serving = evaluate_fieldwork_concurrent(ModelProfile::Gpt4, &config, 4);
+    let serial = evaluate_fieldwork(&config);
+    let serving = evaluate_fieldwork_concurrent(&config, 4);
     assert_eq!(serving.results.len(), serial.results.len());
     assert_eq!(serial.expectation_accuracy(|_| true), 1.0);
     assert_eq!(serving.expectation_accuracy(|_| true), 1.0);
