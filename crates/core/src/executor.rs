@@ -15,6 +15,12 @@
 //! and accumulates the per-dispatch [`BatchStats`] — including failed
 //! dispatches, whose model calls were paid just the same — behind
 //! [`Executor::perception_stats`].
+//!
+//! SQL steps may route through the session's [`StepRecycler`] instead: the
+//! results of the SQL steps a session has executed, keyed by the executed
+//! prefix that produced them, so a join, selection or aggregation a later
+//! query repeats after the same prefix registers the held result instead of
+//! running again (see [`StepRecycler`] for why that cannot change a result).
 
 use crate::error::{CoreError, CoreResult};
 use caesura_engine::{sql, Catalog, Observation, Table};
@@ -27,6 +33,7 @@ use caesura_modal::{
     BatchConfig, BatchStats, ImageSelectModel, ImageStore, OperatorKind, PerceptionBackend,
     PerceptionCache, Plot, TextQaModel, TransformCodegen, VisualQaModel,
 };
+use caesura_store::{keyed_hash, CacheKey, TieredCache, TieredStats};
 use std::sync::Arc;
 
 /// The result of executing one physical step.
@@ -65,6 +72,100 @@ impl StepOutcome {
     }
 }
 
+/// Everything [`Executor::execute`] reads of one step it executed: an
+/// executed prefix is the list of these, in execution order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ExecutedStep {
+    number: usize,
+    operator: OperatorKind,
+    arguments: Vec<String>,
+    inputs: Vec<String>,
+    output: String,
+    new_columns: Vec<String>,
+}
+
+impl ExecutedStep {
+    fn new(step: &LogicalStep, decision: &OperatorDecision) -> Self {
+        ExecutedStep {
+            number: step.number,
+            operator: decision.operator,
+            arguments: decision.arguments.clone(),
+            inputs: step.inputs.clone(),
+            output: step.output.clone(),
+            new_columns: step.new_columns.clone(),
+        }
+    }
+}
+
+/// A probe of the recycler: an executed prefix and its hash, composed step
+/// by step as the prefix grew. The hash only finds a slot; the comparison of
+/// the whole prefix decides identity.
+struct Prefix<'a> {
+    steps: &'a [ExecutedStep],
+    hash: u64,
+}
+
+impl CacheKey<Box<[ExecutedStep]>> for Prefix<'_> {
+    fn hash64(&self) -> u64 {
+        self.hash
+    }
+
+    fn equivalent(&self, key: &Box<[ExecutedStep]>) -> bool {
+        self.steps == &key[..]
+    }
+
+    fn to_key(&self) -> Box<[ExecutedStep]> {
+        self.steps.into()
+    }
+
+    fn disk_key(&self, _: &str) -> Vec<u8> {
+        unreachable!("the step recycler has no disk tier")
+    }
+}
+
+/// A recycled SQL result: the table as it was registered, and what the step
+/// observed of it.
+#[derive(Clone)]
+struct Recycled {
+    table: Arc<Table>,
+    observation: Observation,
+}
+
+/// The session's step recycler: the results of the SQL steps (join,
+/// selection, aggregation, query) its executors ran, each keyed by the
+/// executed prefix that produced it — every step the executor had executed
+/// before it, and the step itself.
+///
+/// **Why a recycled result is the result.** An executor starts from an empty
+/// intermediate catalog over the session's immutable lake, and a failed step
+/// registers nothing (nor joins the prefix), so equal prefixes rebuild equal
+/// catalogs — provided every step is deterministic. SQL and the transform
+/// compiler are; perception backends are by the contract the perception
+/// cache already rests on. A session therefore has a recycler exactly when it
+/// has a perception cache: `CacheConfig::off()`, the opt-out for backends
+/// that are not deterministic, turns both off.
+///
+/// At most a constant number of results, in a memory-only [`TieredCache`];
+/// only successful results enter. Two queries racing on one prefix both
+/// compute it, and the second insert only refreshes the entry.
+pub struct StepRecycler {
+    results: TieredCache<Box<[ExecutedStep]>, Recycled>,
+}
+
+impl StepRecycler {
+    /// A recycler holding at most `capacity` results.
+    pub(crate) fn new(capacity: usize) -> Self {
+        StepRecycler {
+            results: TieredCache::new(capacity, |_| Vec::new(), |_| None),
+        }
+    }
+
+    /// Lifetime counters: `hits` are SQL steps recycled, `misses` ran.
+    pub fn stats(&self) -> TieredStats {
+        self.results.stats()
+    }
+}
+
 /// Executes physical operators and tracks intermediate tables.
 pub struct Executor {
     base: Catalog,
@@ -83,6 +184,12 @@ pub struct Executor {
     cache: Option<Arc<PerceptionCache>>,
     /// Accumulated perception call accounting across executed steps.
     perception: BatchStats,
+    /// Optional session-scoped SQL step recycler.
+    recycler: Option<Arc<StepRecycler>>,
+    /// Every step executed so far, and the hash of that prefix (kept only
+    /// with a recycler attached).
+    prefix: Vec<ExecutedStep>,
+    prefix_hash: u64,
 }
 
 impl Executor {
@@ -103,6 +210,9 @@ impl Executor {
             batch: BatchConfig::default(),
             cache: None,
             perception: BatchStats::default(),
+            recycler: None,
+            prefix: Vec::new(),
+            prefix_hash: 0,
         }
     }
 
@@ -121,6 +231,13 @@ impl Executor {
     /// byte-for-byte as before.
     pub fn with_perception_cache(mut self, cache: Arc<PerceptionCache>) -> Self {
         self.cache = Some(cache);
+        self
+    }
+
+    /// Attach the session's step recycler: a SQL step whose executed prefix
+    /// the recycler holds registers the held result instead of running.
+    pub(crate) fn with_step_recycler(mut self, recycler: Arc<StepRecycler>) -> Self {
+        self.recycler = Some(recycler);
         self
     }
 
@@ -215,10 +332,16 @@ impl Executor {
         } else {
             step.output.clone()
         };
-        let table = table.renamed(name.clone());
+        let table = Arc::new(table.renamed(name));
         let observation = table.observation(new_columns);
+        self.register_shared(table, observation)
+    }
+
+    /// Register `table` under its own name as the step's output.
+    fn register_shared(&mut self, table: Arc<Table>, observation: Observation) -> StepOutcome {
+        let name = table.name().to_string();
         let num_rows = table.num_rows();
-        self.intermediate.register(table);
+        self.intermediate.register_shared(table);
         self.last_output = Some(name.clone());
         StepOutcome::Table {
             name,
@@ -228,9 +351,9 @@ impl Executor {
     }
 
     /// [`Executor::execute`] plus trace accounting: records the step's
-    /// execution-phase wall clock and its perception-call delta (including
-    /// for failed attempts, whose dispatches were paid just the same) on
-    /// `trace`. The session's one step loop runs live-mapped and replayed
+    /// execution-phase wall clock, whether the recycler supplied its result,
+    /// and its perception-call delta (including for failed attempts, whose
+    /// dispatches were paid just the same) on `trace`. The session's one step loop runs live-mapped and replayed
     /// decisions through here, so cached and live executions account
     /// identically.
     pub fn execute_traced(
@@ -242,8 +365,14 @@ impl Executor {
         use crate::trace::{PerceptionCalls, Phase};
         let perception_before = self.perception_stats();
         let phase_start = std::time::Instant::now();
-        let result = self.execute(step, decision);
+        let result = self.execute_recycling(step, decision);
         trace.record_phase_duration(Phase::Execution, phase_start.elapsed());
+        let result = result.map(|(outcome, recycled)| {
+            if recycled {
+                trace.record_recycled_step();
+            }
+            outcome
+        });
         let delta = self.perception_stats().since(&perception_before);
         if delta.rows > 0 || delta.unique_requests > 0 {
             trace.record(Phase::Execution, "perception", delta.summary());
@@ -271,6 +400,67 @@ impl Executor {
         step: &LogicalStep,
         decision: &OperatorDecision,
     ) -> CoreResult<StepOutcome> {
+        let executed = self.execute_recycling(step, decision);
+        executed.map(|(outcome, _)| outcome)
+    }
+
+    /// [`Executor::execute`] through the attached recycler, if any: a SQL
+    /// step whose executed prefix the recycler holds registers the held
+    /// result (`true`) instead of running; a SQL step that runs files its
+    /// result. A step that fails leaves the prefix as it was.
+    fn execute_recycling(
+        &mut self,
+        step: &LogicalStep,
+        decision: &OperatorDecision,
+    ) -> CoreResult<(StepOutcome, bool)> {
+        let Some(recycler) = self.recycler.clone() else {
+            return self.run(step, decision).map(|outcome| (outcome, false));
+        };
+        let executed = ExecutedStep::new(step, decision);
+        let hash = keyed_hash(&(self.prefix_hash, &executed));
+        self.prefix.push(executed);
+        let sql = matches!(
+            decision.operator,
+            OperatorKind::SqlJoin
+                | OperatorKind::SqlSelection
+                | OperatorKind::SqlAggregation
+                | OperatorKind::Sql
+        );
+        if sql {
+            let probe = Prefix {
+                steps: &self.prefix,
+                hash,
+            };
+            if let Some(hit) = recycler.results.get(&probe, "") {
+                self.prefix_hash = hash;
+                let Recycled { table, observation } = hit.value;
+                return Ok((self.register_shared(table, observation), true));
+            }
+        }
+        let outcome = match self.run(step, decision) {
+            Ok(outcome) => outcome,
+            Err(error) => {
+                self.prefix.pop();
+                return Err(error);
+            }
+        };
+        self.prefix_hash = hash;
+        if let (true, StepOutcome::Table { observation, .. }) = (sql, &outcome) {
+            let table = Arc::clone(self.last_table().expect("the step registered its table"));
+            let observation = observation.clone();
+            let probe = Prefix {
+                steps: &self.prefix,
+                hash,
+            };
+            recycler
+                .results
+                .put(&probe, Recycled { table, observation }, "");
+        }
+        Ok((outcome, false))
+    }
+
+    /// Run one operator decision for one logical step.
+    fn run(&mut self, step: &LogicalStep, decision: &OperatorDecision) -> CoreResult<StepOutcome> {
         let args = &decision.arguments;
         let expect_args = |n: usize| -> CoreResult<()> {
             if args.len() < n {
@@ -616,5 +806,145 @@ mod tests {
         }
         // The perception failure above did reach the model.
         assert!(executor.perception_stats().unique_requests > 0);
+    }
+
+    mod recycler {
+        use super::*;
+        use caesura_data::{generate_rotowire, DataLake, RotowireConfig};
+
+        const JOIN: &str = "SELECT * FROM paintings_metadata JOIN painting_images \
+                            ON paintings_metadata.img_path = painting_images.img_path";
+
+        fn artwork() -> DataLake {
+            generate_artwork(&ArtworkConfig::small()).lake
+        }
+
+        fn over(lake: &DataLake, recycler: &Arc<StepRecycler>) -> Executor {
+            Executor::new(lake.catalog().clone(), lake.images().clone())
+                .with_step_recycler(Arc::clone(recycler))
+        }
+
+        /// The step's outcome, its registered table and whether it was
+        /// recycled.
+        fn run(
+            executor: &mut Executor,
+            step: &LogicalStep,
+            decision: &OperatorDecision,
+        ) -> (StepOutcome, Arc<Table>, bool) {
+            let (outcome, recycled) = executor.execute_recycling(step, decision).unwrap();
+            let table = Arc::clone(executor.last_table().unwrap());
+            (outcome, table, recycled)
+        }
+
+        fn join(output: &str, new_columns: Vec<&str>) -> (LogicalStep, OperatorDecision) {
+            let inputs = vec!["paintings_metadata", "painting_images"];
+            (
+                step(1, "Join", inputs, output, new_columns),
+                decision(OperatorKind::SqlJoin, vec![JOIN]),
+            )
+        }
+
+        #[test]
+        fn a_failed_step_files_nothing_and_does_not_extend_the_prefix() {
+            let (lake, recycler) = (artwork(), Arc::new(StepRecycler::new(16)));
+            let (join_step, join) = join("joined_table", vec![]);
+            let count_step = step(2, "Count", vec!["joined_table"], "result_table", vec!["n"]);
+            let count = decision(
+                OperatorKind::SqlAggregation,
+                vec!["SELECT COUNT(*) AS n FROM joined_table"],
+            );
+            let failing = decision(
+                OperatorKind::SqlAggregation,
+                vec!["SELECT no_such_column FROM joined_table"],
+            );
+
+            let mut first = over(&lake, &recycler);
+            let (_, joined, _) = run(&mut first, &join_step, &join);
+            assert!(first.execute(&count_step, &failing).is_err());
+            assert_eq!(first.prefix.len(), 1);
+            assert_eq!(recycler.results.len(), 1, "only the join is filed");
+            let (counted, counts, recycled) = run(&mut first, &count_step, &count);
+            assert!(!recycled);
+
+            // An executor that never met the failure shares both prefixes.
+            let mut second = over(&lake, &recycler);
+            let (_, table, recycled) = run(&mut second, &join_step, &join);
+            assert!(recycled && Arc::ptr_eq(&table, &joined));
+            let (outcome, table, recycled) = run(&mut second, &count_step, &count);
+            assert!(recycled && Arc::ptr_eq(&table, &counts));
+            assert_eq!(outcome.observation(), counted.observation());
+            let stats = recycler.stats();
+            assert_eq!((stats.hits, stats.insertions), (2, 2));
+        }
+
+        #[test]
+        fn selections_of_different_teams_after_one_join_do_not_share_a_result() {
+            let lake = generate_rotowire(&RotowireConfig::small()).lake;
+            let recycler = Arc::new(StepRecycler::new(16));
+            let join_step = step(1, "Join", vec!["teams", "team_to_games"], "joined", vec![]);
+            let join = decision(
+                OperatorKind::SqlJoin,
+                vec!["SELECT * FROM teams JOIN team_to_games ON teams.name = team_to_games.name"],
+            );
+            let select_step = step(2, "Select", vec!["joined"], "filtered", vec![]);
+            let select = |team: &str| {
+                let condition = format!("teams.name = '{team}'");
+                decision(OperatorKind::SqlSelection, vec![condition.as_str()])
+            };
+            let selected = |team: &str| {
+                let mut executor = over(&lake, &recycler);
+                run(&mut executor, &join_step, &join);
+                run(&mut executor, &select_step, &select(team))
+            };
+            let (_, heat, _) = selected("Heat");
+            let (_, bulls, recycled) = selected("Bulls");
+            assert!(!recycled);
+            assert!(heat.num_rows() > 0 && bulls.num_rows() > 0);
+            assert_ne!(heat.as_ref(), bulls.as_ref());
+            let (_, again, recycled) = selected("Heat");
+            assert!(recycled && Arc::ptr_eq(&again, &heat));
+        }
+
+        #[test]
+        fn a_step_with_another_output_name_or_new_columns_does_not_share_a_result() {
+            let (lake, recycler) = (artwork(), Arc::new(StepRecycler::new(16)));
+            let joined = |output: &str, new_columns: Vec<&str>| {
+                let (step, decision) = join(output, new_columns);
+                run(&mut over(&lake, &recycler), &step, &decision)
+            };
+            let (_, first, _) = joined("joined_table", vec![]);
+            let (_, renamed, recycled) = joined("other_table", vec![]);
+            assert!(!recycled);
+            assert_eq!(renamed.name(), "other_table");
+            let (noted, _, recycled) = joined("joined_table", vec!["title"]);
+            assert!(!recycled);
+            assert!(noted.observation().contains("New column 'title'"));
+            let (_, table, recycled) = joined("joined_table", vec![]);
+            assert!(recycled && Arc::ptr_eq(&table, &first));
+        }
+
+        #[test]
+        fn at_capacity_the_least_recently_used_result_goes() {
+            // Two results: one shard, so the bound is exact LRU.
+            let (lake, recycler) = (artwork(), Arc::new(StepRecycler::new(2)));
+            let count = |column: &str| {
+                let step = step(1, "Count", vec!["paintings_metadata"], "n", vec![]);
+                let sql = format!("SELECT COUNT({column}) AS n FROM paintings_metadata");
+                (
+                    step,
+                    decision(OperatorKind::SqlAggregation, vec![sql.as_str()]),
+                )
+            };
+            let recycled = |column: &str| {
+                let (step, decision) = count(column);
+                run(&mut over(&lake, &recycler), &step, &decision).2
+            };
+            assert!(!recycled("title") && !recycled("inception"));
+            assert!(recycled("title"), "refreshes 'title'");
+            assert!(!recycled("movement"), "evicts 'inception'");
+            assert_eq!(recycler.stats().evictions, 1);
+            assert!(recycled("title") && recycled("movement"));
+            assert!(!recycled("inception"));
+        }
     }
 }

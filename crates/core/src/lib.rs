@@ -59,7 +59,7 @@ pub mod trace;
 
 pub use discovery::{lexical_relevant_columns, Retriever};
 pub use error::{CoreError, CoreResult};
-pub use executor::{Executor, StepOutcome};
+pub use executor::{Executor, StepOutcome, StepRecycler};
 pub use output::QueryOutput;
 pub use sched::{AdmissionError, Priority, SubmitOptions, TenantServingStats};
 pub use serving::{QueryHandle, QueryStatus, ServingStats};

@@ -12,7 +12,7 @@
 
 use crate::discovery::{lexical_relevant_columns, Retriever};
 use crate::error::{CoreError, CoreResult};
-use crate::executor::{Executor, StepOutcome};
+use crate::executor::{Executor, StepOutcome, StepRecycler};
 use crate::output::QueryOutput;
 use crate::sched::{AdmissionError, SubmitOptions, TenantServingStats};
 use crate::serving::{JobState, QueryHandle, Scheduler, ServingStats};
@@ -103,6 +103,10 @@ const MAX_STEP_ATTEMPTS: usize = 3;
 
 /// Full replans after an unrecoverable error.
 const MAX_REPLANS: usize = 1;
+
+/// SQL results a session's step recycler holds (least recently used goes
+/// first). A suite session executes about 60–110 distinct SQL prefixes.
+const RECYCLED_STEPS: usize = 256;
 
 impl Default for CaesuraConfig {
     fn default() -> Self {
@@ -309,6 +313,9 @@ pub(crate) struct SessionCore {
     /// `Arc`-shared for the same reason: every concurrent in-flight query of
     /// the scheduler pool probes and populates one cache.
     plan_cache: Option<Arc<PlanCache>>,
+    /// The session-scoped SQL step recycler: present exactly when the
+    /// perception cache is, since both rest on deterministic backends.
+    step_recycler: Option<Arc<StepRecycler>>,
 }
 
 /// A CAESURA session over one data lake and one language model.
@@ -379,6 +386,9 @@ impl Caesura {
                 cache.attach_disk(open(persist.plans_dir())?, identity);
             }
         }
+        let step_recycler = perception_cache
+            .is_some()
+            .then(|| Arc::new(StepRecycler::new(RECYCLED_STEPS)));
         let perception_cache = perception_cache.map(Arc::new);
         let plan_cache = plan_cache.map(Arc::new);
         // Hardware parallelism, as the perception dispatch default reads it.
@@ -399,6 +409,7 @@ impl Caesura {
                 retriever,
                 perception_cache,
                 plan_cache,
+                step_recycler,
             }),
             scheduler: Scheduler::new(workers, queue_depth),
         })
@@ -424,6 +435,12 @@ impl Caesura {
     /// inspecting hit/miss/invalidation counters across queries.
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
         self.core.plan_cache.as_ref()
+    }
+
+    /// The session's SQL step recycler (`None` when the perception cache is
+    /// disabled). Useful for inspecting how many SQL steps it recycled.
+    pub fn step_recycler(&self) -> Option<&Arc<StepRecycler>> {
+        self.core.step_recycler.as_ref()
     }
 
     /// Queue-depth / in-flight / completed counters of the session's serving
@@ -772,6 +789,9 @@ impl SessionCore {
         // perception answer) survives across queries.
         if let Some(cache) = &self.perception_cache {
             executor = executor.with_perception_cache(Arc::clone(cache));
+        }
+        if let Some(recycler) = &self.step_recycler {
+            executor = executor.with_step_recycler(Arc::clone(recycler));
         }
         executor
     }

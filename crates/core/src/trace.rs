@@ -218,9 +218,10 @@ pub type TraceSink = Arc<dyn Fn(&TraceEvent) + Send + Sync>;
 /// A full execution trace.
 ///
 /// Equality compares the *logical* record — events, LLM-call counters, and
-/// perception accounting — and ignores [`PhaseTimings`] and any attached
-/// [`TraceSink`], so two byte-identical runs compare equal even though their
-/// wall clocks differ.
+/// perception accounting — and ignores [`PhaseTimings`], the count of
+/// recycled steps and any attached [`TraceSink`], so two byte-identical runs
+/// compare equal even though their wall clocks differ, and a run whose SQL
+/// steps were recycled equals one that ran them.
 #[derive(Clone, Default)]
 pub struct ExecutionTrace {
     events: Vec<TraceEvent>,
@@ -230,6 +231,7 @@ pub struct ExecutionTrace {
     plan_cache: PlanCacheCalls,
     plan_source: Option<PlanSource>,
     timings: PhaseTimings,
+    recycled_steps: usize,
     scheduling: Option<SchedulingInfo>,
     sink: Option<TraceSink>,
 }
@@ -244,6 +246,7 @@ impl fmt::Debug for ExecutionTrace {
             .field("plan_cache", &self.plan_cache)
             .field("plan_source", &self.plan_source)
             .field("timings", &self.timings)
+            .field("recycled_steps", &self.recycled_steps)
             .field("scheduling", &self.scheduling)
             .field("sink", &self.sink.as_ref().map(|_| "..."))
             .finish()
@@ -314,6 +317,18 @@ impl ExecutionTrace {
     /// The wall-clock timings of this run (excluded from trace equality).
     pub fn timings(&self) -> PhaseTimings {
         self.timings
+    }
+
+    /// Count one SQL step whose result the session's step recycler supplied.
+    pub(crate) fn record_recycled_step(&mut self) {
+        self.recycled_steps += 1;
+    }
+
+    /// SQL steps of this run whose results the session's step recycler
+    /// supplied instead of running them (excluded from trace equality, like
+    /// timings: a recycled result equals the fresh one).
+    pub fn recycled_steps(&self) -> usize {
+        self.recycled_steps
     }
 
     /// Stamp the scheduling decision the serving layer made for this run.

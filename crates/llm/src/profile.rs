@@ -108,11 +108,6 @@ impl ErrorInjector {
         ErrorInjector { profile, seed }
     }
 
-    /// The profile this injector simulates.
-    pub fn profile(&self) -> ModelProfile {
-        self.profile
-    }
-
     /// Which plan-level corruptions apply to this query. At most one is
     /// returned, mirroring the paper's per-query error categorization.
     pub fn plan_corruption(&self, query: &str, multimodal: bool) -> Option<PlanCorruption> {

@@ -46,11 +46,6 @@ impl SimulatedLlm {
         SimulatedLlm::new(ModelProfile::ChatGpt35, 42)
     }
 
-    /// The profile this model simulates.
-    pub fn profile(&self) -> ModelProfile {
-        self.injector.profile()
-    }
-
     fn respond_planning(&self, context: &PromptContext) -> String {
         let intent = analyze(&context.query, &context.tables);
         let multimodal = intent.is_multimodal();

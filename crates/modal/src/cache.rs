@@ -514,7 +514,9 @@ mod tests {
                 requests.iter().map(|_| Ok(Value::Int(7))).collect()
             }
         }
-        let cache = PerceptionCache::with_capacity(64);
+        // The test files 12 entries; 16 shards of 12 each hold them all
+        // however the process's hash key spreads them, so none is evicted.
+        let cache = PerceptionCache::with_capacity(16 * 12);
         let dispatch = |request: &PerceptionRequest, scope| {
             let mut batch = PerceptionBatch::new();
             batch.push(request.clone());
