@@ -483,8 +483,15 @@ impl Executor {
             OperatorKind::SqlSelection => {
                 expect_args(1)?;
                 let input = self.step_input(step)?;
-                // The argument is either a bare condition or a full SELECT.
-                let result = if args[0].trim().to_uppercase().starts_with("SELECT") {
+                // The argument is either a bare condition or a full SELECT:
+                // only the keyword itself, not a column named `selected`,
+                // starts a statement.
+                let first_word = args[0]
+                    .trim_start()
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .next()
+                    .unwrap_or_default();
+                let result = if first_word.eq_ignore_ascii_case("SELECT") {
                     sql::run_sql(&self.combined(), &args[0])?
                 } else {
                     let condition = sql::parse_expression(&args[0])?;
@@ -564,6 +571,7 @@ impl Executor {
 mod tests {
     use super::*;
     use caesura_data::{generate_artwork, ArtworkConfig};
+    use caesura_engine::{DataType, Schema, TableBuilder, Value};
     use caesura_llm::LogicalStep;
 
     fn executor() -> Executor {
@@ -696,6 +704,32 @@ mod tests {
                 assert!(num_rows < 40);
             }
             other => panic!("expected a table outcome, got: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bare_condition_on_a_column_named_like_select_is_a_condition() {
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("selected", DataType::Int)]);
+        let mut builder = TableBuilder::new("items", schema);
+        for (id, selected) in [(1i64, 1i64), (2, 0), (3, 1)] {
+            builder
+                .push_values::<_, Value>(vec![id.into(), selected.into()])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(builder.build());
+        let mut executor = Executor::new(catalog, ImageStore::new());
+        for condition in ["selected = 1", "SELECT * FROM items WHERE selected = 1"] {
+            let outcome = executor
+                .execute(
+                    &step(1, "Select", vec!["items"], "chosen", vec![]),
+                    &decision(OperatorKind::SqlSelection, vec![condition]),
+                )
+                .unwrap();
+            assert!(
+                matches!(outcome, StepOutcome::Table { num_rows: 2, .. }),
+                "{condition}: {outcome:?}"
+            );
         }
     }
 

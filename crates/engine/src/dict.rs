@@ -9,7 +9,7 @@
 //! * grouped aggregation keyed by one dictionary column
 //!   ([`aggregate`](crate::ops::aggregate())),
 //! * a column compared with, or `LIKE`-matched against, a string literal
-//!   (the compiled expression kernels),
+//!   (the binary kernels of [`Expr::evaluate_batch`](crate::Expr::evaluate_batch)),
 //! * a hash join whose build side is dictionary-encoded and whose probe side
 //!   is a plain string column ([`hash_join`](crate::ops::hash_join)).
 //!

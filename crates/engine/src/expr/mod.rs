@@ -4,27 +4,21 @@
 //! transform-DSL of the Python-UDF substitute in `caesura-modal`. They can be
 //! evaluated two ways:
 //!
-//! * **column-at-a-time** via [`Expr::evaluate_batch`] — the vectorized path
-//!   the physical operators use. The expression is first lowered to a
-//!   [`CompiledExpr`] (column names bound to indices, constant subtrees
-//!   folded — see [`compile`]), then evaluated over the input columns in
-//!   place, with typed kernels (and scalar
-//!   broadcasting for literals) for the common numeric and string cases and
-//!   an element-wise fallback where per-row dynamic typing demands it;
+//! * **column-at-a-time** via [`Expr::evaluate_batch`] and
+//!   [`Expr::selection_vector`] — the vectorized path the physical operators
+//!   use. The tree is walked once per batch over the input columns in place:
+//!   literals stay scalars broadcast across the batch, column references are
+//!   `Arc` bumps, and binary operators run the typed kernels of the private
+//!   `kernels` module (numeric and string loops, the code-native
+//!   dictionary-vs-literal compare), with an element-wise fallback where
+//!   per-row dynamic typing demands it. `IN` and `CASE` go row by row, so an
+//!   item or branch no row reaches is never evaluated;
 //! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
 //!   slice, or [`Expr::evaluate_at`] against one row of the columns — one
-//!   evaluator over two ways of reading a cell, used by the interpreted
-//!   reference below and by the property tests' row-at-a-time oracles.
-//!
-//! The pre-compilation interpreter is retained as
-//! [`Expr::evaluate_batch_interpreted`] / [`Expr::selection_vector_interpreted`]:
-//! it is the executable reference the property tests compare the compiled
-//! evaluator against. Both paths share the innermost binary-operator kernels
-//! ([`compile::eval_binary_view`](self::compile)), so they cannot drift.
+//!   evaluator over two ways of reading a cell, used by the batch path for
+//!   `IN`/`CASE` and by the property tests' row-at-a-time oracles.
 
-pub mod compile;
-
-pub use compile::CompiledExpr;
+mod kernels;
 
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
@@ -328,30 +322,9 @@ impl Expr {
     /// Evaluate the expression for every row at once, producing one column.
     ///
     /// `columns` are the input table's columns in schema order and `num_rows`
-    /// its row count. The expression is lowered to a [`CompiledExpr`] once
-    /// (column names bound to indices, constant subtrees folded), then
-    /// evaluated in one pass over the shared input columns.
+    /// its row count. A plain column reference returns the input column
+    /// itself (an `Arc` bump).
     pub fn evaluate_batch(
-        &self,
-        schema: &Schema,
-        columns: &[Arc<Column>],
-        num_rows: usize,
-    ) -> EngineResult<Arc<Column>> {
-        // Literals stay scalar and plain column references stay zero-copy
-        // `Arc` bumps — compiling either would only add work.
-        if matches!(self, Expr::Literal(_) | Expr::Column(_)) {
-            return Ok(self
-                .evaluate_batch_inner(schema, columns, num_rows)?
-                .materialize(num_rows));
-        }
-        CompiledExpr::compile(self, schema).evaluate(columns, num_rows)
-    }
-
-    /// The pre-compilation batch evaluator, kept as the executable reference
-    /// for the compiled path (`tests/property_encoded.rs` proves them
-    /// byte-identical). Interprets the AST per batch instead of compiling
-    /// once.
-    pub fn evaluate_batch_interpreted(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
@@ -364,50 +337,37 @@ impl Expr {
 
     /// Evaluate the expression as a predicate over all rows and return the
     /// selection vector of row indices where it is true (NULL = not selected).
-    ///
-    /// Like [`Expr::evaluate_batch`], the expression is compiled once and
-    /// evaluated in one pass.
     pub fn selection_vector(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
-        CompiledExpr::compile(self, schema).selection(columns, num_rows)
-    }
-
-    /// The pre-compilation selection-vector evaluator — the executable
-    /// reference for [`Expr::selection_vector`], interpreting the AST.
-    pub fn selection_vector_interpreted(
-        &self,
-        schema: &Schema,
-        columns: &[Arc<Column>],
-        num_rows: usize,
-    ) -> EngineResult<Vec<usize>> {
-        match self.evaluate_batch_inner(schema, columns, num_rows)? {
-            Batch::Scalar(v) => Ok(if v.as_bool() == Some(true) {
-                (0..num_rows).collect()
-            } else {
-                Vec::new()
-            }),
-            Batch::Col(col) => {
-                let mut selected = Vec::new();
-                if let Some((data, validity)) = col.as_bools() {
-                    for (i, &b) in data.iter().enumerate() {
-                        if b && validity.is_valid(i) {
-                            selected.push(i);
-                        }
-                    }
+        let col = match self.evaluate_batch_inner(schema, columns, num_rows)? {
+            Batch::Scalar(v) => {
+                return Ok(if v.as_bool() == Some(true) {
+                    (0..num_rows).collect()
                 } else {
-                    for i in 0..num_rows {
-                        if col.get(i).as_bool() == Some(true) {
-                            selected.push(i);
-                        }
-                    }
+                    Vec::new()
+                });
+            }
+            Batch::Col(col) => col,
+        };
+        let mut selected = Vec::new();
+        if let Some((data, validity)) = col.as_bools() {
+            for (i, &b) in data[..num_rows].iter().enumerate() {
+                if b && validity.is_valid(i) {
+                    selected.push(i);
                 }
-                Ok(selected)
+            }
+        } else {
+            for i in 0..num_rows {
+                if col.get(i).as_bool() == Some(true) {
+                    selected.push(i);
+                }
             }
         }
+        Ok(selected)
     }
 
     /// Evaluate the expression at one row, reading cells directly from the
@@ -499,7 +459,7 @@ impl Expr {
             Expr::Binary { left, op, right } => {
                 let lhs = left.evaluate_batch_inner(schema, columns, num_rows)?;
                 let rhs = right.evaluate_batch_inner(schema, columns, num_rows)?;
-                eval_binary_batch(&lhs, *op, &rhs, num_rows)
+                kernels::eval_binary_view(&lhs.view(), *op, &rhs.view(), num_rows)
             }
             Expr::Unary { op, operand } => {
                 match operand.evaluate_batch_inner(schema, columns, num_rows)? {
@@ -646,7 +606,7 @@ impl fmt::Display for Expr {
 
 /// The result of evaluating a sub-expression over a batch of rows: either a
 /// whole column or a scalar broadcast across every row (literals and
-/// constant-folded sub-trees). Keeping scalars unexpanded lets the binary
+/// constant sub-trees). Keeping scalars unexpanded lets the binary
 /// kernels run column-vs-constant loops without allocating literal columns.
 enum Batch {
     /// A per-row column.
@@ -664,32 +624,18 @@ impl Batch {
         }
     }
 
+    fn view(&self) -> kernels::ValuesView<'_> {
+        match self {
+            Batch::Col(col) => kernels::ValuesView::Col(col),
+            Batch::Scalar(v) => kernels::ValuesView::Scalar(v),
+        }
+    }
+
     fn materialize(self, num_rows: usize) -> Arc<Column> {
         match self {
             Batch::Col(col) => col,
             Batch::Scalar(v) => Arc::new(Column::from_values(vec![v; num_rows])),
         }
-    }
-}
-
-/// Evaluate a binary operation over two batches. Delegates to the shared
-/// kernel [`compile::eval_binary_view`] (typed vector loops for numeric
-/// arithmetic/comparisons and string comparisons/LIKE — including the
-/// code-native dictionary-vs-literal kernel — with an element-wise
-/// [`eval_binary`] fallback).
-fn eval_binary_batch(
-    lhs: &Batch,
-    op: BinaryOp,
-    rhs: &Batch,
-    num_rows: usize,
-) -> EngineResult<Batch> {
-    compile::eval_binary_view(&batch_view(lhs), op, &batch_view(rhs), num_rows)
-}
-
-fn batch_view(batch: &Batch) -> compile::ValuesView<'_> {
-    match batch {
-        Batch::Col(col) => compile::ValuesView::Col(col),
-        Batch::Scalar(v) => compile::ValuesView::Scalar(v),
     }
 }
 

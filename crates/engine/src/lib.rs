@@ -62,7 +62,7 @@ pub mod value;
 pub use catalog::{Catalog, ForeignKey};
 pub use column::{Bitmap, Column, ColumnBuilder};
 pub use error::{EngineError, EngineResult};
-pub use expr::{BinaryOp, CompiledExpr, Expr, ScalarFunc, UnaryOp};
+pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use ops::{AggCall, AggFunc, Projection, SortKey, SortOrder};
 pub use schema::{Field, Schema};
 pub use table::{Observation, Row, RowRef, Rows, Table, TableBuilder};

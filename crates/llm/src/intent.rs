@@ -676,18 +676,6 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        // An integer column named like a year works directly.
-        for table in self.tables {
-            for column in &table.columns {
-                let name = column.name.to_lowercase();
-                if (name.contains("year") || name.contains("founded")) && column.dtype == "int" {
-                    return Some(AttributeRef::Column {
-                        table: table.name.clone(),
-                        column: column.name.clone(),
-                    });
-                }
-            }
-        }
         None
     }
 

@@ -1,28 +1,27 @@
-//! Equivalence properties for dictionary-encoded columns and the compiled
-//! expression evaluator (`caesura_engine::dict` / `caesura_engine::expr`).
+//! Equivalence properties for dictionary-encoded columns
+//! (`caesura_engine::dict`), at the operator and at the expression level.
 //!
 //! Two families of properties:
 //!
-//! 1. **Dict ≡ plain.** Every relational operator is run twice over the same
-//!    logical data — once with eligible string columns dictionary-encoded
-//!    ([`dict::encode_table`]) and once fully decoded ([`dict::decode_table`]).
-//!    After normalizing the outputs back to plain representation, they must be
-//!    **byte-identical** (validity bitmap words and NULL placeholders
-//!    included), and errors must be identical too. This pins the three
-//!    code-native kernels — the dict group-by, the dict column-vs-literal
-//!    compare and `LIKE`, and the plain ⋈ dict join probe — to the exact
-//!    semantics of the string paths they replace, and checks that every
-//!    other operator (sorts, `IN` lists, column-vs-column compares, joins
-//!    probed by a dict key, a `WHERE` feeding a projection) reads dict
-//!    columns exactly as it reads plain ones.
+//! 1. **Dict ≡ plain operators.** Every relational operator is run twice over
+//!    the same logical data — once with eligible string columns
+//!    dictionary-encoded ([`dict::encode_table`]) and once fully decoded
+//!    ([`dict::decode_table`]). After normalizing the outputs back to plain
+//!    representation, they must be **byte-identical** (validity bitmap words
+//!    and NULL placeholders included), and errors must be identical too. This
+//!    pins the three code-native kernels — the dict group-by, the dict
+//!    column-vs-literal compare and `LIKE`, and the plain ⋈ dict join probe —
+//!    to the exact semantics of the string paths they replace, and checks
+//!    that every other operator (sorts, `IN` lists, column-vs-column
+//!    compares, joins probed by a dict key, a `WHERE` feeding a projection)
+//!    reads dict columns exactly as it reads plain ones.
 //!
-//! 2. **Compiled ≡ interpreted.** Randomized expression trees — including
+//! 2. **Dict ≡ plain expressions.** Randomized expression trees — including
 //!    NULL-heavy inputs, per-row type errors, division by zero, unknown
 //!    columns, lazy `CASE` branches and `IN` items — are evaluated through
-//!    both `Expr::evaluate_batch` (the compiled pipeline) and
-//!    `Expr::evaluate_batch_interpreted` (the retained reference
-//!    interpreter), over plain and dict-encoded inputs. Outputs must be
-//!    byte-identical and errors equal, for selection vectors as well.
+//!    `Expr::evaluate_batch` and `Expr::selection_vector` over plain and
+//!    dict-encoded inputs. Decoded results must be byte-identical, and
+//!    errors and selection vectors equal.
 
 use caesura::engine::{
     dict, ops, sql, BinaryOp, Catalog, DataType, EngineError, Expr, ScalarFunc, Schema, Table,
@@ -344,7 +343,7 @@ fn distinct_union_limit_dict_match_plain() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 2: compiled ≡ interpreted on randomized expression trees.
+// Family 2: dict ≡ plain on randomized expression trees.
 // ---------------------------------------------------------------------------
 
 /// A random expression tree over the `random_table` schema. Leaves are
@@ -438,70 +437,51 @@ fn random_expr(rng: &mut StdRng, depth: usize) -> Expr {
     }
 }
 
-/// Compiled and interpreted evaluation of `expr` over `table` must agree on
-/// bytes and on errors — for full batch results and for selection vectors.
-fn assert_compiled_matches_interpreted(expr: &Expr, table: &Table, context: &str) {
-    let schema = table.schema();
-    let (columns, rows) = (table.columns(), table.num_rows());
-    let compiled = expr.evaluate_batch(schema, columns, rows);
-    let interpreted = expr.evaluate_batch_interpreted(schema, columns, rows);
-    match (&interpreted, &compiled) {
-        (Ok(expected), Ok(actual)) => assert_eq!(
-            expected.as_ref(),
-            actual.as_ref(),
+/// Evaluating `expr` over the plain and the dict-encoded table must agree:
+/// decoded batch results byte for byte, errors, and selection vectors.
+fn assert_dict_matches_plain(expr: &Expr, plain: &Table, encoded: &Table, context: &str) {
+    let on_plain = expr.evaluate_batch(plain.schema(), plain.columns(), plain.num_rows());
+    let on_dict = expr.evaluate_batch(encoded.schema(), encoded.columns(), encoded.num_rows());
+    match (&on_plain, &on_dict) {
+        (Ok(p), Ok(d)) => assert_eq!(
+            dict::decode_column(p),
+            dict::decode_column(d),
             "evaluate_batch differs: {context} (expr: {expr})"
         ),
-        (Err(expected), Err(actual)) => assert_eq!(
-            expected, actual,
+        (Err(p), Err(d)) => assert_eq!(
+            p, d,
             "evaluate_batch errors differ: {context} (expr: {expr})"
         ),
-        (expected, actual) => panic!(
-            "compiled and interpreted outcomes disagree: {context} (expr: {expr})\n  \
-             interpreted: {expected:?}\n  compiled: {actual:?}"
+        (p, d) => panic!(
+            "plain and dict outcomes disagree: {context} (expr: {expr})\n  \
+             plain: {p:?}\n  dict: {d:?}"
         ),
     }
-    let compiled_sel = expr.selection_vector(schema, columns, rows);
-    let interpreted_sel = expr.selection_vector_interpreted(schema, columns, rows);
-    match (&interpreted_sel, &compiled_sel) {
-        (Ok(expected), Ok(actual)) => assert_eq!(
-            expected, actual,
-            "selection_vector differs: {context} (expr: {expr})"
-        ),
-        (Err(expected), Err(actual)) => assert_eq!(expected, actual),
-        (expected, actual) => panic!(
+    let plain_sel = expr.selection_vector(plain.schema(), plain.columns(), plain.num_rows());
+    let dict_sel = expr.selection_vector(encoded.schema(), encoded.columns(), encoded.num_rows());
+    match (&plain_sel, &dict_sel) {
+        (Ok(p), Ok(d)) => assert_eq!(p, d, "selection_vector differs: {context} (expr: {expr})"),
+        (Err(p), Err(d)) => assert_eq!(p, d, "selection_vector errors differ: {context}"),
+        (p, d) => panic!(
             "selection outcomes disagree: {context} (expr: {expr})\n  \
-             interpreted: {expected:?}\n  compiled: {actual:?}"
+             plain: {p:?}\n  dict: {d:?}"
         ),
     }
 }
 
 #[test]
-fn compiled_matches_interpreted_on_random_trees() {
+fn dict_matches_plain_on_random_trees() {
     let mut rng = StdRng::seed_from_u64(0xC0DEEB57);
     for rows in [0usize, 1, 230] {
         let (plain, encoded) = both_representations(&mut rng, rows, "t");
         for case in 0..60 {
             let expr = random_expr(&mut rng, 3);
-            let label = format!("case {case}, {rows} rows");
-            assert_compiled_matches_interpreted(&expr, &plain, &format!("plain {label}"));
-            assert_compiled_matches_interpreted(&expr, &encoded, &format!("dict {label}"));
-            // Dict transparency at the expression level: compiled results
-            // over encoded inputs decode to the plain bytes.
-            let on_plain = expr.evaluate_batch(plain.schema(), plain.columns(), plain.num_rows());
-            let on_dict =
-                expr.evaluate_batch(encoded.schema(), encoded.columns(), encoded.num_rows());
-            match (&on_plain, &on_dict) {
-                (Ok(p), Ok(d)) => assert_eq!(
-                    dict::decode_column(p),
-                    dict::decode_column(d),
-                    "dict-input result differs from plain-input result: {label} (expr: {expr})"
-                ),
-                (Err(p), Err(d)) => assert_eq!(p, d),
-                (p, d) => panic!(
-                    "plain/dict outcomes disagree: {label} (expr: {expr})\n  \
-                     plain: {p:?}\n  dict: {d:?}"
-                ),
-            }
+            assert_dict_matches_plain(
+                &expr,
+                &plain,
+                &encoded,
+                &format!("case {case}, {rows} rows"),
+            );
         }
     }
 }
@@ -514,8 +494,8 @@ fn division_by_zero_and_type_errors_are_identical() {
         // Division by zero on every valid row.
         Expr::binary(Expr::col("k"), BinaryOp::Div, Expr::lit(0)),
         Expr::binary(Expr::col("score"), BinaryOp::Mod, Expr::lit(0)),
-        // Constant-folded division by zero: the error is pre-computed but
-        // must still surface per evaluation.
+        // Division by zero in a constant subtree, raised once for the
+        // whole batch.
         Expr::binary(
             Expr::col("k"),
             BinaryOp::Add,
@@ -533,8 +513,9 @@ fn division_by_zero_and_type_errors_are_identical() {
         },
     ];
     for (i, expr) in exprs.iter().enumerate() {
-        assert_compiled_matches_interpreted(expr, &plain, &format!("error expr #{i}"));
-        assert_compiled_matches_interpreted(expr, &encoded, &format!("error expr #{i} (dict)"));
+        let outcome = expr.evaluate_batch(plain.schema(), plain.columns(), plain.num_rows());
+        assert!(outcome.is_err(), "error expr #{i} must fail (expr: {expr})");
+        assert_dict_matches_plain(expr, &plain, &encoded, &format!("error expr #{i}"));
     }
 }
 
@@ -543,13 +524,12 @@ fn lazy_branches_never_evaluate_their_errors() {
     let mut rng = StdRng::seed_from_u64(0xC0DE01A2);
     let (plain, encoded) = both_representations(&mut rng, 120, "t");
     let div_zero = Expr::binary(Expr::lit(1), BinaryOp::Div, Expr::lit(0));
-    // The untaken CASE branch contains a constant-folded error.
+    // The untaken CASE branch contains a constant error.
     let case = Expr::Case {
         branches: vec![(Expr::lit(false), div_zero.clone())],
         otherwise: Some(Box::new(Expr::lit(2))),
     };
-    // The IN list short-circuits on the first match, before the error item;
-    // on the dict fast path the scan is memoized per entry.
+    // The IN list short-circuits on the first match, before the error item.
     let in_list = Expr::InList {
         expr: Box::new(Expr::col("team")),
         list: vec![
@@ -568,7 +548,7 @@ fn lazy_branches_never_evaluate_their_errors() {
         in_list
             .evaluate_batch(table.schema(), table.columns(), table.num_rows())
             .expect("IN must short-circuit before the erroring item");
-        assert_compiled_matches_interpreted(&case, table, "lazy case");
-        assert_compiled_matches_interpreted(&in_list, table, "lazy in-list");
     }
+    assert_dict_matches_plain(&case, &plain, &encoded, "lazy case");
+    assert_dict_matches_plain(&in_list, &plain, &encoded, "lazy in-list");
 }
