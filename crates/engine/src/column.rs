@@ -12,7 +12,7 @@
 //! failing: correctness first, the typed fast paths kick in whenever the data
 //! allows it.
 
-use crate::value::{DataType, DateValue, Value};
+use crate::value::{CellRef, DataType, DateValue, Value};
 use std::sync::Arc;
 
 /// A validity bitmap: bit `i` is set iff slot `i` holds a non-NULL value.
@@ -44,6 +44,15 @@ impl Bitmap {
     /// An empty bitmap to push validity bits into.
     pub fn new() -> Self {
         Bitmap::default()
+    }
+
+    /// An empty bitmap with room for `len` bits, so pushing them allocates
+    /// once.
+    pub fn with_capacity(len: usize) -> Self {
+        Bitmap {
+            words: Vec::with_capacity(len.div_ceil(64)),
+            ..Bitmap::default()
+        }
     }
 
     /// Append one validity bit.
@@ -266,69 +275,26 @@ impl Column {
     /// so this is cheap for every variant.
     #[inline]
     pub fn get(&self, i: usize) -> Value {
+        self.cell(i).to_value()
+    }
+
+    /// The cell at slot `i`, read in place.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize) -> CellRef<'_> {
+        if !self.is_valid(i) {
+            return CellRef::Null;
+        }
         match self {
-            Column::Bool(v, b) => {
-                if b.is_valid(i) {
-                    Value::Bool(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Int64(v, b) => {
-                if b.is_valid(i) {
-                    Value::Int(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Float64(v, b) => {
-                if b.is_valid(i) {
-                    Value::Float(v[i])
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Utf8(v, b) => {
-                if b.is_valid(i) {
-                    Value::Str(Arc::clone(&v[i]))
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Date(v, b) => {
-                if b.is_valid(i) {
-                    Value::Date(v[i].clone())
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Image(v, b) => {
-                if b.is_valid(i) {
-                    Value::Image(Arc::clone(&v[i]))
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Text(v, b) => {
-                if b.is_valid(i) {
-                    Value::Text(Arc::clone(&v[i]))
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Dict {
-                codes,
-                dict,
-                bitmap,
-            } => {
-                if bitmap.is_valid(i) {
-                    Value::Str(Arc::clone(&dict[codes[i] as usize]))
-                } else {
-                    Value::Null
-                }
-            }
-            Column::Null(_) => Value::Null,
-            Column::Mixed(v) => v[i].clone(),
+            Column::Bool(v, _) => CellRef::Bool(v[i]),
+            Column::Int64(v, _) => CellRef::Int(v[i]),
+            Column::Float64(v, _) => CellRef::Float(v[i]),
+            Column::Utf8(v, _) => CellRef::Str(&v[i]),
+            Column::Date(v, _) => CellRef::Date(&v[i]),
+            Column::Image(v, _) => CellRef::Image(&v[i]),
+            Column::Text(v, _) => CellRef::Text(&v[i]),
+            Column::Dict { codes, dict, .. } => CellRef::Str(&dict[codes[i] as usize]),
+            Column::Null(_) => CellRef::Null,
+            Column::Mixed(v) => v[i].cell(),
         }
     }
 
@@ -571,13 +537,16 @@ impl Column {
 /// The builder starts out targeting `declared` (the schema type) and silently
 /// degrades to the mixed representation the first time a value of another
 /// runtime type is pushed — mirroring the dynamic typing of the row engine it
-/// replaces.
+/// replaces. Started at [`DataType::Null`], it builds exactly the column
+/// [`Column::from_values`] builds from the same values.
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     typed: TypedBuffer,
     validity: Bitmap,
     /// Set once a value did not fit the declared representation.
     mixed: Option<Vec<Value>>,
+    /// The capacity hint, kept for the buffer a `Pending` builder picks.
+    capacity: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -594,15 +563,9 @@ enum TypedBuffer {
     Pending,
 }
 
-impl ColumnBuilder {
-    /// Start building a column whose schema type is `declared`.
-    pub fn new(declared: DataType) -> Self {
-        ColumnBuilder::with_capacity(declared, 0)
-    }
-
-    /// Start building with a capacity hint.
-    pub fn with_capacity(declared: DataType, capacity: usize) -> Self {
-        let typed = match declared {
+impl TypedBuffer {
+    fn with_capacity(declared: DataType, capacity: usize) -> Self {
+        match declared {
             DataType::Bool => TypedBuffer::Bool(Vec::with_capacity(capacity)),
             DataType::Int => TypedBuffer::Int64(Vec::with_capacity(capacity)),
             DataType::Float => TypedBuffer::Float64(Vec::with_capacity(capacity)),
@@ -611,11 +574,37 @@ impl ColumnBuilder {
             DataType::Image => TypedBuffer::Image(Vec::with_capacity(capacity)),
             DataType::Text => TypedBuffer::Text(Vec::with_capacity(capacity)),
             DataType::Null => TypedBuffer::Pending,
-        };
+        }
+    }
+
+    /// Fill the slot of a NULL with its placeholder.
+    fn push_placeholder(&mut self) {
+        match self {
+            TypedBuffer::Bool(v) => v.push(false),
+            TypedBuffer::Int64(v) => v.push(0),
+            TypedBuffer::Float64(v) => v.push(0.0),
+            TypedBuffer::Utf8(v) | TypedBuffer::Image(v) | TypedBuffer::Text(v) => {
+                v.push(Arc::from(""))
+            }
+            TypedBuffer::Date(v) => v.push(DateValue::from_year(0)),
+            TypedBuffer::Pending => {}
+        }
+    }
+}
+
+impl ColumnBuilder {
+    /// Start building a column whose schema type is `declared`.
+    pub fn new(declared: DataType) -> Self {
+        ColumnBuilder::with_capacity(declared, 0)
+    }
+
+    /// Start building with a capacity hint.
+    pub fn with_capacity(declared: DataType, capacity: usize) -> Self {
         ColumnBuilder {
-            typed,
-            validity: Bitmap::new(),
+            typed: TypedBuffer::with_capacity(declared, capacity),
+            validity: Bitmap::with_capacity(capacity),
             mixed: None,
+            capacity,
         }
     }
 
@@ -639,73 +628,58 @@ impl ColumnBuilder {
             return;
         }
         if value.is_null() {
-            self.push_null_typed();
+            self.typed.push_placeholder();
+            self.validity.push(false);
             return;
         }
-        let fits = match (&mut self.typed, &value) {
+        // The value moves into its slot; `Some` hands back one that does
+        // not fit the typed representation.
+        let misfit = match (&mut self.typed, value) {
             (TypedBuffer::Bool(v), Value::Bool(b)) => {
-                v.push(*b);
-                true
+                v.push(b);
+                None
             }
             (TypedBuffer::Int64(v), Value::Int(i)) => {
-                v.push(*i);
-                true
+                v.push(i);
+                None
             }
             (TypedBuffer::Float64(v), Value::Float(f)) => {
-                v.push(*f);
-                true
+                v.push(f);
+                None
             }
-            (TypedBuffer::Utf8(v), Value::Str(s)) => {
-                v.push(Arc::clone(s));
-                true
+            (TypedBuffer::Utf8(v), Value::Str(s))
+            | (TypedBuffer::Image(v), Value::Image(s))
+            | (TypedBuffer::Text(v), Value::Text(s)) => {
+                v.push(s);
+                None
             }
             (TypedBuffer::Date(v), Value::Date(d)) => {
-                v.push(d.clone());
-                true
+                v.push(d);
+                None
             }
-            (TypedBuffer::Image(v), Value::Image(s)) => {
-                v.push(Arc::clone(s));
-                true
-            }
-            (TypedBuffer::Text(v), Value::Text(s)) => {
-                v.push(Arc::clone(s));
-                true
-            }
-            (TypedBuffer::Pending, _) => {
-                // First non-null value decides the representation; re-dispatch.
+            (TypedBuffer::Pending, value) => {
+                // First non-null value decides the representation: give the
+                // NULLs so far their placeholders, then re-dispatch.
                 let nulls = self.validity.len();
-                let mut fresh = ColumnBuilder::with_capacity(value.data_type(), nulls + 1);
+                let capacity = self.capacity.max(nulls + 1);
+                self.typed = TypedBuffer::with_capacity(value.data_type(), capacity);
                 for _ in 0..nulls {
-                    fresh.push_null_typed();
+                    self.typed.push_placeholder();
                 }
-                *self = fresh;
                 self.push(value);
                 return;
             }
-            _ => false,
+            (_, value) => Some(value),
         };
-        if fits {
-            self.validity.push(true);
-        } else {
-            // Degrade: replay what was typed as values, then append.
-            let mut values = self.finish_typed().to_values();
-            values.push(value);
-            self.mixed = Some(values);
-        }
-    }
-
-    fn push_null_typed(&mut self) {
-        match &mut self.typed {
-            TypedBuffer::Bool(v) => v.push(false),
-            TypedBuffer::Int64(v) => v.push(0),
-            TypedBuffer::Float64(v) => v.push(0.0),
-            TypedBuffer::Utf8(v) | TypedBuffer::Image(v) | TypedBuffer::Text(v) => {
-                v.push(Arc::from(""))
+        match misfit {
+            None => self.validity.push(true),
+            Some(value) => {
+                // Degrade: replay what was typed as values, then append.
+                let mut values = self.finish_typed().to_values();
+                values.push(value);
+                self.mixed = Some(values);
             }
-            TypedBuffer::Date(v) => v.push(DateValue::from_year(0)),
-            TypedBuffer::Pending => {}
         }
-        self.validity.push(false);
     }
 
     fn finish_typed(&mut self) -> Column {

@@ -1,5 +1,7 @@
-//! The typed binary-operator kernels behind [`Expr::evaluate_batch`] and
-//! [`Expr::selection_vector`](super::Expr::selection_vector).
+//! The column kernels behind [`Expr::evaluate_batch`] and
+//! [`Expr::selection_vector`](super::Expr::selection_vector), all reading
+//! their operands through one set of views ([`ValuesView`]: a borrowed
+//! column or a broadcast scalar).
 //!
 //! [`eval_binary_view`] runs typed numeric loops, and string compare/`LIKE`
 //! loops over plain or dictionary-encoded columns. A dictionary column
@@ -9,12 +11,19 @@
 //! Everything else falls back to the element-wise [`eval_binary`], which
 //! keeps the exact dynamic-typing semantics of the row evaluator.
 //!
+//! [`eval_func_view`] runs a scalar function column at a time: it resolves
+//! the function's code once, reads each row's argument cells in place from
+//! the views (a dictionary string from its entry table, a scalar from the
+//! literal), and packs the results into the output column as they come. The
+//! per-row code is the row evaluator's own, so each function's semantics
+//! are written once.
+//!
 //! [`Expr::evaluate_batch`]: super::Expr::evaluate_batch
 
-use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp};
-use crate::column::{Bitmap, Column};
+use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp, CellFn, ScalarFunc};
+use crate::column::{Bitmap, Column, ColumnBuilder};
 use crate::error::EngineResult;
-use crate::value::Value;
+use crate::value::{CellRef, DataType, Value};
 use std::sync::Arc;
 
 /// A binary-kernel operand: a borrowed column (zero-copy), or a scalar
@@ -26,12 +35,18 @@ pub(super) enum ValuesView<'a> {
     Scalar(&'a Value),
 }
 
-impl ValuesView<'_> {
+impl<'a> ValuesView<'a> {
     #[inline]
     fn get(&self, i: usize) -> Value {
+        self.cell(i).to_value()
+    }
+
+    /// Row `i`'s cell, read in place.
+    #[inline]
+    fn cell(&self, i: usize) -> CellRef<'a> {
         match self {
-            ValuesView::Col(col) => col.get(i),
-            ValuesView::Scalar(v) => (*v).clone(),
+            ValuesView::Col(col) => col.cell(i),
+            ValuesView::Scalar(v) => v.cell(),
         }
     }
 }
@@ -312,4 +327,50 @@ fn eval_str_view(
         return Some(Batch::Col(Arc::new(Column::Bool(out, validity))));
     }
     None
+}
+
+/// Evaluate a scalar function over argument views: the function's
+/// [`CellFn`] is resolved once, then called per row on that row's argument
+/// cells, read in place. The results pack into a builder started at
+/// [`DataType::Null`], which builds the column [`Column::from_values`] would
+/// (`Null` when every row is NULL, `Mixed` when types differ). The first
+/// error in row order stops the loop; over zero rows nothing is called, so
+/// even a wrong-arity call yields an empty column.
+pub(super) fn eval_func_view(
+    func: ScalarFunc,
+    args: &[ValuesView<'_>],
+    num_rows: usize,
+) -> EngineResult<Batch> {
+    let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+    if num_rows > 0 {
+        let cell_fn = func
+            .cell_fn(args.len())
+            .ok_or_else(|| func.arity_error(args.len()))?;
+        match (cell_fn, args) {
+            (CellFn::Unary(f), [a]) => {
+                for i in 0..num_rows {
+                    out.push(f(a.cell(i))?);
+                }
+            }
+            (CellFn::Binary(f), [a, b]) => {
+                for i in 0..num_rows {
+                    out.push(f(a.cell(i), b.cell(i))?);
+                }
+            }
+            (CellFn::Ternary(f), [a, b, c]) => {
+                for i in 0..num_rows {
+                    out.push(f(a.cell(i), b.cell(i), c.cell(i))?);
+                }
+            }
+            (cell_fn, args) => {
+                let mut cells = Vec::with_capacity(args.len());
+                for i in 0..num_rows {
+                    cells.clear();
+                    cells.extend(args.iter().map(|arg| arg.cell(i)));
+                    out.push(cell_fn.call(&cells)?);
+                }
+            }
+        }
+    }
+    Ok(Batch::Col(Arc::new(out.finish())))
 }

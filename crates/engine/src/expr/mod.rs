@@ -11,19 +11,22 @@
 //!   `Arc` bumps, and binary operators run the typed kernels of the private
 //!   `kernels` module (numeric and string loops, the code-native
 //!   dictionary-vs-literal compare), with an element-wise fallback where
-//!   per-row dynamic typing demands it. `IN` and `CASE` go row by row, so an
-//!   item or branch no row reaches is never evaluated;
+//!   per-row dynamic typing demands it. A scalar function resolves its
+//!   per-row code (`CellFn`) once and runs it over argument cells read in
+//!   place. `IN` and `CASE` go row by row, so an item or branch no row
+//!   reaches is never evaluated;
 //! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
 //!   slice, or [`Expr::evaluate_at`] against one row of the columns — one
 //!   evaluator over two ways of reading a cell, used by the batch path for
-//!   `IN`/`CASE` and by the property tests' row-at-a-time oracles.
+//!   `IN`/`CASE` and by the property tests' row-at-a-time oracles. It runs
+//!   the same `CellFn`s, so each function's semantics are written once.
 
 mod kernels;
 
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
 use crate::schema::Schema;
-use crate::value::{DataType, DateValue, Value};
+use crate::value::{CellRef, DataType, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -482,16 +485,8 @@ impl Expr {
                     let argv: Vec<Value> = batches.iter().map(|b| b.get(0)).collect();
                     return Ok(Batch::Scalar(eval_func(*func, &argv)?));
                 }
-                let mut out = Vec::with_capacity(num_rows);
-                let mut argv: Vec<Value> = Vec::with_capacity(batches.len());
-                for i in 0..num_rows {
-                    argv.clear();
-                    for batch in &batches {
-                        argv.push(batch.get(i));
-                    }
-                    out.push(eval_func(*func, &argv)?);
-                }
-                Ok(Batch::Col(Arc::new(Column::from_values(out))))
+                let views: Vec<_> = batches.iter().map(Batch::view).collect();
+                kernels::eval_func_view(*func, &views, num_rows)
             }
             // IN-list items and CASE branches must only be evaluated as far
             // as each row needs them (the row engine short-circuits on the
@@ -809,234 +804,294 @@ fn eval_unary(op: UnaryOp, value: &Value) -> EngineResult<Value> {
     }
 }
 
-/// Extract the first 4-digit year appearing in a string.
+/// Extract the first year written in a string: the first maximal run of
+/// exactly four ASCII digits whose value lies in `500..=2100`.
+///
+/// The scan reads bytes, not characters. An ASCII digit is one byte in
+/// UTF-8, and every byte of a multi-byte character lies outside the ASCII
+/// range, so the maximal byte runs of ASCII digits are exactly the maximal
+/// character runs. Non-ASCII digits (`٢٠٢٠`, `２０２０`) neither count as
+/// digits nor extend a run.
 pub fn extract_year_from_text(text: &str) -> Option<i32> {
-    let bytes: Vec<char> = text.chars().collect();
+    let bytes = text.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i].is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && bytes[i].is_ascii_digit() {
-                i += 1;
-            }
-            let run: String = bytes[start..i].iter().collect();
-            if run.len() == 4 {
-                if let Ok(year) = run.parse::<i32>() {
-                    if (500..=2100).contains(&year) {
-                        return Some(year);
-                    }
-                }
-            }
-        } else {
+        if !bytes[i].is_ascii_digit() {
             i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i - start == 4 {
+            let year = bytes[start..i]
+                .iter()
+                .fold(0, |year, &digit| year * 10 + i32::from(digit - b'0'));
+            if (500..=2100).contains(&year) {
+                return Some(year);
+            }
         }
     }
     None
 }
 
+/// Apply a scalar function to already-computed argument values: the row
+/// evaluator's entry to the functions' [`CellFn`]s.
 fn eval_func(func: ScalarFunc, args: &[Value]) -> EngineResult<Value> {
-    let arity_error = |expected: &str| {
-        Err(EngineError::InvalidFunctionCall {
-            function: func.name().to_string(),
-            message: format!("expected {expected} argument(s), got {}", args.len()),
-        })
-    };
-    match func {
-        ScalarFunc::Lower => match args {
-            [v] => Ok(v
-                .as_str()
-                .map(|s| Value::str(s.to_lowercase()))
-                .unwrap_or(Value::Null)),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Upper => match args {
-            [v] => Ok(v
-                .as_str()
-                .map(|s| Value::str(s.to_uppercase()))
-                .unwrap_or(Value::Null)),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Length => match args {
-            [v] => Ok(v
-                .as_str()
-                .map(|s| Value::Int(s.chars().count() as i64))
-                .unwrap_or(Value::Null)),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Substr => match args {
-            [v, start, len] => {
-                let s = match v.as_str() {
-                    Some(s) => s,
-                    None => return Ok(Value::Null),
-                };
-                let start = start.as_int().unwrap_or(1).max(1) as usize - 1;
-                let len = len.as_int().unwrap_or(0).max(0) as usize;
-                let sub: String = s.chars().skip(start).take(len).collect();
-                Ok(Value::str(sub))
-            }
-            [v, start] => {
-                let s = match v.as_str() {
-                    Some(s) => s,
-                    None => return Ok(Value::Null),
-                };
-                let start = start.as_int().unwrap_or(1).max(1) as usize - 1;
-                let sub: String = s.chars().skip(start).collect();
-                Ok(Value::str(sub))
-            }
-            _ => arity_error("2 or 3"),
-        },
-        ScalarFunc::CastInt => match args {
-            [v] => Ok(match v {
-                Value::Int(i) => Value::Int(*i),
-                Value::Float(f) => Value::Int(*f as i64),
-                Value::Bool(b) => Value::Int(i64::from(*b)),
-                Value::Str(s) => {
-                    let trimmed = s.trim();
-                    match trimmed.parse::<i64>() {
-                        Ok(i) => Value::Int(i),
-                        Err(_) => match trimmed.parse::<f64>() {
-                            Ok(f) => Value::Int(f as i64),
-                            Err(_) => extract_year_from_text(trimmed)
-                                .map(|y| Value::Int(y as i64))
-                                .unwrap_or(Value::Null),
-                        },
-                    }
-                }
-                Value::Date(d) => Value::Int(d.year as i64),
-                _ => Value::Null,
-            }),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::CastFloat => match args {
-            [v] => Ok(match v {
-                Value::Int(i) => Value::Float(*i as f64),
-                Value::Float(f) => Value::Float(*f),
-                Value::Str(s) => s
-                    .trim()
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            }),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::CastStr => match args {
-            [v] => Ok(if v.is_null() {
-                Value::Null
-            } else {
-                Value::str(v.to_string())
-            }),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Concat => {
-            let mut out = String::new();
-            for v in args {
-                if !v.is_null() {
-                    out.push_str(&v.to_string());
-                }
-            }
-            Ok(Value::str(out))
+    let cells: Vec<CellRef<'_>> = args.iter().map(Value::cell).collect();
+    func.cell_fn(cells.len())
+        .ok_or_else(|| func.arity_error(cells.len()))?
+        .call(&cells)
+}
+
+/// A scalar function resolved for one argument count: the code computing
+/// one row's result from that row's argument cells. The row evaluator
+/// ([`eval_func`]) and the column kernel (`kernels::eval_func_view`) both
+/// run it, so each function's semantics are written once; the kernel
+/// resolves it once per batch and calls it per row.
+#[derive(Clone, Copy)]
+enum CellFn {
+    Unary(fn(CellRef<'_>) -> EngineResult<Value>),
+    Binary(fn(CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
+    Ternary(fn(CellRef<'_>, CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
+    Variadic(fn(&[CellRef<'_>]) -> EngineResult<Value>),
+}
+
+impl CellFn {
+    /// Run on one row's cells, as many as the function was resolved for.
+    fn call(self, args: &[CellRef<'_>]) -> EngineResult<Value> {
+        match (self, args) {
+            (CellFn::Unary(f), &[a]) => f(a),
+            (CellFn::Binary(f), &[a, b]) => f(a, b),
+            (CellFn::Ternary(f), &[a, b, c]) => f(a, b, c),
+            (CellFn::Variadic(f), args) => f(args),
+            _ => unreachable!("a CellFn runs on the argument count it was resolved for"),
         }
-        ScalarFunc::Abs => match args {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
-            [Value::Float(f)] => Ok(Value::Float(f.abs())),
-            [Value::Null] => Ok(Value::Null),
-            [other] => Err(EngineError::type_mismatch(
+    }
+}
+
+impl ScalarFunc {
+    /// The function's code for `arity` arguments, or `None` when it takes
+    /// another count.
+    fn cell_fn(self, arity: usize) -> Option<CellFn> {
+        use CellFn::*;
+        Some(match (self, arity) {
+            (ScalarFunc::Lower, 1) => Unary(cell_fns::lower),
+            (ScalarFunc::Upper, 1) => Unary(cell_fns::upper),
+            (ScalarFunc::Length, 1) => Unary(cell_fns::length),
+            (ScalarFunc::Substr, 2) => Binary(cell_fns::substr_from),
+            (ScalarFunc::Substr, 3) => Ternary(cell_fns::substr),
+            (ScalarFunc::CastInt, 1) => Unary(cell_fns::cast_int),
+            (ScalarFunc::CastFloat, 1) => Unary(cell_fns::cast_float),
+            (ScalarFunc::CastStr, 1) => Unary(cell_fns::cast_str),
+            (ScalarFunc::Concat, _) => Variadic(cell_fns::concat),
+            (ScalarFunc::Abs, 1) => Unary(cell_fns::abs),
+            (ScalarFunc::Round, 1) => Unary(cell_fns::round),
+            (ScalarFunc::Round, 2) => Binary(cell_fns::round_to),
+            (ScalarFunc::Coalesce, _) => Variadic(cell_fns::coalesce),
+            (ScalarFunc::ExtractYear, 1) => Unary(cell_fns::extract_year),
+            (ScalarFunc::Century, 1) => Unary(cell_fns::century),
+            (ScalarFunc::Trim, 1) => Unary(cell_fns::trim),
+            (ScalarFunc::Replace, 3) => Ternary(cell_fns::replace),
+            (ScalarFunc::Min2, 2) => Binary(cell_fns::min2),
+            (ScalarFunc::Max2, 2) => Binary(cell_fns::max2),
+            _ => return None,
+        })
+    }
+
+    /// The error of a call with `got` arguments, which [`Self::cell_fn`]
+    /// has no code for.
+    fn arity_error(self, got: usize) -> EngineError {
+        let expected = match self {
+            ScalarFunc::Substr => "2 or 3",
+            ScalarFunc::Round => "1 or 2",
+            ScalarFunc::Replace => "3",
+            ScalarFunc::Min2 | ScalarFunc::Max2 => "2",
+            _ => "1",
+        };
+        EngineError::InvalidFunctionCall {
+            function: self.name().to_string(),
+            message: format!("expected {expected} argument(s), got {got}"),
+        }
+    }
+}
+
+/// One function per [`ScalarFunc`] and argument count, computing a row's
+/// result from its borrowed argument cells.
+mod cell_fns {
+    use super::extract_year_from_text;
+    use crate::error::{EngineError, EngineResult};
+    use crate::value::{CellRef, DateValue, Value};
+    use std::cmp::Ordering;
+
+    /// `f` of a string-like cell; NULL for any other.
+    fn of_str(v: CellRef<'_>, f: impl FnOnce(&str) -> Value) -> EngineResult<Value> {
+        Ok(v.as_str().map_or(Value::Null, f))
+    }
+
+    pub(super) fn lower(v: CellRef<'_>) -> EngineResult<Value> {
+        of_str(v, |s| Value::str(s.to_lowercase()))
+    }
+
+    pub(super) fn upper(v: CellRef<'_>) -> EngineResult<Value> {
+        of_str(v, |s| Value::str(s.to_uppercase()))
+    }
+
+    pub(super) fn length(v: CellRef<'_>) -> EngineResult<Value> {
+        of_str(v, |s| Value::Int(s.chars().count() as i64))
+    }
+
+    pub(super) fn trim(v: CellRef<'_>) -> EngineResult<Value> {
+        of_str(v, |s| Value::str(s.trim()))
+    }
+
+    /// The characters of `s` from the 1-based position `start` on.
+    fn chars_from<'s>(s: &'s str, start: CellRef<'_>) -> std::iter::Skip<std::str::Chars<'s>> {
+        s.chars()
+            .skip(start.as_int().unwrap_or(1).max(1) as usize - 1)
+    }
+
+    pub(super) fn substr_from(v: CellRef<'_>, start: CellRef<'_>) -> EngineResult<Value> {
+        of_str(v, |s| Value::str(chars_from(s, start).collect::<String>()))
+    }
+
+    pub(super) fn substr(
+        v: CellRef<'_>,
+        start: CellRef<'_>,
+        len: CellRef<'_>,
+    ) -> EngineResult<Value> {
+        let len = len.as_int().unwrap_or(0).max(0) as usize;
+        of_str(v, |s| {
+            Value::str(chars_from(s, start).take(len).collect::<String>())
+        })
+    }
+
+    pub(super) fn cast_int(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(match v {
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Float(f) => Value::Int(f as i64),
+            CellRef::Bool(b) => Value::Int(i64::from(b)),
+            CellRef::Str(s) => {
+                let trimmed = s.trim();
+                match trimmed.parse::<i64>() {
+                    Ok(i) => Value::Int(i),
+                    Err(_) => match trimmed.parse::<f64>() {
+                        Ok(f) => Value::Int(f as i64),
+                        Err(_) => extract_year_from_text(trimmed)
+                            .map_or(Value::Null, |y| Value::Int(y as i64)),
+                    },
+                }
+            }
+            CellRef::Date(d) => Value::Int(d.year as i64),
+            _ => Value::Null,
+        })
+    }
+
+    pub(super) fn cast_float(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(match v {
+            CellRef::Int(i) => Value::Float(i as f64),
+            CellRef::Float(f) => Value::Float(f),
+            CellRef::Str(s) => s.trim().parse::<f64>().map_or(Value::Null, Value::Float),
+            _ => Value::Null,
+        })
+    }
+
+    pub(super) fn cast_str(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(if v.is_null() {
+            Value::Null
+        } else {
+            Value::str(v.to_string())
+        })
+    }
+
+    pub(super) fn concat(args: &[CellRef<'_>]) -> EngineResult<Value> {
+        let mut out = String::new();
+        for v in args.iter().filter(|v| !v.is_null()) {
+            out.push_str(&v.to_string());
+        }
+        Ok(Value::str(out))
+    }
+
+    pub(super) fn abs(v: CellRef<'_>) -> EngineResult<Value> {
+        match v {
+            CellRef::Int(i) => Ok(Value::Int(i.abs())),
+            CellRef::Float(f) => Ok(Value::Float(f.abs())),
+            CellRef::Null => Ok(Value::Null),
+            other => Err(EngineError::type_mismatch(
                 "ABS",
                 "a numeric value",
                 other.data_type().prompt_name(),
             )),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Round => match args {
-            [v] => Ok(v
-                .as_float()
-                .map(|f| Value::Float(f.round()))
-                .unwrap_or(Value::Null)),
-            [v, digits] => {
-                let d = digits.as_int().unwrap_or(0);
-                let factor = 10f64.powi(d as i32);
-                Ok(v.as_float()
-                    .map(|f| Value::Float((f * factor).round() / factor))
-                    .unwrap_or(Value::Null))
-            }
-            _ => arity_error("1 or 2"),
-        },
-        ScalarFunc::Coalesce => {
-            for v in args {
-                if !v.is_null() {
-                    return Ok(v.clone());
-                }
-            }
-            Ok(Value::Null)
         }
-        ScalarFunc::ExtractYear => match args {
-            [v] => Ok(match v {
-                Value::Date(d) => Value::Int(d.year as i64),
-                Value::Int(i) => Value::Int(*i),
-                Value::Str(s) => extract_year_from_text(s)
-                    .map(|y| Value::Int(y as i64))
-                    .unwrap_or(Value::Null),
-                _ => Value::Null,
-            }),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Century => match args {
-            [v] => {
-                let year = match v {
-                    Value::Date(d) => Some(d.year),
-                    Value::Int(i) => Some(*i as i32),
-                    Value::Float(f) => Some(*f as i32),
-                    Value::Str(s) => extract_year_from_text(s),
-                    _ => None,
-                };
-                Ok(year
-                    .map(|y| Value::Int(DateValue::from_year(y).century() as i64))
-                    .unwrap_or(Value::Null))
+    }
+
+    pub(super) fn round(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(v.as_float()
+            .map_or(Value::Null, |f| Value::Float(f.round())))
+    }
+
+    pub(super) fn round_to(v: CellRef<'_>, digits: CellRef<'_>) -> EngineResult<Value> {
+        let factor = 10f64.powi(digits.as_int().unwrap_or(0) as i32);
+        Ok(v.as_float()
+            .map_or(Value::Null, |f| Value::Float((f * factor).round() / factor)))
+    }
+
+    pub(super) fn coalesce(args: &[CellRef<'_>]) -> EngineResult<Value> {
+        Ok(args
+            .iter()
+            .find(|v| !v.is_null())
+            .map_or(Value::Null, |v| v.to_value()))
+    }
+
+    pub(super) fn extract_year(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(match v {
+            CellRef::Date(d) => Value::Int(d.year as i64),
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Str(s) => {
+                extract_year_from_text(s).map_or(Value::Null, |y| Value::Int(y as i64))
             }
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Trim => match args {
-            [v] => Ok(v
-                .as_str()
-                .map(|s| Value::str(s.trim()))
-                .unwrap_or(Value::Null)),
-            _ => arity_error("1"),
-        },
-        ScalarFunc::Replace => match args {
-            [v, from, to] => {
-                let (s, from, to) = match (v.as_str(), from.as_str(), to.as_str()) {
-                    (Some(s), Some(f), Some(t)) => (s, f, t),
-                    _ => return Ok(Value::Null),
-                };
-                Ok(Value::str(s.replace(from, to)))
-            }
-            _ => arity_error("3"),
-        },
-        ScalarFunc::Min2 => match args {
-            [a, b] => Ok(if a.is_null() {
-                b.clone()
-            } else if b.is_null() {
-                a.clone()
-            } else if a.total_cmp(b) == std::cmp::Ordering::Greater {
-                b.clone()
-            } else {
-                a.clone()
-            }),
-            _ => arity_error("2"),
-        },
-        ScalarFunc::Max2 => match args {
-            [a, b] => Ok(if a.is_null() {
-                b.clone()
-            } else if b.is_null() {
-                a.clone()
-            } else if a.total_cmp(b) == std::cmp::Ordering::Less {
-                b.clone()
-            } else {
-                a.clone()
-            }),
-            _ => arity_error("2"),
-        },
+            _ => Value::Null,
+        })
+    }
+
+    pub(super) fn century(v: CellRef<'_>) -> EngineResult<Value> {
+        let year = match v {
+            CellRef::Date(d) => Some(d.year),
+            CellRef::Int(i) => Some(i as i32),
+            CellRef::Float(f) => Some(f as i32),
+            CellRef::Str(s) => extract_year_from_text(s),
+            _ => None,
+        };
+        Ok(year.map_or(Value::Null, |y| {
+            Value::Int(DateValue::from_year(y).century() as i64)
+        }))
+    }
+
+    pub(super) fn replace(
+        v: CellRef<'_>,
+        from: CellRef<'_>,
+        to: CellRef<'_>,
+    ) -> EngineResult<Value> {
+        Ok(match (v.as_str(), from.as_str(), to.as_str()) {
+            (Some(s), Some(from), Some(to)) => Value::str(s.replace(from, to)),
+            _ => Value::Null,
+        })
+    }
+
+    /// `b` when `a` is NULL or orders `gives_way` against a non-NULL `b`,
+    /// else `a`.
+    fn pick(a: CellRef<'_>, b: CellRef<'_>, gives_way: Ordering) -> EngineResult<Value> {
+        let b_wins = !b.is_null() && (a.is_null() || a.total_cmp(b) == gives_way);
+        Ok(if b_wins { b } else { a }.to_value())
+    }
+
+    pub(super) fn min2(a: CellRef<'_>, b: CellRef<'_>) -> EngineResult<Value> {
+        pick(a, b, Ordering::Greater)
+    }
+
+    pub(super) fn max2(a: CellRef<'_>, b: CellRef<'_>) -> EngineResult<Value> {
+        pick(a, b, Ordering::Less)
     }
 }
 
@@ -1258,6 +1313,89 @@ mod tests {
             call(ScalarFunc::Max2, vec![Expr::lit(3), Expr::lit(9)]),
             Value::Int(9)
         );
+    }
+
+    /// The char-based scan `extract_year_from_text` had before it read
+    /// bytes, kept as the oracle of the byte scan.
+    fn extract_year_by_chars(text: &str) -> Option<i32> {
+        let chars: Vec<char> = text.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            if chars[i].is_ascii_digit() {
+                let start = i;
+                while i < chars.len() && chars[i].is_ascii_digit() {
+                    i += 1;
+                }
+                let run: String = chars[start..i].iter().collect();
+                if run.len() == 4 {
+                    if let Ok(year) = run.parse::<i32>() {
+                        if (500..=2100).contains(&year) {
+                            return Some(year);
+                        }
+                    }
+                }
+            } else {
+                i += 1;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn byte_scan_finds_the_year_the_char_scan_finds() {
+        // Digits near the window's edges, multi-byte letters, and digits
+        // of other scripts (Arabic-Indic, fullwidth) that are not ASCII.
+        const PIECES: &[&str] = &[
+            "0",
+            "1",
+            "2",
+            "4",
+            "5",
+            "9",
+            "00",
+            "499",
+            "500",
+            "0499",
+            "0500",
+            "2100",
+            "2101",
+            "1889",
+            "12345",
+            "-",
+            " ",
+            "c. ",
+            "é",
+            "日本",
+            "🎨",
+            "٢٠٢٠",
+            "２０２０",
+            "٣",
+            "a",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: usize| {
+            // xorshift64: a fixed seed, so every run checks the same strings.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let text: String = (0..next(7)).map(|_| PIECES[next(PIECES.len())]).collect();
+            assert_eq!(
+                extract_year_from_text(&text),
+                extract_year_by_chars(&text),
+                "{text:?}"
+            );
+        }
+        for (text, year) in [
+            ("٢٠٢٠ and 1889", Some(1889)),
+            ("２０２０", None),
+            ("é1503é", Some(1503)),
+            ("12345 0499 2101 0500", Some(500)),
+        ] {
+            assert_eq!(extract_year_from_text(text), year, "{text:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::schema::{Field, Schema};
-use crate::value::{DataType, Value};
+use crate::value::{CellRef, DataType, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -432,19 +432,27 @@ impl Table {
     /// Up to `n` example values of a column, unique, in first-seen order.
     /// This feeds the "These are some relevant values for the column" part of
     /// the discovery/planning prompts and the observations after execution.
+    ///
+    /// Uniqueness is by 40-character preview. Each row's cell is first
+    /// compared with the cells already kept (a cell the same as a kept one
+    /// renders the same preview), so only a new cell is rendered.
     pub fn example_values(&self, column: &str, n: usize) -> EngineResult<Vec<String>> {
         let col = self.column_data(column)?;
-        let mut seen = Vec::new();
+        let mut kept: Vec<(CellRef<'_>, String)> = Vec::new();
         for i in 0..self.num_rows {
-            let rendered = col.get(i).preview(40);
-            if !seen.contains(&rendered) {
-                seen.push(rendered);
-                if seen.len() >= n {
+            let cell = col.cell(i);
+            if kept.iter().any(|(seen, _)| seen.same(cell)) {
+                continue;
+            }
+            let rendered = cell.to_value().preview(40);
+            if kept.iter().all(|(_, seen)| *seen != rendered) {
+                kept.push((cell, rendered));
+                if kept.len() >= n {
                     break;
                 }
             }
         }
-        Ok(seen)
+        Ok(kept.into_iter().map(|(_, rendered)| rendered).collect())
     }
 
     /// The `table(num_rows=..., columns=[...])` notation used in prompts.
@@ -746,6 +754,38 @@ mod tests {
         let table = builder.build();
         let examples = table.example_values("answer", 2).unwrap();
         assert_eq!(examples, vec!["yes", "no"]);
+    }
+
+    #[test]
+    fn example_values_tell_types_apart_and_count_equal_previews_once() {
+        // SQL equality takes 1 = 1.0 and 0.0 = -0.0; their previews differ,
+        // so each is an example of its own.
+        let long = |tail: &str| Value::text(format!("{}{tail}", "x".repeat(60)));
+        let column = Column::Mixed(vec![
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            // Two texts whose 40-character previews are the same count once.
+            long("a"),
+            long("b"),
+            Value::Null,
+        ]);
+        let schema = Schema::from_pairs(&[("v", DataType::Null)]);
+        let table = Table::from_columns("t", schema, vec![Arc::new(column)]).unwrap();
+        assert_eq!(
+            table.example_values("v", 10).unwrap(),
+            [
+                "1",
+                "1.0",
+                "0.0",
+                "-0.0",
+                long("").preview(40).as_str(),
+                "NULL"
+            ]
+        );
+        assert_eq!(table.example_values("v", 2).unwrap(), ["1", "1.0"]);
     }
 
     #[test]

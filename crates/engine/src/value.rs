@@ -157,16 +157,7 @@ impl Value {
 
     /// The [`DataType`] of this value.
     pub fn data_type(&self) -> DataType {
-        match self {
-            Value::Null => DataType::Null,
-            Value::Bool(_) => DataType::Bool,
-            Value::Int(_) => DataType::Int,
-            Value::Float(_) => DataType::Float,
-            Value::Str(_) => DataType::Str,
-            Value::Date(_) => DataType::Date,
-            Value::Image(_) => DataType::Image,
-            Value::Text(_) => DataType::Text,
-        }
+        self.cell().data_type()
     }
 
     /// Whether the value is NULL.
@@ -185,28 +176,31 @@ impl Value {
 
     /// View as integer, if the value is an int or an integral float.
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 => Some(*f as i64),
-            Value::Bool(b) => Some(i64::from(*b)),
-            _ => None,
-        }
+        self.cell().as_int()
     }
 
     /// View as float (ints are widened).
     pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
+        self.cell().as_float()
     }
 
     /// View as a string slice for string-like values (str, image key, text).
     pub fn as_str(&self) -> Option<&str> {
+        self.cell().as_str()
+    }
+
+    /// The value as a borrowed cell.
+    #[inline]
+    pub(crate) fn cell(&self) -> CellRef<'_> {
         match self {
-            Value::Str(s) | Value::Image(s) | Value::Text(s) => Some(s),
-            _ => None,
+            Value::Null => CellRef::Null,
+            Value::Bool(b) => CellRef::Bool(*b),
+            Value::Int(i) => CellRef::Int(*i),
+            Value::Float(f) => CellRef::Float(*f),
+            Value::Str(s) => CellRef::Str(s),
+            Value::Date(d) => CellRef::Date(d),
+            Value::Image(s) => CellRef::Image(s),
+            Value::Text(s) => CellRef::Text(s),
         }
     }
 
@@ -226,22 +220,7 @@ impl Value {
     /// compare numerically across int/float, other types compare within their
     /// own class and by type name across classes.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Date(a), Date(b)) => (a.year, a.month, a.day).cmp(&(b.year, b.month, b.day)),
-            (Image(a), Image(b)) => a.cmp(b),
-            (Text(a), Text(b)) => a.cmp(b),
-            (a, b) => a.data_type().prompt_name().cmp(b.data_type().prompt_name()),
-        }
+        self.cell().total_cmp(other.cell())
     }
 
     /// SQL equality (NULL never equals anything, numbers compare across types).
@@ -333,21 +312,145 @@ impl PartialEq for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.cell().fmt(f)
+    }
+}
+
+/// A cell read in place: the borrowed form of a [`Value`]. Kernels and
+/// previews look at a column's cells through it without cloning them (a
+/// string stays behind its column's `Arc`). [`Value`]'s accessors, ordering
+/// and rendering are defined here, once, and the owned value delegates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum CellRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a Arc<str>),
+    Date(&'a DateValue),
+    Image(&'a Arc<str>),
+    Text(&'a Arc<str>),
+}
+
+impl<'a> CellRef<'a> {
+    /// The owned value (a string is an `Arc` bump).
+    #[inline]
+    pub(crate) fn to_value(self) -> Value {
         match self {
-            Value::Null => f.write_str("NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(v) => {
+            CellRef::Null => Value::Null,
+            CellRef::Bool(b) => Value::Bool(b),
+            CellRef::Int(i) => Value::Int(i),
+            CellRef::Float(f) => Value::Float(f),
+            CellRef::Str(s) => Value::Str(Arc::clone(s)),
+            CellRef::Date(d) => Value::Date(d.clone()),
+            CellRef::Image(s) => Value::Image(Arc::clone(s)),
+            CellRef::Text(s) => Value::Text(Arc::clone(s)),
+        }
+    }
+
+    /// See [`Value::data_type`].
+    pub(crate) fn data_type(self) -> DataType {
+        match self {
+            CellRef::Null => DataType::Null,
+            CellRef::Bool(_) => DataType::Bool,
+            CellRef::Int(_) => DataType::Int,
+            CellRef::Float(_) => DataType::Float,
+            CellRef::Str(_) => DataType::Str,
+            CellRef::Date(_) => DataType::Date,
+            CellRef::Image(_) => DataType::Image,
+            CellRef::Text(_) => DataType::Text,
+        }
+    }
+
+    /// See [`Value::is_null`].
+    #[inline]
+    pub(crate) fn is_null(self) -> bool {
+        matches!(self, CellRef::Null)
+    }
+
+    /// See [`Value::as_int`].
+    pub(crate) fn as_int(self) -> Option<i64> {
+        match self {
+            CellRef::Int(i) => Some(i),
+            CellRef::Float(f) if f.fract() == 0.0 => Some(f as i64),
+            CellRef::Bool(b) => Some(i64::from(b)),
+            _ => None,
+        }
+    }
+
+    /// See [`Value::as_float`].
+    pub(crate) fn as_float(self) -> Option<f64> {
+        match self {
+            CellRef::Int(i) => Some(i as f64),
+            CellRef::Float(f) => Some(f),
+            _ => None,
+        }
+    }
+
+    /// See [`Value::as_str`].
+    #[inline]
+    pub(crate) fn as_str(self) -> Option<&'a str> {
+        match self {
+            CellRef::Str(s) | CellRef::Image(s) | CellRef::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// See [`Value::total_cmp`].
+    pub(crate) fn total_cmp(self, other: CellRef<'_>) -> Ordering {
+        use CellRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            (Date(a), Date(b)) => (a.year, a.month, a.day).cmp(&(b.year, b.month, b.day)),
+            (Image(a), Image(b)) => a.cmp(b),
+            (Text(a), Text(b)) => a.cmp(b),
+            (a, b) => a.data_type().prompt_name().cmp(b.data_type().prompt_name()),
+        }
+    }
+
+    /// Whether both cells hold the same runtime type and the same payload,
+    /// floats compared bit for bit. Stricter than SQL equality, which takes
+    /// `1` and `1.0` (or `0.0` and `-0.0`) as equal: two same cells always
+    /// render the same text.
+    pub(crate) fn same(self, other: CellRef<'_>) -> bool {
+        use CellRef::*;
+        match (self, other) {
+            (Null, Null) => true,
+            (Bool(a), Bool(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) | (Image(a), Image(b)) | (Text(a), Text(b)) => a == b,
+            (Date(a), Date(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Display for CellRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            CellRef::Null => f.write_str("NULL"),
+            CellRef::Bool(b) => write!(f, "{b}"),
+            CellRef::Int(i) => write!(f, "{i}"),
+            CellRef::Float(v) => {
                 if v.fract() == 0.0 && v.abs() < 1e15 {
                     write!(f, "{:.1}", v)
                 } else {
                     write!(f, "{v}")
                 }
             }
-            Value::Str(s) => f.write_str(s),
-            Value::Date(d) => write!(f, "{d}"),
-            Value::Image(s) => write!(f, "<image:{s}>"),
-            Value::Text(s) => {
+            CellRef::Str(s) => f.write_str(s),
+            CellRef::Date(d) => write!(f, "{d}"),
+            CellRef::Image(s) => write!(f, "<image:{s}>"),
+            CellRef::Text(s) => {
                 let preview: String = s.chars().take(40).collect();
                 if s.chars().count() > 40 {
                     write!(f, "<text:{preview}...>")

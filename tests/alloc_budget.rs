@@ -1,6 +1,7 @@
 //! Deterministic allocation gate for the per-query and per-row paths that
-//! must not copy lake data: counts compared exactly (or against a stated
-//! budget), so a regression fails here whatever the machine's speed.
+//! must not copy lake data or allocate per row: counts compared exactly (or
+//! against a stated budget), so a regression fails here whatever the
+//! machine's speed.
 //!
 //! The counting allocator keeps one counter **per thread**, and every
 //! measured section runs on the test's own thread (perception dispatch only
@@ -11,10 +12,10 @@
 use caesura::core::Executor;
 use caesura::data::DataLake;
 use caesura::engine::ops;
-use caesura::modal::operators::{apply_text_qa, apply_visual_qa, Perception};
+use caesura::modal::operators::{apply_python_udf, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
-    PerceptionCache, PerceptionRequest,
+    PerceptionCache, PerceptionRequest, TransformCodegen,
 };
 use caesura::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -257,4 +258,74 @@ fn a_cached_text_qa_step_allocates_one_block_per_distinct_question() {
             "{blocks} blocks for {rows} rows, budget {budget}"
         );
     }
+}
+
+/// `paintings_metadata(title, inception)` over `rows` rows, the inception
+/// dates in the artwork lake's four formats plus an undated row in seven.
+fn painting_metadata(rows: usize) -> Table {
+    let schema = Schema::from_pairs(&[("title", DataType::Str), ("inception", DataType::Str)]);
+    let mut metadata = TableBuilder::new("paintings_metadata", schema);
+    for i in 0..rows {
+        let year = 1300 + i % 650;
+        let inception = match i % 7 {
+            0 => "unknown".to_string(),
+            1 | 4 => format!("{year}-{:02}-{:02}", 1 + i % 12, 1 + i % 28),
+            2 | 5 => format!("c. {year}"),
+            3 => format!("{year}"),
+            _ => format!("{year}-{:02}", 1 + i % 12),
+        };
+        metadata
+            .push_values([format!("Painting {i}"), inception])
+            .unwrap();
+    }
+    metadata.build()
+}
+
+#[test]
+fn a_transform_step_allocates_the_same_whatever_the_row_count() {
+    let codegen = TransformCodegen::new();
+    for description in [
+        "Extract the year from the inception dates",
+        "Extract the century from the inception dates",
+    ] {
+        let blocks = |table: &Table| {
+            let (blocks, (_, result)) = blocks_allocated(|| {
+                apply_python_udf(table, &codegen, description, "new_column", None)
+            });
+            assert_eq!(result.unwrap().num_rows(), table.num_rows());
+            blocks
+        };
+        let (small, large) = (painting_metadata(100), painting_metadata(2_000));
+        // Warm up once, so no lazily built process state is charged to the
+        // first measured step.
+        blocks(&small);
+        // Compile, one output column and the appended schema: the kernel
+        // reads every inception string in place and builds no value, vector
+        // or string per row.
+        assert_eq!(blocks(&small), blocks(&large), "{description}");
+    }
+}
+
+#[test]
+fn an_observation_of_a_two_valued_column_allocates_the_same_whatever_the_row_count() {
+    let blocks = |rows: usize| {
+        let table = painting_metadata(rows)
+            .with_new_column("madonna_depicted", DataType::Str, |i, _| {
+                Ok(Value::str(if i % 3 == 0 { "yes" } else { "no" }))
+            })
+            .unwrap();
+        let new_columns = ["madonna_depicted".to_string()];
+        let (blocks, observation) = blocks_allocated(|| table.observation(&new_columns));
+        assert!(
+            observation
+                .new_columns
+                .ends_with("Example values: [yes, no]."),
+            "{observation}"
+        );
+        blocks
+    };
+    // Fewer than three values: every row is scanned, and each is compared
+    // with the cells already kept, not rendered.
+    blocks(100);
+    assert_eq!(blocks(100), blocks(2_000));
 }

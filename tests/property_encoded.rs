@@ -21,13 +21,17 @@
 //!    columns, lazy `CASE` branches and `IN` items — are evaluated through
 //!    `Expr::evaluate_batch` and `Expr::selection_vector` over plain and
 //!    dict-encoded inputs. Decoded results must be byte-identical, and
-//!    errors and selection vectors equal.
+//!    errors and selection vectors equal. At the same row counts, calls of
+//!    every scalar function over plain, dict-encoded, nullable and `Mixed`
+//!    argument columns and scalars go through `Expr::evaluate_batch` and
+//!    the row evaluator, which must agree cell for cell and error for error.
 
 use caesura::engine::{
-    dict, ops, sql, BinaryOp, Catalog, DataType, EngineError, Expr, ScalarFunc, Schema, Table,
-    TableBuilder, UnaryOp, Value,
+    dict, ops, sql, BinaryOp, Catalog, Column, DataType, DateValue, EngineError, Expr, ScalarFunc,
+    Schema, Table, TableBuilder, UnaryOp, Value,
 };
 use rand::{Rng, SeedableRng, StdRng};
+use std::sync::Arc;
 
 /// Byte-level table equality after normalizing any dict columns to plain.
 fn assert_normalized_identical(expected: &Table, actual: &Table, context: &str) {
@@ -483,6 +487,206 @@ fn dict_matches_plain_on_random_trees() {
                 &format!("case {case}, {rows} rows"),
             );
         }
+        // Scalar functions over argument columns of every representation:
+        // the column kernel against the row evaluator.
+        let (schema, columns) = function_arguments(&mut rng, rows);
+        for func in SCALAR_FUNCS {
+            for case in 0..12 {
+                let expr = random_call(&mut rng, func, 1);
+                let context = format!("{} case {case}, {rows} rows", func.name());
+                assert_batch_matches_row_evaluator(&expr, &schema, &columns, rows, &context);
+            }
+        }
+    }
+}
+
+const SCALAR_FUNCS: [ScalarFunc; 17] = [
+    ScalarFunc::Lower,
+    ScalarFunc::Upper,
+    ScalarFunc::Length,
+    ScalarFunc::Substr,
+    ScalarFunc::CastInt,
+    ScalarFunc::CastFloat,
+    ScalarFunc::CastStr,
+    ScalarFunc::Concat,
+    ScalarFunc::Abs,
+    ScalarFunc::Round,
+    ScalarFunc::Coalesce,
+    ScalarFunc::ExtractYear,
+    ScalarFunc::Century,
+    ScalarFunc::Trim,
+    ScalarFunc::Replace,
+    ScalarFunc::Min2,
+    ScalarFunc::Max2,
+];
+
+/// Pieces of the strings scalar functions read: ASCII digit runs of 3, 4
+/// and 5 around the `500..=2100` year window, multi-byte letters, and
+/// digits of other scripts (Arabic-Indic, fullwidth).
+const STRING_PIECES: [&str; 20] = [
+    "499",
+    "500",
+    "0499",
+    "0500",
+    "1503",
+    "1889",
+    "2100",
+    "2101",
+    "12345",
+    "-01-05",
+    "c. ",
+    " ",
+    "é",
+    "日本",
+    "🎨",
+    "٢٠٢٠",
+    "２０２０",
+    "Madonna",
+    "-",
+    "3.5",
+];
+
+fn random_text(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(0..4))
+        .map(|_| STRING_PIECES[rng.gen_range(0..STRING_PIECES.len())])
+        .collect()
+}
+
+/// A scalar of any runtime type, NULL included.
+fn random_scalar(rng: &mut StdRng) -> Value {
+    match rng.gen_range(0..8) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool(0.5)),
+        2 => Value::Int([-3, 0, 2, 499, 1503, 2101][rng.gen_range(0..6usize)]),
+        3 => Value::Float([-2.5, -0.0, 0.0, 1.5, 1889.7, 3.0][rng.gen_range(0..6usize)]),
+        4 => Value::Date(DateValue::new(rng.gen_range(400..2200), 1, 5)),
+        5 => Value::image(format!("img/{}.png", rng.gen_range(0..3))),
+        6 => Value::text(random_text(rng)),
+        _ => Value::str(random_text(rng)),
+    }
+}
+
+/// The argument columns of [`random_call`], `rows` long: plain strings,
+/// low-cardinality strings dictionary-encoded wherever ingest would encode
+/// them, nullable ints and floats, and a `Mixed` column of every runtime
+/// type.
+fn function_arguments(rng: &mut StdRng, rows: usize) -> (Schema, Vec<Arc<Column>>) {
+    let nullable = |rng: &mut StdRng, value: Value| {
+        if rng.gen_bool(0.15) {
+            Value::Null
+        } else {
+            value
+        }
+    };
+    let labels: Vec<String> = (0..12).map(|_| random_text(rng)).collect();
+    let mut plain = Vec::new();
+    let mut labelled = Vec::new();
+    let mut ints = Vec::new();
+    let mut floats = Vec::new();
+    let mut mixed = Vec::new();
+    for _ in 0..rows {
+        let text = Value::str(random_text(rng));
+        plain.push(nullable(rng, text));
+        let label = Value::str(&labels[rng.gen_range(0..labels.len())]);
+        labelled.push(nullable(rng, label));
+        let int = Value::Int(rng.gen_range(-3i64..2200));
+        ints.push(nullable(rng, int));
+        let float = Value::Float(rng.gen_range(-8i64..8) as f64 / 4.0);
+        floats.push(nullable(rng, float));
+        mixed.push(random_scalar(rng));
+    }
+    let labelled = Column::from_values(labelled);
+    let columns = vec![
+        Column::from_values(plain),
+        dict::encode_column(&labelled).unwrap_or(labelled),
+        Column::from_values(ints),
+        Column::from_values(floats),
+        Column::Mixed(mixed),
+    ];
+    let schema = Schema::from_pairs(&[
+        ("s", DataType::Str),
+        ("d", DataType::Str),
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("m", DataType::Str),
+    ]);
+    (schema, columns.into_iter().map(Arc::new).collect())
+}
+
+/// A call of `func`, usually with an argument count it takes; arguments are
+/// columns, scalars and, `depth` levels down, calls.
+fn random_call(rng: &mut StdRng, func: ScalarFunc, depth: usize) -> Expr {
+    let arity = if rng.gen_bool(0.1) {
+        rng.gen_range(0..4)
+    } else {
+        match func {
+            ScalarFunc::Concat | ScalarFunc::Coalesce => rng.gen_range(0..4),
+            ScalarFunc::Substr => rng.gen_range(2..4),
+            ScalarFunc::Round => rng.gen_range(1..3),
+            ScalarFunc::Replace => 3,
+            ScalarFunc::Min2 | ScalarFunc::Max2 => 2,
+            _ => 1,
+        }
+    };
+    let args = (0..arity)
+        .map(|_| match rng.gen_range(0..10) {
+            0..=5 => Expr::col(["s", "d", "i", "f", "m"][rng.gen_range(0..5usize)]),
+            6 | 7 => Expr::Literal(random_scalar(rng)),
+            _ if depth > 0 => {
+                let inner = SCALAR_FUNCS[rng.gen_range(0..SCALAR_FUNCS.len())];
+                random_call(rng, inner, depth - 1)
+            }
+            _ => Expr::col("s"),
+        })
+        .collect();
+    Expr::Func { func, args }
+}
+
+/// Whether a call without any column argument occurs in `expr`. Such a call
+/// is evaluated once for the whole batch, even over zero rows, where the
+/// row evaluator makes no call at all.
+fn has_constant_call(expr: &Expr) -> bool {
+    match expr {
+        Expr::Func { args, .. } => {
+            expr.referenced_columns().is_empty() || args.iter().any(has_constant_call)
+        }
+        _ => false,
+    }
+}
+
+/// `expr` through `evaluate_batch` equals the row evaluator cell for cell,
+/// column representation included (compared through `Debug`, so `1` and
+/// `1.0` in a `Mixed` column, or `0.0` and `-0.0`, differ), and a failing
+/// batch fails with the row evaluator's first error in row order.
+fn assert_batch_matches_row_evaluator(
+    expr: &Expr,
+    schema: &Schema,
+    columns: &[Arc<Column>],
+    rows: usize,
+    context: &str,
+) {
+    if rows == 0 && has_constant_call(expr) {
+        return;
+    }
+    let batch = expr.evaluate_batch(schema, columns, rows);
+    let by_rows = (0..rows)
+        .map(|i| expr.evaluate_at(schema, columns, i))
+        .collect::<Result<Vec<_>, _>>()
+        .map(Column::from_values);
+    match (&batch, &by_rows) {
+        (Ok(batch), Ok(by_rows)) => assert_eq!(
+            format!("{:?}", batch.as_ref()),
+            format!("{by_rows:?}"),
+            "kernel and row evaluator differ: {context} (expr: {expr})"
+        ),
+        (Err(batch), Err(by_rows)) => assert_eq!(
+            batch, by_rows,
+            "kernel and row evaluator fail differently: {context} (expr: {expr})"
+        ),
+        (batch, by_rows) => panic!(
+            "kernel and row evaluator disagree: {context} (expr: {expr})\n  \
+             kernel: {batch:?}\n  rows: {by_rows:?}"
+        ),
     }
 }
 
