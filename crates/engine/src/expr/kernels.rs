@@ -1,33 +1,42 @@
 //! The column kernels behind [`Expr::evaluate_batch`] and
 //! [`Expr::selection_vector`](super::Expr::selection_vector), all reading
 //! their operands through one set of views ([`ValuesView`]: a borrowed
-//! column or a broadcast scalar).
+//! column or a broadcast scalar). Every kernel returns a column, and each
+//! runs over exactly the rows it is given: over zero rows it computes
+//! nothing and raises nothing.
 //!
 //! [`eval_binary_view`] runs typed numeric loops, and string compare/`LIKE`
 //! loops over plain or dictionary-encoded columns. A dictionary column
 //! compared with a string literal runs one comparison per *dictionary entry*
 //! instead of one per row; every other construct over a dictionary column
-//! (`IN` lists, column-vs-column compares) reads its strings row by row.
-//! Everything else falls back to the element-wise [`eval_binary`], which
-//! keeps the exact dynamic-typing semantics of the row evaluator.
+//! (column-vs-column compares) reads its strings row by row. Every other
+//! operand shape (`AND`/`OR`, `/`, `%`, mixed types) runs the operator's
+//! per-row rule, [`eval_binary`], on cells read in place.
 //!
-//! [`eval_func_view`] runs a scalar function column at a time: it resolves
-//! the function's code once, reads each row's argument cells in place from
-//! the views (a dictionary string from its entry table, a scalar from the
-//! literal), and packs the results into the output column as they come. The
-//! per-row code is the row evaluator's own, so each function's semantics
-//! are written once.
+//! [`eval_cell_fn`] runs a unary operator or a scalar function column at a
+//! time: its per-row code ([`CellFn`]) is resolved once, and each row's
+//! argument cells are read in place from the views (a dictionary string
+//! from its entry table, a scalar from the literal).
+//!
+//! [`scatter`] puts the parts of a `CASE` result, each computed over the
+//! rows that took one branch, back into row order.
+//!
+//! The per-row rules are the row evaluator's own, so each operator's and
+//! each function's semantics are written once. The error rule is the
+//! module's above: value errors are per row, so a kernel over zero rows
+//! raises none, and where rows fail in different ways a kernel reports the
+//! first failing row in row order.
 //!
 //! [`Expr::evaluate_batch`]: super::Expr::evaluate_batch
 
-use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp, CellFn, ScalarFunc};
+use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp, CellFn, LikePattern};
 use crate::column::{Bitmap, Column, ColumnBuilder};
 use crate::error::EngineResult;
 use crate::value::{CellRef, DataType, Value};
 use std::sync::Arc;
 
-/// A binary-kernel operand: a borrowed column (zero-copy), or a scalar
-/// broadcast across the batch.
+/// A kernel operand: a borrowed column (zero-copy), or a scalar broadcast
+/// across the batch.
 pub(super) enum ValuesView<'a> {
     /// A whole column; the kernel reads its first `num_rows` rows.
     Col(&'a Column),
@@ -36,14 +45,9 @@ pub(super) enum ValuesView<'a> {
 }
 
 impl<'a> ValuesView<'a> {
-    #[inline]
-    fn get(&self, i: usize) -> Value {
-        self.cell(i).to_value()
-    }
-
     /// Row `i`'s cell, read in place.
     #[inline]
-    fn cell(&self, i: usize) -> CellRef<'a> {
+    pub(super) fn cell(&self, i: usize) -> CellRef<'a> {
         match self {
             ValuesView::Col(col) => col.cell(i),
             ValuesView::Scalar(v) => v.cell(),
@@ -148,19 +152,15 @@ impl StrSide<'_> {
 /// Evaluate a binary operation over two operand views. Uses typed
 /// vector loops for numeric arithmetic/comparisons and string
 /// comparisons/LIKE (with a code-native kernel for a dictionary column
-/// against a string literal), and falls back to element-wise
-/// [`eval_binary`] everywhere else.
+/// against a string literal), and runs the per-row rule [`eval_binary`]
+/// everywhere else.
 pub(super) fn eval_binary_view(
     lhs: &ValuesView<'_>,
     op: BinaryOp,
     rhs: &ValuesView<'_>,
     num_rows: usize,
-) -> EngineResult<Batch> {
+) -> EngineResult<Column> {
     use BinaryOp::*;
-    if let (ValuesView::Scalar(a), ValuesView::Scalar(b)) = (lhs, rhs) {
-        return Ok(Batch::Scalar(eval_binary(a, op, b)?));
-    }
-
     // Typed numeric kernels: + - * and the orderings.
     if let (Some(a), Some(b)) = (
         NumOp::from_view(lhs, num_rows),
@@ -170,10 +170,10 @@ pub(super) fn eval_binary_view(
             Add | Sub | Mul => {
                 let column = if a.is_int() && b.is_int() {
                     let mut data = Vec::with_capacity(num_rows);
-                    let mut validity = Bitmap::new();
+                    let mut validity = Bitmap::with_capacity(num_rows);
                     for i in 0..num_rows {
                         let valid = a.valid(i) && b.valid(i);
-                        // The row engine computes int arithmetic through f64
+                        // The row rule computes int arithmetic through f64
                         // and casts back (saturating, 53-bit precision);
                         // mirror that exactly so both evaluation paths agree.
                         let (x, y) = (a.int_at(i) as f64, b.int_at(i) as f64);
@@ -187,7 +187,7 @@ pub(super) fn eval_binary_view(
                     Column::Int64(data, validity)
                 } else {
                     let mut data = Vec::with_capacity(num_rows);
-                    let mut validity = Bitmap::new();
+                    let mut validity = Bitmap::with_capacity(num_rows);
                     for i in 0..num_rows {
                         let valid = a.valid(i) && b.valid(i);
                         let (x, y) = (a.float_at(i), b.float_at(i));
@@ -200,11 +200,11 @@ pub(super) fn eval_binary_view(
                     }
                     Column::Float64(data, validity)
                 };
-                return Ok(Batch::Col(Arc::new(column)));
+                return Ok(column);
             }
             Lt | LtEq | Gt | GtEq | Eq | NotEq => {
                 let mut data = Vec::with_capacity(num_rows);
-                let mut validity = Bitmap::new();
+                let mut validity = Bitmap::with_capacity(num_rows);
                 if a.is_int() && b.is_int() {
                     for i in 0..num_rows {
                         let valid = a.valid(i) && b.valid(i);
@@ -227,34 +227,34 @@ pub(super) fn eval_binary_view(
                         validity.push(valid);
                     }
                 }
-                return Ok(Batch::Col(Arc::new(Column::Bool(data, validity))));
+                return Ok(Column::Bool(data, validity));
             }
             _ => {}
         }
     }
 
     // Typed string kernels: orderings, equality, and LIKE.
-    if let Some(batch) = eval_str_view(lhs, op, rhs, num_rows) {
-        return Ok(batch);
+    if let Some(column) = eval_str_view(lhs, op, rhs, num_rows) {
+        return Ok(column);
     }
 
-    // Element-wise fallback preserves the exact dynamic-typing semantics
-    // (including the per-row type errors the planner relies on observing).
-    let mut out = Vec::with_capacity(num_rows);
+    // The per-row rule keeps the exact dynamic-typing semantics (including
+    // the per-row type errors the planner relies on observing).
+    let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
     for i in 0..num_rows {
-        out.push(eval_binary(&lhs.get(i), op, &rhs.get(i))?);
+        out.push(eval_binary(lhs.cell(i), op, rhs.cell(i))?);
     }
-    Ok(Batch::Col(Arc::new(Column::from_values(out))))
+    Ok(out.finish())
 }
 
 /// String kernels for the comparison operators and LIKE. Returns `None` when
-/// neither shape applies (the caller falls back to element-wise evaluation).
+/// neither shape applies (the caller runs the per-row rule).
 fn eval_str_view(
     lhs: &ValuesView<'_>,
     op: BinaryOp,
     rhs: &ValuesView<'_>,
     num_rows: usize,
-) -> Option<Batch> {
+) -> Option<Column> {
     use BinaryOp::*;
     if !matches!(op, Lt | LtEq | Gt | GtEq | Eq | NotEq | Like) {
         return None;
@@ -264,46 +264,35 @@ fn eval_str_view(
         _ => None,
     };
     // Column vs scalar — the common predicate shape (`movement = 'Baroque'`).
+    // A LIKE pattern is lowercased once for the whole column.
     if let (Some(side), Some(s)) = (StrSide::from_view(lhs, num_rows), str_scalar(rhs)) {
-        let column = match side {
+        let mut pattern = (op == Like).then(|| LikePattern::new(&s));
+        let mut holds = |v: &str| match &mut pattern {
+            Some(pattern) => pattern.matches(v),
+            None => int_cmp_result(op, v.cmp(s.as_ref())),
+        };
+        let mut out = Vec::with_capacity(num_rows);
+        let mut validity = Bitmap::with_capacity(num_rows);
+        match side {
             StrSide::Plain(data, bitmap) => {
-                let mut out = Vec::with_capacity(num_rows);
-                let mut validity = Bitmap::new();
                 for (i, v) in data.iter().enumerate() {
                     let valid = bitmap.is_valid(i);
-                    out.push(if valid {
-                        match op {
-                            Like => like_match(v, &s),
-                            _ => int_cmp_result(op, v.as_ref().cmp(s.as_ref())),
-                        }
-                    } else {
-                        false
-                    });
+                    out.push(valid && holds(v));
                     validity.push(valid);
                 }
-                Column::Bool(out, validity)
             }
             StrSide::Dict(codes, dict, bitmap) => {
                 // Code-native kernel: one comparison (or LIKE match) per
                 // dictionary *entry*, then a table lookup per row.
-                let table: Vec<bool> = dict
-                    .iter()
-                    .map(|entry| match op {
-                        Like => like_match(entry, &s),
-                        _ => int_cmp_result(op, entry.as_ref().cmp(s.as_ref())),
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(num_rows);
-                let mut validity = Bitmap::new();
+                let table: Vec<bool> = dict.iter().map(|entry| holds(entry)).collect();
                 for (i, &code) in codes.iter().enumerate() {
                     let valid = bitmap.is_valid(i);
                     out.push(valid && table[code as usize]);
                     validity.push(valid);
                 }
-                Column::Bool(out, validity)
             }
-        };
-        return Some(Batch::Col(Arc::new(column)));
+        }
+        return Some(Column::Bool(out, validity));
     }
     // Column vs column.
     if let (Some(left), Some(right)) = (
@@ -311,7 +300,7 @@ fn eval_str_view(
         StrSide::from_view(rhs, num_rows),
     ) {
         let mut out = Vec::with_capacity(num_rows);
-        let mut validity = Bitmap::new();
+        let mut validity = Bitmap::with_capacity(num_rows);
         for i in 0..num_rows {
             let valid = left.valid(i) && right.valid(i);
             out.push(if valid {
@@ -324,29 +313,26 @@ fn eval_str_view(
             });
             validity.push(valid);
         }
-        return Some(Batch::Col(Arc::new(Column::Bool(out, validity))));
+        return Some(Column::Bool(out, validity));
     }
     None
 }
 
-/// Evaluate a scalar function over argument views: the function's
-/// [`CellFn`] is resolved once, then called per row on that row's argument
-/// cells, read in place. The results pack into a builder started at
-/// [`DataType::Null`], which builds the column [`Column::from_values`] would
-/// (`Null` when every row is NULL, `Mixed` when types differ). The first
-/// error in row order stops the loop; over zero rows nothing is called, so
-/// even a wrong-arity call yields an empty column.
-pub(super) fn eval_func_view(
-    func: ScalarFunc,
+/// Run a unary operator's or a scalar function's [`CellFn`] over argument
+/// views: called per row on that row's argument cells, read in place. The
+/// results pack into a builder started at [`DataType::Null`], which builds
+/// the column [`Column::from_values`] would (`Null` when every row is NULL,
+/// `Mixed` when types differ). The first error in row order stops the loop.
+/// `cell_fn` is an error when the function takes no such argument count;
+/// that error, too, is raised only when a row exists.
+pub(super) fn eval_cell_fn(
+    cell_fn: EngineResult<CellFn>,
     args: &[ValuesView<'_>],
     num_rows: usize,
-) -> EngineResult<Batch> {
+) -> EngineResult<Column> {
     let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
     if num_rows > 0 {
-        let cell_fn = func
-            .cell_fn(args.len())
-            .ok_or_else(|| func.arity_error(args.len()))?;
-        match (cell_fn, args) {
+        match (cell_fn?, args) {
             (CellFn::Unary(f), [a]) => {
                 for i in 0..num_rows {
                     out.push(f(a.cell(i))?);
@@ -372,5 +358,25 @@ pub(super) fn eval_func_view(
             }
         }
     }
-    Ok(Batch::Col(Arc::new(out.finish())))
+    Ok(out.finish())
+}
+
+/// Put the parts of a column computed over disjoint row subsets back into
+/// row order. Each part is a subset's rows, ascending, and its result over
+/// them; together the parts cover `0..num_rows`. One builder packs the cells
+/// as [`eval_cell_fn`]'s does.
+pub(super) fn scatter(parts: &[(Vec<usize>, Batch)], num_rows: usize) -> Column {
+    // Per row: which part holds its cell, and at what position.
+    let mut source = vec![(0, 0); num_rows];
+    for (part, (rows, _)) in parts.iter().enumerate() {
+        for (at, &row) in rows.iter().enumerate() {
+            source[row] = (part, at);
+        }
+    }
+    let views: Vec<ValuesView<'_>> = parts.iter().map(|(_, batch)| batch.view()).collect();
+    let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+    for (part, at) in source {
+        out.push(views[part].cell(at).to_value());
+    }
+    out.finish()
 }

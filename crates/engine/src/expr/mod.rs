@@ -1,31 +1,44 @@
 //! Scalar expressions and their evaluation.
 //!
 //! Expressions are produced by the SQL front-end (`sql` module) and by the
-//! transform-DSL of the Python-UDF substitute in `caesura-modal`. They can be
-//! evaluated two ways:
+//! transform-DSL of the Python-UDF substitute in `caesura-modal`. The engine
+//! evaluates them column at a time, via [`Expr::evaluate_batch`] and
+//! [`Expr::selection_vector`]. The tree is walked once per batch over the
+//! input columns in place: literals stay scalars broadcast across the batch,
+//! column references are `Arc` bumps, and every other node runs a column
+//! kernel of the private `kernels` module. `CASE` evaluates each condition
+//! only over the rows still undecided and each result only over the rows
+//! that took its branch; `IN` evaluates item k only over the rows whose
+//! needle is non-NULL and not yet matched. Both reach a subtree over a row
+//! subset in one way: the columns it references are gathered.
 //!
-//! * **column-at-a-time** via [`Expr::evaluate_batch`] and
-//!   [`Expr::selection_vector`] — the vectorized path the physical operators
-//!   use. The tree is walked once per batch over the input columns in place:
-//!   literals stay scalars broadcast across the batch, column references are
-//!   `Arc` bumps, and binary operators run the typed kernels of the private
-//!   `kernels` module (numeric and string loops, the code-native
-//!   dictionary-vs-literal compare), with an element-wise fallback where
-//!   per-row dynamic typing demands it. A scalar function resolves its
-//!   per-row code (`CellFn`) once and runs it over argument cells read in
-//!   place. `IN` and `CASE` go row by row, so an item or branch no row
-//!   reaches is never evaluated;
-//! * **row-at-a-time** via [`Expr::evaluate`] against a [`Schema`] + value
-//!   slice, or [`Expr::evaluate_at`] against one row of the columns — one
-//!   evaluator over two ways of reading a cell, used by the batch path for
-//!   `IN`/`CASE` and by the property tests' row-at-a-time oracles. It runs
-//!   the same `CellFn`s, so each function's semantics are written once.
+//! Every per-row rule is one function of borrowed cells (`CellRef`):
+//! `eval_binary` for the binary operators, and a `CellFn` for each unary
+//! operator and scalar function. The kernels run them wherever their typed
+//! loops do not reach, and the row evaluator ([`Expr::evaluate`],
+//! [`Expr::evaluate_at`]) runs nothing else; it is kept as the property
+//! tests' oracle.
+//!
+//! # Errors
+//!
+//! * Names resolve at bind time: an unknown column fails at any row count,
+//!   as SQLite's prepare does.
+//! * Value errors (division by zero, type mismatches, a wrong argument
+//!   count) are per row, so zero rows raise none. A subtree without a column
+//!   reference is folded to one scalar in one place, and only when at least
+//!   one row exists.
+//! * Over trees whose column names all resolve, a tree fails exactly when the
+//!   row evaluator fails on some row.
+//! * When rows fail in different ways, the error reported is the first one
+//!   in kernel order: operands before their operator, a kernel's rows in row
+//!   order, `CASE` branches and `IN` items in their written order.
 
 mod kernels;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::schema::Schema;
+use crate::selection::Selection;
 use crate::value::{CellRef, DataType, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -272,40 +285,40 @@ impl Expr {
     }
 
     fn collect_columns(&self, out: &mut Vec<String>) {
+        self.any_column(&mut |name| {
+            if !out.contains(name) {
+                out.push(name.clone());
+            }
+            false
+        });
+    }
+
+    /// Whether the expression references no column, so it has one value
+    /// for every row.
+    fn is_constant(&self) -> bool {
+        !self.any_column(&mut |_| true)
+    }
+
+    /// Whether `hit` holds for a column reference, visited depth first in
+    /// written order; the walk stops at the first hit.
+    fn any_column(&self, hit: &mut impl FnMut(&String) -> bool) -> bool {
         match self {
-            Expr::Literal(_) => {}
-            Expr::Column(name) => {
-                if !out.contains(name) {
-                    out.push(name.clone());
-                }
-            }
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            Expr::Unary { operand, .. } => operand.collect_columns(out),
-            Expr::Func { args, .. } => {
-                for arg in args {
-                    arg.collect_columns(out);
-                }
-            }
+            Expr::Literal(_) => false,
+            Expr::Column(name) => hit(name),
+            Expr::Binary { left, right, .. } => left.any_column(hit) || right.any_column(hit),
+            Expr::Unary { operand, .. } => operand.any_column(hit),
+            Expr::Func { args, .. } => args.iter().any(|arg| arg.any_column(hit)),
             Expr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                for item in list {
-                    item.collect_columns(out);
-                }
+                expr.any_column(hit) || list.iter().any(|item| item.any_column(hit))
             }
             Expr::Case {
                 branches,
                 otherwise,
             } => {
-                for (cond, result) in branches {
-                    cond.collect_columns(out);
-                    result.collect_columns(out);
-                }
-                if let Some(e) = otherwise {
-                    e.collect_columns(out);
-                }
+                branches
+                    .iter()
+                    .any(|(cond, result)| cond.any_column(hit) || result.any_column(hit))
+                    || otherwise.as_ref().is_some_and(|e| e.any_column(hit))
             }
         }
     }
@@ -346,36 +359,13 @@ impl Expr {
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
-        let col = match self.evaluate_batch_inner(schema, columns, num_rows)? {
-            Batch::Scalar(v) => {
-                return Ok(if v.as_bool() == Some(true) {
-                    (0..num_rows).collect()
-                } else {
-                    Vec::new()
-                });
-            }
-            Batch::Col(col) => col,
-        };
-        let mut selected = Vec::new();
-        if let Some((data, validity)) = col.as_bools() {
-            for (i, &b) in data[..num_rows].iter().enumerate() {
-                if b && validity.is_valid(i) {
-                    selected.push(i);
-                }
-            }
-        } else {
-            for i in 0..num_rows {
-                if col.get(i).as_bool() == Some(true) {
-                    selected.push(i);
-                }
-            }
-        }
-        Ok(selected)
+        let holds = self.evaluate_batch_inner(schema, columns, num_rows)?;
+        Ok(holds.selected_rows(num_rows))
     }
 
     /// Evaluate the expression at one row, reading cells directly from the
-    /// columns. Used for constructs whose branches must stay lazy per row
-    /// (CASE) and as the general per-row fallback.
+    /// columns: the row evaluator the property tests check the batch path
+    /// against.
     pub fn evaluate_at(
         &self,
         schema: &Schema,
@@ -398,11 +388,11 @@ impl Expr {
             Expr::Binary { left, op, right } => {
                 let lhs = left.evaluate_row(schema, cell)?;
                 let rhs = right.evaluate_row(schema, cell)?;
-                eval_binary(&lhs, *op, &rhs)
+                eval_binary(lhs.cell(), *op, rhs.cell())
             }
             Expr::Unary { op, operand } => {
                 let value = operand.evaluate_row(schema, cell)?;
-                eval_unary(*op, &value)
+                op.cell_fn().call(&[value.cell()])
             }
             Expr::Func { func, args } => {
                 let mut values = Vec::with_capacity(args.len());
@@ -453,6 +443,16 @@ impl Expr {
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Batch> {
+        // The one constant fold: a subtree without a column reference has
+        // one value for every row, so it is computed over one row and
+        // broadcast. Over zero rows it is not computed at all, and its
+        // errors stay unraised.
+        if num_rows != 1 && !matches!(self, Expr::Literal(_)) && self.is_constant() {
+            return Ok(match num_rows {
+                0 => Batch::column(Column::Null(0)),
+                _ => Batch::Scalar(self.evaluate_batch(schema, columns, 1)?.get(0)),
+            });
+        }
         match self {
             Expr::Literal(value) => Ok(Batch::Scalar(value.clone())),
             Expr::Column(name) => {
@@ -463,44 +463,98 @@ impl Expr {
                 let lhs = left.evaluate_batch_inner(schema, columns, num_rows)?;
                 let rhs = right.evaluate_batch_inner(schema, columns, num_rows)?;
                 kernels::eval_binary_view(&lhs.view(), *op, &rhs.view(), num_rows)
+                    .map(Batch::column)
             }
             Expr::Unary { op, operand } => {
-                match operand.evaluate_batch_inner(schema, columns, num_rows)? {
-                    Batch::Scalar(v) => Ok(Batch::Scalar(eval_unary(*op, &v)?)),
-                    Batch::Col(col) => {
-                        let mut out = Vec::with_capacity(num_rows);
-                        for i in 0..num_rows {
-                            out.push(eval_unary(*op, &col.get(i))?);
-                        }
-                        Ok(Batch::Col(Arc::new(Column::from_values(out))))
-                    }
-                }
+                let operand = operand.evaluate_batch_inner(schema, columns, num_rows)?;
+                kernels::eval_cell_fn(Ok(op.cell_fn()), &[operand.view()], num_rows)
+                    .map(Batch::column)
             }
             Expr::Func { func, args } => {
                 let mut batches = Vec::with_capacity(args.len());
                 for arg in args {
                     batches.push(arg.evaluate_batch_inner(schema, columns, num_rows)?);
                 }
-                if batches.iter().all(|b| matches!(b, Batch::Scalar(_))) {
-                    let argv: Vec<Value> = batches.iter().map(|b| b.get(0)).collect();
-                    return Ok(Batch::Scalar(eval_func(*func, &argv)?));
-                }
                 let views: Vec<_> = batches.iter().map(Batch::view).collect();
-                kernels::eval_func_view(*func, &views, num_rows)
+                let cell_fn = func
+                    .cell_fn(args.len())
+                    .ok_or_else(|| func.arity_error(args.len()));
+                kernels::eval_cell_fn(cell_fn, &views, num_rows).map(Batch::column)
             }
-            // IN-list items and CASE branches must only be evaluated as far
-            // as each row needs them (the row engine short-circuits on the
-            // first match / taken branch; a vectorized evaluation of every
-            // item could raise errors — e.g. division by zero — the row
-            // engine never would), so both stay per-row.
-            Expr::InList { .. } | Expr::Case { .. } => {
-                let mut out = Vec::with_capacity(num_rows);
-                for i in 0..num_rows {
-                    out.push(self.evaluate_at(schema, columns, i)?);
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let needle = expr.evaluate_batch_inner(schema, columns, num_rows)?;
+                // Per row: `None` for a NULL needle, else whether an item
+                // matched it so far; `pending` are the rows still unmatched.
+                let needle_view = needle.view();
+                let mut found: Vec<Option<bool>> = (0..num_rows)
+                    .map(|i| (!needle_view.cell(i).is_null()).then_some(false))
+                    .collect();
+                let mut pending = rows_where(num_rows, |i| found[i].is_some());
+                for item in list {
+                    let candidates = item.evaluate_over(schema, columns, &pending, num_rows)?;
+                    let needles = needle.gather(&pending, num_rows);
+                    let equal = kernels::eval_binary_view(
+                        &needles.view(),
+                        BinaryOp::Eq,
+                        &candidates.view(),
+                        pending.len(),
+                    )?;
+                    let matched = Batch::column(equal).selected_rows(pending.len());
+                    for row in take_positions(&mut pending, matched) {
+                        found[row] = Some(true);
+                    }
                 }
-                Ok(Batch::Col(Arc::new(Column::from_values(out))))
+                let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+                for row in found {
+                    out.push(Value::from(row.map(|matched| matched != *negated)));
+                }
+                Ok(Batch::column(out.finish()))
+            }
+            Expr::Case {
+                branches,
+                otherwise,
+            } => {
+                // Per branch, the rows that took it and its result over them.
+                let mut parts = Vec::with_capacity(branches.len() + 1);
+                let mut undecided: Vec<usize> = (0..num_rows).collect();
+                for (cond, result) in branches {
+                    let holds = cond.evaluate_over(schema, columns, &undecided, num_rows)?;
+                    let took = holds.selected_rows(undecided.len());
+                    let took = take_positions(&mut undecided, took);
+                    let value = result.evaluate_over(schema, columns, &took, num_rows)?;
+                    parts.push((took, value));
+                }
+                let value = match otherwise {
+                    Some(e) => e.evaluate_over(schema, columns, &undecided, num_rows)?,
+                    None => Batch::Scalar(Value::Null),
+                };
+                parts.push((undecided, value));
+                Ok(Batch::column(kernels::scatter(&parts, num_rows)))
             }
         }
+    }
+
+    /// Evaluate over the rows `rows` (ascending) of the `num_rows` input rows
+    /// only: the columns the expression references are gathered, so no other
+    /// row reaches it. How `CASE` and `IN` reach their branches and items.
+    fn evaluate_over(
+        &self,
+        schema: &Schema,
+        columns: &[Arc<Column>],
+        rows: &[usize],
+        num_rows: usize,
+    ) -> EngineResult<Batch> {
+        let selection = Selection::new(rows, num_rows);
+        let mut gathered = columns.to_vec();
+        for name in self.referenced_columns() {
+            let idx = schema.resolve(&name)?;
+            gathered[idx] = selection.gather(&columns[idx]);
+        }
+        self.evaluate_batch_inner(schema, &gathered, rows.len())
     }
 
     /// Best-effort static output type of the expression against a schema.
@@ -611,12 +665,8 @@ enum Batch {
 }
 
 impl Batch {
-    #[inline]
-    fn get(&self, i: usize) -> Value {
-        match self {
-            Batch::Col(col) => col.get(i),
-            Batch::Scalar(v) => v.clone(),
-        }
+    fn column(column: Column) -> Batch {
+        Batch::Col(Arc::new(column))
     }
 
     fn view(&self) -> kernels::ValuesView<'_> {
@@ -626,12 +676,59 @@ impl Batch {
         }
     }
 
+    /// The batch's rows at `rows` (ascending) of its `num_rows`.
+    fn gather(&self, rows: &[usize], num_rows: usize) -> Batch {
+        match self {
+            Batch::Col(col) => Batch::Col(Selection::new(rows, num_rows).gather(col)),
+            Batch::Scalar(v) => Batch::Scalar(v.clone()),
+        }
+    }
+
+    /// The rows of a predicate's result that are true (NULL and false are
+    /// not selected).
+    fn selected_rows(&self, num_rows: usize) -> Vec<usize> {
+        let col = match self {
+            Batch::Scalar(v) if v.as_bool() == Some(true) => return (0..num_rows).collect(),
+            Batch::Scalar(_) => return Vec::new(),
+            Batch::Col(col) => col,
+        };
+        match col.as_bools() {
+            Some((data, validity)) => rows_where(num_rows, |i| data[i] && validity.is_valid(i)),
+            None => rows_where(num_rows, |i| col.cell(i).as_bool() == Some(true)),
+        }
+    }
+
     fn materialize(self, num_rows: usize) -> Arc<Column> {
         match self {
             Batch::Col(col) => col,
-            Batch::Scalar(v) => Arc::new(Column::from_values(vec![v; num_rows])),
+            Batch::Scalar(v) => {
+                let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+                for _ in 0..num_rows {
+                    out.push(v.clone());
+                }
+                Arc::new(out.finish())
+            }
         }
     }
+}
+
+/// The rows of `0..num_rows` where `holds`, counted first so the vector is
+/// allocated once, at its size.
+fn rows_where(num_rows: usize, holds: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut rows = Vec::with_capacity((0..num_rows).filter(|&i| holds(i)).count());
+    rows.extend((0..num_rows).filter(|&i| holds(i)));
+    rows
+}
+
+/// Move the entries of `rows` at the ascending `positions` out of it, and
+/// return them in order.
+fn take_positions(rows: &mut Vec<usize>, mut positions: Vec<usize>) -> Vec<usize> {
+    for at in &mut positions {
+        *at = rows[*at];
+    }
+    let mut taken = positions.iter().peekable();
+    rows.retain(|row| taken.next_if_eq(&row).is_none());
+    positions
 }
 
 #[inline]
@@ -648,35 +745,39 @@ fn int_cmp_result(op: BinaryOp, ordering: std::cmp::Ordering) -> bool {
     }
 }
 
-fn numeric_pair(lhs: &Value, rhs: &Value, context: &str) -> EngineResult<(f64, f64, bool)> {
-    let both_int = matches!(lhs, Value::Int(_)) && matches!(rhs, Value::Int(_));
-    let l = lhs.as_float().ok_or_else(|| {
-        EngineError::type_mismatch(context, "a numeric value", lhs.data_type().prompt_name())
-    })?;
-    let r = rhs.as_float().ok_or_else(|| {
-        EngineError::type_mismatch(context, "a numeric value", rhs.data_type().prompt_name())
-    })?;
-    Ok((l, r, both_int))
+/// The operands of an arithmetic operator as floats, and whether both are
+/// ints; a non-numeric operand is a type error.
+fn numeric_pair(
+    lhs: CellRef<'_>,
+    op: BinaryOp,
+    rhs: CellRef<'_>,
+) -> EngineResult<(f64, f64, bool)> {
+    let both_int = matches!((lhs, rhs), (CellRef::Int(_), CellRef::Int(_)));
+    let as_float = |v: CellRef<'_>| {
+        v.as_float().ok_or_else(|| {
+            let found = v.data_type().prompt_name();
+            EngineError::type_mismatch(format!("operator '{op}'"), "a numeric value", found)
+        })
+    };
+    Ok((as_float(lhs)?, as_float(rhs)?, both_int))
 }
 
-/// Evaluate a binary operation on two already-computed values.
-pub fn eval_binary(lhs: &Value, op: BinaryOp, rhs: &Value) -> EngineResult<Value> {
+/// The per-row rule of a binary operator, over one row's two operand cells.
+/// The row evaluator runs it, and so does every kernel wherever its typed
+/// loops do not reach, so each operator's semantics are written once.
+fn eval_binary(lhs: CellRef<'_>, op: BinaryOp, rhs: CellRef<'_>) -> EngineResult<Value> {
     use BinaryOp::*;
     // Three-valued logic for AND/OR must be handled before the NULL shortcut.
     match op {
         And => {
-            let l = lhs.as_bool();
-            let r = rhs.as_bool();
-            return Ok(match (l, r) {
+            return Ok(match (lhs.as_bool(), rhs.as_bool()) {
                 (Some(false), _) | (_, Some(false)) => Value::Bool(false),
                 (Some(true), Some(true)) => Value::Bool(true),
                 _ => Value::Null,
             });
         }
         Or => {
-            let l = lhs.as_bool();
-            let r = rhs.as_bool();
-            return Ok(match (l, r) {
+            return Ok(match (lhs.as_bool(), rhs.as_bool()) {
                 (Some(true), _) | (_, Some(true)) => Value::Bool(true),
                 (Some(false), Some(false)) => Value::Bool(false),
                 _ => Value::Null,
@@ -689,7 +790,7 @@ pub fn eval_binary(lhs: &Value, op: BinaryOp, rhs: &Value) -> EngineResult<Value
     }
     match op {
         Add | Sub | Mul | Mod => {
-            let (l, r, both_int) = numeric_pair(lhs, rhs, &format!("operator '{op}'"))?;
+            let (l, r, both_int) = numeric_pair(lhs, op, rhs)?;
             let result = match op {
                 Add => l + r,
                 Sub => l - r,
@@ -709,7 +810,7 @@ pub fn eval_binary(lhs: &Value, op: BinaryOp, rhs: &Value) -> EngineResult<Value
             })
         }
         Div => {
-            let (l, r, both_int) = numeric_pair(lhs, rhs, "operator '/'")?;
+            let (l, r, both_int) = numeric_pair(lhs, op, rhs)?;
             if r == 0.0 {
                 return Err(EngineError::DivisionByZero);
             }
@@ -734,15 +835,7 @@ pub fn eval_binary(lhs: &Value, op: BinaryOp, rhs: &Value) -> EngineResult<Value
                     rhs.data_type().prompt_name(),
                 ));
             }
-            let ordering = lhs.total_cmp(rhs);
-            let result = match op {
-                Lt => ordering == std::cmp::Ordering::Less,
-                LtEq => ordering != std::cmp::Ordering::Greater,
-                Gt => ordering == std::cmp::Ordering::Greater,
-                GtEq => ordering != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(result))
+            Ok(Value::Bool(int_cmp_result(op, lhs.total_cmp(rhs))))
         }
         Like => {
             let haystack = lhs.as_str().ok_or_else(|| {
@@ -759,48 +852,56 @@ pub fn eval_binary(lhs: &Value, op: BinaryOp, rhs: &Value) -> EngineResult<Value
 
 /// Case-insensitive SQL LIKE matching with `%` (any run) and `_` (single char).
 pub fn like_match(haystack: &str, pattern: &str) -> bool {
-    let h: Vec<char> = haystack.to_lowercase().chars().collect();
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    like_match_inner(&h, &p)
+    LikePattern::new(pattern).matches(haystack)
 }
 
-fn like_match_inner(h: &[char], p: &[char]) -> bool {
-    if p.is_empty() {
-        return h.is_empty();
-    }
-    match p[0] {
-        '%' => {
-            // Try to match the rest of the pattern at every position.
-            (0..=h.len()).any(|i| like_match_inner(&h[i..], &p[1..]))
+/// A LIKE pattern lowercased once, to match many haystacks with; each
+/// haystack is lowercased into a buffer the matches reuse.
+struct LikePattern {
+    pattern: Vec<char>,
+    haystack: Vec<char>,
+}
+
+impl LikePattern {
+    fn new(pattern: &str) -> LikePattern {
+        LikePattern {
+            pattern: pattern.to_lowercase().chars().collect(),
+            haystack: Vec::new(),
         }
-        '_' => !h.is_empty() && like_match_inner(&h[1..], &p[1..]),
-        c => !h.is_empty() && h[0] == c && like_match_inner(&h[1..], &p[1..]),
     }
-}
 
-fn eval_unary(op: UnaryOp, value: &Value) -> EngineResult<Value> {
-    match op {
-        UnaryOp::Neg => match value {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(f) => Ok(Value::Float(-f)),
-            Value::Null => Ok(Value::Null),
-            other => Err(EngineError::type_mismatch(
-                "unary '-'",
-                "a numeric value",
-                other.data_type().prompt_name(),
-            )),
-        },
-        UnaryOp::Not => match value.as_bool() {
-            Some(b) => Ok(Value::Bool(!b)),
-            None if value.is_null() => Ok(Value::Null),
-            None => Err(EngineError::type_mismatch(
-                "NOT",
-                "bool",
-                value.data_type().prompt_name(),
-            )),
-        },
-        UnaryOp::IsNull => Ok(Value::Bool(value.is_null())),
-        UnaryOp::IsNotNull => Ok(Value::Bool(!value.is_null())),
+    /// Whether `haystack` matches, case-insensitively.
+    ///
+    /// The two-pointer wildcard match: a mismatch after a `%` resumes the
+    /// pattern right after that `%`, one haystack character further on. Only
+    /// the last `%` is ever resumed, since any earlier one can absorb what a
+    /// retry of it would, so the match takes O(haystack × pattern) steps
+    /// whatever the number of `%`s.
+    fn matches(&mut self, haystack: &str) -> bool {
+        self.haystack.clear();
+        self.haystack.extend(haystack.to_lowercase().chars());
+        let (h, p) = (&self.haystack, &self.pattern);
+        let (mut i, mut j) = (0, 0);
+        // The position after the last `%` seen, and the haystack position
+        // its run ends at so far.
+        let mut resume: Option<(usize, usize)> = None;
+        while i < h.len() {
+            if j < p.len() && p[j] == '%' {
+                j += 1;
+                resume = Some((j, i));
+            } else if j < p.len() && (p[j] == '_' || p[j] == h[i]) {
+                i += 1;
+                j += 1;
+            } else if let Some((after, end)) = resume {
+                // Let the `%` absorb one more character and retry from there.
+                resume = Some((after, end + 1));
+                i = end + 1;
+                j = after;
+            } else {
+                return false;
+            }
+        }
+        p[j..].iter().all(|&c| c == '%')
     }
 }
 
@@ -845,11 +946,11 @@ fn eval_func(func: ScalarFunc, args: &[Value]) -> EngineResult<Value> {
         .call(&cells)
 }
 
-/// A scalar function resolved for one argument count: the code computing
-/// one row's result from that row's argument cells. The row evaluator
-/// ([`eval_func`]) and the column kernel (`kernels::eval_func_view`) both
-/// run it, so each function's semantics are written once; the kernel
-/// resolves it once per batch and calls it per row.
+/// A unary operator, or a scalar function resolved for one argument count:
+/// the code computing one row's result from that row's argument cells. The
+/// row evaluator and the column kernel (`kernels::eval_cell_fn`) both run
+/// it, so each operator's and function's semantics are written once; the
+/// kernel resolves it once per batch and calls it per row.
 #[derive(Clone, Copy)]
 enum CellFn {
     Unary(fn(CellRef<'_>) -> EngineResult<Value>),
@@ -868,6 +969,18 @@ impl CellFn {
             (CellFn::Variadic(f), args) => f(args),
             _ => unreachable!("a CellFn runs on the argument count it was resolved for"),
         }
+    }
+}
+
+impl UnaryOp {
+    /// The operator's code.
+    fn cell_fn(self) -> CellFn {
+        CellFn::Unary(match self {
+            UnaryOp::Neg => cell_fns::neg,
+            UnaryOp::Not => cell_fns::not,
+            UnaryOp::IsNull => cell_fns::is_null,
+            UnaryOp::IsNotNull => cell_fns::is_not_null,
+        })
     }
 }
 
@@ -917,8 +1030,8 @@ impl ScalarFunc {
     }
 }
 
-/// One function per [`ScalarFunc`] and argument count, computing a row's
-/// result from its borrowed argument cells.
+/// One function per [`UnaryOp`], and per [`ScalarFunc`] and argument
+/// count, computing a row's result from its borrowed argument cells.
 mod cell_fns {
     use super::extract_year_from_text;
     use crate::error::{EngineError, EngineResult};
@@ -1013,17 +1126,53 @@ mod cell_fns {
         Ok(Value::str(out))
     }
 
-    pub(super) fn abs(v: CellRef<'_>) -> EngineResult<Value> {
+    /// `int` or `float` of a numeric cell, NULL of NULL; any other cell is a
+    /// type error of `context`. Int results saturate (`i64::MIN` has no
+    /// positive counterpart), as `+ - *` do through their `f64` casts.
+    fn of_number(
+        v: CellRef<'_>,
+        context: &str,
+        int: fn(i64) -> i64,
+        float: fn(f64) -> f64,
+    ) -> EngineResult<Value> {
         match v {
-            CellRef::Int(i) => Ok(Value::Int(i.abs())),
-            CellRef::Float(f) => Ok(Value::Float(f.abs())),
+            CellRef::Int(i) => Ok(Value::Int(int(i))),
+            CellRef::Float(f) => Ok(Value::Float(float(f))),
             CellRef::Null => Ok(Value::Null),
             other => Err(EngineError::type_mismatch(
-                "ABS",
+                context,
                 "a numeric value",
                 other.data_type().prompt_name(),
             )),
         }
+    }
+
+    pub(super) fn neg(v: CellRef<'_>) -> EngineResult<Value> {
+        of_number(v, "unary '-'", i64::saturating_neg, std::ops::Neg::neg)
+    }
+
+    pub(super) fn not(v: CellRef<'_>) -> EngineResult<Value> {
+        match v.as_bool() {
+            Some(b) => Ok(Value::Bool(!b)),
+            None if v.is_null() => Ok(Value::Null),
+            None => Err(EngineError::type_mismatch(
+                "NOT",
+                "bool",
+                v.data_type().prompt_name(),
+            )),
+        }
+    }
+
+    pub(super) fn is_null(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(Value::Bool(v.is_null()))
+    }
+
+    pub(super) fn is_not_null(v: CellRef<'_>) -> EngineResult<Value> {
+        Ok(Value::Bool(!v.is_null()))
+    }
+
+    pub(super) fn abs(v: CellRef<'_>) -> EngineResult<Value> {
+        of_number(v, "ABS", i64::saturating_abs, f64::abs)
     }
 
     pub(super) fn round(v: CellRef<'_>) -> EngineResult<Value> {
@@ -1215,6 +1364,61 @@ mod tests {
         assert!(!like_match("Irises", "%madonna%"));
         assert!(like_match("", "%"));
         assert!(!like_match("abc", ""));
+    }
+
+    /// The recursive matcher `like_match` used before the two-pointer one:
+    /// exponential in the number of `%`s, kept as the oracle.
+    fn like_by_recursion(haystack: &str, pattern: &str) -> bool {
+        fn inner(h: &[char], p: &[char]) -> bool {
+            match p.first() {
+                None => h.is_empty(),
+                Some('%') => (0..=h.len()).any(|i| inner(&h[i..], &p[1..])),
+                Some('_') => !h.is_empty() && inner(&h[1..], &p[1..]),
+                Some(&c) => h.first() == Some(&c) && inner(&h[1..], &p[1..]),
+            }
+        }
+        let h: Vec<char> = haystack.to_lowercase().chars().collect();
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        inner(&h, &p)
+    }
+
+    #[test]
+    fn like_matches_what_the_recursive_matcher_matches() {
+        // Wildcards, letters whose lowercase is longer (`İ` lowers to `i`
+        // and a combining dot) or another letter (`ẞ` to `ß`), and ASCII.
+        const PIECES: &[&str] = &["%", "_", "İ", "ẞ", "ß", "i", "a", "A", "b", "ab"];
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = |bound: usize| {
+            // xorshift64: a fixed seed, so every run checks the same strings.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for _ in 0..20_000 {
+            let haystack: String = (0..next(7)).map(|_| PIECES[next(PIECES.len())]).collect();
+            let pattern: String = (0..next(6)).map(|_| PIECES[next(PIECES.len())]).collect();
+            assert_eq!(
+                like_match(&haystack, &pattern),
+                like_by_recursion(&haystack, &pattern),
+                "{haystack:?} LIKE {pattern:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn like_with_many_wildcards_finishes() {
+        // The recursive matcher retried the rest of the pattern at every
+        // position for each `%`: hours for this one match.
+        let haystack = "a".repeat(2_000);
+        let pattern = format!("{}%b", "%a".repeat(12));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(like_match(&haystack, &pattern)));
+        let matched = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a 12-wildcard LIKE over 2,000 characters must finish");
+        assert!(!matched);
+        worker.join().unwrap().unwrap();
     }
 
     #[test]

@@ -127,6 +127,97 @@ mod tests {
         );
     }
 
+    /// `t(n INT, title STR)` with two rows, neither of which has `n > 100`.
+    fn two_rows() -> Catalog {
+        let schema = Schema::from_pairs(&[("n", DataType::Int), ("title", DataType::Str)]);
+        let mut b = TableBuilder::new("t", schema);
+        for (n, title) in [(1, "Irises"), (2, "Madonna")] {
+            b.push_values::<_, Value>(vec![Value::Int(n), Value::str(title)])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(b.build());
+        catalog
+    }
+
+    /// `query` over [`two_rows`] succeeds with no row.
+    fn returns_no_row(query: &str) {
+        let table = run_sql(&two_rows(), query).unwrap_or_else(|e| panic!("{query}: {e}"));
+        assert_eq!(table.num_rows(), 0, "{query}");
+    }
+
+    #[test]
+    fn a_constant_type_error_reached_by_no_row_raises_nothing() {
+        returns_no_row("SELECT ABS('x') AS a FROM t WHERE n > 100");
+    }
+
+    #[test]
+    fn a_constant_division_by_zero_reached_by_no_row_raises_nothing() {
+        returns_no_row("SELECT 1 / 0 AS a FROM t WHERE n > 100");
+    }
+
+    #[test]
+    fn a_constant_negation_error_reached_by_no_row_raises_nothing() {
+        returns_no_row("SELECT -'x' AS a FROM t WHERE n > 100");
+    }
+
+    #[test]
+    fn a_constant_erring_sort_key_over_no_row_raises_nothing() {
+        returns_no_row("SELECT n FROM t WHERE n > 100 ORDER BY 1 / 0");
+    }
+
+    #[test]
+    fn a_constant_erring_group_key_over_no_row_raises_nothing() {
+        returns_no_row("SELECT COUNT(*) AS c FROM t WHERE n > 100 GROUP BY ABS('x')");
+    }
+
+    #[test]
+    fn constant_errors_reached_by_a_row_still_fail() {
+        let catalog = two_rows();
+        let err = run_sql(&catalog, "SELECT ABS('x') AS a FROM t").unwrap_err();
+        assert!(matches!(err, EngineError::TypeMismatch { .. }), "{err:?}");
+        let err = run_sql(&catalog, "SELECT -'x' AS a FROM t").unwrap_err();
+        assert!(matches!(err, EngineError::TypeMismatch { .. }), "{err:?}");
+        let err = run_sql(&catalog, "SELECT 1 / 0 AS a FROM t").unwrap_err();
+        assert_eq!(err, EngineError::DivisionByZero);
+    }
+
+    #[test]
+    fn an_unknown_column_fails_at_any_row_count() {
+        let catalog = two_rows();
+        for query in [
+            "SELECT bogus FROM t WHERE n > 100",
+            "SELECT CASE WHEN n > 0 THEN bogus ELSE 0 END AS a FROM t WHERE n > 100",
+            "SELECT n IN (1, bogus) AS a FROM t WHERE n > 100",
+            "SELECT CASE WHEN n > 0 THEN 1 ELSE bogus END AS a FROM t",
+        ] {
+            let err = run_sql(&catalog, query).unwrap_err();
+            assert!(
+                matches!(err, EngineError::UnknownColumn { .. }),
+                "{query}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn abs_and_negation_saturate_at_the_smallest_int() {
+        // CAST_INT saturates, so SQL text alone reaches i64::MIN.
+        for query in [
+            "SELECT ABS(CAST_INT(-100000000000000000000.0)) AS a FROM t",
+            "SELECT -CAST_INT(-100000000000000000000.0) AS a FROM t",
+            "SELECT -(CAST_INT(-100000000000000000000.0) + n - n) AS a FROM t",
+        ] {
+            let table = run_sql(&two_rows(), query).unwrap_or_else(|e| panic!("{query}: {e}"));
+            for row in 0..2 {
+                assert_eq!(
+                    table.value(row, "a").unwrap(),
+                    Value::Int(i64::MAX),
+                    "{query}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn update_statements_are_forbidden() {
         let err = run_sql(&catalog(), "UPDATE teams SET points = 0");

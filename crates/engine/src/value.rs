@@ -167,11 +167,7 @@ impl Value {
 
     /// View as boolean, if possible (ints are truthy when non-zero).
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            Value::Int(i) => Some(*i != 0),
-            _ => None,
-        }
+        self.cell().as_bool()
     }
 
     /// View as integer, if the value is an int or an integral float.
@@ -225,14 +221,7 @@ impl Value {
 
     /// SQL equality (NULL never equals anything, numbers compare across types).
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        if self.is_null() || other.is_null() {
-            return None;
-        }
-        Some(match (self, other) {
-            (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
-            (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
-            _ => self.total_cmp(other) == Ordering::Equal,
-        })
+        self.cell().sql_eq(other.cell())
     }
 
     /// A stable key usable for hashing in joins and group-by. Floats are
@@ -368,6 +357,16 @@ impl<'a> CellRef<'a> {
         matches!(self, CellRef::Null)
     }
 
+    /// See [`Value::as_bool`].
+    #[inline]
+    pub(crate) fn as_bool(self) -> Option<bool> {
+        match self {
+            CellRef::Bool(b) => Some(b),
+            CellRef::Int(i) => Some(i != 0),
+            _ => None,
+        }
+    }
+
     /// See [`Value::as_int`].
     pub(crate) fn as_int(self) -> Option<i64> {
         match self {
@@ -413,6 +412,17 @@ impl<'a> CellRef<'a> {
             (Image(a), Image(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (a, b) => a.data_type().prompt_name().cmp(b.data_type().prompt_name()),
+        }
+    }
+
+    /// See [`Value::sql_eq`].
+    pub(crate) fn sql_eq(self, other: CellRef<'_>) -> Option<bool> {
+        use CellRef::*;
+        match (self, other) {
+            (Null, _) | (_, Null) => None,
+            (Int(a), Float(b)) => Some(a as f64 == b),
+            (Float(a), Int(b)) => Some(a == b as f64),
+            (a, b) => Some(a.total_cmp(b) == Ordering::Equal),
         }
     }
 

@@ -306,14 +306,46 @@ fn a_transform_step_allocates_the_same_whatever_the_row_count() {
     }
 }
 
+/// [`painting_metadata`] with a yes/no `madonna_depicted` answer column.
+fn yes_no_answers(rows: usize) -> Table {
+    painting_metadata(rows)
+        .with_new_column("madonna_depicted", DataType::Str, |i, _| {
+            Ok(Value::str(if i % 3 == 0 { "yes" } else { "no" }))
+        })
+        .unwrap()
+}
+
+#[test]
+fn a_yes_no_case_step_allocates_the_same_whatever_the_row_count() {
+    let codegen = TransformCodegen::new();
+    let blocks = |table: &Table| {
+        let (blocks, (_, result)) = blocks_allocated(|| {
+            apply_python_udf(
+                table,
+                &codegen,
+                "Convert the yes/no values in the 'madonna_depicted' column to 1 and 0",
+                "madonna_flag",
+                None,
+            )
+        });
+        let result = result.unwrap();
+        assert_eq!(result.value(0, "madonna_flag").unwrap(), Value::Int(1));
+        assert_eq!(result.value(1, "madonna_flag").unwrap(), Value::Int(0));
+        blocks
+    };
+    let (small, large) = (yes_no_answers(100), yes_no_answers(2_000));
+    blocks(&small);
+    // `CASE WHEN madonna_depicted = 'yes' THEN 1 ELSE 0 END`: the condition
+    // runs over the undecided rows, each result over the rows of its
+    // branch, and one builder scatters them into the output column, each
+    // vector sized to the rows once.
+    assert_eq!(blocks(&small), blocks(&large));
+}
+
 #[test]
 fn an_observation_of_a_two_valued_column_allocates_the_same_whatever_the_row_count() {
     let blocks = |rows: usize| {
-        let table = painting_metadata(rows)
-            .with_new_column("madonna_depicted", DataType::Str, |i, _| {
-                Ok(Value::str(if i % 3 == 0 { "yes" } else { "no" }))
-            })
-            .unwrap();
+        let table = yes_no_answers(rows);
         let new_columns = ["madonna_depicted".to_string()];
         let (blocks, observation) = blocks_allocated(|| table.observation(&new_columns));
         assert!(

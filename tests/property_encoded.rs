@@ -21,10 +21,14 @@
 //!    columns, lazy `CASE` branches and `IN` items — are evaluated through
 //!    `Expr::evaluate_batch` and `Expr::selection_vector` over plain and
 //!    dict-encoded inputs. Decoded results must be byte-identical, and
-//!    errors and selection vectors equal. At the same row counts, calls of
+//!    errors and selection vectors equal. The same trees go through the row
+//!    evaluator too: where both succeed, they agree cell for cell, and one
+//!    fails exactly when the other does. At the same row counts, calls of
 //!    every scalar function over plain, dict-encoded, nullable and `Mixed`
 //!    argument columns and scalars go through `Expr::evaluate_batch` and
-//!    the row evaluator, which must agree cell for cell and error for error.
+//!    the row evaluator, which must agree cell for cell and error for error;
+//!    calls whose arguments nest unary operators, `CASE` and `IN` must agree
+//!    cell for cell and fail together.
 
 use caesura::engine::{
     dict, ops, sql, BinaryOp, Catalog, Column, DataType, DateValue, EngineError, Expr, ScalarFunc,
@@ -480,21 +484,26 @@ fn dict_matches_plain_on_random_trees() {
         let (plain, encoded) = both_representations(&mut rng, rows, "t");
         for case in 0..60 {
             let expr = random_expr(&mut rng, 3);
-            assert_dict_matches_plain(
-                &expr,
-                &plain,
-                &encoded,
-                &format!("case {case}, {rows} rows"),
-            );
+            let context = format!("case {case}, {rows} rows");
+            assert_dict_matches_plain(&expr, &plain, &encoded, &context);
+            for table in [&plain, &encoded] {
+                let (schema, columns) = (table.schema(), table.columns());
+                assert_batch_agrees_with_row_evaluator(&expr, schema, columns, rows, &context);
+            }
         }
         // Scalar functions over argument columns of every representation:
         // the column kernel against the row evaluator.
         let (schema, columns) = function_arguments(&mut rng, rows);
         for func in SCALAR_FUNCS {
             for case in 0..12 {
-                let expr = random_call(&mut rng, func, 1);
+                let expr = random_call(&mut rng, func, 1, false);
                 let context = format!("{} case {case}, {rows} rows", func.name());
                 assert_batch_matches_row_evaluator(&expr, &schema, &columns, rows, &context);
+            }
+            for case in 0..6 {
+                let expr = random_call(&mut rng, func, 2, true);
+                let context = format!("{} with operators, case {case}, {rows} rows", func.name());
+                assert_batch_agrees_with_row_evaluator(&expr, &schema, &columns, rows, &context);
             }
         }
     }
@@ -614,8 +623,9 @@ fn function_arguments(rng: &mut StdRng, rows: usize) -> (Schema, Vec<Arc<Column>
 }
 
 /// A call of `func`, usually with an argument count it takes; arguments are
-/// columns, scalars and, `depth` levels down, calls.
-fn random_call(rng: &mut StdRng, func: ScalarFunc, depth: usize) -> Expr {
+/// columns, scalars and, `depth` levels down, calls, and with `operators`
+/// unary operators, `CASE` and `IN` nodes too.
+fn random_call(rng: &mut StdRng, func: ScalarFunc, depth: usize, operators: bool) -> Expr {
     let arity = if rng.gen_bool(0.1) {
         rng.gen_range(0..4)
     } else {
@@ -629,28 +639,42 @@ fn random_call(rng: &mut StdRng, func: ScalarFunc, depth: usize) -> Expr {
         }
     };
     let args = (0..arity)
-        .map(|_| match rng.gen_range(0..10) {
-            0..=5 => Expr::col(["s", "d", "i", "f", "m"][rng.gen_range(0..5usize)]),
-            6 | 7 => Expr::Literal(random_scalar(rng)),
-            _ if depth > 0 => {
-                let inner = SCALAR_FUNCS[rng.gen_range(0..SCALAR_FUNCS.len())];
-                random_call(rng, inner, depth - 1)
-            }
-            _ => Expr::col("s"),
-        })
+        .map(|_| random_argument(rng, depth, operators))
         .collect();
     Expr::Func { func, args }
 }
 
-/// Whether a call without any column argument occurs in `expr`. Such a call
-/// is evaluated once for the whole batch, even over zero rows, where the
-/// row evaluator makes no call at all.
-fn has_constant_call(expr: &Expr) -> bool {
-    match expr {
-        Expr::Func { args, .. } => {
-            expr.referenced_columns().is_empty() || args.iter().any(has_constant_call)
+/// An argument of [`random_call`].
+fn random_argument(rng: &mut StdRng, depth: usize, operators: bool) -> Expr {
+    let argument = |rng: &mut StdRng| random_argument(rng, depth - 1, operators);
+    match rng.gen_range(0..if operators { 13 } else { 10 }) {
+        0..=5 => Expr::col(["s", "d", "i", "f", "m"][rng.gen_range(0..5usize)]),
+        6 | 7 => Expr::Literal(random_scalar(rng)),
+        8 | 9 if depth > 0 => {
+            let inner = SCALAR_FUNCS[rng.gen_range(0..SCALAR_FUNCS.len())];
+            random_call(rng, inner, depth - 1, operators)
         }
-        _ => false,
+        10 if depth > 0 => Expr::Unary {
+            op: [
+                UnaryOp::Neg,
+                UnaryOp::Not,
+                UnaryOp::IsNull,
+                UnaryOp::IsNotNull,
+            ][rng.gen_range(0..4usize)],
+            operand: Box::new(argument(rng)),
+        },
+        11 if depth > 0 => Expr::Case {
+            branches: (0..rng.gen_range(1..3))
+                .map(|_| (argument(rng), argument(rng)))
+                .collect(),
+            otherwise: rng.gen_bool(0.6).then(|| Box::new(argument(rng))),
+        },
+        12 if depth > 0 => Expr::InList {
+            expr: Box::new(argument(rng)),
+            list: (0..rng.gen_range(0..4)).map(|_| argument(rng)).collect(),
+            negated: rng.gen_bool(0.5),
+        },
+        _ => Expr::col("s"),
     }
 }
 
@@ -665,14 +689,8 @@ fn assert_batch_matches_row_evaluator(
     rows: usize,
     context: &str,
 ) {
-    if rows == 0 && has_constant_call(expr) {
-        return;
-    }
     let batch = expr.evaluate_batch(schema, columns, rows);
-    let by_rows = (0..rows)
-        .map(|i| expr.evaluate_at(schema, columns, i))
-        .collect::<Result<Vec<_>, _>>()
-        .map(Column::from_values);
+    let by_rows = row_evaluator(expr, schema, columns, rows).map(Column::from_values);
     match (&batch, &by_rows) {
         (Ok(batch), Ok(by_rows)) => assert_eq!(
             format!("{:?}", batch.as_ref()),
@@ -686,6 +704,47 @@ fn assert_batch_matches_row_evaluator(
         (batch, by_rows) => panic!(
             "kernel and row evaluator disagree: {context} (expr: {expr})\n  \
              kernel: {batch:?}\n  rows: {by_rows:?}"
+        ),
+    }
+}
+
+/// `expr` row by row, through the row evaluator; its first error in row
+/// order.
+fn row_evaluator(
+    expr: &Expr,
+    schema: &Schema,
+    columns: &[Arc<Column>],
+    rows: usize,
+) -> Result<Vec<Value>, EngineError> {
+    (0..rows)
+        .map(|i| expr.evaluate_at(schema, columns, i))
+        .collect()
+}
+
+/// `expr` through `evaluate_batch` and through the row evaluator: where both
+/// succeed their cells are equal through `Debug` (so `1` and `1.0` differ),
+/// and one fails exactly when the other does. Which error each reports may
+/// differ: rows failing in different ways fail in kernel order in a batch
+/// and in row order in the row evaluator.
+fn assert_batch_agrees_with_row_evaluator(
+    expr: &Expr,
+    schema: &Schema,
+    columns: &[Arc<Column>],
+    rows: usize,
+    context: &str,
+) {
+    let batch = expr.evaluate_batch(schema, columns, rows);
+    let by_rows = row_evaluator(expr, schema, columns, rows);
+    match (&batch, &by_rows) {
+        (Ok(batch), Ok(by_rows)) => assert_eq!(
+            format!("{:?}", batch.to_values()),
+            format!("{by_rows:?}"),
+            "batch and row evaluator differ: {context} (expr: {expr})"
+        ),
+        (Err(_), Err(_)) => {}
+        (batch, by_rows) => panic!(
+            "batch and row evaluator disagree: {context} (expr: {expr})\n  \
+             batch: {batch:?}\n  rows: {by_rows:?}"
         ),
     }
 }

@@ -14,8 +14,16 @@
 //! Both hold on plain and on dictionary-encoded tables, and `WHERE p` keeps
 //! the same rows on both. The checks compare query answers only, so they
 //! need no second evaluator to compare against.
+//!
+//! Some operands raise an error on every row that reaches them: constant
+//! ones (`1 / 0`, `ABS('x')`, `-'x'`) and column ones (`a / 0`), often inside
+//! a `CASE` branch or an `IN` item that only some rows reach. Every form of
+//! the query evaluates `p` on every row, so either all of them fail or none
+//! does, and over zero rows none does.
 
-use caesura::engine::{dict, sql, Catalog, DataType, Schema, Table, TableBuilder, Value};
+use caesura::engine::{
+    dict, sql, Catalog, DataType, EngineError, Schema, Table, TableBuilder, Value,
+};
 use rand::{Rng, SeedableRng, StdRng};
 use std::cmp::Ordering;
 
@@ -60,23 +68,34 @@ fn random_table(rng: &mut StdRng, rows: usize) -> Table {
     builder.build()
 }
 
-/// A numeric operand: a column, a literal, or arithmetic over them. No
-/// division, so no operand raises an error.
+/// A numeric operand: a column, a literal, or arithmetic, unary operators,
+/// `ABS` and `CASE` over them. A leaf is rarely an erring one, and a `CASE`
+/// branch often is.
 fn numeric(rng: &mut StdRng, depth: usize) -> String {
     if depth == 0 || rng.gen_bool(0.6) {
-        return match rng.gen_range(0..6) {
-            0 => "a".to_string(),
-            1 => "b".to_string(),
-            2 => "f".to_string(),
-            3 => rng.gen_range(-3i64..4).to_string(),
-            4 => format!("{:.2}", rng.gen_range(-8i64..9) as f64 / 4.0),
-            _ => "NULL".to_string(),
+        return if rng.gen_bool(0.03) {
+            erring(rng)
+        } else {
+            leaf(rng)
         };
     }
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..7) {
         0 => format!("(-({}))", numeric(rng, depth - 1)),
+        1 => format!("ABS({})", numeric(rng, depth - 1)),
+        2 => {
+            let taken = if rng.gen_bool(0.4) {
+                erring(rng)
+            } else {
+                numeric(rng, depth - 1)
+            };
+            format!(
+                "(CASE WHEN {} THEN {taken} ELSE {} END)",
+                atom(rng, depth - 1),
+                numeric(rng, depth - 1)
+            )
+        }
         op => {
-            let op = ["+", "-", "*"][op - 1];
+            let op = ["+", "-", "*", "+"][op - 3];
             format!(
                 "({} {op} {})",
                 numeric(rng, depth - 1),
@@ -84,6 +103,25 @@ fn numeric(rng: &mut StdRng, depth: usize) -> String {
             )
         }
     }
+}
+
+/// A numeric leaf that raises no error.
+fn leaf(rng: &mut StdRng) -> String {
+    match rng.gen_range(0..6) {
+        0 => "a".to_string(),
+        1 => "b".to_string(),
+        2 => "f".to_string(),
+        3 => rng.gen_range(-3i64..4).to_string(),
+        4 => format!("{:.2}", rng.gen_range(-8i64..9) as f64 / 4.0),
+        _ => "NULL".to_string(),
+    }
+}
+
+/// A numeric operand that fails on every row that reaches it: constant
+/// ones on every row, `a / 0` and `f % 0` on the rows where the column is
+/// not NULL.
+fn erring(rng: &mut StdRng) -> String {
+    ["(1 / 0)", "ABS('x')", "(-'x')", "(a / 0)", "(f % 0)"][rng.gen_range(0..5usize)].to_string()
 }
 
 fn string_operand(rng: &mut StdRng) -> String {
@@ -99,14 +137,15 @@ fn comparison(rng: &mut StdRng) -> &'static str {
     ["=", "!=", "<", "<=", ">", ">="][rng.gen_range(0..6usize)]
 }
 
-/// A leaf predicate: every value it yields is true, false or NULL.
-fn atom(rng: &mut StdRng) -> String {
-    match rng.gen_range(0..9) {
+/// A leaf predicate: every value it yields is true, false or NULL. Its
+/// numeric operands nest `depth` levels.
+fn atom(rng: &mut StdRng, depth: usize) -> String {
+    match rng.gen_range(0..10) {
         0 | 1 => format!(
             "{} {} {}",
-            numeric(rng, 1),
+            numeric(rng, depth),
             comparison(rng),
-            numeric(rng, 1)
+            numeric(rng, depth)
         ),
         2 => format!(
             "{} {} {}",
@@ -147,6 +186,18 @@ fn atom(rng: &mut StdRng) -> String {
             format!("{column} IS {not}NULL")
         }
         7 => ["TRUE", "FALSE", "NULL"][rng.gen_range(0..3usize)].to_string(),
+        8 => {
+            // Items are operands, erring ones among them: item k is reached
+            // only by the rows no earlier item matched.
+            let items: Vec<String> = (0..rng.gen_range(1..4))
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => erring(rng),
+                    _ => numeric(rng, depth),
+                })
+                .collect();
+            let not = if rng.gen_bool(0.4) { "NOT " } else { "" };
+            format!("{} {not}IN ({})", numeric(rng, depth), items.join(", "))
+        }
         _ => format!("{} = {}", numeric(rng, 0), numeric(rng, 0)),
     }
 }
@@ -154,11 +205,23 @@ fn atom(rng: &mut StdRng) -> String {
 /// A random predicate of depth at most `depth` over the atoms above.
 fn predicate(rng: &mut StdRng, depth: usize) -> String {
     if depth == 0 || rng.gen_bool(0.3) {
-        return atom(rng);
+        return atom(rng, 1);
     }
-    match rng.gen_range(0..5) {
+    match rng.gen_range(0..6) {
         0 => format!("NOT ({})", predicate(rng, depth - 1)),
         1 => format!("({}) IS NULL", predicate(rng, depth - 1)),
+        5 => {
+            let otherwise = if rng.gen_bool(0.6) {
+                format!(" ELSE {}", predicate(rng, depth - 1))
+            } else {
+                String::new()
+            };
+            format!(
+                "(CASE WHEN {} THEN {}{otherwise} END)",
+                predicate(rng, depth - 1),
+                predicate(rng, depth - 1)
+            )
+        }
         op => {
             let op = if op == 2 { "OR" } else { "AND" };
             format!(
@@ -184,10 +247,6 @@ fn sorted_rows(table: &Table) -> Vec<Vec<Value>> {
     rows
 }
 
-fn run(catalog: &Catalog, query: &str) -> Table {
-    sql::run_sql(catalog, query).unwrap_or_else(|e| panic!("{query}: {e}"))
-}
-
 fn single_int(table: &Table, query: &str) -> Option<i64> {
     assert_eq!(table.num_rows(), 1, "{query}: one result row");
     let value = table.cell(0, 0).unwrap();
@@ -202,11 +261,42 @@ fn single_int(table: &Table, query: &str) -> Option<i64> {
 }
 
 /// Check both partitioning properties of `p` over the table `t` registered
-/// in `catalog`, and return the rows `WHERE p` keeps (sorted).
-fn check_partitions(catalog: &Catalog, all: &[Vec<Value>], p: &str) -> Vec<Vec<Value>> {
-    let kept = run(catalog, &format!("SELECT * FROM t WHERE {p}"));
-    let negated = run(catalog, &format!("SELECT * FROM t WHERE NOT ({p})"));
-    let unknown = run(catalog, &format!("SELECT * FROM t WHERE ({p}) IS NULL"));
+/// in `catalog`, and return the rows `WHERE p` keeps (sorted). When `p`
+/// fails on some row, every form of the query must fail, and the error of
+/// `WHERE p` is returned.
+fn check_partitions(
+    catalog: &Catalog,
+    all: &[Vec<Value>],
+    p: &str,
+) -> Result<Vec<Vec<Value>>, EngineError> {
+    let count_query = format!("SELECT COUNT(*) AS n FROM t WHERE {p}");
+    let sum_query = format!("SELECT SUM(CASE WHEN {p} THEN 1 ELSE 0 END) AS n FROM t");
+    let queries = [
+        format!("SELECT * FROM t WHERE {p}"),
+        format!("SELECT * FROM t WHERE NOT ({p})"),
+        format!("SELECT * FROM t WHERE ({p}) IS NULL"),
+        count_query.clone(),
+        sum_query.clone(),
+    ];
+    let outcomes = queries.each_ref().map(|q| sql::run_sql(catalog, q));
+    if let Some(failed) = outcomes.iter().position(Result::is_err) {
+        assert!(
+            !all.is_empty(),
+            "{}: fails over zero rows: {:?}",
+            queries[failed],
+            outcomes[failed]
+        );
+        for (query, outcome) in queries.iter().zip(&outcomes) {
+            assert!(
+                outcome.is_err(),
+                "{query} succeeds where {} fails",
+                queries[failed]
+            );
+        }
+        let [kept, ..] = outcomes;
+        return Err(kept.unwrap_err());
+    }
+    let [kept, negated, unknown, count, sum] = outcomes.map(Result::unwrap);
     let mut union: Vec<Vec<Value>> = [&kept, &negated, &unknown]
         .iter()
         .flat_map(|t| t.to_rows())
@@ -217,10 +307,8 @@ fn check_partitions(catalog: &Catalog, all: &[Vec<Value>], p: &str) -> Vec<Vec<V
         "WHERE p / NOT (p) / (p) IS NULL do not partition t: {p}"
     );
 
-    let count_query = format!("SELECT COUNT(*) AS n FROM t WHERE {p}");
-    let sum_query = format!("SELECT SUM(CASE WHEN {p} THEN 1 ELSE 0 END) AS n FROM t");
-    let count = single_int(&run(catalog, &count_query), &count_query);
-    let sum = single_int(&run(catalog, &sum_query), &sum_query);
+    let count = single_int(&count, &count_query);
+    let sum = single_int(&sum, &sum_query);
     // SUM over no rows is NULL; it is 0 only then.
     assert_eq!(
         count,
@@ -230,12 +318,13 @@ fn check_partitions(catalog: &Catalog, all: &[Vec<Value>], p: &str) -> Vec<Vec<V
         })),
         "COUNT(*) WHERE p != SUM(CASE WHEN p ...): {p}"
     );
-    sorted_rows(&kept)
+    Ok(sorted_rows(&kept))
 }
 
 #[test]
 fn predicates_partition_plain_and_dict_tables() {
     let mut rng = StdRng::seed_from_u64(0x9A27_1710);
+    let mut outcomes = [0usize; 2];
     for rows in [0usize, 1, 9, 48, 96] {
         let base = random_table(&mut rng, rows);
         let plain = dict::decode_table(&base);
@@ -259,6 +348,10 @@ fn predicates_partition_plain_and_dict_tables() {
             let on_plain = check_partitions(&plain_catalog, &all, &p);
             let on_dict = check_partitions(&dict_catalog, &all, &p);
             assert_eq!(on_plain, on_dict, "WHERE p differs plain vs dict: {p}");
+            outcomes[usize::from(on_plain.is_err())] += 1;
         }
     }
+    // Both properties are checked often, and so is the all-or-nothing rule.
+    let [kept, failed] = outcomes;
+    assert!(kept > 300 && failed > 30, "{kept} kept, {failed} failed");
 }
