@@ -20,9 +20,9 @@ use crate::trace::{ExecutionTrace, Phase, PlanCacheCalls, PlanSource};
 use caesura_data::DataLake;
 use caesura_engine::Catalog;
 use caesura_llm::{
-    normalize_query, schema_fingerprint, CancelStatus, CancelToken, Conversation, ErrorAnalysis,
-    LlmClient, LlmError, LogicalPlan, LogicalStep, MappingRequest, OperatorDecision, PlanCache,
-    PlanCacheConfig, PlanInsertOutcome, PromptBuilder, PromptConfig, QueryTemplate, RelevantColumn,
+    schema_fingerprint, CancelStatus, CancelToken, Conversation, ErrorAnalysis, LlmClient,
+    LlmError, LogicalPlan, LogicalStep, MappingRequest, OperatorDecision, PlanCache,
+    PlanCacheConfig, PlanInsertOutcome, PromptBuilder, PromptConfig, RelevantColumn,
     StepObservation,
 };
 use caesura_modal::{BatchConfig, CacheConfig, PerceptionCache};
@@ -66,7 +66,7 @@ pub struct CaesuraConfig {
     /// [`PlanCacheConfig::default`] (1,024 entries);
     /// `Some(PlanCacheConfig::off())` disables plan caching, byte-for-byte
     /// preserving the always-plan-live behaviour. When enabled, a query
-    /// whose `(schema fingerprint, query template)` matches a previously
+    /// whose `(schema fingerprint, query text)` matches a previously
     /// validated plan skips the planning **and** mapping phases entirely —
     /// zero planner LLM calls — and a cached plan that fails at execution is
     /// evicted and re-planned live (see `caesura_llm::plan_cache`).
@@ -135,18 +135,20 @@ fn persist_from_env() -> Option<PersistConfig> {
 }
 
 /// The identity string versioning a session's persisted plan entries: the
-/// planner model, the version of the prompt format (`v2`: step-scoped
-/// mapping prompts; bump it whenever a prompt's text changes, since the
-/// prompts are part of what produced the stored decisions), plus every
+/// planner model, the version of the prompt and key format, plus every
 /// prompt-shaping knob that changes which plans the model produces —
 /// `llm_discovery` among them, since it decides which relevant columns the
-/// planning prompt carries. Sessions
-/// whose identities differ share a store directory without ever seeing each
-/// other's entries (the schema fingerprint inside the key already isolates
-/// different lake shapes).
+/// planning prompt carries. Versions: `v2` step-scoped mapping prompts; `v3`
+/// entries keyed on the exact query text, so a store written under
+/// literal-slotted keys reads cold. Bump it whenever a prompt's text changes,
+/// since the prompts are part of what produced the stored decisions, and
+/// whenever the key or entry format changes. Sessions whose identities differ
+/// share a store directory without ever seeing each other's entries (the
+/// schema fingerprint inside the key already isolates different lake
+/// shapes).
 fn plan_cache_identity(llm: &dyn LlmClient, config: &CaesuraConfig) -> String {
     format!(
-        "{}:v2:few_shot={}:interleaved={}:examples={}:llm_discovery={}",
+        "{}:v3:few_shot={}:interleaved={}:examples={}:llm_discovery={}",
         llm.name(),
         config.few_shot,
         config.interleaved,
@@ -224,7 +226,7 @@ type StepsResult = Result<(QueryOutput, Vec<usize>), (CoreError, bool)>;
 struct PlanProbe<'a> {
     cache: &'a PlanCache,
     fingerprint: String,
-    template: QueryTemplate,
+    query: &'a str,
 }
 
 impl PlanProbe<'_> {
@@ -233,10 +235,7 @@ impl PlanProbe<'_> {
     /// over `plan` and `failed` the positions of those whose execution
     /// failed; what is stored is the one decision per step that executed,
     /// each in exactly the executor state a replay rebuilds (a failed attempt
-    /// registers nothing — `executor::tests`). The cache itself still refuses
-    /// a plan that does not verifiably thread every query literal through
-    /// its text, so a later hit with different literals never replays the
-    /// original values.
+    /// registers nothing — `executor::tests`).
     fn admit(
         &self,
         plan: &LogicalPlan,
@@ -256,39 +255,29 @@ impl PlanProbe<'_> {
         if worked.len() != plan.steps.len() {
             return;
         }
-        match self
+        let inserted = self
             .cache
-            .insert(&self.fingerprint, &self.template, plan, &worked)
-        {
-            PlanInsertOutcome::Inserted { written, .. } => {
-                trace.record_plan_cache(PlanCacheCalls {
-                    insertions: 1,
-                    disk_writes: usize::from(written),
-                    ..PlanCacheCalls::default()
-                });
-                if replans > 0 || !failed.is_empty() {
-                    trace.record(
-                        Phase::Planning,
-                        "plan-cache",
-                        format!(
-                            "cached after recovery: the {} decision(s) that executed are stored; \
-                             {} failed attempt(s) and {replans} replan(s) dropped",
-                            worked.len(),
-                            failed.len()
-                        ),
-                    );
-                }
-            }
-            PlanInsertOutcome::AlreadyPresent => {}
-            PlanInsertOutcome::Rejected => {
-                trace.record(
-                    Phase::Planning,
-                    "plan-cache",
-                    "not cached: the plan does not verifiably thread every \
-                     query literal through its text, so replaying it under \
-                     different literals would be unsafe",
-                );
-            }
+            .insert(&self.fingerprint, self.query, plan, &worked);
+        // `AlreadyPresent`: a concurrent run of this query filed it first.
+        let PlanInsertOutcome::Inserted { written, .. } = inserted else {
+            return;
+        };
+        trace.record_plan_cache(PlanCacheCalls {
+            insertions: 1,
+            disk_writes: usize::from(written),
+            ..PlanCacheCalls::default()
+        });
+        if replans > 0 || !failed.is_empty() {
+            trace.record(
+                Phase::Planning,
+                "plan-cache",
+                format!(
+                    "cached after recovery: the {} decision(s) that executed are stored; \
+                     {} failed attempt(s) and {replans} replan(s) dropped",
+                    worked.len(),
+                    failed.len()
+                ),
+            );
         }
     }
 }
@@ -638,23 +627,21 @@ impl SessionCore {
 
         // ---- Plan-cache probe ------------------------------------------------
         // Keyed on the *discovered* catalog (so retrieval differences keep
-        // their own entries) and the literal-normalized query template. A hit
-        // replays the validated plan with zero planner/mapping LLM calls; a
-        // replayed plan that fails is evicted and the query falls through to
-        // live planning below — never worse than the cache-off path.
+        // their own entries) and the query text, verbatim. A hit replays the
+        // validated plan with zero planner/mapping LLM calls; a replayed plan
+        // that fails is evicted and the query falls through to live planning
+        // below — never worse than the cache-off path.
         let probe = self.plan_cache.as_ref().map(|cache| PlanProbe {
             cache,
             fingerprint: schema_fingerprint(&catalog),
-            template: normalize_query(query),
+            query,
         });
         if let Some(PlanProbe {
-            cache,
-            fingerprint,
-            template,
+            cache, fingerprint, ..
         }) = &probe
         {
             let phase_start = Instant::now();
-            let cached = cache.lookup_tiered(fingerprint, template);
+            let cached = cache.lookup_tiered(fingerprint, query);
             trace.record_phase_duration(Phase::Planning, phase_start.elapsed());
             match cached {
                 Some((cached, tier)) => {
@@ -694,7 +681,7 @@ impl SessionCore {
                         // entry and stop.
                         Err((CoreError::Cancelled, _)) => return Err(CoreError::Cancelled),
                         Err((error, _)) => {
-                            cache.invalidate(fingerprint, template);
+                            cache.invalidate(fingerprint, query);
                             trace.record_plan_cache(PlanCacheCalls {
                                 invalidations: 1,
                                 ..PlanCacheCalls::default()

@@ -96,18 +96,6 @@ impl Bitmap {
         self.unset == 0
     }
 
-    /// The validity bits of `range`, as a new bitmap.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Bitmap {
-        if self.is_all_valid() {
-            return Bitmap::all_valid(range.len());
-        }
-        let mut out = Bitmap::new();
-        for i in range {
-            out.push(self.is_valid(i));
-        }
-        out
-    }
-
     /// Append every bit of `other`, a word at a time (the merge step of
     /// [`Column::concat`]; when `self`'s length is a multiple of 64 this is a
     /// plain word copy).
@@ -346,67 +334,6 @@ impl Column {
         }
     }
 
-    /// Copy the slots of `range` into a new column, **preserving the storage
-    /// representation** (a sliced `Mixed` column stays `Mixed`, placeholder
-    /// values in invalid slots are copied verbatim), so a slice takes exactly
-    /// the code path the full column would.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Column {
-        /// Every `(data, bitmap)` representation slices through this one
-        /// helper, so no variant can drift from the
-        /// representation-preservation contract.
-        fn sliced<T: Clone>(
-            data: &[T],
-            bitmap: &Bitmap,
-            range: std::ops::Range<usize>,
-        ) -> (Vec<T>, Bitmap) {
-            (data[range.clone()].to_vec(), bitmap.slice(range))
-        }
-        match self {
-            Column::Bool(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Bool(v, b)
-            }
-            Column::Int64(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Int64(v, b)
-            }
-            Column::Float64(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Float64(v, b)
-            }
-            Column::Utf8(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Utf8(v, b)
-            }
-            Column::Date(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Date(v, b)
-            }
-            Column::Image(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Image(v, b)
-            }
-            Column::Text(v, b) => {
-                let (v, b) = sliced(v, b, range);
-                Column::Text(v, b)
-            }
-            Column::Dict {
-                codes,
-                dict,
-                bitmap,
-            } => {
-                let (codes, bitmap) = sliced(codes, bitmap, range);
-                Column::Dict {
-                    codes,
-                    dict: Arc::clone(dict),
-                    bitmap,
-                }
-            }
-            Column::Null(_) => Column::Null(range.len()),
-            Column::Mixed(v) => Column::Mixed(v[range].to_vec()),
-        }
-    }
-
     /// Gather the slots at `indices` into a new column (the "take" kernel).
     pub fn take(&self, indices: &[usize]) -> Column {
         match self {
@@ -459,7 +386,7 @@ impl Column {
         let total: usize = parts.iter().map(|c| c.len()).sum();
         let uniform = match parts.first() {
             None | Some(Column::Null(_) | Column::Mixed(_)) => false,
-            // Parts sharing one entry table (slices of the same column)
+            // Parts sharing one entry table (gathered from one column)
             // stay dictionary-encoded; mismatched dictionaries fall
             // through to value-level packing (plain strings), the same
             // result a plain-Utf8 concat would produce.
@@ -966,29 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_preserves_every_representation() {
-        for col in every_representation() {
-            let sliced = col.slice(2..19);
-            assert_eq!(
-                std::mem::discriminant(&sliced),
-                std::mem::discriminant(&col),
-                "slice changed the representation of {col:?}"
-            );
-            assert_eq!(sliced.len(), 17);
-            for i in 0..17 {
-                assert_eq!(sliced.get(i), col.get(i + 2));
-                assert_eq!(sliced.is_valid(i), col.is_valid(i + 2));
-            }
-            // Dictionary slices must share the entry table, not copy it.
-            if let (Column::Dict { dict: original, .. }, Column::Dict { dict: shared, .. }) =
-                (&col, &sliced)
-            {
-                assert!(Arc::ptr_eq(original, shared));
-            }
-        }
-    }
-
-    #[test]
     fn take_preserves_dict_representation() {
         let Some(dict_col) = every_representation()
             .into_iter()
@@ -1010,8 +914,9 @@ mod tests {
         else {
             panic!("expected a dict column");
         };
-        // Morsel shape: slices of one column share the entry table.
-        let (a, b) = (dict_col.slice(0..10), dict_col.slice(10..24));
+        // Parts gathered from one column share the entry table.
+        let rows: Vec<usize> = (0..24).collect();
+        let (a, b) = (dict_col.take(&rows[..10]), dict_col.take(&rows[10..]));
         let joined = Column::concat(vec![a, b]);
         assert!(matches!(joined, Column::Dict { .. }));
         for i in 0..24 {

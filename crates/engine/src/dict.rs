@@ -16,8 +16,8 @@
 //! Encoding happens at table **ingest** ([`Table::new`](crate::table::Table::new)
 //! and [`TableBuilder::build`](crate::table::TableBuilder::build)), always,
 //! and never inside operators, so every operator of a query sees the same
-//! representation. `slice`/`take` on a dict column preserve the encoding and
-//! share the entry table `Arc`; every other operator and key shape (sorts,
+//! representation. `take` on a dict column preserves the encoding and
+//! shares the entry table `Arc`; every other operator and key shape (sorts,
 //! `IN` lists, dictionary-encoded join probes, column-vs-column compares)
 //! reads the strings through the exact `Value`-level semantics of a plain
 //! [`Column::Utf8`].

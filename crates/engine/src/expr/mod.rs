@@ -22,13 +22,14 @@
 //! # Errors
 //!
 //! * Names resolve at bind time: an unknown column fails at any row count,
-//!   as SQLite's prepare does.
+//!   as SQLite's prepare does, wherever it sits in the tree. The row
+//!   evaluator runs [`Expr::bind`] before its row.
 //! * Value errors (division by zero, type mismatches, a wrong argument
 //!   count) are per row, so zero rows raise none. A subtree without a column
 //!   reference is folded to one scalar in one place, and only when at least
 //!   one row exists.
-//! * Over trees whose column names all resolve, a tree fails exactly when the
-//!   row evaluator fails on some row.
+//! * A tree fails exactly when the row evaluator fails on some row or its
+//!   bind step fails.
 //! * When rows fail in different ways, the error reported is the first one
 //!   in kernel order: operands before their operator, a kernel's rows in row
 //!   order, `CASE` branches and `IN` items in their written order.
@@ -323,9 +324,23 @@ impl Expr {
         }
     }
 
+    /// Resolve every column name the expression references against
+    /// `schema`, in written order: the bind step. Fails with the first name
+    /// that does not resolve, wherever it sits — an untaken `CASE` branch or
+    /// an `IN` item no row reaches included.
+    pub fn bind(&self, schema: &Schema) -> EngineResult<()> {
+        let mut unresolved = None;
+        self.any_column(&mut |name| {
+            unresolved = schema.resolve(name).err();
+            unresolved.is_some()
+        });
+        unresolved.map_or(Ok(()), Err)
+    }
+
     /// Evaluate the expression against one row (a slice of cell values in
-    /// schema order).
+    /// schema order), after [`Expr::bind`].
     pub fn evaluate(&self, schema: &Schema, row: &[Value]) -> EngineResult<Value> {
+        self.bind(schema)?;
         self.evaluate_row(schema, &|idx| row[idx].clone())
     }
 
@@ -364,20 +379,21 @@ impl Expr {
     }
 
     /// Evaluate the expression at one row, reading cells directly from the
-    /// columns: the row evaluator the property tests check the batch path
-    /// against.
+    /// columns, after [`Expr::bind`]: the row evaluator the property tests
+    /// check the batch path against.
     pub fn evaluate_at(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         i: usize,
     ) -> EngineResult<Value> {
+        self.bind(schema)?;
         self.evaluate_row(schema, &|idx| columns[idx].get(i))
     }
 
     /// The one row evaluator behind [`Expr::evaluate`] and
-    /// [`Expr::evaluate_at`]: `cell(idx)` reads the row's value of the
-    /// column at schema position `idx`.
+    /// [`Expr::evaluate_at`], over a bound tree: `cell(idx)` reads the row's
+    /// value of the column at schema position `idx`.
     fn evaluate_row(&self, schema: &Schema, cell: &impl Fn(usize) -> Value) -> EngineResult<Value> {
         match self {
             Expr::Literal(value) => Ok(value.clone()),

@@ -637,10 +637,10 @@ mod tests {
 
     #[test]
     fn benchmark_queries_are_distinct_templates_so_cache_never_hits() {
-        // The 48 benchmark queries carry no quoted strings or standalone
-        // numbers, so each normalizes to its own plan-cache template: a cold
-        // evaluation run records only misses/insertions, never hits — which
-        // is why enabling the cache cannot change benchmark grades.
+        // The 48 benchmark queries are distinct texts, so each is its own
+        // plan-cache key: a cold evaluation run records only
+        // misses/insertions, never hits — which is why enabling the cache
+        // cannot change benchmark grades.
         let config = EvaluationConfig::small();
         let report = evaluate_model(ModelProfile::Gpt4, &config);
         assert!(report.results.iter().all(|r| r.plan_cache.hits == 0));

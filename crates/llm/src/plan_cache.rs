@@ -3,26 +3,23 @@
 //!
 //! Planner and operator-mapping LLM calls are the dominant per-query cost of
 //! the CAESURA pipeline and — before this module — were re-paid in full even
-//! when a structurally identical query had just been answered. The
-//! [`PlanCache`] remembers, per session, every `(LogicalPlan,
-//! Vec<OperatorDecision>)` pair whose execution **completed** — the plan that
-//! worked, whatever it took to find it (insert-after-success) — keyed on:
+//! when the same query had just been answered. The [`PlanCache`] remembers,
+//! per session, every `(LogicalPlan, Vec<OperatorDecision>)` pair whose
+//! execution **completed** — the plan that worked, whatever it took to find
+//! it (insert-after-success) — keyed on:
 //!
 //! * a **schema fingerprint** of the catalog the planner saw — table names
-//!   and column name/type pairs in catalog order
-//!   ([`crate::template::schema_fingerprint`]) — so a hit is only possible
-//!   against the exact schema the cached plan was validated on, and
-//! * a **query template**: the query text with quoted string literals and
-//!   standalone numbers slotted out ([`crate::template::normalize_query`]).
-//!   Two queries that differ only in such literals share one template; on a
-//!   hit the *probe's* literals are substituted back into the cached plan's
-//!   step descriptions and operator arguments, so `movement = 'Baroque'`
-//!   becomes `movement = 'Renaissance'` without a single model call.
+//!   and column name/type pairs in catalog order ([`schema_fingerprint`]) —
+//!   so a hit is only possible against the exact schema the cached plan was
+//!   validated on, and
+//! * the **query text**, byte for byte. A hit hands back the plan and the
+//!   decisions exactly as they ran; a query that differs in any byte, a
+//!   literal included, misses and plans live.
 //!
 //! ## Why a hit cannot be worse than planning live
 //!
 //! A hit skips the planning *and* per-step mapping phases entirely — zero
-//! planner LLM calls on repeat traffic. The safety argument has four legs:
+//! planner LLM calls on repeat traffic. The safety argument has two legs:
 //!
 //! * **Only validated plans enter.** A plan is inserted only after a live run
 //!   over it ended in success, with one decision per step: the one whose
@@ -39,41 +36,25 @@
 //!   the last thing worth re-deriving every round. A run that ended in an
 //!   error validated nothing and stores nothing.
 //!
-//!   The entry is per query template and no finer. A step-level memo (step
-//!   text + input schema → decision) would not be a cache of the model: the
-//!   mapping prompt carries the *query*, so the decision is a function of it.
-//!   The paper suite shows it — `R15` and `R24` share a byte-identical step
-//!   over a byte-identical input schema, and the model's decision for it is
+//!   The entry is per query and no finer. A step-level memo (step text +
+//!   input schema → decision) would not be a cache of the model: the mapping
+//!   prompt carries the *query*, so the decision is a function of it. The
+//!   paper suite shows it — `R15` and `R24` share a byte-identical step over
+//!   a byte-identical input schema, and the model's decision for it is
 //!   `Did <teams.name> lose?` under one query and `How many goals did <name>
 //!   kick?` (which fails and is repaired) under the other.
-//! * **Literal substitution is structural.** Slots are cut from the query
-//!   text itself, and a template only matches when the probe's literal
-//!   *pattern* matches too (distinct literals stay distinct slots — see
-//!   [`crate::template::normalize_query`]), so re-substitution is a pure
-//!   find/replace of values the plan provably threaded through from the
-//!   original query.
-//! * **Threading is verified at insert time.** Before an entry is stored,
-//!   every template literal must appear as a slot marker in the normalized
-//!   plan + decisions, and no un-slotted occurrence of a literal value may
-//!   remain (occurrences that equal a catalog identifier are exempt — a bare
-//!   `status` in SQL is a column reference, not the string literal
-//!   `'status'`, and must survive re-substitution untouched). A plan that
-//!   paraphrases, reformats, or drops a literal is **rejected**
-//!   ([`PlanInsertOutcome::Rejected`]) rather than cached, so a later probe
-//!   with different literals can never silently replay the original values.
 //! * **Failures fall back.** If a cached plan errors at execution, the entry
 //!   is evicted ([`PlanCache::invalidate`]) and the session re-plans live —
 //!   exactly the pre-cache path, one executor attempt later.
 //!
 //! ## Where entries live
 //!
-//! *Normalized* (literals slotted out) in a [`TieredCache`]
-//! ([`caesura_store::tiered`] has the locking model and the memory → disk
-//! probe path): at most [`PlanCacheConfig::capacity`] plans of sharded LRU
-//! memory over an optional durable store keyed by the planner identity,
-//! shared across the scheduler pool's in-flight queries via `Arc`. This module
-//! adds what is particular to plans: the insert-time threading check, the
-//! hit-time literal instantiation, and the rejection / invalidation counters.
+//! In a [`TieredCache`] ([`caesura_store::tiered`] has the locking model and
+//! the memory → disk probe path): at most [`PlanCacheConfig::capacity`] plans
+//! of sharded LRU memory over an optional durable store keyed by the planner
+//! identity, shared across the scheduler pool's in-flight queries via `Arc`.
+//! This module adds what is particular to plans: the key, the entry codec and
+//! the invalidation counters.
 //!
 //! [`PlanCacheConfig`] defaults to [`PlanCacheConfig::DEFAULT_CAPACITY`]
 //! entries; [`PlanCacheConfig::off`] means no cache at all — byte-for-byte
@@ -81,10 +62,7 @@
 //! `CaesuraConfig::plan_cache`.
 
 use crate::plan::{LogicalPlan, LogicalStep, OperatorDecision};
-use crate::template::{
-    fingerprint_identifiers, instantiate_decisions, instantiate_plan, literals_threaded,
-    normalize_decisions, normalize_plan, QueryTemplate,
-};
+use caesura_engine::Catalog;
 use caesura_modal::OperatorKind;
 use caesura_store::{push_part, take_part, CacheStore, TieredCache};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,8 +81,7 @@ pub struct PlanCacheConfig {
 
 impl PlanCacheConfig {
     /// Entry capacity of the default configuration. Entries are a few
-    /// kilobytes of plan text, and literal-only variants share one, so it is
-    /// sized for the distinct query *shapes* of a serving workload.
+    /// kilobytes of plan text, one per distinct query of a serving workload.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// A configuration with an explicit entry capacity (`0` = off).
@@ -131,7 +108,7 @@ impl Default for PlanCacheConfig {
 }
 
 /// Lifetime counters of one [`PlanCache`]: the [`caesura_store::TieredStats`]
-/// of its two tiers plus the plan-specific rejections and invalidations.
+/// of its two tiers plus the plan-specific invalidations.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Probes answered from the cache (planning + mapping phases skipped).
@@ -144,8 +121,6 @@ pub struct PlanCacheStats {
     pub evictions: usize,
     /// Entries removed because their cached plan failed at execution.
     pub invalidations: usize,
-    /// Insert attempts refused ([`PlanInsertOutcome::Rejected`]).
-    pub rejections: usize,
     /// Memory-tier misses answered from the attached disk store.
     pub disk_hits: usize,
     /// Disk-tier probes that found nothing (true cold misses).
@@ -169,37 +144,30 @@ pub enum PlanInsertOutcome {
         /// one, and when the write failed).
         written: bool,
     },
-    /// An equivalent entry was already present (a concurrent query with the
-    /// same shape stored it first); its LRU position was refreshed.
+    /// An equivalent entry was already present (a concurrent run of the
+    /// same query stored it first); its LRU position was refreshed.
     AlreadyPresent,
-    /// The plan did not verifiably thread every query literal through its
-    /// text, so it was **not** stored: replaying it under different probe
-    /// literals could silently answer for the original values. The query
-    /// itself still succeeded — it just plans live next time too.
-    Rejected,
 }
 
-/// A cached validated plan, instantiated with the probe's literals.
+/// A cached validated plan, exactly as it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPlan {
-    /// The logical plan, with the probe's literals substituted in.
+    /// The logical plan.
     pub plan: LogicalPlan,
-    /// The operator decisions, one per plan step, literals substituted.
+    /// The operator decisions, one per plan step.
     pub decisions: Vec<OperatorDecision>,
 }
 
-/// A bounded map from `(schema fingerprint, query template)` keys to
-/// validated `(LogicalPlan, Vec<OperatorDecision>)` entries. See the
+/// A bounded map from `(schema fingerprint, query text)` keys to validated
+/// `(LogicalPlan, Vec<OperatorDecision>)` entries. See the
 /// [module docs](self) for the correctness argument.
 #[derive(Debug)]
 pub struct PlanCache {
-    /// Normalized entries (slot markers in place of literals), keyed by
-    /// [`PlanCache::key`].
+    /// Entries keyed by [`PlanCache::key`].
     tiers: TieredCache<String, Arc<CachedPlan>>,
     /// Namespaces every disk key; set by [`PlanCache::attach_disk`].
     identity: String,
     invalidations: AtomicUsize,
-    rejections: AtomicUsize,
     disk_invalidations: AtomicUsize,
 }
 
@@ -211,7 +179,6 @@ impl PlanCache {
             tiers: TieredCache::new(capacity, encode_entry, decode_entry),
             identity: String::new(),
             invalidations: AtomicUsize::new(0),
-            rejections: AtomicUsize::new(0),
             disk_invalidations: AtomicUsize::new(0),
         }
     }
@@ -237,7 +204,6 @@ impl PlanCache {
             insertions: tiers.insertions,
             evictions: tiers.evictions,
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            rejections: self.rejections.load(Ordering::Relaxed),
             disk_hits: tiers.disk_hits,
             disk_misses: tiers.disk_misses,
             disk_writes: tiers.disk_writes,
@@ -246,18 +212,16 @@ impl PlanCache {
         }
     }
 
-    /// The fingerprint and the template text, around a control byte that
+    /// The fingerprint and the query text, around a control byte that
     /// appears in neither.
-    fn key(fingerprint: &str, template: &QueryTemplate) -> String {
-        format!("{fingerprint}\u{1f}{}", template.template)
+    fn key(fingerprint: &str, query: &str) -> String {
+        format!("{fingerprint}\u{1f}{query}")
     }
 
-    /// Look up the validated plan for a `(fingerprint, template)` probe,
-    /// refreshing its LRU position on a hit. The returned plan and decisions
-    /// carry the **probe's** literals.
-    pub fn lookup(&self, fingerprint: &str, template: &QueryTemplate) -> Option<CachedPlan> {
-        self.lookup_tiered(fingerprint, template)
-            .map(|(plan, _)| plan)
+    /// Look up the validated plan filed for a `(fingerprint, query)` probe,
+    /// refreshing its LRU position on a hit.
+    pub fn lookup(&self, fingerprint: &str, query: &str) -> Option<Arc<CachedPlan>> {
+        self.lookup_tiered(fingerprint, query).map(|(plan, _)| plan)
     }
 
     /// [`PlanCache::lookup`], additionally reporting which tier answered. A
@@ -265,21 +229,15 @@ impl PlanCache {
     pub fn lookup_tiered(
         &self,
         fingerprint: &str,
-        template: &QueryTemplate,
-    ) -> Option<(CachedPlan, PlanTier)> {
-        let key = Self::key(fingerprint, template);
+        query: &str,
+    ) -> Option<(Arc<CachedPlan>, PlanTier)> {
+        let key = Self::key(fingerprint, query);
         let hit = self.tiers.get(&*key, &self.identity)?;
-        let cached = CachedPlan {
-            plan: instantiate_plan(&hit.value.plan, &template.literals),
-            decisions: instantiate_decisions(&hit.value.decisions, &template.literals),
-        };
-        Some((cached, hit.tier))
+        Some((hit.value, hit.tier))
     }
 
-    /// Store a **validated** plan for a `(fingerprint, template)` key,
-    /// slotting the template's literals out of the plan text so future
-    /// probes can substitute their own — or reject it when
-    /// `literals_threaded` cannot confirm every literal was slotted out.
+    /// File a **validated** plan and its decisions under a
+    /// `(fingerprint, query)` key, as given.
     ///
     /// Callers must only insert a plan whose execution completed, with the
     /// one decision per step that executed — the insert-after-success
@@ -287,20 +245,15 @@ impl PlanCache {
     pub fn insert(
         &self,
         fingerprint: &str,
-        template: &QueryTemplate,
+        query: &str,
         plan: &LogicalPlan,
         decisions: &[OperatorDecision],
     ) -> PlanInsertOutcome {
-        let identifiers = fingerprint_identifiers(fingerprint);
         let entry = CachedPlan {
-            plan: normalize_plan(plan, &template.literals, &identifiers),
-            decisions: normalize_decisions(decisions, &template.literals, &identifiers),
+            plan: plan.clone(),
+            decisions: decisions.to_vec(),
         };
-        if !literals_threaded(template, &entry.plan, &entry.decisions, &identifiers) {
-            self.rejections.fetch_add(1, Ordering::Relaxed);
-            return PlanInsertOutcome::Rejected;
-        }
-        let key = Self::key(fingerprint, template);
+        let key = Self::key(fingerprint, query);
         match self.tiers.put(&*key, Arc::new(entry), &self.identity) {
             put if put.inserted == 0 => PlanInsertOutcome::AlreadyPresent,
             put => PlanInsertOutcome::Inserted {
@@ -310,12 +263,12 @@ impl PlanCache {
         }
     }
 
-    /// Remove the entry for a `(fingerprint, template)` key because its
-    /// cached plan failed at execution — from memory and from disk, where it
-    /// would outlive this process. Returns whether an entry was removed (a
+    /// Remove the entry for a `(fingerprint, query)` key because its cached
+    /// plan failed at execution — from memory and from disk, where it would
+    /// outlive this process. Returns whether an entry was removed (a
     /// concurrent invalidation may have beaten this one).
-    pub fn invalidate(&self, fingerprint: &str, template: &QueryTemplate) -> bool {
-        let key = Self::key(fingerprint, template);
+    pub fn invalidate(&self, fingerprint: &str, query: &str) -> bool {
+        let key = Self::key(fingerprint, query);
         let removed = self.tiers.remove(&*key, &self.identity);
         self.invalidations
             .fetch_add(usize::from(removed.memory), Ordering::Relaxed);
@@ -325,14 +278,43 @@ impl PlanCache {
     }
 }
 
+/// The query text a plan is filed under: the text itself. Lookups key on the
+/// query verbatim; this is kept only for the benchmark harness's replay,
+/// which times the key's construction under this name.
+pub fn normalize_query(query: &str) -> String {
+    query.to_string()
+}
+
+/// Fingerprint of the catalog a planner saw: every table with its column
+/// name/type pairs, in catalog (name-sorted, deterministic) order. The full
+/// string is the key component — no hashing, so distinct schemas can never
+/// collide.
+pub fn schema_fingerprint(catalog: &Catalog) -> String {
+    let mut out = String::new();
+    for table in catalog.tables() {
+        out.push_str(table.name());
+        out.push('(');
+        for (i, field) in table.schema().fields().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&field.name);
+            out.push(':');
+            out.push_str(field.data_type.prompt_name());
+        }
+        out.push_str(");");
+    }
+    out
+}
+
 // --- entry codec -----------------------------------------------------------
 //
-// Entries are stored *normalized* (literals slotted out), exactly as the
-// memory tier holds them, in a hand-rolled length-prefixed binary framing:
-// no serde in this workspace, and the textual plan grammar is a prompt
-// format, not a storage format (its parser is deliberately lenient). The
-// codec version rides on the first byte; unknown versions decode to `None`,
-// which the lookup path treats as a cold miss.
+// Entries are stored exactly as the memory tier holds them, in a
+// hand-rolled length-prefixed binary framing: no serde in this workspace,
+// and the textual plan grammar is a prompt format, not a storage format (its
+// parser is deliberately lenient). The codec version rides on the first
+// byte; unknown versions decode to `None`, which the lookup path treats as a
+// cold miss.
 
 const ENTRY_CODEC_VERSION: u8 = 1;
 
@@ -350,7 +332,7 @@ fn push_str_list(out: &mut Vec<u8>, items: &[String]) {
     }
 }
 
-/// Serialize a normalized `(plan, decisions)` entry.
+/// Serialize a `(plan, decisions)` entry.
 fn encode_entry(entry: &Arc<CachedPlan>) -> Vec<u8> {
     let mut out = vec![ENTRY_CODEC_VERSION];
     push_part(&mut out, entry.plan.thought.as_bytes());
@@ -429,7 +411,6 @@ fn decode_entry(bytes: &[u8]) -> Option<Arc<CachedPlan>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::{normalize_query, slot_marker};
 
     fn plan_with(description: &str) -> LogicalPlan {
         LogicalPlan {
@@ -460,192 +441,57 @@ mod tests {
     }
 
     #[test]
-    fn hit_substitutes_probe_literals_into_plan_and_decisions() {
-        let cache = PlanCache::with_capacity(8);
-        let stored = normalize_query("Filter paintings of the 'Baroque' movement");
-        cache.insert(
-            "fp",
-            &stored,
-            &plan_with("Keep only rows where movement = 'Baroque'."),
-            &decision_with("SELECT * FROM t WHERE movement = 'Baroque'"),
-        );
-        let probe = normalize_query("Filter paintings of the 'Renaissance' movement");
-        let hit = cache.lookup("fp", &probe).expect("template must hit");
-        assert_eq!(
-            hit.plan.steps[0].description,
-            "Keep only rows where movement = 'Renaissance'."
-        );
-        assert_eq!(
-            hit.decisions[0].arguments[0],
-            "SELECT * FROM t WHERE movement = 'Renaissance'"
-        );
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 0, 1));
-    }
-
-    #[test]
-    fn bare_literal_occurrences_substitute_only_at_token_boundaries() {
-        let cache = PlanCache::with_capacity(8);
-        let stored = normalize_query("Keep games where points above 30");
-        cache.insert(
-            "fp",
-            &stored,
-            &plan_with("Keep rows with points > 30."),
-            &decision_with("SELECT * FROM t WHERE points > 30 AND id <> 301"),
-        );
-        let probe = normalize_query("Keep games where points above 55");
-        let hit = cache.lookup("fp", &probe).unwrap();
-        assert_eq!(hit.plan.steps[0].description, "Keep rows with points > 55.");
-        // `30` inside `301` must survive.
-        assert_eq!(
-            hit.decisions[0].arguments[0],
-            "SELECT * FROM t WHERE points > 55 AND id <> 301"
-        );
-    }
-
-    #[test]
     fn identical_query_round_trips_bit_for_bit() {
-        // Even when a literal coincides with a column name, probing with the
-        // *same* literals restores the stored text exactly.
+        // A hit hands back the plan and decisions exactly as filed.
         let cache = PlanCache::with_capacity(8);
-        let template = normalize_query("Show rows where status is 'status'");
+        let query = "Show rows where status is 'status'";
         let plan = plan_with("Filter on status = 'status' via the status column.");
         let decisions = decision_with("SELECT status FROM t WHERE status = 'status'");
-        cache.insert("t(status:str);", &template, &plan, &decisions);
-        let hit = cache.lookup("t(status:str);", &template).unwrap();
+        cache.insert("t(status:str);", query, &plan, &decisions);
+        let hit = cache.lookup("t(status:str);", query).unwrap();
         assert_eq!(hit.plan, plan);
         assert_eq!(hit.decisions, decisions);
     }
 
     #[test]
-    fn literals_colliding_with_identifiers_keep_schema_references() {
-        // A quoted literal that coincides with a column name must not
-        // rewrite the bare column references when a later probe substitutes
-        // a different value: only the quoted value occurrences change.
+    fn a_query_that_differs_only_in_a_literal_misses() {
         let cache = PlanCache::with_capacity(8);
-        let fingerprint = "t(status:str,id:int);";
-        let stored = normalize_query("Show rows where status is 'status'");
-        let outcome = cache.insert(
-            fingerprint,
-            &stored,
-            &plan_with("Filter on status = 'status' via the status column."),
-            &decision_with("SELECT status FROM t WHERE status = 'status'"),
-        );
-        assert_eq!(outcome, INSERTED);
-        let probe = normalize_query("Show rows where status is 'archived'");
-        let hit = cache.lookup(fingerprint, &probe).expect("same template");
-        assert_eq!(
-            hit.plan.steps[0].description,
-            "Filter on status = 'archived' via the status column."
-        );
-        assert_eq!(
-            hit.decisions[0].arguments[0],
-            "SELECT status FROM t WHERE status = 'archived'"
-        );
-    }
-
-    #[test]
-    fn single_character_number_literals_substitute_on_hit() {
-        // A bare single-digit number in the plan text must be slotted out —
-        // otherwise a probe with a different digit would match the template
-        // and silently execute the stored `> 5`.
-        let cache = PlanCache::with_capacity(8);
-        let stored = normalize_query("Keep games with points above 5");
-        let outcome = cache.insert(
+        let filed = "Filter paintings of the 'Baroque' movement";
+        cache.insert(
             "fp",
-            &stored,
-            &plan_with("Keep rows where points > 5."),
-            &decision_with("SELECT * FROM t WHERE points > 5"),
+            filed,
+            &plan_with("Keep only rows where movement = 'Baroque'."),
+            &decision_with("SELECT * FROM t WHERE movement = 'Baroque'"),
         );
-        assert_eq!(outcome, INSERTED);
-        let probe = normalize_query("Keep games with points above 9");
-        let hit = cache.lookup("fp", &probe).expect("same template");
-        assert_eq!(hit.plan.steps[0].description, "Keep rows where points > 9.");
-        assert_eq!(
-            hit.decisions[0].arguments[0],
-            "SELECT * FROM t WHERE points > 9"
-        );
-    }
-
-    #[test]
-    fn plans_that_do_not_thread_a_literal_are_rejected() {
-        // The planner paraphrased the literal ('Baroque' → lowercase prose):
-        // nothing was slotted out, so caching the plan would replay Baroque
-        // answers for every other movement. The insert must refuse.
-        let cache = PlanCache::with_capacity(8);
-        let template = normalize_query("Filter paintings of the 'Baroque' movement");
-        let outcome = cache.insert(
-            "fp",
-            &template,
-            &plan_with("Keep only the baroque-era rows."),
-            &decision_with("SELECT * FROM t WHERE era = 'baroque'"),
-        );
-        assert_eq!(outcome, PlanInsertOutcome::Rejected);
-        assert!(cache.lookup("fp", &template).is_none());
+        let probe = "Filter paintings of the 'Rococo' movement";
+        assert_eq!(cache.lookup("fp", probe), None);
+        assert!(cache.lookup("fp", filed).is_some());
         let stats = cache.stats();
-        assert_eq!((stats.rejections, stats.insertions), (1, 0));
-    }
-
-    #[test]
-    fn reformatted_number_literals_are_rejected_not_cached() {
-        // `98.5` became `98.50` in the plan: substitution cannot find it, so
-        // the entry must be refused rather than baked in.
-        let cache = PlanCache::with_capacity(8);
-        let template = normalize_query("Scores above 98.5");
-        let outcome = cache.insert(
-            "fp",
-            &template,
-            &plan_with("Keep scores above 98.50."),
-            &decision_with("SELECT * FROM t WHERE score > 98.50"),
-        );
-        assert_eq!(outcome, PlanInsertOutcome::Rejected);
-        assert_eq!(cache.stats().rejections, 1);
-    }
-
-    #[test]
-    fn digit_literals_never_corrupt_other_slot_markers() {
-        // Slot markers embed digit indices; a digit literal must not rewrite
-        // another marker's index digits during the bare-substitution pass.
-        let cache = PlanCache::with_capacity(8);
-        let stored = normalize_query("values between 1 and 0");
-        let outcome = cache.insert(
-            "fp",
-            &stored,
-            &plan_with("Keep rows between 1 and 0."),
-            &decision_with("SELECT * FROM t WHERE x BETWEEN 1 AND 0"),
-        );
-        assert_eq!(outcome, INSERTED);
-        let probe = normalize_query("values between 4 and 9");
-        let hit = cache.lookup("fp", &probe).unwrap();
-        assert_eq!(hit.plan.steps[0].description, "Keep rows between 4 and 9.");
-        assert_eq!(
-            hit.decisions[0].arguments[0],
-            "SELECT * FROM t WHERE x BETWEEN 4 AND 9"
-        );
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
     }
 
     #[test]
     fn different_fingerprints_never_share_entries() {
         let cache = PlanCache::with_capacity(8);
-        let template = normalize_query("count rows");
+        let query = "count rows";
         cache.insert(
             "schema-a",
-            &template,
+            query,
             &plan_with("count"),
             &decision_with("SELECT COUNT(*) FROM t"),
         );
-        assert!(cache.lookup("schema-b", &template).is_none());
-        assert!(cache.lookup("schema-a", &template).is_some());
+        assert!(cache.lookup("schema-b", query).is_none());
+        assert!(cache.lookup("schema-a", query).is_some());
     }
 
     #[test]
     fn invalidate_removes_the_entry_and_counts() {
         let cache = PlanCache::with_capacity(8);
-        let template = normalize_query("count rows");
-        cache.insert("fp", &template, &plan_with("count"), &decision_with("x"));
-        assert!(cache.invalidate("fp", &template));
-        assert!(!cache.invalidate("fp", &template), "already gone");
-        assert!(cache.lookup("fp", &template).is_none());
+        let query = "count rows";
+        cache.insert("fp", query, &plan_with("count"), &decision_with("x"));
+        assert!(cache.invalidate("fp", query));
+        assert!(!cache.invalidate("fp", query), "already gone");
+        assert!(cache.lookup("fp", query).is_none());
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 1);
     }
@@ -653,16 +499,14 @@ mod tests {
     #[test]
     fn insert_outcomes_report_presence_and_eviction() {
         let cache = PlanCache::with_capacity(1);
-        let (a, b) = (normalize_query("alpha"), normalize_query("beta"));
-        let insert =
-            |t: &QueryTemplate| cache.insert("fp", t, &plan_with("p"), &decision_with("d"));
-        assert_eq!(insert(&a), INSERTED);
-        assert_eq!(insert(&a), PlanInsertOutcome::AlreadyPresent);
+        let insert = |query| cache.insert("fp", query, &plan_with("p"), &decision_with("d"));
+        assert_eq!(insert("alpha"), INSERTED);
+        assert_eq!(insert("alpha"), PlanInsertOutcome::AlreadyPresent);
         let evicting = PlanInsertOutcome::Inserted {
             evictions: 1,
             written: false,
         };
-        assert_eq!(insert(&b), evicting);
+        assert_eq!(insert("beta"), evicting);
         let stats = cache.stats();
         assert_eq!((stats.insertions, stats.evictions), (2, 1));
     }
@@ -670,11 +514,11 @@ mod tests {
     #[test]
     fn entry_codec_round_trips() {
         let plan = LogicalPlan {
-            thought: format!("filter by {}", slot_marker(0)),
+            thought: "filter by movement".into(),
             steps: vec![
                 LogicalStep::new(
                     1,
-                    format!("Keep rows where movement = '{}'", slot_marker(0)),
+                    "Keep rows where movement = 'Baroque'",
                     vec!["paintings".into(), "artists".into()],
                     "filtered",
                     vec![],
@@ -693,10 +537,7 @@ mod tests {
                 step_number: 1,
                 reasoning: "a filter".into(),
                 operator: OperatorKind::SqlSelection,
-                arguments: vec![
-                    format!("movement = '{}'", slot_marker(0)),
-                    "; tricky".into(),
-                ],
+                arguments: vec!["movement = 'Baroque'".into(), "; tricky".into()],
             },
             OperatorDecision {
                 step_number: 2,
@@ -716,6 +557,23 @@ mod tests {
         assert_eq!(decode_entry(&wrong_version), None);
     }
 
+    #[test]
+    fn schema_fingerprint_is_exact_and_order_stable() {
+        use caesura_engine::{DataType, Schema, TableBuilder};
+        let mut catalog = Catalog::new();
+        let zeta = Schema::from_pairs(&[("id", DataType::Int)]);
+        catalog.register(TableBuilder::new("zeta", zeta).build());
+        let alpha = Schema::from_pairs(&[("name", DataType::Str)]);
+        catalog.register(TableBuilder::new("alpha", alpha).build());
+        let fp = schema_fingerprint(&catalog);
+        // Catalog iteration is name-sorted, so registration order does not
+        // perturb the fingerprint.
+        assert_eq!(fp, "alpha(name:str);zeta(id:int);");
+        let beta = Schema::from_pairs(&[("id", DataType::Int)]);
+        catalog.register(TableBuilder::new("beta", beta).build());
+        assert_ne!(schema_fingerprint(&catalog), fp);
+    }
+
     fn temp_store(tag: &str) -> (std::path::PathBuf, Arc<CacheStore>) {
         let mut dir = std::env::temp_dir();
         dir.push(format!("caesura-plan-disk-{tag}-{}", std::process::id()));
@@ -727,13 +585,13 @@ mod tests {
     #[test]
     fn disk_tier_survives_a_simulated_restart() {
         let (dir, store) = temp_store("restart");
-        let template = normalize_query("Filter paintings of the 'Baroque' movement");
+        let query = "Filter paintings of the 'Baroque' movement";
         {
             let mut cache = PlanCache::with_capacity(8);
             cache.attach_disk(Arc::clone(&store), "planner-a");
             let outcome = cache.insert(
                 "fp",
-                &template,
+                query,
                 &plan_with("Keep rows where movement = 'Baroque'"),
                 &decision_with("movement = 'Baroque'"),
             );
@@ -747,13 +605,12 @@ mod tests {
         // "Restart": a fresh cache over the same store.
         let mut cache = PlanCache::with_capacity(8);
         cache.attach_disk(Arc::clone(&store), "planner-a");
-        let probe = normalize_query("Filter paintings of the 'Rococo' movement");
-        let (hit, tier) = cache.lookup_tiered("fp", &probe).expect("disk hit");
+        let (hit, tier) = cache.lookup_tiered("fp", query).expect("disk hit");
         assert_eq!(tier, PlanTier::Disk);
-        assert!(hit.plan.steps[0].description.contains("'Rococo'"));
-        assert_eq!(hit.decisions[0].arguments[0], "movement = 'Rococo'");
+        assert!(hit.plan.steps[0].description.contains("'Baroque'"));
+        assert_eq!(hit.decisions[0].arguments[0], "movement = 'Baroque'");
         // The memory tier was warmed: the next probe hits memory.
-        let (_, tier) = cache.lookup_tiered("fp", &probe).expect("memory hit");
+        let (_, tier) = cache.lookup_tiered("fp", query).expect("memory hit");
         assert_eq!(tier, PlanTier::Memory);
         let stats = cache.stats();
         assert_eq!((stats.disk_hits, stats.hits, stats.misses), (1, 1, 1));
@@ -764,12 +621,12 @@ mod tests {
     #[test]
     fn disk_tier_isolates_planner_identities_and_invalidates() {
         let (dir, store) = temp_store("identity");
-        let template = normalize_query("Filter paintings of the 'Baroque' movement");
+        let query = "Filter paintings of the 'Baroque' movement";
         let mut writer = PlanCache::with_capacity(8);
         writer.attach_disk(Arc::clone(&store), "planner-a");
         writer.insert(
             "fp",
-            &template,
+            query,
             &plan_with("Keep rows where movement = 'Baroque'"),
             &decision_with("movement = 'Baroque'"),
         );
@@ -777,20 +634,20 @@ mod tests {
         // A different planner identity sharing the same store never sees it.
         let mut other = PlanCache::with_capacity(8);
         other.attach_disk(Arc::clone(&store), "planner-b");
-        assert_eq!(other.lookup_tiered("fp", &template), None);
+        assert_eq!(other.lookup_tiered("fp", query), None);
         assert_eq!(other.stats().disk_misses, 1);
 
         // Nor does a different schema fingerprint under the same identity.
         let mut same = PlanCache::with_capacity(8);
         same.attach_disk(Arc::clone(&store), "planner-a");
-        assert_eq!(same.lookup_tiered("other-fp", &template), None);
+        assert_eq!(same.lookup_tiered("other-fp", query), None);
 
         // Invalidation tombstones the disk entry: a fresh cache cold-misses.
-        assert!(writer.invalidate("fp", &template));
+        assert!(writer.invalidate("fp", query));
         assert_eq!(writer.stats().disk_invalidations, 1);
         let mut after = PlanCache::with_capacity(8);
         after.attach_disk(Arc::clone(&store), "planner-a");
-        assert_eq!(after.lookup_tiered("fp", &template), None);
+        assert_eq!(after.lookup_tiered("fp", query), None);
         drop((writer, other, same, after, store));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -813,12 +670,12 @@ mod tests {
         cache.attach_disk(Arc::new(store), "planner-a");
         std::fs::remove_dir_all(&dir).expect("remove the store directory");
 
-        let template = normalize_query("count rows");
-        let outcome = cache.insert("fp", &template, &plan_with("count"), &decision_with("x"));
+        let query = "count rows";
+        let outcome = cache.insert("fp", query, &plan_with("count"), &decision_with("x"));
         assert_eq!(outcome, INSERTED, "inserted, but not written");
         let stats = cache.stats();
         assert_eq!((stats.disk_writes, stats.disk_errors), (0, 1));
-        let (_, tier) = cache.lookup_tiered("fp", &template).expect("memory hit");
+        let (_, tier) = cache.lookup_tiered("fp", query).expect("memory hit");
         assert_eq!(tier, PlanTier::Memory);
     }
 
@@ -829,25 +686,25 @@ mod tests {
             .collect()
     }
 
-    /// The exact bytes PR 10 wrote for this entry. A store directory outlives
-    /// any one build: if this test fails, bump `ENTRY_CODEC_VERSION` (value
-    /// change) or the planner identity (key change) on purpose instead of
-    /// editing the literals.
+    /// The exact bytes written for this entry, keyed on the query text
+    /// verbatim. A store directory outlives any one build: if this test
+    /// fails, bump `ENTRY_CODEC_VERSION` (value change) or the planner
+    /// identity (key change) on purpose instead of editing the literals.
     #[test]
     fn golden_disk_bytes_of_a_plan_entry() {
-        const KEY: &str = "09000000706c616e6e65722d613600000074286d6f76656d656e743a737472293b1f\
-            4b656570207468652027efa3bf30efa3bf2720726f77732061626f766520efa3bf31efa3bf";
-        const VALUE: &str = "01050000007468696e6b0100000001000000350000004b65657020726f777320\
-            7768657265206d6f76656d656e74203d2027efa3bf30efa3bf2720616e64206964203e20efa3bf31\
-            efa3bf010000000100000074030000006f757400000000010000000100000007000000626563617573\
-            650d00000053514c2053656c656374696f6e01000000250000006d6f76656d656e74203d2027efa3bf\
-            30efa3bf2720414e44206964203e20efa3bf31efa3bf";
+        const KEY: &str = "09000000706c616e6e65722d613000000074286d6f76656d656e743a737472293b1f\
+            4b6565702074686520274261726f7175652720726f77732061626f76652033";
+        const VALUE: &str = "01050000007468696e6b01000000010000002f0000004b65657020726f777320\
+            7768657265206d6f76656d656e74203d20274261726f7175652720616e64206964203e2033010000\
+            000100000074030000006f757400000000010000000100000007000000626563617573650d000000\
+            53514c2053656c656374696f6e010000001f0000006d6f76656d656e74203d20274261726f717565\
+            2720414e44206964203e2033";
         let (dir, store) = temp_store("golden");
         let mut cache = PlanCache::with_capacity(8);
         cache.attach_disk(Arc::clone(&store), "planner-a");
         cache.insert(
             "t(movement:str);",
-            &normalize_query("Keep the 'Baroque' rows above 3"),
+            "Keep the 'Baroque' rows above 3",
             &plan_with("Keep rows where movement = 'Baroque' and id > 3"),
             &decision_with("movement = 'Baroque' AND id > 3"),
         );

@@ -16,8 +16,8 @@ use caesura_core::{Caesura, CaesuraConfig, CoreError, PlanSource, QueryRun};
 use caesura_data::{generate_artwork, generate_rotowire, ArtworkConfig, RotowireConfig};
 use caesura_eval::{benchmark_queries, Dataset};
 use caesura_llm::{
-    normalize_query, schema_fingerprint, CountingLlm, LlmClient, PlanCacheConfig,
-    PlanInsertOutcome, PlanTier, SimulatedLlm,
+    schema_fingerprint, CountingLlm, LlmClient, PlanCacheConfig, PlanInsertOutcome, PlanTier,
+    SimulatedLlm,
 };
 use caesura_store::{CacheStore, PersistConfig};
 use std::path::PathBuf;
@@ -349,9 +349,11 @@ fn identities_are_isolated_in_a_shared_store() {
     }
 }
 
-/// The prompt format is part of what produced a stored decision, so the
-/// plan identity carries a format version. A store left behind by a build
-/// that mapped with full-catalog prompts (`v1`) must read as empty.
+/// The prompt format is part of what produced a stored decision, and the key
+/// format is part of what a probe finds, so the plan identity carries a
+/// format version. A store left behind by a build that mapped with
+/// full-catalog prompts (`v1`) or keyed on literal-slotted templates (`v2`)
+/// must read as empty.
 #[test]
 fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
     let tmp = TempDir::new("prompt-version");
@@ -366,7 +368,6 @@ fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
         )
     };
     let fingerprint = schema_fingerprint(lake.catalog());
-    let template = normalize_query(query);
     let bare_cache = |version: &str| {
         let mut cache = PlanCacheConfig::new(8).build().unwrap();
         let store = Arc::new(CacheStore::open(persist.plans_dir()).unwrap());
@@ -374,21 +375,23 @@ fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
         cache
     };
 
-    // What the old build left on disk: this query's validated plan, filed
-    // under the same model and knobs at `v1`.
+    // What the old builds left on disk: this query's validated plan, filed
+    // under the same model and knobs at `v1` and at `v2`.
     let live =
         Caesura::with_config(lake.clone(), Arc::new(llm.clone()), config_with(None)).run(query);
     assert!(live.output.is_ok());
-    let outcome = bare_cache("v1").insert(
-        &fingerprint,
-        &template,
-        live.logical_plan.as_ref().unwrap(),
-        &live.decisions,
-    );
-    assert!(matches!(
-        outcome,
-        PlanInsertOutcome::Inserted { written: true, .. }
-    ));
+    for version in ["v1", "v2"] {
+        let outcome = bare_cache(version).insert(
+            &fingerprint,
+            query,
+            live.logical_plan.as_ref().unwrap(),
+            &live.decisions,
+        );
+        assert!(matches!(
+            outcome,
+            PlanInsertOutcome::Inserted { written: true, .. }
+        ));
+    }
 
     // Today's session over that directory plans live and files its own entry.
     {
@@ -405,10 +408,11 @@ fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
     }
 
     // Control: the key this test derives is the key the session files under —
-    // at `v2` the session's entry is found — so the `v1` record above was one
-    // version string away from being replayed. It is still there, unread.
-    for version in ["v2", "v1"] {
-        let hit = bare_cache(version).lookup_tiered(&fingerprint, &template);
+    // at `v3` the session's entry is found — so the `v1` and `v2` records
+    // above were one version string away from being replayed. They are
+    // still there, unread.
+    for version in ["v3", "v2", "v1"] {
+        let hit = bare_cache(version).lookup_tiered(&fingerprint, query);
         assert!(
             matches!(hit, Some((_, PlanTier::Disk))),
             "no {version} record"

@@ -355,12 +355,16 @@ fn distinct_union_limit_dict_match_plain() {
 // ---------------------------------------------------------------------------
 
 /// A random expression tree over the `random_table` schema. Leaves are
-/// column references (occasionally unknown) and literals (occasionally
-/// NULL); interior nodes cover every operator family, deliberately mixing
-/// types so per-row type errors, division by zero, and lazily skipped
-/// erroring branches all occur.
+/// column references (occasionally to a name that does not resolve, which
+/// can land in a `CASE` branch no row takes or an `IN` item no row reaches)
+/// and literals (occasionally NULL); interior nodes cover every operator
+/// family, deliberately mixing types so per-row type errors, division by
+/// zero, and lazily skipped erroring branches all occur.
 fn random_expr(rng: &mut StdRng, depth: usize) -> Expr {
     if depth == 0 || rng.gen_bool(0.3) {
+        if rng.gen_bool(0.04) {
+            return Expr::col(["missing", "t.missing"][rng.gen_range(0..2usize)]);
+        }
         return match rng.gen_range(0..8) {
             0 => Expr::col("k"),
             1 => Expr::col("score"),
@@ -708,7 +712,8 @@ fn assert_batch_matches_row_evaluator(
     }
 }
 
-/// `expr` row by row, through the row evaluator; its first error in row
+/// `expr` row by row, through the row evaluator, bound before the first row
+/// so an unknown name fails over zero rows too; its first error in row
 /// order.
 fn row_evaluator(
     expr: &Expr,
@@ -716,6 +721,7 @@ fn row_evaluator(
     columns: &[Arc<Column>],
     rows: usize,
 ) -> Result<Vec<Value>, EngineError> {
+    expr.bind(schema)?;
     (0..rows)
         .map(|i| expr.evaluate_at(schema, columns, i))
         .collect()
@@ -814,4 +820,41 @@ fn lazy_branches_never_evaluate_their_errors() {
     }
     assert_dict_matches_plain(&case, &plain, &encoded, "lazy case");
     assert_dict_matches_plain(&in_list, &plain, &encoded, "lazy in-list");
+}
+
+/// An unknown name fails both evaluators with the same error wherever it
+/// sits, a `CASE` branch no row takes and an `IN` item no row reaches
+/// included: names resolve before the first row.
+#[test]
+fn unknown_names_fail_both_evaluators_wherever_they_sit() {
+    let mut rng = StdRng::seed_from_u64(0xC0DE0B1D);
+    let (plain, encoded) = both_representations(&mut rng, 90, "t");
+    let missing = || Expr::col("missing");
+    let exprs = [
+        // A branch whose condition is NULL on every row.
+        Expr::Case {
+            branches: vec![(Expr::Literal(Value::Null), missing())],
+            otherwise: Some(Box::new(Expr::col("k"))),
+        },
+        // An item after one every non-NULL needle matches; NULL needles
+        // reach no item.
+        Expr::InList {
+            expr: Box::new(Expr::col("team")),
+            list: vec![Expr::col("team"), missing()],
+            negated: false,
+        },
+    ];
+    for expr in &exprs {
+        for table in [&plain, &encoded] {
+            let (schema, columns) = (table.schema(), table.columns());
+            let unknown = schema.resolve("missing").unwrap_err();
+            let batch = expr.evaluate_batch(schema, columns, table.num_rows());
+            assert_eq!(batch.unwrap_err(), unknown, "batch (expr: {expr})");
+            for i in [0, table.num_rows() - 1] {
+                let row = expr.evaluate_at(schema, columns, i);
+                assert_eq!(row.unwrap_err(), unknown, "row {i} (expr: {expr})");
+            }
+            assert_batch_agrees_with_row_evaluator(expr, schema, columns, 90, "unknown name");
+        }
+    }
 }

@@ -14,8 +14,8 @@ use caesura::data::{
 };
 use caesura::engine::Catalog;
 use caesura::eval::{benchmark_queries, fieldwork_queries, Dataset};
-use caesura::llm::{normalize_query, schema_fingerprint, PlanInsertOutcome};
 use caesura::llm::{plan::split_arguments, LogicalPlan, LogicalStep, OperatorDecision};
+use caesura::llm::{schema_fingerprint, PlanInsertOutcome};
 use caesura::llm::{CountingLlm, ErrorAnalysis, LlmClient, ModelProfile, ScriptedLlm};
 use caesura::llm::{PlanCacheConfig, SimulatedLlm};
 use caesura::modal::OperatorKind;
@@ -400,7 +400,7 @@ fn a_cached_plan_that_cannot_execute_is_evicted_and_replanned_live() {
     let session = cache_session(Some(PlanCacheConfig::new(64)), 1);
     // The probe's own key: the fingerprint of the catalog discovery hands
     // the planner (the top-k tables and the foreign keys among them) and the
-    // literal-normalized query.
+    // query text.
     let lake = session.lake();
     let top = Retriever::index(lake).top_k(query, session.config().retrieval_top_k);
     let mut discovered = Catalog::new();
@@ -412,7 +412,7 @@ fn a_cached_plan_that_cannot_execute_is_evicted_and_replanned_live() {
             discovered.add_foreign_key(fk.clone());
         }
     }
-    let (fingerprint, template) = (schema_fingerprint(&discovered), normalize_query(query));
+    let fingerprint = schema_fingerprint(&discovered);
 
     // One step selecting over a table nothing produces.
     let poisoned = LogicalPlan {
@@ -433,7 +433,7 @@ fn a_cached_plan_that_cannot_execute_is_evicted_and_replanned_live() {
     }];
     let cache = session.plan_cache().expect("cache is on");
     assert!(matches!(
-        cache.insert(&fingerprint, &template, &poisoned, &decisions),
+        cache.insert(&fingerprint, query, &poisoned, &decisions),
         PlanInsertOutcome::Inserted { .. }
     ));
 
@@ -835,11 +835,11 @@ fn a_plan_found_by_replanning_is_cached_with_the_decisions_that_executed() {
     assert_eq!(second.decisions, first.decisions[1..]);
 }
 
-/// Recovery does not soften the literal check: a repaired plan that answers
-/// for `'Baroque'` without carrying the literal is refused, and the repeat
-/// plans live.
+/// A repaired plan that answers for `'Baroque'` without carrying the literal
+/// is cached under its exact query text: the exact repeat replays it with no
+/// model call, and a query that differs only in the literal plans live.
 #[test]
-fn a_repaired_plan_that_drops_a_query_literal_is_rejected() {
+fn a_repaired_plan_that_drops_a_query_literal_is_cached_under_its_exact_text() {
     let query = "How many paintings belong to the 'Baroque' movement?";
     let step = LogicalStep::new(
         1,
@@ -864,18 +864,26 @@ fn a_repaired_plan_that_drops_a_query_literal_is_rejected() {
 
     let first = session.run(query);
     assert!(first.succeeded(), "{:?}", first.output);
-    assert_eq!(first.trace.plan_cache_calls().insertions, 0);
-    let notes = plan_cache_notes(&first);
-    assert!(
-        matches!(notes[..], [note] if note.starts_with("not cached")),
-        "{notes:?}"
+    assert_eq!(first.trace.plan_cache_calls().insertions, 1);
+    assert_eq!(
+        plan_cache_notes(&first),
+        [
+            "cached after recovery: the 1 decision(s) that executed are stored; \
+          1 failed attempt(s) and 0 replan(s) dropped"
+        ]
     );
-    assert_eq!(session.plan_cache().unwrap().stats().rejections, 1);
 
-    let second = session.run(query);
-    assert_eq!(second.trace.plan_source(), Some(PlanSource::Planned));
-    assert_eq!(second.trace.llm_calls(), 4);
-    assert_eq!(second.output, first.output);
+    let repeat = session.run(query);
+    assert_eq!(repeat.trace.plan_source(), Some(PlanSource::Cached));
+    assert_eq!(repeat.trace.llm_calls(), 0);
+    assert_eq!(repeat.output, first.output);
+
+    let variant = session.run("How many paintings belong to the 'Rococo' movement?");
+    assert_eq!(variant.trace.plan_source(), Some(PlanSource::Planned));
+    let calls = variant.trace.plan_cache_calls();
+    assert_eq!((calls.hits, calls.misses), (0, 1));
+    assert_eq!(variant.trace.llm_calls(), 4);
+    assert!(variant.succeeded(), "{:?}", variant.output);
 }
 
 /// A repaired entry gets no special standing: when its replay fails — here a
