@@ -121,7 +121,7 @@ impl Bitmap {
         if self.is_all_valid() {
             return Bitmap::all_valid(indices.len());
         }
-        let mut out = Bitmap::new();
+        let mut out = Bitmap::with_capacity(indices.len());
         for &i in indices {
             out.push(self.is_valid(i));
         }
@@ -129,10 +129,91 @@ impl Bitmap {
     }
 }
 
+/// Strings stored end to end in one UTF-8 buffer, the variable-size layout
+/// of Apache Arrow: slot `i` is `bytes[offsets[i]..offsets[i + 1]]`. A scan
+/// reads the strings in order from one allocation, and a gather copies
+/// their bytes into a buffer sized once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Utf8Buffer {
+    /// `len() + 1` ascending byte offsets into `bytes`, the first 0.
+    offsets: Vec<usize>,
+    bytes: String,
+}
+
+impl Default for Utf8Buffer {
+    fn default() -> Self {
+        Utf8Buffer::with_capacity(0, 0)
+    }
+}
+
+impl Utf8Buffer {
+    /// An empty buffer with room for `rows` strings of `bytes` bytes in all.
+    pub(crate) fn with_capacity(rows: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Utf8Buffer {
+            offsets,
+            bytes: String::with_capacity(bytes),
+        }
+    }
+
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the buffer holds no string.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The string at slot `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Append one string.
+    pub(crate) fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.offsets.push(self.bytes.len());
+    }
+
+    /// The strings in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        self.offsets.windows(2).map(|w| &self.bytes[w[0]..w[1]])
+    }
+
+    /// Gather the strings at `indices` into a new buffer: their lengths are
+    /// summed first, so the bytes are copied into one allocation.
+    pub(crate) fn take(&self, indices: &[usize]) -> Utf8Buffer {
+        let bytes = indices
+            .iter()
+            .map(|&i| self.offsets[i + 1] - self.offsets[i])
+            .sum();
+        let mut out = Utf8Buffer::with_capacity(indices.len(), bytes);
+        for &i in indices {
+            out.push(self.get(i));
+        }
+        out
+    }
+
+    /// Append every string of `other`, its offsets shifted past this
+    /// buffer's bytes.
+    pub(crate) fn append(&mut self, other: &Utf8Buffer) {
+        let base = self.bytes.len();
+        self.bytes.push_str(&other.bytes);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&end| base + end));
+    }
+}
+
 /// An immutable, typed column of values.
 ///
-/// String-like variants store `Arc<str>` payloads, so gathering and sharing
-/// them bumps reference counts instead of copying characters.
+/// Plain strings ([`Column::Utf8`]) sit in one [`Utf8Buffer`] and are read
+/// in place as `&str`; a gather copies their bytes. Image keys and text
+/// documents stay `Arc<str>` cells, shared with the image store and with
+/// perception requests, so a gather of them bumps reference counts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Booleans.
@@ -141,8 +222,8 @@ pub enum Column {
     Int64(Vec<i64>, Bitmap),
     /// 64-bit floats.
     Float64(Vec<f64>, Bitmap),
-    /// UTF-8 strings.
-    Utf8(Vec<Arc<str>>, Bitmap),
+    /// UTF-8 strings, in one buffer (NULL slots hold the empty string).
+    Utf8(Utf8Buffer, Bitmap),
     /// Calendar dates.
     Date(Vec<DateValue>, Bitmap),
     /// Image references (keys into an image store).
@@ -150,7 +231,7 @@ pub enum Column {
     /// Inline text documents.
     Text(Vec<Arc<str>>, Bitmap),
     /// Dictionary-encoded UTF-8 strings: `codes[i]` indexes into the shared,
-    /// duplicate-free `dict` entry table. Built at table ingest by
+    /// duplicate-free `dict` entry buffer. Built at table ingest by
     /// [`crate::dict::encode_column`] for low-cardinality string columns;
     /// behaves exactly like [`Column::Utf8`] at the [`Value`] level while the
     /// operator fast paths work on the integer codes directly.
@@ -158,7 +239,7 @@ pub enum Column {
         /// Per-row entry indices (invalid slots hold 0, masked by `bitmap`).
         codes: Vec<u32>,
         /// The shared entry table, in first-appearance order.
-        dict: Arc<Vec<Arc<str>>>,
+        dict: Arc<Utf8Buffer>,
         /// Validity bitmap.
         bitmap: Bitmap,
     },
@@ -175,7 +256,7 @@ impl Column {
             DataType::Bool => Column::Bool(Vec::new(), Bitmap::new()),
             DataType::Int => Column::Int64(Vec::new(), Bitmap::new()),
             DataType::Float => Column::Float64(Vec::new(), Bitmap::new()),
-            DataType::Str => Column::Utf8(Vec::new(), Bitmap::new()),
+            DataType::Str => Column::Utf8(Utf8Buffer::default(), Bitmap::new()),
             DataType::Date => Column::Date(Vec::new(), Bitmap::new()),
             DataType::Image => Column::Image(Vec::new(), Bitmap::new()),
             DataType::Text => Column::Text(Vec::new(), Bitmap::new()),
@@ -214,7 +295,8 @@ impl Column {
             Column::Bool(v, _) => v.len(),
             Column::Int64(v, _) => v.len(),
             Column::Float64(v, _) => v.len(),
-            Column::Utf8(v, _) | Column::Image(v, _) | Column::Text(v, _) => v.len(),
+            Column::Utf8(v, _) => v.len(),
+            Column::Image(v, _) | Column::Text(v, _) => v.len(),
             Column::Date(v, _) => v.len(),
             Column::Dict { codes, .. } => codes.len(),
             Column::Null(n) => *n,
@@ -259,16 +341,15 @@ impl Column {
         }
     }
 
-    /// Materialize the value at slot `i`. String payloads are `Arc`-shared,
-    /// so this is cheap for every variant.
-    #[inline]
+    /// Materialize the value at slot `i`. A plain string is copied into a
+    /// new `Arc<str>`, so per-row paths read [`Column::cell`] instead.
     pub fn get(&self, i: usize) -> Value {
         self.cell(i).to_value()
     }
 
     /// The cell at slot `i`, read in place.
     #[inline]
-    pub(crate) fn cell(&self, i: usize) -> CellRef<'_> {
+    pub fn cell(&self, i: usize) -> CellRef<'_> {
         if !self.is_valid(i) {
             return CellRef::Null;
         }
@@ -276,17 +357,18 @@ impl Column {
             Column::Bool(v, _) => CellRef::Bool(v[i]),
             Column::Int64(v, _) => CellRef::Int(v[i]),
             Column::Float64(v, _) => CellRef::Float(v[i]),
-            Column::Utf8(v, _) => CellRef::Str(&v[i]),
+            Column::Utf8(v, _) => CellRef::Str(v.get(i)),
             Column::Date(v, _) => CellRef::Date(&v[i]),
             Column::Image(v, _) => CellRef::Image(&v[i]),
             Column::Text(v, _) => CellRef::Text(&v[i]),
-            Column::Dict { codes, dict, .. } => CellRef::Str(&dict[codes[i] as usize]),
+            Column::Dict { codes, dict, .. } => CellRef::Str(dict.get(codes[i] as usize)),
             Column::Null(_) => CellRef::Null,
             Column::Mixed(v) => v[i].cell(),
         }
     }
 
-    /// Iterate over the column's values (materialized one at a time).
+    /// Iterate over the column's values (materialized one at a time; a cold
+    /// path, see [`Column::get`]).
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
@@ -313,7 +395,7 @@ impl Column {
     }
 
     /// Typed view of a string column: `(data, validity)`.
-    pub fn as_utf8(&self) -> Option<(&[Arc<str>], &Bitmap)> {
+    pub fn as_utf8(&self) -> Option<(&Utf8Buffer, &Bitmap)> {
         match self {
             Column::Utf8(v, b) => Some((v, b)),
             _ => None,
@@ -322,8 +404,7 @@ impl Column {
 
     /// Typed view of a dictionary-encoded string column:
     /// `(codes, entries, validity)`.
-    #[allow(clippy::type_complexity)]
-    pub fn as_dict(&self) -> Option<(&[u32], &Arc<Vec<Arc<str>>>, &Bitmap)> {
+    pub fn as_dict(&self) -> Option<(&[u32], &Arc<Utf8Buffer>, &Bitmap)> {
         match self {
             Column::Dict {
                 codes,
@@ -346,10 +427,7 @@ impl Column {
             Column::Float64(v, b) => {
                 Column::Float64(indices.iter().map(|&i| v[i]).collect(), b.take(indices))
             }
-            Column::Utf8(v, b) => Column::Utf8(
-                indices.iter().map(|&i| Arc::clone(&v[i])).collect(),
-                b.take(indices),
-            ),
+            Column::Utf8(v, b) => Column::Utf8(v.take(indices), b.take(indices)),
             Column::Date(v, b) => Column::Date(
                 indices.iter().map(|&i| v[i].clone()).collect(),
                 b.take(indices),
@@ -417,8 +495,11 @@ impl Column {
                 (Column::Int64(v, b), Column::Int64(ov, ob)) => append((v, b), (ov, ob), total),
                 (Column::Float64(v, b), Column::Float64(ov, ob)) => append((v, b), (ov, ob), total),
                 (Column::Date(v, b), Column::Date(ov, ob)) => append((v, b), (ov, ob), total),
-                (Column::Utf8(v, b), Column::Utf8(ov, ob))
-                | (Column::Image(v, b), Column::Image(ov, ob))
+                (Column::Utf8(v, b), Column::Utf8(ov, ob)) => {
+                    v.append(&ov);
+                    b.append(&ob);
+                }
+                (Column::Image(v, b), Column::Image(ov, ob))
                 | (Column::Text(v, b), Column::Text(ov, ob)) => append((v, b), (ov, ob), total),
                 (
                     Column::Dict { codes, bitmap, .. },
@@ -444,12 +525,12 @@ impl Column {
             Column::Int64(v, b) if b.is_valid(i) => key_writers::int(v[i], out),
             Column::Float64(v, b) if b.is_valid(i) => key_writers::float(v[i], out),
             Column::Bool(v, b) if b.is_valid(i) => key_writers::bool(v[i], out),
-            Column::Utf8(v, b) if b.is_valid(i) => key_writers::str("s:", &v[i], out),
+            Column::Utf8(v, b) if b.is_valid(i) => key_writers::str("s:", v.get(i), out),
             Column::Dict {
                 codes,
                 dict,
                 bitmap,
-            } if bitmap.is_valid(i) => key_writers::str("s:", &dict[codes[i] as usize], out),
+            } if bitmap.is_valid(i) => key_writers::str("s:", dict.get(codes[i] as usize), out),
             Column::Image(v, b) if b.is_valid(i) => key_writers::str("img:", &v[i], out),
             Column::Text(v, b) if b.is_valid(i) => key_writers::str("t:", &v[i], out),
             Column::Date(v, b) if b.is_valid(i) => key_writers::date(&v[i], out),
@@ -481,7 +562,7 @@ enum TypedBuffer {
     Bool(Vec<bool>),
     Int64(Vec<i64>),
     Float64(Vec<f64>),
-    Utf8(Vec<Arc<str>>),
+    Utf8(Utf8Buffer),
     Date(Vec<DateValue>),
     Image(Vec<Arc<str>>),
     Text(Vec<Arc<str>>),
@@ -496,7 +577,8 @@ impl TypedBuffer {
             DataType::Bool => TypedBuffer::Bool(Vec::with_capacity(capacity)),
             DataType::Int => TypedBuffer::Int64(Vec::with_capacity(capacity)),
             DataType::Float => TypedBuffer::Float64(Vec::with_capacity(capacity)),
-            DataType::Str => TypedBuffer::Utf8(Vec::with_capacity(capacity)),
+            // The strings' total length is not known up front.
+            DataType::Str => TypedBuffer::Utf8(Utf8Buffer::with_capacity(capacity, 0)),
             DataType::Date => TypedBuffer::Date(Vec::with_capacity(capacity)),
             DataType::Image => TypedBuffer::Image(Vec::with_capacity(capacity)),
             DataType::Text => TypedBuffer::Text(Vec::with_capacity(capacity)),
@@ -510,9 +592,8 @@ impl TypedBuffer {
             TypedBuffer::Bool(v) => v.push(false),
             TypedBuffer::Int64(v) => v.push(0),
             TypedBuffer::Float64(v) => v.push(0.0),
-            TypedBuffer::Utf8(v) | TypedBuffer::Image(v) | TypedBuffer::Text(v) => {
-                v.push(Arc::from(""))
-            }
+            TypedBuffer::Utf8(v) => v.push(""),
+            TypedBuffer::Image(v) | TypedBuffer::Text(v) => v.push(Arc::from("")),
             TypedBuffer::Date(v) => v.push(DateValue::from_year(0)),
             TypedBuffer::Pending => {}
         }
@@ -574,9 +655,11 @@ impl ColumnBuilder {
                 v.push(f);
                 None
             }
-            (TypedBuffer::Utf8(v), Value::Str(s))
-            | (TypedBuffer::Image(v), Value::Image(s))
-            | (TypedBuffer::Text(v), Value::Text(s)) => {
+            (TypedBuffer::Utf8(v), Value::Str(s)) => {
+                v.push(&s);
+                None
+            }
+            (TypedBuffer::Image(v), Value::Image(s)) | (TypedBuffer::Text(v), Value::Text(s)) => {
                 v.push(s);
                 None
             }
@@ -606,6 +689,19 @@ impl ColumnBuilder {
                 values.push(value);
                 self.mixed = Some(values);
             }
+        }
+    }
+
+    /// Append one cell read in place: a string is copied straight into a
+    /// string buffer, without an `Arc<str>` between; every other cell is
+    /// pushed as its value.
+    pub(crate) fn push_cell(&mut self, cell: CellRef<'_>) {
+        match (&mut self.typed, cell) {
+            (TypedBuffer::Utf8(v), CellRef::Str(s)) if self.mixed.is_none() => {
+                v.push(s);
+                self.validity.push(true);
+            }
+            _ => self.push(cell.to_value()),
         }
     }
 
@@ -935,6 +1031,56 @@ mod tests {
         assert_eq!(mixed.len(), 48);
         assert_eq!(mixed.get(0), dict_col.get(0));
         assert_eq!(mixed.get(24), other.get(0));
+    }
+
+    /// Strings of one- to four-byte characters, empty strings and NULLs:
+    /// every gather, filter, concat and dictionary round trip over them
+    /// builds the column `from_values` builds from the same values — offsets,
+    /// bytes and NULL placeholders included.
+    #[test]
+    fn multi_byte_strings_survive_take_filter_concat_and_dict_round_trips() {
+        let pieces = ["", "é", "中文", "🎨", "a🎨é", "plain", "ß中"];
+        let values: Vec<Value> = (0..40)
+            .map(|i| match i % 7 {
+                3 => Value::Null,
+                _ => Value::str(pieces[i % pieces.len()].repeat(i % 3)),
+            })
+            .collect();
+        let column = Column::from_values(values.clone());
+        assert!(matches!(column, Column::Utf8(..)));
+        let built_from = |values: &[Value], rows: &[usize]| {
+            Column::from_values(rows.iter().map(|&i| values[i].clone()).collect())
+        };
+        // A gather out of order, with repeats.
+        let gather: Vec<usize> = (0..40).rev().chain([5, 5, 0]).collect();
+        assert_eq!(column.take(&gather), built_from(&values, &gather));
+        // A filter: the ascending rows a predicate keeps.
+        let kept: Vec<usize> = (0..40).filter(|i| i % 3 != 1).collect();
+        assert_eq!(column.take(&kept), built_from(&values, &kept));
+        // Concatenated chunks, an empty one among them.
+        let whole: Vec<usize> = (0..40).collect();
+        let chunks = [&whole[..7], &whole[7..7], &whole[7..33], &whole[33..]];
+        let chunks = chunks.iter().map(|rows| column.take(rows)).collect();
+        assert_eq!(Column::concat(chunks), column);
+
+        // Dictionary encoding and decoding, and a gather of the codes.
+        let values: Vec<Value> = (0..64)
+            .map(|i| match i % 9 {
+                4 => Value::Null,
+                _ => Value::str(pieces[i % 4]),
+            })
+            .collect();
+        let plain = Column::from_values(values.clone());
+        let encoded = crate::dict::encode_column(&plain).expect("four entries in 64 rows");
+        assert!(matches!(encoded, Column::Dict { .. }));
+        assert_eq!(crate::dict::decode_column(&encoded), plain);
+        assert_eq!(
+            crate::dict::decode_column(&encoded.take(&gather)),
+            built_from(&values, &gather)
+        );
+        for (i, value) in values.iter().enumerate() {
+            assert_eq!(encoded.cell(i).as_str(), value.as_str(), "row {i}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Dictionary encoding for low-cardinality string columns.
 //!
 //! A [`Column::Dict`] stores each row as a `u32` code into a shared,
-//! duplicate-free entry table instead of a per-row `Arc<str>`. For columns
-//! whose distinct-value count is small relative to the row count (category
-//! tags, join keys, enum-like labels) three kernels work on the codes, with
-//! one string hash or comparison per *entry* instead of one per row:
+//! duplicate-free entry table (one [`Utf8Buffer`]) instead of a per-row
+//! string. For columns whose distinct-value count is small relative to the
+//! row count (category tags, join keys, enum-like labels) three kernels work
+//! on the codes, with one string hash or comparison per *entry* instead of
+//! one per row:
 //!
 //! * grouped aggregation keyed by one dictionary column
 //!   ([`aggregate`](crate::ops::aggregate())),
@@ -22,7 +23,7 @@
 //! reads the strings through the exact `Value`-level semantics of a plain
 //! [`Column::Utf8`].
 
-use crate::column::Column;
+use crate::column::{Column, Utf8Buffer};
 use crate::table::Table;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,14 +50,14 @@ pub fn encode_column(column: &Column) -> Option<Column> {
     }
     let max_entries = data.len() / MIN_ROWS_PER_DISTINCT;
     let mut index: HashMap<&str, u32> = HashMap::new();
-    let mut entries: Vec<Arc<str>> = Vec::new();
+    let mut entries = Utf8Buffer::default();
     let mut codes: Vec<u32> = Vec::with_capacity(data.len());
     for (i, s) in data.iter().enumerate() {
         if !bitmap.is_valid(i) {
             codes.push(0);
             continue;
         }
-        let code = match index.get(s.as_ref()) {
+        let code = match index.get(s) {
             Some(&code) => code,
             None => {
                 if entries.len() >= max_entries {
@@ -64,8 +65,8 @@ pub fn encode_column(column: &Column) -> Option<Column> {
                     return None;
                 }
                 let code = entries.len() as u32;
-                entries.push(Arc::clone(s));
-                index.insert(s.as_ref(), code);
+                entries.push(s);
+                index.insert(s, code);
                 code
             }
         };
@@ -92,18 +93,18 @@ pub fn decode_column(column: &Column) -> Column {
             dict,
             bitmap,
         } => {
-            let empty: Arc<str> = Arc::from("");
-            let data: Vec<Arc<str>> = codes
-                .iter()
-                .enumerate()
-                .map(|(i, &code)| {
-                    if bitmap.is_valid(i) {
-                        Arc::clone(&dict[code as usize])
-                    } else {
-                        Arc::clone(&empty)
-                    }
-                })
-                .collect();
+            let entry = |(i, &code): (usize, &u32)| {
+                if bitmap.is_valid(i) {
+                    dict.get(code as usize)
+                } else {
+                    ""
+                }
+            };
+            let bytes = codes.iter().enumerate().map(|c| entry(c).len()).sum();
+            let mut data = Utf8Buffer::with_capacity(codes.len(), bytes);
+            for s in codes.iter().enumerate().map(entry) {
+                data.push(s);
+            }
             Column::Utf8(data, bitmap.clone())
         }
         other => other.clone(),
@@ -211,9 +212,9 @@ mod tests {
         else {
             panic!("expected dict column");
         };
-        assert_eq!(dict.as_ref().len(), 2);
-        assert_eq!(dict[0].as_ref(), "b");
-        assert_eq!(dict[1].as_ref(), "a");
+        assert_eq!(dict.len(), 2);
+        assert_eq!(dict.get(0), "b");
+        assert_eq!(dict.get(1), "a");
         assert_eq!(&codes[..4], &[0, 1, 0, 1]);
     }
 }

@@ -16,7 +16,9 @@
 //! [`eval_cell_fn`] runs a unary operator or a scalar function column at a
 //! time: its per-row code ([`CellFn`]) is resolved once, and each row's
 //! argument cells are read in place from the views (a dictionary string
-//! from its entry table, a scalar from the literal).
+//! from its entry table, a scalar from the literal). A function that picks
+//! one of its arguments (`COALESCE`, `MIN2`, `MAX2`) has the chosen cell
+//! copied into the output as it stands.
 //!
 //! [`scatter`] puts the parts of a `CASE` result, each computed over the
 //! rows that took one branch, back into row order.
@@ -30,7 +32,7 @@
 //! [`Expr::evaluate_batch`]: super::Expr::evaluate_batch
 
 use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp, CellFn, LikePattern};
-use crate::column::{Bitmap, Column, ColumnBuilder};
+use crate::column::{Bitmap, Column, ColumnBuilder, Utf8Buffer};
 use crate::error::EngineResult;
 use crate::value::{CellRef, DataType, Value};
 use std::sync::Arc;
@@ -110,18 +112,19 @@ impl NumOp<'_> {
     }
 }
 
-/// A string-column operand: plain UTF-8 or dictionary-encoded, its data
-/// sliced to the batch, with its validity bitmap.
+/// A string-column operand: plain UTF-8 (read up to the batch's rows) or
+/// dictionary-encoded (its codes sliced to the batch), with its validity
+/// bitmap.
 enum StrSide<'a> {
-    Plain(&'a [Arc<str>], &'a Bitmap),
-    Dict(&'a [u32], &'a Arc<Vec<Arc<str>>>, &'a Bitmap),
+    Plain(&'a Utf8Buffer, &'a Bitmap),
+    Dict(&'a [u32], &'a Utf8Buffer, &'a Bitmap),
 }
 
 impl StrSide<'_> {
     fn from_view<'a>(view: &ValuesView<'a>, len: usize) -> Option<StrSide<'a>> {
         match view {
             ValuesView::Col(col) => match col {
-                Column::Utf8(v, b) => Some(StrSide::Plain(&v[..len], b)),
+                Column::Utf8(v, b) => Some(StrSide::Plain(v, b)),
                 Column::Dict {
                     codes,
                     dict,
@@ -143,8 +146,8 @@ impl StrSide<'_> {
     #[inline]
     fn str_at(&self, i: usize) -> &str {
         match self {
-            StrSide::Plain(v, ..) => v[i].as_ref(),
-            StrSide::Dict(codes, dict, ..) => dict[codes[i] as usize].as_ref(),
+            StrSide::Plain(v, ..) => v.get(i),
+            StrSide::Dict(codes, dict, ..) => dict.get(codes[i] as usize),
         }
     }
 }
@@ -275,7 +278,7 @@ fn eval_str_view(
         let mut validity = Bitmap::with_capacity(num_rows);
         match side {
             StrSide::Plain(data, bitmap) => {
-                for (i, v) in data.iter().enumerate() {
+                for (i, v) in data.iter().take(num_rows).enumerate() {
                     let valid = bitmap.is_valid(i);
                     out.push(valid && holds(v));
                     validity.push(valid);
@@ -284,7 +287,7 @@ fn eval_str_view(
             StrSide::Dict(codes, dict, bitmap) => {
                 // Code-native kernel: one comparison (or LIKE match) per
                 // dictionary *entry*, then a table lookup per row.
-                let table: Vec<bool> = dict.iter().map(|entry| holds(entry)).collect();
+                let table: Vec<bool> = dict.iter().map(&mut holds).collect();
                 for (i, &code) in codes.iter().enumerate() {
                     let valid = bitmap.is_valid(i);
                     out.push(valid && table[code as usize]);
@@ -353,7 +356,12 @@ pub(super) fn eval_cell_fn(
                 for i in 0..num_rows {
                     cells.clear();
                     cells.extend(args.iter().map(|arg| arg.cell(i)));
-                    out.push(cell_fn.call(&cells)?);
+                    match cell_fn {
+                        CellFn::Pick(pick) => {
+                            out.push_cell(pick(&cells).map_or(CellRef::Null, |at| cells[at]))
+                        }
+                        _ => out.push(cell_fn.call(&cells)?),
+                    }
                 }
             }
         }
@@ -376,7 +384,7 @@ pub(super) fn scatter(parts: &[(Vec<usize>, Batch)], num_rows: usize) -> Column 
     let views: Vec<ValuesView<'_>> = parts.iter().map(|(_, batch)| batch.view()).collect();
     let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
     for (part, at) in source {
-        out.push(views[part].cell(at).to_value());
+        out.push_cell(views[part].cell(at));
     }
     out.finish()
 }

@@ -22,8 +22,9 @@
 //! # Errors
 //!
 //! * Names resolve at bind time: an unknown column fails at any row count,
-//!   as SQLite's prepare does, wherever it sits in the tree. The row
-//!   evaluator runs [`Expr::bind`] before its row.
+//!   as SQLite's prepare does, wherever it sits in the tree, and ahead of
+//!   any value error. Every entry point runs [`Expr::bind`] before it
+//!   evaluates anything.
 //! * Value errors (division by zero, type mismatches, a wrong argument
 //!   count) are per row, so zero rows raise none. A subtree without a column
 //!   reference is folded to one scalar in one place, and only when at least
@@ -350,7 +351,8 @@ impl Expr {
         Ok(value.as_bool().unwrap_or(false))
     }
 
-    /// Evaluate the expression for every row at once, producing one column.
+    /// Evaluate the expression for every row at once, producing one column,
+    /// after [`Expr::bind`].
     ///
     /// `columns` are the input table's columns in schema order and `num_rows`
     /// its row count. A plain column reference returns the input column
@@ -361,19 +363,22 @@ impl Expr {
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Arc<Column>> {
+        self.bind(schema)?;
         Ok(self
             .evaluate_batch_inner(schema, columns, num_rows)?
             .materialize(num_rows))
     }
 
-    /// Evaluate the expression as a predicate over all rows and return the
-    /// selection vector of row indices where it is true (NULL = not selected).
+    /// Evaluate the expression as a predicate over all rows, after
+    /// [`Expr::bind`], and return the selection vector of row indices where
+    /// it is true (NULL = not selected).
     pub fn selection_vector(
         &self,
         schema: &Schema,
         columns: &[Arc<Column>],
         num_rows: usize,
     ) -> EngineResult<Vec<usize>> {
+        self.bind(schema)?;
         let holds = self.evaluate_batch_inner(schema, columns, num_rows)?;
         Ok(holds.selected_rows(num_rows))
     }
@@ -604,11 +609,12 @@ impl Expr {
                 | ScalarFunc::CastInt
                 | ScalarFunc::ExtractYear
                 | ScalarFunc::Century => DataType::Int,
-                ScalarFunc::CastFloat | ScalarFunc::Round | ScalarFunc::Abs => DataType::Float,
-                ScalarFunc::Coalesce | ScalarFunc::Min2 | ScalarFunc::Max2 => args
-                    .first()
-                    .map(|a| a.output_type(schema))
-                    .unwrap_or(DataType::Null),
+                ScalarFunc::CastFloat | ScalarFunc::Round => DataType::Float,
+                ScalarFunc::Abs | ScalarFunc::Coalesce | ScalarFunc::Min2 | ScalarFunc::Max2 => {
+                    args.first()
+                        .map(|a| a.output_type(schema))
+                        .unwrap_or(DataType::Null)
+                }
                 _ => DataType::Str,
             },
             Expr::InList { .. } => DataType::Bool,
@@ -973,6 +979,10 @@ enum CellFn {
     Binary(fn(CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
     Ternary(fn(CellRef<'_>, CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
     Variadic(fn(&[CellRef<'_>]) -> EngineResult<Value>),
+    /// A function whose result is one of its argument cells as it stands:
+    /// the position of that argument, or `None` for NULL. The kernel copies
+    /// the chosen cell into its output without making a value of it.
+    Pick(fn(&[CellRef<'_>]) -> Option<usize>),
 }
 
 impl CellFn {
@@ -983,6 +993,7 @@ impl CellFn {
             (CellFn::Binary(f), &[a, b]) => f(a, b),
             (CellFn::Ternary(f), &[a, b, c]) => f(a, b, c),
             (CellFn::Variadic(f), args) => f(args),
+            (CellFn::Pick(f), args) => Ok(f(args).map_or(Value::Null, |at| args[at].to_value())),
             _ => unreachable!("a CellFn runs on the argument count it was resolved for"),
         }
     }
@@ -1018,13 +1029,13 @@ impl ScalarFunc {
             (ScalarFunc::Abs, 1) => Unary(cell_fns::abs),
             (ScalarFunc::Round, 1) => Unary(cell_fns::round),
             (ScalarFunc::Round, 2) => Binary(cell_fns::round_to),
-            (ScalarFunc::Coalesce, _) => Variadic(cell_fns::coalesce),
+            (ScalarFunc::Coalesce, _) => Pick(cell_fns::coalesce),
             (ScalarFunc::ExtractYear, 1) => Unary(cell_fns::extract_year),
             (ScalarFunc::Century, 1) => Unary(cell_fns::century),
             (ScalarFunc::Trim, 1) => Unary(cell_fns::trim),
             (ScalarFunc::Replace, 3) => Ternary(cell_fns::replace),
-            (ScalarFunc::Min2, 2) => Binary(cell_fns::min2),
-            (ScalarFunc::Max2, 2) => Binary(cell_fns::max2),
+            (ScalarFunc::Min2, 2) => Pick(cell_fns::min2),
+            (ScalarFunc::Max2, 2) => Pick(cell_fns::max2),
             _ => return None,
         })
     }
@@ -1202,11 +1213,8 @@ mod cell_fns {
             .map_or(Value::Null, |f| Value::Float((f * factor).round() / factor)))
     }
 
-    pub(super) fn coalesce(args: &[CellRef<'_>]) -> EngineResult<Value> {
-        Ok(args
-            .iter()
-            .find(|v| !v.is_null())
-            .map_or(Value::Null, |v| v.to_value()))
+    pub(super) fn coalesce(args: &[CellRef<'_>]) -> Option<usize> {
+        args.iter().position(|v| !v.is_null())
     }
 
     pub(super) fn extract_year(v: CellRef<'_>) -> EngineResult<Value> {
@@ -1244,19 +1252,20 @@ mod cell_fns {
         })
     }
 
-    /// `b` when `a` is NULL or orders `gives_way` against a non-NULL `b`,
-    /// else `a`.
-    fn pick(a: CellRef<'_>, b: CellRef<'_>, gives_way: Ordering) -> EngineResult<Value> {
+    /// Of the two cells `[a, b]`: `b` when `a` is NULL or orders
+    /// `gives_way` against a non-NULL `b`, else `a`.
+    fn pick(args: &[CellRef<'_>], gives_way: Ordering) -> Option<usize> {
+        let (a, b) = (args[0], args[1]);
         let b_wins = !b.is_null() && (a.is_null() || a.total_cmp(b) == gives_way);
-        Ok(if b_wins { b } else { a }.to_value())
+        Some(usize::from(b_wins))
     }
 
-    pub(super) fn min2(a: CellRef<'_>, b: CellRef<'_>) -> EngineResult<Value> {
-        pick(a, b, Ordering::Greater)
+    pub(super) fn min2(args: &[CellRef<'_>]) -> Option<usize> {
+        pick(args, Ordering::Greater)
     }
 
-    pub(super) fn max2(a: CellRef<'_>, b: CellRef<'_>) -> EngineResult<Value> {
-        pick(a, b, Ordering::Less)
+    pub(super) fn max2(args: &[CellRef<'_>]) -> Option<usize> {
+        pick(args, Ordering::Less)
     }
 }
 

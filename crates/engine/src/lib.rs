@@ -10,7 +10,8 @@
 //! * [`Value`] / [`DataType`] — dynamically typed cells, including the
 //!   multi-modal `IMAGE` and `TEXT` types the planner reasons about,
 //! * [`Column`] / [`Bitmap`] — typed, `Arc`-shared columnar storage with
-//!   validity bitmaps,
+//!   validity bitmaps; plain strings sit in one [`Utf8Buffer`] per column,
+//!   read in place as [`CellRef`]s,
 //! * [`dict`] — dictionary encoding for low-cardinality string columns at
 //!   ingest, letting group-bys, string-literal compares and plain ⋈ dict
 //!   join probes run on `u32` codes instead of strings,
@@ -60,10 +61,10 @@ pub mod table;
 pub mod value;
 
 pub use catalog::{Catalog, ForeignKey};
-pub use column::{Bitmap, Column, ColumnBuilder};
+pub use column::{Bitmap, Column, ColumnBuilder, Utf8Buffer};
 pub use error::{EngineError, EngineResult};
 pub use expr::{BinaryOp, Expr, ScalarFunc, UnaryOp};
 pub use ops::{AggCall, AggFunc, Projection, SortKey, SortOrder};
 pub use schema::{Field, Schema};
 pub use table::{Observation, Row, RowRef, Rows, Table, TableBuilder};
-pub use value::{DataType, DateValue, Value};
+pub use value::{CellRef, DataType, DateValue, Value};

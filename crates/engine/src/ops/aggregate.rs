@@ -14,7 +14,8 @@ use crate::error::{EngineError, EngineResult};
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{DataType, Value};
+use crate::value::{CellRef, DataType, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -98,8 +99,11 @@ enum AggState {
         total: f64,
         count: i64,
     },
-    Min(Option<Value>),
-    Max(Option<Value>),
+    /// The row of the aggregated column holding the smallest value so far;
+    /// its value is read when the group is emitted.
+    Min(Option<usize>),
+    /// The row holding the largest value so far.
+    Max(Option<usize>),
 }
 
 impl AggState {
@@ -142,7 +146,7 @@ impl AggState {
                     if !col.is_valid(row) {
                         return Ok(());
                     }
-                    let value = col.get(row);
+                    let value = col.cell(row);
                     let f = value.as_float().ok_or_else(|| {
                         EngineError::type_mismatch(
                             context,
@@ -152,7 +156,7 @@ impl AggState {
                     })?;
                     *total += f;
                     *any = true;
-                    if !matches!(value, Value::Int(_)) {
+                    if !matches!(value, CellRef::Int(_)) {
                         *all_int = false;
                     }
                 }
@@ -162,7 +166,7 @@ impl AggState {
                     if !col.is_valid(row) {
                         return Ok(());
                     }
-                    let value = col.get(row);
+                    let value = col.cell(row);
                     let f = value.as_float().ok_or_else(|| {
                         EngineError::type_mismatch(
                             context,
@@ -174,41 +178,14 @@ impl AggState {
                     *count += 1;
                 }
             }
-            AggState::Min(best) => {
-                if let Some(col) = column {
-                    if !col.is_valid(row) {
-                        return Ok(());
-                    }
-                    let value = col.get(row);
-                    match best {
-                        None => *best = Some(value),
-                        Some(b) if value.total_cmp(b) == std::cmp::Ordering::Less => {
-                            *best = Some(value)
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            AggState::Max(best) => {
-                if let Some(col) = column {
-                    if !col.is_valid(row) {
-                        return Ok(());
-                    }
-                    let value = col.get(row);
-                    match best {
-                        None => *best = Some(value),
-                        Some(b) if value.total_cmp(b) == std::cmp::Ordering::Greater => {
-                            *best = Some(value)
-                        }
-                        _ => {}
-                    }
-                }
-            }
+            AggState::Min(best) => keep_extreme(best, column, row, Ordering::Less),
+            AggState::Max(best) => keep_extreme(best, column, row, Ordering::Greater),
         }
         Ok(())
     }
 
-    fn finish(self) -> Value {
+    /// The aggregate's value; `column` is the one [`AggState::update`] read.
+    fn finish(self, column: Option<&Column>) -> Value {
         match self {
             AggState::Count(c) => Value::Int(c),
             AggState::Sum {
@@ -231,8 +208,20 @@ impl AggState {
                     Value::Float(total / count as f64)
                 }
             }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
+            AggState::Min(best) | AggState::Max(best) => match (best, column) {
+                (Some(row), Some(col)) => col.get(row),
+                _ => Value::Null,
+            },
         }
+    }
+}
+
+/// Make `row` the group's `MIN`/`MAX` row when its non-NULL value orders
+/// `wins` against the current one's: on ties the first row stays.
+fn keep_extreme(best: &mut Option<usize>, column: Option<&Column>, row: usize, wins: Ordering) {
+    let Some(col) = column else { return };
+    if col.is_valid(row) && best.is_none_or(|b| col.cell(row).total_cmp(col.cell(b)) == wins) {
+        *best = Some(row);
     }
 }
 
@@ -324,8 +313,8 @@ pub fn aggregate(
             builders[slot].push(key);
             slot += 1;
         }
-        for state in group.states {
-            builders[slot].push(state.finish());
+        for (state, column) in group.states.into_iter().zip(&agg_columns) {
+            builders[slot].push(state.finish(column.as_deref()));
             slot += 1;
         }
     }
@@ -379,7 +368,7 @@ fn group_rows(
                 match index[code] {
                     Some(g) => g,
                     None => {
-                        let key = Value::Str(Arc::clone(&dict[code]));
+                        let key = Value::str(dict.get(code));
                         groups.push(Group::new(vec![key], aggs));
                         let g = groups.len() - 1;
                         index[code] = Some(g);

@@ -19,8 +19,9 @@
 //! * **Output** columns go through `Selection`: a side whose indices are
 //!   the identity — both sides of a foreign-key join whose tables list their
 //!   keys in the same order — is shared (`Arc::clone`), anything else is
-//!   gathered in one pass per column (strings move as `Arc` bumps, never as
-//!   character copies).
+//!   gathered in one pass per column (a plain string column's bytes are
+//!   copied into one buffer; image keys and text documents move as `Arc`
+//!   bumps).
 
 use crate::column::{Bitmap, Column};
 use crate::error::{EngineError, EngineResult};
@@ -150,11 +151,11 @@ fn probe_indices(left_key: &Column, right_key: &Column) -> (Vec<usize>, Vec<usiz
         let entry_first: HashMap<&str, u32> = rdict
             .iter()
             .zip(&chains)
-            .map(|(entry, ends)| (entry.as_ref(), ends.0))
+            .map(|(entry, ends)| (entry, ends.0))
             .collect();
         return emit(ldata.len(), &next, |i, _| {
             if lvalid.is_valid(i) {
-                entry_first.get(ldata[i].as_ref()).copied().unwrap_or(NIL)
+                entry_first.get(ldata.get(i)).copied().unwrap_or(NIL)
             } else {
                 NIL
             }
@@ -164,10 +165,10 @@ fn probe_indices(left_key: &Column, right_key: &Column) -> (Vec<usize>, Vec<usiz
     if let (Some((ldata, lvalid)), Some((rdata, rvalid))) =
         (left_key.as_utf8(), right_key.as_utf8())
     {
-        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i].as_ref()));
+        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata.get(i)));
         return emit(ldata.len(), &next, |i, _| {
             if lvalid.is_valid(i) {
-                first(chains.get(ldata[i].as_ref()))
+                first(chains.get(ldata.get(i)))
             } else {
                 NIL
             }

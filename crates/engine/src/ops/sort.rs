@@ -1,15 +1,15 @@
 //! ORDER BY: sort a table by one or more keys.
 //!
-//! Vectorized: the key expressions are evaluated column-at-a-time, each row's
-//! key values are materialized once, a row index permutation is sorted
-//! against them with [`Value::total_cmp`], and the output gathers every
-//! column once through the permutation. Every key type — integers and
-//! dictionary-encoded strings included — takes this one path.
+//! Vectorized: the key expressions are evaluated column-at-a-time, a row
+//! index permutation is sorted by comparing the key columns' cells in place
+//! (the order of [`Value::total_cmp`](crate::Value::total_cmp)), and the
+//! output gathers every column once through the permutation. Every key
+//! type — integers and plain or dictionary-encoded strings included — takes
+//! this one path, and no key is materialized per row.
 
 use crate::error::EngineResult;
 use crate::expr::Expr;
 use crate::table::Table;
-use crate::value::Value;
 use std::cmp::Ordering;
 
 /// Sort direction.
@@ -60,15 +60,13 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
         key_columns.push(key.expr.evaluate_batch(schema, input.columns(), num_rows)?);
     }
 
-    // Materialize the key rows once (decorate), then stable-sort the row
-    // permutation, so rows with equal keys keep their input order.
-    let decorated: Vec<Vec<Value>> = (0..num_rows)
-        .map(|i| key_columns.iter().map(|c| c.get(i)).collect())
-        .collect();
+    // Rows with equal keys keep their input order: the row index is the
+    // last key, so the in-place unstable sort (no scratch buffer) gives the
+    // order a stable sort would.
     let mut indices: Vec<usize> = (0..num_rows).collect();
-    indices.sort_by(|&a, &b| {
-        for (idx, key) in keys.iter().enumerate() {
-            let ord = decorated[a][idx].total_cmp(&decorated[b][idx]);
+    indices.sort_unstable_by(|&a, &b| {
+        for (column, key) in key_columns.iter().zip(keys) {
+            let ord = column.cell(a).total_cmp(column.cell(b));
             let ord = match key.order {
                 SortOrder::Asc => ord,
                 SortOrder::Desc => ord.reverse(),
@@ -77,7 +75,7 @@ pub fn sort(input: &Table, keys: &[SortKey]) -> EngineResult<Table> {
                 return ord;
             }
         }
-        Ordering::Equal
+        a.cmp(&b)
     });
 
     Ok(input
@@ -90,7 +88,7 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use crate::table::TableBuilder;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn table() -> Table {
         let schema =

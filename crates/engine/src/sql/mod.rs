@@ -218,6 +218,28 @@ mod tests {
         }
     }
 
+    /// The projected schema, which the planner reads, types `ABS` and unary
+    /// `-` like their operand: what the column holds.
+    #[test]
+    fn abs_and_negation_are_typed_like_their_operand() {
+        let query = "SELECT ABS(n) AS a, -n AS b, ABS(n * 1.5) AS c, -(n * 1.5) AS d FROM t";
+        let table = run_sql(&two_rows(), query).unwrap();
+        for (name, expected) in [
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Float),
+            ("d", DataType::Float),
+        ] {
+            let idx = table.schema().resolve(name).unwrap();
+            assert_eq!(
+                table.schema().field(idx).unwrap().data_type,
+                expected,
+                "{name}"
+            );
+            assert_eq!(table.columns()[idx].data_type(), expected, "{name}");
+        }
+    }
+
     #[test]
     fn update_statements_are_forbidden() {
         let err = run_sql(&catalog(), "UPDATE teams SET points = 0");

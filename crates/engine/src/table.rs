@@ -54,7 +54,11 @@ impl PartialEq for Table {
 }
 
 fn columns_logically_equal(a: &Column, b: &Column) -> bool {
-    a.len() == b.len() && (0..a.len()).all(|i| a.get(i) == b.get(i))
+    a.len() == b.len()
+        && (0..a.len()).all(|i| match (a.cell(i), b.cell(i)) {
+            (CellRef::Null, CellRef::Null) => true,
+            (x, y) => x.sql_eq(y) == Some(true),
+        })
 }
 
 /// A lightweight view of one table row, materializing cells on demand.
@@ -80,10 +84,16 @@ impl<'a> RowRef<'a> {
         self.len() == 0
     }
 
-    /// Materialize the cell in column `col` (string payloads are Arc-shared).
+    /// Materialize the cell in column `col` (see [`Column::get`]).
     #[inline]
     pub fn get(&self, col: usize) -> Value {
         self.table.columns[col].get(self.index)
+    }
+
+    /// The cell in column `col`, read in place.
+    #[inline]
+    pub fn cell(&self, col: usize) -> CellRef<'a> {
+        self.table.columns[col].cell(self.index)
     }
 
     /// Whether the cell in column `col` is NULL.

@@ -305,24 +305,34 @@ impl fmt::Display for Value {
     }
 }
 
-/// A cell read in place: the borrowed form of a [`Value`]. Kernels and
-/// previews look at a column's cells through it without cloning them (a
-/// string stays behind its column's `Arc`). [`Value`]'s accessors, ordering
-/// and rendering are defined here, once, and the owned value delegates.
+/// A cell read in place: the borrowed form of a [`Value`]. Kernels,
+/// previews and question templates look at a column's cells through it
+/// without materializing them (a plain string is a slice of its column's
+/// buffer). [`Value`]'s accessors, ordering and rendering are defined here,
+/// once, and the owned value delegates.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum CellRef<'a> {
+pub enum CellRef<'a> {
+    /// SQL NULL.
     Null,
+    /// Boolean.
     Bool(bool),
+    /// 64-bit integer.
     Int(i64),
+    /// 64-bit float.
     Float(f64),
-    Str(&'a Arc<str>),
+    /// String.
+    Str(&'a str),
+    /// Calendar date.
     Date(&'a DateValue),
+    /// Image key, shared with its column.
     Image(&'a Arc<str>),
+    /// Text document, shared with its column.
     Text(&'a Arc<str>),
 }
 
 impl<'a> CellRef<'a> {
-    /// The owned value (a string is an `Arc` bump).
+    /// The owned value: a plain string is copied into a new `Arc<str>`, an
+    /// image key or a text document is an `Arc` bump.
     #[inline]
     pub(crate) fn to_value(self) -> Value {
         match self {
@@ -330,7 +340,7 @@ impl<'a> CellRef<'a> {
             CellRef::Bool(b) => Value::Bool(b),
             CellRef::Int(i) => Value::Int(i),
             CellRef::Float(f) => Value::Float(f),
-            CellRef::Str(s) => Value::Str(Arc::clone(s)),
+            CellRef::Str(s) => Value::Str(Arc::from(s)),
             CellRef::Date(d) => Value::Date(d.clone()),
             CellRef::Image(s) => Value::Image(Arc::clone(s)),
             CellRef::Text(s) => Value::Text(Arc::clone(s)),
@@ -390,7 +400,8 @@ impl<'a> CellRef<'a> {
     #[inline]
     pub(crate) fn as_str(self) -> Option<&'a str> {
         match self {
-            CellRef::Str(s) | CellRef::Image(s) | CellRef::Text(s) => Some(s),
+            CellRef::Str(s) => Some(s),
+            CellRef::Image(s) | CellRef::Text(s) => Some(s),
             _ => None,
         }
     }
@@ -437,7 +448,8 @@ impl<'a> CellRef<'a> {
             (Bool(a), Bool(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
-            (Str(a), Str(b)) | (Image(a), Image(b)) | (Text(a), Text(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (Image(a), Image(b)) | (Text(a), Text(b)) => a == b,
             (Date(a), Date(b)) => a == b,
             _ => false,
         }

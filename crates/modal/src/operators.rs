@@ -694,8 +694,10 @@ impl<'t> QuestionTemplate<'t> {
         for segment in &self.segments {
             match segment {
                 Segment::Literal(text) => out.push_str(text),
+                // The cell is rendered where it lies, never copied into a
+                // value first.
                 Segment::Column(idx) => {
-                    write!(out, "{}", row.get(*idx)).expect("writing to a String cannot fail")
+                    write!(out, "{}", row.cell(*idx)).expect("writing to a String cannot fail")
                 }
             }
         }

@@ -11,7 +11,7 @@
 
 use caesura::core::Executor;
 use caesura::data::DataLake;
-use caesura::engine::ops;
+use caesura::engine::{ops, BinaryOp, Expr};
 use caesura::modal::operators::{apply_python_udf, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
@@ -150,6 +150,38 @@ fn a_foreign_key_join_allocates_the_same_whatever_the_row_count() {
         fk_pair(20_000, (0..20_000).rev()),
     );
     assert_eq!(join_blocks(&small), join_blocks(&large));
+}
+
+#[test]
+fn a_filter_over_a_plain_string_column_allocates_the_same_whatever_the_row_count() {
+    // Titles are unique, so the column stays a plain string buffer.
+    let predicate = Expr::binary(Expr::col("title"), BinaryOp::Lt, Expr::lit("Painting 5"));
+    let filter_blocks = |(metadata, _): &(Table, Table)| {
+        let (blocks, kept) = blocks_allocated(|| ops::filter(metadata, &predicate).unwrap());
+        assert!(0 < kept.num_rows() && kept.num_rows() < metadata.num_rows());
+        blocks
+    };
+    let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
+    filter_blocks(&small);
+    // The compare kernel's two vectors, the selection vector (counted, then
+    // allocated once), and per column one gather: offsets and bytes sized
+    // once, then the bitmap. No string is copied into a block of its own.
+    assert_eq!(filter_blocks(&small), filter_blocks(&large));
+}
+
+#[test]
+fn a_sort_on_a_plain_string_key_allocates_the_same_whatever_the_row_count() {
+    let keys = [ops::SortKey::desc(Expr::col("title"))];
+    let sort_blocks = |(metadata, _): &(Table, Table)| {
+        let (blocks, sorted) = blocks_allocated(|| ops::sort(metadata, &keys).unwrap());
+        assert_eq!(sorted.num_rows(), metadata.num_rows());
+        blocks
+    };
+    let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
+    sort_blocks(&small);
+    // One permutation, sorted in place by comparing the key's strings where
+    // they lie, then one gather per column: no key is materialized per row.
+    assert_eq!(sort_blocks(&small), sort_blocks(&large));
 }
 
 /// Blocks a perception step may allocate whatever its row count: the output

@@ -823,13 +823,18 @@ fn lazy_branches_never_evaluate_their_errors() {
 }
 
 /// An unknown name fails both evaluators with the same error wherever it
-/// sits, a `CASE` branch no row takes and an `IN` item no row reaches
-/// included: names resolve before the first row.
+/// sits — a `CASE` branch no row takes, an `IN` item no row reaches, or
+/// beside an operand that fails on every row, on either side — and at any
+/// row count: names resolve before the first row, so the error reported is
+/// the unknown name's, never a value error, in the batch, in the selection
+/// vector and in the row evaluator alike.
 #[test]
 fn unknown_names_fail_both_evaluators_wherever_they_sit() {
     let mut rng = StdRng::seed_from_u64(0xC0DE0B1D);
     let (plain, encoded) = both_representations(&mut rng, 90, "t");
+    let (empty, _) = both_representations(&mut rng, 0, "t");
     let missing = || Expr::col("missing");
+    let one_over_zero = || Expr::binary(Expr::lit(1), BinaryOp::Div, Expr::lit(0));
     let exprs = [
         // A branch whose condition is NULL on every row.
         Expr::Case {
@@ -843,18 +848,44 @@ fn unknown_names_fail_both_evaluators_wherever_they_sit() {
             list: vec![Expr::col("team"), missing()],
             negated: false,
         },
+        // `1 / 0 + missing` and `missing + 1 / 0`.
+        Expr::binary(one_over_zero(), BinaryOp::Add, missing()),
+        Expr::binary(missing(), BinaryOp::Add, one_over_zero()),
+        // `ABS('x') + missing`: a type error on the left.
+        Expr::binary(
+            Expr::Func {
+                func: ScalarFunc::Abs,
+                args: vec![Expr::lit("x")],
+            },
+            BinaryOp::Add,
+            missing(),
+        ),
+        // `k / 0 > 1 AND missing = 1`: a per-row division by zero first.
+        Expr::binary(
+            Expr::binary(
+                Expr::binary(Expr::col("k"), BinaryOp::Div, Expr::lit(0)),
+                BinaryOp::Gt,
+                Expr::lit(1),
+            ),
+            BinaryOp::And,
+            Expr::binary(missing(), BinaryOp::Eq, Expr::lit(1)),
+        ),
     ];
     for expr in &exprs {
-        for table in [&plain, &encoded] {
-            let (schema, columns) = (table.schema(), table.columns());
+        for table in [&plain, &encoded, &empty] {
+            let (schema, columns, rows) = (table.schema(), table.columns(), table.num_rows());
             let unknown = schema.resolve("missing").unwrap_err();
-            let batch = expr.evaluate_batch(schema, columns, table.num_rows());
-            assert_eq!(batch.unwrap_err(), unknown, "batch (expr: {expr})");
-            for i in [0, table.num_rows() - 1] {
+            let context = format!("{rows} rows (expr: {expr})");
+            let batch = expr.evaluate_batch(schema, columns, rows);
+            assert_eq!(batch.unwrap_err(), unknown, "batch, {context}");
+            let selection = expr.selection_vector(schema, columns, rows);
+            assert_eq!(selection.unwrap_err(), unknown, "selection, {context}");
+            let by_rows = row_evaluator(expr, schema, columns, rows);
+            assert_eq!(by_rows.unwrap_err(), unknown, "row evaluator, {context}");
+            for i in (rows > 0).then(|| [0, rows - 1]).into_iter().flatten() {
                 let row = expr.evaluate_at(schema, columns, i);
-                assert_eq!(row.unwrap_err(), unknown, "row {i} (expr: {expr})");
+                assert_eq!(row.unwrap_err(), unknown, "row {i}, {context}");
             }
-            assert_batch_agrees_with_row_evaluator(expr, schema, columns, 90, "unknown name");
         }
     }
 }

@@ -22,7 +22,7 @@ use std::cmp::Ordering;
 const CASES: usize = 250;
 
 /// A random value mirroring the old proptest strategy: NULL, bool, int,
-/// float, or a short alphanumeric string.
+/// float, or a short string (see [`random_string`]).
 fn random_value(rng: &mut StdRng) -> Value {
     match rng.gen_range(0..5u32) {
         0 => Value::Null,
@@ -33,11 +33,18 @@ fn random_value(rng: &mut StdRng) -> Value {
     }
 }
 
+/// Up to `max_len` characters, empty strings included: alphanumerics, a
+/// space, and characters of two, three and four UTF-8 bytes, so a string
+/// column's byte offsets stop apart from its character positions.
 fn random_string(rng: &mut StdRng, max_len: usize) -> String {
-    const CHARSET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
+    const MULTI_BYTE: [char; 3] = ['é', '中', '🎨'];
+    const ASCII: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
     let len = rng.gen_range(0..=max_len);
     (0..len)
-        .map(|_| CHARSET[rng.gen_range(0..CHARSET.len())] as char)
+        .map(|_| match rng.gen_range(0..ASCII.len() + MULTI_BYTE.len()) {
+            i if i < ASCII.len() => ASCII[i] as char,
+            i => MULTI_BYTE[i - ASCII.len()],
+        })
         .collect()
 }
 
@@ -50,13 +57,16 @@ fn int_table(values: &[i64]) -> Table {
     builder.build()
 }
 
-/// A random mixed-type table: an int column with NULLs, a float column, and a
-/// low-cardinality string column — the shapes the operators see in practice.
+/// A random mixed-type table: an int column with NULLs, a float column, a
+/// low-cardinality string column (dictionary-encoded from 16 rows on) and a
+/// nullable plain string column of [`random_string`]s — the shapes the
+/// operators see in practice.
 fn random_table(rng: &mut StdRng, max_rows: usize) -> Table {
     let schema = Schema::from_pairs(&[
         ("k", DataType::Int),
         ("score", DataType::Float),
         ("team", DataType::Str),
+        ("note", DataType::Str),
     ]);
     let teams = ["Heat", "Spurs", "Bulls", "Lakers"];
     let rows = rng.gen_range(0..=max_rows);
@@ -67,13 +77,14 @@ fn random_table(rng: &mut StdRng, max_rows: usize) -> Table {
         } else {
             Value::Int(rng.gen_range(-20i64..20))
         };
-        builder
-            .push_row(vec![
-                k,
-                Value::Float(rng.gen_range(0i64..1000) as f64 / 10.0),
-                Value::str(teams[rng.gen_range(0..teams.len())]),
-            ])
-            .unwrap();
+        let score = Value::Float(rng.gen_range(0i64..1000) as f64 / 10.0);
+        let team = Value::str(teams[rng.gen_range(0..teams.len())]);
+        let note = if rng.gen_bool(0.15) {
+            Value::Null
+        } else {
+            Value::str(random_string(rng, 3))
+        };
+        builder.push_row(vec![k, score, team, note]).unwrap();
     }
     builder.build()
 }
@@ -118,8 +129,13 @@ fn filter_matches_row_at_a_time_reference() {
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..CASES {
         let table = random_table(&mut rng, 40);
-        let threshold = rng.gen_range(-20i64..20);
-        let predicate = Expr::binary(Expr::col("k"), BinaryOp::Gt, Expr::lit(threshold));
+        let predicate = if rng.gen_bool(0.5) {
+            let threshold = rng.gen_range(-20i64..20);
+            Expr::binary(Expr::col("k"), BinaryOp::Gt, Expr::lit(threshold))
+        } else {
+            let bound = random_string(&mut rng, 2);
+            Expr::binary(Expr::col("note"), BinaryOp::LtEq, Expr::lit(bound))
+        };
         let expected: Vec<Vec<Value>> = table
             .to_rows()
             .into_iter()
@@ -171,8 +187,8 @@ fn join_matches_nested_loop_reference() {
     for case in 0..CASES {
         let left = random_table(&mut rng, 25).renamed("left_t");
         let right = random_table(&mut rng, 25).renamed("right_t");
-        // Alternate between the int-key and string-key fast paths.
-        let key = if case % 2 == 0 { "k" } else { "team" };
+        // Rotate between the int-key, dictionary and plain string keys.
+        let key = ["k", "team", "note"][case % 3];
         let key_idx = left.schema().resolve(key).unwrap();
         let left_rows = left.to_rows();
         let right_rows = right.to_rows();
@@ -198,26 +214,36 @@ fn join_matches_nested_loop_reference() {
 }
 
 /// Vectorized grouped aggregation equals a first-seen-order row-at-a-time
-/// reference for COUNT(*), COUNT, SUM, MIN, and MAX.
+/// reference for COUNT(*), COUNT, SUM, MAX over floats and MIN over strings.
 #[test]
 fn aggregate_matches_row_at_a_time_reference() {
     let mut rng = StdRng::seed_from_u64(4);
     for case in 0..CASES {
         let table = random_table(&mut rng, 40);
-        let group_col = if case % 2 == 0 { "k" } else { "team" };
+        let group_col = ["k", "team", "note"][case % 3];
         let group_idx = table.schema().resolve(group_col).unwrap();
         let score_idx = table.schema().resolve("score").unwrap();
+        let note_idx = table.schema().resolve("note").unwrap();
 
         // Reference: first-seen-order groups over materialized rows.
+        type Reference = (Value, i64, i64, f64, Option<Value>, Option<Value>);
         let mut order: Vec<String> = Vec::new();
-        let mut groups: std::collections::HashMap<String, (Value, i64, i64, f64, Option<Value>)> =
+        let mut groups: std::collections::HashMap<String, Reference> =
             std::collections::HashMap::new();
         for row in table.to_rows() {
             let key = row[group_idx].group_key();
             let entry = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key.clone());
-                (row[group_idx].clone(), 0, 0, 0.0, None)
+                (row[group_idx].clone(), 0, 0, 0.0, None, None)
             });
+            if !row[note_idx].is_null() {
+                let candidate = row[note_idx].clone();
+                entry.5 = Some(match entry.5.take() {
+                    None => candidate,
+                    Some(best) if candidate.total_cmp(&best) == Ordering::Less => candidate,
+                    Some(best) => best,
+                });
+            }
             entry.1 += 1; // COUNT(*)
             if !row[score_idx].is_null() {
                 entry.2 += 1; // COUNT(score)
@@ -233,7 +259,7 @@ fn aggregate_matches_row_at_a_time_reference() {
         let expected: Vec<Vec<Value>> = order
             .iter()
             .map(|key| {
-                let (value, count_star, count, sum, max) = groups[key].clone();
+                let (value, count_star, count, sum, max, min_note) = groups[key].clone();
                 vec![
                     value,
                     Value::Int(count_star),
@@ -244,6 +270,7 @@ fn aggregate_matches_row_at_a_time_reference() {
                         Value::Float(sum)
                     },
                     max.unwrap_or(Value::Null),
+                    min_note.unwrap_or(Value::Null),
                 ]
             })
             .collect();
@@ -256,6 +283,7 @@ fn aggregate_matches_row_at_a_time_reference() {
                 ops::AggCall::new(ops::AggFunc::Count, Some(Expr::col("score")), "n_score"),
                 ops::AggCall::new(ops::AggFunc::Sum, Some(Expr::col("score")), "total"),
                 ops::AggCall::new(ops::AggFunc::Max, Some(Expr::col("score")), "best"),
+                ops::AggCall::new(ops::AggFunc::Min, Some(Expr::col("note")), "first_note"),
             ],
         )
         .unwrap();
@@ -311,13 +339,16 @@ fn sort_matches_row_at_a_time_reference() {
     let mut rng = StdRng::seed_from_u64(5);
     for case in 0..CASES {
         let table = random_table(&mut rng, 40);
-        let keys = if case % 2 == 0 {
-            vec![ops::SortKey::desc(Expr::col("score"))]
-        } else {
-            vec![
+        let keys = match case % 3 {
+            0 => vec![ops::SortKey::desc(Expr::col("score"))],
+            1 => vec![
                 ops::SortKey::asc(Expr::col("team")),
                 ops::SortKey::desc(Expr::col("k")),
-            ]
+            ],
+            _ => vec![
+                ops::SortKey::desc(Expr::col("note")),
+                ops::SortKey::asc(Expr::col("k")),
+            ],
         };
         let schema = table.schema().clone();
         let mut expected = table.to_rows();
