@@ -12,9 +12,10 @@
 //! `caesura_modal::batch`: the executor pins the [`BatchConfig`] for the
 //! query, optionally shares the session's
 //! [`PerceptionCache`] (so answers survive across the session's queries),
-//! and accumulates the per-dispatch [`BatchStats`] — including failed
+//! and accumulates the per-dispatch [`PerceptionCalls`] — including failed
 //! dispatches, whose model calls were paid just the same — behind
-//! [`Executor::perception_stats`].
+//! [`Executor::perception_stats`]; [`Executor::execute_traced`] hands each
+//! step's counts to the trace as the operator returned them.
 //!
 //! SQL steps may route through the session's [`StepRecycler`] instead: the
 //! results of the SQL steps a session has executed, keyed by the executed
@@ -30,8 +31,8 @@ use caesura_modal::operators::{
     parse_result_dtype, Perception,
 };
 use caesura_modal::{
-    BatchConfig, BatchStats, ImageSelectModel, ImageStore, OperatorKind, PerceptionBackend,
-    PerceptionCache, Plot, TextQaModel, TransformCodegen, VisualQaModel,
+    BatchConfig, ImageSelectModel, ImageStore, OperatorKind, PerceptionBackend, PerceptionCache,
+    PerceptionCalls, Plot, TextQaModel, TransformCodegen, VisualQaModel,
 };
 use caesura_store::{keyed_hash, CacheKey, TieredCache, TieredStats};
 use std::sync::Arc;
@@ -183,7 +184,7 @@ pub struct Executor {
     /// the owning session so answers survive across queries.
     cache: Option<Arc<PerceptionCache>>,
     /// Accumulated perception call accounting across executed steps.
-    perception: BatchStats,
+    perception: PerceptionCalls,
     /// Optional session-scoped SQL step recycler.
     recycler: Option<Arc<StepRecycler>>,
     /// Every step executed so far, and the hash of that prefix (kept only
@@ -209,7 +210,7 @@ impl Executor {
             last_output: None,
             batch: BatchConfig::default(),
             cache: None,
-            perception: BatchStats::default(),
+            perception: PerceptionCalls::default(),
             recycler: None,
             prefix: Vec::new(),
             prefix_hash: 0,
@@ -249,7 +250,7 @@ impl Executor {
     /// Accumulated perception-operator call accounting (rows walked, unique
     /// model calls dispatched, batches, calls saved by dedup) across every
     /// step executed so far.
-    pub fn perception_stats(&self) -> BatchStats {
+    pub fn perception_stats(&self) -> PerceptionCalls {
         self.perception
     }
 
@@ -297,6 +298,12 @@ impl Executor {
         Err(CoreError::MissingInput {
             table: name.to_string(),
         })
+    }
+
+    /// Count a perception step's calls in `calls` and in the running total.
+    fn count_perception(&mut self, stats: PerceptionCalls, calls: &mut PerceptionCalls) {
+        self.perception.absorb(&stats);
+        *calls = stats;
     }
 
     /// How a perception step of this executor reaches `backend`: under the
@@ -352,20 +359,20 @@ impl Executor {
 
     /// [`Executor::execute`] plus trace accounting: records the step's
     /// execution-phase wall clock, whether the recycler supplied its result,
-    /// and its perception-call delta (including for failed attempts, whose
-    /// dispatches were paid just the same) on `trace`. The session's one step loop runs live-mapped and replayed
-    /// decisions through here, so cached and live executions account
-    /// identically.
+    /// and the perception calls its operator made (including for failed
+    /// attempts, whose dispatches were paid just the same) on `trace`. The
+    /// session's one step loop runs live-mapped and replayed decisions
+    /// through here, so cached and live executions account identically.
     pub fn execute_traced(
         &mut self,
         step: &LogicalStep,
         decision: &OperatorDecision,
         trace: &mut crate::trace::ExecutionTrace,
     ) -> CoreResult<StepOutcome> {
-        use crate::trace::{PerceptionCalls, Phase};
-        let perception_before = self.perception_stats();
+        use crate::trace::Phase;
+        let mut calls = PerceptionCalls::default();
         let phase_start = std::time::Instant::now();
-        let result = self.execute_recycling(step, decision);
+        let result = self.execute_recycling(step, decision, &mut calls);
         trace.record_phase_duration(Phase::Execution, phase_start.elapsed());
         let result = result.map(|(outcome, recycled)| {
             if recycled {
@@ -373,23 +380,9 @@ impl Executor {
             }
             outcome
         });
-        let delta = self.perception_stats().since(&perception_before);
-        if delta.rows > 0 || delta.unique_requests > 0 {
-            trace.record(Phase::Execution, "perception", delta.summary());
-            trace.record_perception(PerceptionCalls {
-                rows: delta.rows,
-                // "calls" are model calls that actually reached the backend:
-                // cache hits never dispatch.
-                calls: delta.dispatched_requests(),
-                batches: delta.batches,
-                saved_calls: delta.saved_calls,
-                cache_hits: delta.cache_hits,
-                cache_misses: delta.cache_misses,
-                cache_evictions: delta.cache_evictions,
-                disk_hits: delta.disk_hits,
-                disk_misses: delta.disk_misses,
-                disk_writes: delta.disk_writes,
-            });
+        if calls.rows > 0 || calls.unique_requests() > 0 {
+            trace.record(Phase::Execution, "perception", calls.summary());
+            trace.add_perception(&calls);
         }
         result
     }
@@ -400,21 +393,27 @@ impl Executor {
         step: &LogicalStep,
         decision: &OperatorDecision,
     ) -> CoreResult<StepOutcome> {
-        let executed = self.execute_recycling(step, decision);
+        let mut calls = PerceptionCalls::default();
+        let executed = self.execute_recycling(step, decision, &mut calls);
         executed.map(|(outcome, _)| outcome)
     }
 
     /// [`Executor::execute`] through the attached recycler, if any: a SQL
     /// step whose executed prefix the recycler holds registers the held
     /// result (`true`) instead of running; a SQL step that runs files its
-    /// result. A step that fails leaves the prefix as it was.
+    /// result. A step that fails leaves the prefix as it was. The perception
+    /// calls the step's operator made land in `calls` and in the executor's
+    /// running total.
     fn execute_recycling(
         &mut self,
         step: &LogicalStep,
         decision: &OperatorDecision,
+        calls: &mut PerceptionCalls,
     ) -> CoreResult<(StepOutcome, bool)> {
         let Some(recycler) = self.recycler.clone() else {
-            return self.run(step, decision).map(|outcome| (outcome, false));
+            return self
+                .run(step, decision, calls)
+                .map(|outcome| (outcome, false));
         };
         let executed = ExecutedStep::new(step, decision);
         let hash = keyed_hash(&(self.prefix_hash, &executed));
@@ -437,7 +436,7 @@ impl Executor {
                 return Ok((self.register_shared(table, observation), true));
             }
         }
-        let outcome = match self.run(step, decision) {
+        let outcome = match self.run(step, decision, calls) {
             Ok(outcome) => outcome,
             Err(error) => {
                 self.prefix.pop();
@@ -459,8 +458,15 @@ impl Executor {
         Ok((outcome, false))
     }
 
-    /// Run one operator decision for one logical step.
-    fn run(&mut self, step: &LogicalStep, decision: &OperatorDecision) -> CoreResult<StepOutcome> {
+    /// Run one operator decision for one logical step. A perception step's
+    /// calls are counted before its result is checked: failed dispatches
+    /// made their calls too.
+    fn run(
+        &mut self,
+        step: &LogicalStep,
+        decision: &OperatorDecision,
+        calls: &mut PerceptionCalls,
+    ) -> CoreResult<StepOutcome> {
         let args = &decision.arguments;
         let expect_args = |n: usize| -> CoreResult<()> {
             if args.len() < n {
@@ -512,8 +518,7 @@ impl Executor {
                     &args[2],
                     dtype,
                 );
-                // Absorb before `?`: failed dispatches still made their calls.
-                self.perception.absorb(&stats);
+                self.count_perception(stats, calls);
                 Ok(self.register_result(step, result?, &[args[1].clone()]))
             }
             OperatorKind::TextQa => {
@@ -528,7 +533,7 @@ impl Executor {
                     &args[2],
                     dtype,
                 );
-                self.perception.absorb(&stats);
+                self.count_perception(stats, calls);
                 Ok(self.register_result(step, result?, &[args[1].clone()]))
             }
             OperatorKind::ImageSelect => {
@@ -541,7 +546,7 @@ impl Executor {
                     &args[0],
                     &args[1],
                 );
-                self.perception.absorb(&stats);
+                self.count_perception(stats, calls);
                 Ok(self.register_result(step, result?, &[]))
             }
             OperatorKind::PythonUdf => {
@@ -554,7 +559,7 @@ impl Executor {
                     &args[1],
                     self.cache.as_deref(),
                 );
-                self.perception.absorb(&stats);
+                self.count_perception(stats, calls);
                 Ok(self.register_result(step, result?, &[args[1].clone()]))
             }
             OperatorKind::Plot => {
@@ -839,7 +844,7 @@ mod tests {
             }
         }
         // The perception failure above did reach the model.
-        assert!(executor.perception_stats().unique_requests > 0);
+        assert!(executor.perception_stats().unique_requests() > 0);
     }
 
     mod recycler {
@@ -865,7 +870,8 @@ mod tests {
             step: &LogicalStep,
             decision: &OperatorDecision,
         ) -> (StepOutcome, Arc<Table>, bool) {
-            let (outcome, recycled) = executor.execute_recycling(step, decision).unwrap();
+            let calls = &mut PerceptionCalls::default();
+            let (outcome, recycled) = executor.execute_recycling(step, decision, calls).unwrap();
             let table = Arc::clone(executor.last_table().unwrap());
             (outcome, table, recycled)
         }

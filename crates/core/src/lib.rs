@@ -57,6 +57,9 @@ pub mod serving;
 pub mod session;
 pub mod trace;
 
+/// Per-query perception-call accounting: the counts each perception operator
+/// returns, as the trace accumulates them.
+pub use caesura_modal::PerceptionCalls;
 pub use discovery::{lexical_relevant_columns, Retriever};
 pub use error::{CoreError, CoreResult};
 pub use executor::{Executor, StepOutcome, StepRecycler};
@@ -65,6 +68,6 @@ pub use sched::{AdmissionError, Priority, SubmitOptions, TenantServingStats};
 pub use serving::{QueryHandle, QueryStatus, ServingStats};
 pub use session::{Caesura, CaesuraConfig, QueryRun};
 pub use trace::{
-    ExecutionTrace, PerceptionCalls, Phase, PhaseTimings, PlanCacheCalls, PlanSource,
-    SchedulingInfo, TraceEvent, TraceSink,
+    ExecutionTrace, Phase, PhaseTimings, PlanCacheCalls, PlanSource, SchedulingInfo, TraceEvent,
+    TraceSink,
 };

@@ -166,9 +166,10 @@ impl fmt::Display for AdmissionError {
 impl std::error::Error for AdmissionError {}
 
 /// Per-tenant serving counters, read via
-/// [`Caesura::tenant_stats`](crate::Caesura::tenant_stats). The counters
-/// summed across all tenants are [`ServingStats`](crate::ServingStats)'
-/// corresponding fields.
+/// [`Caesura::tenant_stats`](crate::Caesura::tenant_stats). The scheduler
+/// keeps one per tenant under its queue mutex and updates it in place; a
+/// read clones them. The counters summed across all tenants are
+/// [`ServingStats`](crate::ServingStats)' corresponding fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantServingStats {
     /// The tenant name ([`DEFAULT_TENANT`] for plain submissions).
@@ -189,31 +190,6 @@ pub struct TenantServingStats {
     /// under batch floods (`core.sched.interactive.latency_p95_ms` of the
     /// `blocked_serving` workload, `BENCHMARK.json`).
     pub total_queue_wait: Duration,
-}
-
-/// Running per-tenant counters, kept under the scheduler's queue mutex.
-#[derive(Debug, Default)]
-pub(crate) struct TenantCounters {
-    pub(crate) queued: usize,
-    pub(crate) in_flight: usize,
-    pub(crate) completed: usize,
-    pub(crate) cancelled: usize,
-    pub(crate) rejected: usize,
-    pub(crate) queue_wait: Duration,
-}
-
-impl TenantCounters {
-    pub(crate) fn snapshot(&self, tenant: &str) -> TenantServingStats {
-        TenantServingStats {
-            tenant: tenant.to_string(),
-            queued: self.queued,
-            in_flight: self.in_flight,
-            completed: self.completed,
-            cancelled: self.cancelled,
-            rejected: self.rejected,
-            total_queue_wait: self.queue_wait,
-        }
-    }
 }
 
 /// The scheduler's ready queue: one FIFO per priority, interactive first.

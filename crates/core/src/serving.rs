@@ -33,9 +33,7 @@
 //! [`Caesura::tenant_stats`]: crate::Caesura::tenant_stats
 
 use crate::error::CoreError;
-use crate::sched::{
-    AdmissionError, Priority, ReadyQueue, SubmitOptions, TenantCounters, TenantServingStats,
-};
+use crate::sched::{AdmissionError, Priority, ReadyQueue, SubmitOptions, TenantServingStats};
 use crate::session::{QueryRun, SessionCore};
 use crate::trace::{SchedulingInfo, TraceEvent};
 use caesura_llm::CancelToken;
@@ -351,12 +349,17 @@ impl QueryHandle {
 /// queue and with each other, so a stats read is one snapshot.
 struct SchedState {
     queue: ReadyQueue<Arc<JobState>>,
-    tenants: BTreeMap<Arc<str>, TenantCounters>,
+    tenants: BTreeMap<Arc<str>, TenantServingStats>,
 }
 
 impl SchedState {
-    fn counters(&mut self, tenant: &Arc<str>) -> &mut TenantCounters {
-        self.tenants.entry(Arc::clone(tenant)).or_default()
+    fn counters(&mut self, tenant: &Arc<str>) -> &mut TenantServingStats {
+        self.tenants
+            .entry(Arc::clone(tenant))
+            .or_insert_with(|| TenantServingStats {
+                tenant: tenant.to_string(),
+                ..TenantServingStats::default()
+            })
     }
 }
 
@@ -423,11 +426,7 @@ impl Scheduler {
 
     pub(crate) fn tenant_stats(&self) -> Vec<TenantServingStats> {
         let state = self.shared.lock();
-        state
-            .tenants
-            .iter()
-            .map(|(tenant, counters)| counters.snapshot(tenant))
-            .collect()
+        state.tenants.values().cloned().collect()
     }
 
     /// Spawn the worker pool on first use (sessions that only construct —
@@ -551,7 +550,7 @@ fn worker_loop(shared: Arc<Shared>, session: Arc<SessionCore>) {
                     let counters = sched.counters(job.tenant());
                     counters.queued -= 1;
                     counters.in_flight += 1;
-                    counters.queue_wait += wait;
+                    counters.total_queue_wait += wait;
                     break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {

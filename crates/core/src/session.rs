@@ -26,7 +26,7 @@ use caesura_llm::{
     StepObservation,
 };
 use caesura_modal::{BatchConfig, CacheConfig, PerceptionCache};
-use caesura_store::{CacheStore, PersistConfig};
+use caesura_store::{CacheStore, PersistConfig, Tier};
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -648,7 +648,7 @@ impl SessionCore {
                     trace.set_plan_source(PlanSource::Cached);
                     trace.record_plan_cache(PlanCacheCalls {
                         hits: 1,
-                        disk_hits: usize::from(tier == caesura_llm::PlanTier::Disk),
+                        disk_hits: usize::from(tier == Tier::Disk),
                         ..PlanCacheCalls::default()
                     });
                     trace.record(

@@ -6,6 +6,7 @@
 //! inspects to categorize errors (Table 2).
 
 use crate::sched::Priority;
+use caesura_modal::PerceptionCalls;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,36 +71,6 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// Per-query accounting of the batched perception-operator model calls
-/// (VisualQA / TextQA / Image Select / transform codegen). Mirrors
-/// `caesura_modal::BatchStats`, kept as plain counters so the trace stays
-/// decoupled from the modal types.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PerceptionCalls {
-    /// Input rows the perception operators walked.
-    pub rows: usize,
-    /// Unique model calls actually dispatched to the backend (cache hits
-    /// never dispatch, so with a warm cache this can be 0).
-    pub calls: usize,
-    /// Batched dispatches carrying those calls.
-    pub batches: usize,
-    /// Model calls avoided by deduplication versus one call per row.
-    pub saved_calls: usize,
-    /// Unique requests answered by the session's perception cache.
-    pub cache_hits: usize,
-    /// Unique requests probed against the cache and dispatched instead.
-    pub cache_misses: usize,
-    /// Cache entries evicted while storing this query's answers.
-    pub cache_evictions: usize,
-    /// Memory-tier misses answered by the persistent disk tier (all zero
-    /// when no store is attached, keeping pre-disk traces byte-identical).
-    pub disk_hits: usize,
-    /// Memory-tier misses that also missed the disk tier and dispatched.
-    pub disk_misses: usize,
-    /// Freshly computed answers written through to the disk tier.
-    pub disk_writes: usize,
-}
-
 /// Where a query's logical plan (and its operator decisions) came from.
 ///
 /// Recorded on the trace by the session's plan-cache probe: `Planned` means
@@ -124,11 +95,13 @@ impl fmt::Display for PlanSource {
     }
 }
 
-/// Per-query accounting of the session's validated-plan cache. Mirrors
-/// `caesura_llm::PlanCacheStats`, kept as plain counters so the trace stays
-/// decoupled from the llm-crate types (the same pattern as
-/// [`PerceptionCalls`]). All-zero (the `Default`) when the cache is off, so
-/// cache-off traces stay byte-identical to pre-cache ones.
+/// Per-query accounting of the session's validated-plan cache. A type of its
+/// own, not the cache's lifetime `caesura_store::TieredStats`: here `hits`
+/// counts a hit of either tier (a disk hit skips planning just the same, and
+/// is also counted in `disk_hits`), which is how the benchmark's plan-cache
+/// hit-rate metric reads it, while `TieredStats::hits` counts memory hits
+/// only. All-zero (the `Default`) when the cache is off, so cache-off traces
+/// stay byte-identical to pre-cache ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheCalls {
     /// Probes answered from the cache (planning + mapping skipped).
@@ -352,19 +325,10 @@ impl ExecutionTrace {
         self.prompt_tokens += tokens;
     }
 
-    /// Accumulate perception-operator call accounting (batched dispatches,
-    /// dedup savings, cache hits) into the query totals.
-    pub fn record_perception(&mut self, delta: PerceptionCalls) {
-        self.perception.rows += delta.rows;
-        self.perception.calls += delta.calls;
-        self.perception.batches += delta.batches;
-        self.perception.saved_calls += delta.saved_calls;
-        self.perception.cache_hits += delta.cache_hits;
-        self.perception.cache_misses += delta.cache_misses;
-        self.perception.cache_evictions += delta.cache_evictions;
-        self.perception.disk_hits += delta.disk_hits;
-        self.perception.disk_misses += delta.disk_misses;
-        self.perception.disk_writes += delta.disk_writes;
+    /// Accumulate one step's perception-operator call accounting (batched
+    /// dispatches, dedup savings, cache hits) into the query totals.
+    pub fn add_perception(&mut self, step: &PerceptionCalls) {
+        self.perception.absorb(step);
     }
 
     /// Perception-operator call accounting for the whole query.
@@ -580,15 +544,16 @@ mod tests {
     fn perception_calls_accumulate_and_render() {
         let mut trace = ExecutionTrace::new();
         assert_eq!(trace.perception_calls(), PerceptionCalls::default());
-        trace.record_perception(PerceptionCalls {
+        trace.add_perception(&PerceptionCalls {
             rows: 10,
             calls: 4,
             batches: 1,
             saved_calls: 6,
             ..PerceptionCalls::default()
         });
-        trace.record_perception(PerceptionCalls {
+        trace.add_perception(&PerceptionCalls {
             rows: 5,
+            null_rows: 3,
             calls: 5,
             batches: 2,
             saved_calls: 0,
@@ -599,12 +564,14 @@ mod tests {
         });
         let perception = trace.perception_calls();
         assert_eq!(perception.rows, 15);
+        assert_eq!(perception.null_rows, 3);
         assert_eq!(perception.calls, 9);
         assert_eq!(perception.batches, 3);
         assert_eq!(perception.cache_hits, 2);
         assert_eq!(perception.cache_misses, 5);
         assert_eq!(perception.cache_evictions, 1);
         assert_eq!(perception.saved_calls, 6);
+        assert_eq!(perception.unique_requests(), 11);
         let rendered = trace.render(false);
         assert!(rendered.contains("9 model call(s)"));
         assert!(rendered.contains("6 saved by dedup"));

@@ -878,7 +878,10 @@ pub fn like_match(haystack: &str, pattern: &str) -> bool {
 }
 
 /// A LIKE pattern lowercased once, to match many haystacks with; each
-/// haystack is lowercased into a buffer the matches reuse.
+/// haystack is lowercased into a buffer the matches reuse. An ASCII haystack
+/// is lowercased byte by byte, allocating nothing; any other goes through
+/// `str::to_lowercase`, whose context rules (a word-final `Σ` becomes `ς`)
+/// a per-character mapping would miss.
 struct LikePattern {
     pattern: Vec<char>,
     haystack: Vec<char>,
@@ -901,7 +904,12 @@ impl LikePattern {
     /// whatever the number of `%`s.
     fn matches(&mut self, haystack: &str) -> bool {
         self.haystack.clear();
-        self.haystack.extend(haystack.to_lowercase().chars());
+        if haystack.is_ascii() {
+            let lower = haystack.bytes().map(|b| char::from(b.to_ascii_lowercase()));
+            self.haystack.extend(lower);
+        } else {
+            self.haystack.extend(haystack.to_lowercase().chars());
+        }
         let (h, p) = (&self.haystack, &self.pattern);
         let (mut i, mut j) = (0, 0);
         // The position after the last `%` seen, and the haystack position
@@ -1389,6 +1397,9 @@ mod tests {
         assert!(!like_match("Irises", "%madonna%"));
         assert!(like_match("", "%"));
         assert!(!like_match("abc", ""));
+        // A non-ASCII haystack keeps `to_lowercase`'s final-sigma rule.
+        assert!(like_match("ΟΔΟΣ", "%ς"));
+        assert!(!like_match("ΟΔΟΣ", "%σ"));
     }
 
     /// The recursive matcher `like_match` used before the two-pointer one:

@@ -45,8 +45,7 @@ pub use intent::{analyze, AggKind, AttributeRef, OutputKind, QueryIntent};
 pub use perception::PerceptionLlm;
 pub use plan::{ErrorAnalysis, LogicalPlan, LogicalStep, OperatorDecision};
 pub use plan_cache::{
-    normalize_query, schema_fingerprint, CachedPlan, PlanCache, PlanCacheConfig, PlanCacheStats,
-    PlanInsertOutcome, PlanTier,
+    normalize_query, schema_fingerprint, CachedPlan, PlanCache, PlanCacheConfig, PlanInsertOutcome,
 };
 pub use profile::{ErrorInjector, ModelProfile};
 pub use prompt::{MappingRequest, PromptBuilder, PromptConfig, RelevantColumn, StepObservation};

@@ -53,8 +53,12 @@
 //! the memory → disk probe path): at most [`PlanCacheConfig::capacity`] plans
 //! of sharded LRU memory over an optional durable store keyed by the planner
 //! identity, shared across the scheduler pool's in-flight queries via `Arc`.
-//! This module adds what is particular to plans: the key, the entry codec and
-//! the invalidation counters.
+//! This module adds what is particular to plans: the key and the entry codec.
+//! Its lifetime counters are the tiered cache's own [`TieredStats`], whose
+//! `invalidations` and `disk_invalidations` count what
+//! [`PlanCache::invalidate`] removed. A query's own probe is counted on its
+//! trace (`caesura_core::PlanCacheCalls`), where a hit of either tier is a
+//! hit.
 //!
 //! [`PlanCacheConfig`] defaults to [`PlanCacheConfig::DEFAULT_CAPACITY`]
 //! entries; [`PlanCacheConfig::off`] means no cache at all — byte-for-byte
@@ -64,12 +68,8 @@
 use crate::plan::{LogicalPlan, LogicalStep, OperatorDecision};
 use caesura_engine::Catalog;
 use caesura_modal::OperatorKind;
-use caesura_store::{push_part, take_part, CacheStore, TieredCache};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use caesura_store::{push_part, take_part, CacheStore, Tier, TieredCache, TieredStats};
 use std::sync::Arc;
-
-/// Which tier answered a [`PlanCache::lookup_tiered`] probe.
-pub use caesura_store::Tier as PlanTier;
 
 /// Configuration of the session-scoped validated-plan cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,32 +107,6 @@ impl Default for PlanCacheConfig {
     }
 }
 
-/// Lifetime counters of one [`PlanCache`]: the [`caesura_store::TieredStats`]
-/// of its two tiers plus the plan-specific invalidations.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Probes answered from the cache (planning + mapping phases skipped).
-    pub hits: usize,
-    /// Probes that fell through to live planning.
-    pub misses: usize,
-    /// Validated plans stored (one per first execution that succeeded).
-    pub insertions: usize,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: usize,
-    /// Entries removed because their cached plan failed at execution.
-    pub invalidations: usize,
-    /// Memory-tier misses answered from the attached disk store.
-    pub disk_hits: usize,
-    /// Disk-tier probes that found nothing (true cold misses).
-    pub disk_misses: usize,
-    /// Validated plans written through to the attached disk store.
-    pub disk_writes: usize,
-    /// Disk-tier entries tombstoned because their plan failed at execution.
-    pub disk_invalidations: usize,
-    /// Disk writes and tombstones that failed; the query still succeeded.
-    pub disk_errors: usize,
-}
-
 /// Outcome of one [`PlanCache::insert`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanInsertOutcome {
@@ -167,8 +141,6 @@ pub struct PlanCache {
     tiers: TieredCache<String, Arc<CachedPlan>>,
     /// Namespaces every disk key; set by [`PlanCache::attach_disk`].
     identity: String,
-    invalidations: AtomicUsize,
-    disk_invalidations: AtomicUsize,
 }
 
 impl PlanCache {
@@ -178,8 +150,6 @@ impl PlanCache {
         PlanCache {
             tiers: TieredCache::new(capacity, encode_entry, decode_entry),
             identity: String::new(),
-            invalidations: AtomicUsize::new(0),
-            disk_invalidations: AtomicUsize::new(0),
         }
     }
 
@@ -195,21 +165,11 @@ impl PlanCache {
         self.identity = identity.into();
     }
 
-    /// Lifetime counters of both tiers plus the plan-specific ones.
-    pub fn stats(&self) -> PlanCacheStats {
-        let tiers = self.tiers.stats();
-        PlanCacheStats {
-            hits: tiers.hits,
-            misses: tiers.misses,
-            insertions: tiers.insertions,
-            evictions: tiers.evictions,
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            disk_hits: tiers.disk_hits,
-            disk_misses: tiers.disk_misses,
-            disk_writes: tiers.disk_writes,
-            disk_invalidations: self.disk_invalidations.load(Ordering::Relaxed),
-            disk_errors: tiers.disk_errors,
-        }
+    /// Lifetime counters of both tiers. `hits` counts memory hits only;
+    /// `invalidations` and `disk_invalidations` count the entries
+    /// [`PlanCache::invalidate`] removed from each tier.
+    pub fn stats(&self) -> TieredStats {
+        self.tiers.stats()
     }
 
     /// The fingerprint and the query text, around a control byte that
@@ -226,11 +186,7 @@ impl PlanCache {
 
     /// [`PlanCache::lookup`], additionally reporting which tier answered. A
     /// disk hit costs zero planner/mapping LLM calls too.
-    pub fn lookup_tiered(
-        &self,
-        fingerprint: &str,
-        query: &str,
-    ) -> Option<(Arc<CachedPlan>, PlanTier)> {
+    pub fn lookup_tiered(&self, fingerprint: &str, query: &str) -> Option<(Arc<CachedPlan>, Tier)> {
         let key = Self::key(fingerprint, query);
         let hit = self.tiers.get(&*key, &self.identity)?;
         Some((hit.value, hit.tier))
@@ -270,10 +226,6 @@ impl PlanCache {
     pub fn invalidate(&self, fingerprint: &str, query: &str) -> bool {
         let key = Self::key(fingerprint, query);
         let removed = self.tiers.remove(&*key, &self.identity);
-        self.invalidations
-            .fetch_add(usize::from(removed.memory), Ordering::Relaxed);
-        self.disk_invalidations
-            .fetch_add(usize::from(removed.disk), Ordering::Relaxed);
         removed.memory || removed.disk
     }
 }
@@ -493,7 +445,22 @@ mod tests {
         assert!(!cache.invalidate("fp", query), "already gone");
         assert!(cache.lookup("fp", query).is_none());
         let stats = cache.stats();
-        assert_eq!(stats.invalidations, 1);
+        assert_eq!((stats.invalidations, stats.disk_invalidations), (1, 0));
+
+        // Over a store, a present entry counts one removal per tier and an
+        // absent one counts nothing.
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("caesura-plan-invalidate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = PlanCache::with_capacity(8);
+        cache.attach_disk(Arc::new(CacheStore::open(&dir).unwrap()), "planner-a");
+        cache.insert("fp", query, &plan_with("count"), &decision_with("x"));
+        assert!(cache.invalidate("fp", query));
+        assert!(!cache.invalidate("fp", "never stored"));
+        let stats = cache.stats();
+        assert_eq!((stats.invalidations, stats.disk_invalidations), (1, 1));
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -606,12 +573,12 @@ mod tests {
         let mut cache = PlanCache::with_capacity(8);
         cache.attach_disk(Arc::clone(&store), "planner-a");
         let (hit, tier) = cache.lookup_tiered("fp", query).expect("disk hit");
-        assert_eq!(tier, PlanTier::Disk);
+        assert_eq!(tier, Tier::Disk);
         assert!(hit.plan.steps[0].description.contains("'Baroque'"));
         assert_eq!(hit.decisions[0].arguments[0], "movement = 'Baroque'");
         // The memory tier was warmed: the next probe hits memory.
         let (_, tier) = cache.lookup_tiered("fp", query).expect("memory hit");
-        assert_eq!(tier, PlanTier::Memory);
+        assert_eq!(tier, Tier::Memory);
         let stats = cache.stats();
         assert_eq!((stats.disk_hits, stats.hits, stats.misses), (1, 1, 1));
         drop((cache, store));
@@ -676,7 +643,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.disk_writes, stats.disk_errors), (0, 1));
         let (_, tier) = cache.lookup_tiered("fp", query).expect("memory hit");
-        assert_eq!(tier, PlanTier::Memory);
+        assert_eq!(tier, Tier::Memory);
     }
 
     fn unhex(hex: &str) -> Vec<u8> {

@@ -73,11 +73,14 @@
 //!
 //! ## Saved-call accounting
 //!
-//! Every dispatch returns [`BatchStats`]: input rows, NULL rows, unique
-//! requests actually dispatched, number of batches, and `saved_calls` — the
-//! model calls the dedup avoided versus the row-at-a-time path
-//! (`rows - null_rows - unique_requests`). The executor accumulates these
-//! per query and the session surfaces them in the execution trace.
+//! Every dispatch returns [`PerceptionCalls`]: input rows, NULL rows, the
+//! `calls` that reached the backend, number of batches, the hits and misses
+//! of each cache tier, and `saved_calls` — the model calls the dedup avoided
+//! versus the row-at-a-time path (`rows - null_rows - unique_requests()`).
+//! The unique request count is not stored: it is derived, as `calls` plus
+//! the hits of both tiers ([`PerceptionCalls::unique_requests`]). The
+//! executor accumulates these per query and hands each step's counts, as
+//! the operator returned them, to the execution trace.
 
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::{ModalError, ModalResult};
@@ -130,35 +133,36 @@ impl Default for BatchConfig {
     }
 }
 
-/// Call accounting of one (or several, via [`BatchStats::absorb`]) batched
-/// perception dispatches.
+/// Call accounting of one (or several, via [`PerceptionCalls::absorb`])
+/// batched perception dispatches: what each operator returns, what the
+/// executor accumulates per query, and what the execution trace records.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchStats {
+pub struct PerceptionCalls {
     /// Input rows the operator walked (0 for invocation-granular calls such
     /// as the transform codegen compile, which is not a per-row operator).
     pub rows: usize,
     /// Rows whose input cell was NULL (answered NULL without a model call).
     pub null_rows: usize,
-    /// Unique `(input, question)` requests dispatched to the backend.
-    pub unique_requests: usize,
-    /// Backend dispatches actually performed:
-    /// `ceil(unique_requests / batch_size)` on success. On failure the
-    /// short-circuit makes this a best-effort count — under parallel
-    /// dispatch it can be anything from 1 to the full count depending on
-    /// how many batches workers claimed before observing the cancellation
-    /// (answers and errors stay deterministic; only this failure-path
-    /// dispatch count varies).
+    /// Unique requests that reached the backend: the ones neither cache
+    /// tier answered (cache hits never dispatch, so with a warm cache this
+    /// can be 0).
+    pub calls: usize,
+    /// Backend dispatches actually performed: `ceil(calls / batch_size)` on
+    /// success. On failure the short-circuit makes this a best-effort count
+    /// — under parallel dispatch it can be anything from 1 to the full count
+    /// depending on how many batches workers claimed before observing the
+    /// cancellation (answers and errors stay deterministic; only this
+    /// failure-path dispatch count varies).
     pub batches: usize,
     /// Model calls avoided by dedup versus the row-at-a-time path:
-    /// `rows - null_rows - unique_requests`.
+    /// `rows - null_rows - unique_requests()`.
     pub saved_calls: usize,
     /// Unique requests answered by the session's perception cache without
-    /// reaching the backend (0 when no cache is attached). The backend
-    /// actually received `unique_requests - cache_hits` requests.
+    /// reaching the backend (0 when no cache is attached).
     pub cache_hits: usize,
     /// Unique requests probed against a cache and not found (0 when no cache
     /// is attached; with a cache, `cache_hits + cache_misses ==
-    /// unique_requests`).
+    /// unique_requests()`).
     pub cache_misses: usize,
     /// Cache entries evicted while storing this dispatch's answers (or while
     /// warming the memory tier from disk). Under parallel dispatch the exact
@@ -178,12 +182,12 @@ pub struct BatchStats {
     pub disk_writes: usize,
 }
 
-impl BatchStats {
-    /// Accumulate another dispatch's stats into this one.
-    pub fn absorb(&mut self, other: &BatchStats) {
+impl PerceptionCalls {
+    /// Accumulate another dispatch's counts into this one.
+    pub fn absorb(&mut self, other: &PerceptionCalls) {
         self.rows += other.rows;
         self.null_rows += other.null_rows;
-        self.unique_requests += other.unique_requests;
+        self.calls += other.calls;
         self.batches += other.batches;
         self.saved_calls += other.saved_calls;
         self.cache_hits += other.cache_hits;
@@ -194,29 +198,10 @@ impl BatchStats {
         self.disk_writes += other.disk_writes;
     }
 
-    /// The stats accumulated since `earlier` (field-wise difference; both
-    /// must come from the same monotonically growing accumulator).
-    pub fn since(&self, earlier: &BatchStats) -> BatchStats {
-        BatchStats {
-            rows: self.rows - earlier.rows,
-            null_rows: self.null_rows - earlier.null_rows,
-            unique_requests: self.unique_requests - earlier.unique_requests,
-            batches: self.batches - earlier.batches,
-            saved_calls: self.saved_calls - earlier.saved_calls,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
-            disk_hits: self.disk_hits - earlier.disk_hits,
-            disk_misses: self.disk_misses - earlier.disk_misses,
-            disk_writes: self.disk_writes - earlier.disk_writes,
-        }
-    }
-
-    /// Requests that actually reached the backend: unique requests minus the
-    /// hits of both cache tiers (equal to `unique_requests` when no cache is
-    /// attached).
-    pub fn dispatched_requests(&self) -> usize {
-        self.unique_requests - self.cache_hits - self.disk_hits
+    /// Unique `(input, question)` requests after dedup: those that reached
+    /// the backend plus those either cache tier answered.
+    pub fn unique_requests(&self) -> usize {
+        self.calls + self.cache_hits + self.disk_hits
     }
 
     /// Count one probe of `cache`. A disk hit is a memory miss that the
@@ -244,23 +229,12 @@ impl BatchStats {
         self.disk_writes += written;
     }
 
-    /// Fraction of cache probes answered by either tier (memory or disk),
-    /// in `[0, 1]`; `0.0` when nothing was probed.
-    pub fn hit_rate(&self) -> f64 {
-        let probes = self.cache_hits + self.cache_misses;
-        if probes == 0 {
-            0.0
-        } else {
-            (self.cache_hits + self.disk_hits) as f64 / probes as f64
-        }
-    }
-
     /// Render the stats for traces and observations.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "{} row(s) -> {} unique model call(s) in {} batch(es) ({} saved by dedup, {} NULL row(s))",
             self.rows,
-            self.dispatched_requests(),
+            self.calls,
             self.batches,
             self.saved_calls,
             self.null_rows
@@ -611,7 +585,7 @@ impl PerceptionBatch {
     /// Failures short-circuit (workers stop claiming further batches, the
     /// row-at-a-time path stopped at its first failing call too), so a
     /// remote backend is not billed for the rest of the table;
-    /// [`BatchStats::batches`] counts the dispatches actually performed.
+    /// [`PerceptionCalls::batches`] counts the dispatches actually performed.
     /// Stats are returned alongside the result — not inside it — so callers
     /// can account for the calls of failed dispatches too.
     ///
@@ -626,7 +600,7 @@ impl PerceptionBatch {
     /// row-at-a-time path paid for those calls too. Each batch's answers are
     /// filed as one group, so a disk tier appends one group per batch, and
     /// every record of the batch has reached `write(2)` before the dispatch
-    /// returns. [`BatchStats`] gains the hit/miss/eviction/write counts of
+    /// returns. [`PerceptionCalls`] gains the hit/miss/eviction/write counts of
     /// this dispatch; with `cache = None` the probe is skipped and the bytes
     /// are those of the cache-less pipeline.
     pub fn dispatch(
@@ -634,7 +608,7 @@ impl PerceptionBatch {
         backend: &dyn PerceptionBackend,
         config: &BatchConfig,
         cache: Option<(&PerceptionCache, CacheScope)>,
-    ) -> (ModalResult<Vec<Option<Value>>>, BatchStats) {
+    ) -> (ModalResult<Vec<Option<Value>>>, PerceptionCalls) {
         let PerceptionBatch {
             slots,
             unique,
@@ -655,7 +629,7 @@ impl PerceptionBatch {
         let mut resolved: Vec<Option<Value>> = vec![None; unique_count];
         let mut miss_slots: Vec<usize> = Vec::new();
         let mut miss_requests: Vec<PerceptionRequest> = Vec::new();
-        let mut probed = BatchStats::default();
+        let mut probed = PerceptionCalls::default();
         match cache {
             Some((cache, scope)) => {
                 for (idx, request) in unique.into_iter().enumerate() {
@@ -726,10 +700,10 @@ impl PerceptionBatch {
                     .collect()
             })
         };
-        let mut stats = BatchStats {
+        let mut stats = PerceptionCalls {
             rows,
             null_rows,
-            unique_requests: unique_count,
+            calls: miss_requests.len(),
             batches: dispatched.into_inner(),
             saved_calls: rows - null_rows - unique_count,
             ..probed
@@ -958,7 +932,7 @@ mod tests {
         assert_eq!(backend.batches.load(Ordering::Relaxed), 1);
         assert_eq!(stats.rows, 5);
         assert_eq!(stats.null_rows, 1);
-        assert_eq!(stats.unique_requests, 2);
+        assert_eq!(stats.unique_requests(), 2);
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.saved_calls, 2);
         assert_eq!(answers.len(), 5);
@@ -977,7 +951,7 @@ mod tests {
         let (_, stats) = batch.dispatch(&backend, &BatchConfig::new(3), None);
         assert_eq!(backend.batches.load(Ordering::Relaxed), 4);
         assert_eq!(stats.batches, 4);
-        assert_eq!(stats.unique_requests, 10);
+        assert_eq!(stats.unique_requests(), 10);
         assert_eq!(stats.saved_calls, 0);
     }
 
@@ -1023,7 +997,7 @@ mod tests {
         let (answers, stats) = batch.dispatch(&FailingBackend, &BatchConfig::new(2), None);
         let err = answers.unwrap_err();
         assert!(err.to_string().contains("always fails"));
-        assert_eq!(stats.unique_requests, 1);
+        assert_eq!(stats.unique_requests(), 1);
         assert_eq!(stats.batches, 1);
     }
 
@@ -1079,17 +1053,17 @@ mod tests {
         let (answers, stats) = batch.dispatch(&FailFirst, &config(2, 1), None);
         let err = answers.unwrap_err();
         assert!(err.to_string().contains("scripted failure"));
-        assert_eq!(stats.unique_requests, 10);
+        assert_eq!(stats.unique_requests(), 10);
         assert_eq!(stats.batches, 1, "later batches must be skipped");
     }
 
     #[test]
-    fn stats_absorb_and_since_are_inverse() {
-        let mut total = BatchStats::default();
-        let a = BatchStats {
+    fn stats_absorb_sums_every_count() {
+        let mut total = PerceptionCalls::default();
+        let a = PerceptionCalls {
             rows: 5,
             null_rows: 1,
-            unique_requests: 3,
+            calls: 1,
             batches: 1,
             saved_calls: 1,
             cache_hits: 1,
@@ -1099,10 +1073,10 @@ mod tests {
             disk_misses: 1,
             disk_writes: 1,
         };
-        let b = BatchStats {
+        let b = PerceptionCalls {
             rows: 2,
             null_rows: 0,
-            unique_requests: 2,
+            calls: 2,
             batches: 1,
             saved_calls: 0,
             cache_hits: 0,
@@ -1113,11 +1087,26 @@ mod tests {
             disk_writes: 2,
         };
         total.absorb(&a);
-        let snapshot = total;
         total.absorb(&b);
-        assert_eq!(total.since(&snapshot), b);
-        assert_eq!(total.rows, 7);
-        assert!(total.summary().contains("7 row(s)"));
+        let doubled = PerceptionCalls {
+            rows: 7,
+            null_rows: 1,
+            calls: 3,
+            batches: 2,
+            saved_calls: 1,
+            cache_hits: 1,
+            cache_misses: 4,
+            cache_evictions: 1,
+            disk_hits: 1,
+            disk_misses: 3,
+            disk_writes: 3,
+        };
+        assert_eq!(total, doubled);
+        assert_eq!((a.unique_requests(), b.unique_requests()), (3, 2));
+        assert_eq!(total.unique_requests(), 5);
+        assert!(total
+            .summary()
+            .contains("7 row(s) -> 3 unique model call(s)"));
     }
 
     #[test]
@@ -1152,7 +1141,7 @@ mod tests {
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.cache_misses, 0);
         assert_eq!(stats.batches, 0, "hits must not dispatch");
-        assert_eq!(stats.dispatched_requests(), 0);
+        assert_eq!(stats.calls, 0);
         assert_eq!(backend.calls.load(Ordering::Relaxed), 2, "no new calls");
         assert_eq!(second[0], first[0]);
         assert!(second[1].is_none());
@@ -1384,6 +1373,6 @@ mod tests {
         ];
         assert_eq!(answers[..4], expected);
         assert_eq!(answers[4..], expected, "repeats find their own chain entry");
-        assert_eq!((stats.unique_requests, stats.saved_calls), (4, 4));
+        assert_eq!((stats.unique_requests(), stats.saved_calls), (4, 4));
     }
 }

@@ -38,7 +38,9 @@
 //! sharded LRU memory over an optional durable store keyed by the answering
 //! backend's identity. This module adds what is particular to perception: the
 //! scope- and modality-separated key, the [`Value`] codec, and the disk-only
-//! keyspace of compiled transforms.
+//! keyspace of compiled transforms. Its lifetime counters are the tiered
+//! cache's own [`TieredStats`]; what one dispatch paid is counted per query
+//! in [`crate::batch::PerceptionCalls`].
 //!
 //! A probe never hashes: the batch layer composes each unique request's hash
 //! while gathering, from an input-key hash and a question hash it computed
@@ -62,12 +64,10 @@
 use crate::batch::{same_text, PerceptionInput, PerceptionRequest};
 use crate::transform::TransformProgram;
 use caesura_engine::{DateValue, Schema, Value};
-use caesura_store::{push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache};
+use caesura_store::{
+    push_part, take_part, CacheKey, CacheStore, Hit, Put, TieredCache, TieredStats,
+};
 use std::sync::Arc;
-
-/// Lifetime counters of one [`PerceptionCache`]: `hits` are model calls
-/// avoided, `misses` fell through to the disk tier or the backend.
-pub use caesura_store::TieredStats as CacheStats;
 
 /// Configuration of the session-scoped perception answer cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,8 +264,9 @@ impl PerceptionCache {
         self.tiers.is_empty()
     }
 
-    /// Lifetime counters of both tiers.
-    pub fn stats(&self) -> CacheStats {
+    /// Lifetime counters of both tiers: `hits` are model calls avoided,
+    /// `misses` fell through to the disk tier or the backend.
+    pub fn stats(&self) -> TieredStats {
         self.tiers.stats()
     }
 

@@ -39,9 +39,10 @@ pub mod transform;
 pub mod visual_qa;
 
 pub use batch::{
-    BatchConfig, BatchStats, PerceptionBackend, PerceptionBatch, PerceptionInput, PerceptionRequest,
+    BatchConfig, PerceptionBackend, PerceptionBatch, PerceptionCalls, PerceptionInput,
+    PerceptionRequest,
 };
-pub use cache::{CacheConfig, CacheScope, CacheStats, PerceptionCache};
+pub use cache::{CacheConfig, CacheScope, PerceptionCache};
 pub use document::TextDocument;
 pub use error::{ModalError, ModalResult};
 pub use image::{ImageObject, ImageStore};

@@ -9,7 +9,7 @@
 //! model (Figure 3, right).
 
 use crate::batch::{
-    allocation_key, text_hash, BatchConfig, BatchStats, PerceptionBackend, PerceptionBatch,
+    allocation_key, text_hash, BatchConfig, PerceptionBackend, PerceptionBatch, PerceptionCalls,
 };
 use crate::cache::{CacheScope, PerceptionCache};
 use crate::error::{ModalError, ModalResult};
@@ -215,8 +215,8 @@ pub struct Perception<'a> {
 }
 
 /// The outcome of a step rejected before its gather: nothing was dispatched.
-fn rejected(error: ModalError) -> (BatchStats, ModalResult<Table>) {
-    (BatchStats::default(), Err(error))
+fn rejected(error: ModalError) -> (PerceptionCalls, ModalResult<Table>) {
+    (PerceptionCalls::default(), Err(error))
 }
 
 /// Dispatch a gathered perception batch and scatter the answers into a new
@@ -232,7 +232,7 @@ fn dispatch_into_column(
     perception: Perception<'_>,
     scope: CacheScope,
     result_type: DataType,
-) -> (BatchStats, ModalResult<Table>) {
+) -> (PerceptionCalls, ModalResult<Table>) {
     let cache = perception.cache.map(|cache| (cache, scope));
     let (answers, stats) = collector.dispatch(perception.backend, &perception.batch, cache);
     let result = answers.and_then(|answers| {
@@ -270,7 +270,7 @@ pub fn apply_visual_qa(
     new_column: &str,
     question: &str,
     result_type: DataType,
-) -> (BatchStats, ModalResult<Table>) {
+) -> (PerceptionCalls, ModalResult<Table>) {
     let checked = || {
         let schema = table.schema();
         let idx = schema.resolve(image_column).map_err(ModalError::Engine)?;
@@ -359,7 +359,7 @@ pub fn apply_text_qa(
     new_column: &str,
     question_template: &str,
     result_type: DataType,
-) -> (BatchStats, ModalResult<Table>) {
+) -> (PerceptionCalls, ModalResult<Table>) {
     let checked = || {
         let schema = table.schema();
         let idx = schema.resolve(text_column).map_err(ModalError::Engine)?;
@@ -443,7 +443,7 @@ pub fn apply_image_select(
     perception: Perception<'_>,
     image_column: &str,
     description: &str,
-) -> (BatchStats, ModalResult<Table>) {
+) -> (PerceptionCalls, ModalResult<Table>) {
     let schema = table.schema();
     let idx = match schema.resolve(image_column) {
         Ok(idx) => idx,
@@ -514,9 +514,9 @@ const TRANSFORM_CODEGEN_IDENTITY: &str = "codegen:transform:v1";
 /// in-process call — see [`PerceptionCache::transform_disk_get`]), so
 /// without an attached disk store `cache` changes nothing, stats included.
 /// With one, the compile counts as a memory miss plus a disk hit or miss,
-/// keeping every [`BatchStats`] tier invariant intact: on a disk hit the
-/// call never dispatches ([`BatchStats::dispatched_requests`] and `batches`
-/// stay 0, as for a fully cached perception step — a restarted session
+/// keeping every [`PerceptionCalls`] tier invariant intact: on a disk hit
+/// the call never dispatches ([`PerceptionCalls::calls`] and `batches` stay
+/// 0, as for a fully cached perception step — a restarted session
 /// replays the operator without re-issuing the simulated codegen call), and
 /// a fresh compile is written through round-trip-validated.
 pub fn apply_python_udf(
@@ -525,14 +525,11 @@ pub fn apply_python_udf(
     description: &str,
     new_column: &str,
     cache: Option<&PerceptionCache>,
-) -> (BatchStats, ModalResult<Table>) {
-    let base = BatchStats {
-        rows: 0,
-        null_rows: 0,
-        unique_requests: 1,
+) -> (PerceptionCalls, ModalResult<Table>) {
+    let base = PerceptionCalls {
+        calls: 1,
         batches: 1,
-        saved_calls: 0,
-        ..BatchStats::default()
+        ..PerceptionCalls::default()
     };
     let schema = table.schema();
     match cache.filter(|c| c.has_disk()) {
@@ -547,7 +544,8 @@ pub fn apply_python_udf(
                 cache.transform_disk_get(TRANSFORM_CODEGEN_IDENTITY, description, schema)
             {
                 // Answered from the store: nothing was dispatched.
-                let stats = BatchStats {
+                let stats = PerceptionCalls {
+                    calls: 0,
                     batches: 0,
                     cache_misses: 1,
                     disk_hits: 1,
@@ -567,7 +565,7 @@ pub fn apply_python_udf(
                 // errors-are-never-cached rule of the perception tiers.
                 Err(_) => 0,
             };
-            let stats = BatchStats {
+            let stats = PerceptionCalls {
                 cache_misses: 1,
                 disk_misses: 1,
                 disk_writes,
@@ -927,7 +925,7 @@ mod tests {
     }
 
     /// A transform answered from the disk tier dispatched nothing: `batches`
-    /// and `dispatched_requests()` are 0, as for a fully cached perception
+    /// and `calls` are 0, as for a fully cached perception
     /// step. Without a store every execution compiles and counts one batch.
     #[test]
     fn python_udf_answered_from_disk_counts_no_dispatch() {
@@ -943,10 +941,10 @@ mod tests {
             assert_eq!(result.unwrap().value(0, "century").unwrap(), Value::Int(15));
             stats
         };
-        let compile = BatchStats {
-            unique_requests: 1,
+        let compile = PerceptionCalls {
+            calls: 1,
             batches: 1,
-            ..BatchStats::default()
+            ..PerceptionCalls::default()
         };
         let memory_only = PerceptionCache::with_capacity(8);
         for cache in [None, Some(&memory_only), Some(&memory_only)] {
@@ -960,7 +958,7 @@ mod tests {
             cache.attach_disk(Arc::new(caesura_store::CacheStore::open(&dir).unwrap()));
             cache
         };
-        let written = BatchStats {
+        let written = PerceptionCalls {
             cache_misses: 1,
             disk_misses: 1,
             disk_writes: 1,
@@ -968,14 +966,14 @@ mod tests {
         };
         assert_eq!(apply(Some(&over_store())), written);
         let replayed = apply(Some(&over_store()));
-        let disk_hit = BatchStats {
-            unique_requests: 1,
+        let disk_hit = PerceptionCalls {
             cache_misses: 1,
             disk_hits: 1,
-            ..BatchStats::default()
+            ..PerceptionCalls::default()
         };
         assert_eq!(replayed, disk_hit);
-        assert_eq!((replayed.batches, replayed.dispatched_requests()), (0, 0));
+        assert_eq!((replayed.batches, replayed.calls), (0, 0));
+        assert_eq!(replayed.unique_requests(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1298,7 +1296,7 @@ mod tests {
         assert_eq!(out.value(1, "won").unwrap(), Value::str("yes"));
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.null_rows, 1);
-        assert_eq!(stats.unique_requests, 1);
+        assert_eq!(stats.unique_requests(), 1);
     }
 
     /// Documents are identified by their text, not by their allocation: two
@@ -1333,7 +1331,7 @@ mod tests {
         };
         let (cold, out) = run();
         assert_eq!(out.unwrap().value(1, "won").unwrap(), Value::str("no"));
-        assert_eq!((cold.unique_requests, cold.saved_calls), (1, 1));
+        assert_eq!((cold.unique_requests(), cold.saved_calls), (1, 1));
         assert_eq!(cold.cache_misses, 1);
         let (warm, _) = run();
         assert_eq!((warm.cache_hits, warm.cache_misses), (1, 0));
@@ -1358,7 +1356,7 @@ mod tests {
         );
         let out = out.unwrap();
         assert_eq!(stats.rows, 2);
-        assert_eq!(stats.unique_requests, 1);
+        assert_eq!(stats.unique_requests(), 1);
         assert_eq!(stats.saved_calls, 1);
         assert_eq!(stats.batches, 1);
         assert_eq!(

@@ -9,8 +9,6 @@
 //! and strengthens — the security posture of §5 of the paper.
 
 use crate::error::{ModalError, ModalResult};
-#[cfg(test)]
-use caesura_engine::Value;
 use caesura_engine::{sql::parse_expression, BinaryOp, DataType, Expr, ScalarFunc, Schema, Table};
 
 /// A compiled transformation: one new column computed from existing columns.
@@ -304,7 +302,7 @@ impl TransformCodegen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caesura_engine::TableBuilder;
+    use caesura_engine::{TableBuilder, Value};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[

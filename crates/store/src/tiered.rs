@@ -230,6 +230,10 @@ pub struct TieredStats {
     /// Disk writes and tombstones that failed; the operation that caused
     /// them still succeeded from memory.
     pub disk_errors: usize,
+    /// Entries [`TieredCache::remove`] dropped from the memory tier.
+    pub invalidations: usize,
+    /// Live disk records [`TieredCache::remove`] tombstoned.
+    pub disk_invalidations: usize,
 }
 
 #[derive(Debug, Default)]
@@ -242,6 +246,8 @@ struct Counters {
     disk_misses: AtomicUsize,
     disk_writes: AtomicUsize,
     disk_errors: AtomicUsize,
+    invalidations: AtomicUsize,
+    disk_invalidations: AtomicUsize,
 }
 
 /// "No node": the end of a recency or free list.
@@ -448,6 +454,8 @@ impl<K, V: Clone> TieredCache<K, V> {
             disk_misses: c.disk_misses.load(Relaxed),
             disk_writes: c.disk_writes.load(Relaxed),
             disk_errors: c.disk_errors.load(Relaxed),
+            invalidations: c.invalidations.load(Relaxed),
+            disk_invalidations: c.disk_invalidations.load(Relaxed),
         }
     }
 
@@ -554,7 +562,10 @@ impl<K, V: Clone> TieredCache<K, V> {
         put
     }
 
-    /// Drop `probe` from the memory tier and tombstone its disk record.
+    /// Drop `probe` from the memory tier and tombstone its disk record,
+    /// counting each in [`TieredStats::invalidations`] and
+    /// [`TieredStats::disk_invalidations`] (a failed tombstone counts in
+    /// [`TieredStats::disk_errors`] only).
     pub fn remove<Q: CacheKey<K> + ?Sized>(&self, probe: &Q, identity: &str) -> Removed {
         let hash = probe.hash64();
         let mut shard = self.shard_of(hash);
@@ -571,6 +582,8 @@ impl<K, V: Clone> TieredCache<K, V> {
             })
         };
         let disk = self.disk.as_ref().is_some_and(tombstone);
+        add(&self.counters.invalidations, usize::from(memory));
+        add(&self.counters.disk_invalidations, usize::from(disk));
         Removed { memory, disk }
     }
 
@@ -797,6 +810,8 @@ mod tests {
             let memory = lru.len() < before;
             let disk = self.disk.as_mut();
             let disk = disk.is_some_and(|d| d.remove(probe.key).is_some());
+            self.stats.invalidations += usize::from(memory);
+            self.stats.disk_invalidations += usize::from(disk);
             Removed { memory, disk }
         }
     }
@@ -1006,6 +1021,13 @@ mod tests {
         let mut cache = string_cache(8);
         cache.attach_disk(Arc::new(store));
         assert_eq!(cache.put("before", "1".to_string(), "id").written, 1);
+        assert_eq!(cache.put("gone", "0".to_string(), "id").written, 1);
+        // A present key counts one removal per tier; an absent one nothing.
+        let removed = cache.remove("gone", "id");
+        assert!(removed.memory && removed.disk);
+        assert!(!cache.remove("never", "id").memory);
+        let stats = cache.stats();
+        assert_eq!((stats.invalidations, stats.disk_invalidations), (1, 1));
         std::fs::remove_dir_all(&dir).expect("remove the store directory");
 
         let put = cache.put("after", "2".to_string(), "id");
@@ -1013,7 +1035,9 @@ mod tests {
         let removed = cache.remove("before", "id");
         assert!(removed.memory && !removed.disk, "the tombstone failed too");
         let stats = cache.stats();
-        assert_eq!((stats.disk_writes, stats.disk_errors), (1, 2));
+        assert_eq!((stats.disk_writes, stats.disk_errors), (2, 2));
+        // The failed tombstone counts as an error, not as a disk removal.
+        assert_eq!((stats.invalidations, stats.disk_invalidations), (2, 1));
         let hit = cache.get("after", "id").expect("memory still answers");
         assert_eq!((hit.value.as_str(), hit.tier), ("2", Tier::Memory));
 

@@ -14,8 +14,8 @@ use caesura::data::DataLake;
 use caesura::engine::{ops, BinaryOp, Expr};
 use caesura::modal::operators::{apply_python_udf, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
-    BatchConfig, BatchStats, ImageObject, ImageStore, ModalResult, PerceptionBackend,
-    PerceptionCache, PerceptionRequest, TransformCodegen,
+    BatchConfig, ImageObject, ImageStore, ModalResult, PerceptionBackend, PerceptionCache,
+    PerceptionCalls, PerceptionRequest, TransformCodegen,
 };
 use caesura::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -155,18 +155,29 @@ fn a_foreign_key_join_allocates_the_same_whatever_the_row_count() {
 #[test]
 fn a_filter_over_a_plain_string_column_allocates_the_same_whatever_the_row_count() {
     // Titles are unique, so the column stays a plain string buffer.
-    let predicate = Expr::binary(Expr::col("title"), BinaryOp::Lt, Expr::lit("Painting 5"));
-    let filter_blocks = |(metadata, _): &(Table, Table)| {
-        let (blocks, kept) = blocks_allocated(|| ops::filter(metadata, &predicate).unwrap());
-        assert!(0 < kept.num_rows() && kept.num_rows() < metadata.num_rows());
-        blocks
-    };
     let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
-    filter_blocks(&small);
-    // The compare kernel's two vectors, the selection vector (counted, then
-    // allocated once), and per column one gather: offsets and bytes sized
-    // once, then the bitmap. No string is copied into a block of its own.
-    assert_eq!(filter_blocks(&small), filter_blocks(&large));
+    let predicates = [
+        Expr::binary(Expr::col("title"), BinaryOp::Lt, Expr::lit("Painting 5")),
+        // LIKE lowercases each title into one buffer that every row reuses.
+        Expr::binary(Expr::col("title"), BinaryOp::Like, Expr::lit("%1%")),
+    ];
+    for predicate in &predicates {
+        let filter_blocks = |(metadata, _): &(Table, Table)| {
+            let (blocks, kept) = blocks_allocated(|| ops::filter(metadata, predicate).unwrap());
+            assert!(0 < kept.num_rows() && kept.num_rows() < metadata.num_rows());
+            blocks
+        };
+        filter_blocks(&small);
+        // The compare kernel's two vectors, the selection vector (counted,
+        // then allocated once), and per column one gather: offsets and bytes
+        // sized once, then the bitmap. No string is copied into a block of
+        // its own.
+        assert_eq!(
+            filter_blocks(&small),
+            filter_blocks(&large),
+            "{predicate:?}"
+        );
+    }
 }
 
 #[test]
@@ -197,16 +208,13 @@ const STEP_BLOCKS: u64 = 32;
 /// the allocations counted. Asserts the warm run was answered from memory.
 fn warm_step_blocks(
     rows: usize,
-    step: impl Fn(&PerceptionCache) -> (BatchStats, ModalResult<Table>),
+    step: impl Fn(&PerceptionCache) -> (PerceptionCalls, ModalResult<Table>),
 ) -> u64 {
     let cache = PerceptionCache::with_capacity(4 * rows);
     let (cold, first) = step(&cache);
     let (blocks, (warm, second)) = blocks_allocated(|| step(&cache));
-    assert_eq!(
-        (cold.cache_misses, cold.dispatched_requests()),
-        (rows, rows)
-    );
-    assert_eq!((warm.cache_hits, warm.dispatched_requests()), (rows, 0));
+    assert_eq!((cold.cache_misses, cold.calls), (rows, rows));
+    assert_eq!((warm.cache_hits, warm.calls), (rows, 0));
     assert_eq!(first.unwrap(), second.unwrap());
     blocks
 }

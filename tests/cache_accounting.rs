@@ -64,7 +64,7 @@ fn a_question_repeated_across_plan_steps_costs_exactly_one_call() {
         DataType::Int,
     );
     let out1 = out1.unwrap();
-    let unique = stats1.unique_requests;
+    let unique = stats1.unique_requests();
     assert_eq!(backend.inner().usage().calls, unique);
     assert_eq!(stats1.cache_hits, 0);
     assert_eq!(stats1.cache_misses, unique);
@@ -90,7 +90,7 @@ fn a_question_repeated_across_plan_steps_costs_exactly_one_call() {
         "each unique pair must cost exactly one call across both steps"
     );
     assert_eq!(stats2.cache_hits, unique);
-    assert_eq!(stats2.dispatched_requests(), 0);
+    assert_eq!(stats2.calls, 0);
     assert_eq!(stats2.batches, 0);
     // The cached answers are the answers the model gave.
     for row in 0..out2.num_rows() {
@@ -143,7 +143,7 @@ fn a_question_repeated_across_queries_costs_exactly_one_call() {
         DataType::Str,
     );
     out.unwrap();
-    assert_eq!(first.inner().usage().calls, stats.unique_requests);
+    assert_eq!(first.inner().usage().calls, stats.unique_requests());
 
     let second = PerceptionLlm::new(CountingLlm::new(ConstLlm));
     let (stats2, out) = apply_text_qa(
@@ -164,7 +164,7 @@ fn a_question_repeated_across_queries_costs_exactly_one_call() {
         0,
         "the second query must be served entirely from the cache"
     );
-    assert_eq!(stats2.cache_hits, stats.unique_requests);
+    assert_eq!(stats2.cache_hits, stats.unique_requests());
 }
 
 #[test]
@@ -247,15 +247,15 @@ fn executor_shares_the_cache_across_queries() {
         .with_perception_cache(Arc::clone(&cache));
     first.execute(&step, &decision).unwrap();
     let stats1 = first.perception_stats();
-    assert!(stats1.unique_requests > 0);
+    assert!(stats1.unique_requests() > 0);
     assert_eq!(stats1.cache_hits, 0);
 
     let mut second = Executor::new(data.lake.catalog().clone(), data.lake.images().clone())
         .with_perception_cache(Arc::clone(&cache));
     second.execute(&step, &decision).unwrap();
     let stats2 = second.perception_stats();
-    assert_eq!(stats2.cache_hits, stats2.unique_requests);
-    assert_eq!(stats2.dispatched_requests(), 0);
+    assert_eq!(stats2.cache_hits, stats2.unique_requests());
+    assert_eq!(stats2.calls, 0);
 }
 
 #[test]

@@ -16,10 +16,9 @@ use caesura_core::{Caesura, CaesuraConfig, CoreError, PlanSource, QueryRun};
 use caesura_data::{generate_artwork, generate_rotowire, ArtworkConfig, RotowireConfig};
 use caesura_eval::{benchmark_queries, Dataset};
 use caesura_llm::{
-    schema_fingerprint, CountingLlm, LlmClient, PlanCacheConfig, PlanInsertOutcome, PlanTier,
-    SimulatedLlm,
+    schema_fingerprint, CountingLlm, LlmClient, PlanCacheConfig, PlanInsertOutcome, SimulatedLlm,
 };
-use caesura_store::{CacheStore, PersistConfig};
+use caesura_store::{CacheStore, PersistConfig, Tier};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -413,10 +412,7 @@ fn a_store_written_under_the_previous_prompt_version_is_a_cold_miss() {
     // still there, unread.
     for version in ["v3", "v2", "v1"] {
         let hit = bare_cache(version).lookup_tiered(&fingerprint, query);
-        assert!(
-            matches!(hit, Some((_, PlanTier::Disk))),
-            "no {version} record"
-        );
+        assert!(matches!(hit, Some((_, Tier::Disk))), "no {version} record");
     }
 }
 

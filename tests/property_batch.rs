@@ -599,7 +599,7 @@ fn duplicate_rows_do_not_add_llm_calls() {
     );
     let out = out.unwrap();
     let usage = backend.inner().usage();
-    assert_eq!(usage.calls, stats.unique_requests);
+    assert_eq!(usage.calls, stats.unique_requests());
     assert!(
         usage.calls < table.num_rows(),
         "dedup must issue strictly fewer calls ({}) than rows ({})",
@@ -608,7 +608,7 @@ fn duplicate_rows_do_not_add_llm_calls() {
     );
     assert_eq!(stats.rows, table.num_rows());
     assert_eq!(stats.saved_calls, table.num_rows() - usage.calls);
-    assert_eq!(usage.batches, stats.unique_requests.div_ceil(8));
+    assert_eq!(usage.batches, stats.unique_requests().div_ceil(8));
     // Every answer came back and was coerced into the declared Int type.
     for row in 0..out.num_rows() {
         assert_eq!(out.value(row, "points").unwrap(), Value::Int(42));
@@ -630,9 +630,9 @@ fn duplicate_rows_do_not_add_llm_calls() {
         DataType::Int,
     );
     out1.unwrap();
-    assert_eq!(stats1.unique_requests, stats.unique_requests);
-    assert_eq!(backend.inner().usage().calls, stats.unique_requests);
-    assert_eq!(backend.inner().usage().batches, stats.unique_requests);
+    assert_eq!(stats1.unique_requests(), stats.unique_requests());
+    assert_eq!(backend.inner().usage().calls, stats.unique_requests());
+    assert_eq!(backend.inner().usage().batches, stats.unique_requests());
 
     // The same holds for images: 40 rows over at most 6 distinct images
     // reach the model once per image.
@@ -652,8 +652,8 @@ fn duplicate_rows_do_not_add_llm_calls() {
         DataType::Int,
     );
     out.unwrap();
-    assert_eq!(backend.inner().usage().calls, visual.unique_requests);
-    assert!(visual.unique_requests < images.num_rows());
+    assert_eq!(backend.inner().usage().calls, visual.unique_requests());
+    assert!(visual.unique_requests() < images.num_rows());
 }
 
 #[test]
@@ -676,11 +676,11 @@ fn dedup_counts_with_the_simulated_models_match_distinct_inputs() {
     );
     out.unwrap();
     // 6 distinct images at most, regardless of 40 rows.
-    assert!(stats.unique_requests <= 6);
+    assert!(stats.unique_requests() <= 6);
     assert_eq!(stats.rows, 40);
     assert_eq!(
         stats.saved_calls,
-        stats.rows - stats.null_rows - stats.unique_requests
+        stats.rows - stats.null_rows - stats.unique_requests()
     );
     assert!(stats.saved_calls > 0, "expected duplicate-heavy input");
 }

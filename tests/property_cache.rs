@@ -366,8 +366,8 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
         DataType::Int,
     );
     out.unwrap();
-    assert_eq!(warm.cache_hits, warm.unique_requests);
-    assert_eq!(warm.dispatched_requests(), 0);
+    assert_eq!(warm.cache_hits, warm.unique_requests());
+    assert_eq!(warm.calls, 0);
     assert_eq!(warm.batches, 0);
 
     // Tiny cache under sequential dispatch: evictions must actually happen
@@ -391,7 +391,10 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
         DataType::Int,
     );
     out.unwrap();
-    assert!(cold.unique_requests > 2, "workload must overflow the cache");
+    assert!(
+        cold.unique_requests() > 2,
+        "workload must overflow the cache"
+    );
     assert!(cold.cache_evictions > 0, "a tiny cache must evict");
     assert!(tiny.len() <= 2);
     let (warm, out) = apply_text_qa(
@@ -408,7 +411,7 @@ fn tiny_caches_evict_but_large_caches_serve_warm_runs_without_dispatch() {
     );
     out.unwrap();
     assert!(
-        warm.cache_misses >= warm.unique_requests - 2,
+        warm.cache_misses >= warm.unique_requests() - 2,
         "evicted answers must be re-dispatched"
     );
 }
