@@ -421,7 +421,10 @@ impl ExecutionTrace {
             self.prompt_tokens,
             self.error_count()
         ));
-        if self.perception.rows > 0 || self.perception.calls > 0 || self.perception.cache_hits > 0 {
+        // Rendered whenever any count is non-zero: a step answered from the
+        // disk tier alone (a transform compile) counts no row, call or
+        // memory hit, but still a miss and a disk hit.
+        if self.perception != PerceptionCalls::default() {
             out.push_str(&format!(
                 "== Perception: {} row(s) -> {} model call(s) in {} batch(es), {} saved by dedup ==\n",
                 self.perception.rows,
@@ -576,6 +579,33 @@ mod tests {
         assert!(rendered.contains("9 model call(s)"));
         assert!(rendered.contains("6 saved by dedup"));
         assert!(rendered.contains("2 hit(s)"));
+    }
+
+    #[test]
+    fn a_disk_hit_only_step_renders_its_perception_totals() {
+        let mut trace = ExecutionTrace::new();
+        trace.add_perception(&PerceptionCalls {
+            cache_misses: 1,
+            disk_hits: 1,
+            ..PerceptionCalls::default()
+        });
+        let rendered = trace.render(false);
+        assert!(
+            rendered.contains("== Perception: 0 row(s) -> 0 model call(s) in 0 batch(es)"),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains("== Perception cache: 0 hit(s), 1 miss(es), 0 eviction(s) =="),
+            "{rendered}"
+        );
+        assert!(
+            rendered.contains(
+                "== Perception tiers: memory 0 hit(s), disk 1 hit(s), 0 miss(es), 0 write(s) =="
+            ),
+            "{rendered}"
+        );
+        // A trace without perception renders no perception line.
+        assert!(!ExecutionTrace::new().render(false).contains("Perception"));
     }
 
     #[test]

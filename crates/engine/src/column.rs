@@ -179,6 +179,24 @@ impl Utf8Buffer {
         self.offsets.push(self.bytes.len());
     }
 
+    /// Append the string `write` appends to the buffer's bytes, and return
+    /// `write`'s answer; when that is `false` (NULL), the bytes it appended
+    /// are dropped and the slot holds the empty string.
+    pub(crate) fn push_with(&mut self, write: impl FnOnce(&mut String) -> bool) -> bool {
+        let start = self.bytes.len();
+        let valid = write(&mut self.bytes);
+        if !valid {
+            self.bytes.truncate(start);
+        }
+        self.offsets.push(self.bytes.len());
+        valid
+    }
+
+    /// The bytes of the first `rows` strings.
+    pub(crate) fn bytes_before(&self, rows: usize) -> usize {
+        self.offsets[rows]
+    }
+
     /// The strings in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         self.offsets.windows(2).map(|w| &self.bytes[w[0]..w[1]])

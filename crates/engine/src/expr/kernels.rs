@@ -15,10 +15,15 @@
 //!
 //! [`eval_cell_fn`] runs a unary operator or a scalar function column at a
 //! time: its per-row code ([`CellFn`]) is resolved once, and each row's
-//! argument cells are read in place from the views (a dictionary string
-//! from its entry table, a scalar from the literal). A function that picks
-//! one of its arguments (`COALESCE`, `MIN2`, `MAX2`) has the chosen cell
-//! copied into the output as it stands.
+//! argument cells are read in place from the views (a plain string column
+//! in slot order, a dictionary string from its entry table, a scalar from
+//! the literal). A function with one result type (`EXTRACT_YEAR`,
+//! `CENTURY`, `LENGTH`, the casts, `ROUND`, `IS NULL`) writes its typed
+//! result straight into the output's vector and bitmap; a string function
+//! (`UPPER`, `SUBSTR`, `CONCAT`, ...) appends its result to the output's one
+//! byte buffer, sized at the bytes of its string arguments. A function that
+//! picks one of its arguments (`COALESCE`, `MIN2`, `MAX2`) has the chosen
+//! cell copied into the output as it stands.
 //!
 //! [`scatter`] puts the parts of a `CASE` result, each computed over the
 //! rows that took one branch, back into row order.
@@ -35,6 +40,7 @@ use super::{eval_binary, int_cmp_result, like_match, Batch, BinaryOp, CellFn, Li
 use crate::column::{Bitmap, Column, ColumnBuilder, Utf8Buffer};
 use crate::error::EngineResult;
 use crate::value::{CellRef, DataType, Value};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// A kernel operand: a borrowed column (zero-copy), or a scalar broadcast
@@ -322,51 +328,131 @@ fn eval_str_view(
 }
 
 /// Run a unary operator's or a scalar function's [`CellFn`] over argument
-/// views: called per row on that row's argument cells, read in place. The
-/// results pack into a builder started at [`DataType::Null`], which builds
-/// the column [`Column::from_values`] would (`Null` when every row is NULL,
-/// `Mixed` when types differ). The first error in row order stops the loop.
-/// `cell_fn` is an error when the function takes no such argument count;
-/// that error, too, is raised only when a row exists.
+/// views: called per row on that row's argument cells, read in place. A
+/// function with one result type writes that column's vector (a string
+/// function, its byte buffer) and bitmap directly; every other packs its
+/// results into a builder started at [`DataType::Null`]. Either way the
+/// column is the one [`Column::from_values`] would build from the results
+/// (`Null` when every row is NULL, `Mixed` when types differ). The first
+/// error in row order stops the loop. `cell_fn` is an error when the
+/// function takes no such argument count; that error, too, is raised only
+/// when a row exists.
 pub(super) fn eval_cell_fn(
     cell_fn: EngineResult<CellFn>,
     args: &[ValuesView<'_>],
     num_rows: usize,
 ) -> EngineResult<Column> {
-    let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
-    if num_rows > 0 {
-        match (cell_fn?, args) {
-            (CellFn::Unary(f), [a]) => {
-                for i in 0..num_rows {
-                    out.push(f(a.cell(i))?);
-                }
-            }
-            (CellFn::Binary(f), [a, b]) => {
-                for i in 0..num_rows {
-                    out.push(f(a.cell(i), b.cell(i))?);
-                }
-            }
-            (CellFn::Ternary(f), [a, b, c]) => {
-                for i in 0..num_rows {
-                    out.push(f(a.cell(i), b.cell(i), c.cell(i))?);
-                }
-            }
-            (cell_fn, args) => {
-                let mut cells = Vec::with_capacity(args.len());
-                for i in 0..num_rows {
-                    cells.clear();
-                    cells.extend(args.iter().map(|arg| arg.cell(i)));
-                    match cell_fn {
-                        CellFn::Pick(pick) => {
-                            out.push_cell(pick(&cells).map_or(CellRef::Null, |at| cells[at]))
-                        }
-                        _ => out.push(cell_fn.call(&cells)?),
-                    }
-                }
-            }
+    if num_rows == 0 {
+        return Ok(Column::Null(0));
+    }
+    let column = match cell_fn? {
+        CellFn::Int(f) => typed(args, num_rows, f, Column::Int64),
+        CellFn::Float(f) => typed(args, num_rows, f, Column::Float64),
+        CellFn::Bool(f) => typed(args, num_rows, f, Column::Bool),
+        CellFn::Str(f) => {
+            let mut data = Utf8Buffer::with_capacity(num_rows, str_bytes(args, num_rows));
+            let mut validity = Bitmap::with_capacity(num_rows);
+            let Ok(()) = each_row::<Infallible>(args, num_rows, |cells| {
+                validity.push(data.push_with(|out| f(cells, out)));
+                Ok(())
+            });
+            non_null(validity, num_rows, |validity| Column::Utf8(data, validity))
+        }
+        CellFn::Unary(f) => {
+            let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+            each_row(args, num_rows, |cells| {
+                out.push(f(cells[0])?);
+                Ok(())
+            })?;
+            out.finish()
+        }
+        CellFn::Pick(pick) => {
+            let mut out = ColumnBuilder::with_capacity(DataType::Null, num_rows);
+            let Ok(()) = each_row::<Infallible>(args, num_rows, |cells| {
+                out.push_cell(pick(cells).map_or(CellRef::Null, |at| cells[at]));
+                Ok(())
+            });
+            out.finish()
+        }
+    };
+    Ok(column)
+}
+
+/// Call `f` on each row's argument cells, read in place from the views, in
+/// row order; the first error stops the loop.
+fn each_row<E>(
+    args: &[ValuesView<'_>],
+    num_rows: usize,
+    mut f: impl FnMut(&[CellRef<'_>]) -> Result<(), E>,
+) -> Result<(), E> {
+    match args {
+        // A plain string column, the argument of the year and century
+        // functions over an inception column, is read in slot order.
+        [ValuesView::Col(Column::Utf8(data, validity))] => {
+            let mut strings = data.iter().take(num_rows).enumerate();
+            strings.try_for_each(|(i, s)| match validity.is_valid(i) {
+                true => f(&[CellRef::Str(s)]),
+                false => f(&[CellRef::Null]),
+            })
+        }
+        [a] => (0..num_rows).try_for_each(|i| f(&[a.cell(i)])),
+        [a, b] => (0..num_rows).try_for_each(|i| f(&[a.cell(i), b.cell(i)])),
+        [a, b, c] => (0..num_rows).try_for_each(|i| f(&[a.cell(i), b.cell(i), c.cell(i)])),
+        args => {
+            let mut cells = Vec::with_capacity(args.len());
+            (0..num_rows).try_for_each(|i| {
+                cells.clear();
+                cells.extend(args.iter().map(|arg| arg.cell(i)));
+                f(&cells)
+            })
         }
     }
-    Ok(out.finish())
+}
+
+/// A function with one result type `T`, run over every row into `T`'s
+/// vector (a NULL row holds `T::default()`, the builder's placeholder) and
+/// a bitmap, which `column` makes the column of.
+fn typed<T: Copy + Default>(
+    args: &[ValuesView<'_>],
+    num_rows: usize,
+    f: fn(&[CellRef<'_>]) -> Option<T>,
+    column: fn(Vec<T>, Bitmap) -> Column,
+) -> Column {
+    let mut data = Vec::with_capacity(num_rows);
+    let mut validity = Bitmap::with_capacity(num_rows);
+    let Ok(()) = each_row::<Infallible>(args, num_rows, |cells| {
+        let value = f(cells);
+        data.push(value.unwrap_or_default());
+        validity.push(value.is_some());
+        Ok(())
+    });
+    non_null(validity, num_rows, |validity| column(data, validity))
+}
+
+/// The column `column` makes of `validity`, or [`Column::Null`] when none
+/// of the `num_rows` rows is valid.
+fn non_null(validity: Bitmap, num_rows: usize, column: impl FnOnce(Bitmap) -> Column) -> Column {
+    if validity.count_valid() == 0 {
+        Column::Null(num_rows)
+    } else {
+        column(validity)
+    }
+}
+
+/// The bytes of the string columns among `args` over the batch's rows: the
+/// size a string function's result buffer starts at, which fits the result
+/// of a function that keeps its input's length (`UPPER` of ASCII, `LOWER`,
+/// `CONCAT` of columns) without growing.
+fn str_bytes(args: &[ValuesView<'_>], num_rows: usize) -> usize {
+    let bytes = |arg: &ValuesView<'_>| match StrSide::from_view(arg, num_rows) {
+        Some(StrSide::Plain(data, _)) => data.bytes_before(num_rows),
+        Some(StrSide::Dict(codes, dict, _)) => codes
+            .iter()
+            .map(|&code| dict.get(code as usize).len())
+            .sum(),
+        None => 0,
+    };
+    args.iter().map(bytes).sum()
 }
 
 /// Put the parts of a column computed over disjoint row subsets back into

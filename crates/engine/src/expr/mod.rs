@@ -14,10 +14,12 @@
 //!
 //! Every per-row rule is one function of borrowed cells (`CellRef`):
 //! `eval_binary` for the binary operators, and a `CellFn` for each unary
-//! operator and scalar function. The kernels run them wherever their typed
-//! loops do not reach, and the row evaluator ([`Expr::evaluate`],
-//! [`Expr::evaluate_at`]) runs nothing else; it is kept as the property
-//! tests' oracle.
+//! operator and scalar function. A function with one result type returns
+//! that type (a string function appends to a buffer), which the kernel
+//! writes into its output column as it stands. The kernels run these rules
+//! wherever their typed loops do not reach, and the row evaluator
+//! ([`Expr::evaluate`], [`Expr::evaluate_at`]) runs nothing else, wrapping
+//! each result into a [`Value`]; it is kept as the property tests' oracle.
 //!
 //! # Errors
 //!
@@ -981,12 +983,26 @@ fn eval_func(func: ScalarFunc, args: &[Value]) -> EngineResult<Value> {
 /// row evaluator and the column kernel (`kernels::eval_cell_fn`) both run
 /// it, so each operator's and function's semantics are written once; the
 /// kernel resolves it once per batch and calls it per row.
+///
+/// A function whose result has one type declares it: its code returns the
+/// typed result (`None` for NULL), which the kernel writes straight into
+/// that column's vector and bitmap and the row evaluator wraps into a
+/// [`Value`]. A string result is appended to a buffer the caller owns: the
+/// kernel's column buffer, or the row evaluator's `String`.
 #[derive(Clone, Copy)]
 enum CellFn {
+    /// An operator whose result type follows its operand's (unary `-`,
+    /// `ABS`), or that can fail (`NOT`).
     Unary(fn(CellRef<'_>) -> EngineResult<Value>),
-    Binary(fn(CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
-    Ternary(fn(CellRef<'_>, CellRef<'_>, CellRef<'_>) -> EngineResult<Value>),
-    Variadic(fn(&[CellRef<'_>]) -> EngineResult<Value>),
+    /// A function whose result is an int.
+    Int(fn(&[CellRef<'_>]) -> Option<i64>),
+    /// A function whose result is a float.
+    Float(fn(&[CellRef<'_>]) -> Option<f64>),
+    /// A function whose result is a bool.
+    Bool(fn(&[CellRef<'_>]) -> Option<bool>),
+    /// A function whose result is a string: appends it to the buffer and
+    /// returns `true`, or returns `false` for NULL, having appended nothing.
+    Str(fn(&[CellRef<'_>], &mut String) -> bool),
     /// A function whose result is one of its argument cells as it stands:
     /// the position of that argument, or `None` for NULL. The kernel copies
     /// the chosen cell into its output without making a value of it.
@@ -996,26 +1012,30 @@ enum CellFn {
 impl CellFn {
     /// Run on one row's cells, as many as the function was resolved for.
     fn call(self, args: &[CellRef<'_>]) -> EngineResult<Value> {
-        match (self, args) {
-            (CellFn::Unary(f), &[a]) => f(a),
-            (CellFn::Binary(f), &[a, b]) => f(a, b),
-            (CellFn::Ternary(f), &[a, b, c]) => f(a, b, c),
-            (CellFn::Variadic(f), args) => f(args),
-            (CellFn::Pick(f), args) => Ok(f(args).map_or(Value::Null, |at| args[at].to_value())),
-            _ => unreachable!("a CellFn runs on the argument count it was resolved for"),
-        }
+        Ok(match self {
+            CellFn::Unary(f) => return f(args[0]),
+            CellFn::Int(f) => Value::from(f(args)),
+            CellFn::Float(f) => Value::from(f(args)),
+            CellFn::Bool(f) => Value::from(f(args)),
+            CellFn::Str(f) => {
+                let mut out = String::new();
+                let valid = f(args, &mut out);
+                Value::from(valid.then_some(out))
+            }
+            CellFn::Pick(f) => f(args).map_or(Value::Null, |at| args[at].to_value()),
+        })
     }
 }
 
 impl UnaryOp {
     /// The operator's code.
     fn cell_fn(self) -> CellFn {
-        CellFn::Unary(match self {
-            UnaryOp::Neg => cell_fns::neg,
-            UnaryOp::Not => cell_fns::not,
-            UnaryOp::IsNull => cell_fns::is_null,
-            UnaryOp::IsNotNull => cell_fns::is_not_null,
-        })
+        match self {
+            UnaryOp::Neg => CellFn::Unary(cell_fns::neg),
+            UnaryOp::Not => CellFn::Unary(cell_fns::not),
+            UnaryOp::IsNull => CellFn::Bool(cell_fns::is_null),
+            UnaryOp::IsNotNull => CellFn::Bool(cell_fns::is_not_null),
+        }
     }
 }
 
@@ -1025,23 +1045,23 @@ impl ScalarFunc {
     fn cell_fn(self, arity: usize) -> Option<CellFn> {
         use CellFn::*;
         Some(match (self, arity) {
-            (ScalarFunc::Lower, 1) => Unary(cell_fns::lower),
-            (ScalarFunc::Upper, 1) => Unary(cell_fns::upper),
-            (ScalarFunc::Length, 1) => Unary(cell_fns::length),
-            (ScalarFunc::Substr, 2) => Binary(cell_fns::substr_from),
-            (ScalarFunc::Substr, 3) => Ternary(cell_fns::substr),
-            (ScalarFunc::CastInt, 1) => Unary(cell_fns::cast_int),
-            (ScalarFunc::CastFloat, 1) => Unary(cell_fns::cast_float),
-            (ScalarFunc::CastStr, 1) => Unary(cell_fns::cast_str),
-            (ScalarFunc::Concat, _) => Variadic(cell_fns::concat),
+            (ScalarFunc::Lower, 1) => Str(cell_fns::lower),
+            (ScalarFunc::Upper, 1) => Str(cell_fns::upper),
+            (ScalarFunc::Length, 1) => Int(cell_fns::length),
+            (ScalarFunc::Substr, 2) => Str(cell_fns::substr_from),
+            (ScalarFunc::Substr, 3) => Str(cell_fns::substr),
+            (ScalarFunc::CastInt, 1) => Int(cell_fns::cast_int),
+            (ScalarFunc::CastFloat, 1) => Float(cell_fns::cast_float),
+            (ScalarFunc::CastStr, 1) => Str(cell_fns::cast_str),
+            (ScalarFunc::Concat, _) => Str(cell_fns::concat),
             (ScalarFunc::Abs, 1) => Unary(cell_fns::abs),
-            (ScalarFunc::Round, 1) => Unary(cell_fns::round),
-            (ScalarFunc::Round, 2) => Binary(cell_fns::round_to),
+            (ScalarFunc::Round, 1) => Float(cell_fns::round),
+            (ScalarFunc::Round, 2) => Float(cell_fns::round_to),
             (ScalarFunc::Coalesce, _) => Pick(cell_fns::coalesce),
-            (ScalarFunc::ExtractYear, 1) => Unary(cell_fns::extract_year),
-            (ScalarFunc::Century, 1) => Unary(cell_fns::century),
-            (ScalarFunc::Trim, 1) => Unary(cell_fns::trim),
-            (ScalarFunc::Replace, 3) => Ternary(cell_fns::replace),
+            (ScalarFunc::ExtractYear, 1) => Int(cell_fns::extract_year),
+            (ScalarFunc::Century, 1) => Int(cell_fns::century),
+            (ScalarFunc::Trim, 1) => Str(cell_fns::trim),
+            (ScalarFunc::Replace, 3) => Str(cell_fns::replace),
             (ScalarFunc::Min2, 2) => Pick(cell_fns::min2),
             (ScalarFunc::Max2, 2) => Pick(cell_fns::max2),
             _ => return None,
@@ -1066,32 +1086,59 @@ impl ScalarFunc {
 }
 
 /// One function per [`UnaryOp`], and per [`ScalarFunc`] and argument
-/// count, computing a row's result from its borrowed argument cells.
+/// count, computing a row's result from its borrowed argument cells; a
+/// typed function reads its arguments from a slice of the count it was
+/// resolved for.
 mod cell_fns {
     use super::extract_year_from_text;
     use crate::error::{EngineError, EngineResult};
     use crate::value::{CellRef, DateValue, Value};
     use std::cmp::Ordering;
+    use std::fmt::Write;
 
-    /// `f` of a string-like cell; NULL for any other.
-    fn of_str(v: CellRef<'_>, f: impl FnOnce(&str) -> Value) -> EngineResult<Value> {
-        Ok(v.as_str().map_or(Value::Null, f))
+    /// Append `write`'s rendering of a string-like cell to `out`; `false`
+    /// (NULL) for any other cell.
+    fn of_str(v: CellRef<'_>, out: &mut String, write: impl FnOnce(&str, &mut String)) -> bool {
+        v.as_str().map(|s| write(s, out)).is_some()
     }
 
-    pub(super) fn lower(v: CellRef<'_>) -> EngineResult<Value> {
-        of_str(v, |s| Value::str(s.to_lowercase()))
+    /// `str::to_lowercase`, appended: an ASCII string is copied and
+    /// lowercased in place; any other goes through `to_lowercase`, whose
+    /// context rules (a word-final `Σ` becomes `ς`) a per-character mapping
+    /// would miss.
+    pub(super) fn lower(args: &[CellRef<'_>], out: &mut String) -> bool {
+        of_str(args[0], out, |s, out| {
+            if s.is_ascii() {
+                let start = out.len();
+                out.push_str(s);
+                out[start..].make_ascii_lowercase();
+            } else {
+                out.push_str(&s.to_lowercase());
+            }
+        })
     }
 
-    pub(super) fn upper(v: CellRef<'_>) -> EngineResult<Value> {
-        of_str(v, |s| Value::str(s.to_uppercase()))
+    /// `str::to_uppercase`, appended: an ASCII string is copied and
+    /// uppercased in place; any other is mapped a character at a time, as
+    /// `to_uppercase` maps it.
+    pub(super) fn upper(args: &[CellRef<'_>], out: &mut String) -> bool {
+        of_str(args[0], out, |s, out| {
+            if s.is_ascii() {
+                let start = out.len();
+                out.push_str(s);
+                out[start..].make_ascii_uppercase();
+            } else {
+                out.extend(s.chars().flat_map(char::to_uppercase));
+            }
+        })
     }
 
-    pub(super) fn length(v: CellRef<'_>) -> EngineResult<Value> {
-        of_str(v, |s| Value::Int(s.chars().count() as i64))
+    pub(super) fn length(args: &[CellRef<'_>]) -> Option<i64> {
+        args[0].as_str().map(|s| s.chars().count() as i64)
     }
 
-    pub(super) fn trim(v: CellRef<'_>) -> EngineResult<Value> {
-        of_str(v, |s| Value::str(s.trim()))
+    pub(super) fn trim(args: &[CellRef<'_>], out: &mut String) -> bool {
+        of_str(args[0], out, |s, out| out.push_str(s.trim()))
     }
 
     /// The characters of `s` from the 1-based position `start` on.
@@ -1100,65 +1147,57 @@ mod cell_fns {
             .skip(start.as_int().unwrap_or(1).max(1) as usize - 1)
     }
 
-    pub(super) fn substr_from(v: CellRef<'_>, start: CellRef<'_>) -> EngineResult<Value> {
-        of_str(v, |s| Value::str(chars_from(s, start).collect::<String>()))
+    pub(super) fn substr_from(args: &[CellRef<'_>], out: &mut String) -> bool {
+        of_str(args[0], out, |s, out| out.extend(chars_from(s, args[1])))
     }
 
-    pub(super) fn substr(
-        v: CellRef<'_>,
-        start: CellRef<'_>,
-        len: CellRef<'_>,
-    ) -> EngineResult<Value> {
-        let len = len.as_int().unwrap_or(0).max(0) as usize;
-        of_str(v, |s| {
-            Value::str(chars_from(s, start).take(len).collect::<String>())
+    pub(super) fn substr(args: &[CellRef<'_>], out: &mut String) -> bool {
+        let len = args[2].as_int().unwrap_or(0).max(0) as usize;
+        of_str(args[0], out, |s, out| {
+            out.extend(chars_from(s, args[1]).take(len))
         })
     }
 
-    pub(super) fn cast_int(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(match v {
-            CellRef::Int(i) => Value::Int(i),
-            CellRef::Float(f) => Value::Int(f as i64),
-            CellRef::Bool(b) => Value::Int(i64::from(b)),
+    pub(super) fn cast_int(args: &[CellRef<'_>]) -> Option<i64> {
+        match args[0] {
+            CellRef::Int(i) => Some(i),
+            CellRef::Float(f) => Some(f as i64),
+            CellRef::Bool(b) => Some(i64::from(b)),
             CellRef::Str(s) => {
                 let trimmed = s.trim();
                 match trimmed.parse::<i64>() {
-                    Ok(i) => Value::Int(i),
+                    Ok(i) => Some(i),
                     Err(_) => match trimmed.parse::<f64>() {
-                        Ok(f) => Value::Int(f as i64),
-                        Err(_) => extract_year_from_text(trimmed)
-                            .map_or(Value::Null, |y| Value::Int(y as i64)),
+                        Ok(f) => Some(f as i64),
+                        Err(_) => extract_year_from_text(trimmed).map(i64::from),
                     },
                 }
             }
-            CellRef::Date(d) => Value::Int(d.year as i64),
-            _ => Value::Null,
-        })
-    }
-
-    pub(super) fn cast_float(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(match v {
-            CellRef::Int(i) => Value::Float(i as f64),
-            CellRef::Float(f) => Value::Float(f),
-            CellRef::Str(s) => s.trim().parse::<f64>().map_or(Value::Null, Value::Float),
-            _ => Value::Null,
-        })
-    }
-
-    pub(super) fn cast_str(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(if v.is_null() {
-            Value::Null
-        } else {
-            Value::str(v.to_string())
-        })
-    }
-
-    pub(super) fn concat(args: &[CellRef<'_>]) -> EngineResult<Value> {
-        let mut out = String::new();
-        for v in args.iter().filter(|v| !v.is_null()) {
-            out.push_str(&v.to_string());
+            CellRef::Date(d) => Some(i64::from(d.year)),
+            _ => None,
         }
-        Ok(Value::str(out))
+    }
+
+    pub(super) fn cast_float(args: &[CellRef<'_>]) -> Option<f64> {
+        match args[0] {
+            CellRef::Int(i) => Some(i as f64),
+            CellRef::Float(f) => Some(f),
+            CellRef::Str(s) => s.trim().parse::<f64>().ok(),
+            _ => None,
+        }
+    }
+
+    pub(super) fn cast_str(args: &[CellRef<'_>], out: &mut String) -> bool {
+        let v = args[0];
+        !v.is_null() && write!(out, "{v}").is_ok()
+    }
+
+    pub(super) fn concat(args: &[CellRef<'_>], out: &mut String) -> bool {
+        for v in args.iter().filter(|v| !v.is_null()) {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{v}");
+        }
+        true
     }
 
     /// `int` or `float` of a numeric cell, NULL of NULL; any other cell is a
@@ -1198,66 +1237,66 @@ mod cell_fns {
         }
     }
 
-    pub(super) fn is_null(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(Value::Bool(v.is_null()))
+    pub(super) fn is_null(args: &[CellRef<'_>]) -> Option<bool> {
+        Some(args[0].is_null())
     }
 
-    pub(super) fn is_not_null(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(Value::Bool(!v.is_null()))
+    pub(super) fn is_not_null(args: &[CellRef<'_>]) -> Option<bool> {
+        Some(!args[0].is_null())
     }
 
     pub(super) fn abs(v: CellRef<'_>) -> EngineResult<Value> {
         of_number(v, "ABS", i64::saturating_abs, f64::abs)
     }
 
-    pub(super) fn round(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(v.as_float()
-            .map_or(Value::Null, |f| Value::Float(f.round())))
+    pub(super) fn round(args: &[CellRef<'_>]) -> Option<f64> {
+        args[0].as_float().map(f64::round)
     }
 
-    pub(super) fn round_to(v: CellRef<'_>, digits: CellRef<'_>) -> EngineResult<Value> {
-        let factor = 10f64.powi(digits.as_int().unwrap_or(0) as i32);
-        Ok(v.as_float()
-            .map_or(Value::Null, |f| Value::Float((f * factor).round() / factor)))
+    pub(super) fn round_to(args: &[CellRef<'_>]) -> Option<f64> {
+        let factor = 10f64.powi(args[1].as_int().unwrap_or(0) as i32);
+        args[0].as_float().map(|f| (f * factor).round() / factor)
     }
 
     pub(super) fn coalesce(args: &[CellRef<'_>]) -> Option<usize> {
         args.iter().position(|v| !v.is_null())
     }
 
-    pub(super) fn extract_year(v: CellRef<'_>) -> EngineResult<Value> {
-        Ok(match v {
-            CellRef::Date(d) => Value::Int(d.year as i64),
-            CellRef::Int(i) => Value::Int(i),
-            CellRef::Str(s) => {
-                extract_year_from_text(s).map_or(Value::Null, |y| Value::Int(y as i64))
-            }
-            _ => Value::Null,
-        })
+    pub(super) fn extract_year(args: &[CellRef<'_>]) -> Option<i64> {
+        match args[0] {
+            CellRef::Date(d) => Some(i64::from(d.year)),
+            CellRef::Int(i) => Some(i),
+            CellRef::Str(s) => extract_year_from_text(s).map(i64::from),
+            _ => None,
+        }
     }
 
-    pub(super) fn century(v: CellRef<'_>) -> EngineResult<Value> {
-        let year = match v {
+    pub(super) fn century(args: &[CellRef<'_>]) -> Option<i64> {
+        let year = match args[0] {
             CellRef::Date(d) => Some(d.year),
             CellRef::Int(i) => Some(i as i32),
             CellRef::Float(f) => Some(f as i32),
             CellRef::Str(s) => extract_year_from_text(s),
             _ => None,
         };
-        Ok(year.map_or(Value::Null, |y| {
-            Value::Int(DateValue::from_year(y).century() as i64)
-        }))
+        year.map(|y| i64::from(DateValue::from_year(y).century()))
     }
 
-    pub(super) fn replace(
-        v: CellRef<'_>,
-        from: CellRef<'_>,
-        to: CellRef<'_>,
-    ) -> EngineResult<Value> {
-        Ok(match (v.as_str(), from.as_str(), to.as_str()) {
-            (Some(s), Some(from), Some(to)) => Value::str(s.replace(from, to)),
-            _ => Value::Null,
-        })
+    /// `str::replace`, appended.
+    pub(super) fn replace(args: &[CellRef<'_>], out: &mut String) -> bool {
+        let (Some(s), Some(from), Some(to)) =
+            (args[0].as_str(), args[1].as_str(), args[2].as_str())
+        else {
+            return false;
+        };
+        let mut last = 0;
+        for (at, _) in s.match_indices(from) {
+            out.push_str(&s[last..at]);
+            out.push_str(to);
+            last = at + from.len();
+        }
+        out.push_str(&s[last..]);
+        true
     }
 
     /// Of the two cells `[a, b]`: `b` when `a` is NULL or orders
@@ -1553,6 +1592,63 @@ mod tests {
             call(ScalarFunc::Max2, vec![Expr::lit(3), Expr::lit(9)]),
             Value::Int(9)
         );
+    }
+
+    #[test]
+    fn string_functions_write_what_the_std_methods_return() {
+        // ASCII, letters whose case mapping is longer (`ß` uppers to `SS`,
+        // `İ` lowers to `i` and a combining dot), a final sigma, spaces to
+        // trim, and empty strings.
+        const PIECES: &[&str] = &["a", "B", "ß", "İ", "Σ", "ς", " ", "ab", "中", "-", ""];
+        let mut state = 0x51A7_E5C0_FFEE_0001_u64;
+        let mut next = |bound: usize| {
+            // xorshift64: a fixed seed, so every run checks the same strings.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut strings: Vec<String> = (0..2_000)
+            .map(|_| (0..next(6)).map(|_| PIECES[next(PIECES.len())]).collect())
+            .collect();
+        strings.push("ΟΔΟΣ".to_string());
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let mut values: Vec<Value> = strings.iter().map(Value::str).collect();
+        values.push(Value::Null);
+        let columns = vec![Arc::new(Column::from_values(values))];
+        let rows = strings.len() + 1;
+        let func = |func, args: Vec<Expr>| Expr::Func { func, args };
+        type StdMethod = fn(&str) -> String;
+        let cases: [(Expr, StdMethod); 4] = [
+            (
+                func(ScalarFunc::Upper, vec![Expr::col("s")]),
+                str::to_uppercase,
+            ),
+            (
+                func(ScalarFunc::Lower, vec![Expr::col("s")]),
+                str::to_lowercase,
+            ),
+            (func(ScalarFunc::Trim, vec![Expr::col("s")]), |s| {
+                s.trim().to_string()
+            }),
+            (
+                func(
+                    ScalarFunc::Replace,
+                    vec![Expr::col("s"), Expr::lit("a"), Expr::lit("Σx")],
+                ),
+                |s| s.replace('a', "Σx"),
+            ),
+        ];
+        for (expr, std_method) in cases {
+            let out = expr.evaluate_batch(&schema, &columns, rows).unwrap();
+            assert!(matches!(*out, Column::Utf8(..)), "{expr}");
+            for (i, s) in strings.iter().enumerate() {
+                let want = Value::str(std_method(s));
+                assert_eq!(out.get(i), want, "{expr} of {s:?}");
+                assert_eq!(expr.evaluate(&schema, &[Value::str(s)]).unwrap(), want);
+            }
+            assert!(out.get(rows - 1).is_null(), "{expr} of NULL");
+        }
     }
 
     /// The char-based scan `extract_year_from_text` had before it read

@@ -4,10 +4,21 @@
 //! GROUP BY name`, `MAX(num_swords) GROUP BY century`, counts for the
 //! Madonna-and-Child query) plus SUM/AVG/MIN and COUNT(*).
 //!
-//! Vectorized: the group-by expressions and every aggregated expression are
-//! evaluated column-at-a-time first; the grouping pass then walks those
-//! columns once, hashing `i64` keys directly when a single integer group
-//! column allows it and the rendered group key otherwise.
+//! Vectorized, in two passes over columns: the group-by expressions and
+//! every aggregated expression are evaluated column at a time first.
+//!
+//! * Pass 1 assigns each row its group once: by `u32` code for a single
+//!   dictionary-encoded key, by `i64` through a keyed multiply hash for a
+//!   single integer key, and by the rendered group key otherwise.
+//! * Pass 2 runs one loop per aggregate over its evaluated column. The fold
+//!   of each aggregate is written once and instantiated per physical type:
+//!   over an `Int64` or `Float64` slice, over strings compared where they
+//!   lie (plain or dictionary-encoded), and over [`CellRef`]s for every
+//!   other column. `COUNT(*)` is the group sizes pass 1 counted.
+//!
+//! Groups come out in first-seen order, each fold reads its group's rows in
+//! row order (float sums are never reassociated), and `MIN`/`MAX` keep the
+//! first of tied rows.
 
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{EngineError, EngineResult};
@@ -16,7 +27,9 @@ use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{CellRef, DataType, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Aggregate functions.
@@ -86,160 +99,6 @@ impl AggCall {
     }
 }
 
-/// Running state of one aggregate within one group.
-#[derive(Debug)]
-enum AggState {
-    Count(i64),
-    Sum {
-        total: f64,
-        any: bool,
-        all_int: bool,
-    },
-    Avg {
-        total: f64,
-        count: i64,
-    },
-    /// The row of the aggregated column holding the smallest value so far;
-    /// its value is read when the group is emitted.
-    Min(Option<usize>),
-    /// The row holding the largest value so far.
-    Max(Option<usize>),
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum {
-                total: 0.0,
-                any: false,
-                all_int: true,
-            },
-            AggFunc::Avg => AggState::Avg {
-                total: 0.0,
-                count: 0,
-            },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
-    }
-
-    /// Fold the value at `row` of the evaluated aggregate column into the
-    /// state. `column` is `None` for `COUNT(*)`.
-    fn update(&mut self, column: Option<&Column>, row: usize, context: &str) -> EngineResult<()> {
-        match self {
-            AggState::Count(c) => {
-                match column {
-                    // COUNT(*): every row counts.
-                    None => *c += 1,
-                    // COUNT(expr): only non-null values count.
-                    Some(col) if col.is_valid(row) => *c += 1,
-                    Some(_) => {}
-                }
-            }
-            AggState::Sum {
-                total,
-                any,
-                all_int,
-            } => {
-                if let Some(col) = column {
-                    if !col.is_valid(row) {
-                        return Ok(());
-                    }
-                    let value = col.cell(row);
-                    let f = value.as_float().ok_or_else(|| {
-                        EngineError::type_mismatch(
-                            context,
-                            "a numeric value",
-                            value.data_type().prompt_name(),
-                        )
-                    })?;
-                    *total += f;
-                    *any = true;
-                    if !matches!(value, CellRef::Int(_)) {
-                        *all_int = false;
-                    }
-                }
-            }
-            AggState::Avg { total, count } => {
-                if let Some(col) = column {
-                    if !col.is_valid(row) {
-                        return Ok(());
-                    }
-                    let value = col.cell(row);
-                    let f = value.as_float().ok_or_else(|| {
-                        EngineError::type_mismatch(
-                            context,
-                            "a numeric value",
-                            value.data_type().prompt_name(),
-                        )
-                    })?;
-                    *total += f;
-                    *count += 1;
-                }
-            }
-            AggState::Min(best) => keep_extreme(best, column, row, Ordering::Less),
-            AggState::Max(best) => keep_extreme(best, column, row, Ordering::Greater),
-        }
-        Ok(())
-    }
-
-    /// The aggregate's value; `column` is the one [`AggState::update`] read.
-    fn finish(self, column: Option<&Column>) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum {
-                total,
-                any,
-                all_int,
-            } => {
-                if !any {
-                    Value::Null
-                } else if all_int {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Float(total)
-                }
-            }
-            AggState::Avg { total, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(total / count as f64)
-                }
-            }
-            AggState::Min(best) | AggState::Max(best) => match (best, column) {
-                (Some(row), Some(col)) => col.get(row),
-                _ => Value::Null,
-            },
-        }
-    }
-}
-
-/// Make `row` the group's `MIN`/`MAX` row when its non-NULL value orders
-/// `wins` against the current one's: on ties the first row stays.
-fn keep_extreme(best: &mut Option<usize>, column: Option<&Column>, row: usize, wins: Ordering) {
-    let Some(col) = column else { return };
-    if col.is_valid(row) && best.is_none_or(|b| col.cell(row).total_cmp(col.cell(b)) == wins) {
-        *best = Some(row);
-    }
-}
-
-/// One group's accumulated state: the key values plus one state per aggregate.
-struct Group {
-    key_values: Vec<Value>,
-    states: Vec<AggState>,
-}
-
-impl Group {
-    fn new(key_values: Vec<Value>, aggs: &[AggCall]) -> Group {
-        Group {
-            key_values,
-            states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        }
-    }
-}
-
 /// Group `input` by the `group_by` expressions and compute `aggs` per group.
 ///
 /// With an empty `group_by` the whole table forms a single group (global
@@ -284,170 +143,407 @@ pub fn aggregate(
         key_columns.push(expr.evaluate_batch(in_schema, input.columns(), num_rows)?);
     }
     let mut agg_columns: Vec<Option<Arc<Column>>> = Vec::with_capacity(aggs.len());
-    let mut contexts: Vec<String> = Vec::with_capacity(aggs.len());
     for agg in aggs {
         agg_columns.push(match &agg.expr {
             Some(expr) => Some(expr.evaluate_batch(in_schema, input.columns(), num_rows)?),
             None => None,
         });
-        contexts.push(format!("{}({})", agg.func.name(), agg.alias));
     }
 
-    // Grouping pass: map each row to its group, folding aggregate states.
-    let mut groups = group_rows(num_rows, &key_columns, &agg_columns, &contexts, aggs)?;
+    // Pass 1: each row's group.
+    let groups = Groups::assign(num_rows, &key_columns);
 
-    // Global aggregation over an empty input still yields one row.
-    if groups.is_empty() && group_by.is_empty() {
-        groups.push(Group::new(Vec::new(), aggs));
-    }
-
-    // Emit columns in first-seen group order.
-    let mut builders: Vec<ColumnBuilder> = schema
-        .fields()
-        .iter()
-        .map(|f| ColumnBuilder::with_capacity(f.data_type, groups.len()))
-        .collect();
-    for group in groups {
-        let mut slot = 0;
-        for key in group.key_values {
-            builders[slot].push(key);
-            slot += 1;
+    // Pass 2: the key columns read at each group's first row, then one loop
+    // per aggregate. Where several aggregates fail, the error reported is
+    // the one a row-major fold meets first: the lowest failing row, then
+    // the first of them in SELECT order.
+    let mut dtypes = schema.fields().iter().map(|f| f.data_type);
+    let mut columns = Vec::with_capacity(schema.len());
+    for (key, dtype) in key_columns.iter().zip(&mut dtypes) {
+        let mut out = ColumnBuilder::with_capacity(dtype, groups.len());
+        for &row in &groups.first_row {
+            out.push_cell(key.cell(row));
         }
-        for (state, column) in group.states.into_iter().zip(&agg_columns) {
-            builders[slot].push(state.finish(column.as_deref()));
-            slot += 1;
+        columns.push(Arc::new(out.finish()));
+    }
+    let mut first_error: Option<(usize, EngineError)> = None;
+    for ((agg, column), dtype) in aggs.iter().zip(&agg_columns).zip(dtypes) {
+        let mut out = ColumnBuilder::with_capacity(dtype, groups.len());
+        match fold_column(agg, column.as_deref(), &groups, &mut out) {
+            Ok(()) => columns.push(Arc::new(out.finish())),
+            Err((row, error)) => {
+                if first_error.as_ref().is_none_or(|(first, _)| row < *first) {
+                    first_error = Some((row, error));
+                }
+            }
         }
     }
-    Table::from_columns(
-        format!("{}_aggregated", input.name()),
-        schema,
-        builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-    )
+    if let Some((_, error)) = first_error {
+        return Err(error);
+    }
+    Table::from_columns(format!("{}_aggregated", input.name()), schema, columns)
 }
 
-/// Fold the rows `0..num_rows` into groups in first-seen order.
-fn group_rows(
+/// Pass 1's result: which group each row falls in, groups numbered in
+/// first-seen order.
+struct Groups {
+    /// The input's row count.
     num_rows: usize,
-    key_columns: &[Arc<Column>],
-    agg_columns: &[Option<Arc<Column>>],
-    contexts: &[String],
-    aggs: &[AggCall],
-) -> EngineResult<Vec<Group>> {
-    let mut groups: Vec<Group> = Vec::new();
-
-    // Single integer group column: hash i64 keys directly.
-    let single_int_key = if key_columns.len() == 1 {
-        key_columns[0].as_int64()
-    } else {
-        None
-    };
-    // Single dictionary-encoded group column: group by `u32` code through a
-    // dense per-entry table — no hashing, no string rendering. Codes map
-    // one-to-one to entry strings, so first-seen group order and the emitted
-    // key values are identical to the plain string path.
-    let single_dict_key = if key_columns.len() == 1 {
-        key_columns[0].as_dict()
-    } else {
-        None
-    };
-    if key_columns.is_empty() {
-        // Global aggregation: every row folds into one group — no hashing
-        // per row.
-        if num_rows > 0 {
-            groups.push(Group::new(Vec::new(), aggs));
-            for row in 0..num_rows {
-                fold_row(&mut groups[0], agg_columns, contexts, row)?;
-            }
-        }
-    } else if let Some((codes, dict, validity)) = single_dict_key {
-        let mut index: Vec<Option<usize>> = vec![None; dict.len()];
-        let mut null_group: Option<usize> = None;
-        for (row, &code) in codes.iter().enumerate() {
-            let group = if validity.is_valid(row) {
-                let code = code as usize;
-                match index[code] {
-                    Some(g) => g,
-                    None => {
-                        let key = Value::str(dict.get(code));
-                        groups.push(Group::new(vec![key], aggs));
-                        let g = groups.len() - 1;
-                        index[code] = Some(g);
-                        g
-                    }
-                }
-            } else {
-                match null_group {
-                    Some(g) => g,
-                    None => {
-                        groups.push(Group::new(vec![Value::Null], aggs));
-                        let g = groups.len() - 1;
-                        null_group = Some(g);
-                        g
-                    }
-                }
-            };
-            fold_row(&mut groups[group], agg_columns, contexts, row)?;
-        }
-    } else if let Some((data, validity)) = single_int_key {
-        let mut index: HashMap<i64, usize> = HashMap::new();
-        let mut null_group: Option<usize> = None;
-        for (row, &key) in data.iter().enumerate() {
-            let group = if validity.is_valid(row) {
-                *index.entry(key).or_insert_with(|| {
-                    groups.push(Group::new(vec![Value::Int(key)], aggs));
-                    groups.len() - 1
-                })
-            } else {
-                match null_group {
-                    Some(g) => g,
-                    None => {
-                        groups.push(Group::new(vec![Value::Null], aggs));
-                        let g = groups.len() - 1;
-                        null_group = Some(g);
-                        g
-                    }
-                }
-            };
-            fold_row(&mut groups[group], agg_columns, contexts, row)?;
-        }
-    } else {
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut key_buf = String::new();
-        for row in 0..num_rows {
-            key_buf.clear();
-            for col in key_columns {
-                col.write_group_key(row, &mut key_buf);
-                key_buf.push('\u{1}');
-            }
-            let group = match index.get(&key_buf) {
-                Some(&g) => g,
-                None => {
-                    let key_values: Vec<Value> = key_columns.iter().map(|c| c.get(row)).collect();
-                    groups.push(Group::new(key_values, aggs));
-                    let g = groups.len() - 1;
-                    index.insert(key_buf.clone(), g);
-                    g
-                }
-            };
-            fold_row(&mut groups[group], agg_columns, contexts, row)?;
-        }
-    }
-    Ok(groups)
+    /// Each row's group; empty without `GROUP BY`, where every row is in
+    /// group 0.
+    of_row: Vec<usize>,
+    /// Each group's first row (empty without `GROUP BY`).
+    first_row: Vec<usize>,
+    /// Each group's row count.
+    size: Vec<i64>,
 }
 
-fn fold_row(
-    group: &mut Group,
-    agg_columns: &[Option<Arc<Column>>],
-    contexts: &[String],
-    row: usize,
-) -> EngineResult<()> {
-    for ((state, column), context) in group
-        .states
-        .iter_mut()
-        .zip(agg_columns.iter())
-        .zip(contexts.iter())
-    {
-        state.update(column.as_deref(), row, context)?;
+impl Groups {
+    /// Assign each of the `num_rows` rows its group by the values of
+    /// `key_columns` at that row: NULL keys group together, and a group is
+    /// numbered when its first row is met.
+    fn assign(num_rows: usize, key_columns: &[Arc<Column>]) -> Groups {
+        if key_columns.is_empty() {
+            // Global aggregation: one group, even over zero rows.
+            return Groups {
+                num_rows,
+                of_row: Vec::new(),
+                first_row: Vec::new(),
+                size: vec![num_rows as i64],
+            };
+        }
+        let mut groups = Groups {
+            num_rows,
+            of_row: Vec::with_capacity(num_rows),
+            first_row: Vec::new(),
+            size: Vec::new(),
+        };
+        let single = match key_columns {
+            [key] => Some(key),
+            _ => None,
+        };
+        if let Some((codes, dict, validity)) = single.and_then(|key| key.as_dict()) {
+            // A dictionary-encoded key groups by `u32` code through a dense
+            // per-entry table: codes map one-to-one to entry strings, so the
+            // groups are the ones the rendered key finds.
+            let mut index: Vec<Option<usize>> = vec![None; dict.len()];
+            let mut null_group = None;
+            for (row, &code) in codes.iter().enumerate() {
+                let slot = if validity.is_valid(row) {
+                    &mut index[code as usize]
+                } else {
+                    &mut null_group
+                };
+                let group = *slot.get_or_insert_with(|| groups.open(row));
+                groups.put(group);
+            }
+        } else if let Some((keys, validity)) = single.and_then(|key| key.as_int64()) {
+            let mut index = HashMap::with_hasher(IntKeys::new());
+            let mut null_group = None;
+            for (row, &key) in keys.iter().enumerate() {
+                let group = if validity.is_valid(row) {
+                    *index.entry(key).or_insert_with(|| groups.open(row))
+                } else {
+                    *null_group.get_or_insert_with(|| groups.open(row))
+                };
+                groups.put(group);
+            }
+        } else {
+            let mut index: HashMap<String, usize> = HashMap::new();
+            let mut key = String::new();
+            for row in 0..num_rows {
+                key.clear();
+                for column in key_columns {
+                    column.write_group_key(row, &mut key);
+                    key.push('\u{1}');
+                }
+                let group = match index.get(&key) {
+                    Some(&group) => group,
+                    None => {
+                        let group = groups.open(row);
+                        index.insert(key.clone(), group);
+                        group
+                    }
+                };
+                groups.put(group);
+            }
+        }
+        groups
+    }
+
+    /// Number a new group whose first row is `row`.
+    fn open(&mut self, row: usize) -> usize {
+        self.first_row.push(row);
+        self.size.push(0);
+        self.size.len() - 1
+    }
+
+    /// Put the next row in `group`.
+    fn put(&mut self, group: usize) {
+        self.of_row.push(group);
+        self.size[group] += 1;
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.size.len()
+    }
+
+    /// Call `f` with the group and the cell of every row whose cell
+    /// `cell_at` reads as non-NULL, in row order. The first error stops the
+    /// walk and is returned with its row.
+    fn each_cell<T>(
+        &self,
+        cell_at: impl Fn(usize) -> Option<T>,
+        mut f: impl FnMut(usize, T) -> EngineResult<()>,
+    ) -> Result<(), (usize, EngineError)> {
+        let mut visit = |row: usize, group: usize| match cell_at(row) {
+            Some(cell) => f(group, cell).map_err(|error| (row, error)),
+            None => Ok(()),
+        };
+        if self.of_row.is_empty() {
+            (0..self.num_rows).try_for_each(|row| visit(row, 0))
+        } else {
+            let mut rows = self.of_row.iter().enumerate();
+            rows.try_for_each(|(row, &group)| visit(row, group))
+        }
+    }
+}
+
+/// Hashes `i64` group keys with one keyed 128-bit multiply, folded to 64
+/// bits: std's SipHash costs more per key than the rest of pass 1. The key
+/// is drawn per aggregation from std's per-process random hash keys.
+#[derive(Clone)]
+struct IntKeys(u64);
+
+impl IntKeys {
+    fn new() -> IntKeys {
+        IntKeys(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for IntKeys {
+    type Hasher = IntKeyHasher;
+
+    fn build_hasher(&self) -> IntKeyHasher {
+        IntKeyHasher(self.0)
+    }
+}
+
+struct IntKeyHasher(u64);
+
+impl Hasher for IntKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        const MULTIPLIER: u128 = 0x9E37_79B9_7F4A_7C15;
+        let product = u128::from(self.0 ^ x) * MULTIPLIER;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write_i64(&mut self, x: i64) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// A non-NULL cell as one physical type reads it: what the aggregates need
+/// of it. The defaults go through [`CellRef`], which is how a column
+/// without a typed slice (`Mixed`, dates, booleans) is folded.
+trait AggCell<'a>: Copy {
+    /// The cell as a value.
+    fn cell(self) -> CellRef<'a>;
+
+    /// `SUM`/`AVG`'s view: the number as a float and whether it is an int,
+    /// or `None` for a non-numeric cell.
+    fn number(self) -> Option<(f64, bool)> {
+        let cell = self.cell();
+        cell.as_float()
+            .map(|x| (x, matches!(cell, CellRef::Int(_))))
+    }
+
+    /// `MIN`/`MAX`'s ordering.
+    fn order(self, other: Self) -> Ordering {
+        self.cell().total_cmp(other.cell())
+    }
+}
+
+impl<'a> AggCell<'a> for CellRef<'a> {
+    fn cell(self) -> CellRef<'a> {
+        self
+    }
+}
+
+impl<'a> AggCell<'a> for i64 {
+    fn cell(self) -> CellRef<'a> {
+        CellRef::Int(self)
+    }
+
+    fn number(self) -> Option<(f64, bool)> {
+        Some((self as f64, true))
+    }
+
+    fn order(self, other: i64) -> Ordering {
+        self.cmp(&other)
+    }
+}
+
+impl<'a> AggCell<'a> for f64 {
+    fn cell(self) -> CellRef<'a> {
+        CellRef::Float(self)
+    }
+
+    fn number(self) -> Option<(f64, bool)> {
+        Some((self, false))
+    }
+
+    fn order(self, other: f64) -> Ordering {
+        self.total_cmp(&other)
+    }
+}
+
+impl<'a> AggCell<'a> for &'a str {
+    fn cell(self) -> CellRef<'a> {
+        CellRef::Str(self)
+    }
+
+    fn number(self) -> Option<(f64, bool)> {
+        None
+    }
+
+    fn order(self, other: &'a str) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// One aggregate over its evaluated column (`None` for `COUNT(*)`), each
+/// group's result pushed into `out`; or the error at the lowest row where
+/// it fails. Runs [`fold`] over the column's typed slice where it has one.
+fn fold_column(
+    agg: &AggCall,
+    column: Option<&Column>,
+    groups: &Groups,
+    out: &mut ColumnBuilder,
+) -> Result<(), (usize, EngineError)> {
+    let Some(column) = column else {
+        // COUNT(*): every row counts.
+        for &size in &groups.size {
+            out.push(Value::Int(size));
+        }
+        return Ok(());
+    };
+    match column {
+        Column::Int64(data, validity) => fold(
+            agg,
+            |row| validity.is_valid(row).then(|| data[row]),
+            groups,
+            out,
+        ),
+        Column::Float64(data, validity) => fold(
+            agg,
+            |row| validity.is_valid(row).then(|| data[row]),
+            groups,
+            out,
+        ),
+        Column::Utf8(data, validity) => fold(
+            agg,
+            |row| validity.is_valid(row).then(|| data.get(row)),
+            groups,
+            out,
+        ),
+        Column::Dict {
+            codes,
+            dict,
+            bitmap,
+        } => fold(
+            agg,
+            |row| bitmap.is_valid(row).then(|| dict.get(codes[row] as usize)),
+            groups,
+            out,
+        ),
+        other => fold(
+            agg,
+            |row| Some(other.cell(row)).filter(|cell| !cell.is_null()),
+            groups,
+            out,
+        ),
+    }
+}
+
+/// The one fold of each aggregate, over the non-NULL cells `cell_at`
+/// reads, in row order within each group: `COUNT` counts them, `SUM`/`AVG`
+/// add them as floats (an all-int `SUM` is an int), `MIN`/`MAX` keep the
+/// first of the tied extremes. A group without a cell is NULL, but for
+/// `COUNT`, which is 0.
+fn fold<'a, T: AggCell<'a>>(
+    agg: &AggCall,
+    cell_at: impl Fn(usize) -> Option<T>,
+    groups: &Groups,
+    out: &mut ColumnBuilder,
+) -> Result<(), (usize, EngineError)> {
+    let n = groups.len();
+    match agg.func {
+        AggFunc::Count => {
+            let mut counts = vec![0i64; n];
+            groups.each_cell(cell_at, |group, _| {
+                counts[group] += 1;
+                Ok(())
+            })?;
+            for count in counts {
+                out.push(Value::Int(count));
+            }
+        }
+        AggFunc::Sum | AggFunc::Avg => {
+            // Per group: the running total, the cells added, whether all
+            // were ints.
+            let mut sums = vec![(0.0, 0i64, true); n];
+            groups.each_cell(cell_at, |group, cell| {
+                let (x, is_int) = cell.number().ok_or_else(|| {
+                    EngineError::type_mismatch(
+                        format!("{}({})", agg.func.name(), agg.alias),
+                        "a numeric value",
+                        cell.cell().data_type().prompt_name(),
+                    )
+                })?;
+                let sum = &mut sums[group];
+                sum.0 += x;
+                sum.1 += 1;
+                sum.2 &= is_int;
+                Ok(())
+            })?;
+            for (total, count, all_int) in sums {
+                out.push(match agg.func {
+                    _ if count == 0 => Value::Null,
+                    AggFunc::Avg => Value::Float(total / count as f64),
+                    _ if all_int => Value::Int(total as i64),
+                    _ => Value::Float(total),
+                });
+            }
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let wins = match agg.func {
+                AggFunc::Min => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            let mut best: Vec<Option<T>> = vec![None; n];
+            groups.each_cell(cell_at, |group, cell| {
+                let best = &mut best[group];
+                if best.is_none_or(|b| cell.order(b) == wins) {
+                    *best = Some(cell);
+                }
+                Ok(())
+            })?;
+            for cell in best {
+                out.push_cell(cell.map_or(CellRef::Null, AggCell::cell));
+            }
+        }
     }
     Ok(())
 }

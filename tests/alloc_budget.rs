@@ -11,7 +11,7 @@
 
 use caesura::core::Executor;
 use caesura::data::DataLake;
-use caesura::engine::{ops, BinaryOp, Expr};
+use caesura::engine::{ops, BinaryOp, Expr, ScalarFunc};
 use caesura::modal::operators::{apply_python_udf, apply_text_qa, apply_visual_qa, Perception};
 use caesura::modal::{
     BatchConfig, ImageObject, ImageStore, ModalResult, PerceptionBackend, PerceptionCache,
@@ -343,6 +343,70 @@ fn a_transform_step_allocates_the_same_whatever_the_row_count() {
         // reads every inception string in place and builds no value, vector
         // or string per row.
         assert_eq!(blocks(&small), blocks(&large), "{description}");
+    }
+}
+
+#[test]
+fn a_string_function_allocates_the_same_whatever_the_row_count() {
+    let upper = [ops::Projection::new(
+        Expr::Func {
+            func: ScalarFunc::Upper,
+            args: vec![Expr::col("title")],
+        },
+        "upper_title",
+    )];
+    let blocks = |table: &Table| {
+        let (blocks, projected) = blocks_allocated(|| ops::project(table, &upper).unwrap());
+        assert_eq!(
+            projected.value(1, "upper_title").unwrap(),
+            Value::str("PAINTING 1")
+        );
+        blocks
+    };
+    let (small, large) = (painting_metadata(100), painting_metadata(2_000));
+    blocks(&small);
+    // Each title is uppercased into the output column's byte buffer, which
+    // starts at the titles' size: no string of its own per row, and no
+    // buffer regrown.
+    assert_eq!(blocks(&small), blocks(&large));
+}
+
+/// `paintings(year, century)` over `rows` rows: years from 1300 to 1949,
+/// all seven of their centuries within the first 100 rows.
+fn dated_paintings(rows: usize) -> Table {
+    let schema = Schema::from_pairs(&[("year", DataType::Int), ("century", DataType::Int)]);
+    let mut paintings = TableBuilder::new("paintings", schema);
+    for i in 0..rows {
+        let year = 1300 + (i as i64 * 37) % 650;
+        let row = vec![Value::Int(year), Value::Int(year / 100 + 1)];
+        paintings.push_row(row).unwrap();
+    }
+    paintings.build()
+}
+
+#[test]
+fn an_aggregation_allocates_the_same_whatever_the_row_count() {
+    let min_year = [ops::AggCall::new(
+        ops::AggFunc::Min,
+        Some(Expr::col("year")),
+        "first_year",
+    )];
+    let by_century = vec![(Expr::col("century"), "century".to_string())];
+    let count = [ops::AggCall::count_star("paintings")];
+    let cases = [(vec![], &min_year, 1), (by_century, &count, 7)];
+    for (group_by, aggs, groups) in &cases {
+        let (group_by, aggs, groups) = (group_by.as_slice(), aggs.as_slice(), *groups);
+        let blocks = |table: &Table| {
+            let (blocks, out) = blocks_allocated(|| ops::aggregate(table, group_by, aggs).unwrap());
+            assert_eq!(out.num_rows(), groups);
+            blocks
+        };
+        let (small, large) = (dated_paintings(100), dated_paintings(20_000));
+        blocks(&small);
+        // Pass 1 sizes the row-to-group vector once (none without GROUP
+        // BY) and grows its group index with the groups only; pass 2 holds
+        // one state per group and aggregate.
+        assert_eq!(blocks(&small), blocks(&large), "{aggs:?} by {group_by:?}");
     }
 }
 

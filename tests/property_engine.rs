@@ -14,10 +14,12 @@
 //!   naive row-at-a-time reference implementation produces on random tables.
 
 use caesura::engine::{
-    ops, sql, BinaryOp, Catalog, DataType, Expr, Schema, Table, TableBuilder, UnaryOp, Value,
+    dict, ops, sql, BinaryOp, Catalog, Column, ColumnBuilder, DataType, EngineError, EngineResult,
+    Expr, Schema, Table, TableBuilder, UnaryOp, Value,
 };
 use rand::{Rng, SeedableRng, StdRng};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 const CASES: usize = 250;
 
@@ -330,6 +332,322 @@ fn float_sum_and_avg_equal_a_row_order_fold() {
         .map(f64::to_bits)
         .collect();
     assert_eq!(actual, expected);
+}
+
+/// The per-row fold grouped aggregation ran before it folded one aggregate
+/// at a time, kept as the oracle: rows in order, each folded into every
+/// aggregate of its group in SELECT order, so the first error met is the
+/// lowest failing row's first failing aggregate.
+mod row_major_fold {
+    use super::*;
+
+    /// Running state of one aggregate within one group.
+    enum AggState {
+        Count(i64),
+        Sum {
+            total: f64,
+            any: bool,
+            all_int: bool,
+        },
+        Avg {
+            total: f64,
+            count: i64,
+        },
+        /// The row holding the extreme value so far: on ties the first row
+        /// stays.
+        Extreme(Option<usize>, Ordering),
+    }
+
+    impl AggState {
+        fn new(func: ops::AggFunc) -> AggState {
+            match func {
+                ops::AggFunc::Count => AggState::Count(0),
+                ops::AggFunc::Sum => AggState::Sum {
+                    total: 0.0,
+                    any: false,
+                    all_int: true,
+                },
+                ops::AggFunc::Avg => AggState::Avg {
+                    total: 0.0,
+                    count: 0,
+                },
+                ops::AggFunc::Min => AggState::Extreme(None, Ordering::Less),
+                ops::AggFunc::Max => AggState::Extreme(None, Ordering::Greater),
+            }
+        }
+
+        /// Fold `values[row]` in; `values` is `None` for `COUNT(*)`.
+        fn update(
+            &mut self,
+            values: Option<&[Value]>,
+            row: usize,
+            context: &str,
+        ) -> EngineResult<()> {
+            let value = values.map(|values| &values[row]);
+            if value.is_some_and(Value::is_null) {
+                return Ok(());
+            }
+            let number = |value: &Value| {
+                value.as_float().ok_or_else(|| {
+                    let found = value.data_type().prompt_name();
+                    EngineError::type_mismatch(context, "a numeric value", found)
+                })
+            };
+            match (self, value) {
+                (AggState::Count(c), _) => *c += 1,
+                (
+                    AggState::Sum {
+                        total,
+                        any,
+                        all_int,
+                    },
+                    Some(value),
+                ) => {
+                    *total += number(value)?;
+                    *any = true;
+                    *all_int &= matches!(value, Value::Int(_));
+                }
+                (AggState::Avg { total, count }, Some(value)) => {
+                    *total += number(value)?;
+                    *count += 1;
+                }
+                (AggState::Extreme(best, wins), Some(value)) => {
+                    let values = values.expect("an extreme reads a column");
+                    if best.is_none_or(|b| value.total_cmp(&values[b]) == *wins) {
+                        *best = Some(row);
+                    }
+                }
+                (_, None) => unreachable!("only COUNT(*) reads no column"),
+            }
+            Ok(())
+        }
+
+        fn finish(self, values: Option<&[Value]>) -> Value {
+            match self {
+                AggState::Count(c) => Value::Int(c),
+                AggState::Sum { any: false, .. } | AggState::Avg { count: 0, .. } => Value::Null,
+                AggState::Sum {
+                    total,
+                    all_int: true,
+                    ..
+                } => Value::Int(total as i64),
+                AggState::Sum { total, .. } => Value::Float(total),
+                AggState::Avg { total, count } => Value::Float(total / count as f64),
+                AggState::Extreme(best, _) => best.map_or(Value::Null, |row| {
+                    values.expect("an extreme reads a column")[row].clone()
+                }),
+            }
+        }
+    }
+
+    /// `ops::aggregate`'s result by the row-major fold: its output columns
+    /// as a builder makes them from the values, or its error.
+    pub(super) fn aggregate(
+        input: &Table,
+        group_by: &[(Expr, String)],
+        aggs: &[ops::AggCall],
+    ) -> EngineResult<Vec<Column>> {
+        let schema = input.schema();
+        let rows = input.to_rows();
+        let eval = |expr: &Expr| -> EngineResult<Vec<Value>> {
+            rows.iter().map(|row| expr.evaluate(schema, row)).collect()
+        };
+        let keys: Vec<Vec<Value>> = group_by
+            .iter()
+            .map(|(e, _)| eval(e))
+            .collect::<Result<_, _>>()?;
+        let mut inputs = Vec::new();
+        for agg in aggs {
+            inputs.push(agg.expr.as_ref().map(eval).transpose()?);
+        }
+        let contexts: Vec<String> = aggs
+            .iter()
+            .map(|agg| format!("{}({})", agg.func.name(), agg.alias))
+            .collect();
+
+        let mut order: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let new_states = || aggs.iter().map(|agg| AggState::new(agg.func)).collect();
+        for row in 0..rows.len() {
+            let mut key = String::new();
+            for column in &keys {
+                key.push_str(&column[row].group_key());
+                key.push('\u{1}');
+            }
+            let group = *index.entry(key).or_insert_with(|| {
+                let key_values = keys.iter().map(|column| column[row].clone()).collect();
+                order.push((key_values, new_states()));
+                order.len() - 1
+            });
+            let states = &mut order[group].1;
+            for ((state, values), context) in states.iter_mut().zip(&inputs).zip(&contexts) {
+                state.update(values.as_deref(), row, context)?;
+            }
+        }
+        if order.is_empty() && group_by.is_empty() {
+            order.push((Vec::new(), new_states()));
+        }
+
+        let mut dtypes: Vec<DataType> = group_by
+            .iter()
+            .map(|(e, _)| e.output_type(schema))
+            .collect();
+        dtypes.extend(aggs.iter().map(|agg| {
+            match agg.func {
+                ops::AggFunc::Count | ops::AggFunc::Sum => DataType::Int,
+                ops::AggFunc::Avg => DataType::Float,
+                ops::AggFunc::Min | ops::AggFunc::Max => agg
+                    .expr
+                    .as_ref()
+                    .map_or(DataType::Null, |e| e.output_type(schema)),
+            }
+        }));
+        let mut builders: Vec<ColumnBuilder> = dtypes
+            .into_iter()
+            .map(|dtype| ColumnBuilder::with_capacity(dtype, order.len()))
+            .collect();
+        for (key_values, states) in order {
+            let results = states
+                .into_iter()
+                .zip(&inputs)
+                .map(|(state, values)| state.finish(values.as_deref()));
+            for (builder, value) in builders
+                .iter_mut()
+                .zip(key_values.into_iter().chain(results))
+            {
+                builder.push(value);
+            }
+        }
+        Ok(builders.into_iter().map(ColumnBuilder::finish).collect())
+    }
+}
+
+/// A table of `rows` rows whose columns take every physical shape an
+/// aggregate reads: a nullable `Int` (`i`), `Float` (`f`), plain string
+/// (`s`, never dictionary-encoded) and dictionary-encoded string (`d`, plain
+/// below 16 rows), and two `Mixed` columns: `n` of ints and floats that
+/// tie (`2` and `2.0`), and `m` of ints, floats and, rarely, strings.
+fn aggregate_shapes(rng: &mut StdRng, rows: usize) -> Table {
+    const STRINGS: [&str; 6] = ["", "a", "b", "é", "中文", "ab🎨"];
+    let mut column = |cell: &mut dyn FnMut(&mut StdRng) -> Value| -> Vec<Value> {
+        (0..rows)
+            .map(|_| match rng.gen_bool(0.15) {
+                true => Value::Null,
+                false => cell(rng),
+            })
+            .collect()
+    };
+    let i = column(&mut |rng| Value::Int(rng.gen_range(-3i64..4)));
+    let f = column(&mut |rng| {
+        Value::Float([-1.5, 0.1, 0.7, 2.25, 0.0, -0.0][rng.gen_range(0..6usize)])
+    });
+    let s = column(&mut |rng| Value::str(STRINGS[rng.gen_range(0..STRINGS.len())]));
+    let d = column(&mut |rng| Value::str(STRINGS[rng.gen_range(0..3usize)]));
+    let n = column(&mut |rng| match rng.gen_range(-2i64..3) {
+        k if rng.gen_bool(0.5) => Value::Int(k),
+        k => Value::Float(k as f64),
+    });
+    let m = column(&mut |rng| match rng.gen_range(0..40u32) {
+        0 => Value::str(STRINGS[rng.gen_range(0..STRINGS.len())]),
+        k if k % 2 == 0 => Value::Int(i64::from(k)),
+        k => Value::Float(f64::from(k) / 4.0),
+    });
+    let plain = Column::from_values(s);
+    let d = Column::from_values(d);
+    let d = dict::encode_column(&d).unwrap_or(d);
+    let columns = [
+        Column::from_values(i),
+        Column::from_values(f),
+        plain,
+        d,
+        Column::from_values(n),
+        Column::from_values(m),
+    ];
+    let schema = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+        ("d", DataType::Str),
+        ("n", DataType::Int),
+        ("m", DataType::Int),
+    ]);
+    let columns = columns.into_iter().map(std::sync::Arc::new).collect();
+    Table::from_columns("shapes", schema, columns).unwrap()
+}
+
+/// Grouped aggregation equals the row-major fold, column `Debug` for column
+/// `Debug` (variant, bitmap and NULL placeholders included) or error for
+/// error: with no `GROUP BY`, an int key, a dictionary key, a plain string
+/// key and two keys; `COUNT(*)`, `COUNT`, `SUM`, `AVG`, `MIN` and `MAX`
+/// over every column shape; over 0, 1 and about 200 rows; and `SUM`s over
+/// strings that fail at different rows.
+#[test]
+fn aggregates_match_a_row_major_fold() {
+    use ops::{AggCall, AggFunc};
+    let call = |func, column: &str| {
+        AggCall::new(func, Some(Expr::col(column)), format!("{func:?}_{column}"))
+    };
+    let mut every = vec![AggCall::count_star("rows")];
+    for column in ["i", "f", "s", "d", "n", "m"] {
+        every.push(call(AggFunc::Count, column));
+        every.push(call(AggFunc::Min, column));
+        every.push(call(AggFunc::Max, column));
+    }
+    for column in ["i", "f", "n"] {
+        every.push(call(AggFunc::Sum, column));
+        every.push(call(AggFunc::Avg, column));
+    }
+    // Failing sums and averages: `s` and `d` fail at their first non-NULL
+    // row, `m` at its first string. The lowest failing row wins, whatever
+    // the order; at one row, the first listed.
+    let failing = [
+        vec![call(AggFunc::Sum, "s"), call(AggFunc::Sum, "m")],
+        vec![
+            call(AggFunc::Avg, "m"),
+            call(AggFunc::Count, "i"),
+            call(AggFunc::Sum, "d"),
+        ],
+        vec![call(AggFunc::Sum, "d"), call(AggFunc::Sum, "s")],
+    ];
+    let key = |column: &str| (Expr::col(column), column.to_string());
+    let groupings = [
+        vec![],
+        vec![key("i")],
+        vec![key("d")],
+        vec![key("s")],
+        vec![key("i"), key("d")],
+        vec![key("n")],
+    ];
+    let mut rng = StdRng::seed_from_u64(0xA66);
+    let (mut compared, mut failed) = (0, 0);
+    for _ in 0..30 {
+        for rows in [0, 1, rng.gen_range(180..=220)] {
+            let table = aggregate_shapes(&mut rng, rows);
+            for group_by in &groupings {
+                for aggs in std::iter::once(&every).chain(&failing) {
+                    let expected = row_major_fold::aggregate(&table, group_by, aggs);
+                    let actual = ops::aggregate(&table, group_by, aggs).map(|out| {
+                        out.columns()
+                            .iter()
+                            .map(|c| c.as_ref().clone())
+                            .collect::<Vec<_>>()
+                    });
+                    assert_eq!(
+                        format!("{actual:?}"),
+                        format!("{expected:?}"),
+                        "{rows} rows by {group_by:?}: {aggs:?}"
+                    );
+                    compared += 1;
+                    failed += usize::from(expected.is_err());
+                }
+            }
+        }
+    }
+    // Both outcomes are exercised.
+    assert!(
+        failed > 0 && failed < compared,
+        "{failed} of {compared} failed"
+    );
 }
 
 /// Vectorized sort (including the typed single-int-key path) equals a stable
