@@ -12,7 +12,7 @@
 //! failing: correctness first, the typed fast paths kick in whenever the data
 //! allows it.
 
-use crate::value::{CellRef, DataType, DateValue, Value};
+use crate::value::{CellRef, DataType, DateValue, Key, Value};
 use std::sync::Arc;
 
 /// A validity bitmap: bit `i` is set iff slot `i` holds a non-NULL value.
@@ -385,6 +385,31 @@ impl Column {
         }
     }
 
+    /// Call `f` with every slot's cell key ([`CellRef::key`]), in slot
+    /// order: an `Int64` or plain string column in one loop over its data,
+    /// any other through [`Column::cell`]. Grouping and the hash join key
+    /// their rows through it.
+    #[inline]
+    pub(crate) fn for_each_key<'a>(&'a self, mut f: impl FnMut(usize, Key<'a>)) {
+        let key = |valid: &Bitmap, i: usize, cell: CellRef<'a>| match valid.is_valid(i) {
+            true => cell.key(),
+            false => Key::Null,
+        };
+        match self {
+            Column::Int64(v, b) => {
+                for (i, &x) in v.iter().enumerate() {
+                    f(i, key(b, i, CellRef::Int(x)));
+                }
+            }
+            Column::Utf8(v, b) => {
+                for (i, s) in v.iter().enumerate() {
+                    f(i, key(b, i, CellRef::Str(s)));
+                }
+            }
+            other => (0..other.len()).for_each(|i| f(i, other.cell(i).key())),
+        }
+    }
+
     /// Iterate over the column's values (materialized one at a time; a cold
     /// path, see [`Column::get`]).
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
@@ -531,30 +556,6 @@ impl Column {
             }
         }
         merged
-    }
-
-    /// Append the stable grouping key of slot `i` to `out`. Delegates to the
-    /// same per-type writers as [`Value::write_group_key`] (one encoding, two
-    /// entry points) while avoiding a [`Value`] materialization for typed
-    /// slots.
-    pub fn write_group_key(&self, i: usize, out: &mut String) {
-        use crate::value::key_writers;
-        match self {
-            Column::Int64(v, b) if b.is_valid(i) => key_writers::int(v[i], out),
-            Column::Float64(v, b) if b.is_valid(i) => key_writers::float(v[i], out),
-            Column::Bool(v, b) if b.is_valid(i) => key_writers::bool(v[i], out),
-            Column::Utf8(v, b) if b.is_valid(i) => key_writers::str("s:", v.get(i), out),
-            Column::Dict {
-                codes,
-                dict,
-                bitmap,
-            } if bitmap.is_valid(i) => key_writers::str("s:", dict.get(codes[i] as usize), out),
-            Column::Image(v, b) if b.is_valid(i) => key_writers::str("img:", &v[i], out),
-            Column::Text(v, b) if b.is_valid(i) => key_writers::str("t:", &v[i], out),
-            Column::Date(v, b) if b.is_valid(i) => key_writers::date(&v[i], out),
-            Column::Mixed(v) => v[i].write_group_key(out),
-            _ => key_writers::null(out),
-        }
     }
 }
 
@@ -1099,30 +1100,5 @@ mod tests {
         for (i, value) in values.iter().enumerate() {
             assert_eq!(encoded.cell(i).as_str(), value.as_str(), "row {i}");
         }
-    }
-
-    #[test]
-    fn group_keys_match_value_group_keys() {
-        let values = vec![
-            Value::Int(2),
-            Value::Float(2.0),
-            Value::str("x"),
-            Value::Null,
-            Value::Bool(true),
-        ];
-        let col = Column::Mixed(values.clone());
-        for (i, v) in values.iter().enumerate() {
-            let mut key = String::new();
-            col.write_group_key(i, &mut key);
-            assert_eq!(key, v.group_key());
-        }
-        // Typed columns agree with the Value-level keys too.
-        let ints = Column::from_values(vec![Value::Int(7), Value::Null]);
-        let mut key = String::new();
-        ints.write_group_key(0, &mut key);
-        assert_eq!(key, Value::Int(7).group_key());
-        key.clear();
-        ints.write_group_key(1, &mut key);
-        assert_eq!(key, Value::Null.group_key());
     }
 }

@@ -11,17 +11,17 @@
 //!   ([`aggregate`](crate::ops::aggregate())),
 //! * a column compared with, or `LIKE`-matched against, a string literal
 //!   (the binary kernels of [`Expr::evaluate_batch`](crate::Expr::evaluate_batch)),
-//! * a hash join whose build side is dictionary-encoded and whose probe side
-//!   is a plain string column ([`hash_join`](crate::ops::hash_join)).
+//! * a hash join whose build side is dictionary-encoded
+//!   ([`hash_join`](crate::ops::hash_join)).
 //!
 //! Encoding happens at table **ingest** ([`Table::new`](crate::table::Table::new)
 //! and [`TableBuilder::build`](crate::table::TableBuilder::build)), always,
 //! and never inside operators, so every operator of a query sees the same
 //! representation. `take` on a dict column preserves the encoding and
 //! shares the entry table `Arc`; every other operator and key shape (sorts,
-//! `IN` lists, dictionary-encoded join probes, column-vs-column compares)
-//! reads the strings through the exact `Value`-level semantics of a plain
-//! [`Column::Utf8`].
+//! `IN` lists, dictionary-encoded join probes, column-vs-column compares,
+//! keys of several columns) reads the strings through the exact
+//! `Value`-level semantics of a plain [`Column::Utf8`].
 
 use crate::column::{Column, Utf8Buffer};
 use crate::table::Table;

@@ -8,8 +8,9 @@
 //! every aggregated expression are evaluated column at a time first.
 //!
 //! * Pass 1 assigns each row its group once: by `u32` code for a single
-//!   dictionary-encoded key, by `i64` through a keyed multiply hash for a
-//!   single integer key, and by the rendered group key otherwise.
+//!   dictionary-encoded key, and otherwise by the cells' keys
+//!   ([`CellRef::key`], the one key rule `JOIN` and `DISTINCT` use too),
+//!   borrowed from the key columns.
 //! * Pass 2 runs one loop per aggregate over its evaluated column. The fold
 //!   of each aggregate is written once and instantiated per physical type:
 //!   over an `Int64` or `Float64` slice, over strings compared where they
@@ -25,11 +26,8 @@ use crate::error::{EngineError, EngineResult};
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
-use crate::value::{CellRef, DataType, Value};
+use crate::value::{key_map, CellRef, DataType, Key, KeyMap, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Aggregate functions.
@@ -185,15 +183,16 @@ pub fn aggregate(
 }
 
 /// Pass 1's result: which group each row falls in, groups numbered in
-/// first-seen order.
-struct Groups {
+/// first-seen order. `DISTINCT` keeps each group's first row of a grouping
+/// by every column.
+pub(super) struct Groups {
     /// The input's row count.
     num_rows: usize,
     /// Each row's group; empty without `GROUP BY`, where every row is in
     /// group 0.
     of_row: Vec<usize>,
-    /// Each group's first row (empty without `GROUP BY`).
-    first_row: Vec<usize>,
+    /// Each group's first row (none for the group of zero rows).
+    pub(super) first_row: Vec<usize>,
     /// Each group's row count.
     size: Vec<i64>,
 }
@@ -202,13 +201,13 @@ impl Groups {
     /// Assign each of the `num_rows` rows its group by the values of
     /// `key_columns` at that row: NULL keys group together, and a group is
     /// numbered when its first row is met.
-    fn assign(num_rows: usize, key_columns: &[Arc<Column>]) -> Groups {
+    pub(super) fn assign(num_rows: usize, key_columns: &[Arc<Column>]) -> Groups {
         if key_columns.is_empty() {
             // Global aggregation: one group, even over zero rows.
             return Groups {
                 num_rows,
                 of_row: Vec::new(),
-                first_row: Vec::new(),
+                first_row: if num_rows == 0 { Vec::new() } else { vec![0] },
                 size: vec![num_rows as i64],
             };
         }
@@ -225,7 +224,7 @@ impl Groups {
         if let Some((codes, dict, validity)) = single.and_then(|key| key.as_dict()) {
             // A dictionary-encoded key groups by `u32` code through a dense
             // per-entry table: codes map one-to-one to entry strings, so the
-            // groups are the ones the rendered key finds.
+            // groups are the ones the cell keys find.
             let mut index: Vec<Option<usize>> = vec![None; dict.len()];
             let mut null_group = None;
             for (row, &code) in codes.iter().enumerate() {
@@ -237,31 +236,36 @@ impl Groups {
                 let group = *slot.get_or_insert_with(|| groups.open(row));
                 groups.put(group);
             }
-        } else if let Some((keys, validity)) = single.and_then(|key| key.as_int64()) {
-            let mut index = HashMap::with_hasher(IntKeys::new());
-            let mut null_group = None;
-            for (row, &key) in keys.iter().enumerate() {
-                let group = if validity.is_valid(row) {
-                    *index.entry(key).or_insert_with(|| groups.open(row))
-                } else {
-                    *null_group.get_or_insert_with(|| groups.open(row))
-                };
-                groups.put(group);
-            }
+        } else if let Some(key) = single {
+            // Looked up, then inserted on a miss: `entry` is not inlined
+            // for a `Key`, and would cost a call per row.
+            let mut index = key_map(0);
+            key.for_each_key(
+                #[inline(always)]
+                |row, key| {
+                    let group = match index.get(&key) {
+                        Some(&group) => group,
+                        None => {
+                            let group = groups.open(row);
+                            index.insert(key, group);
+                            group
+                        }
+                    };
+                    groups.put(group);
+                },
+            );
         } else {
-            let mut index: HashMap<String, usize> = HashMap::new();
-            let mut key = String::new();
+            // A row's keys are looked up borrowed, and boxed once per group.
+            let mut index: KeyMap<Box<[Key<'_>]>, usize> = key_map(0);
+            let mut keys = Vec::with_capacity(key_columns.len());
             for row in 0..num_rows {
-                key.clear();
-                for column in key_columns {
-                    column.write_group_key(row, &mut key);
-                    key.push('\u{1}');
-                }
-                let group = match index.get(&key) {
+                keys.clear();
+                keys.extend(key_columns.iter().map(|key| key.cell(row).key()));
+                let group = match index.get(keys.as_slice()) {
                     Some(&group) => group,
                     None => {
                         let group = groups.open(row);
-                        index.insert(key.clone(), group);
+                        index.insert(keys.as_slice().into(), group);
                         group
                     }
                 };
@@ -307,50 +311,6 @@ impl Groups {
             let mut rows = self.of_row.iter().enumerate();
             rows.try_for_each(|(row, &group)| visit(row, group))
         }
-    }
-}
-
-/// Hashes `i64` group keys with one keyed 128-bit multiply, folded to 64
-/// bits: std's SipHash costs more per key than the rest of pass 1. The key
-/// is drawn per aggregation from std's per-process random hash keys.
-#[derive(Clone)]
-struct IntKeys(u64);
-
-impl IntKeys {
-    fn new() -> IntKeys {
-        IntKeys(RandomState::new().hash_one(0u64))
-    }
-}
-
-impl BuildHasher for IntKeys {
-    type Hasher = IntKeyHasher;
-
-    fn build_hasher(&self) -> IntKeyHasher {
-        IntKeyHasher(self.0)
-    }
-}
-
-struct IntKeyHasher(u64);
-
-impl Hasher for IntKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        const MULTIPLIER: u128 = 0x9E37_79B9_7F4A_7C15;
-        let product = u128::from(self.0 ^ x) * MULTIPLIER;
-        self.0 = product as u64 ^ (product >> 64) as u64;
-    }
-
-    fn write_i64(&mut self, x: i64) {
-        self.write_u64(x as u64);
     }
 }
 
@@ -676,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn integer_group_keys_use_the_typed_path_and_group_nulls_together() {
+    fn integer_keys_group_nulls_together() {
         let schema = Schema::from_pairs(&[("x", DataType::Int)]);
         let mut b = TableBuilder::new("t", schema);
         for v in [Value::Int(1), Value::Null, Value::Int(1), Value::Null] {

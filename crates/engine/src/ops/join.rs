@@ -8,14 +8,14 @@
 //! * **Build** files every build row into its key's *chain*: the table maps
 //!   a key to the `(first, last)` build rows holding it, and one
 //!   `next: Vec<u32>` links each build row to the next one with the same
-//!   key — ascending row order, no heap `Vec` per key. Three key shapes have
-//!   typed probes: `i64` ⋈ `i64` and plain string ⋈ plain string hash the
-//!   keys directly, and a plain string probe against a dictionary-encoded
-//!   build indexes the chains by `u32` code (one string hash per build
-//!   *entry*). Every other pair of key columns — a dictionary-encoded probe
-//!   side included — hashes the stable rendered group key.
-//! * **Probe** walks each probe row's chain and emits matching index vectors
-//!   for both sides.
+//!   key — ascending row order, no heap `Vec` per key. A key is the cell's
+//!   key ([`CellRef::key`], the rule `GROUP BY` and `DISTINCT` use too),
+//!   borrowed from its column and hashed by one keyed multiply per word,
+//!   so `2` joins `2.0` and a plain string joins a dictionary-encoded one.
+//!   A dictionary-encoded build side chains its rows by `u32` code through
+//!   a dense table and hashes each *entry* once, not each row.
+//! * **Probe** reads each probe row's cell key, walks its chain, and emits
+//!   matching index vectors for both sides. NULL keys never join.
 //! * **Output** columns go through `Selection`: a side whose indices are
 //!   the identity — both sides of a foreign-key join whose tables list their
 //!   keys in the same order — is shared (`Arc::clone`), anything else is
@@ -23,12 +23,11 @@
 //!   copied into one buffer; image keys and text documents move as `Arc`
 //!   bumps).
 
-use crate::column::{Bitmap, Column};
+use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
 use crate::selection::Selection;
 use crate::table::Table;
-use std::collections::HashMap;
-use std::hash::Hash;
+use crate::value::{key_map, CellRef, Key, KeyMap};
 use std::sync::Arc;
 
 /// Inner hash-join `left` and `right` on equality of `left_key` and
@@ -92,129 +91,66 @@ fn link(ends: &mut ChainEnds, next: &mut [u32], row: usize) {
     }
 }
 
-/// Chain every build row whose key `key_of` yields under its hashed key.
-fn build_hashed<K: Hash + Eq>(
-    next: &mut [u32],
-    key_of: impl Fn(usize) -> Option<K>,
-) -> HashMap<K, ChainEnds> {
-    let mut chains = HashMap::with_capacity(next.len());
-    for row in 0..next.len() {
-        if let Some(key) = key_of(row) {
-            link(chains.entry(key).or_insert(EMPTY), next, row);
+/// The chains over the build column `right_key`, by cell key
+/// ([`CellRef::key`]): NULL keys chain nowhere.
+fn build<'a>(right_key: &'a Column, next: &mut [u32]) -> KeyMap<Key<'a>, ChainEnds> {
+    if let Some((codes, dict, valid)) = right_key.as_dict() {
+        // A dictionary-encoded build side chains by `u32` code through a
+        // dense table, and hashes each entry once rather than each row.
+        let mut chains = vec![EMPTY; dict.len()];
+        for (row, &code) in codes.iter().enumerate() {
+            if valid.is_valid(row) {
+                link(&mut chains[code as usize], next, row);
+            }
         }
+        let entries = dict.iter().map(|entry| CellRef::Str(entry).key());
+        let mut keyed = key_map(dict.len());
+        keyed.extend(entries.zip(chains));
+        return keyed;
     }
-    chains
-}
-
-/// Chain every valid build row under its dictionary code: a dense table
-/// indexed by code, no hashing.
-fn build_coded(codes: &[u32], valid: &Bitmap, entries: usize, next: &mut [u32]) -> Vec<ChainEnds> {
-    let mut chains = vec![EMPTY; entries];
-    for (row, &code) in codes.iter().enumerate() {
-        if valid.is_valid(row) {
-            link(&mut chains[code as usize], next, row);
-        }
-    }
+    // Looked up, then inserted on a miss: `entry` is not inlined for a
+    // `Key`, and would cost a call per row.
+    let mut chains = key_map(next.len());
+    right_key.for_each_key(
+        #[inline(always)]
+        |row, key| {
+            if let Some(ends) = chains.get_mut(&key) {
+                link(ends, next, row);
+            } else if key != Key::Null {
+                chains.insert(key, (row as u32, row as u32));
+            }
+        },
+    );
     chains
 }
 
 /// Build the chains over the right key column, probe with the left key
-/// column, and emit matching index pairs.
+/// column, and emit matching index pairs: each left row's matches in
+/// ascending build row order.
 fn probe_indices(left_key: &Column, right_key: &Column) -> (Vec<usize>, Vec<usize>) {
     assert!(
         right_key.len() < NIL as usize,
         "join build side exceeds the u32 row space of its chains"
     );
     let mut next = vec![NIL; right_key.len()];
-    let first = |ends: Option<&ChainEnds>| ends.map_or(NIL, |ends| ends.0);
-
-    // Typed fast path: both sides are i64 keys.
-    if let (Some((ldata, lvalid)), Some((rdata, rvalid))) =
-        (left_key.as_int64(), right_key.as_int64())
-    {
-        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata[i]));
-        return emit(ldata.len(), &next, |i, _| {
-            if lvalid.is_valid(i) {
-                first(chains.get(&ldata[i]))
-            } else {
-                NIL
-            }
-        });
-    }
-    // Mixed fast path: plain probe side against a dictionary-encoded build
-    // side — chains indexed by `u32` code, each probe string translated
-    // through the build side's entry index.
-    if let (Some((ldata, lvalid)), Some((rcodes, rdict, rvalid))) =
-        (left_key.as_utf8(), right_key.as_dict())
-    {
-        let chains = build_coded(rcodes, rvalid, rdict.len(), &mut next);
-        let entry_first: HashMap<&str, u32> = rdict
-            .iter()
-            .zip(&chains)
-            .map(|(entry, ends)| (entry, ends.0))
-            .collect();
-        return emit(ldata.len(), &next, |i, _| {
-            if lvalid.is_valid(i) {
-                entry_first.get(ldata.get(i)).copied().unwrap_or(NIL)
-            } else {
-                NIL
-            }
-        });
-    }
-    // Typed fast path: both sides are string keys.
-    if let (Some((ldata, lvalid)), Some((rdata, rvalid))) =
-        (left_key.as_utf8(), right_key.as_utf8())
-    {
-        let chains = build_hashed(&mut next, |i| rvalid.is_valid(i).then(|| rdata.get(i)));
-        return emit(ldata.len(), &next, |i, _| {
-            if lvalid.is_valid(i) {
-                first(chains.get(ldata.get(i)))
-            } else {
-                NIL
-            }
-        });
-    }
-    // Generic path: hash the rendered group key (numeric unification included).
-    let chains = build_hashed(&mut next, |i| {
-        right_key.is_valid(i).then(|| {
-            let mut key = String::new();
-            right_key.write_group_key(i, &mut key);
-            key
-        })
-    });
-    emit(left_key.len(), &next, |i, buf| {
-        if left_key.is_valid(i) {
-            buf.clear();
-            left_key.write_group_key(i, buf);
-            first(chains.get(buf.as_str()))
-        } else {
-            NIL
-        }
-    })
-}
-
-/// Probe every left row — `first_of` yields the first build row of its key's
-/// chain, or [`NIL`] — and emit the matching index pairs. The `String`
-/// scratch buffer serves the generic rendered-key path (the typed paths
-/// ignore it).
-fn emit<F>(left_len: usize, next: &[u32], first_of: F) -> (Vec<usize>, Vec<usize>)
-where
-    F: Fn(usize, &mut String) -> u32,
-{
+    let chains = build(right_key, &mut next);
     // FK-shaped joins emit ~1 row per probe row; reserving the probe length
     // up front avoids ~20 doubling reallocations on the way to a million-row
     // output.
-    let mut left_indices = Vec::with_capacity(left_len);
-    let mut right_indices = Vec::with_capacity(left_len);
-    let mut buf = String::new();
-    for i in 0..left_len {
-        let mut j = first_of(i, &mut buf);
-        while j != NIL {
-            left_indices.push(i);
-            right_indices.push(j as usize);
-            j = next[j as usize];
-        }
-    }
+    let mut left_indices = Vec::with_capacity(left_key.len());
+    let mut right_indices = Vec::with_capacity(left_key.len());
+    left_key.for_each_key(
+        #[inline(always)]
+        |i, key| {
+            // NULL keys chain nowhere, so a NULL probe finds nothing.
+            let mut j = chains.get(&key).map_or(NIL, |ends| ends.0);
+            while j != NIL {
+                left_indices.push(i);
+                right_indices.push(j as usize);
+                j = next[j as usize];
+            }
+        },
+    );
     (left_indices, right_indices)
 }
 
@@ -286,20 +222,29 @@ mod tests {
         assert_eq!(joined.num_rows(), 4);
     }
 
-    #[test]
-    fn mixed_numeric_keys_join_through_the_generic_path() {
-        // An int column joined against a float column: 2 must match 2.0,
-        // exactly as the rendered group keys unify them.
-        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
-        let mut b = TableBuilder::new("l", schema);
-        b.push_row(vec![Value::Int(2)]).unwrap();
+    /// One-row tables `l(k INT)` and `r(k FLOAT)`.
+    fn int_and_float(int: i64, float: f64) -> (Table, Table) {
+        let mut b = TableBuilder::new("l", Schema::from_pairs(&[("k", DataType::Int)]));
+        b.push_row(vec![Value::Int(int)]).unwrap();
         let left = b.build();
-        let schema = Schema::from_pairs(&[("k", DataType::Float)]);
-        let mut b = TableBuilder::new("r", schema);
-        b.push_row(vec![Value::Float(2.0)]).unwrap();
-        let right = b.build();
-        let joined = hash_join(&left, &right, "k", "k").unwrap();
-        assert_eq!(joined.num_rows(), 1);
+        let mut b = TableBuilder::new("r", Schema::from_pairs(&[("k", DataType::Float)]));
+        b.push_row(vec![Value::Float(float)]).unwrap();
+        (left, b.build())
+    }
+
+    #[test]
+    fn an_int_key_joins_the_float_equal_to_it_up_to_two_to_the_53() {
+        // 2 must match 2.0, and 10^15 must match 1e15, as `=` says.
+        for (int, float, rows) in [
+            (2, 2.0, 1),
+            (1_000_000_000_000_000, 1e15, 1),
+            (1 << 53, 9_007_199_254_740_992.0, 1),
+            (2, 2.5, 0),
+        ] {
+            let (left, right) = int_and_float(int, float);
+            let joined = hash_join(&left, &right, "k", "k").unwrap();
+            assert_eq!(joined.num_rows(), rows, "{int} = {float}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! LIMIT, DISTINCT, and UNION ALL — vectorized over the columnar layout.
 
+use super::aggregate::Groups;
 use crate::column::Column;
 use crate::error::{EngineError, EngineResult};
 use crate::table::Table;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Keep only the first `n` rows. When `n` covers the whole table the columns
@@ -18,21 +18,12 @@ pub fn limit(input: &Table, n: usize) -> EngineResult<Table> {
     Ok(out.renamed(format!("{}_limited", input.name())))
 }
 
-/// Remove duplicate rows (keeping the first occurrence of each).
+/// Remove duplicate rows, keeping the first of each. Two rows are the same
+/// when each column's two cells are one key under the rule `GROUP BY`
+/// groups by: NULL matches NULL, `2` matches `2.0`, a string matches the
+/// same text.
 pub fn distinct(input: &Table) -> EngineResult<Table> {
-    let mut seen: HashSet<String> = HashSet::with_capacity(input.num_rows());
-    let mut indices = Vec::new();
-    let mut key = String::new();
-    for row in 0..input.num_rows() {
-        key.clear();
-        for column in input.columns() {
-            column.write_group_key(row, &mut key);
-            key.push('\u{1}');
-        }
-        if seen.insert(key.clone()) {
-            indices.push(row);
-        }
-    }
+    let indices = Groups::assign(input.num_rows(), input.columns()).first_row;
     let out = if indices.len() == input.num_rows() {
         input.shared_copy()
     } else {

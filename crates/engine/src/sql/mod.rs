@@ -167,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn a_constant_erring_group_key_over_no_row_raises_nothing() {
+    fn a_constant_erring_grouping_over_no_row_raises_nothing() {
         returns_no_row("SELECT COUNT(*) AS c FROM t WHERE n > 100 GROUP BY ABS('x')");
     }
 

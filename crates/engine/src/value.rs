@@ -12,7 +12,10 @@
 //!   stored inline.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// The data type of a [`Value`] or of a schema field.
@@ -223,71 +226,6 @@ impl Value {
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.cell().sql_eq(other.cell())
     }
-
-    /// A stable key usable for hashing in joins and group-by. Floats are
-    /// keyed by their bit pattern; strings by content.
-    pub fn group_key(&self) -> String {
-        let mut out = String::new();
-        self.write_group_key(&mut out);
-        out
-    }
-
-    /// Append this value's grouping key to `out`. This is the single source
-    /// of truth for the key encoding — the columnar kernels
-    /// ([`Column::write_group_key`](crate::column::Column::write_group_key))
-    /// call the same per-type writers below, so typed and mixed columns can
-    /// never drift apart.
-    pub fn write_group_key(&self, out: &mut String) {
-        match self {
-            Value::Null => key_writers::null(out),
-            Value::Bool(b) => key_writers::bool(*b, out),
-            Value::Int(i) => key_writers::int(*i, out),
-            Value::Float(f) => key_writers::float(*f, out),
-            Value::Str(s) => key_writers::str("s:", s, out),
-            Value::Date(d) => key_writers::date(d, out),
-            Value::Image(s) => key_writers::str("img:", s, out),
-            Value::Text(s) => key_writers::str("t:", s, out),
-        }
-    }
-}
-
-/// The per-type grouping-key writers shared by [`Value::write_group_key`]
-/// and the typed columnar kernels. Kept in one module so the encoding (and
-/// in particular the float/int unification rule) cannot diverge between the
-/// row and columnar paths.
-pub(crate) mod key_writers {
-    use super::DateValue;
-    use std::fmt::Write;
-
-    pub(crate) fn null(out: &mut String) {
-        out.push_str("\u{0}null");
-    }
-
-    pub(crate) fn bool(b: bool, out: &mut String) {
-        let _ = write!(out, "b:{b}");
-    }
-
-    pub(crate) fn int(i: i64, out: &mut String) {
-        let _ = write!(out, "i:{i}");
-    }
-
-    pub(crate) fn float(f: f64, out: &mut String) {
-        if f.fract() == 0.0 && f.abs() < 1e15 {
-            // Make 2.0 group together with the integer 2.
-            let _ = write!(out, "i:{}", f as i64);
-        } else {
-            let _ = write!(out, "f:{}", f.to_bits());
-        }
-    }
-
-    pub(crate) fn str(prefix: &'static str, s: &str, out: &mut String) {
-        out.push_str(prefix);
-        out.push_str(s);
-    }
-
-    pub(crate) fn date(d: &DateValue, out: &mut String) {
-        let _ = write!(out, "d:{d}");
-    }
 }
 
 impl PartialEq for Value {
@@ -454,6 +392,151 @@ impl<'a> CellRef<'a> {
             _ => false,
         }
     }
+
+    /// The cell's key: the one rule by which `GROUP BY`, `JOIN` and
+    /// `DISTINCT` take two cells as the same. NULL is one key. A bool never
+    /// equals an int. A float that holds an integer within ±2^53 is the key
+    /// of that int (so `0.0` and `-0.0` are one key); up to 2^53 every int
+    /// converts to a float exactly, so there the rule agrees with `=`. Any
+    /// other float keys by its bits. A plain string equals a
+    /// dictionary-encoded one with the same text, never an image key or a
+    /// text document. A date keys by its rendering: without a month the day
+    /// does not count.
+    #[inline]
+    pub(crate) fn key(self) -> Key<'a> {
+        /// 2^53: integers up to it are exact as floats.
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+        match self {
+            CellRef::Null => Key::Null,
+            CellRef::Bool(b) => Key::Bool(b),
+            CellRef::Int(i) => Key::Int(i),
+            CellRef::Float(f) if f.fract() == 0.0 && f.abs() <= EXACT => Key::Int(f as i64),
+            CellRef::Float(f) => Key::Float(f.to_bits()),
+            CellRef::Str(s) => Key::Str(s),
+            CellRef::Date(d) => Key::Date(d.year, d.month, if d.month == 0 { 0 } else { d.day }),
+            CellRef::Image(s) => Key::Image(s),
+            CellRef::Text(s) => Key::Text(s),
+        }
+    }
+}
+
+/// A cell's key ([`CellRef::key`]): two cells are one key iff they are
+/// equal under the rule written there. Strings are borrowed from their
+/// column, so keying a row allocates nothing.
+#[derive(Debug, Clone, Copy, Eq)]
+pub(crate) enum Key<'a> {
+    Null,
+    Bool(bool),
+    /// An int, or a float holding one within ±2^53.
+    Int(i64),
+    /// Any other float, by its bits.
+    Float(u64),
+    Str(&'a str),
+    /// Year, month, and the day when there is a month.
+    Date(i32, u8, u8),
+    Image(&'a str),
+    Text(&'a str),
+}
+
+// `PartialEq` and `Hash` are written out, and always inlined, so a loop
+// over an int column keys each row without a call: an int, a float, a bool
+// or NULL hashes as one word, a string as its bytes. Keys of different
+// kinds may share a hash; equality tells them apart.
+impl PartialEq for Key<'_> {
+    #[inline(always)]
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Key::Null, Key::Null) => true,
+            (Key::Bool(a), Key::Bool(b)) => a == b,
+            (Key::Int(a), Key::Int(b)) => a == b,
+            (Key::Float(a), Key::Float(b)) => a == b,
+            (Key::Str(a), Key::Str(b))
+            | (Key::Image(a), Key::Image(b))
+            | (Key::Text(a), Key::Text(b)) => a == b,
+            (Key::Date(y, m, d), Key::Date(other_y, other_m, other_d)) => {
+                (y, m, d) == (other_y, other_m, other_d)
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Hash for Key<'_> {
+    #[inline(always)]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match *self {
+            Key::Null => state.write_u64(0),
+            Key::Bool(b) => state.write_u64(u64::from(b)),
+            Key::Int(i) => state.write_u64(i as u64),
+            Key::Float(bits) => state.write_u64(bits),
+            Key::Str(s) | Key::Image(s) | Key::Text(s) => state.write(s.as_bytes()),
+            Key::Date(y, m, d) => {
+                state.write_u64(u64::from(y as u32) << 16 | u64::from(m) << 8 | u64::from(d))
+            }
+        }
+    }
+}
+
+/// A hash map over cell keys, or over rows of them.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, KeyHash>;
+
+/// A new [`KeyMap`] with room for `capacity` keys.
+pub(crate) fn key_map<K, V>(capacity: usize) -> KeyMap<K, V> {
+    HashMap::with_capacity_and_hasher(capacity, KeyHash(RandomState::new().hash_one(0u64)))
+}
+
+/// Hashes keys with one keyed 128-bit multiply per word, folded to 64 bits:
+/// std's SipHash costs more per key than the rest of a grouping pass. The
+/// key is drawn per map from std's per-process random hash keys, so which
+/// keys collide changes from map to map and from run to run.
+#[derive(Clone)]
+pub(crate) struct KeyHash(u64);
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher(self.0)
+    }
+}
+
+/// The running state of a [`KeyHash`].
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Eight bytes per word, then a last word of the fewer than eight
+    /// bytes left with their count in its top byte: two byte strings never
+    /// give the same words. Kept out of line, so a number's hash stays
+    /// small enough to inline.
+    #[inline(never)]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        let mut last = (rest.len() as u64) << 56;
+        for (i, &byte) in rest.iter().enumerate() {
+            last |= u64::from(byte) << (8 * i);
+        }
+        self.write_u64(last);
+    }
+
+    #[inline(always)]
+    fn write_u64(&mut self, x: u64) {
+        const MULTIPLIER: u128 = 0x9E37_79B9_7F4A_7C15;
+        let product = u128::from(self.0 ^ x) * MULTIPLIER;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    /// A row key's length.
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
 }
 
 impl fmt::Display for CellRef<'_> {
@@ -573,11 +656,58 @@ mod tests {
         assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
     }
 
+    fn key(value: &Value) -> Key<'_> {
+        value.cell().key()
+    }
+
     #[test]
-    fn group_keys_unify_integral_floats_and_ints() {
-        assert_eq!(Value::Int(2).group_key(), Value::Float(2.0).group_key());
-        assert_ne!(Value::Int(2).group_key(), Value::Float(2.5).group_key());
-        assert_ne!(Value::str("2").group_key(), Value::Int(2).group_key());
+    fn keys_unify_integral_floats_and_ints_up_to_two_to_the_53() {
+        let two_53 = 1i64 << 53;
+        for i in [2, 0, -7, 1_000_000_000_000_000, two_53, -two_53] {
+            assert_eq!(key(&Value::Int(i)), key(&Value::Float(i as f64)), "{i}");
+        }
+        assert_eq!(key(&Value::Float(-0.0)), key(&Value::Int(0)));
+        assert_ne!(key(&Value::Int(2)), key(&Value::Float(2.5)));
+        // Past 2^53 a float stands for several ints, and keys by its bits.
+        let past = 2.0 * two_53 as f64;
+        assert_eq!(key(&Value::Float(past)), Key::Float(past.to_bits()));
+        assert_ne!(key(&Value::Float(f64::NAN)), key(&Value::Int(0)));
+    }
+
+    #[test]
+    fn keys_keep_types_apart_that_equality_keeps_apart() {
+        assert_ne!(key(&Value::str("2")), key(&Value::Int(2)));
+        assert_ne!(key(&Value::Bool(true)), key(&Value::Int(1)));
+        assert_ne!(key(&Value::str("a")), key(&Value::image("a")));
+        assert_ne!(key(&Value::str("a")), key(&Value::text("a")));
+        assert_ne!(key(&Value::image("a")), key(&Value::text("a")));
+        assert_eq!(key(&Value::Null), key(&Value::Null));
+    }
+
+    #[test]
+    fn a_date_keys_by_its_rendering() {
+        let date = |y, m, d| Value::Date(DateValue::new(y, m, d));
+        assert_eq!(key(&date(1889, 0, 5)), key(&date(1889, 0, 0)));
+        assert_ne!(key(&date(1889, 1, 5)), key(&date(1889, 1, 0)));
+        assert_ne!(key(&date(1889, 1, 0)), key(&date(1889, 0, 0)));
+    }
+
+    #[test]
+    fn the_key_hasher_reads_every_byte_of_a_string() {
+        let hash = KeyHash(7);
+        let words = [
+            "",
+            "\0",
+            "a",
+            "a\0",
+            "abcdefg",
+            "abcdefg\u{7}",
+            "abcdefgh",
+            "abcdefgh\0",
+        ];
+        let hashes: std::collections::HashSet<u64> =
+            words.iter().map(|w| hash.hash_one(Key::Str(w))).collect();
+        assert_eq!(hashes.len(), words.len());
     }
 
     #[test]

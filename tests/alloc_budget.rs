@@ -410,6 +410,35 @@ fn an_aggregation_allocates_the_same_whatever_the_row_count() {
     }
 }
 
+/// Blocks a grouping by a plain string key may add from 100 to 20,000
+/// groups. Each doubling of the groups may regrow the group index, the
+/// first-row and size vectors and the output key column's byte buffer:
+/// four blocks a doubling, eight doublings, 32 blocks (measured: 32). The
+/// budget is twice that; a key copied into a block of its own per group
+/// adds 19,900.
+const PLAIN_KEY_GROUP_BLOCKS: u64 = 64;
+
+#[test]
+fn grouping_by_a_plain_string_key_allocates_far_fewer_blocks_than_groups() {
+    // Titles are unique, so the column stays a plain string buffer and
+    // every row opens a group.
+    let by_title = [(Expr::col("title"), "title".to_string())];
+    let count = [ops::AggCall::count_star("paintings")];
+    let blocks = |(metadata, _): &(Table, Table)| {
+        let (blocks, out) =
+            blocks_allocated(|| ops::aggregate(metadata, &by_title, &count).unwrap());
+        assert_eq!(out.num_rows(), metadata.num_rows());
+        blocks
+    };
+    let (small, large) = (fk_pair(100, 0..100), fk_pair(20_000, 0..20_000));
+    blocks(&small);
+    let (small, large) = (blocks(&small), blocks(&large));
+    assert!(
+        large <= small + PLAIN_KEY_GROUP_BLOCKS,
+        "{small} blocks for 100 groups, {large} for 20,000"
+    );
+}
+
 /// [`painting_metadata`] with a yes/no `madonna_depicted` answer column.
 fn yes_no_answers(rows: usize) -> Table {
     painting_metadata(rows)

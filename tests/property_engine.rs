@@ -17,37 +17,55 @@ use caesura::engine::{
     dict, ops, sql, BinaryOp, Catalog, Column, ColumnBuilder, DataType, EngineError, EngineResult,
     Expr, Schema, Table, TableBuilder, UnaryOp, Value,
 };
+use common::{cell_key, CellKey};
 use rand::{Rng, SeedableRng, StdRng};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
+mod common;
+
 const CASES: usize = 250;
 
 /// A random value mirroring the old proptest strategy: NULL, bool, int,
-/// float, or a short string (see [`random_string`]).
+/// float, or a short string (see [`random_string`]); or, as an int or a
+/// float, a boundary of the numeric key rule: 10^15, or ±2^53, past which
+/// ints are no longer exact as floats.
 fn random_value(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..6u32) {
         0 => Value::Null,
         1 => Value::Bool(rng.gen_bool(0.5)),
         2 => Value::Int(rng.gen_range(-1_000_000i64..1_000_000)),
         3 => Value::Float(rng.gen_range(-1_000_000i64..1_000_000) as f64 / 7.0),
-        _ => Value::str(random_string(rng, 12)),
+        4 => Value::str(random_string(rng, 12)),
+        _ => {
+            let x = [1_000_000_000_000_000, 1 << 53, -(1 << 53)][rng.gen_range(0..3usize)];
+            match rng.gen_bool(0.5) {
+                true => Value::Int(x),
+                false => Value::Float(x as f64),
+            }
+        }
     }
 }
 
-/// Up to `max_len` characters, empty strings included: alphanumerics, a
-/// space, and characters of two, three and four UTF-8 bytes, so a string
-/// column's byte offsets stop apart from its character positions.
+/// Up to `max_len` pieces, empty strings included: alphanumerics, a space,
+/// characters of two, three and four UTF-8 bytes, so a string column's
+/// byte offsets stop apart from its character positions, and the bytes a
+/// rendered row key would be built of (U+0001 between columns, U+0000,
+/// type tags), so no key can merge rows by splicing strings.
 fn random_string(rng: &mut StdRng, max_len: usize) -> String {
     const MULTI_BYTE: [char; 3] = ['é', '中', '🎨'];
     const ASCII: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
+    const HOSTILE: [&str; 5] = ["\u{1}", "\u{0}", "s:", "i:", "img:"];
     let len = rng.gen_range(0..=max_len);
-    (0..len)
-        .map(|_| match rng.gen_range(0..ASCII.len() + MULTI_BYTE.len()) {
-            i if i < ASCII.len() => ASCII[i] as char,
-            i => MULTI_BYTE[i - ASCII.len()],
-        })
-        .collect()
+    let mut out = String::new();
+    for _ in 0..len {
+        match rng.gen_range(0..ASCII.len() + MULTI_BYTE.len() + HOSTILE.len()) {
+            i if i < ASCII.len() => out.push(ASCII[i] as char),
+            i if i < ASCII.len() + MULTI_BYTE.len() => out.push(MULTI_BYTE[i - ASCII.len()]),
+            i => out.push_str(HOSTILE[i - ASCII.len() - MULTI_BYTE.len()]),
+        }
+    }
+    out
 }
 
 fn int_table(values: &[i64]) -> Table {
@@ -203,7 +221,7 @@ fn join_matches_nested_loop_reference() {
                 if rrow[key_idx].is_null() {
                     continue;
                 }
-                if lrow[key_idx].group_key() == rrow[key_idx].group_key() {
+                if cell_key(&lrow[key_idx]) == cell_key(&rrow[key_idx]) {
                     let mut row = lrow.clone();
                     row.extend(rrow.iter().cloned());
                     expected.push(row);
@@ -229,11 +247,10 @@ fn aggregate_matches_row_at_a_time_reference() {
 
         // Reference: first-seen-order groups over materialized rows.
         type Reference = (Value, i64, i64, f64, Option<Value>, Option<Value>);
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: std::collections::HashMap<String, Reference> =
-            std::collections::HashMap::new();
+        let mut order: Vec<CellKey> = Vec::new();
+        let mut groups: HashMap<CellKey, Reference> = HashMap::new();
         for row in table.to_rows() {
-            let key = row[group_idx].group_key();
+            let key = cell_key(&row[group_idx]);
             let entry = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key.clone());
                 (row[group_idx].clone(), 0, 0, 0.0, None, None)
@@ -466,14 +483,10 @@ mod row_major_fold {
             .collect();
 
         let mut order: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut index: HashMap<Vec<CellKey>, usize> = HashMap::new();
         let new_states = || aggs.iter().map(|agg| AggState::new(agg.func)).collect();
         for row in 0..rows.len() {
-            let mut key = String::new();
-            for column in &keys {
-                key.push_str(&column[row].group_key());
-                key.push('\u{1}');
-            }
+            let key = keys.iter().map(|column| cell_key(&column[row])).collect();
             let group = *index.entry(key).or_insert_with(|| {
                 let key_values = keys.iter().map(|column| column[row].clone()).collect();
                 order.push((key_values, new_states()));
@@ -528,7 +541,9 @@ mod row_major_fold {
 /// below 16 rows), and two `Mixed` columns: `n` of ints and floats that
 /// tie (`2` and `2.0`), and `m` of ints, floats and, rarely, strings.
 fn aggregate_shapes(rng: &mut StdRng, rows: usize) -> Table {
-    const STRINGS: [&str; 6] = ["", "a", "b", "é", "中文", "ab🎨"];
+    // `d` draws the first three: a row `("a\u{1}s:a", "a")` and a row
+    // `("a", "a\u{1}s:a")` splice into one text under a rendered key.
+    const STRINGS: [&str; 7] = ["", "a", "a\u{1}s:a", "b", "é", "中文", "ab🎨"];
     let mut column = |cell: &mut dyn FnMut(&mut StdRng) -> Value| -> Vec<Value> {
         (0..rows)
             .map(|_| match rng.gen_bool(0.15) {
@@ -578,7 +593,7 @@ fn aggregate_shapes(rng: &mut StdRng, rows: usize) -> Table {
 /// Grouped aggregation equals the row-major fold, column `Debug` for column
 /// `Debug` (variant, bitmap and NULL placeholders included) or error for
 /// error: with no `GROUP BY`, an int key, a dictionary key, a plain string
-/// key and two keys; `COUNT(*)`, `COUNT`, `SUM`, `AVG`, `MIN` and `MAX`
+/// key, an int and a string key, and two string keys; `COUNT(*)`, `COUNT`, `SUM`, `AVG`, `MIN` and `MAX`
 /// over every column shape; over 0, 1 and about 200 rows; and `SUM`s over
 /// strings that fail at different rows.
 #[test]
@@ -616,6 +631,7 @@ fn aggregates_match_a_row_major_fold() {
         vec![key("d")],
         vec![key("s")],
         vec![key("i"), key("d")],
+        vec![key("s"), key("d")],
         vec![key("n")],
     ];
     let mut rng = StdRng::seed_from_u64(0xA66);
@@ -689,6 +705,15 @@ fn sort_matches_row_at_a_time_reference() {
     }
 }
 
+/// The rows whose keys no earlier row has, in order.
+fn first_of_each_row_key(rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let mut seen = std::collections::HashSet::new();
+    rows.iter()
+        .filter(|row| seen.insert(row.iter().map(cell_key).collect::<Vec<_>>()))
+        .cloned()
+        .collect()
+}
+
 /// DISTINCT, LIMIT, and UNION ALL agree with their row-level references.
 #[test]
 fn set_operators_match_row_at_a_time_reference() {
@@ -697,18 +722,19 @@ fn set_operators_match_row_at_a_time_reference() {
         let table = random_table(&mut rng, 40);
         let rows = table.to_rows();
 
-        // DISTINCT keeps the first occurrence of each rendered row key.
-        let mut seen = std::collections::HashSet::new();
-        let expected: Vec<Vec<Value>> = rows
-            .iter()
-            .filter(|row| {
-                let key: Vec<String> = row.iter().map(|v| v.group_key()).collect();
-                seen.insert(key.join("\u{1}"))
-            })
-            .cloned()
-            .collect();
+        // DISTINCT keeps the first row of each row key.
         let actual = ops::distinct(&table).unwrap();
-        assert_tables_equal_rows(&actual, &expected, "distinct");
+        assert_tables_equal_rows(&actual, &first_of_each_row_key(&rows), "distinct");
+        // So it does over two string columns, plain and dictionary-encoded,
+        // whose cells a rendered key would splice into one text.
+        let strings = ops::project(
+            &aggregate_shapes(&mut rng, 40),
+            &[ops::Projection::column("s"), ops::Projection::column("d")],
+        )
+        .unwrap();
+        let expected = first_of_each_row_key(&strings.to_rows());
+        let actual = ops::distinct(&strings).unwrap();
+        assert_tables_equal_rows(&actual, &expected, "distinct over two strings");
 
         // LIMIT is a prefix.
         let n = rng.gen_range(0..50usize);
@@ -745,16 +771,61 @@ fn value_ordering_is_consistent() {
     }
 }
 
-/// Values that compare equal under SQL semantics share a group key.
+/// `SELECT k, COUNT(*) AS n GROUP BY k` over a column `k` of `values`.
+fn groups_of(values: Vec<Value>) -> Table {
+    let schema = Schema::from_pairs(&[("k", DataType::Null)]);
+    let column = std::sync::Arc::new(Column::from_values(values));
+    let table = Table::from_columns("t", schema, vec![column]).unwrap();
+    let key = [(Expr::col("k"), "k".to_string())];
+    ops::aggregate(&table, &key, &[ops::AggCall::count_star("n")]).unwrap()
+}
+
+/// Two values that compare equal under SQL semantics form one group (the
+/// generator's numbers lie within ±2^53, where `=` is exact).
 #[test]
 fn group_keys_respect_equality() {
     let mut rng = StdRng::seed_from_u64(8);
+    let mut equal = 0;
     for _ in 0..CASES * 4 {
         let a = random_value(&mut rng);
         let b = random_value(&mut rng);
         if a.sql_eq(&b) == Some(true) {
-            assert_eq!(a.group_key(), b.group_key());
+            let groups = groups_of(vec![a.clone(), b.clone()]);
+            assert_eq!(groups.num_rows(), 1, "{a:?} = {b:?}");
+            equal += 1;
         }
+    }
+    assert!(equal > 0);
+}
+
+/// An int and the float equal to it are one group, 10^15 and ±2^53
+/// included, and the group's key is its first row's cell.
+#[test]
+fn an_int_and_the_float_equal_to_it_form_one_group() {
+    for x in [2, 1_000_000_000_000_000, 1 << 53, -(1 << 53)] {
+        let groups = groups_of(vec![Value::Int(x), Value::Float(x as f64)]);
+        assert_eq!(groups.num_rows(), 1, "{x}");
+        assert_eq!(groups.value(0, "n").unwrap(), Value::Int(2));
+        assert!(matches!(groups.value(0, "k").unwrap(), Value::Int(k) if k == x));
+    }
+}
+
+/// Two rows whose strings, tagged `s:` and joined by U+0001, spell one text
+/// are two groups and two distinct rows.
+#[test]
+fn strings_holding_a_separator_and_a_type_tag_stay_two_rows() {
+    let schema = Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Str)]);
+    let mut builder = TableBuilder::new("t", schema);
+    builder.push_values(["x\u{1}s:y", "z"]).unwrap();
+    builder.push_values(["x", "y\u{1}s:z"]).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.register(builder.build());
+    for query in [
+        "SELECT a, b, COUNT(*) AS n FROM t GROUP BY a, b",
+        "SELECT DISTINCT a, b FROM t",
+    ] {
+        let out = sql::run_sql(&catalog, query).unwrap();
+        assert_eq!(out.num_rows(), 2, "{query}");
     }
 }
 

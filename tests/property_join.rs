@@ -3,34 +3,34 @@
 //! `ops::hash_join` chains build rows through one `next` array and shares a
 //! side whose indices are the identity. The reference kept here is the join
 //! it replaced, reduced to its definition: one heap `Vec` of build rows per
-//! rendered key, every output column gathered with `Column::take`, nothing
-//! shared. The two must be **byte-identical** — storage variants, validity
-//! bitmap words and NULL placeholders included — over every key path: the
-//! typed int, utf8 and utf8 ⋈ dict probes, and the rendered-key path that
-//! dict ⋈ dict (shared and foreign entry tables), dict ⋈ utf8, mixed and
-//! int ⋈ float keys take, with duplicate keys, NULL keys, a shuffled right
-//! side and unmatched probe rows. A second family of tests pins *what is
-//! shared*: the columns of an identity side are the input's own `Arc`s.
+//! cell key (the key rule written out in `common`), every output column
+//! gathered with `Column::take`, nothing shared. The two must be
+//! **byte-identical** — storage variants, validity bitmap words and NULL
+//! placeholders included — over every pair of key shapes: int, float,
+//! utf8, dict (shared and foreign entry tables) and mixed, at small keys
+//! and at keys near 10^15 and 2^53, with duplicate keys, NULL keys, a
+//! shuffled right side and unmatched probe rows. A second family of tests
+//! pins *what is shared*: the columns of an identity side are the input's
+//! own `Arc`s.
 
 use caesura::engine::{dict, ops, Column, DataType, Schema, Table, Value};
+use common::cell_key;
 use rand::{Rng, SeedableRng, StdRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The reference join: `Vec`-per-key build over rendered group keys, a
-/// gather per output column.
+mod common;
+
+/// The reference join: `Vec`-per-key build over cell keys, a gather per
+/// output column.
 fn reference_join(left: &Table, right: &Table, key: &str) -> Table {
     let left_key = &left.columns()[left.schema().resolve(key).unwrap()];
     let right_key = &right.columns()[right.schema().resolve(key).unwrap()];
-    let rendered = |column: &Column, row: usize| {
-        let mut out = String::new();
-        column.write_group_key(row, &mut out);
-        out
-    };
-    let mut build: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut build = HashMap::new();
     for row in 0..right_key.len() {
         if right_key.is_valid(row) {
-            build.entry(rendered(right_key, row)).or_default().push(row);
+            let key = cell_key(&right_key.get(row));
+            build.entry(key).or_insert_with(Vec::new).push(row);
         }
     }
     let mut left_indices = Vec::new();
@@ -38,7 +38,7 @@ fn reference_join(left: &Table, right: &Table, key: &str) -> Table {
     for row in 0..left_key.len() {
         let matches = left_key
             .is_valid(row)
-            .then(|| build.get(&rendered(left_key, row)))
+            .then(|| build.get(&cell_key(&left_key.get(row))))
             .flatten();
         for &j in matches.into_iter().flatten() {
             left_indices.push(row);
@@ -84,16 +84,16 @@ enum KeyKind {
     Mixed,
 }
 
-/// `rows` keys drawn from `domain` distinct values (as few as a dictionary
-/// accepts, for `Dict`), ~10 % NULL.
-fn key_column(rng: &mut StdRng, kind: KeyKind, rows: usize, domain: i64) -> Column {
+/// `rows` keys drawn from `domain` distinct values from `base` on (as few
+/// as a dictionary accepts, for `Dict`), ~10 % NULL.
+fn key_column(rng: &mut StdRng, kind: KeyKind, rows: usize, base: i64, domain: i64) -> Column {
     let domain = match kind {
         KeyKind::Dict => domain.min((rows / dict::MIN_ROWS_PER_DISTINCT).max(1) as i64),
         _ => domain,
     };
     let values: Vec<Value> = (0..rows)
         .map(|_| {
-            let k = rng.gen_range(0..domain);
+            let k = base + rng.gen_range(0..domain);
             if rng.gen_bool(0.1) {
                 return Value::Null;
             }
@@ -166,8 +166,8 @@ fn check(left: &Table, right: &Table, context: &str) {
 #[test]
 fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
     use KeyKind::*;
-    // (probe key, build key): every branch of `probe_indices`, and each key
-    // pair that falls through to the rendered-key path.
+    // (probe key, build key): a build side chained by code or by cell key,
+    // probed by every shape.
     let paths = [
         (Int, Int),
         (Dict, Dict),
@@ -176,10 +176,16 @@ fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
         (Utf8, Utf8),
         (Mixed, Mixed),
         (Int, Float),
+        (Float, Int),
         (Mixed, Utf8),
+        (Mixed, Dict),
     ];
+    // Keys from 0, from 10^15, and up to 2^53, the last int every float
+    // key holds exactly.
+    let bases = [0, 1_000_000_000_000_000, (1 << 53) - 401];
     for (seed, (left_kind, right_kind)) in (0..3u64).flat_map(|s| paths.map(|p| (s, p))) {
         let mut rng = StdRng::seed_from_u64(0x5EED_701E ^ seed);
+        let base = bases[seed as usize];
         for (left_rows, right_rows, domain) in [
             (0usize, 5usize, 4i64),
             (5, 0, 4),
@@ -189,9 +195,9 @@ fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
             // Mostly unique keys, many unmatched probe rows.
             (120, 64, 400),
         ] {
-            let key = key_column(&mut rng, left_kind, left_rows, domain);
+            let key = key_column(&mut rng, left_kind, left_rows, base, domain);
             let left = keyed_table(&mut rng, "l", key);
-            let key = key_column(&mut rng, right_kind, right_rows, domain + 2);
+            let key = key_column(&mut rng, right_kind, right_rows, base, domain + 2);
             let right = keyed_table(&mut rng, "r", key);
             // Exercise the path named, not whatever the data happened to
             // pack into.
@@ -200,7 +206,8 @@ fn shared_chain_built_join_matches_the_gather_reference_on_every_key_path() {
                 assert_eq!(right.columns()[0].as_dict().is_some(), right_kind == Dict);
             }
             let context = format!(
-                "seed {seed}, {left_kind:?} x {right_kind:?}, {left_rows} x {right_rows} rows"
+                "seed {seed}, {left_kind:?} x {right_kind:?} from {base}, \
+                 {left_rows} x {right_rows} rows"
             );
             check(&left, &right, &context);
             // A self-join probes a key against its own column (for a dict
